@@ -153,8 +153,20 @@ fn conn_dial(conn: &mut ClientConn, policy: &RetryPolicy) -> Result<(), NetError
     Ok(())
 }
 
-/// One attempt against one connection: dial if needed, write, read.
-/// Transport errors evict the stream so the next attempt redials
+/// Offloaded executes and redistribution phases do real work (kernel
+/// compute, bulk strip movement) before replying: they get a far longer
+/// reply deadline than the per-frame read timeout, or a busy server
+/// looks dead — and their latency says nothing about a strip read, so
+/// they never feed the [`LoadTracker`].
+fn is_long_op(msg: &Message) -> bool {
+    matches!(
+        msg,
+        Message::Execute { .. } | Message::RedistPrepare { .. } | Message::RedistCommit { .. }
+    )
+}
+
+/// First half of one attempt: dial if needed and write the request. A
+/// transport error evicts the stream so the next attempt redials
 /// instead of reusing a socket in an unknown state.
 ///
 /// When the server advertised [`CAP_DEADLINE`], the request carries a
@@ -162,24 +174,16 @@ fn conn_dial(conn: &mut ClientConn, policy: &RetryPolicy) -> Result<(), NetError
 /// policy's read timeout, stretched for long operations) — a server
 /// that cannot answer within it may shed the request instead of doing
 /// work nobody is waiting for.
-fn conn_call_once(
+fn conn_send(
     conn: &mut ClientConn,
     policy: &RetryPolicy,
     msg: &Message,
     trace: Option<u64>,
-) -> Result<Message, NetError> {
+) -> Result<(), NetError> {
     conn_dial(conn, policy)?;
-    // Offloaded executes and redistribution phases do real work
-    // (kernel compute, bulk strip movement) before replying — give
-    // them a far longer reply deadline than the per-frame read
-    // timeout, or a busy server looks dead.
-    let long_op = matches!(
-        msg,
-        Message::Execute { .. } | Message::RedistPrepare { .. } | Message::RedistCommit { .. }
-    );
-    let base_timeout = policy.read_timeout;
+    let long_op = is_long_op(msg);
     let reply_deadline =
-        if long_op { base_timeout.saturating_mul(10) } else { base_timeout };
+        if long_op { policy.read_timeout.saturating_mul(10) } else { policy.read_timeout };
     let budget_ms = if conn.deadline_ok {
         Some(reply_deadline.as_millis().clamp(1, u128::from(u32::MAX)) as u32)
     } else {
@@ -190,24 +194,51 @@ fn conn_call_once(
     if long_op {
         let _ = stream.get_ref().set_read_timeout(Some(reply_deadline));
     }
-    let result = (|| {
-        write_message_opts(stream, msg, trace, budget_ms)?;
-        match read_message(stream)? {
-            Some(Message::Error { code, message }) => Err(NetError::Remote { code, message }),
-            Some(reply) => Ok(reply),
-            None => Err(NetError::Io(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed mid-call",
-            ))),
-        }
-    })();
-    if long_op {
-        let _ = stream.get_ref().set_read_timeout(Some(base_timeout));
+    let result = write_message_opts(stream, msg, trace, budget_ms);
+    if result.is_err() {
+        conn.stream = None;
+    }
+    result.map_err(NetError::from)
+}
+
+/// Second half: read the reply to the request [`conn_send`] wrote.
+/// Leaves the connection frame-aligned (one whole reply consumed, the
+/// per-frame read timeout restored) or evicted.
+fn conn_recv(
+    conn: &mut ClientConn,
+    policy: &RetryPolicy,
+    msg: &Message,
+) -> Result<Message, NetError> {
+    let Some(stream) = conn.stream.as_mut() else {
+        return Err(NetError::Protocol("reply awaited on a connection with no request in flight".into()));
+    };
+    let result = match read_message(stream) {
+        Ok(Some(Message::Error { code, message })) => Err(NetError::Remote { code, message }),
+        Ok(Some(reply)) => Ok(reply),
+        Ok(None) => Err(NetError::Io(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "server closed mid-call",
+        ))),
+        Err(e) => Err(e),
+    };
+    if is_long_op(msg) {
+        let _ = stream.get_ref().set_read_timeout(Some(policy.read_timeout));
     }
     if result.as_ref().is_err_and(NetError::is_transport) {
         conn.stream = None;
     }
     result
+}
+
+/// One attempt against one connection: dial if needed, write, read.
+fn conn_call_once(
+    conn: &mut ClientConn,
+    policy: &RetryPolicy,
+    msg: &Message,
+    trace: Option<u64>,
+) -> Result<Message, NetError> {
+    conn_send(conn, policy, msg, trace)?;
+    conn_recv(conn, policy, msg)
 }
 
 impl DasCluster {
@@ -333,9 +364,11 @@ impl DasCluster {
 
     /// One attempt: dial if needed, write, read. Transport errors
     /// evict the connection so the next attempt redials instead of
-    /// reusing a socket in an unknown state. The attempt's wall time
-    /// feeds the server's latency EWMA (down servers fail fast and
-    /// are not scored).
+    /// reusing a socket in an unknown state. A successful attempt's
+    /// wall time feeds the server's latency EWMA — the strip-read
+    /// estimate behind hedge delays and holder ordering — unless the
+    /// request is a long operation (down servers fail fast and are not
+    /// scored either).
     fn call_once(&mut self, s: usize, msg: &Message) -> Result<Message, NetError> {
         if self.down[s] {
             return Err(Self::down_error(s));
@@ -345,7 +378,7 @@ impl DasCluster {
         // Only successes feed the estimate — a refused connection
         // fails in microseconds and would make a dead server score as
         // the fastest holder in every walk.
-        if result.is_ok() {
+        if result.is_ok() && !is_long_op(msg) {
             self.load.observe(s, started.elapsed());
         }
         result
@@ -356,11 +389,23 @@ impl DasCluster {
     /// budget on transport errors marks the server down; calls to a
     /// down server fail fast with a typed error.
     pub fn call(&mut self, s: usize, msg: &Message) -> Result<Message, NetError> {
+        self.call_resuming(s, msg, None)
+    }
+
+    /// [`DasCluster::call`] whose first attempt may already have been
+    /// made (by a [`DasCluster::wave`]): `first` counts as attempt one
+    /// of the same retry budget, backoff and retry accounting.
+    fn call_resuming(
+        &mut self,
+        s: usize,
+        msg: &Message,
+        mut first: Option<Result<Message, NetError>>,
+    ) -> Result<Message, NetError> {
         let policy = self.policy.clone();
         let mut attempts = 0u64;
         let result = policy.retry(|| {
             attempts += 1;
-            self.call_once(s, msg)
+            first.take().unwrap_or_else(|| self.call_once(s, msg))
         });
         if attempts > 1 {
             self.metrics.counter("das_client_retries_total", &[]).add(attempts - 1);
@@ -371,13 +416,53 @@ impl DasCluster {
         result
     }
 
+    /// Scatter/gather, one attempt: write `msg` to every target's
+    /// connection, then read every reply, in `targets` order. Each
+    /// connection still has at most one request outstanding, so the
+    /// frames are those of `targets.len()` serial calls — only the
+    /// servers' work overlaps. Every request written is answered or its
+    /// connection evicted before this returns, whatever the other
+    /// replies were: no reply is left behind to be read as the answer
+    /// to a later request. Latencies measured across a wave include the
+    /// other servers' replies, so none feeds the [`LoadTracker`].
+    fn wave_once(&mut self, targets: &[usize], msg: &Message) -> Vec<Result<Message, NetError>> {
+        self.drain_racers();
+        let sent: Vec<Result<(), NetError>> = targets
+            .iter()
+            .map(|&s| {
+                if self.down[s] {
+                    return Err(Self::down_error(s));
+                }
+                conn_send(&mut self.conns[s], &self.policy, msg, self.trace)
+            })
+            .collect();
+        targets
+            .iter()
+            .zip(sent)
+            .map(|(&s, sent)| sent.and_then(|()| conn_recv(&mut self.conns[s], &self.policy, msg)))
+            .collect()
+    }
+
+    /// [`DasCluster::wave_once`], then each server whose attempt failed
+    /// transiently is retried on its own through the [`DasCluster::call`]
+    /// machinery (every fanned-out request is idempotent). Results are
+    /// in `targets` order.
+    fn wave(&mut self, targets: &[usize], msg: &Message) -> Vec<Result<Message, NetError>> {
+        let firsts = self.wave_once(targets, msg);
+        targets
+            .iter()
+            .zip(firsts)
+            .map(|(&s, first)| self.call_resuming(s, msg, Some(first)))
+            .collect()
+    }
+
     /// Send `msg` to every reachable server, collecting the replies.
     fn call_all(&mut self, msg: &Message) -> Result<Vec<Message>, NetError> {
         let ups = self.up_servers();
         if ups.is_empty() {
             return Err(NetError::Protocol("no reachable servers".into()));
         }
-        ups.into_iter().map(|s| self.call(s, msg)).collect()
+        self.wave(&ups, msg).into_iter().collect()
     }
 
     /// Ping every reachable server.
@@ -856,9 +941,10 @@ impl DasCluster {
             successive,
             force,
         };
-        let mut summaries = Vec::with_capacity(self.conns.len());
-        for s in 0..self.conns.len() {
-            match self.call(s, &msg) {
+        let all: Vec<usize> = (0..self.conns.len()).collect();
+        let mut summaries = Vec::with_capacity(all.len());
+        for reply in self.wave(&all, &msg) {
+            match reply {
                 Ok(Message::ExecuteOk { strips_computed, dep_fetches, dep_fetch_bytes }) => {
                     summaries.push(ExecSummary { strips_computed, dep_fetches, dep_fetch_bytes })
                 }
@@ -989,9 +1075,8 @@ impl DasCluster {
     /// must not block teardown of the rest, so each server gets one
     /// attempt and errors are swallowed.
     pub fn shutdown_all(&mut self) -> Result<(), NetError> {
-        for s in 0..self.conns.len() {
-            let _ = self.call_once(s, &Message::Shutdown);
-        }
+        let ups = self.up_servers();
+        let _ = self.wave_once(&ups, &Message::Shutdown);
         Ok(())
     }
 }
@@ -1294,4 +1379,56 @@ fn run_ts_into(
     let raster = Raster::from_bytes(img_width, height, &input);
     let output = kernel.apply(&raster);
     cluster.put_file(out_file, &output.to_bytes())
+}
+
+#[cfg(test)]
+mod tests {
+    use std::net::TcpListener;
+
+    use super::*;
+    use crate::server::{spawn, DasdConfig};
+
+    /// The `LoadTracker` is the strip-read latency estimate: a
+    /// fan-out — an `Execute` least of all — must leave every server's
+    /// sample count and hedge delay exactly as the strip reads left
+    /// them.
+    #[test]
+    fn an_execute_leaves_the_hedge_delay_unchanged() {
+        let listeners: Vec<TcpListener> =
+            (0..2).map(|_| TcpListener::bind("127.0.0.1:0").expect("bind")).collect();
+        let addrs: Vec<String> =
+            listeners.iter().map(|l| l.local_addr().expect("addr").to_string()).collect();
+        let handles: Vec<_> = listeners
+            .into_iter()
+            .enumerate()
+            .map(|(i, l)| spawn(DasdConfig::new(i as u32, addrs.clone()), l).expect("spawn dasd"))
+            .collect();
+        let mut cluster = DasCluster::connect(&addrs).expect("connect");
+
+        let data = vec![7u8; 8 * 1024];
+        let mut create = |name: &str| {
+            cluster.create_file(name, data.len() as u64, 1024, LayoutPolicy::RoundRobin).expect("create")
+        };
+        let (file, out) = (create("in"), create("out"));
+        cluster.put_file(file, &data).expect("ingest");
+        assert_eq!(cluster.read_file(file).expect("read"), data);
+
+        let estimates = |c: &DasCluster| -> Vec<(u64, Option<Duration>)> {
+            (0..2).map(|s| (c.load.get(s).samples(), c.load.hedge_delay(s))).collect()
+        };
+        let before = estimates(&cluster);
+        assert!(before.iter().all(|(_, delay)| delay.is_some()), "strip traffic must warm the tracker");
+        cluster
+            .execute(file, out, "gaussian-filter", 16, true, true)
+            .expect("execute")
+            .expect("forced offload must run");
+        cluster.ping_all().expect("ping");
+        assert_eq!(estimates(&cluster), before, "a fan-out fed the strip-read latency estimate");
+
+        cluster.shutdown_all().expect("shutdown");
+        drop(cluster);
+        for h in handles {
+            h.join();
+        }
+    }
 }

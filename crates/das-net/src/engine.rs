@@ -168,10 +168,19 @@ struct Job {
 /// the "weight" in the weighted deficit round-robin.
 fn job_weight(msg: &Message) -> u32 {
     match msg {
-        Message::Execute { .. } | Message::RedistPrepare { .. } | Message::RedistCommit { .. } => 8,
+        Message::Execute { .. } | Message::RedistPrepare { .. } | Message::RedistCommit { .. } => {
+            HEAVY_WEIGHT
+        }
         _ => 1,
     }
 }
+
+/// Weight of the requests that block on peers while they run
+/// (`Execute`, the redistribution phases). A worker inside one waits
+/// for `GetStrip`/`PutStrip` replies that only a *free* worker of a
+/// peer daemon can produce, so each daemon keeps one worker out of
+/// them (see [`FairQueue::dequeue`]).
+const HEAVY_WEIGHT: u32 = 8;
 
 /// One connection's pending requests inside the fair queue. Each
 /// entry carries the weight its dispatch will charge, so the
@@ -192,6 +201,8 @@ struct SchedState<J> {
     order: VecDeque<u64>,
     /// Total requests queued, across all connections.
     len: usize,
+    /// Heavy requests dispatched and not yet [`FairQueue::complete`]d.
+    heavy_running: usize,
     /// Shard threads still running; when the last one exits, idle
     /// workers are released.
     shards_live: usize,
@@ -209,6 +220,10 @@ struct FairQueue<J> {
     /// Admission bound: a non-exempt request arriving with this many
     /// already queued is shed with [`ErrorCode::Overloaded`].
     max_backlog: usize,
+    /// Most heavy requests that may run at once: one fewer than the
+    /// worker pool, so a worker always remains to answer the peer
+    /// fetches the heavy ones are blocked on.
+    heavy_cap: usize,
     /// Live queue depth (`dasd_worker_queue_depth`).
     depth: Arc<das_obs::Gauge>,
     /// Requests shed at admission (`dasd_requests_shed_total{reason="backlog"}`).
@@ -216,7 +231,12 @@ struct FairQueue<J> {
 }
 
 impl<J> FairQueue<J> {
-    fn new(max_backlog: usize, n_shards: usize, metrics: &das_obs::Registry) -> FairQueue<J> {
+    fn new(
+        max_backlog: usize,
+        pool: usize,
+        n_shards: usize,
+        metrics: &das_obs::Registry,
+    ) -> FairQueue<J> {
         let depth = metrics.gauge("dasd_worker_queue_depth", &[]);
         depth.set(0); // registered up front so dumps always carry it
         FairQueue {
@@ -224,10 +244,12 @@ impl<J> FairQueue<J> {
                 queues: HashMap::new(),
                 order: VecDeque::new(),
                 len: 0,
+                heavy_running: 0,
                 shards_live: n_shards,
             }),
             ready: Condvar::new(),
             max_backlog,
+            heavy_cap: pool.saturating_sub(1).max(1),
             depth,
             shed: metrics.counter("dasd_requests_shed_total", &[("reason", "backlog")]),
         }
@@ -259,26 +281,41 @@ impl<J> FairQueue<J> {
         Ok(())
     }
 
-    /// Dequeue the next request by weighted deficit round-robin, or
-    /// `None` once every shard has exited and the queue is drained.
-    /// Each turn either dispatches one request or pays down one unit
-    /// of a connection's debt; total debt is bounded, so the walk
-    /// terminates.
-    fn dequeue(&self) -> Option<J> {
+    /// Dequeue the next request (with its weight) by weighted deficit
+    /// round-robin, or `None` once every shard has exited and nothing
+    /// runnable is left. Each turn either dispatches one request, pays
+    /// down one unit of a connection's debt, or passes over a
+    /// connection whose head request is heavy while `heavy_cap` heavy
+    /// ones are already running — it keeps its place in the rotation.
+    /// Total debt is bounded and a full lap of nothing but passed-over
+    /// connections ends the walk, so it terminates — and only once no
+    /// connection has a request that paying its debt would release. The
+    /// caller hands the weight back through [`FairQueue::complete`] when
+    /// the request is done.
+    fn dequeue(&self) -> Option<(u32, J)> {
         let mut s = lock(&self.sched);
         loop {
-            while s.len > 0 {
+            let mut capped = 0usize;
+            while s.len > 0 && capped < s.order.len() {
                 let Some(conn) = s.order.pop_front() else { break };
+                let at_cap = s.heavy_running >= self.heavy_cap;
                 let Some(q) = s.queues.get_mut(&conn) else { continue };
                 if q.debt > 0 {
                     q.debt -= 1;
                     s.order.push_back(conn);
+                    capped = 0;
                     continue;
                 }
-                let Some((weight, job)) = q.jobs.pop_front() else {
+                let Some(&(weight, _)) = q.jobs.front() else {
                     s.queues.remove(&conn);
                     continue;
                 };
+                if weight >= HEAVY_WEIGHT && at_cap {
+                    s.order.push_back(conn);
+                    capped += 1;
+                    continue;
+                }
+                let Some((weight, job)) = q.jobs.pop_front() else { continue };
                 q.debt = weight.saturating_sub(1);
                 let drained = q.jobs.is_empty() && q.debt == 0;
                 if drained {
@@ -287,13 +324,27 @@ impl<J> FairQueue<J> {
                     s.order.push_back(conn);
                 }
                 s.len -= 1;
+                if weight >= HEAVY_WEIGHT {
+                    s.heavy_running += 1;
+                }
                 self.depth.set(s.len as i64);
-                return Some(job);
+                return Some((weight, job));
             }
             if s.shards_live == 0 {
                 return None;
             }
             s = self.ready.wait(s).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    /// A dispatched request of this weight finished: a heavy one frees
+    /// its slot under the cap, and a worker waiting on the cap is woken.
+    fn complete(&self, weight: u32) {
+        if weight >= HEAVY_WEIGHT {
+            let mut s = lock(&self.sched);
+            s.heavy_running = s.heavy_running.saturating_sub(1);
+            drop(s);
+            self.ready.notify_one();
         }
     }
 
@@ -333,15 +384,17 @@ pub(crate) fn spawn_event_loop(
         done: (0..n_shards).map(|_| Mutex::new(Vec::new())).collect(),
     });
 
-    let fair: Arc<FairQueue<Job>> = Arc::new(FairQueue::new(max_backlog, n_shards, &shared.metrics));
+    let fair: Arc<FairQueue<Job>> =
+        Arc::new(FairQueue::new(max_backlog, pool, n_shards, &shared.metrics));
     let mut threads = Vec::with_capacity(pool + n_shards + 1);
     for _ in 0..pool {
         let fair = Arc::clone(&fair);
         let shared = Arc::clone(&shared);
         let queues = Arc::clone(&queues);
         threads.push(std::thread::spawn(move || {
-            while let Some(job) = fair.dequeue() {
+            while let Some((weight, job)) = fair.dequeue() {
                 run_job(&shared, &queues, job);
+                fair.complete(weight);
             }
         }));
     }
@@ -740,11 +793,20 @@ mod tests {
         order: VecDeque<u64>,
         len: usize,
         max_backlog: usize,
+        heavy_running: usize,
+        heavy_cap: usize,
     }
 
     impl RefModel {
-        fn new(max_backlog: usize) -> RefModel {
-            RefModel { queues: HashMap::new(), order: VecDeque::new(), len: 0, max_backlog }
+        fn new(max_backlog: usize, pool: usize) -> RefModel {
+            RefModel {
+                queues: HashMap::new(),
+                order: VecDeque::new(),
+                len: 0,
+                max_backlog,
+                heavy_running: 0,
+                heavy_cap: pool - 1,
+            }
         }
 
         fn enqueue(&mut self, conn: u64, weight: u32, exempt: bool, id: u32) -> bool {
@@ -760,19 +822,29 @@ mod tests {
             true
         }
 
-        fn dequeue(&mut self) -> Option<u32> {
-            while self.len > 0 {
+        /// `None` when nothing is queued *or* every queued connection
+        /// is held back by the heavy cap.
+        fn dequeue(&mut self) -> Option<(u32, u32)> {
+            let mut capped = 0;
+            while self.len > 0 && capped < self.order.len() {
                 let conn = self.order.pop_front()?;
                 let Some(q) = self.queues.get_mut(&conn) else { continue };
                 if q.1 > 0 {
                     q.1 -= 1;
                     self.order.push_back(conn);
+                    capped = 0;
                     continue;
                 }
-                let Some((weight, id)) = q.0.pop_front() else {
+                let Some(&(weight, id)) = q.0.front() else {
                     self.queues.remove(&conn);
                     continue;
                 };
+                if weight >= HEAVY_WEIGHT && self.heavy_running >= self.heavy_cap {
+                    self.order.push_back(conn);
+                    capped += 1;
+                    continue;
+                }
+                q.0.pop_front();
                 q.1 = weight.saturating_sub(1);
                 if q.0.is_empty() && q.1 == 0 {
                     self.queues.remove(&conn);
@@ -780,9 +852,25 @@ mod tests {
                     self.order.push_back(conn);
                 }
                 self.len -= 1;
-                return Some(id);
+                if weight >= HEAVY_WEIGHT {
+                    self.heavy_running += 1;
+                }
+                return Some((weight, id));
             }
             None
+        }
+
+        fn complete(&mut self, weight: u32) {
+            if weight >= HEAVY_WEIGHT {
+                self.heavy_running -= 1;
+            }
+        }
+
+        /// A heavy request heads some connection's queue while the cap
+        /// is reached: the next dequeue must not dispatch it.
+        fn cap_binds(&self) -> bool {
+            self.heavy_running >= self.heavy_cap
+                && self.queues.values().any(|q| q.0.front().is_some_and(|&(w, _)| w >= HEAVY_WEIGHT))
         }
     }
 
@@ -797,7 +885,8 @@ mod tests {
     #[test]
     fn drr_weights_interleave_heavy_and_light() {
         let metrics = das_obs::Registry::new();
-        let fair: FairQueue<u32> = FairQueue::new(1024, 1, &metrics);
+        // Pool of 16: the four heavy jobs stay under the cap.
+        let fair: FairQueue<u32> = FairQueue::new(1024, 16, 1, &metrics);
         // Conn 1: four heavy jobs (ids 0..4). Conn 2: 32 light (100..).
         for id in 0..4u32 {
             fair.enqueue(1, 8, false, id).unwrap();
@@ -807,7 +896,7 @@ mod tests {
         }
         let mut got = Vec::new();
         for _ in 0..36 {
-            got.push(fair.dequeue().expect("queue is non-empty"));
+            got.push(fair.dequeue().expect("queue is non-empty").1);
         }
         let mut want = Vec::new();
         for h in 0..4u32 {
@@ -819,18 +908,44 @@ mod tests {
         assert_eq!(got, want, "weighted DRR order drifted from the 1-heavy-then-8-light pattern");
     }
 
+    /// With `pool` workers at most `pool − 1` heavy requests run at
+    /// once: the next heavy one keeps its place in the rotation (light
+    /// requests overtake it, one still paying off a debt included) until
+    /// a running one completes.
+    #[test]
+    fn heavy_requests_are_capped_below_the_pool() {
+        let metrics = das_obs::Registry::new();
+        let fair: FairQueue<u32> = FairQueue::new(1024, 2, 1, &metrics);
+        fair.shard_done(); // nothing runnable ⇒ `None`, not a wait
+        fair.enqueue(1, HEAVY_WEIGHT, false, 0).unwrap();
+        fair.enqueue(1, 1, false, 3).unwrap(); // pipelined behind conn 1's heavy request
+        fair.enqueue(2, HEAVY_WEIGHT, false, 1).unwrap();
+        fair.enqueue(3, 1, false, 2).unwrap();
+        assert_eq!(fair.dequeue(), Some((HEAVY_WEIGHT, 0)));
+        assert_eq!(fair.dequeue(), Some((1, 2)), "a light request overtakes the capped heavy one");
+        assert_eq!(fair.dequeue(), Some((1, 3)), "a capped connection ended the walk before a debt was paid");
+        assert_eq!(fair.dequeue(), None, "a second heavy request ran with pool − 1 = 1 already running");
+        assert_eq!(queue_len(&fair), 1, "the capped request must stay queued");
+        fair.complete(HEAVY_WEIGHT);
+        assert_eq!(fair.dequeue(), Some((HEAVY_WEIGHT, 1)));
+    }
+
     /// Seeded pseudo-random interleaving: four simulated shards
-    /// enqueue (with occasional exempt control-plane jobs) and a
-    /// worker dequeues, in an order driven by a deterministic LCG.
-    /// Every admission/shed decision and every dispatched id must
-    /// match the reference model, and the backlog bound must hold for
-    /// non-exempt admissions throughout.
+    /// enqueue (with occasional exempt control-plane jobs) and a pool
+    /// of three workers dequeues and completes, in an order driven by a
+    /// deterministic LCG. Every admission/shed decision and every
+    /// dispatch — including those that pass over a heavy request held
+    /// back by the cap — must match the reference model, the backlog bound must hold for
+    /// non-exempt admissions, and never more than `pool − 1` heavy
+    /// requests run at once.
     #[test]
     fn seeded_interleaving_matches_reference_model() {
         const MAX_BACKLOG: usize = 12;
+        const POOL: usize = 3;
         let metrics = das_obs::Registry::new();
-        let fair: FairQueue<u32> = FairQueue::new(MAX_BACKLOG, 1, &metrics);
-        let mut model = RefModel::new(MAX_BACKLOG);
+        let fair: FairQueue<u32> = FairQueue::new(MAX_BACKLOG, POOL, 1, &metrics);
+        fair.shard_done(); // nothing runnable ⇒ `None`, not a wait
+        let mut model = RefModel::new(MAX_BACKLOG, POOL);
 
         let mut seed = 0xDA51D_u64;
         let mut lcg = move || {
@@ -840,7 +955,9 @@ mod tests {
 
         let mut next_id = 0u32;
         let mut in_flight_ids: Vec<u32> = Vec::new();
-        let mut shed_count = 0usize;
+        // Weights of dispatched, not yet completed requests (≤ POOL).
+        let mut running: VecDeque<u32> = VecDeque::new();
+        let (mut shed_count, mut capped_count) = (0usize, 0usize);
         for step in 0..20_000 {
             let r = lcg();
             if r % 3 != 0 {
@@ -872,23 +989,39 @@ mod tests {
                         "non-exempt admission pushed the backlog past the bound at step {step}"
                     );
                 }
-            } else if model.len > 0 {
-                let got = fair.dequeue().expect("model says the queue is non-empty");
-                let want = model.dequeue().expect("model len > 0");
-                assert_eq!(got, want, "dispatch order diverged at step {step}");
-                in_flight_ids.retain(|&i| i != got);
+            } else if running.len() == POOL || (r >> 4) % 4 == 0 {
+                // A worker finishes the oldest running request.
+                if let Some(weight) = running.pop_front() {
+                    fair.complete(weight);
+                    model.complete(weight);
+                }
+            } else {
+                capped_count += usize::from(model.cap_binds());
+                let got = fair.dequeue();
+                assert_eq!(got, model.dequeue(), "dispatch diverged at step {step}");
+                if let Some((weight, id)) = got {
+                    running.push_back(weight);
+                    in_flight_ids.retain(|&i| i != id);
+                }
+                let heavy = running.iter().filter(|&&w| w >= HEAVY_WEIGHT).count();
+                assert!(heavy < POOL, "{heavy} heavy requests running in a pool of {POOL} at step {step}");
             }
             assert_eq!(queue_len(&fair), model.len, "queue length diverged at step {step}");
         }
         // Drain: every admitted job comes out, in model order.
         while model.len > 0 {
-            let got = fair.dequeue().expect("drain");
-            let want = model.dequeue().expect("drain");
-            assert_eq!(got, want, "dispatch order diverged during drain");
-            in_flight_ids.retain(|&i| i != got);
+            for weight in running.drain(..) {
+                fair.complete(weight);
+                model.complete(weight);
+            }
+            let got = fair.dequeue().expect("drain: one request at a time is always runnable");
+            assert_eq!(Some(got), model.dequeue(), "dispatch order diverged during drain");
+            running.push_back(got.0);
+            in_flight_ids.retain(|&i| i != got.1);
         }
         assert!(in_flight_ids.is_empty(), "admitted jobs lost: {in_flight_ids:?}");
         assert!(shed_count > 0, "the seed never exercised the shed path");
+        assert!(capped_count > 0, "the seed never exercised the heavy cap");
         assert_eq!(queue_len(&fair), 0);
     }
 }

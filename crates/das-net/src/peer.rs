@@ -100,22 +100,9 @@ fn remaining_budget_ms(deadline: Option<Instant>) -> Option<u32> {
 
 impl PeerTable {
     /// A table for server `self_id` in a cluster whose `addrs[i]` is
-    /// the listen address of server `i`, with the default retry
-    /// policy. Outbound traffic is counted into `stats` under the
-    /// server↔server class.
-    pub fn new(self_id: u32, addrs: Vec<String>, stats: Arc<StatsRegistry>) -> Self {
-        PeerTable::with_policy(
-            self_id,
-            addrs,
-            stats,
-            RetryPolicy::default(),
-            Arc::new(das_obs::Registry::new()),
-        )
-    }
-
-    /// [`PeerTable::new`] with an explicit retry/timeout policy and a
-    /// metrics registry that receives peer-side counters (retries,
-    /// failovers, breaker trips).
+    /// the listen address of server `i`. Outbound traffic is counted
+    /// into `stats` under the server↔server class; `metrics` receives
+    /// the peer-side counters (retries, failovers, breaker trips).
     pub fn with_policy(
         self_id: u32,
         addrs: Vec<String>,
@@ -140,7 +127,7 @@ impl PeerTable {
     /// Attach the owning daemon's span store: dependence and
     /// redistribution fetches issued on behalf of traced requests
     /// then record `peer_fetch` child spans (see
-    /// [`PeerTable::get_strip_failover_spanned`]).
+    /// [`PeerTable::get_strip_failover`]).
     pub fn with_span_store(mut self, spans: Arc<das_obs::SpanStore>) -> Self {
         self.spans = Some(spans);
         self
@@ -149,16 +136,6 @@ impl PeerTable {
     /// Number of servers in the cluster.
     pub fn cluster_size(&self) -> u32 {
         self.addrs.len() as u32
-    }
-
-    /// This daemon's id.
-    pub fn self_id(&self) -> u32 {
-        self.self_id
-    }
-
-    /// The table's retry/timeout policy.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
     }
 
     fn conn(&self, target: u32) -> Result<PeerConn, NetError> {
@@ -268,11 +245,6 @@ impl PeerTable {
         self.policy.backoff_max.max(std::time::Duration::from_millis(100))
     }
 
-    /// The table's live latency estimates, for introspection.
-    pub fn load(&self) -> &LoadTracker {
-        &self.load
-    }
-
     /// One synchronous request/response exchange with server `target`,
     /// with transparent reconnect-and-retry for transient failures. A
     /// typed remote error becomes [`NetError::Remote`].
@@ -280,29 +252,14 @@ impl PeerTable {
     /// A peer whose breaker is open fails fast with a typed
     /// `NoSuchServer` error; exhausting the retry budget on transport
     /// errors trips the breaker, and any success closes it.
-    pub fn call(&self, target: u32, msg: &Message) -> Result<Message, NetError> {
-        self.call_traced(target, msg, None)
-    }
-
-    /// [`PeerTable::call`] carrying an optional request trace id; the
-    /// id is forwarded only over links whose peer advertised
-    /// [`CAP_TRACE`], so legacy peers keep seeing legacy frames.
-    pub fn call_traced(
-        &self,
-        target: u32,
-        msg: &Message,
-        trace: Option<u64>,
-    ) -> Result<Message, NetError> {
-        self.call_opts(target, msg, trace, None)
-    }
-
-    /// [`PeerTable::call_traced`] additionally carrying the request's
-    /// absolute deadline: the *remaining* budget is stamped on the
-    /// outgoing frame (links whose peer advertised [`CAP_DEADLINE`]
-    /// only), and a budget that is already spent fails locally with
+    ///
+    /// `trace` and the *remaining* budget before `deadline` are stamped
+    /// on the outgoing frame only over links whose peer advertised
+    /// [`CAP_TRACE`] / [`CAP_DEADLINE`], so legacy peers keep seeing
+    /// legacy frames; a budget that is already spent fails locally with
     /// the typed [`ErrorCode::Overloaded`] instead of burning a peer
     /// round-trip.
-    pub fn call_opts(
+    pub fn call(
         &self,
         target: u32,
         msg: &Message,
@@ -354,111 +311,28 @@ impl PeerTable {
             .collect()
     }
 
-    /// Fetch one strip of `file` from `target`.
-    pub fn get_strip(&self, target: u32, file: u32, strip: u64) -> Result<Vec<u8>, NetError> {
-        self.get_strip_traced(target, file, strip, None)
-    }
-
-    /// [`PeerTable::get_strip`] carrying an optional trace id.
-    pub fn get_strip_traced(
-        &self,
-        target: u32,
-        file: u32,
-        strip: u64,
-        trace: Option<u64>,
-    ) -> Result<Vec<u8>, NetError> {
-        self.get_strip_opts(target, file, strip, trace, None)
-    }
-
-    /// [`PeerTable::get_strip_traced`] additionally forwarding the
-    /// request's remaining deadline budget.
-    pub fn get_strip_opts(
-        &self,
-        target: u32,
-        file: u32,
-        strip: u64,
-        trace: Option<u64>,
-        deadline: Option<Instant>,
-    ) -> Result<Vec<u8>, NetError> {
-        match self.call_opts(target, &Message::GetStrip { file, strip }, trace, deadline)? {
-            Message::StripData { payload } => Ok(payload),
-            other => Err(NetError::Unexpected { opcode: other.opcode() }),
-        }
-    }
-
-    /// Fetch one strip of `file` from any of `holders`, in order —
-    /// the replica-failover read. Non-transient remote errors from a
-    /// holder fail over to the next holder too (a server that lost the
-    /// strip is as useless as a dead one); only running out of holders
-    /// is fatal. Reports which holder served via the second tuple
-    /// element (`Some(primary)` position 0 means no failover).
-    pub fn get_strip_failover(
-        &self,
-        holders: &[u32],
-        file: u32,
-        strip: u64,
-    ) -> Result<(Vec<u8>, usize), NetError> {
-        self.get_strip_failover_traced(holders, file, strip, None)
-    }
-
-    /// [`PeerTable::get_strip_failover`] carrying an optional trace
-    /// id. A read served by anything but the first holder tried bumps
+    /// Fetch one strip of `file` from any of `holders` — the
+    /// replica-failover read behind dependence and redistribution
+    /// fetches. Non-transient remote errors from a holder fail over to
+    /// the next holder too (a server that lost the strip is as useless
+    /// as a dead one); only running out of holders is fatal, and a read
+    /// served by anything but the first holder tried bumps
     /// `dasd_peer_failovers_total`.
-    pub fn get_strip_failover_traced(
-        &self,
-        holders: &[u32],
-        file: u32,
-        strip: u64,
-        trace: Option<u64>,
-    ) -> Result<(Vec<u8>, usize), NetError> {
-        self.get_strip_failover_opts(holders, file, strip, trace, None)
-    }
-
-    /// [`PeerTable::get_strip_failover_traced`] additionally
-    /// forwarding the remaining deadline budget. The walk order is the
-    /// caller's holder list **reordered by observed load**: each
-    /// peer's latency EWMA scores it, lightest first, with unsampled
-    /// peers keeping their caller-given (primary-first) positions — so
-    /// a cold table walks primaries exactly as before, and a warmed-up
-    /// table routes dependence fetches around a straggler instead of
-    /// paying its tail on every strip.
-    pub fn get_strip_failover_opts(
-        &self,
-        holders: &[u32],
-        file: u32,
-        strip: u64,
-        trace: Option<u64>,
-        deadline: Option<Instant>,
-    ) -> Result<(Vec<u8>, usize), NetError> {
-        let mut walk: Vec<u32> =
-            holders.iter().copied().filter(|&h| h != self.self_id).collect();
-        self.load.order_by_load(&mut walk, |&h| h as usize);
-        let mut last = None;
-        for (pos, &holder) in walk.iter().enumerate() {
-            match self.get_strip_opts(holder, file, strip, trace, deadline) {
-                Ok(payload) => {
-                    if pos > 0 {
-                        self.metrics.counter("dasd_peer_failovers_total", &[]).inc();
-                    }
-                    return Ok((payload, pos));
-                }
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(last.unwrap_or_else(|| {
-            NetError::Protocol(format!("strip {strip}: no remote holder to fetch from"))
-        }))
-    }
-
-    /// [`PeerTable::get_strip_failover_opts`] recording one
-    /// `peer_fetch` child span (under `parent`, classed `op`) into the
-    /// attached span store — covering the whole failover walk, success
-    /// or failure, so a fetch that burned the retry budget across
-    /// three dead holders is attributed at its true cost. Without an
-    /// attached store or a trace id this is exactly the unspanned
-    /// call.
+    ///
+    /// The walk order is the caller's holder list **reordered by
+    /// observed load**: each peer's latency EWMA scores it, lightest
+    /// first, with unsampled peers keeping their caller-given
+    /// (primary-first) positions — so a cold table walks primaries
+    /// exactly as placed, and a warmed-up table routes fetches around a
+    /// straggler instead of paying its tail on every strip.
+    ///
+    /// Every fetch is one `peer_fetch` observation (classed `op`)
+    /// covering the whole walk, success or failure — a fetch that
+    /// burned the retry budget across three dead holders is attributed
+    /// at its true cost — and, for a traced request with a span store
+    /// attached, one `peer_fetch` span under `parent`.
     #[allow(clippy::too_many_arguments)]
-    pub fn get_strip_failover_spanned(
+    pub fn get_strip_failover(
         &self,
         holders: &[u32],
         file: u32,
@@ -467,9 +341,25 @@ impl PeerTable {
         deadline: Option<Instant>,
         parent: u32,
         op: das_obs::OpClass,
-    ) -> Result<(Vec<u8>, usize), NetError> {
+    ) -> Result<Vec<u8>, NetError> {
         let started = Instant::now();
-        let result = self.get_strip_failover_opts(holders, file, strip, trace, deadline);
+        let mut walk: Vec<u32> =
+            holders.iter().copied().filter(|&h| h != self.self_id).collect();
+        self.load.order_by_load(&mut walk, |&h| h as usize);
+        let mut result = Err(NetError::Protocol(format!("strip {strip}: no remote holder to fetch from")));
+        for (pos, &holder) in walk.iter().enumerate() {
+            result = match self.call(holder, &Message::GetStrip { file, strip }, trace, deadline) {
+                Ok(Message::StripData { payload }) => Ok(payload),
+                Ok(other) => Err(NetError::Unexpected { opcode: other.opcode() }),
+                Err(e) => Err(e),
+            };
+            if result.is_ok() {
+                if pos > 0 {
+                    self.metrics.counter("dasd_peer_failovers_total", &[]).inc();
+                }
+                break;
+            }
+        }
         let dur_us = started.elapsed().as_micros() as u64;
         self.metrics
             .histogram("dasd_stage_duration_us", &[("stage", "peer_fetch"), ("op", op.name())])
@@ -496,20 +386,9 @@ impl PeerTable {
         file: u32,
         strip: u64,
         payload: Vec<u8>,
-    ) -> Result<(), NetError> {
-        self.put_strip_traced(target, file, strip, payload, None)
-    }
-
-    /// [`PeerTable::put_strip`] carrying an optional trace id.
-    pub fn put_strip_traced(
-        &self,
-        target: u32,
-        file: u32,
-        strip: u64,
-        payload: Vec<u8>,
         trace: Option<u64>,
     ) -> Result<(), NetError> {
-        match self.call_traced(target, &Message::PutStrip { file, strip, payload }, trace)? {
+        match self.call(target, &Message::PutStrip { file, strip, payload }, trace, None)? {
             Message::PutStripOk => Ok(()),
             other => Err(NetError::Unexpected { opcode: other.opcode() }),
         }

@@ -369,9 +369,7 @@ pub struct Shared {
 /// Time-and-record one finished stage: always feeds the
 /// stage-attribution histogram; records a span only for traced
 /// requests (the flight recorder holds nothing `das trace` could not
-/// look up). Returns the span id (0 when untraced). Aggregate stages
-/// (an execute's total kernel time) appear as one contiguous block
-/// ending at record time.
+/// look up). Returns the span id (0 when untraced).
 pub(crate) fn record_stage(
     shared: &Shared,
     trace: Option<u64>,
@@ -381,15 +379,27 @@ pub(crate) fn record_stage(
     note: u8,
     dur: Duration,
 ) -> u32 {
+    shared.stage_hists.observe(stage, op, dur.as_micros() as u64);
+    record_span(shared, trace, parent, stage, op, note, dur)
+}
+
+/// The span half of [`record_stage`], for a stage whose histogram
+/// observation is made elsewhere (an execute's per-task kernel and
+/// assemble spans, observed once per Execute as a total). The span is
+/// the `dur` that ended now.
+fn record_span(
+    shared: &Shared,
+    trace: Option<u64>,
+    parent: u32,
+    stage: Stage,
+    op: OpClass,
+    note: u8,
+    dur: Duration,
+) -> u32 {
+    let Some(t) = trace else { return 0 };
     let dur_us = dur.as_micros() as u64;
-    shared.stage_hists.observe(stage, op, dur_us);
-    match trace {
-        Some(t) => {
-            let start_us = shared.spans.now_us().saturating_sub(dur_us);
-            shared.spans.record(t, parent, stage, op, note, start_us, dur_us)
-        }
-        None => 0,
-    }
+    let start_us = shared.spans.now_us().saturating_sub(dur_us);
+    shared.spans.record(t, parent, stage, op, note, start_us, dur_us)
 }
 
 /// Close a request's root span under its pre-reserved id — as
@@ -1090,6 +1100,45 @@ fn dist_of(meta: &FileMeta) -> das_pfs::DistributionInfo {
     }
 }
 
+/// Pull strip `sid` of `file` from a peer, with replica failover: the
+/// strip's primary under `meta`'s layout, then each replica holder.
+/// Only when *every* holder is unreachable does the fetch fail — typed
+/// and transient (`Retryable`), so the client retries or degrades the
+/// scheme instead of hanging. The fetch carries the request's remaining
+/// budget downstream, so a peer that is itself overloaded can shed work
+/// this request no longer has time to use; it is one `peer_fetch` span
+/// (the walk, not each holder try).
+#[allow(clippy::too_many_arguments)]
+fn fetch_strip(
+    shared: &Shared,
+    file: u32,
+    meta: &FileMeta,
+    sid: StripId,
+    trace: Option<u64>,
+    deadline: Option<Instant>,
+    ctx: RequestCtx,
+    op: OpClass,
+) -> Result<Bytes, Message> {
+    let holders: Vec<u32> = meta.layout.placement(sid).holders().iter().map(|h| h.0).collect();
+    let payload = shared
+        .peers
+        .get_strip_failover(&holders, file, sid.0, trace, deadline, ctx.root, op)
+        .map_err(|e| {
+            err(ErrorCode::Retryable, format!("strip {} unreachable on holders {holders:?}: {e}", sid.0))
+        })?;
+    // A short (or long) strip from a confused peer must fail typed
+    // here: accepted into a strip assembly it would panic the first
+    // out-of-range element read.
+    let want = meta.spec.strip_len(sid, meta.len);
+    if payload.len() != want {
+        return Err(err(
+            ErrorCode::StripLengthMismatch,
+            format!("peer returned {} bytes for strip {}, wanted {want}", payload.len(), sid.0),
+        ));
+    }
+    Ok(Bytes::from(payload))
+}
+
 /// Phase one of redistribution: pull every strip this server gains
 /// under `policy` from its current primary, into the staging area.
 /// The live layout is untouched until every server has prepared.
@@ -1101,58 +1150,32 @@ fn redist_prepare(
     deadline: Option<Instant>,
     ctx: RequestCtx,
 ) -> Message {
-    let (id, old_layout, spec, len, strip_count) = {
+    // The file as currently laid out, and the strips this server gains.
+    let (old, wanted) = {
         let inner = lock(&shared.inner);
-        match inner.meta(file) {
-            Ok(m) => (m.id, m.layout, m.spec, m.len, m.strip_count()),
+        let old = match inner.meta(file) {
+            Ok(m) => m.clone(),
             Err(e) => return e,
-        }
+        };
+        let new_layout = Layout::new(policy, old.layout.servers);
+        let wanted: Vec<StripId> = (0..old.strip_count())
+            .map(StripId)
+            .filter(|&sid| new_layout.holds(shared.id, sid) && !inner.store.holds(old.id, sid))
+            .collect();
+        (old, wanted)
     };
-    let new_layout = Layout::new(policy, old_layout.servers);
-    let mut wanted = Vec::new();
-    {
-        let inner = lock(&shared.inner);
-        for s in 0..strip_count {
-            let sid = StripId(s);
-            if new_layout.holds(shared.id, sid) && !inner.store.holds(id, sid) {
-                wanted.push(sid);
-            }
-        }
-    }
     let mut staged = Vec::with_capacity(wanted.len());
     let mut fetched_bytes = 0u64;
     for sid in wanted {
-        // Pull from the old primary, failing over to old-layout
-        // replicas; an unreachable strip is a *transient* failure (the
-        // holder may come back), so the client may retry or abandon
-        // the redistribution and degrade.
-        let holders: Vec<u32> =
-            old_layout.placement(sid).holders().iter().map(|h| h.0).collect();
-        let payload = match shared.peers.get_strip_failover_spanned(
-            &holders,
-            file,
-            sid.0,
-            trace,
-            deadline,
-            ctx.root,
-            OpClass::Redist,
-        ) {
-            Ok((p, _)) => p,
-            Err(e) => {
-                return err(
-                    ErrorCode::Retryable,
-                    format!("strip {} unreachable on holders {holders:?}: {e}", sid.0),
-                )
-            }
+        // An unreachable strip is a *transient* failure (the holder may
+        // come back), so the client may retry or abandon the
+        // redistribution and degrade.
+        let payload = match fetch_strip(shared, file, &old, sid, trace, deadline, ctx, OpClass::Redist) {
+            Ok(p) => p,
+            Err(reply) => return reply,
         };
-        if payload.len() != spec.strip_len(sid, len) {
-            return err(
-                ErrorCode::StripLengthMismatch,
-                format!("peer returned {} bytes for strip {}", payload.len(), sid.0),
-            );
-        }
         fetched_bytes += payload.len() as u64;
-        staged.push((sid, Bytes::from(payload)));
+        staged.push((sid, payload));
     }
     let fetched_strips = staged.len() as u64;
     lock(&shared.inner).staged.insert(file, staged);
@@ -1208,7 +1231,50 @@ struct ExecuteArgs<'a> {
     force: bool,
 }
 
-/// The active-storage execution path (paper Fig. 3 right branch).
+/// What [`plan_execute`] settles before the first strip moves: the
+/// validated geometry, the kernel, this server's tasks and a snapshot
+/// of the strips it holds. Read-only from then on, shared by the fetch
+/// and compute stages.
+struct ExecPlan {
+    file: u32,
+    out_file: u32,
+    out_id: FileId,
+    /// The input file's geometry and layout (the output mirrors both).
+    meta: FileMeta,
+    img_width: u64,
+    kernel: Box<dyn das_kernels::Kernel>,
+    offsets: Vec<i64>,
+    /// This server's primary strips, ascending: the task order.
+    tasks: Vec<StripId>,
+    /// Every strip held here (primary or replica), ascending.
+    local: Strips,
+}
+
+impl ExecPlan {
+    fn elems_per_strip(&self) -> u64 {
+        self.meta.spec.strip_size as u64 / 4
+    }
+
+    fn total_elements(&self) -> u64 {
+        self.meta.len / 4
+    }
+}
+
+/// Strips with their bytes, ascending by id.
+type Strips = Vec<(StripId, Bytes)>;
+
+/// A task's remote dependence strips, as the fetch stage hands them to
+/// the compute stage — or the typed reply that ends the Execute.
+type TaskDeps = Result<Strips, Message>;
+
+/// The active-storage execution path (paper Fig. 3 right branch): plan,
+/// then a two-stage pipeline over this server's tasks in ascending
+/// order. A scoped fetcher thread pulls task k+1's dependence strips
+/// from peers while this thread runs the kernel on task k — an Execute
+/// is a chain of fetch_k → compute_k pairs, so one stage of look-ahead
+/// is all the overlap there is to have. Fetch count, bytes and issue
+/// order are those of the serial loop: each task still re-fetches what
+/// it needs, with no cross-task cache, exactly as the predictor prices.
 fn execute(
     shared: &Shared,
     args: ExecuteArgs<'_>,
@@ -1216,111 +1282,179 @@ fn execute(
     deadline: Option<Instant>,
     ctx: RequestCtx,
 ) -> Message {
-    let ExecuteArgs { file, out_file, kernel: kernel_name, img_width, element_size, successive, force } =
-        args;
-    if element_size != 4 {
-        return err(ErrorCode::BadRequest, format!("unsupported element size {element_size}"));
-    }
-    // Snapshot metadata and local strips under the lock; everything
-    // network-bound below runs without it.
-    let read_started = Instant::now();
-    let (out_id, layout, spec, len, strip_count, local) = {
-        let inner = lock(&shared.inner);
-        let meta = match inner.meta(file) {
-            Ok(m) => m,
-            Err(e) => return e,
-        };
-        let out = match inner.meta(out_file) {
-            Ok(m) => m,
-            Err(e) => return e,
-        };
-        if out.len != meta.len || out.spec.strip_size != meta.spec.strip_size {
-            return err(ErrorCode::GeometryMismatch, "output geometry differs from input".to_string());
-        }
-        if out.layout != meta.layout {
-            return err(ErrorCode::BadRequest, "output layout differs from input".to_string());
-        }
-        let mut local = Vec::new();
-        for sid in inner.store.all_strips(meta.id) {
-            match inner.store.read_strip(meta.id, sid) {
-                Ok(data) => local.push((sid, data)),
-                Err(e) => {
-                    return err(
-                        ErrorCode::Internal,
-                        format!("held strip {} unreadable: {e:?}", sid.0),
-                    )
+    let plan = match plan_execute(shared, &args, trace, ctx) {
+        Ok(plan) => plan,
+        Err(reply) => return reply,
+    };
+    let plan = &plan;
+    let (mut dep_fetches, mut dep_fetch_bytes) = (0u64, 0u64);
+    let (mut kernel_time, mut assemble_time) = (Duration::ZERO, Duration::ZERO);
+    let failure = std::thread::scope(|scope| {
+        let (tx, rx) = mpsc::sync_channel::<TaskDeps>(1);
+        let fetcher = std::thread::Builder::new().name("dasd-fetch".into()).spawn_scoped(scope, move || {
+            for &t in &plan.tasks {
+                let deps = fetch_deps(shared, plan, t, trace, deadline, ctx);
+                let failed = deps.is_err();
+                // A closed channel means the compute stage gave up.
+                if tx.send(deps).is_err() || failed {
+                    return;
                 }
             }
+        });
+        if let Err(e) = fetcher {
+            return Some(err(ErrorCode::Retryable, format!("cannot start the dependence fetcher: {e}")));
         }
-        (out.id, meta.layout, meta.spec, meta.len, meta.strip_count(), local)
-    };
+        for &t in &plan.tasks {
+            let deps = match rx.recv() {
+                Ok(Ok(deps)) => deps,
+                Ok(Err(reply)) => return Some(reply),
+                Err(_) => return Some(err(ErrorCode::Internal, "dependence fetcher died")),
+            };
+            dep_fetches += deps.len() as u64;
+            dep_fetch_bytes += deps.iter().map(|(_, b)| b.len() as u64).sum::<u64>();
+            let (kernel, assemble) = compute_and_store(shared, plan, t, deps, trace, ctx);
+            kernel_time += kernel;
+            assemble_time += assemble;
+        }
+        None
+    });
+    if let Some(reply) = failure {
+        return reply;
+    }
+    // Spans are per task (recorded as each ran); the attribution
+    // histograms keep one observation per Execute, the tasks' total.
+    if !plan.tasks.is_empty() {
+        shared.stage_hists.observe(Stage::Kernel, OpClass::Exec, kernel_time.as_micros() as u64);
+        shared.stage_hists.observe(Stage::Assemble, OpClass::Exec, assemble_time.as_micros() as u64);
+    }
+    shared.metrics.counter("dasd_strips_computed_total", &[]).add(plan.tasks.len() as u64);
+    shared.metrics.counter("dasd_dep_fetches_total", &[]).add(dep_fetches);
+    shared.metrics.counter("dasd_dep_fetch_bytes_total", &[]).add(dep_fetch_bytes);
+    Message::ExecuteOk { strips_computed: plan.tasks.len() as u64, dep_fetches, dep_fetch_bytes }
+}
+
+/// Validate the request, snapshot this server's strips, run the
+/// decision workflow. `Err` is the reply that ends the Execute.
+fn plan_execute(
+    shared: &Shared,
+    args: &ExecuteArgs<'_>,
+    trace: Option<u64>,
+    ctx: RequestCtx,
+) -> Result<ExecPlan, Message> {
+    if args.element_size != 4 {
+        return Err(err(ErrorCode::BadRequest, format!("unsupported element size {}", args.element_size)));
+    }
+    // Snapshot metadata and local strips under the lock; everything
+    // network-bound afterwards runs without it.
+    let read_started = Instant::now();
+    let (out_id, meta, local) = snapshot_files(shared, args.file, args.out_file)?;
     record_stage(shared, trace, ctx.root, Stage::LocalRead, OpClass::Exec, NOTE_NONE, read_started.elapsed());
 
-    let kernel = match kernel_by_name(kernel_name) {
-        Some(k) => k,
-        None => return err(ErrorCode::UnknownOperator, format!("no kernel {kernel_name:?}")),
-    };
-    let row_bytes = img_width * u64::from(element_size);
-    if row_bytes == 0 || len % row_bytes != 0 {
-        return err(
+    let kernel = kernel_by_name(args.kernel)
+        .ok_or_else(|| err(ErrorCode::UnknownOperator, format!("no kernel {:?}", args.kernel)))?;
+    let row_bytes = args.img_width * u64::from(args.element_size);
+    if row_bytes == 0 || meta.len % row_bytes != 0 {
+        return Err(err(
             ErrorCode::GeometryMismatch,
-            format!("{len}-byte file is not whole {img_width}-element rows"),
-        );
+            format!("{}-byte file is not whole {}-element rows", meta.len, args.img_width),
+        ));
     }
+    decide_offload(shared, args, &meta, trace)?;
+    Ok(ExecPlan {
+        file: args.file,
+        out_file: args.out_file,
+        out_id,
+        img_width: args.img_width,
+        offsets: kernel.dependence_offsets(args.img_width),
+        kernel,
+        tasks: meta.layout.primary_strips(shared.id, meta.strip_count()),
+        meta,
+        local,
+    })
+}
 
-    // The decision workflow. A forced offload (the NAS scheme's
-    // "always offload" behaviour) skips the *gate* but still runs the
-    // predictor, so predicted-vs-measured stays queryable for every
-    // outcome. Each daemon sees the same metadata, so its predicted_*
-    // counters carry the full cluster-wide Eqs. 1–13 prediction per
-    // Execute; the measured dep-fetch counters carry only this
-    // daemon's share (sum them across the fleet to compare).
-    let dist = das_pfs::DistributionInfo {
-        strip_size: spec.strip_size,
-        servers: layout.servers,
-        policy: layout.policy,
-        file_len: len,
+/// Under the daemon lock: check the output file mirrors the input's
+/// geometry and layout, and take refcounted handles to every strip of
+/// the input held here. Returns the output's id, the input's metadata
+/// and those strips.
+fn snapshot_files(
+    shared: &Shared,
+    file: u32,
+    out_file: u32,
+) -> Result<(FileId, FileMeta, Strips), Message> {
+    let inner = lock(&shared.inner);
+    let meta = inner.meta(file)?;
+    let out = inner.meta(out_file)?;
+    if out.len != meta.len || out.spec.strip_size != meta.spec.strip_size {
+        return Err(err(ErrorCode::GeometryMismatch, "output geometry differs from input"));
+    }
+    if out.layout != meta.layout {
+        return Err(err(ErrorCode::BadRequest, "output layout differs from input"));
+    }
+    let mut local = Vec::new();
+    for sid in inner.store.all_strips(meta.id) {
+        match inner.store.read_strip(meta.id, sid) {
+            Ok(data) => local.push((sid, data)),
+            Err(e) => {
+                return Err(err(ErrorCode::Internal, format!("held strip {} unreadable: {e:?}", sid.0)))
+            }
+        }
+    }
+    Ok((out.id, meta.clone(), local))
+}
+
+/// The decision workflow. A forced offload (the NAS scheme's "always
+/// offload" behaviour) skips the *gate* but still runs the predictor,
+/// so predicted-vs-measured stays queryable for every outcome. Each
+/// daemon sees the same metadata, so its predicted_* counters carry
+/// the full cluster-wide Eqs. 1–13 prediction per Execute; the
+/// measured dep-fetch counters carry only this daemon's share (sum
+/// them across the fleet to compare).
+fn decide_offload(
+    shared: &Shared,
+    args: &ExecuteArgs<'_>,
+    meta: &FileMeta,
+    trace: Option<u64>,
+) -> Result<(), Message> {
+    let opts = RequestOptions {
+        img_width: args.img_width,
+        element_size: 4,
+        successive: args.successive,
+        ..Default::default()
     };
-    let opts = RequestOptions { img_width, element_size: 4, successive, ..Default::default() };
-    let decision = shared.as_client.decide_from_distribution(dist, kernel_name, &opts);
+    let decision = shared.as_client.decide_from_distribution(dist_of(meta), args.kernel, &opts);
     if let Ok(d) = &decision {
         let p = d.predicted();
         shared.metrics.counter("dasd_predicted_dep_fetches_total", &[]).add(p.nas.fetches);
         shared.metrics.counter("dasd_predicted_dep_fetch_bytes_total", &[]).add(p.nas.bytes);
-        shared
-            .metrics
-            .counter("dasd_predicted_ts_client_bytes_total", &[])
-            .add(p.ts_client_bytes);
+        shared.metrics.counter("dasd_predicted_ts_client_bytes_total", &[]).add(p.ts_client_bytes);
     }
-    let outcome = if force {
-        "nas"
-    } else {
-        match decision {
-            Ok(Decision::Offload { .. }) => "das",
-            Ok(Decision::Reject { reason, predicted }) => {
-                shared.metrics.counter("dasd_decisions_total", &[("outcome", "ts")]).inc();
-                event(
-                    Level::Info,
-                    "dasd",
-                    "offload rejected",
-                    &[
-                        ("server", shared.id.0.to_string()),
-                        ("kernel", kernel_name.to_string()),
-                        ("reason", format!("{reason:?}")),
-                        ("predicted_fetch_bytes", predicted.nas.bytes.to_string()),
-                        ("ts_client_bytes", predicted.ts_client_bytes.to_string()),
-                    ],
-                );
-                return err(
-                    ErrorCode::FallbackToNormalIo,
-                    format!(
-                        "{reason:?}: strip fetches would move {} bytes vs {} as normal I/O",
-                        predicted.nas.bytes, predicted.ts_client_bytes
-                    ),
-                );
-            }
-            Err(e) => return err(ErrorCode::BadRequest, e.to_string()),
+    let outcome = match decision {
+        _ if args.force => "nas",
+        Ok(Decision::Offload { .. }) => "das",
+        Ok(Decision::Reject { reason, predicted }) => {
+            shared.metrics.counter("dasd_decisions_total", &[("outcome", "ts")]).inc();
+            event(
+                Level::Info,
+                "dasd",
+                "offload rejected",
+                &[
+                    ("server", shared.id.0.to_string()),
+                    ("kernel", args.kernel.to_string()),
+                    ("reason", format!("{reason:?}")),
+                    ("predicted_fetch_bytes", predicted.nas.bytes.to_string()),
+                    ("ts_client_bytes", predicted.ts_client_bytes.to_string()),
+                ],
+            );
+            return Err(err(
+                ErrorCode::FallbackToNormalIo,
+                format!(
+                    "{reason:?}: strip fetches would move {} bytes vs {} as normal I/O",
+                    predicted.nas.bytes, predicted.ts_client_bytes
+                ),
+            ));
         }
+        Err(e) => return Err(err(ErrorCode::BadRequest, e.to_string())),
     };
     shared.metrics.counter("dasd_decisions_total", &[("outcome", outcome)]).inc();
     event(
@@ -1329,124 +1463,84 @@ fn execute(
         "offload accepted",
         &[
             ("server", shared.id.0.to_string()),
-            ("kernel", kernel_name.to_string()),
+            ("kernel", args.kernel.to_string()),
             ("outcome", outcome.to_string()),
             ("trace", trace.map(|t| format!("{t:#018x}")).unwrap_or_else(|| "-".into())),
         ],
     );
+    Ok(())
+}
 
-    let height = len / row_bytes;
-    let elems_per_strip = spec.strip_size as u64 / 4;
-    let total_elements = len / 4;
-    let offsets = kernel.dependence_offsets(img_width);
-    let local_ids: std::collections::HashSet<u64> = local.iter().map(|(s, _)| s.0).collect();
-    let tasks = layout.primary_strips(shared.id, strip_count);
-
-    let mut dep_fetches = 0u64;
-    let mut dep_fetch_bytes = 0u64;
-    // Kernel and assemble time accumulate across tasks and record as
-    // one aggregate span each; dependence fetches record one
-    // `peer_fetch` span per fetch (the walk, not each holder try).
-    let mut kernel_time = Duration::ZERO;
-    let mut assemble_time = Duration::ZERO;
-    for &t in &tasks {
-        // Fresh assembly per task: remote dependence strips are
-        // re-fetched for every task that needs them, with no cache —
-        // the synchronous per-strip traffic the predictor prices.
-        let mut asm = StripAssembly::new(img_width, height, spec.strip_size, format!("dasd{}", shared.id.0));
-        for (sid, data) in &local {
-            asm.insert(*sid, data.clone());
+/// Fetch stage: pull the dependence strips of task `t` that this
+/// server does not hold, in ascending strip order.
+fn fetch_deps(
+    shared: &Shared,
+    plan: &ExecPlan,
+    t: StripId,
+    trace: Option<u64>,
+    deadline: Option<Instant>,
+    ctx: RequestCtx,
+) -> TaskDeps {
+    let mut deps = Vec::new();
+    for u in dependent_strips(t.0, &plan.offsets, plan.elems_per_strip(), plan.total_elements()) {
+        if plan.local.binary_search_by_key(&u, |(sid, _)| sid.0).is_ok() {
+            continue;
         }
-        for u in dependent_strips(t.0, &offsets, elems_per_strip, total_elements) {
-            if local_ids.contains(&u) {
-                continue;
-            }
-            // Dependence fetch with replica failover: try the strip's
-            // primary, then each replica holder. Only when *every*
-            // holder is unreachable does the execution fail — typed
-            // and transient, so the client retries or degrades the
-            // scheme instead of hanging.
-            // Dependence fetches carry the request's remaining budget
-            // downstream, so a peer that is itself overloaded can shed
-            // work this execution no longer has time to use.
-            let holders: Vec<u32> =
-                layout.placement(StripId(u)).holders().iter().map(|h| h.0).collect();
-            let payload = match shared.peers.get_strip_failover_spanned(
-                &holders,
-                file,
-                u,
-                trace,
-                deadline,
-                ctx.root,
-                OpClass::Exec,
-            ) {
-                Ok((p, _)) => p,
-                Err(e) => {
-                    return err(
-                        ErrorCode::Retryable,
-                        format!("dependence strip {u} unreachable on holders {holders:?}: {e}"),
-                    )
-                }
-            };
-            // A short (or long) strip from a confused peer must fail
-            // typed here: accepted into the assembly it would panic
-            // the first out-of-range element read.
-            if payload.len() != spec.strip_len(StripId(u), len) {
-                return err(
-                    ErrorCode::StripLengthMismatch,
-                    format!(
-                        "peer returned {} bytes for dependence strip {u}, wanted {}",
-                        payload.len(),
-                        spec.strip_len(StripId(u), len)
-                    ),
-                );
-            }
-            dep_fetches += 1;
-            dep_fetch_bytes += payload.len() as u64;
-            asm.insert(StripId(u), Bytes::from(payload));
-        }
-
-        let start = t.0 * elems_per_strip;
-        let end = (start + elems_per_strip).min(total_elements);
-        let mut out = vec![0f32; (end - start) as usize];
-        let kernel_started = Instant::now();
-        kernel.process_range(&asm, start, &mut out);
-        kernel_time += kernel_started.elapsed();
-        let assemble_started = Instant::now();
-        let mut out_bytes = Vec::with_capacity(out.len() * 4);
-        for v in &out {
-            out_bytes.extend_from_slice(&v.to_le_bytes());
-        }
-
-        let out_b = Bytes::from(out_bytes);
-        lock(&shared.inner).store.store(out_id, t, out_b.clone(), true);
-        for replica in layout.replicas(t) {
-            if replica == shared.id {
-                continue;
-            }
-            // Replica forwarding is already retried by the peer table;
-            // a holder that stays down just means this output strip is
-            // stored at reduced redundancy — the primary copy above is
-            // the authoritative one, so the execution still succeeds.
-            // PutStrip owns its payload Vec, so each forward costs one
-            // copy of the strip — only on the (rare) replica path.
-            if shared
-                .peers
-                .put_strip_traced(replica.0, out_file, t.0, out_b.to_vec(), trace)
-                .is_err()
-            {
-                shared.metrics.counter("dasd_replica_forward_failures_total", &[]).inc();
-            }
-        }
-        assemble_time += assemble_started.elapsed();
+        let sid = StripId(u);
+        deps.push((sid, fetch_strip(shared, plan.file, &plan.meta, sid, trace, deadline, ctx, OpClass::Exec)?));
     }
-    if !tasks.is_empty() {
-        record_stage(shared, trace, ctx.root, Stage::Kernel, OpClass::Exec, NOTE_NONE, kernel_time);
-        record_stage(shared, trace, ctx.root, Stage::Assemble, OpClass::Exec, NOTE_NONE, assemble_time);
-    }
+    Ok(deps)
+}
 
-    shared.metrics.counter("dasd_strips_computed_total", &[]).add(tasks.len() as u64);
-    shared.metrics.counter("dasd_dep_fetches_total", &[]).add(dep_fetches);
-    shared.metrics.counter("dasd_dep_fetch_bytes_total", &[]).add(dep_fetch_bytes);
-    Message::ExecuteOk { strips_computed: tasks.len() as u64, dep_fetches, dep_fetch_bytes }
+/// Compute stage: assemble task `t`'s view (local strips plus the
+/// fetched `deps`), run the kernel over the strip, store the output and
+/// forward it to the strip's replica holders. Returns the kernel and
+/// assemble times, each also recorded as a span of its own.
+fn compute_and_store(
+    shared: &Shared,
+    plan: &ExecPlan,
+    t: StripId,
+    deps: Strips,
+    trace: Option<u64>,
+    ctx: RequestCtx,
+) -> (Duration, Duration) {
+    let meta = &plan.meta;
+    let height = meta.len / (plan.img_width * 4);
+    let mut asm =
+        StripAssembly::new(plan.img_width, height, meta.spec.strip_size, format!("dasd{}", shared.id.0));
+    for (sid, data) in plan.local.iter().cloned().chain(deps) {
+        asm.insert(sid, data);
+    }
+    let start = t.0 * plan.elems_per_strip();
+    let end = (start + plan.elems_per_strip()).min(plan.total_elements());
+    let mut out = vec![0f32; (end - start) as usize];
+    let kernel_started = Instant::now();
+    plan.kernel.process_range(&asm, start, &mut out);
+    let kernel_time = kernel_started.elapsed();
+    record_span(shared, trace, ctx.root, Stage::Kernel, OpClass::Exec, NOTE_NONE, kernel_time);
+
+    let assemble_started = Instant::now();
+    let mut out_bytes = Vec::with_capacity(out.len() * 4);
+    for v in &out {
+        out_bytes.extend_from_slice(&v.to_le_bytes());
+    }
+    let out_b = Bytes::from(out_bytes);
+    lock(&shared.inner).store.store(plan.out_id, t, out_b.clone(), true);
+    for replica in meta.layout.replicas(t) {
+        if replica == shared.id {
+            continue;
+        }
+        // Replica forwarding is already retried by the peer table;
+        // a holder that stays down just means this output strip is
+        // stored at reduced redundancy — the primary copy above is
+        // the authoritative one, so the execution still succeeds.
+        // PutStrip owns its payload Vec, so each forward costs one
+        // copy of the strip — only on the (rare) replica path.
+        if shared.peers.put_strip(replica.0, plan.out_file, t.0, out_b.to_vec(), trace).is_err() {
+            shared.metrics.counter("dasd_replica_forward_failures_total", &[]).inc();
+        }
+    }
+    let assemble_time = assemble_started.elapsed();
+    record_span(shared, trace, ctx.root, Stage::Assemble, OpClass::Exec, NOTE_NONE, assemble_time);
+    (kernel_time, assemble_time)
 }

@@ -835,3 +835,139 @@ fn fresh_clients_and_slow_daemons_survive_a_dead_peer() {
         h.join();
     }
 }
+
+/// Ingest a `WIDTH × height` DEM round-robin and register one output
+/// file per name; returns `(input bytes, input id, output ids)`.
+fn ingest_rr(h: &mut Harness, height: u64, outs: &[&str]) -> (Vec<u8>, u32, Vec<u32>) {
+    let data = workload::fbm_dem(WIDTH, height, 42).to_bytes();
+    let mut create = |name: &str| {
+        h.cluster
+            .create_file(name, data.len() as u64, STRIP as u32, LayoutPolicy::RoundRobin)
+            .expect("create file")
+    };
+    let file = create("dem.rr");
+    let outs = outs.iter().map(|name| create(name)).collect();
+    h.cluster.put_file(file, &data).expect("ingest");
+    (data, file, outs)
+}
+
+/// The client puts one `Execute` in flight per server before it reads
+/// any reply: with every daemon sleeping 40 ms before it answers, a
+/// four-server execute takes one delay, not four (≥ 160 ms serial).
+/// One strip per server keeps the real work in the low milliseconds.
+/// Structural, so it is asserted on both connection cores.
+#[test]
+fn execute_fans_out_to_all_servers_at_once() {
+    for engine in [Engine::EventLoop, Engine::Threads] {
+        let faults: Vec<(usize, &str)> = (0..SERVERS).map(|s| (s, "exec:delay=40")).collect();
+        let mut h = boot_with_cfg(SERVERS, &faults, |cfg| cfg.with_engine(engine));
+        let (_, file, outs) = ingest_rr(&mut h, 16, &["fan.out"]);
+        // Warm the peer links so the timed call dials nothing.
+        h.cluster.execute(file, outs[0], "gaussian-filter", WIDTH, true, true).unwrap().unwrap();
+        let started = Instant::now();
+        let summaries =
+            h.cluster.execute(file, outs[0], "gaussian-filter", WIDTH, true, true).unwrap().unwrap();
+        let took = started.elapsed();
+        assert_eq!(summaries.len(), SERVERS);
+        assert!(took >= Duration::from_millis(40), "{engine:?}: the delay fault did not fire ({took:?})");
+        assert!(
+            took < Duration::from_millis(100),
+            "{engine:?}: a {SERVERS}-server execute took {took:?} — the fan-out is serial"
+        );
+        h.teardown();
+    }
+}
+
+/// Wave hygiene: whatever one server answers (or fails to), every
+/// connection of the fan-out ends frame-aligned or evicted. A stale
+/// `ExecuteOk` left unread on some connection would be taken for the
+/// reply to the next request on it — so after each faulted or rejected
+/// execute the same cluster must still ping and read a file correctly.
+#[test]
+fn fan_out_leaves_every_connection_reusable() {
+    // A typed transient refusal and a mid-frame cut, on a middle
+    // server: both are retried away and the execute succeeds.
+    for fault in ["exec:retryable:x1", "exec:drop:x1"] {
+        let mut h = boot_with(SERVERS, &[(1, fault)]);
+        let (data, file, outs) = ingest_rr(&mut h, HEIGHT, &["hyg.out"]);
+        let summaries = h
+            .cluster
+            .execute(file, outs[0], "gaussian-filter", WIDTH, true, true)
+            .unwrap_or_else(|e| panic!("{fault}: {e}"))
+            .expect("forced offload must run");
+        assert_eq!(summaries.len(), SERVERS, "{fault}");
+        assert_eq!(h.plans[1].total_fired(), 1, "{fault}: the fault never fired");
+        let retries = h.cluster.metrics().counter("das_client_retries_total", &[]).get();
+        assert_eq!(retries, 1, "{fault}: exactly the faulted server is retried");
+        h.cluster.ping_all().unwrap_or_else(|e| panic!("{fault}: ping after the wave: {e}"));
+        assert_eq!(h.cluster.read_file(file).unwrap(), data, "{fault}: read after the wave");
+        assert!(h.cluster.down_servers().is_empty(), "{fault}: a server was marked down");
+        h.teardown();
+    }
+
+    // An unforced one-shot offload every server rejects: the first
+    // rejection settles the call, the other three replies must still
+    // have been drained.
+    let input = workload::fbm_dem(64, 256, 9);
+    let data = input.to_bytes();
+    let mut h = boot_with(SERVERS, &[]);
+    let mut create = |name: &str| {
+        h.cluster.create_file(name, data.len() as u64, 256, LayoutPolicy::RoundRobin).unwrap()
+    };
+    let (file, out) = (create("thrash.raw"), create("thrash.out"));
+    h.cluster.put_file(file, &data).unwrap();
+    match h.cluster.execute(file, out, "flow-routing", 64, false, false) {
+        Ok(Err(reason)) => assert!(reason.contains("normal I/O"), "odd rejection: {reason}"),
+        other => panic!("expected every server to reject the offload, got {other:?}"),
+    }
+    h.cluster.ping_all().expect("ping after a rejected wave");
+    assert_eq!(h.cluster.read_file(file).unwrap(), data, "read after a rejected wave");
+    h.teardown();
+}
+
+/// A dependence fetch that fails part-way through an `Execute` (the
+/// peer died): the daemon answers with the typed, transient
+/// `Retryable`, and its fetch stage has exited — the worker that ran
+/// the request is free again, so the daemon keeps serving.
+#[test]
+fn dead_peer_mid_execute_fails_typed_and_frees_the_worker() {
+    // Two workers and the engine's cap of one running `Execute`: a
+    // worker stuck joining a hung fetcher would block the second one.
+    let mut h = boot_with_cfg(SERVERS, &[], |mut cfg| {
+        cfg.pool = 2;
+        cfg
+    });
+    let (data, file, outs) = ingest_rr(&mut h, HEIGHT, &["dead.out"]);
+    // Server 0's tasks are strips 0, 4, 8, …; gaussian-filter reaches
+    // one strip each way, so task 0 needs only strip 1 (server 1) and
+    // task 1 is the first to need server 3.
+    h.kill_server(3);
+    let exec = Message::Execute {
+        file,
+        out_file: outs[0],
+        kernel: "gaussian-filter".into(),
+        img_width: WIDTH,
+        element_size: 4,
+        successive: true,
+        force: true,
+    };
+    for attempt in 0..2 {
+        match h.cluster.call(0, &exec) {
+            Err(NetError::Remote { code: ErrorCode::Retryable, message }) => {
+                assert!(message.contains("strip 3 unreachable"), "attempt {attempt}: {message}")
+            }
+            other => panic!("attempt {attempt}: expected a typed Retryable, got {other:?}"),
+        }
+    }
+    // Task 0 ran to completion before the failure surfaced.
+    match h.cluster.call(0, &Message::GetStrip { file: outs[0], strip: 0 }) {
+        Ok(Message::StripData { payload }) => assert_eq!(payload.len(), STRIP),
+        other => panic!("output strip 0 missing: {other:?}"),
+    }
+    assert_eq!(
+        h.cluster.call(0, &Message::GetStrip { file, strip: 0 }).unwrap(),
+        Message::StripData { payload: data[..STRIP].to_vec() }
+    );
+    assert_eq!(h.cluster.down_servers(), Vec::<u32>::new(), "server 0 must stay up");
+    h.teardown();
+}

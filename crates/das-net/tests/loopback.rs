@@ -25,9 +25,15 @@ const STRIP: usize = 4096; // 4 rows of 256 f32s per strip → 24 strips
 struct Harness {
     handles: Vec<DasdHandle>,
     cluster: DasCluster,
+    addrs: Vec<String>,
 }
 
 fn boot(servers: usize) -> Harness {
+    boot_with(servers, |cfg| cfg)
+}
+
+/// [`boot`] with a per-daemon config tweak applied after the defaults.
+fn boot_with(servers: usize, tweak: impl Fn(DasdConfig) -> DasdConfig) -> Harness {
     let listeners: Vec<TcpListener> = (0..servers)
         .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port"))
         .collect();
@@ -36,10 +42,10 @@ fn boot(servers: usize) -> Harness {
     let handles = listeners
         .into_iter()
         .enumerate()
-        .map(|(i, l)| spawn(DasdConfig::new(i as u32, addrs.clone()), l).expect("spawn dasd"))
+        .map(|(i, l)| spawn(tweak(DasdConfig::new(i as u32, addrs.clone())), l).expect("spawn dasd"))
         .collect();
     let cluster = DasCluster::connect(&addrs).expect("connect cluster");
-    Harness { handles, cluster }
+    Harness { handles, cluster, addrs }
 }
 
 impl Harness {
@@ -392,10 +398,12 @@ fn span_rpcs_without_negotiated_cap_are_refused() {
 
 /// The tentpole end-to-end: one traced `Execute` across the fleet,
 /// then `TraceDump` from every daemon reconstructs the cross-daemon
-/// waterfall — compute-side roots with local-read/kernel/assemble and
-/// peer-fetch sub-spans, and *child* request roots on the daemons
-/// that served the propagated dependence fetches, all under the one
-/// wire-propagated trace id.
+/// waterfall — compute-side roots with local-read, per-task
+/// kernel/assemble and peer-fetch sub-spans, and *child* request roots
+/// on the daemons that served the propagated dependence fetches, all
+/// under the one wire-propagated trace id. The fetch stage runs a task
+/// ahead of the compute stage, and the spans must show it: some
+/// dependence fetch starts while an earlier task's kernel is running.
 #[test]
 fn execute_trace_reconstructs_cross_daemon_waterfall() {
     use das_obs::{OpClass, Stage};
@@ -430,8 +438,10 @@ fn execute_trace_reconstructs_cross_daemon_waterfall() {
     assert_eq!(dumps.len(), SERVERS, "every daemon answers TraceDump");
 
     let mut kernel_spans = 0usize;
+    let mut assemble_spans = 0usize;
     let mut peer_fetch_spans = 0usize;
     let mut get_roots = 0usize;
+    let mut fetches_under_a_kernel = 0usize;
     for (id, spans) in &dumps {
         assert!(!spans.is_empty(), "daemon {id} retained no spans for the trace");
         let exec_roots: Vec<u32> = spans
@@ -457,7 +467,20 @@ fn execute_trace_reconstructs_cross_daemon_waterfall() {
                     kernel_spans += 1;
                     assert!(exec_roots.contains(&s.parent), "kernel span outside exec root");
                 }
-                Stage::PeerFetch => peer_fetch_spans += 1,
+                Stage::Assemble => assemble_spans += 1,
+                Stage::PeerFetch => {
+                    peer_fetch_spans += 1;
+                    assert!(exec_roots.contains(&s.parent), "peer_fetch span outside exec root");
+                    // A task's own fetches all end before its kernel
+                    // starts, so a fetch that starts inside a kernel
+                    // span belongs to a later task.
+                    let overlapped = spans.iter().any(|k| {
+                        k.stage == Stage::Kernel
+                            && k.start_us <= s.start_us
+                            && s.start_us < k.start_us + k.dur_us
+                    });
+                    fetches_under_a_kernel += usize::from(overlapped);
+                }
                 Stage::Dispatch if s.op == OpClass::Get && s.parent == 0 => get_roots += 1,
                 _ => {}
             }
@@ -465,8 +488,27 @@ fn execute_trace_reconstructs_cross_daemon_waterfall() {
             assert_eq!(s.daemon, *id);
         }
     }
-    assert_eq!(kernel_spans, SERVERS, "each daemon times its kernel stage once");
-    assert!(peer_fetch_spans > 0, "dependence fetches must record peer_fetch spans");
+    let strips = StripeSpec::new(STRIP).strip_count(data.len() as u64) as usize;
+    assert_eq!(kernel_spans, strips, "one kernel span per task");
+    assert_eq!(assemble_spans, strips, "one assemble span per task");
+    assert_eq!(peer_fetch_spans as u64, fetches, "one peer_fetch span per dependence fetch");
+    assert!(
+        fetches_under_a_kernel > 0,
+        "no dependence fetch started under an earlier task's kernel span: the fetch stage is not running ahead"
+    );
+    // The attribution histograms keep one kernel and one assemble
+    // observation per Execute, whatever the task count.
+    for (id, text) in h.cluster.metrics_dump_all().expect("metrics dump") {
+        let samples = das_obs::parse(&text);
+        for stage in ["kernel", "assemble"] {
+            let count = das_obs::sample_value(
+                &samples,
+                "dasd_stage_duration_us_count",
+                &[("stage", stage), ("op", "exec")],
+            );
+            assert_eq!(count, Some(1.0), "daemon {id}: {stage} observations per Execute");
+        }
+    }
     assert!(
         get_roots > 0,
         "daemons serving propagated fetches must open child request roots on the same trace"
@@ -485,5 +527,70 @@ fn execute_trace_reconstructs_cross_daemon_waterfall() {
             "daemon {id}: slow log root lacks its kernel breakdown"
         );
     }
+    h.teardown();
+}
+
+/// Two clients fanning `Execute` out to every daemon at once, on
+/// daemons with only two workers each. Without the engine's cap on
+/// running heavy requests both workers of every daemon end up inside
+/// an `Execute`, each waiting for a peer `GetStrip` that no daemon has
+/// a free worker to serve, until the peer read timeout (15 s) breaks
+/// the tie; with it the second `Execute` stays queued and the other
+/// worker keeps serving fetches.
+#[test]
+fn concurrent_fanouts_on_two_worker_daemons_do_not_starve_peer_fetches() {
+    const ROUNDS: usize = 20;
+    let input = workload::fbm_dem(WIDTH, HEIGHT, 42);
+    let data = input.to_bytes();
+    let mut h = boot_with(SERVERS, |mut cfg| {
+        cfg.pool = 2;
+        cfg
+    });
+    let file = h
+        .cluster
+        .create_file("pool2.dem", data.len() as u64, STRIP as u32, LayoutPolicy::RoundRobin)
+        .expect("create input");
+    h.cluster.put_file(file, &data).expect("ingest");
+    let outs: Vec<u32> = ["pool2.a", "pool2.b"]
+        .iter()
+        .map(|name| {
+            h.cluster
+                .create_file(name, data.len() as u64, STRIP as u32, LayoutPolicy::RoundRobin)
+                .expect("create output")
+        })
+        .collect();
+
+    let started = std::time::Instant::now();
+    let start_line = std::sync::Barrier::new(outs.len());
+    let retries: u64 = std::thread::scope(|scope| {
+        let lanes: Vec<_> = outs
+            .iter()
+            .map(|&out| {
+                let (addrs, start_line) = (&h.addrs, &start_line);
+                scope.spawn(move || {
+                    let mut cluster = DasCluster::connect(addrs).expect("connect lane");
+                    start_line.wait();
+                    for round in 0..ROUNDS {
+                        let summaries = cluster
+                            .execute(file, out, "gaussian-filter", WIDTH, true, true)
+                            .unwrap_or_else(|e| panic!("round {round}: {e}"))
+                            .expect("forced offload must run");
+                        assert_eq!(summaries.len(), SERVERS);
+                    }
+                    cluster.metrics().counter("das_client_retries_total", &[]).get()
+                })
+            })
+            .collect();
+        lanes.into_iter().map(|lane| lane.join().expect("lane panicked")).sum()
+    });
+    assert_eq!(retries, 0, "a fan-out had to be retried");
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(7),
+        "{ROUNDS} concurrent fan-outs took {:?}: Executes waited for a peer timeout",
+        started.elapsed()
+    );
+    // Both lanes computed the same thing.
+    let a = h.cluster.read_file(outs[0]).expect("read a");
+    assert_eq!(a, h.cluster.read_file(outs[1]).expect("read b"));
     h.teardown();
 }
