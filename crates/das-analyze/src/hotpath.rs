@@ -121,7 +121,7 @@ const DISPATCHY: [&str; 7] = [
     "write_some",
     "write_frame_vectored",
     "write_message",
-    "write_message_traced",
+    "write_message_opts",
 ];
 
 /// Call-edge identifiers too generic to mean an intra-crate call:

@@ -12,8 +12,8 @@
 //!   through the das-obs event/metrics layer so they carry structure
 //!   and can be rate-limited; raw stderr writes bypass all of it.
 //! * `DA405` (error) — a function acquires hierarchy locks out of
-//!   the declared order (`rx → conns → inner → downs → inbox → sched
-//!   → done → pending → wr → ewma`). Out-of-order
+//!   the declared order (`conns → inner → downs → inbox → sched →
+//!   done → pending → wr → ewma`). Out-of-order
 //!   acquisition across threads is an AB/BA deadlock. This is the
 //!   *intra*-procedural check; the `lockgraph` pass propagates
 //!   acquisitions across calls (`DA407`/`DA408`).
@@ -50,10 +50,11 @@ const PASS: &str = "lints";
 /// remote-triggerable; the das-load entries and the `das` CLI drive
 /// live fleets from CI and long soak runs, where an unwrap on a
 /// transient error kills the run instead of counting it.
-pub const REQUEST_PATH: [&str; 13] = [
+pub const REQUEST_PATH: [&str; 14] = [
     "crates/das-net/src/client.rs",
     "crates/das-net/src/server.rs",
     "crates/das-net/src/codec.rs",
+    "crates/das-net/src/conn.rs",
     "crates/das-net/src/peer.rs",
     "crates/das-net/src/retry.rs",
     "crates/das-net/src/proto.rs",
@@ -77,9 +78,8 @@ pub const REQUEST_PATH: [&str; 13] = [
 /// flight recorder's ring/reservoir state, the hierarchy's leaf —
 /// nothing may be acquired while it is held, so every request-path
 /// stage can record a span under any combination of the other ranks.
-pub const LOCK_HIERARCHY: [&str; 12] = [
-    "rx", "conns", "inner", "downs", "inbox", "sched", "done", "pending", "wr", "ewma", "errs",
-    "spans",
+pub const LOCK_HIERARCHY: [&str; 11] = [
+    "conns", "inner", "downs", "inbox", "sched", "done", "pending", "wr", "ewma", "errs", "spans",
 ];
 
 /// Crates whose library code may print to stdout: das-obs is the

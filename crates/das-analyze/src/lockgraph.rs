@@ -3,7 +3,7 @@
 //! The `lints` pass checks each function's *first* acquisitions
 //! against the declared hierarchy (`DA405`) — it cannot see a
 //! deadlock assembled across a call: `f` locks `conns` and calls
-//! `g`, `g` locks `rx`. This pass can:
+//! `g`, `g` locks `inner`. This pass can:
 //!
 //! 1. Extract every das-net function with its lock sites, tracking
 //!    guard lifetimes *scope-aware*: a `let g = lock(&x);` guard
@@ -432,11 +432,11 @@ mod tests {
             "peer.rs",
             "\
 fn outer(&self) {
-    let c = lock(&self.conns);
+    let i = lock(&self.inner);
     helper();
 }
 fn helper() {
-    let r = lock(&self.rx);
+    let c = lock(&self.conns);
 }
 ",
         )]);
@@ -529,12 +529,12 @@ fn helper() {
 
     #[test]
     fn transitive_chains_propagate() {
-        // outer holds rx; the lock is three calls away.
+        // outer holds conns; the lock is three calls away.
         let out = run_on(&[(
             "server.rs",
             "\
 fn outer(&self) {
-    let r = lock(&self.rx);
+    let r = lock(&self.conns);
     a();
 }
 fn a() { b(); }
@@ -542,7 +542,7 @@ fn b() { c(); }
 fn c() { let d = lock(&self.downs); }
 ",
         )]);
-        // rx → downs follows the hierarchy: an edge exists but no
+        // conns → downs follows the hierarchy: an edge exists but no
         // finding fires.
         assert!(!out.iter().any(|f| f.severity != Severity::Info), "{out:?}");
         let info = out.iter().find(|f| f.code == "DA409").unwrap();

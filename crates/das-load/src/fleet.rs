@@ -1,11 +1,11 @@
 //! In-process loopback fleets: boot N real `dasd` daemons on
-//! ephemeral ports inside this process, so `das bench` can compare
-//! connection engines with no external orchestration.
+//! ephemeral ports inside this process, so `das bench` needs no
+//! external orchestration.
 
 use std::io;
 use std::net::TcpListener;
 
-use das_net::{spawn, DasCluster, DasdConfig, DasdHandle, Engine, NetError};
+use das_net::{spawn, DasCluster, DasdConfig, DasdHandle, NetError};
 
 /// A running loopback fleet. Shut it down with [`Fleet::shutdown`];
 /// dropping without shutdown leaves the daemon threads running until
@@ -17,16 +17,11 @@ pub struct Fleet {
 }
 
 /// Bind `servers` ephemeral loopback ports and spawn one daemon per
-/// port, all running `engine` with a `pool`-sized worker pool.
+/// port, each with a `pool`-sized worker pool.
 /// `max_backlog` overrides the daemons' admission-control bound
 /// (`None` keeps the default) — small bounds turn a past-capacity run
 /// into a reproducible overload/shedding scenario.
-pub fn spawn_fleet(
-    servers: usize,
-    engine: Engine,
-    pool: usize,
-    max_backlog: Option<usize>,
-) -> io::Result<Fleet> {
+pub fn spawn_fleet(servers: usize, pool: usize, max_backlog: Option<usize>) -> io::Result<Fleet> {
     let mut listeners = Vec::with_capacity(servers);
     let mut addrs = Vec::with_capacity(servers);
     for _ in 0..servers {
@@ -36,8 +31,7 @@ pub fn spawn_fleet(
     }
     let mut handles = Vec::with_capacity(servers);
     for (i, l) in listeners.into_iter().enumerate() {
-        let mut cfg = DasdConfig::new(i as u32, addrs.clone()).with_engine(engine);
-        cfg.pool = pool;
+        let mut cfg = DasdConfig { pool, ..DasdConfig::new(i as u32, addrs.clone()) };
         if let Some(b) = max_backlog {
             cfg = cfg.with_max_backlog(b);
         }

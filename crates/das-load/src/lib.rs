@@ -14,14 +14,10 @@
 //! property that makes open-loop numbers honest where closed-loop
 //! generators silently self-throttle (coordinated omission).
 //!
-//! Two entry points:
-//!
-//! * [`run_bench`] — drive an already-running fleet once and return a
-//!   [`report::BenchReport`].
-//! * [`compare_engines`] — boot two in-process loopback fleets (one
-//!   per [`das_net::Engine`]), run the identical seeded workload
-//!   against each, and return a [`report::CompareReport`] naming the
-//!   winner. This is what `das bench` writes to `BENCH_net.json`.
+//! [`run_bench`] drives an already-running fleet once and returns a
+//! [`report::BenchReport`] — what `das bench` writes to
+//! `BENCH_net.json`. [`fleet::spawn_fleet`] boots an in-process
+//! loopback fleet for it when no external cluster is given.
 
 pub mod fleet;
 pub mod report;
@@ -35,7 +31,7 @@ use das_net::{DasCluster, Message, NetError, PipeClient, RetryPolicy};
 use das_obs::{event, Histogram, Level};
 use das_pfs::LayoutPolicy;
 
-use report::{BenchReport, ClassStats, CompareReport};
+use report::{BenchReport, ClassStats};
 
 /// One operation class of the mixed workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,11 +126,11 @@ pub struct BenchConfig {
     pub kernel: String,
     /// Rows (= strips) of the small raster the exec class computes on.
     pub exec_rows: u64,
-    /// Servers per in-process fleet ([`compare_engines`] only).
+    /// Servers of the in-process fleet ([`fleet::spawn_fleet`] only).
     pub servers: usize,
-    /// Daemon worker-pool size ([`compare_engines`] only).
+    /// Daemon worker-pool size ([`fleet::spawn_fleet`] only).
     pub pool: usize,
-    /// Daemon admission-control bound ([`compare_engines`] only):
+    /// Daemon admission-control bound ([`fleet::spawn_fleet`] only):
     /// `None` keeps the daemon default. Set small together with a
     /// past-capacity `rate` to run a reproducible overload scenario —
     /// the excess is shed as typed `Overloaded`, which the report
@@ -149,16 +145,12 @@ impl Default for BenchConfig {
             // A rate the fleet can actually sustain: the exec class
             // (kernel + peer dependence fetches) costs tens of
             // milliseconds of pool time per call, so an open-loop
-            // rate far past capacity just measures queueing collapse
-            // on BOTH engines instead of the architectural gap.
+            // rate far past capacity just measures queueing collapse.
             rate: 400.0,
             duration: Duration::from_secs(5),
             clients: 64,
             // More sockets per daemon than the daemon has pool
-            // threads: the load shape a thread-per-connection core
-            // cannot serve (it pins one thread per socket for the
-            // socket's lifetime) and the event loop handles without
-            // breaking stride.
+            // threads: connections are not pinned to threads.
             conns_per_server: 16,
             strip_size: 4096,
             strips: 64,
@@ -318,8 +310,8 @@ fn class_index(kind: OpKind) -> usize {
 
 /// Drive one already-running fleet at `addrs` with the configured
 /// workload and return the measured report. `engine_label` is carried
-/// into the report verbatim (the generator cannot see which engine a
-/// remote daemon runs).
+/// into the report verbatim (`evloop` for a loopback fleet; the
+/// generator cannot see what a remote daemon runs).
 pub fn run_bench(
     addrs: &[String],
     cfg: &BenchConfig,
@@ -331,11 +323,10 @@ pub fn run_bench(
 
     // Shared pipelined connections: workers interleave requests on
     // them, which is exactly the concurrency the event-loop server
-    // core exists to serve. Dialed in parallel, and a connection the
-    // server never serves (a thread-per-connection engine with more
-    // sockets than pool threads strands the surplus) becomes a dead
-    // slot whose operations count as errors — the generator measures
-    // that failure mode instead of refusing to run.
+    // core exists to serve. Dialed in parallel, and a connection that
+    // cannot be established becomes a dead slot whose operations count
+    // as errors — the generator measures that failure mode instead of
+    // refusing to run.
     let per_server = cfg.conns_per_server.max(1);
     let dials: Vec<_> = (0..addrs.len() * per_server)
         .map(|slot| {
@@ -696,33 +687,6 @@ fn build_report(
         classes,
         stages,
     }
-}
-
-/// Boot an in-process loopback fleet per engine, run the identical
-/// seeded workload against each, and report both runs plus the winner
-/// (higher achieved throughput; ties break on lower aggregate p99).
-pub fn compare_engines(cfg: &BenchConfig) -> Result<CompareReport, NetError> {
-    let mut reports = Vec::new();
-    for engine in [das_net::Engine::EventLoop, das_net::Engine::Threads] {
-        let fleet = fleet::spawn_fleet(cfg.servers, engine, cfg.pool, cfg.max_backlog)
-            .map_err(NetError::Io)?;
-        let report = run_bench(&fleet.addrs, cfg, engine.name());
-        let shutdown = fleet.shutdown();
-        let report = report?;
-        shutdown?;
-        event(
-            Level::Info,
-            "das.bench",
-            "engine run complete",
-            &[
-                ("engine", report.engine.clone()),
-                ("achieved", format!("{:.0}/s", report.achieved_ops_s)),
-                ("errors", report.total_errors.to_string()),
-            ],
-        );
-        reports.push(report);
-    }
-    Ok(CompareReport::from_runs(reports))
 }
 
 #[cfg(test)]

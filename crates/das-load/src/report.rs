@@ -6,10 +6,10 @@
 //!
 //! ```json
 //! {
-//!   "bench": "das-load",
-//!   "engines": [ { "engine": "evloop", ..., "classes": [...] }, ... ],
-//!   "winner": "evloop",
-//!   "speedup": 1.42
+//!   "engine": "evloop",
+//!   "target_rate_ops_s": 400.000, ..., "achieved_ops_s": 401.818,
+//!   "classes": [ { "class": "get", ..., "p99_us": 2823, ... }, ... ],
+//!   "stages": [ { "stage": "decode", "op": "get", ... }, ... ]
 //! }
 //! ```
 
@@ -74,7 +74,8 @@ impl StageStats {
 /// One full open-loop run against one fleet.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
-    /// Engine label (`evloop`, `threads`, or `external`).
+    /// Fleet label: `evloop` for an in-process loopback fleet,
+    /// `external` for a `--cluster` one.
     pub engine: String,
     /// Configured aggregate arrival rate, ops/s.
     pub target_rate_ops_s: f64,
@@ -118,79 +119,8 @@ pub struct BenchReport {
     pub stages: Vec<StageStats>,
 }
 
-/// Two engine runs over the identical seeded workload, plus the
-/// verdict.
-#[derive(Debug, Clone)]
-pub struct CompareReport {
-    /// One report per engine, in run order.
-    pub runs: Vec<BenchReport>,
-    /// Engine label of the winner.
-    pub winner: String,
-    /// Winner throughput over the other run's throughput (1.0 when
-    /// only one run exists).
-    pub speedup: f64,
-}
-
-impl CompareReport {
-    /// Pick the winner from finished runs: higher achieved
-    /// throughput; ties (within 1%) break on lower aggregate p99.
-    pub fn from_runs(runs: Vec<BenchReport>) -> CompareReport {
-        let mut winner = 0usize;
-        for i in 1..runs.len() {
-            let (a, b) = (&runs[winner], &runs[i]);
-            let close = (a.achieved_ops_s - b.achieved_ops_s).abs()
-                <= 0.01 * a.achieved_ops_s.max(b.achieved_ops_s);
-            let better = if close {
-                worst_p99(b) < worst_p99(a)
-            } else {
-                b.achieved_ops_s > a.achieved_ops_s
-            };
-            if better {
-                winner = i;
-            }
-        }
-        let speedup = match runs.len() {
-            0 | 1 => 1.0,
-            _ => {
-                let best = runs[winner].achieved_ops_s;
-                let other = runs
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i != winner)
-                    .map(|(_, r)| r.achieved_ops_s)
-                    .fold(f64::INFINITY, f64::min);
-                if other > 0.0 {
-                    best / other
-                } else {
-                    f64::INFINITY
-                }
-            }
-        };
-        let winner_label =
-            runs.get(winner).map(|r| r.engine.clone()).unwrap_or_else(|| "none".to_string());
-        CompareReport { runs, winner: winner_label, speedup }
-    }
-
-    /// Serialize the whole comparison as the `BENCH_net.json` document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"bench\": \"das-load\",\n  \"engines\": [\n");
-        for (i, r) in self.runs.iter().enumerate() {
-            out.push_str(&indent(&r.to_json(), 4));
-            out.push_str(if i + 1 < self.runs.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!("  \"winner\": {},\n", json_str(&self.winner)));
-        out.push_str(&format!("  \"speedup\": {}\n}}\n", json_num(self.speedup)));
-        out
-    }
-}
-
-fn worst_p99(r: &BenchReport) -> u64 {
-    r.classes.iter().map(|c| c.p99_us).max().unwrap_or(0)
-}
-
 impl BenchReport {
-    /// Serialize one run as a JSON object.
+    /// Serialize the run as the `BENCH_net.json` object.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"engine\": {},\n", json_str(&self.engine)));
@@ -325,30 +255,11 @@ mod tests {
     }
 
     #[test]
-    fn winner_prefers_throughput_then_p99() {
-        let r = CompareReport::from_runs(vec![
-            sample_report("evloop", 2000.0, 500),
-            sample_report("threads", 1000.0, 100),
-        ]);
-        assert_eq!(r.winner, "evloop");
-        assert!((r.speedup - 2.0).abs() < 1e-9);
-
-        // Throughput within 1% → lower p99 wins.
-        let r = CompareReport::from_runs(vec![
-            sample_report("evloop", 1000.0, 100),
-            sample_report("threads", 1001.0, 900),
-        ]);
-        assert_eq!(r.winner, "evloop");
-    }
-
-    #[test]
     fn json_escapes_and_structure() {
         assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(json_num(f64::NAN), "null");
-        let r = CompareReport::from_runs(vec![sample_report("evloop", 10.0, 5)]);
-        let doc = r.to_json();
-        assert!(doc.contains("\"bench\": \"das-load\""));
-        assert!(doc.contains("\"winner\": \"evloop\""));
+        let doc = sample_report("evloop", 10.0, 5).to_json();
+        assert!(doc.contains("\"engine\": \"evloop\""));
         assert!(doc.contains("\"p999_us\": 10"));
         assert!(doc.contains("\"errors_by_code\": {\"Overloaded\": 1}"));
         assert!(doc.contains("\"stages\": ["));
@@ -356,5 +267,29 @@ mod tests {
         // Crude structural sanity: brackets balance.
         assert_eq!(doc.matches('{').count(), doc.matches('}').count());
         assert_eq!(doc.matches('[').count(), doc.matches(']').count());
+    }
+
+    /// The value written after the first `"key": ` at or past `from`.
+    fn field<'a>(doc: &'a str, from: usize, key: &str) -> &'a str {
+        let needle = format!("\"{key}\": ");
+        let at = from + doc[from..].find(&needle).expect(key) + needle.len();
+        let end = doc[at..].find([',', '\n', '}']).expect("value end");
+        &doc[at..at + end]
+    }
+
+    /// What the CI sanity and perf-gate scripts read out of one run
+    /// object comes back as written: the run's throughput at the top
+    /// level, each class's p99, and the stage cells.
+    #[test]
+    fn single_run_json_carries_the_fields_the_ci_gate_reads() {
+        let doc = sample_report("evloop", 401.818, 2823).to_json();
+        assert!(doc.starts_with("{\n  \"engine\": \"evloop\","), "not a bare run object: {doc}");
+        assert_eq!(field(&doc, 0, "achieved_ops_s"), "401.818");
+        let classes = doc.find("\"classes\": [").expect("classes");
+        assert_eq!(field(&doc, classes, "class"), "\"get\"");
+        assert_eq!(field(&doc, classes, "p99_us"), "2823");
+        let stages = doc.find("\"stages\": [").expect("stages");
+        assert_eq!(field(&doc, stages, "stage"), "\"queue_wait\"");
+        assert_eq!(field(&doc, stages, "count"), "9");
     }
 }

@@ -21,24 +21,21 @@ use std::process::exit;
 use std::sync::Arc;
 use std::time::Duration;
 
-use das_net::{spawn, DasdConfig, Engine, FaultPlan};
+use das_net::{spawn, DasdConfig, FaultPlan};
 use das_obs::{event, Level};
 
 fn usage() -> ! {
     println!(
         "usage: dasd --id <N> --cluster <addr0,addr1,...> [--pool <threads>]\n\
-         \x20           [--engine <evloop|threads>] [--max-backlog <N>]\n\
-         \x20           [--fault <spec>] [--fault-seed <N>]\n\
+         \x20           [--max-backlog <N>] [--fault <spec>] [--fault-seed <N>]\n\
          \x20           [--bind-retries <N>] [--log-level <level>]\n\
          \n\
          --id           this server's index into the cluster address list\n\
          --cluster      listen address of every server, comma-separated, in id order\n\
-         --pool         connection-handler threads (default 16)\n\
+         --pool         request worker threads (default 16)\n\
          --max-backlog  admission-control bound: requests past this many already\n\
          \x20            in flight are shed with the typed, retryable Overloaded\n\
          \x20            error (default 256)\n\
-         --engine       connection engine: evloop (sharded event loop, default)\n\
-         \x20            or threads (thread per connection)  (env: DASD_ENGINE)\n\
          --fault        fault-injection spec: comma-separated class:action[:xN][:pF]\n\
          \x20            classes accept|client|server|any|redist|exec|get; actions\n\
          \x20            refuse|drop|delay=MS|retryable|corrupt  (env: DASD_FAULT)\n\
@@ -62,17 +59,11 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(0);
     let mut bind_retries = 0u32;
-    let mut engine =
-        std::env::var("DASD_ENGINE").ok().and_then(|v| Engine::parse(&v)).unwrap_or_default();
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--id" => id = args.next().and_then(|v| v.parse().ok()),
-            "--engine" => match args.next().and_then(|v| Engine::parse(&v)) {
-                Some(e) => engine = e,
-                None => usage(),
-            },
             "--cluster" => {
                 cluster = args.next().map(|v| v.split(',').map(|s| s.trim().to_string()).collect())
             }
@@ -190,7 +181,7 @@ fn main() {
         ],
     );
 
-    let mut cfg = DasdConfig::new(id, cluster).with_fault(Arc::new(fault)).with_engine(engine);
+    let mut cfg = DasdConfig::new(id, cluster).with_fault(Arc::new(fault));
     cfg.pool = pool;
     if let Some(b) = max_backlog {
         cfg = cfg.with_max_backlog(b);

@@ -21,8 +21,6 @@
 //!    request is served in degraded form rather than failed, whenever
 //!    the data is still reachable.
 
-use std::io;
-use std::net::TcpStream;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -32,41 +30,29 @@ use das_kernels::Raster;
 use das_pfs::{DistributionInfo, Layout, LayoutPolicy, StripId, StripeSpec};
 use das_runtime::DegradeEvent;
 
-use crate::codec::{read_message, write_message, write_message_opts, CountingStream, NetError};
+use crate::codec::NetError;
+use crate::conn::{is_long_op, reply_deadline, RpcConn};
 use crate::hedge::LoadTracker;
-use crate::proto::{
-    ErrorCode, Message, Role, WireStats, CAP_DEADLINE, CAP_SPANS, CAP_TRACE, LOCAL_CAPS,
-};
+use crate::proto::{ErrorCode, Message, Role, WireStats, CAP_SPANS};
 use crate::retry::RetryPolicy;
 
+/// One server's slot: its address and, while one is up, the live
+/// connection to it.
 struct ClientConn {
     addr: String,
-    stream: Option<CountingStream<TcpStream>>,
-    /// Whether this server's `HelloOk` advertised [`CAP_TRACE`] —
-    /// trace ids are only put on the wire for servers that did.
-    traced: bool,
-    /// Whether it advertised [`CAP_DEADLINE`] — deadline budgets are
-    /// only put on the wire for servers that did, so a legacy server
-    /// keeps seeing bit-identical frames.
-    deadline_ok: bool,
-    /// Whether it advertised [`CAP_SPANS`] — the `TraceDump`/`SlowLog`
-    /// opcodes are never sent to a server that did not, so a legacy
-    /// daemon is never shown an opcode it cannot parse.
+    live: Option<RpcConn>,
+    /// Whether the server's last `HelloOk` advertised [`CAP_SPANS`] —
+    /// the `TraceDump`/`SlowLog` opcodes are never sent to a server
+    /// that did not, so a legacy daemon is never shown an opcode it
+    /// cannot parse.
     spans_ok: bool,
 }
 
 impl ClientConn {
-    /// Move this slot's live stream (and negotiated flags) into an
-    /// owned connection a hedge racer thread can drive, leaving a
-    /// redialable placeholder behind.
+    /// Move this slot's live connection into an owned slot a hedge
+    /// racer thread can drive, leaving a redialable placeholder behind.
     fn take(&mut self) -> ClientConn {
-        ClientConn {
-            addr: self.addr.clone(),
-            stream: self.stream.take(),
-            traced: self.traced,
-            deadline_ok: self.deadline_ok,
-            spans_ok: self.spans_ok,
-        }
+        ClientConn { addr: self.addr.clone(), live: self.live.take(), spans_ok: self.spans_ok }
     }
 }
 
@@ -122,110 +108,52 @@ fn degradable(e: &NetError) -> bool {
     e.is_transient() || matches!(e, NetError::Remote { code: ErrorCode::NoSuchServer, .. })
 }
 
-/// Ensure `conn` holds a live, greeted connection. Free function (not
-/// a method) so hedge racer threads can drive an owned [`ClientConn`]
-/// without borrowing the whole cluster.
-fn conn_dial(conn: &mut ClientConn, policy: &RetryPolicy) -> Result<(), NetError> {
-    if conn.stream.is_some() {
-        return Ok(());
-    }
-    let raw = policy.connect(&conn.addr)?;
-    let mut stream = CountingStream::new(raw);
-    write_message(
-        &mut stream,
-        &Message::Hello { role: Role::Client, peer_id: 0, caps: LOCAL_CAPS },
-    )?;
-    match read_message(&mut stream)? {
-        Some(Message::HelloOk { caps, .. }) => {
-            conn.traced = caps & CAP_TRACE != 0;
-            conn.deadline_ok = caps & CAP_DEADLINE != 0;
-            conn.spans_ok = caps & CAP_SPANS != 0;
-        }
-        Some(other) => return Err(NetError::Unexpected { opcode: other.opcode() }),
+/// The slot's live connection, dialled and greeted first if there is
+/// none. Free function (not a method) so hedge racer threads can drive
+/// an owned [`ClientConn`] without borrowing the whole cluster.
+fn conn_dial<'a>(conn: &'a mut ClientConn, policy: &RetryPolicy) -> Result<&'a mut RpcConn, NetError> {
+    let live = match conn.live.take() {
+        Some(live) => live,
         None => {
-            return Err(NetError::Io(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed during handshake",
-            )))
+            let live = RpcConn::dial(&conn.addr, policy, Role::Client, 0)?;
+            conn.spans_ok = live.has(CAP_SPANS);
+            live
         }
-    }
-    conn.stream = Some(stream);
-    Ok(())
+    };
+    Ok(conn.live.insert(live))
 }
 
-/// Offloaded executes and redistribution phases do real work (kernel
-/// compute, bulk strip movement) before replying: they get a far longer
-/// reply deadline than the per-frame read timeout, or a busy server
-/// looks dead — and their latency says nothing about a strip read, so
-/// they never feed the [`LoadTracker`].
-fn is_long_op(msg: &Message) -> bool {
-    matches!(
-        msg,
-        Message::Execute { .. } | Message::RedistPrepare { .. } | Message::RedistCommit { .. }
-    )
-}
-
-/// First half of one attempt: dial if needed and write the request. A
-/// transport error evicts the stream so the next attempt redials
+/// First half of one attempt: dial if needed and write the request,
+/// budgeted with the reply deadline this client itself enforces. A
+/// transport error evicts the connection so the next attempt redials
 /// instead of reusing a socket in an unknown state.
-///
-/// When the server advertised [`CAP_DEADLINE`], the request carries a
-/// budget equal to the reply deadline this client itself enforces (the
-/// policy's read timeout, stretched for long operations) — a server
-/// that cannot answer within it may shed the request instead of doing
-/// work nobody is waiting for.
 fn conn_send(
     conn: &mut ClientConn,
     policy: &RetryPolicy,
     msg: &Message,
     trace: Option<u64>,
 ) -> Result<(), NetError> {
-    conn_dial(conn, policy)?;
-    let long_op = is_long_op(msg);
-    let reply_deadline =
-        if long_op { policy.read_timeout.saturating_mul(10) } else { policy.read_timeout };
-    let budget_ms = if conn.deadline_ok {
-        Some(reply_deadline.as_millis().clamp(1, u128::from(u32::MAX)) as u32)
-    } else {
-        None
-    };
-    let trace = if conn.traced { trace } else { None };
-    let stream = conn.stream.as_mut().expect("dial just succeeded"); // das-lint: allow(DA402) conn_dial filled the slot on the line above
-    if long_op {
-        let _ = stream.get_ref().set_read_timeout(Some(reply_deadline));
+    let sent = conn_dial(conn, policy)?.send(msg, trace, Some(reply_deadline(policy, msg, false)));
+    if sent.is_err() {
+        conn.live = None;
     }
-    let result = write_message_opts(stream, msg, trace, budget_ms);
-    if result.is_err() {
-        conn.stream = None;
-    }
-    result.map_err(NetError::from)
+    sent
 }
 
 /// Second half: read the reply to the request [`conn_send`] wrote.
-/// Leaves the connection frame-aligned (one whole reply consumed, the
-/// per-frame read timeout restored) or evicted.
+/// Leaves the connection frame-aligned (one whole reply consumed) or
+/// evicted.
 fn conn_recv(
     conn: &mut ClientConn,
     policy: &RetryPolicy,
     msg: &Message,
 ) -> Result<Message, NetError> {
-    let Some(stream) = conn.stream.as_mut() else {
+    let Some(live) = conn.live.as_mut() else {
         return Err(NetError::Protocol("reply awaited on a connection with no request in flight".into()));
     };
-    let result = match read_message(stream) {
-        Ok(Some(Message::Error { code, message })) => Err(NetError::Remote { code, message }),
-        Ok(Some(reply)) => Ok(reply),
-        Ok(None) => Err(NetError::Io(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "server closed mid-call",
-        ))),
-        Err(e) => Err(e),
-    };
-    if is_long_op(msg) {
-        let _ = stream.get_ref().set_read_timeout(Some(policy.read_timeout));
-    }
+    let result = live.recv(msg, policy);
     if result.as_ref().is_err_and(NetError::is_transport) {
-        conn.stream = None;
+        conn.live = None;
     }
     result
 }
@@ -258,13 +186,7 @@ impl DasCluster {
         let mut cluster = DasCluster {
             conns: addrs
                 .iter()
-                .map(|a| ClientConn {
-                    addr: a.clone(),
-                    stream: None,
-                    traced: false,
-                    deadline_ok: false,
-                    spans_ok: false,
-                })
+                .map(|a| ClientConn { addr: a.clone(), live: None, spans_ok: false })
                 .collect(),
             down: vec![false; addrs.len()],
             events: Vec::new(),
@@ -280,7 +202,7 @@ impl DasCluster {
         let mut reachable = 0usize;
         for s in 0..cluster.conns.len() {
             let policy = cluster.policy.clone();
-            match policy.retry(|| conn_dial(&mut cluster.conns[s], &policy)) {
+            match policy.retry(|| conn_dial(&mut cluster.conns[s], &policy).map(|_| ())) {
                 Ok(()) => reachable += 1,
                 Err(e) => {
                     last = Some(e);
@@ -319,8 +241,9 @@ impl DasCluster {
     }
 
     /// Mint a fresh trace id and stamp it on every subsequent request
-    /// to servers that advertised [`CAP_TRACE`]. Returns the id so
-    /// callers can correlate client logs with daemon-side traces.
+    /// to servers that advertised [`crate::proto::CAP_TRACE`]. Returns
+    /// the id so callers can correlate client logs with daemon-side
+    /// traces.
     pub fn begin_trace(&mut self) -> u64 {
         let id = das_obs::next_trace_id();
         self.trace = Some(id);
@@ -338,7 +261,7 @@ impl DasCluster {
     fn mark_down(&mut self, s: usize) {
         if !self.down[s] {
             self.down[s] = true;
-            self.conns[s].stream = None;
+            self.conns[s].live = None;
             self.record_event(DegradeEvent::ServerUnavailable { server: s as u32 });
         }
     }
@@ -707,7 +630,7 @@ impl DasCluster {
     /// whole reply or evicted the stream on a transport error — so
     /// restoring one can never desynchronize the slot.
     fn settle_racer(&mut self, done: RacerDone) {
-        if self.conns[done.server].stream.is_none() {
+        if self.conns[done.server].live.is_none() {
             self.conns[done.server] = done.conn;
         }
     }
@@ -843,7 +766,7 @@ impl DasCluster {
             }
             outstanding -= 1;
             let RacerDone { server, conn, result, .. } = done;
-            if self.conns[server].stream.is_none() {
+            if self.conns[server].live.is_none() {
                 self.conns[server] = conn;
             }
             match result {

@@ -257,15 +257,11 @@ impl FrameParts<'_> {
     }
 }
 
-/// Build the scatter/gather segments of one frame, optionally traced.
-/// The bulk payload of blob-carrying messages is *borrowed* from the
-/// message ([`Message::split_payload`]), so encoding a 4 MiB strip
-/// allocates only the ~30-byte head.
-pub fn frame_parts_traced(msg: &Message, trace: Option<u64>) -> FrameParts<'_> {
-    frame_parts_opts(msg, trace, None)
-}
-
-/// Like [`frame_parts_traced`], optionally carrying a deadline budget.
+/// Build the scatter/gather segments of one frame, optionally carrying
+/// a trace id and a deadline budget. The bulk payload of blob-carrying
+/// messages is *borrowed* from the message
+/// ([`Message::split_payload`]), so encoding a 4 MiB strip allocates
+/// only the ~30-byte head.
 pub fn frame_parts_opts(
     msg: &Message,
     trace: Option<u64>,
@@ -358,22 +354,13 @@ pub fn write_frame_vectored<W: Write>(w: &mut W, parts: &FrameParts<'_>) -> io::
 
 /// Serialize `msg` as one frame onto `w` and flush.
 pub fn write_message<W: Write>(w: &mut W, msg: &Message) -> io::Result<()> {
-    write_message_traced(w, msg, None)
-}
-
-/// Serialize `msg` with an optional trace id onto `w` and flush.
-/// Routes through the vectored writer, so blob payloads (strips,
-/// metrics dumps) go to the socket without an intermediate copy.
-pub fn write_message_traced<W: Write>(
-    w: &mut W,
-    msg: &Message,
-    trace: Option<u64>,
-) -> io::Result<()> {
-    write_frame_vectored(w, &frame_parts_traced(msg, trace))
+    write_message_opts(w, msg, None, None)
 }
 
 /// Serialize `msg` with optional trace id and deadline budget onto
-/// `w` and flush.
+/// `w` and flush. Routes through the vectored writer, so blob payloads
+/// (strips, metrics dumps) go to the socket without an intermediate
+/// copy.
 pub fn write_message_opts<W: Write>(
     w: &mut W,
     msg: &Message,
@@ -452,7 +439,7 @@ pub struct Frame {
     /// Microseconds of CPU spent validating and decoding the frame
     /// (checksum verification + payload parse), excluding any time
     /// blocked on the transport — the honest "decode" stage for span
-    /// attribution on both engines.
+    /// attribution.
     pub decode_us: u64,
 }
 
@@ -941,7 +928,7 @@ mod tests {
     fn frame_parts_are_bit_identical_to_encode_frame() {
         for msg in Message::samples() {
             for trace in [None, Some(0x0123_4567_89AB_CDEFu64)] {
-                let parts = frame_parts_traced(&msg, trace);
+                let parts = frame_parts_opts(&msg, trace, None);
                 assert_eq!(parts.to_vec(), encode_frame_traced(&msg, trace));
                 assert_eq!(parts.len(), parts.to_vec().len());
             }
@@ -969,7 +956,7 @@ mod tests {
     #[test]
     fn vectored_writer_survives_short_writes() {
         let msg = Message::PutStrip { file: 3, strip: 7, payload: vec![0xAB; 300] };
-        let parts = frame_parts_traced(&msg, Some(99));
+        let parts = frame_parts_opts(&msg, Some(99), None);
         let mut w = TrickleWriter(Vec::new());
         write_frame_vectored(&mut w, &parts).unwrap();
         assert_eq!(w.0, encode_frame_traced(&msg, Some(99)));

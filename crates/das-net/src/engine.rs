@@ -1,11 +1,11 @@
-//! The [`crate::server::Engine::EventLoop`] connection core: a
-//! sharded nonblocking event loop with request pipelining.
+//! The daemon's connection core: a sharded nonblocking event loop with
+//! request pipelining.
 //!
-//! Layout of one daemon under this engine:
+//! Layout of one daemon:
 //!
-//! * **one accept thread** — the shared nonblocking accept loop
-//!   (fault injection, shutdown polling) dealing sockets round-robin
-//!   to the shards;
+//! * **one accept thread** — the nonblocking accept loop (fault
+//!   injection, shutdown polling) dealing sockets round-robin to the
+//!   shards;
 //! * **a few shard threads** — each owns a set of nonblocking
 //!   sockets. A shard's loop drains newly-assigned sockets, reads
 //!   whatever bytes are available into each connection's incremental
@@ -14,9 +14,8 @@
 //!   `done` queue and are written with vectored (scatter/gather)
 //!   writes, partial-write state kept per connection;
 //! * **a worker pool** — runs `process_request` (fault injection,
-//!   metrics, dispatch — identical to the thread-per-connection
-//!   engine) off the shard threads, so a slow `Execute` full of peer
-//!   fetches never stalls other connections.
+//!   metrics, dispatch) off the shard threads, so a slow `Execute`
+//!   full of peer fetches never stalls other connections.
 //!
 //! **Fair queueing & admission control.** Decoded requests reach the
 //! worker pool through a `FairQueue`: per-connection FIFOs drained
@@ -40,8 +39,8 @@
 //! flight (up to `MAX_INFLIGHT`, 128); replies are written in completion
 //! order, not arrival order, and a pipelined client matches them by
 //! the echoed trace id (see `docs/PROTOCOL.md` § Pipelining). A
-//! legacy serial client never has more than one outstanding request,
-//! so it observes exactly the old engine's behavior, bit for bit.
+//! serial client never has more than one outstanding request, so it
+//! sees its replies strictly in order.
 //!
 //! No `epoll`/`kqueue`: the workspace forbids `unsafe` and carries no
 //! FFI dependency, so readiness is discovered by polling nonblocking
@@ -425,7 +424,6 @@ pub(crate) fn spawn_event_loop(
                 let shard = next % queues.inbox.len();
                 next = next.wrapping_add(1);
                 lock(&queues.inbox[shard]).push(s);
-                true
             });
         }));
     }
@@ -757,7 +755,7 @@ fn pump_read(
 }
 
 /// First frame of a connection: fix the traffic class, register the
-/// byte counters, answer `HelloOk` — mirrors the blocking engine.
+/// byte counters, answer `HelloOk`.
 fn handle_hello(shared: &Shared, c: &mut Conn, msg: Message) {
     let (class, caps) = match msg {
         Message::Hello { role: Role::Client, caps, .. } => (ConnClass::Client, caps),

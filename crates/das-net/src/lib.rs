@@ -34,9 +34,9 @@
 //! predictions of `das-core` — the strongest end-to-end validation of
 //! the paper's bandwidth model this repo has.
 
-
 pub mod client;
 pub mod codec;
+mod conn;
 pub mod engine;
 pub mod fault;
 pub mod hedge;
@@ -50,10 +50,10 @@ pub use client::{
     run_net_scheme, run_net_scheme_opts, DasCluster, ExecSummary, NetRunReport, NetScheme,
 };
 pub use codec::{
-    encode_frame, encode_frame_opts, encode_frame_traced, frame_parts_opts, frame_parts_traced,
-    read_frame, read_frame_ex, read_message, write_frame_vectored, write_message,
-    write_message_opts, write_message_traced, CountingStream, Frame, FrameBuffer, FrameParts,
-    NetError, FLAG_CRC, FLAG_DEADLINE, FLAG_TRACE, KNOWN_FLAGS,
+    encode_frame, encode_frame_opts, encode_frame_traced, frame_parts_opts, read_frame,
+    read_frame_ex, read_message, write_frame_vectored, write_message, write_message_opts,
+    CountingStream, Frame, FrameBuffer, FrameParts, NetError, FLAG_CRC, FLAG_DEADLINE, FLAG_TRACE,
+    KNOWN_FLAGS,
 };
 pub use fault::{FaultAction, FaultClass, FaultPlan, FaultPoint, FaultRule};
 pub use hedge::{Ewma, LoadTracker};
@@ -63,4 +63,4 @@ pub use proto::{
     LOCAL_CAPS, MAX_PAYLOAD, VERSION,
 };
 pub use retry::RetryPolicy;
-pub use server::{spawn, ConnClass, DasdConfig, DasdHandle, Engine, StatsRegistry};
+pub use server::{spawn, ConnClass, DasdConfig, DasdHandle, StatsRegistry};

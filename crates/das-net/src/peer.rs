@@ -29,31 +29,18 @@
 //! so a rebooted server rejoins naturally.
 
 use std::collections::HashMap;
-use std::io;
-use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use crate::codec::{read_message, write_message, write_message_opts, CountingStream, NetError};
+use crate::codec::NetError;
+use crate::conn::RpcConn;
 use crate::hedge::LoadTracker;
-use crate::proto::{ErrorCode, Message, Role, CAP_DEADLINE, CAP_TRACE, LOCAL_CAPS};
+use crate::proto::{ErrorCode, Message, Role};
 use crate::retry::RetryPolicy;
 use crate::server::{ConnClass, StatsRegistry};
 
-/// One live peer link plus what its `HelloOk` told us about it: a
-/// peer that did not advertise [`CAP_TRACE`] (or [`CAP_DEADLINE`])
-/// must keep seeing frames that are bit-identical to the legacy
-/// encoding, so the traced-send and budget-send decisions are made
-/// per link.
-struct Link {
-    stream: CountingStream<TcpStream>,
-    traced: bool,
-    /// Peer advertised [`CAP_DEADLINE`]: remaining-budget fields may
-    /// be forwarded on this link.
-    deadline_ok: bool,
-}
-
-type PeerConn = Arc<Mutex<Link>>;
+/// One live peer link; workers calling the same peer serialize on it.
+type PeerConn = Arc<Mutex<RpcConn>>;
 
 /// Addresses of every server in the cluster, indexed by server id,
 /// plus the live outbound connections of one daemon.
@@ -83,19 +70,10 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Milliseconds left until `deadline`: `None` means no budget at all,
-/// `Some(0)` means the budget is spent. A live sub-millisecond
-/// remainder rounds up to 1 so it is never silently dropped from the
-/// wire.
-fn remaining_budget_ms(deadline: Option<Instant>) -> Option<u32> {
-    deadline.map(|d| {
-        let left = d.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            0
-        } else {
-            left.as_millis().clamp(1, u128::from(u32::MAX)) as u32
-        }
-    })
+/// Time left until `deadline`: `None` means no budget at all,
+/// `Some(ZERO)` means the budget is spent.
+fn remaining_budget(deadline: Option<Instant>) -> Option<Duration> {
+    deadline.map(|d| d.saturating_duration_since(Instant::now()))
 }
 
 impl PeerTable {
@@ -155,28 +133,10 @@ impl PeerTable {
         }
         // Connect outside the map lock; a racing worker may connect
         // twice, in which case the loser's link is dropped unused.
-        let mut stream = CountingStream::new(self.policy.connect(&addr)?);
-        self.stats.register(ConnClass::Server, stream.bytes_in(), stream.bytes_out());
-        write_message(
-            &mut stream,
-            &Message::Hello { role: Role::Server, peer_id: self.self_id, caps: LOCAL_CAPS },
-        )?;
-        let caps = match read_message(&mut stream)? {
-            Some(Message::HelloOk { caps, .. }) => caps,
-            Some(other) => return Err(NetError::Unexpected { opcode: other.opcode() }),
-            None => {
-                return Err(NetError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "peer closed during handshake",
-                )))
-            }
-        };
-        let conn = Arc::new(Mutex::new(Link {
-            stream,
-            traced: caps & CAP_TRACE != 0,
-            deadline_ok: caps & CAP_DEADLINE != 0,
-        }));
-        Ok(Arc::clone(lock(&self.conns).entry(target).or_insert(conn)))
+        let conn = RpcConn::dial(&addr, &self.policy, Role::Server, self.self_id)?;
+        let (bytes_in, bytes_out) = conn.counters();
+        self.stats.register(ConnClass::Server, bytes_in, bytes_out);
+        Ok(Arc::clone(lock(&self.conns).entry(target).or_insert(Arc::new(Mutex::new(conn)))))
     }
 
     /// One request/response attempt over the cached (or fresh) link.
@@ -198,8 +158,8 @@ impl PeerTable {
         // *peer* call, and it counts as a deadline shed so the fleet's
         // `dasd_requests_shed_total` accounts for every server-minted
         // `Overloaded` a client can observe.
-        let budget_ms = match remaining_budget_ms(deadline) {
-            Some(0) => {
+        let budget = match remaining_budget(deadline) {
+            Some(Duration::ZERO) => {
                 self.metrics
                     .counter("dasd_requests_shed_total", &[("reason", "deadline")])
                     .inc();
@@ -212,21 +172,9 @@ impl PeerTable {
         };
         let conn = self.conn(target)?;
         let mut link = lock(&conn);
-        let trace = if link.traced { trace } else { None };
-        let budget_ms = if link.deadline_ok { budget_ms } else { None };
-        let stream = &mut link.stream;
         let started = Instant::now();
-        let result = (|| {
-            write_message_opts(&mut *stream, msg, trace, budget_ms)?;
-            match read_message(&mut *stream)? {
-                Some(Message::Error { code, message }) => Err(NetError::Remote { code, message }),
-                Some(reply) => Ok(reply),
-                None => Err(NetError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "peer closed mid-call",
-                ))),
-            }
-        })();
+        let result =
+            link.send(msg, trace, budget).and_then(|()| link.recv(msg, &self.policy));
         // Only successful calls feed the latency estimate: a refused
         // connection fails in microseconds, and scoring that would
         // make a *dead* peer look like the fastest one in the walk.
@@ -241,8 +189,8 @@ impl PeerTable {
 
     /// How long a tripped breaker stays open before the next call
     /// probes the peer again.
-    fn cooldown(&self) -> std::time::Duration {
-        self.policy.backoff_max.max(std::time::Duration::from_millis(100))
+    fn cooldown(&self) -> Duration {
+        self.policy.backoff_max.max(Duration::from_millis(100))
     }
 
     /// One synchronous request/response exchange with server `target`,
@@ -255,7 +203,7 @@ impl PeerTable {
     ///
     /// `trace` and the *remaining* budget before `deadline` are stamped
     /// on the outgoing frame only over links whose peer advertised
-    /// [`CAP_TRACE`] / [`CAP_DEADLINE`], so legacy peers keep seeing
+    /// `CAP_TRACE` / `CAP_DEADLINE`, so legacy peers keep seeing
     /// legacy frames; a budget that is already spent fails locally with
     /// the typed [`ErrorCode::Overloaded`] instead of burning a peer
     /// round-trip.
@@ -278,7 +226,7 @@ impl PeerTable {
         // typed `Overloaded` it mints is transient *to the client*
         // (which may retry with a fresh deadline), but retrying here
         // would only burn backoff on a request the caller abandoned.
-        if remaining_budget_ms(deadline) == Some(0) {
+        if remaining_budget(deadline) == Some(Duration::ZERO) {
             return self.call_once(target, msg, trace, deadline);
         }
         let mut attempts = 0u64;

@@ -31,8 +31,9 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::codec::{read_frame, write_message_opts, write_message_traced, CountingStream, NetError};
-use crate::proto::{Message, Role, CAP_DEADLINE, CAP_TRACE, LOCAL_CAPS};
+use crate::codec::{read_frame, NetError};
+use crate::conn::{reply, reply_deadline, RpcConn};
+use crate::proto::{Message, Role, CAP_TRACE};
 use crate::retry::RetryPolicy;
 use crate::server::lock;
 
@@ -46,15 +47,11 @@ type PendingMap = HashMap<u64, mpsc::Sender<Message>>;
 
 /// Shared connection state; the reader thread holds its own handle.
 struct Inner {
-    wr: Mutex<CountingStream<TcpStream>>,
+    /// The write half: requests interleave on it under this lock.
+    wr: Mutex<RpcConn>,
     pending: Mutex<PendingMap>,
     next_id: AtomicU64,
     closed: AtomicBool,
-    server_id: u32,
-    /// Whether the server advertised [`CAP_DEADLINE`]: requests then
-    /// carry the same reply budget this client enforces locally, so an
-    /// overloaded server can shed work nobody is still waiting for.
-    deadline_ok: bool,
     policy: RetryPolicy,
 }
 
@@ -82,38 +79,19 @@ impl PipeClient {
     /// [`CAP_TRACE`] — without the echoed trace field there is no way
     /// to match out-of-order replies.
     pub fn connect(addr: &str, policy: &RetryPolicy) -> Result<PipeClient, NetError> {
-        let stream = policy.connect(addr)?;
-        let mut stream = CountingStream::new(stream);
-        write_message_traced(
-            &mut stream,
-            &Message::Hello { role: Role::Client, peer_id: 0, caps: LOCAL_CAPS },
-            None,
-        )?;
-        let (server_id, caps) = match read_frame(&mut stream)? {
-            Some((Message::HelloOk { server_id, caps }, _)) => (server_id, caps),
-            Some((Message::Error { code, message }, _)) => {
-                return Err(NetError::Remote { code, message })
-            }
-            Some((other, _)) => return Err(NetError::Unexpected { opcode: other.opcode() }),
-            None => return Err(NetError::Protocol("connection closed during handshake".into())),
-        };
-        if caps & CAP_TRACE == 0 {
+        let conn = RpcConn::dial(addr, policy, Role::Client, 0)?;
+        if !conn.has(CAP_TRACE) {
             return Err(NetError::Protocol(
                 "server lacks CAP_TRACE; pipelined replies cannot be matched".into(),
             ));
         }
-        let reader_stream = match stream.get_ref().try_clone() {
-            Ok(s) => s,
-            Err(e) => return Err(NetError::Io(e)),
-        };
+        let reader_stream = conn.socket().try_clone()?;
         let _ = reader_stream.set_read_timeout(Some(READER_POLL));
         let inner = Arc::new(Inner {
-            wr: Mutex::new(stream),
+            wr: Mutex::new(conn),
             pending: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
             closed: AtomicBool::new(false),
-            server_id,
-            deadline_ok: caps & CAP_DEADLINE != 0,
             policy: policy.clone(),
         });
         let reader = std::thread::spawn({
@@ -121,11 +99,6 @@ impl PipeClient {
             move || reader_loop(&inner, reader_stream)
         });
         Ok(PipeClient { inner, reader: Some(reader) })
-    }
-
-    /// The server id reported in the handshake.
-    pub fn server_id(&self) -> u32 {
-        self.inner.server_id
     }
 
     /// Whether the connection has been poisoned by a transport error
@@ -148,41 +121,18 @@ impl PipeClient {
         }
         let inner = &*self.inner;
         let id = inner.next_id.fetch_add(1, Ordering::SeqCst);
-        // Long-running ops get the same stretched deadline the serial
-        // client uses; ordinary ops still get several read-timeouts of
-        // slack because a pipelined reply legitimately queues behind
-        // every other in-flight request on the connection.
-        let factor = if matches!(
-            msg,
-            Message::Execute { .. } | Message::RedistPrepare { .. } | Message::RedistCommit { .. }
-        ) {
-            10
-        } else {
-            8
-        };
-        let deadline = inner.policy.read_timeout.saturating_mul(factor);
-        // Tell a CAP_DEADLINE server the budget we will actually wait —
-        // queueing past it means the server may shed instead of
-        // answering into the void.
-        let budget_ms = if inner.deadline_ok {
-            Some(deadline.as_millis().clamp(1, u128::from(u32::MAX)) as u32)
-        } else {
-            None
-        };
+        // The budget on the wire is the wait enforced below.
+        let deadline = reply_deadline(&inner.policy, msg, true);
         let (tx, rx) = mpsc::channel();
         lock(&inner.pending).insert(id, tx);
-        {
-            let mut w = lock(&inner.wr);
-            if let Err(e) = write_message_opts(&mut *w, msg, Some(id), budget_ms) {
-                drop(w);
-                lock(&inner.pending).remove(&id);
-                inner.poison();
-                return Err(NetError::Io(e));
-            }
+        let sent = lock(&inner.wr).send(msg, Some(id), Some(deadline));
+        if let Err(e) = sent {
+            lock(&inner.pending).remove(&id);
+            inner.poison();
+            return Err(e);
         }
         match rx.recv_timeout(deadline) {
-            Ok(Message::Error { code, message }) => Err(NetError::Remote { code, message }),
-            Ok(reply) => Ok(reply),
+            Ok(msg) => reply(Ok(Some(msg))),
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 lock(&inner.pending).remove(&id);
                 Err(NetError::Io(io::Error::new(
@@ -205,7 +155,7 @@ impl Drop for PipeClient {
         // instead of waiting out its poll interval.
         {
             let w = lock(&self.inner.wr);
-            let _ = w.get_ref().shutdown(Shutdown::Both);
+            let _ = w.socket().shutdown(Shutdown::Both);
         }
         if let Some(handle) = self.reader.take() {
             let _ = handle.join();

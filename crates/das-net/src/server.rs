@@ -27,9 +27,8 @@
 //! cluster.
 
 use std::collections::HashMap;
-use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -41,16 +40,12 @@ use das_kernels::kernel_by_name;
 use das_pfs::{FileId, FileMeta, Layout, ServerId, StorageServer, StripId, StripeSpec};
 use das_runtime::StripAssembly;
 
-use crate::codec::{
-    encode_frame_traced, raw_frame_parts, read_frame, read_frame_ex, write_frame_vectored,
-    write_message, write_message_traced, CountingStream, NetError,
-};
 use crate::fault::{FaultAction, FaultPlan, FaultPoint};
 use crate::peer::PeerTable;
-use crate::proto::{ErrorCode, Message, Role, WireStats, CAP_SPANS, CAP_TRACE, LOCAL_CAPS};
+use crate::proto::{ErrorCode, Message, WireStats};
 use crate::retry::RetryPolicy;
 use das_obs::log::{event, Level};
-use das_obs::{OpClass, SpanStore, Stage, NOTE_NONE, NOTE_SHED_BACKLOG, NOTE_SHED_DEADLINE};
+use das_obs::{OpClass, SpanStore, Stage, NOTE_NONE, NOTE_SHED_DEADLINE};
 
 /// Lock a mutex, recovering from poison: a worker that panicked while
 /// holding a daemon lock must not wedge every other connection.
@@ -58,18 +53,13 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// How often an idle connection handler wakes to poll the shutdown
-/// flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(100);
-
 /// How often an idle (nonblocking) accept loop wakes to poll for new
 /// connections and the shutdown flag.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
-/// Default admission bound: how many requests a daemon lets queue
-/// (event-loop engine: the fair queue's total depth; thread engine:
-/// concurrently executing handlers) before shedding new arrivals with
-/// the typed, transient [`ErrorCode::Overloaded`]. Sized to admit a
+/// Default admission bound: how many requests a daemon lets queue (the
+/// fair queue's total depth) before shedding new arrivals with the
+/// typed, transient [`ErrorCode::Overloaded`]. Sized to admit a
 /// couple of fully pipelined connections (2 × `MAX_INFLIGHT`) while
 /// keeping worst-case queueing delay bounded.
 pub const DEFAULT_MAX_BACKLOG: usize = 256;
@@ -127,89 +117,76 @@ pub enum ConnClass {
 
 /// Registry of every connection's byte counters, grouped by class.
 /// Counters are shared with the live [`CountingStream`]s, so sums are
-/// always current; closed connections keep contributing their totals.
+/// always current; a closed connection's totals are folded into
+/// per-class running sums, so the list walked under the lock stays the
+/// size of the open-connection count however many connections come
+/// and go.
+///
+/// [`CountingStream`]: crate::codec::CountingStream
 #[derive(Default)]
 pub struct StatsRegistry {
-    conns: Mutex<Vec<ConnCounters>>,
+    conns: Mutex<Registered>,
+}
+
+#[derive(Default)]
+struct Registered {
+    /// Connections whose stream may still move bytes.
+    live: Vec<ConnCounters>,
+    /// Totals of the connections whose stream is gone.
+    retired: WireStats,
 }
 
 /// One connection's shared in/out counters and traffic class.
 type ConnCounters = (ConnClass, Arc<AtomicU64>, Arc<AtomicU64>);
 
+fn add_counters(s: &mut WireStats, (class, bytes_in, bytes_out): &ConnCounters) {
+    let (i, o) = (bytes_in.load(Ordering::Relaxed), bytes_out.load(Ordering::Relaxed));
+    match class {
+        ConnClass::Client => {
+            s.client_in += i;
+            s.client_out += o;
+        }
+        ConnClass::Server => {
+            s.server_in += i;
+            s.server_out += o;
+        }
+    }
+}
+
 impl StatsRegistry {
-    /// Track a connection's counters under `class`.
+    /// Track a connection's counters under `class`. Entries whose
+    /// stream has been dropped — the registry holds the only handle
+    /// left, so their values are final — are retired on the way.
     pub fn register(&self, class: ConnClass, bytes_in: Arc<AtomicU64>, bytes_out: Arc<AtomicU64>) {
-        lock(&self.conns).push((class, bytes_in, bytes_out));
+        let mut guard = lock(&self.conns);
+        let Registered { live, retired } = &mut *guard;
+        live.retain(|conn| {
+            let gone = Arc::strong_count(&conn.1) == 1;
+            if gone {
+                add_counters(retired, conn);
+            }
+            !gone
+        });
+        live.push((class, bytes_in, bytes_out));
     }
 
     /// Current totals per class.
     pub fn snapshot(&self) -> WireStats {
-        let mut s = WireStats::default();
-        for (class, bi, bo) in lock(&self.conns).iter() {
-            let (i, o) = (bi.load(Ordering::Relaxed), bo.load(Ordering::Relaxed));
-            match class {
-                ConnClass::Client => {
-                    s.client_in += i;
-                    s.client_out += o;
-                }
-                ConnClass::Server => {
-                    s.server_in += i;
-                    s.server_out += o;
-                }
-            }
+        let conns = lock(&self.conns);
+        let mut s = conns.retired;
+        for conn in &conns.live {
+            add_counters(&mut s, conn);
         }
         s
     }
 
     /// Zero every counter.
     pub fn reset(&self) {
-        for (_, bi, bo) in lock(&self.conns).iter() {
+        let mut conns = lock(&self.conns);
+        conns.retired = WireStats::default();
+        for (_, bi, bo) in &conns.live {
             bi.store(0, Ordering::Relaxed);
             bo.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Which connection core a daemon runs.
-///
-/// Both engines speak the identical wire protocol through the same
-/// codec, fault injector and dispatch logic — the chaos suite passes
-/// bit-identically on either. They differ in how connections map to
-/// threads:
-///
-/// * [`Engine::EventLoop`] (the default): sharded nonblocking event
-///   loop. A few shard threads each own many sockets, incremental
-///   frame decoding allows **pipelining** (multiple in-flight
-///   requests per connection, responses matched by trace id, possibly
-///   out of order), and request handling runs on a worker pool.
-/// * [`Engine::Threads`]: the original thread-per-connection core —
-///   one pooled handler thread blocks on each connection, strictly
-///   serial per connection. Kept selectable so `das bench` can
-///   measure both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Sharded nonblocking event loop with request pipelining.
-    #[default]
-    EventLoop,
-    /// Blocking thread-per-connection (the seed core).
-    Threads,
-}
-
-impl Engine {
-    /// Parse a CLI name (`evloop` / `threads`).
-    pub fn parse(s: &str) -> Option<Engine> {
-        match s {
-            "evloop" | "event-loop" | "eventloop" => Some(Engine::EventLoop),
-            "threads" | "thread-per-conn" => Some(Engine::Threads),
-            _ => None,
-        }
-    }
-
-    /// The engine's canonical CLI/report name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::EventLoop => "evloop",
-            Engine::Threads => "threads",
         }
     }
 }
@@ -221,17 +198,13 @@ pub struct DasdConfig {
     pub id: u32,
     /// Listen address of **every** server in the cluster, by id.
     pub cluster: Vec<String>,
-    /// Connection-handler pool size. For [`Engine::Threads`] it must
-    /// exceed the number of simultaneously open inbound connections
-    /// (clients + peers); for [`Engine::EventLoop`] it sizes the
-    /// request worker pool (connections are not pinned to threads).
+    /// Request worker pool size (at least 2; connections are not
+    /// pinned to threads).
     pub pool: usize,
     /// Fault-injection plan (empty by default: inject nothing).
     pub fault: Arc<FaultPlan>,
     /// Retry/timeout policy for this daemon's outbound peer calls.
     pub retry: RetryPolicy,
-    /// Which connection core to run.
-    pub engine: Engine,
     /// Admission bound before the daemon sheds requests with
     /// [`ErrorCode::Overloaded`] (see [`DEFAULT_MAX_BACKLOG`]).
     pub max_backlog: usize,
@@ -239,8 +212,7 @@ pub struct DasdConfig {
 
 impl DasdConfig {
     /// Config for server `id` of `cluster` with the default pool (16),
-    /// no fault injection, the default retry policy, and the default
-    /// event-loop engine.
+    /// no fault injection and the default retry policy.
     pub fn new(id: u32, cluster: Vec<String>) -> Self {
         DasdConfig {
             id,
@@ -248,7 +220,6 @@ impl DasdConfig {
             pool: 16,
             fault: Arc::new(FaultPlan::none()),
             retry: RetryPolicy::default(),
-            engine: Engine::EventLoop,
             max_backlog: DEFAULT_MAX_BACKLOG,
         }
     }
@@ -262,12 +233,6 @@ impl DasdConfig {
     /// Replace the peer retry policy.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
-        self
-    }
-
-    /// Select the connection core.
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -359,11 +324,8 @@ pub struct Shared {
     pub(crate) stage_hists: StageHists,
     pub(crate) shutdown: AtomicBool,
     pub(crate) fault: Arc<FaultPlan>,
-    /// Admission bound shared by both engines.
+    /// Admission bound on the fair queue's depth.
     pub(crate) max_backlog: usize,
-    /// Requests currently inside a handler — the thread engine's
-    /// admission gauge (the event loop bounds its fair queue instead).
-    pub(crate) active: AtomicUsize,
 }
 
 /// Time-and-record one finished stage: always feeds the
@@ -460,7 +422,7 @@ impl DasdHandle {
 /// whole cluster *before* any daemon needs the full address list.
 pub fn spawn(cfg: DasdConfig, listener: TcpListener) -> std::io::Result<DasdHandle> {
     assert!((cfg.id as usize) < cfg.cluster.len(), "id {} outside cluster of {}", cfg.id, cfg.cluster.len());
-    assert!(cfg.pool >= 2, "need at least two connection handlers");
+    assert!(cfg.pool >= 2, "need at least two request workers");
     let addr = listener.local_addr()?;
     let stats = Arc::new(StatsRegistry::default());
     let metrics = Arc::new(das_obs::Registry::new());
@@ -490,60 +452,24 @@ pub fn spawn(cfg: DasdConfig, listener: TcpListener) -> std::io::Result<DasdHand
         shutdown: AtomicBool::new(false),
         fault: cfg.fault,
         max_backlog: cfg.max_backlog.max(1),
-        active: AtomicUsize::new(0),
     });
     // Register the shed counters up front so a metrics dump carries
     // them (at zero) before the first overload, not only after.
     shared.metrics.counter("dasd_requests_shed_total", &[("reason", "backlog")]);
     shared.metrics.counter("dasd_requests_shed_total", &[("reason", "deadline")]);
 
-    let threads = match cfg.engine {
-        Engine::EventLoop => {
-            crate::engine::spawn_event_loop(Arc::clone(&shared), listener, cfg.pool, shared.max_backlog)?
-        }
-        Engine::Threads => spawn_thread_pool(Arc::clone(&shared), listener, cfg.pool)?,
-    };
+    let threads =
+        crate::engine::spawn_event_loop(Arc::clone(&shared), listener, cfg.pool, shared.max_backlog)?;
     Ok(DasdHandle { addr, threads, shared })
 }
 
-/// The [`Engine::Threads`] core: a pooled blocking handler thread per
-/// connection, plus a nonblocking accept loop that polls the shutdown
-/// flag — shutdown needs no throwaway wake-up connection.
-fn spawn_thread_pool(
-    shared: Arc<Shared>,
-    listener: TcpListener,
-    pool: usize,
-) -> std::io::Result<Vec<JoinHandle<()>>> {
-    listener.set_nonblocking(true)?;
-    let (tx, rx) = mpsc::channel::<TcpStream>();
-    let rx = Arc::new(Mutex::new(rx));
-    let mut threads = Vec::with_capacity(pool + 1);
-    for _ in 0..pool {
-        let rx = Arc::clone(&rx);
-        let shared = Arc::clone(&shared);
-        threads.push(std::thread::spawn(move || loop {
-            let stream = match lock(&rx).recv() {
-                Ok(s) => s,
-                Err(_) => break,
-            };
-            handle_conn(&shared, stream);
-        }));
-    }
-    threads.push(std::thread::spawn(move || {
-        accept_loop(&shared, &listener, |s| tx.send(s).is_ok());
-        // Dropping `tx` releases the worker pool.
-    }));
-    Ok(threads)
-}
-
-/// Nonblocking accept loop shared by both engines: polls the shutdown
-/// flag between accepts, applies accept-point fault injection, and
-/// hands live sockets to `submit`. Returns when the daemon shuts down
-/// or `submit` reports its receiver gone.
+/// Nonblocking accept loop: polls the shutdown flag between accepts,
+/// applies accept-point fault injection, and hands live sockets to
+/// `submit`. Returns when the daemon shuts down.
 pub(crate) fn accept_loop(
     shared: &Shared,
     listener: &TcpListener,
-    mut submit: impl FnMut(TcpStream) -> bool,
+    mut submit: impl FnMut(TcpStream),
 ) {
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -557,10 +483,6 @@ pub(crate) fn accept_loop(
             }
             Err(_) => continue,
         };
-        // A listener in nonblocking mode hands out sockets whose mode
-        // is platform-dependent; pin it so each engine sets what it
-        // needs.
-        let _ = s.set_nonblocking(false);
         match shared.fault.decide(FaultPoint::Accept) {
             Some(FaultAction::RefuseAccept) => {
                 drop(s); // accepted, immediately closed
@@ -571,9 +493,7 @@ pub(crate) fn accept_loop(
             }
             _ => {}
         }
-        if !submit(s) {
-            return;
-        }
+        submit(s);
     }
 }
 
@@ -581,142 +501,13 @@ fn err(code: ErrorCode, message: impl Into<String>) -> Message {
     Message::Error { code, message: message.into() }
 }
 
-/// Serve one connection until EOF or daemon shutdown.
-fn handle_conn(shared: &Shared, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let _ = stream.set_nodelay(true);
-    let mut stream = CountingStream::new(stream);
-
-    // First frame must be a Hello; it fixes the traffic class.
-    let hello = loop {
-        match read_frame(&mut stream) {
-            Ok(Some((m, _))) => break m,
-            Ok(None) => return,
-            Err(NetError::Io(e))
-                if matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut) =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    };
-    let (class, peer_caps) = match hello {
-        Message::Hello { role: Role::Client, caps, .. } => (ConnClass::Client, caps),
-        Message::Hello { role: Role::Server, caps, .. } => (ConnClass::Server, caps),
-        _ => {
-            let _ = write_message(&mut stream, &err(ErrorCode::BadRequest, "expected Hello"));
-            return;
-        }
-    };
-    // Trace ids are echoed (and propagated to peers) only for peers
-    // that negotiated the capability; a legacy peer keeps seeing
-    // bit-identical version-1 frames.
-    let peer_traced = peer_caps & CAP_TRACE != 0;
-    // Span-dump RPCs are likewise capability-gated per connection.
-    let peer_spans = peer_caps & CAP_SPANS != 0;
-    shared.stats.register(class, stream.bytes_in(), stream.bytes_out());
-    if write_message(&mut stream, &Message::HelloOk { server_id: shared.id.0, caps: LOCAL_CAPS })
-        .is_err()
-    {
-        return;
-    }
-
-    loop {
-        let frame = match read_frame_ex(&mut stream) {
-            Ok(Some(f)) => f,
-            Ok(None) => return,
-            Err(NetError::Io(e))
-                if matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut) =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-            Err(_) => return,
-        };
-        let arrived = Instant::now();
-        let trace = if peer_traced { frame.trace } else { None };
-        let echo = trace;
-        let deadline =
-            frame.budget_ms.map(|ms| Instant::now() + Duration::from_millis(u64::from(ms)));
-        let decode_us = frame.decode_us;
-        let msg = frame.msg;
-        let opc = op_class(&msg);
-        let ctx = RequestCtx::new(shared, peer_spans, trace);
-        record_stage(shared, trace, ctx.root, Stage::Decode, opc, NOTE_NONE, Duration::from_micros(decode_us));
-        // Admission control for the blocking engine: this handler is
-        // about to be busy for the whole request, so the number of
-        // concurrently executing handlers *is* the backlog.
-        let admitted = shared.active.fetch_add(1, Ordering::SeqCst) < shared.max_backlog
-            || shed_exempt(&msg);
-        let action = if admitted {
-            // Strictly serial per connection: queue-wait is just the
-            // decode-to-dispatch gap, recorded for engine parity.
-            record_stage(shared, trace, ctx.root, Stage::QueueWait, opc, NOTE_NONE, arrived.elapsed());
-            process_request(shared, class, msg, trace, deadline, ctx)
-        } else {
-            shared.metrics.counter("dasd_requests_shed_total", &[("reason", "backlog")]).inc();
-            finish_root(shared, trace, ctx, Stage::Shed, opc, NOTE_SHED_BACKLOG, arrived);
-            ReplyAction::Reply(err(ErrorCode::Overloaded, "request shed: handler pool saturated"))
-        };
-        shared.active.fetch_sub(1, Ordering::SeqCst);
-        let write_started = Instant::now();
-        match action {
-            ReplyAction::Reply(reply) => {
-                if write_message_traced(&mut stream, &reply, echo).is_err() {
-                    return;
-                }
-            }
-            ReplyAction::ReplyStrip(bytes) => {
-                // Zero-copy reply: the strip's store bytes go to the
-                // socket as the frame's body segment; only the ~30-byte
-                // head is built.
-                let prefix = (bytes.len() as u32).to_le_bytes();
-                let parts = raw_frame_parts(STRIP_DATA_OPCODE, &prefix, &bytes, echo);
-                if write_frame_vectored(&mut stream, &parts).is_err() {
-                    return;
-                }
-            }
-            ReplyAction::ReplyCorrupt(reply) => {
-                // The real reply with its checksum trailer flipped: the
-                // peer's codec must reject it as corrupt, not parse it.
-                let mut frame = encode_frame_traced(&reply, echo);
-                let last = frame.len() - 1;
-                frame[last] ^= 0xFF;
-                if stream.write_all(&frame).is_err() {
-                    return;
-                }
-            }
-            ReplyAction::ReplyTruncated(reply) => {
-                // Send half of the real reply, then cut the connection:
-                // the peer sees a mid-frame EOF, never a valid frame.
-                let frame = encode_frame_traced(&reply, echo);
-                let _ = stream.write_all(&frame[..frame.len() / 2]);
-                return;
-            }
-            ReplyAction::ShutdownAfter(reply) => {
-                // process_request already set the shutdown flag; the
-                // nonblocking accept loop sees it at its next poll, so
-                // no throwaway wake-up connection is needed.
-                let _ = write_message_traced(&mut stream, &reply, echo);
-                return;
-            }
-        }
-        record_stage(shared, trace, ctx.root, Stage::ReplyWrite, opc, NOTE_NONE, write_started.elapsed());
-    }
-}
-
 /// Opcode of [`Message::StripData`] — the zero-copy reply path builds
 /// its frame without constructing the message value.
 pub(crate) const STRIP_DATA_OPCODE: u8 = 0x15;
 
-/// What a connection core must do with one request's outcome. Both
-/// engines run requests through [`process_request`] and translate the
-/// action to their own write path, so fault-injection wire effects and
-/// metrics are engine-independent.
+/// What the engine must do with one request's outcome: the wire effect
+/// [`process_request`] decided (fault injection included), for the
+/// worker to turn into an outbound frame.
 pub(crate) enum ReplyAction {
     /// Write the reply frame and keep serving.
     Reply(Message),
@@ -734,8 +525,8 @@ pub(crate) enum ReplyAction {
     ShutdownAfter(Message),
 }
 
-/// The engine-independent request core: metrics, trace events, fault
-/// injection, deadline enforcement, dispatch. `trace` must already be
+/// The request core: metrics, trace events, fault injection, deadline
+/// enforcement, dispatch. `trace` must already be
 /// filtered by the peer's negotiated capabilities; `deadline` is the
 /// absolute expiry derived from the frame's budget field at decode
 /// time (`None` for legacy clients — never enforced).
@@ -910,12 +701,6 @@ fn dispatch(
                     .set(v as i64);
             }
             shared.metrics.gauge("dasd_server_id", &[]).set(i64::from(shared.id.0));
-            // Live handler occupancy — the thread engine's equivalent
-            // of the event loop's fair-queue depth gauge.
-            shared
-                .metrics
-                .gauge("dasd_active_requests", &[])
-                .set(shared.active.load(Ordering::SeqCst) as i64);
             for (peer, open) in shared.peers.breaker_states() {
                 shared
                     .metrics
@@ -1070,7 +855,7 @@ fn dispatch(
 }
 
 /// Read one locally-held strip as a refcounted handle — the zero-copy
-/// source for `GetStrip` replies (both engines write the returned
+/// source for `GetStrip` replies (the engine writes the returned
 /// [`Bytes`] straight into the frame's body segment). Errors come
 /// back as the typed reply message.
 pub(crate) fn get_strip_bytes(shared: &Shared, file: u32, strip: u64) -> Result<Bytes, Message> {
@@ -1543,4 +1328,44 @@ fn compute_and_store(
     let assemble_time = assemble_started.elapsed();
     record_span(shared, trace, ctx.root, Stage::Assemble, OpClass::Exec, NOTE_NONE, assemble_time);
     (kernel_time, assemble_time)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::conn::RpcConn;
+    use crate::proto::Role;
+
+    /// Connection churn must not grow the registry: after 1,000
+    /// connect–`Ping`–close cycles the live list is the size of the
+    /// open-connection count, and the totals are still exactly what the
+    /// connections moved.
+    #[test]
+    fn connection_churn_leaves_the_registry_bounded_and_exact() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        // Two workers ⇒ one shard: it drops connection k before it can
+        // see connection k + 2's `Hello`.
+        let cfg = DasdConfig { pool: 2, ..DasdConfig::new(0, vec![addr.clone()]) };
+        let handle = spawn(cfg, listener).expect("spawn dasd");
+        let stats = Arc::clone(&handle.shared.stats);
+        let policy = RetryPolicy::fast();
+
+        let (mut sent, mut received, mut peak) = (0u64, 0u64, 0usize);
+        for _ in 0..1000 {
+            let mut conn = RpcConn::dial(&addr, &policy, Role::Client, 0).expect("dial");
+            conn.send(&Message::Ping, None, None).expect("send");
+            assert_eq!(conn.recv(&Message::Ping, &policy).expect("recv"), Message::Pong);
+            let (bytes_in, bytes_out) = conn.counters();
+            received += bytes_in.load(Ordering::Relaxed);
+            sent += bytes_out.load(Ordering::Relaxed);
+            peak = peak.max(lock(&stats.conns).live.len());
+        }
+        assert!(peak <= 3, "{peak} registry entries with one connection open at a time");
+        // Joined, so the shard's last counter update has landed.
+        handle.shutdown();
+        handle.join();
+        let want = WireStats { client_in: sent, client_out: received, ..WireStats::default() };
+        assert_eq!(stats.snapshot(), want);
+    }
 }

@@ -23,8 +23,8 @@ use std::time::{Duration, Instant};
 
 use das_kernels::{kernel_by_name, workload};
 use das_net::{
-    run_net_scheme, run_net_scheme_opts, spawn, DasCluster, DasdConfig, DasdHandle, Engine,
-    ErrorCode, FaultPlan, Message, NetError, NetScheme, RetryPolicy,
+    run_net_scheme, run_net_scheme_opts, spawn, DasCluster, DasdConfig, DasdHandle, ErrorCode,
+    FaultPlan, Message, NetError, NetScheme, RetryPolicy,
 };
 use das_pfs::LayoutPolicy;
 use das_runtime::{run_scheme, ClusterConfig, DegradeEvent, SchemeKind};
@@ -39,16 +39,6 @@ struct Harness {
     cluster: DasCluster,
     plans: Vec<Arc<FaultPlan>>,
     addrs: Vec<String>,
-}
-
-/// The connection core under test. The suite honours the same
-/// `DASD_ENGINE` variable as the `dasd` binary (`evloop` / `threads`)
-/// so CI can run every chaos scenario against both engines.
-fn engine_under_test() -> Engine {
-    std::env::var("DASD_ENGINE")
-        .ok()
-        .and_then(|v| Engine::parse(&v))
-        .unwrap_or_default()
 }
 
 /// Boot `servers` daemons on ephemeral loopback ports, installing the
@@ -82,8 +72,7 @@ fn boot_with_cfg(
         .map(|(i, l)| {
             let cfg = DasdConfig::new(i as u32, addrs.clone())
                 .with_fault(Arc::clone(&plans[i]))
-                .with_retry(RetryPolicy::fast())
-                .with_engine(engine_under_test());
+                .with_retry(RetryPolicy::fast());
             spawn(tweak(cfg), l).expect("spawn dasd")
         })
         .collect();
@@ -635,18 +624,12 @@ fn slow_server_is_hedged_around_and_then_demoted() {
 fn overloaded_daemon_sheds_typed_and_recovers() {
     const BURST_CLIENTS: usize = 6;
     const CALLS_PER_CLIENT: usize = 4;
-    let engine = engine_under_test();
     let input = workload::fbm_dem(64, 64, 5); // 16 KiB → 4 strips
     let data = input.to_bytes();
 
     let mut h = boot_with_cfg(1, &[(0, "get:delay=60:x1000")], |mut cfg| {
-        // EventLoop: two workers, so the bounded queue really fills;
-        // Threads: the pool must stay above the burst's connection
-        // count (its gate counts executing handlers instead).
-        cfg.pool = match engine {
-            Engine::EventLoop => 2,
-            Engine::Threads => 16,
-        };
+        // Two workers, so the bounded queue really fills.
+        cfg.pool = 2;
         cfg.with_max_backlog(2)
     });
     let file = h
@@ -700,43 +683,40 @@ fn overloaded_daemon_sheds_typed_and_recovers() {
         .unwrap_or(0.0);
     assert!(backlog >= shed as f64, "registry saw {backlog} backlog sheds, clients saw {shed}");
 
-    // EventLoop only (the threads engine has no queue to wait in): a
-    // request whose deadline budget expires while it is queued behind
+    // A request whose deadline budget expires while it is queued behind
     // slow work is shed as `deadline`, never executed late.
-    if engine == Engine::EventLoop {
-        let go = Arc::new(Barrier::new(3));
-        let primers: Vec<_> = (0..2)
-            .map(|_| {
-                let addrs = h.addrs.clone();
-                let pol = one_shot.clone();
-                let go = Arc::clone(&go);
-                std::thread::spawn(move || {
-                    let mut c = DasCluster::connect_with(&addrs, pol).expect("primer connect");
-                    go.wait();
-                    let _ = c.call(0, &Message::GetStrip { file, strip: 0 });
-                })
+    let go = Arc::new(Barrier::new(3));
+    let primers: Vec<_> = (0..2)
+        .map(|_| {
+            let addrs = h.addrs.clone();
+            let pol = one_shot.clone();
+            let go = Arc::clone(&go);
+            std::thread::spawn(move || {
+                let mut c = DasCluster::connect_with(&addrs, pol).expect("primer connect");
+                go.wait();
+                let _ = c.call(0, &Message::GetStrip { file, strip: 0 });
             })
-            .collect();
-        go.wait();
-        // Both workers are now busy for 60ms; a 10ms budget cannot
-        // survive the queue wait behind them.
-        std::thread::sleep(Duration::from_millis(10));
-        let tiny = RetryPolicy {
-            max_attempts: 1,
-            read_timeout: Duration::from_millis(10),
-            ..RetryPolicy::fast()
-        };
-        let mut c = DasCluster::connect_with(&h.addrs, tiny).expect("budget client");
-        let _ = c.call(0, &Message::GetStrip { file, strip: 0 }); // times out client-side
-        for p in primers {
-            p.join().unwrap();
-        }
-        let s = das_obs::parse(&h.cluster.metrics_dump(0).expect("metrics dump"));
-        let expired =
-            das_obs::sample_value(&s, "dasd_requests_shed_total", &[("reason", "deadline")])
-                .unwrap_or(0.0);
-        assert!(expired >= 1.0, "queued past its budget but not deadline-shed");
+        })
+        .collect();
+    go.wait();
+    // Both workers are now busy for 60ms; a 10ms budget cannot
+    // survive the queue wait behind them.
+    std::thread::sleep(Duration::from_millis(10));
+    let tiny = RetryPolicy {
+        max_attempts: 1,
+        read_timeout: Duration::from_millis(10),
+        ..RetryPolicy::fast()
+    };
+    let mut c = DasCluster::connect_with(&h.addrs, tiny).expect("budget client");
+    let _ = c.call(0, &Message::GetStrip { file, strip: 0 }); // times out client-side
+    for p in primers {
+        p.join().unwrap();
     }
+    let s = das_obs::parse(&h.cluster.metrics_dump(0).expect("metrics dump"));
+    let expired =
+        das_obs::sample_value(&s, "dasd_requests_shed_total", &[("reason", "deadline")])
+            .unwrap_or(0.0);
+    assert!(expired >= 1.0, "queued past its budget but not deadline-shed");
 
     // Recovery: the burst has drained; the harness cluster's retry
     // policy backs off on `Overloaded` and reads back bit-identically.
@@ -855,27 +835,24 @@ fn ingest_rr(h: &mut Harness, height: u64, outs: &[&str]) -> (Vec<u8>, u32, Vec<
 /// any reply: with every daemon sleeping 40 ms before it answers, a
 /// four-server execute takes one delay, not four (≥ 160 ms serial).
 /// One strip per server keeps the real work in the low milliseconds.
-/// Structural, so it is asserted on both connection cores.
 #[test]
 fn execute_fans_out_to_all_servers_at_once() {
-    for engine in [Engine::EventLoop, Engine::Threads] {
-        let faults: Vec<(usize, &str)> = (0..SERVERS).map(|s| (s, "exec:delay=40")).collect();
-        let mut h = boot_with_cfg(SERVERS, &faults, |cfg| cfg.with_engine(engine));
-        let (_, file, outs) = ingest_rr(&mut h, 16, &["fan.out"]);
-        // Warm the peer links so the timed call dials nothing.
+    let faults: Vec<(usize, &str)> = (0..SERVERS).map(|s| (s, "exec:delay=40")).collect();
+    let mut h = boot_with(SERVERS, &faults);
+    let (_, file, outs) = ingest_rr(&mut h, 16, &["fan.out"]);
+    // Warm the peer links so the timed call dials nothing.
+    h.cluster.execute(file, outs[0], "gaussian-filter", WIDTH, true, true).unwrap().unwrap();
+    let started = Instant::now();
+    let summaries =
         h.cluster.execute(file, outs[0], "gaussian-filter", WIDTH, true, true).unwrap().unwrap();
-        let started = Instant::now();
-        let summaries =
-            h.cluster.execute(file, outs[0], "gaussian-filter", WIDTH, true, true).unwrap().unwrap();
-        let took = started.elapsed();
-        assert_eq!(summaries.len(), SERVERS);
-        assert!(took >= Duration::from_millis(40), "{engine:?}: the delay fault did not fire ({took:?})");
-        assert!(
-            took < Duration::from_millis(100),
-            "{engine:?}: a {SERVERS}-server execute took {took:?} — the fan-out is serial"
-        );
-        h.teardown();
-    }
+    let took = started.elapsed();
+    assert_eq!(summaries.len(), SERVERS);
+    assert!(took >= Duration::from_millis(40), "the delay fault did not fire ({took:?})");
+    assert!(
+        took < Duration::from_millis(100),
+        "a {SERVERS}-server execute took {took:?} — the fan-out is serial"
+    );
+    h.teardown();
 }
 
 /// Wave hygiene: whatever one server answers (or fails to), every

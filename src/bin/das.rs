@@ -14,17 +14,16 @@
 //! ```
 //!
 //! `bench` is the open-loop load generator (`das-load`): without
-//! `--cluster` it boots two in-process loopback fleets — one per
-//! connection engine — runs the identical seeded workload against
-//! each, and writes the comparison to `BENCH_net.json`.
+//! `--cluster` it boots an in-process loopback fleet, runs the seeded
+//! workload against it, and writes the run to `BENCH_net.json`.
 
 use std::collections::HashMap;
 use std::process::exit;
 
 use das_kernels::kernel_names;
 use das_kernels::workload;
-use das_load::report::CompareReport;
-use das_load::{compare_engines, run_bench, BenchConfig, Mix};
+use das_load::fleet::spawn_fleet;
+use das_load::{run_bench, BenchConfig, Mix};
 use das_net::{run_net_scheme_opts, DasCluster, NetScheme, RetryPolicy};
 use das_obs::{event, Level};
 use das_pfs::LayoutPolicy;
@@ -55,8 +54,8 @@ fn usage() -> ! {
          \x20 reset-stats                  zero the counters\n\
          \x20 shutdown                     stop every daemon\n\
          \x20 bench                        open-loop load generator -> BENCH_net.json\n\
-         \x20        [--servers N]         boot in-process fleets and compare both\n\
-         \x20                              engines (default; N daemons, default 3)\n\
+         \x20        [--servers N]         boot an in-process loopback fleet\n\
+         \x20                              (default; N daemons, default 3)\n\
          \x20        [--cluster ...]       drive an external fleet instead\n\
          \x20        [--rate OPS] [--duration-ms MS] [--clients N] [--conns N]\n\
          \x20        [--strip-size S] [--strips N] [--mix G:P:E] [--seed K]\n\
@@ -152,8 +151,8 @@ fn print_registry_summary(dumps: &[(u32, String)]) {
             + 0.0,
     );
 
-    // Backpressure: live engine backlog and admission sheds, per
-    // daemon — the gauges are instantaneous, so they stay unsummed.
+    // Backpressure: live backlog and admission sheds, per daemon — the
+    // gauges are instantaneous, so they stay unsummed.
     for ((id, _), s) in dumps.iter().zip(&parsed) {
         let v = |name: &str, labels: &[(&str, &str)]| {
             das_obs::sample_value(s, name, labels).unwrap_or(0.0)
@@ -161,9 +160,8 @@ fn print_registry_summary(dumps: &[(u32, String)]) {
         let inflight: f64 =
             s.iter().filter(|x| x.name == "dasd_shard_inflight").map(|x| x.value).sum();
         println!(
-            "  backlog server {id}: active={} shard in-flight={inflight} \
+            "  backlog server {id}: shard in-flight={inflight} \
              queue depth={} shed backlog={} deadline={}",
-            v("dasd_active_requests", &[]),
             v("dasd_worker_queue_depth", &[]),
             v("dasd_requests_shed_total", &[("reason", "backlog")]),
             v("dasd_requests_shed_total", &[("reason", "deadline")]),
@@ -203,9 +201,8 @@ fn print_registry_summary(dumps: &[(u32, String)]) {
 }
 
 /// `das bench`: run the open-loop load generator and write
-/// `BENCH_net.json`. Without `--cluster`, boots two in-process
-/// loopback fleets and compares the connection engines on the
-/// identical seeded workload.
+/// `BENCH_net.json`. Without `--cluster`, boots an in-process loopback
+/// fleet to run against.
 fn bench_command(opts: &HashMap<String, String>) {
     let mut cfg = BenchConfig::default();
     let num = |key: &str| -> Option<u64> {
@@ -248,54 +245,51 @@ fn bench_command(opts: &HashMap<String, String>) {
         cfg.kernel = k.clone();
     }
 
-    let cmp = match opts.get("cluster") {
+    let r = match opts.get("cluster") {
         Some(cluster_arg) => {
             let addrs: Vec<String> =
                 cluster_arg.split(',').map(|s| s.trim().to_string()).collect();
-            let report = run_bench(&addrs, &cfg, "external").unwrap_or_else(|e| fail(e));
-            CompareReport::from_runs(vec![report])
+            run_bench(&addrs, &cfg, "external").unwrap_or_else(|e| fail(e))
         }
-        None => compare_engines(&cfg).unwrap_or_else(|e| fail(e)),
+        None => {
+            let fleet = spawn_fleet(cfg.servers, cfg.pool, cfg.max_backlog)
+                .unwrap_or_else(|e| fail(e));
+            let report = run_bench(&fleet.addrs, &cfg, "evloop");
+            fleet.shutdown().unwrap_or_else(|e| fail(e));
+            report.unwrap_or_else(|e| fail(e))
+        }
     };
 
-    for r in &cmp.runs {
+    println!(
+        "{}: {:.0} ops/s achieved (target {:.0}), {} ok / {} errors over {} ms",
+        r.engine, r.achieved_ops_s, r.target_rate_ops_s, r.total_completed, r.total_errors,
+        r.wall_ms
+    );
+    for c in &r.classes {
         println!(
-            "engine {}: {:.0} ops/s achieved (target {:.0}), {} ok / {} errors over {} ms",
-            r.engine, r.achieved_ops_s, r.target_rate_ops_s, r.total_completed, r.total_errors,
-            r.wall_ms
+            "  {:<5} {:>8.1} ops/s  p50 {:>6} us  p99 {:>7} us  p999 {:>7} us  \
+             (n={}, err={})",
+            c.class, c.throughput_ops_s, c.p50_us, c.p99_us, c.p999_us, c.completed, c.errors
         );
-        for c in &r.classes {
+    }
+    if !r.errors_by_code.is_empty() {
+        let parts: Vec<String> =
+            r.errors_by_code.iter().map(|(c, n)| format!("{c}={n}")).collect();
+        println!("  errors by code: {}", parts.join(" "));
+    }
+    println!("  backpressure: peak queue depth {} / sheds {}", r.queue_depth_peak, r.requests_shed);
+    if !r.stages.is_empty() {
+        println!("  server-side stage attribution (mean/p99 us):");
+        for s in &r.stages {
             println!(
-                "  {:<5} {:>8.1} ops/s  p50 {:>6} us  p99 {:>7} us  p999 {:>7} us  \
-                 (n={}, err={})",
-                c.class, c.throughput_ops_s, c.p50_us, c.p99_us, c.p999_us, c.completed, c.errors
+                "    {:<11} {:<7} n={:<7} {:>8.0} / {:>8.0}",
+                s.stage, s.op, s.count, s.mean_us, s.p99_us
             );
         }
-        if !r.errors_by_code.is_empty() {
-            let parts: Vec<String> =
-                r.errors_by_code.iter().map(|(c, n)| format!("{c}={n}")).collect();
-            println!("  errors by code: {}", parts.join(" "));
-        }
-        println!(
-            "  backpressure: peak queue depth {} / sheds {}",
-            r.queue_depth_peak, r.requests_shed
-        );
-        if !r.stages.is_empty() {
-            println!("  server-side stage attribution (mean/p99 us):");
-            for s in &r.stages {
-                println!(
-                    "    {:<11} {:<7} n={:<7} {:>8.0} / {:>8.0}",
-                    s.stage, s.op, s.count, s.mean_us, s.p99_us
-                );
-            }
-        }
-    }
-    if cmp.runs.len() > 1 {
-        println!("winner: {} ({:.2}x throughput)", cmp.winner, cmp.speedup);
     }
 
     let out = opts.get("out").map(String::as_str).unwrap_or("BENCH_net.json");
-    std::fs::write(out, cmp.to_json()).unwrap_or_else(|e| fail(format!("writing {out}: {e}")));
+    std::fs::write(out, r.to_json() + "\n").unwrap_or_else(|e| fail(format!("writing {out}: {e}")));
     println!("wrote {out}");
 }
 
