@@ -9,7 +9,7 @@
 //! pattern, per-element cost, and the element-wise computation itself.
 
 use crate::raster::Raster;
-use crate::source::{ElemSource, RasterSource};
+use crate::source::{ElemSource, RasterSource, WindowSource};
 
 /// An offloadable data-analysis operation over a 2-D raster.
 ///
@@ -49,13 +49,41 @@ pub trait Kernel: Send + Sync {
     /// `[start, start + out.len())` — the strip-level entry point used
     /// by storage servers, reading through whatever assembly of strips
     /// the executing scheme has made available.
+    ///
+    /// The source is asked once, for the window
+    /// `[start − reach, start + out.len() + reach) ∩ [0, n)` with
+    /// `reach` the largest `|offset|` this kernel declares, and every
+    /// `process_element` then reads that slice.
+    ///
+    /// # Panics
+    /// Panics if the range runs past the raster, if a read lands on an
+    /// element the source does not hold, or if `process_element` reads
+    /// an in-bounds element outside the window (the kernel's
+    /// `dependence_offsets` under-declare its reach).
     fn process_range(&self, src: &dyn ElemSource, start: u64, out: &mut [f32]) {
-        let width = src.width();
-        for (k, slot) in out.iter_mut().enumerate() {
-            let i = start + k as u64;
-            let row = i / width;
-            let col = i % width;
-            *slot = self.process_element(src, row, col);
+        let (width, height) = (src.width(), src.height());
+        let (end, n) = (start + out.len() as u64, width * height);
+        assert!(end <= n, "{}: elements [{start}, {end}) outside {width}x{height} raster", self.name());
+        let reach = self.dependence_offsets(width).iter().map(|o| o.unsigned_abs()).max().unwrap_or(0);
+        let lo = start.saturating_sub(reach);
+        let (cells, holes) = src.window(lo, end.saturating_add(reach).min(n));
+        let window = WindowSource {
+            backing: src,
+            width,
+            height,
+            lo,
+            cells: &cells,
+            holes: &holes,
+            kernel: self.name(),
+            reach,
+        };
+        let (mut row, mut col) = (start / width, start % width);
+        for slot in out {
+            *slot = self.process_element(&window, row, col);
+            col += 1;
+            if col == width {
+                (row, col) = (row + 1, 0);
+            }
         }
     }
 }

@@ -59,6 +59,6 @@ pub use filters::{GaussianFilter, MedianFilter, SlopeAnalysis};
 pub use flow::{flow_accumulation_global, FlowAccumulationStep, FlowRouting, DIR_OFFSETS};
 pub use kernel::{eight_neighbor_offsets, four_neighbor_offsets, Kernel};
 pub use parallel::apply_parallel;
-pub use raster::Raster;
+pub use raster::{cells_from_le_bytes, cells_to_le_bytes, Raster};
 pub use registry::{kernel_by_name, kernel_names};
 pub use source::{ElemSource, RasterSource};

@@ -10,6 +10,22 @@ use std::fmt;
 /// Size of one raster element in bytes (the paper's `E`).
 pub const ELEMENT_SIZE: usize = 4;
 
+/// Serialize cells as little-endian `f32`: the form raster data takes
+/// in a strip, on disk and on the wire.
+pub fn cells_to_le_bytes(cells: &[f32]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(cells.len() * ELEMENT_SIZE);
+    for v in cells {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    out
+}
+
+/// The cells serialized in `bytes` (whole elements; a ragged tail is
+/// ignored), in order — the inverse of [`cells_to_le_bytes`].
+pub fn cells_from_le_bytes(bytes: &[u8]) -> impl Iterator<Item = f32> + '_ {
+    bytes.chunks_exact(ELEMENT_SIZE).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+}
+
 /// A dense row-major grid of `f32` values.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Raster {
@@ -112,11 +128,7 @@ impl Raster {
 
     /// Serialize row-major as little-endian `f32`.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.data.len() * ELEMENT_SIZE);
-        for v in &self.data {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out
+        cells_to_le_bytes(&self.data)
     }
 
     /// Deserialize from [`to_bytes`](Self::to_bytes) output.
@@ -130,11 +142,7 @@ impl Raster {
             cells * ELEMENT_SIZE,
             "byte length does not match {width}x{height} raster"
         );
-        let data = bytes
-            .chunks_exact(ELEMENT_SIZE)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
-        Raster { width, height, data }
+        Raster { width, height, data: cells_from_le_bytes(bytes).collect() }
     }
 
     /// A bit-exact fingerprint of the raster contents (FNV-1a over the

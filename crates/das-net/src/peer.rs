@@ -8,7 +8,9 @@
 //! replica strips. Each peer link is opened on first use, greets with
 //! `Hello { role: Server }`, and stays up while it works; concurrent
 //! workers serialize on the link's mutex, which mirrors the
-//! synchronous per-strip RPCs the paper's model assumes.
+//! synchronous per-strip RPCs the paper's model assumes. The one
+//! exception is an Execute's replica-forward pass, which holds a link
+//! for a whole wave of `PutStrip`s ([`PeerTable::put_strips`]).
 //!
 //! Failure handling: every dial and I/O carries the table's
 //! [`RetryPolicy`] timeouts, a transport error **evicts** the cached
@@ -34,6 +36,7 @@ use std::time::{Duration, Instant};
 
 use crate::codec::NetError;
 use crate::conn::RpcConn;
+use crate::engine::MAX_INFLIGHT;
 use crate::hedge::LoadTracker;
 use crate::proto::{ErrorCode, Message, Role};
 use crate::retry::RetryPolicy;
@@ -187,6 +190,11 @@ impl PeerTable {
         result
     }
 
+    /// Whether `target`'s circuit breaker is open.
+    fn is_down(&self, target: u32) -> bool {
+        lock(&self.downs).get(&target).is_some_and(|&until| Instant::now() < until)
+    }
+
     /// How long a tripped breaker stays open before the next call
     /// probes the peer again.
     fn cooldown(&self) -> Duration {
@@ -214,13 +222,11 @@ impl PeerTable {
         trace: Option<u64>,
         deadline: Option<Instant>,
     ) -> Result<Message, NetError> {
-        if let Some(&until) = lock(&self.downs).get(&target) {
-            if Instant::now() < until {
-                return Err(NetError::Remote {
-                    code: ErrorCode::NoSuchServer,
-                    message: format!("peer {target} unreachable (circuit open)"),
-                });
-            }
+        if self.is_down(target) {
+            return Err(NetError::Remote {
+                code: ErrorCode::NoSuchServer,
+                message: format!("peer {target} unreachable (circuit open)"),
+            });
         }
         // A budget that is already spent skips the retry loop: the
         // typed `Overloaded` it mints is transient *to the client*
@@ -252,11 +258,7 @@ impl PeerTable {
     /// Whether each peer's circuit breaker is currently open, for
     /// live introspection. The self entry is always closed.
     pub fn breaker_states(&self) -> Vec<(u32, bool)> {
-        let now = Instant::now();
-        let downs = lock(&self.downs);
-        (0..self.addrs.len() as u32)
-            .map(|id| (id, downs.get(&id).is_some_and(|&until| now < until)))
-            .collect()
+        (0..self.addrs.len() as u32).map(|id| (id, self.is_down(id))).collect()
     }
 
     /// Fetch one strip of `file` from any of `holders` — the
@@ -327,18 +329,44 @@ impl PeerTable {
         result
     }
 
-    /// Store one strip of `file` on `target` (replica forwarding).
-    pub fn put_strip(
-        &self,
-        target: u32,
-        file: u32,
-        strip: u64,
-        payload: Vec<u8>,
-        trace: Option<u64>,
-    ) -> Result<(), NetError> {
-        match self.call(target, &Message::PutStrip { file, strip, payload }, trace, None)? {
-            Message::PutStripOk => Ok(()),
-            other => Err(NetError::Unexpected { opcode: other.opcode() }),
+    /// Replica forwarding: send `target` a batch of `PutStrip`s and
+    /// return how many were not acknowledged. A wave (at most what the
+    /// peer holds in flight, so no socket buffer fills unread) is
+    /// written back-to-back and its acks collected afterwards: one round
+    /// trip, not one per strip. The daemon answers in completion order,
+    /// but the acks are all alike and only their number matters.
+    pub fn put_strips(&self, target: u32, puts: &[Message], trace: Option<u64>) -> u64 {
+        let mut unacknowledged = 0;
+        for wave in puts.chunks(MAX_INFLIGHT) {
+            if !self.is_down(target) && self.put_wave(target, wave, trace) {
+                continue;
+            }
+            // The acks do not say which forward of the wave they miss.
+            // `PutStrip` is idempotent: each goes again on its own,
+            // retried and circuit-broken.
+            for put in wave {
+                let acked = matches!(self.call(target, put, trace, None), Ok(Message::PutStripOk));
+                unacknowledged += u64::from(!acked);
+            }
         }
+        unacknowledged
+    }
+
+    /// One attempt at a wave; whether every forward was acknowledged. A
+    /// typed refusal leaves the link in step (its reply was read), a
+    /// transport error evicts it like any other.
+    fn put_wave(&self, target: u32, wave: &[Message], trace: Option<u64>) -> bool {
+        let Ok(conn) = self.conn(target) else { return false };
+        let mut link = lock(&conn);
+        let exchange = wave.iter().try_for_each(|put| link.send(put, trace, None)).and_then(|()| {
+            wave.iter().try_fold(true, |acked, put| match link.recv(put, &self.policy) {
+                Err(e) if e.is_transport() => Err(e),
+                reply => Ok(acked & matches!(reply, Ok(Message::PutStripOk))),
+            })
+        });
+        if exchange.is_err() {
+            lock(&self.conns).remove(&target);
+        }
+        exchange.unwrap_or(false)
     }
 }

@@ -26,7 +26,7 @@
 //! the chaos suite can exercise all of the above on a loopback
 //! cluster.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use das_core::{dependent_strips, ActiveStorageClient, Decision, RequestOptions};
-use das_kernels::kernel_by_name;
+use das_kernels::{cells_to_le_bytes, kernel_by_name};
 use das_pfs::{FileId, FileMeta, Layout, ServerId, StorageServer, StripId, StripeSpec};
 use das_runtime::StripAssembly;
 
@@ -45,7 +45,7 @@ use crate::peer::PeerTable;
 use crate::proto::{ErrorCode, Message, WireStats};
 use crate::retry::RetryPolicy;
 use das_obs::log::{event, Level};
-use das_obs::{OpClass, SpanStore, Stage, NOTE_NONE, NOTE_SHED_DEADLINE};
+use das_obs::{OpClass, SpanStore, Stage, NOTE_FORWARD, NOTE_NONE, NOTE_SHED_DEADLINE};
 
 /// Lock a mutex, recovering from poison: a worker that panicked while
 /// holding a daemon lock must not wedge every other connection.
@@ -1026,13 +1026,12 @@ struct ExecPlan {
     out_id: FileId,
     /// The input file's geometry and layout (the output mirrors both).
     meta: FileMeta,
-    img_width: u64,
     kernel: Box<dyn das_kernels::Kernel>,
     offsets: Vec<i64>,
     /// This server's primary strips, ascending: the task order.
     tasks: Vec<StripId>,
-    /// Every strip held here (primary or replica), ascending.
-    local: Strips,
+    /// Every strip held here (primary or replica), assembled once.
+    local: StripAssembly,
 }
 
 impl ExecPlan {
@@ -1060,6 +1059,12 @@ type TaskDeps = Result<Strips, Message>;
 /// is all the overlap there is to have. Fetch count, bytes and issue
 /// order are those of the serial loop: each task still re-fetches what
 /// it needs, with no cross-task cache, exactly as the predictor prices.
+///
+/// Replica forwards are not part of that loop, where each would be a
+/// blocking round trip to a peer that is itself computing: they go out
+/// in one pass after the last kernel, a pipelined batch per holder, and
+/// every one is acknowledged or counted in
+/// `dasd_replica_forward_failures_total` before `ExecuteOk`.
 fn execute(
     shared: &Shared,
     args: ExecuteArgs<'_>,
@@ -1072,8 +1077,12 @@ fn execute(
         Err(reply) => return reply,
     };
     let plan = &plan;
+    // The compute stage's copy (a table of handles): tasks lend it
+    // their fetched strips.
+    let mut view = plan.local.clone();
     let (mut dep_fetches, mut dep_fetch_bytes) = (0u64, 0u64);
     let (mut kernel_time, mut assemble_time) = (Duration::ZERO, Duration::ZERO);
+    let mut forwards: BTreeMap<u32, Vec<Message>> = BTreeMap::new();
     let failure = std::thread::scope(|scope| {
         let (tx, rx) = mpsc::sync_channel::<TaskDeps>(1);
         let fetcher = std::thread::Builder::new().name("dasd-fetch".into()).spawn_scoped(scope, move || {
@@ -1097,7 +1106,7 @@ fn execute(
             };
             dep_fetches += deps.len() as u64;
             dep_fetch_bytes += deps.iter().map(|(_, b)| b.len() as u64).sum::<u64>();
-            let (kernel, assemble) = compute_and_store(shared, plan, t, deps, trace, ctx);
+            let (kernel, assemble) = compute_and_store(shared, plan, &mut view, t, &deps, &mut forwards, trace, ctx);
             kernel_time += kernel;
             assemble_time += assemble;
         }
@@ -1106,8 +1115,23 @@ fn execute(
     if let Some(reply) = failure {
         return reply;
     }
-    // Spans are per task (recorded as each ran); the attribution
-    // histograms keep one observation per Execute, the tasks' total.
+    if !forwards.is_empty() {
+        let forward_started = Instant::now();
+        for (&holder, puts) in &forwards {
+            // A holder that stays down just means these output strips
+            // are stored at reduced redundancy — the primary copies are
+            // authoritative, so the execution still succeeds.
+            let failed = shared.peers.put_strips(holder, puts, trace);
+            if failed > 0 {
+                shared.metrics.counter("dasd_replica_forward_failures_total", &[]).add(failed);
+            }
+        }
+        let forward_time = forward_started.elapsed();
+        record_span(shared, trace, ctx.root, Stage::Assemble, OpClass::Exec, NOTE_FORWARD, forward_time);
+        assemble_time += forward_time;
+    }
+    // Spans are per task plus the forward pass (recorded as each ran);
+    // the attribution histograms keep one observation per Execute.
     if !plan.tasks.is_empty() {
         shared.stage_hists.observe(Stage::Kernel, OpClass::Exec, kernel_time.as_micros() as u64);
         shared.stage_hists.observe(Stage::Assemble, OpClass::Exec, assemble_time.as_micros() as u64);
@@ -1132,7 +1156,7 @@ fn plan_execute(
     // Snapshot metadata and local strips under the lock; everything
     // network-bound afterwards runs without it.
     let read_started = Instant::now();
-    let (out_id, meta, local) = snapshot_files(shared, args.file, args.out_file)?;
+    let (out_id, meta, held) = snapshot_files(shared, args.file, args.out_file)?;
     record_stage(shared, trace, ctx.root, Stage::LocalRead, OpClass::Exec, NOTE_NONE, read_started.elapsed());
 
     let kernel = kernel_by_name(args.kernel)
@@ -1145,11 +1169,15 @@ fn plan_execute(
         ));
     }
     decide_offload(shared, args, &meta, trace)?;
+    let label = format!("dasd{}", shared.id.0);
+    let mut local = StripAssembly::new(args.img_width, meta.len / row_bytes, meta.spec.strip_size, label);
+    for (sid, data) in held {
+        local.insert(sid, data);
+    }
     Ok(ExecPlan {
         file: args.file,
         out_file: args.out_file,
         out_id,
-        img_width: args.img_width,
         offsets: kernel.dependence_offsets(args.img_width),
         kernel,
         tasks: meta.layout.primary_strips(shared.id, meta.strip_count()),
@@ -1268,62 +1296,52 @@ fn fetch_deps(
 ) -> TaskDeps {
     let mut deps = Vec::new();
     for u in dependent_strips(t.0, &plan.offsets, plan.elems_per_strip(), plan.total_elements()) {
-        if plan.local.binary_search_by_key(&u, |(sid, _)| sid.0).is_ok() {
+        let sid = StripId(u);
+        if plan.local.contains(sid) {
             continue;
         }
-        let sid = StripId(u);
         deps.push((sid, fetch_strip(shared, plan.file, &plan.meta, sid, trace, deadline, ctx, OpClass::Exec)?));
     }
     Ok(deps)
 }
 
-/// Compute stage: assemble task `t`'s view (local strips plus the
-/// fetched `deps`), run the kernel over the strip, store the output and
-/// forward it to the strip's replica holders. Returns the kernel and
-/// assemble times, each also recorded as a span of its own.
+/// Compute stage: lend task `t`'s fetched `deps` to `view` for the
+/// length of its kernel (so there is no cross-task reuse), run the
+/// kernel over the strip, store the output and queue a `PutStrip` for
+/// each of the strip's replica holders in `forwards`. Returns the kernel
+/// and assemble times, each also recorded as a span of its own.
+#[allow(clippy::too_many_arguments)]
 fn compute_and_store(
     shared: &Shared,
     plan: &ExecPlan,
+    view: &mut StripAssembly,
     t: StripId,
-    deps: Strips,
+    deps: &Strips,
+    forwards: &mut BTreeMap<u32, Vec<Message>>,
     trace: Option<u64>,
     ctx: RequestCtx,
 ) -> (Duration, Duration) {
-    let meta = &plan.meta;
-    let height = meta.len / (plan.img_width * 4);
-    let mut asm =
-        StripAssembly::new(plan.img_width, height, meta.spec.strip_size, format!("dasd{}", shared.id.0));
-    for (sid, data) in plan.local.iter().cloned().chain(deps) {
-        asm.insert(sid, data);
+    for (sid, data) in deps {
+        view.insert(*sid, data.clone());
     }
     let start = t.0 * plan.elems_per_strip();
     let end = (start + plan.elems_per_strip()).min(plan.total_elements());
     let mut out = vec![0f32; (end - start) as usize];
     let kernel_started = Instant::now();
-    plan.kernel.process_range(&asm, start, &mut out);
+    plan.kernel.process_range(&*view, start, &mut out);
     let kernel_time = kernel_started.elapsed();
     record_span(shared, trace, ctx.root, Stage::Kernel, OpClass::Exec, NOTE_NONE, kernel_time);
+    for (sid, _) in deps {
+        view.remove(*sid);
+    }
 
     let assemble_started = Instant::now();
-    let mut out_bytes = Vec::with_capacity(out.len() * 4);
-    for v in &out {
-        out_bytes.extend_from_slice(&v.to_le_bytes());
-    }
-    let out_b = Bytes::from(out_bytes);
-    lock(&shared.inner).store.store(plan.out_id, t, out_b.clone(), true);
-    for replica in meta.layout.replicas(t) {
-        if replica == shared.id {
-            continue;
-        }
-        // Replica forwarding is already retried by the peer table;
-        // a holder that stays down just means this output strip is
-        // stored at reduced redundancy — the primary copy above is
-        // the authoritative one, so the execution still succeeds.
-        // PutStrip owns its payload Vec, so each forward costs one
-        // copy of the strip — only on the (rare) replica path.
-        if shared.peers.put_strip(replica.0, plan.out_file, t.0, out_b.to_vec(), trace).is_err() {
-            shared.metrics.counter("dasd_replica_forward_failures_total", &[]).inc();
-        }
+    lock(&shared.inner).store.store(plan.out_id, t, Bytes::from(cells_to_le_bytes(&out)), true);
+    // Never this server: `t` is its primary strip. `PutStrip` owns its
+    // payload, so each holder's is encoded for it.
+    for replica in plan.meta.layout.replicas(t) {
+        let put = Message::PutStrip { file: plan.out_file, strip: t.0, payload: cells_to_le_bytes(&out) };
+        forwards.entry(replica.0).or_default().push(put);
     }
     let assemble_time = assemble_started.elapsed();
     record_span(shared, trace, ctx.root, Stage::Assemble, OpClass::Exec, NOTE_NONE, assemble_time);

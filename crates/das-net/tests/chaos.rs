@@ -26,7 +26,7 @@ use das_net::{
     run_net_scheme, run_net_scheme_opts, spawn, DasCluster, DasdConfig, DasdHandle, ErrorCode,
     FaultPlan, Message, NetError, NetScheme, RetryPolicy,
 };
-use das_pfs::LayoutPolicy;
+use das_pfs::{Layout, LayoutPolicy, ServerId};
 use das_runtime::{run_scheme, ClusterConfig, DegradeEvent, SchemeKind};
 
 const SERVERS: usize = 4;
@@ -819,13 +819,16 @@ fn fresh_clients_and_slow_daemons_survive_a_dead_peer() {
 /// Ingest a `WIDTH × height` DEM round-robin and register one output
 /// file per name; returns `(input bytes, input id, output ids)`.
 fn ingest_rr(h: &mut Harness, height: u64, outs: &[&str]) -> (Vec<u8>, u32, Vec<u32>) {
+    ingest(h, height, LayoutPolicy::RoundRobin, outs)
+}
+
+/// [`ingest_rr`] under any layout (outputs mirror the input's).
+fn ingest(h: &mut Harness, height: u64, policy: LayoutPolicy, outs: &[&str]) -> (Vec<u8>, u32, Vec<u32>) {
     let data = workload::fbm_dem(WIDTH, height, 42).to_bytes();
     let mut create = |name: &str| {
-        h.cluster
-            .create_file(name, data.len() as u64, STRIP as u32, LayoutPolicy::RoundRobin)
-            .expect("create file")
+        h.cluster.create_file(name, data.len() as u64, STRIP as u32, policy).expect("create file")
     };
-    let file = create("dem.rr");
+    let file = create("dem.in");
     let outs = outs.iter().map(|name| create(name)).collect();
     h.cluster.put_file(file, &data).expect("ingest");
     (data, file, outs)
@@ -948,3 +951,63 @@ fn dead_peer_mid_execute_fails_typed_and_frees_the_worker() {
     assert_eq!(h.cluster.down_servers(), Vec::<u32>::new(), "server 0 must stay up");
     h.teardown();
 }
+
+/// A replica holder that is dead when the forward pass runs costs the
+/// `Execute` redundancy, not success: the daemon still answers
+/// `ExecuteOk`, every forward bound for the dead holder is counted
+/// (the pipelined wave fails, each goes again on its own through the
+/// retrying path, the breaker trips on the first), the other holder's
+/// wave lands, and the primaries serve the output.
+#[test]
+fn dead_replica_holder_is_counted_per_forward_and_the_execute_succeeds() {
+    let policy = LayoutPolicy::GroupedReplicated { group: 2 };
+    let input = workload::fbm_dem(WIDTH, HEIGHT, 42);
+    let want = kernel_by_name("gaussian-filter").unwrap().apply(&input).to_bytes();
+    let mut h = boot_with(SERVERS, &[]);
+    let (_, file, outs) = ingest(&mut h, HEIGHT, policy, &["fwd.out"]);
+    let out_file = outs[0];
+
+    // Server 0 computes strips 0, 1, 8, 9, 16, 17 off local replicas
+    // alone; the first of each pair is replicated on server 3, the
+    // second on server 1.
+    h.kill_server(3);
+    let exec = Message::Execute {
+        file,
+        out_file,
+        kernel: "gaussian-filter".into(),
+        img_width: WIDTH,
+        element_size: 4,
+        successive: true,
+        force: false,
+    };
+    match h.cluster.call(0, &exec) {
+        Ok(Message::ExecuteOk { strips_computed: 6, dep_fetches: 0, .. }) => {}
+        other => panic!("expected ExecuteOk for six local tasks, got {other:?}"),
+    }
+
+    let layout = Layout::new(policy, SERVERS as u32);
+    let tasks = layout.primary_strips(ServerId(0), 24);
+    let bound_for = |holder: u32| -> Vec<u64> {
+        tasks.iter().filter(|&&t| layout.replicas(t).contains(&ServerId(holder))).map(|t| t.0).collect()
+    };
+    assert_eq!((bound_for(3), bound_for(1)), (vec![0, 8, 16], vec![1, 9, 17]));
+    let metrics = das_obs::parse(&h.cluster.metrics_dump(0).expect("metrics dump"));
+    assert_eq!(
+        das_obs::sample_value(&metrics, "dasd_replica_forward_failures_total", &[]),
+        Some(3.0),
+        "one failure per forward bound for the dead holder"
+    );
+    let mut strip = |server: usize, strip: u64| match h.cluster.call(server, &Message::GetStrip { file: out_file, strip }) {
+        Ok(Message::StripData { payload }) => payload,
+        other => panic!("output strip {strip} on server {server}: {other:?}"),
+    };
+    for t in [0u64, 1, 8, 9, 16, 17] {
+        let at = t as usize * STRIP;
+        assert_eq!(strip(0, t), want[at..at + STRIP], "primary copy of output strip {t}");
+        if t % 2 == 1 {
+            assert_eq!(strip(1, t), want[at..at + STRIP], "forwarded copy of output strip {t}");
+        }
+    }
+    h.teardown();
+}
+

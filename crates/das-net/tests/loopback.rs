@@ -404,6 +404,8 @@ fn span_rpcs_without_negotiated_cap_are_refused() {
 /// under the one wire-propagated trace id. The fetch stage runs a task
 /// ahead of the compute stage, and the spans must show it: some
 /// dependence fetch starts while an earlier task's kernel is running.
+/// Replica forwards are outside the task loop, and the spans must show
+/// that too: one forward-pass span per Execute, after the kernels.
 #[test]
 fn execute_trace_reconstructs_cross_daemon_waterfall() {
     use das_obs::{OpClass, Stage};
@@ -496,8 +498,35 @@ fn execute_trace_reconstructs_cross_daemon_waterfall() {
         fetches_under_a_kernel > 0,
         "no dependence fetch started under an earlier task's kernel span: the fetch stage is not running ahead"
     );
+    // A second Execute, on a layout that replicates: every task still
+    // has one kernel and one (encode + local store) assemble span, and
+    // the replica forwards are one further assemble span, noted as the
+    // forward pass, that starts after the last kernel has started.
+    let grouped = LayoutPolicy::GroupedReplicated { group: 2 };
+    let rep = h.cluster.create_file("wf.rep", data.len() as u64, STRIP as u32, grouped).expect("create");
+    h.cluster.put_file(rep, &data).expect("ingest replicated");
+    let rep_out =
+        h.cluster.create_file("wf.rep.out", data.len() as u64, STRIP as u32, grouped).expect("create");
+    let forward_trace = h.cluster.begin_trace();
+    h.cluster
+        .execute(rep, rep_out, "gaussian-filter", WIDTH, true, false)
+        .expect("execute")
+        .expect("DAS offload accepted");
+    let _ = h.cluster.begin_trace();
+    let layout = Layout::new(grouped, SERVERS as u32);
+    for (id, spans) in h.cluster.trace_dump_all(forward_trace).expect("trace dump") {
+        let tasks = layout.primary_strips(ServerId(id), strips as u64).len();
+        let of = |stage: Stage, note: u8| spans.iter().filter(move |s| s.stage == stage && s.note == note);
+        assert_eq!(of(Stage::Kernel, das_obs::NOTE_NONE).count(), tasks, "daemon {id}: kernel spans");
+        assert_eq!(of(Stage::Assemble, das_obs::NOTE_NONE).count(), tasks, "daemon {id}: task assemble spans");
+        let forward: Vec<_> = of(Stage::Assemble, das_obs::NOTE_FORWARD).collect();
+        assert_eq!(forward.len(), 1, "daemon {id}: one forward pass per Execute");
+        let late = of(Stage::Kernel, das_obs::NOTE_NONE).filter(|k| k.start_us > forward[0].start_us).count();
+        assert_eq!(late, 0, "daemon {id}: a kernel started after the forward pass began");
+    }
     // The attribution histograms keep one kernel and one assemble
-    // observation per Execute, whatever the task count.
+    // observation per Execute, whatever the task count and with the
+    // forward pass folded into the assemble total.
     for (id, text) in h.cluster.metrics_dump_all().expect("metrics dump") {
         let samples = das_obs::parse(&text);
         for stage in ["kernel", "assemble"] {
@@ -506,7 +535,7 @@ fn execute_trace_reconstructs_cross_daemon_waterfall() {
                 "dasd_stage_duration_us_count",
                 &[("stage", stage), ("op", "exec")],
             );
-            assert_eq!(count, Some(1.0), "daemon {id}: {stage} observations per Execute");
+            assert_eq!(count, Some(2.0), "daemon {id}: {stage} observations over two Executes");
         }
     }
     assert!(

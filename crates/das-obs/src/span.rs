@@ -157,6 +157,9 @@ pub const NOTE_HEDGE: u8 = 1;
 pub const NOTE_SHED_BACKLOG: u8 = 2;
 /// The request died because its deadline budget expired while queued.
 pub const NOTE_SHED_DEADLINE: u8 = 3;
+/// An `assemble` span that is an Execute's replica-forward pass, not a
+/// task's encode-and-store.
+pub const NOTE_FORWARD: u8 = 4;
 
 /// Render a note annotation for humans ("" when unannotated).
 pub fn note_name(note: u8) -> &'static str {
@@ -164,6 +167,7 @@ pub fn note_name(note: u8) -> &'static str {
         NOTE_HEDGE => "hedge",
         NOTE_SHED_BACKLOG => "shed:backlog",
         NOTE_SHED_DEADLINE => "shed:deadline",
+        NOTE_FORWARD => "forward",
         _ => "",
     }
 }
@@ -183,7 +187,7 @@ pub struct SpanRecord {
     pub stage: Stage,
     /// Coarse op class of the enclosing request.
     pub op: OpClass,
-    /// Annotation (`NOTE_*`): hedge duplicate, shed reason.
+    /// Annotation (`NOTE_*`): hedge duplicate, shed reason, forward pass.
     pub note: u8,
     /// Start, µs since the recording daemon's epoch (monotonic).
     pub start_us: u64,

@@ -9,11 +9,17 @@
 //! delivered, the assembly **panics with a precise diagnostic** — the
 //! mechanism by which the integration tests prove each scheme's data
 //! movement is sufficient, not just that its output looks right.
+//!
+//! Kernels do not come here per element: `Kernel::process_range` takes
+//! one [`window`](ElemSource::window) per task — the held strips it
+//! overlaps decoded into contiguous `f32`s, every absent one a hole —
+//! and only a read that lands in a hole comes back to meet the panic.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::ops::Range;
 
 use bytes::Bytes;
-use das_kernels::ElemSource;
+use das_kernels::{cells_from_le_bytes, ElemSource};
 use das_pfs::StripId;
 
 /// Element size this workspace's rasters use (f32).
@@ -26,7 +32,8 @@ pub struct StripAssembly {
     width: u64,
     height: u64,
     strip_size: u64,
-    strips: HashMap<u64, Bytes>,
+    /// One slot per strip of the file, indexed by strip id.
+    strips: Vec<Option<Bytes>>,
     /// Where the assembly lives, for panic diagnostics
     /// (e.g. `"DAS server 3"`).
     label: String,
@@ -45,29 +52,50 @@ impl StripAssembly {
             strip_size > 0 && strip_size.is_multiple_of(ELEMENT_SIZE),
             "strip size must be a positive multiple of {ELEMENT_SIZE}"
         );
+        let strips = (width * height * ELEMENT_SIZE).div_ceil(strip_size);
         StripAssembly {
             width,
             height,
             strip_size,
-            strips: HashMap::new(),
+            strips: vec![None; usize::try_from(strips).expect("strip table fits in memory")],
             label: label.into(),
         }
     }
 
     /// Add a strip's bytes. Re-adding the same strip is allowed (a
     /// replica has identical content by the PFS invariant).
+    ///
+    /// # Panics
+    /// Panics if the file has no such strip or `data` is not exactly
+    /// its length (the strip size; the file's tail for the last strip):
+    /// refused here, a mis-sized strip cannot surface as an index out of
+    /// range inside a kernel.
     pub fn insert(&mut self, strip: StripId, data: Bytes) {
-        self.strips.insert(strip.0, data);
+        let rest = (self.width * self.height * ELEMENT_SIZE).saturating_sub(strip.0.saturating_mul(self.strip_size));
+        let (expected, len) = (rest.min(self.strip_size), data.len());
+        assert!(
+            expected > 0 && len as u64 == expected,
+            "{}: strip {} is {len} bytes, expected {expected} (0: the {}-strip file has no such strip)",
+            self.label,
+            strip.0,
+            self.strips.len()
+        );
+        self.strips[strip.0 as usize] = Some(data);
+    }
+
+    /// Drop a strip again, returning its bytes if it was held.
+    pub fn remove(&mut self, strip: StripId) -> Option<Bytes> {
+        self.strips.get_mut(strip.0 as usize).and_then(Option::take)
     }
 
     /// Whether the assembly holds `strip`.
     pub fn contains(&self, strip: StripId) -> bool {
-        self.strips.contains_key(&strip.0)
+        self.strips.get(strip.0 as usize).is_some_and(Option::is_some)
     }
 
     /// Number of strips held.
     pub fn strip_count(&self) -> usize {
-        self.strips.len()
+        self.strips.iter().flatten().count()
     }
 
     /// Read the element with linear index `i`.
@@ -84,7 +112,7 @@ impl StripAssembly {
         );
         let byte = i * ELEMENT_SIZE;
         let strip = byte / self.strip_size;
-        let data = self.strips.get(&strip).unwrap_or_else(|| {
+        let data = self.strips[strip as usize].as_ref().unwrap_or_else(|| {
             panic!(
                 "{}: element {i} needs strip {strip}, which this node does not hold — \
                  the executing scheme's data movement is insufficient",
@@ -110,6 +138,32 @@ impl ElemSource for StripAssembly {
             return None;
         }
         Some(self.get_linear(row as u64 * self.width + col as u64))
+    }
+
+    /// Decode the held strips overlapping `[lo, hi)` once; each run of
+    /// strips this node does not hold is one hole.
+    fn window(&self, lo: u64, hi: u64) -> (Cow<'_, [f32]>, Vec<Range<u64>>) {
+        assert!(lo <= hi && hi <= self.width * self.height, "{}: no window [{lo}, {hi}) in the raster", self.label);
+        let per_strip = self.strip_size / ELEMENT_SIZE;
+        let mut cells = vec![0f32; (hi - lo) as usize];
+        let mut holes: Vec<Range<u64>> = Vec::new();
+        for strip in lo / per_strip..hi.div_ceil(per_strip) {
+            let first = strip * per_strip;
+            let (from, to) = (first.max(lo), (first + per_strip).min(hi));
+            match &self.strips[strip as usize] {
+                Some(data) => {
+                    let held = cells_from_le_bytes(&data[((from - first) * ELEMENT_SIZE) as usize..]);
+                    for (cell, v) in cells[(from - lo) as usize..(to - lo) as usize].iter_mut().zip(held) {
+                        *cell = v;
+                    }
+                }
+                None => match holes.last_mut() {
+                    Some(hole) if hole.end == from => hole.end = to,
+                    _ => holes.push(from..to),
+                },
+            }
+        }
+        (Cow::Owned(cells), holes)
     }
 }
 
@@ -174,5 +228,46 @@ mod tests {
     #[should_panic(expected = "multiple of 4")]
     fn unaligned_strip_size_rejected() {
         let _ = StripAssembly::new(4, 4, 10, "bad");
+    }
+
+    #[test]
+    fn window_decodes_held_strips_and_reports_runs_of_absent_ones_as_holes() {
+        let (raster, full) = assembled(7, 5, 12); // 35 elements, 3 per strip
+        let (cells, holes) = full.window(4, 31);
+        assert_eq!(&cells[..], &raster.as_slice()[4..31]);
+        assert!(holes.is_empty());
+
+        let mut partial = full.clone();
+        for s in [2, 3, 7] {
+            assert!(partial.remove(StripId(s)).is_some());
+        }
+        assert_eq!(partial.remove(StripId(7)), None);
+        let (cells, holes) = partial.window(4, 31);
+        assert_eq!(holes, vec![6..12, 21..24]);
+        for i in (4..31).filter(|i| !holes.iter().any(|h| h.contains(i))) {
+            assert_eq!(cells[(i - 4) as usize], raster.get_linear(i), "element {i}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "strip 1 is 12 bytes, expected 16")]
+    fn short_strip_rejected_at_insert() {
+        let mut asm = StripAssembly::new(8, 4, 16, "dasd2");
+        asm.insert(StripId(1), Bytes::from(vec![0u8; 12]));
+    }
+
+    #[test]
+    #[should_panic(expected = "strip 11 is 12 bytes, expected 8")]
+    fn over_long_tail_strip_rejected_at_insert() {
+        // 7·5·4 = 140 B in 12 B strips: strip 11 is the 8 B tail.
+        let mut asm = StripAssembly::new(7, 5, 12, "dasd2");
+        asm.insert(StripId(11), Bytes::from(vec![0u8; 12]));
+    }
+
+    #[test]
+    #[should_panic(expected = "dasd2: strip 8 is 16 bytes, expected 0 (0: the 8-strip file has no such strip)")]
+    fn strip_outside_the_file_rejected_at_insert() {
+        let mut asm = StripAssembly::new(8, 4, 16, "dasd2");
+        asm.insert(StripId(8), Bytes::from(vec![0u8; 16]));
     }
 }

@@ -24,7 +24,7 @@
 //! the predictor already counted it remote — so the executed data
 //! movement can never be better than the prediction claims.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use das_core::{decide_timed, Decision, DecisionInput, KernelFeatures, LinkCost, OffsetExpr,
     PlanOptions};
@@ -32,7 +32,6 @@ use das_kernels::{Kernel, Raster};
 use das_pfs::{LayoutPolicy, ServerId, StripId};
 use das_sim::{OpId, OpKind, OpSpec, TransferClass};
 
-use crate::assembly::StripAssembly;
 use crate::config::ClusterConfig;
 use crate::report::RunReport;
 use crate::scheme::{stitch_output, ts::run_ts, Ctx, DasOutcome, FileCtx, SchemeKind};
@@ -143,22 +142,10 @@ pub(crate) fn build_das_offload(
         }
 
         // Functional view: primaries plus replicas this server holds.
-        let mut assembly = StripAssembly::new(
-            f.width,
-            f.height,
-            cfg.strip_size,
-            format!("DAS server {s}"),
-        );
+        let mut assembly = ctx.view(f, format!("DAS server {s}"));
         for t in ctx.pfs.server(server).expect("server exists").all_strips(f.file) {
-            let data = ctx
-                .pfs
-                .server(server)
-                .expect("server exists")
-                .read_strip(f.file, t)
-                .expect("held strip readable");
-            assembly.insert(t, data);
+            ctx.deliver(f, &mut assembly, server, t);
         }
-        let mut fetched: BTreeSet<u64> = BTreeSet::new();
 
         for &t in &my_strips {
             let t_idx = t.0;
@@ -220,15 +207,7 @@ pub(crate) fn build_das_offload(
                         .tag("das-fetch"),
                     );
                     ready.push(xfer);
-                    if fetched.insert(u) {
-                        let data = ctx
-                            .pfs
-                            .server(owner)
-                            .expect("server exists")
-                            .read_strip(f.file, StripId(u))
-                            .expect("owner holds strip");
-                        assembly.insert(StripId(u), data);
-                    }
+                    ctx.deliver(f, &mut assembly, owner, StripId(u));
                 }
             }
 
@@ -280,12 +259,7 @@ pub(crate) fn build_das_offload(
         }
 
         // Functional execution.
-        for &t in &my_strips {
-            let (e0, e1) = ctx.strip_elem_range(f, t.0);
-            let mut out = vec![0.0f32; (e1 - e0) as usize];
-            kernel.process_range(&assembly, e0, &mut out);
-            chunks.push((e0, out));
-        }
+        chunks.extend(ctx.run_tasks(f, kernel, &assembly, &my_strips));
     }
     chunks
 }

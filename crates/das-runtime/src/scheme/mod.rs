@@ -25,9 +25,10 @@ mod ts;
 use std::collections::BTreeSet;
 
 use das_kernels::{Kernel, Raster};
-use das_pfs::{FileId, LayoutPolicy, PfsCluster, StripId, StripeSpec};
+use das_pfs::{FileId, LayoutPolicy, PfsCluster, ServerId, StripId, StripeSpec};
 use das_sim::{OpId, OpKind, OpSpec, ResourceId, SimDuration, Simulator};
 
+use crate::assembly::StripAssembly;
 use crate::config::ClusterConfig;
 use crate::report::RunReport;
 
@@ -245,6 +246,35 @@ impl Ctx {
     pub fn strip_bytes(&self, f: &FileCtx, t: u64) -> u64 {
         let meta = self.pfs.meta(f.file).expect("file exists");
         meta.spec.strip_len(StripId(t), meta.len) as u64
+    }
+
+    /// An empty functional view of `f` for the node named `label`.
+    pub fn view(&self, f: &FileCtx, label: String) -> StripAssembly {
+        StripAssembly::new(f.width, f.height, self.strip_elems as usize * 4, label)
+    }
+
+    /// Deliver `strip` of `f`, as `holder` stores it, into a node's view.
+    pub fn deliver(&self, f: &FileCtx, view: &mut StripAssembly, holder: ServerId, strip: StripId) {
+        let server = self.pfs.server(holder).expect("server exists");
+        view.insert(strip, server.read_strip(f.file, strip).expect("holder has the strip"));
+    }
+
+    /// Functional execution of the strip tasks `strips` through `view`:
+    /// `(start element, output)` per strip.
+    pub fn run_tasks(
+        &self,
+        f: &FileCtx,
+        kernel: &dyn Kernel,
+        view: &StripAssembly,
+        strips: &[StripId],
+    ) -> Vec<(u64, Vec<f32>)> {
+        let task = |t: &StripId| {
+            let (e0, e1) = self.strip_elem_range(f, t.0);
+            let mut out = vec![0.0f32; (e1 - e0) as usize];
+            kernel.process_range(view, e0, &mut out);
+            (e0, out)
+        };
+        strips.iter().map(task).collect()
     }
 
     /// Compute-op duration for `elements` of `kernel`.

@@ -12,13 +12,12 @@
 //! per-task with no cross-task cache, and service slots compete with
 //! kernel slices on the same CPU resource.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use das_kernels::{Kernel, Raster};
 use das_pfs::{LayoutPolicy, ServerId, StripId};
 use das_sim::{OpId, OpKind, OpSpec, TransferClass};
 
-use crate::assembly::StripAssembly;
 use crate::config::ClusterConfig;
 use crate::report::RunReport;
 use crate::scheme::{stitch_output, Ctx, FileCtx, SchemeKind};
@@ -52,21 +51,9 @@ pub(crate) fn build_nas(
 
         // Functional view: everything this server will ever hold —
         // its primaries plus every strip its tasks fetch.
-        let mut assembly = StripAssembly::new(
-            f.width,
-            f.height,
-            cfg.strip_size,
-            format!("NAS server {s}"),
-        );
-        let mut fetched: BTreeSet<u64> = BTreeSet::new();
+        let mut assembly = ctx.view(f, format!("NAS server {s}"));
         for &t in &my_strips {
-            let data = ctx
-                .pfs
-                .server(server)
-                .expect("server exists")
-                .read_strip(f.file, t)
-                .expect("primary strip present");
-            assembly.insert(t, data);
+            ctx.deliver(f, &mut assembly, server, t);
         }
 
         // The AS helper process is a single sequential loop per server
@@ -167,15 +154,7 @@ pub(crate) fn build_nas(
                 ready.push(xfer);
                 last_fetch = Some(xfer);
 
-                if fetched.insert(u) {
-                    let data = ctx
-                        .pfs
-                        .server(owner)
-                        .expect("server exists")
-                        .read_strip(f.file, StripId(u))
-                        .expect("owner holds strip");
-                    assembly.insert(StripId(u), data);
-                }
+                ctx.deliver(f, &mut assembly, owner, StripId(u));
             }
 
             // Offloaded kernel slice for this strip's elements; the
@@ -206,12 +185,7 @@ pub(crate) fn build_nas(
         }
 
         // Functional execution of every local strip task.
-        for &t in &my_strips {
-            let (e0, e1) = ctx.strip_elem_range(f, t.0);
-            let mut out = vec![0.0f32; (e1 - e0) as usize];
-            kernel.process_range(&assembly, e0, &mut out);
-            chunks.push((e0, out));
-        }
+        chunks.extend(ctx.run_tasks(f, kernel, &assembly, &my_strips));
     }
     chunks
 }

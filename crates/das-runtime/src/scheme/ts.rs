@@ -12,7 +12,6 @@ use das_kernels::{Kernel, Raster};
 use das_pfs::LayoutPolicy;
 use das_sim::{OpKind, OpSpec, TransferClass};
 
-use crate::assembly::StripAssembly;
 use crate::config::ClusterConfig;
 use crate::report::RunReport;
 use crate::scheme::{stitch_output, Ctx, FileCtx, SchemeKind};
@@ -62,12 +61,7 @@ pub(crate) fn build_ts(
 
         // Group the overlapped strips by their primary server.
         let mut per_server: BTreeMap<usize, (u64, u64)> = BTreeMap::new(); // bytes, msgs
-        let mut assembly = StripAssembly::new(
-            f.width,
-            f.height,
-            cfg.strip_size,
-            format!("TS client {c}"),
-        );
+        let mut assembly = ctx.view(f, format!("TS client {c}"));
         for part in meta.spec.strips_for_range(read_off, read_len) {
             let server = meta.layout.primary(part.strip);
             let e = per_server.entry(server.index()).or_insert((0, 0));
@@ -75,13 +69,7 @@ pub(crate) fn build_ts(
             e.1 += 1;
             // Functionally the client receives the whole strips it
             // touched (a PFS returns sector-aligned data).
-            let data = ctx
-                .pfs
-                .server(server)
-                .expect("server exists")
-                .read_strip(f.file, part.strip)
-                .expect("primary strip present");
-            assembly.insert(part.strip, data);
+            ctx.deliver(f, &mut assembly, server, part.strip);
         }
 
         let mut read_done = Vec::new();
