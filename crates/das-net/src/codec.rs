@@ -75,30 +75,71 @@ pub const KNOWN_FLAGS: u16 = FLAG_CRC | FLAG_TRACE | FLAG_DEADLINE;
 /// connection is torn down and redialed instead.
 const MIDFRAME_TIMEOUT_BUDGET: u32 = 8;
 
-const CRC_TABLE: [u32; 256] = crc_table();
+/// The IEEE 802.3 polynomial, reflected.
+const CRC_POLY: u32 = 0xEDB8_8320;
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing tables: `CRC_TABLES[0]` is the classic byte-at-a-time
+/// table, and `CRC_TABLES[k][b]` is the checksum state after byte `b`
+/// followed by `k` zero bytes — so sixteen lookups, one per table,
+/// advance the state over sixteen input bytes at once. 16 KiB,
+/// L1-resident.
+static CRC_TABLES: [[u32; 256]; 16] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 { CRC_POLY ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-/// CRC32 (IEEE 802.3) over `chunks`, in order.
+/// CRC32 (IEEE 802.3) over `chunks`, in order. Each chunk is taken in
+/// whole 16-byte blocks and its remainder byte-wise, so the running
+/// state carries across chunk boundaries wherever they fall.
 pub fn crc32(chunks: &[&[u8]]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
     for chunk in chunks {
-        for &b in *chunk {
-            c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        let mut blocks = chunk.chunks_exact(16);
+        for b in &mut blocks {
+            let s = c.to_le_bytes();
+            c = t[15][usize::from(b[0] ^ s[0])]
+                ^ t[14][usize::from(b[1] ^ s[1])]
+                ^ t[13][usize::from(b[2] ^ s[2])]
+                ^ t[12][usize::from(b[3] ^ s[3])]
+                ^ t[11][usize::from(b[4])]
+                ^ t[10][usize::from(b[5])]
+                ^ t[9][usize::from(b[6])]
+                ^ t[8][usize::from(b[7])]
+                ^ t[7][usize::from(b[8])]
+                ^ t[6][usize::from(b[9])]
+                ^ t[5][usize::from(b[10])]
+                ^ t[4][usize::from(b[11])]
+                ^ t[3][usize::from(b[12])]
+                ^ t[2][usize::from(b[13])]
+                ^ t[1][usize::from(b[14])]
+                ^ t[0][usize::from(b[15])];
+        }
+        for &b in blocks.remainder() {
+            c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
         }
     }
     !c
@@ -405,6 +446,41 @@ fn read_full<R: Read>(r: &mut R, buf: &mut [u8], what: &str) -> Result<usize, Ne
     Ok(got)
 }
 
+/// Most a reader commits to a payload on the strength of its header
+/// alone; past this the buffer grows only with bytes received.
+const PAYLOAD_PREALLOC: usize = 1 << 20;
+
+/// Read a `len`-byte payload (`len` already checked against
+/// [`MAX_PAYLOAD`]) under [`read_full`]'s rules — bounded consecutive
+/// stalls, the counter reset by progress — but into a buffer that
+/// grows as bytes arrive: a header claiming 64 MiB costs its reader
+/// nothing until the peer actually sends them, and nothing is
+/// zero-filled ahead of the bytes that overwrite it.
+fn read_payload<R: Read>(r: &mut R, len: usize) -> Result<Vec<u8>, NetError> {
+    let mut payload = Vec::with_capacity(len.min(PAYLOAD_PREALLOC));
+    let mut stalls = 0u32;
+    while payload.len() < len {
+        let had = payload.len();
+        match r.by_ref().take((len - had) as u64).read_to_end(&mut payload) {
+            Ok(_) if payload.len() < len => {
+                return Err(NetError::Protocol("connection closed mid-payload".into()));
+            }
+            Ok(_) => {}
+            Err(e) if is_timeout(&e) => {
+                stalls = if payload.len() > had { 1 } else { stalls + 1 };
+                if stalls > MIDFRAME_TIMEOUT_BUDGET {
+                    return Err(NetError::Io(io::Error::new(
+                        io::ErrorKind::TimedOut,
+                        format!("peer stalled mid-payload ({} of {len} bytes)", payload.len()),
+                    )));
+                }
+            }
+            Err(e) => return Err(NetError::Io(e)),
+        }
+    }
+    Ok(payload)
+}
+
 /// Read exactly one frame from `r`, verify its checksum when present,
 /// and decode it. An EOF *before the first header byte* surfaces as
 /// `Ok(None)` (clean connection close); an EOF mid-frame is an error.
@@ -499,10 +575,7 @@ pub fn read_frame_ex<R: Read>(r: &mut R) -> Result<Option<Frame>, NetError> {
     } else {
         None
     };
-    let mut payload = vec![0u8; len];
-    if read_full(r, &mut payload, "payload")? != len {
-        return Err(NetError::Protocol("connection closed mid-payload".into()));
-    }
+    let payload = read_payload(r, len)?;
     let crc_wanted = if flags & FLAG_CRC != 0 {
         let mut trailer = [0u8; 4];
         if read_full(r, &mut trailer, "checksum")? != 4 {
@@ -1021,12 +1094,113 @@ mod tests {
         assert!(fb.buf.len() < 3 * frame.len(), "buffer kept growing: {}", fb.buf.len());
     }
 
+    /// The byte-at-a-time loop the slicing code replaced: the
+    /// reference it is compared against.
+    fn crc32_bytewise(chunks: &[&[u8]]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for chunk in chunks {
+            for &b in *chunk {
+                c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+            }
+        }
+        !c
+    }
+
     #[test]
     fn crc32_matches_reference_vector() {
         // The classic IEEE 802.3 check value.
         assert_eq!(crc32(&[b"123456789"]), 0xCBF4_3926);
         assert_eq!(crc32(&[b"1234", b"56789"]), 0xCBF4_3926);
         assert_eq!(crc32(&[b""]), 0);
+    }
+
+    #[test]
+    fn sliced_crc32_agrees_with_the_bytewise_loop_at_every_length_and_cut() {
+        let data: Vec<u8> = (0..100u32).map(|i| (i.wrapping_mul(167) >> 3) as u8).collect();
+        for len in 0..=data.len() {
+            let want = crc32_bytewise(&[&data[..len]]);
+            for cut in 0..=len {
+                assert_eq!(crc32(&[&data[..cut], &data[cut..len]]), want, "len {len} cut {cut}");
+            }
+        }
+    }
+
+    /// A frame header claiming `len` payload bytes, no trailer.
+    fn bare_header(len: usize) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&MAGIC);
+        buf.push(VERSION);
+        buf.push(0x15);
+        buf.extend_from_slice(&0u16.to_le_bytes());
+        buf.extend_from_slice(&(len as u32).to_le_bytes());
+        buf
+    }
+
+    #[test]
+    fn a_header_claiming_the_cap_then_a_close_is_the_typed_mid_payload_error() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let stub = std::thread::spawn(move || {
+            let (mut sock, _) = listener.accept().expect("accept");
+            let mut wire = bare_header(MAX_PAYLOAD);
+            wire.extend_from_slice(&[7u8; 10]);
+            sock.write_all(&wire).expect("write");
+        });
+        let mut sock = std::net::TcpStream::connect(addr).expect("connect");
+        match read_frame_ex(&mut sock) {
+            Err(NetError::Protocol(m)) => assert_eq!(m, "connection closed mid-payload"),
+            other => panic!("expected the mid-payload close, got {other:?}"),
+        }
+        stub.join().expect("stub peer");
+    }
+
+    /// Plays back a script of `read` outcomes: `Some(n)` yields the next
+    /// `n` bytes of the wire image, `None` a read timeout.
+    struct Scripted {
+        wire: Vec<u8>,
+        at: usize,
+        script: std::collections::VecDeque<Option<usize>>,
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match self.script.pop_front() {
+                Some(None) => Err(io::ErrorKind::WouldBlock.into()),
+                Some(Some(n)) => {
+                    let n = n.min(buf.len()).min(self.wire.len() - self.at);
+                    buf[..n].copy_from_slice(&self.wire[self.at..self.at + n]);
+                    self.at += n;
+                    Ok(n)
+                }
+                None => Ok(0),
+            }
+        }
+    }
+
+    #[test]
+    fn payload_stalls_are_bounded_and_reset_by_progress() {
+        let msg = Message::StripData { payload: vec![3; 40] };
+        let budget = MIDFRAME_TIMEOUT_BUDGET as usize;
+        let header = Some(HEADER_LEN);
+        // A full budget of stalls, progress, a full budget again: fine.
+        let mut script = vec![Some(1), Some(HEADER_LEN - 1)];
+        script.extend(std::iter::repeat_n(None, budget));
+        script.push(Some(5));
+        script.extend(std::iter::repeat_n(None, budget));
+        script.extend([Some(1000), Some(4)]);
+        let mut r = Scripted { wire: encode_frame(&msg), at: 0, script: script.into() };
+        assert_eq!(read_frame_ex(&mut r).unwrap().unwrap().msg, msg);
+        // One stall more than the budget with no byte between: typed.
+        let mut script = vec![Some(1), header, Some(5)];
+        script.extend(std::iter::repeat_n(None, budget + 1));
+        let mut r = Scripted { wire: encode_frame(&msg), at: 0, script: script.into() };
+        match read_frame_ex(&mut r) {
+            Err(NetError::Io(e)) => {
+                assert_eq!(e.kind(), io::ErrorKind::TimedOut);
+                assert!(e.to_string().contains("mid-payload (5 of"), "{e}");
+            }
+            other => panic!("expected the typed stall, got {other:?}"),
+        }
     }
 
     #[test]

@@ -443,8 +443,38 @@ fn execute_trace_reconstructs_cross_daemon_waterfall() {
     let mut assemble_spans = 0usize;
     let mut peer_fetch_spans = 0usize;
     let mut get_roots = 0usize;
-    let mut fetches_under_a_kernel = 0usize;
+    let mut fetches_handed_over_early = 0usize;
+    let strips = StripeSpec::new(STRIP).strip_count(data.len() as u64);
+    let offsets = kernel_by_name("gaussian-filter").unwrap().dependence_offsets(WIDTH);
+    let rr = StripingParams {
+        element_size: 4,
+        strip_size: STRIP as u64,
+        layout: Layout::new(LayoutPolicy::RoundRobin, SERVERS as u32),
+    };
     for (id, spans) in &dumps {
+        // The fetch stage issues a daemon's fetches in task order, so
+        // its k-th task's first fetch is the span at index (fetches of
+        // tasks before k) by start time. A serial loop starts it after
+        // task k−1's compute stage (kernel, then assemble) has ended;
+        // the fetch stage starts it as soon as task k−1's strips are
+        // handed over, before that compute stage has begun.
+        let started = |stage: Stage| {
+            let mut of: Vec<_> = spans.iter().filter(|s| s.stage == stage).collect();
+            of.sort_by_key(|s| s.start_us);
+            of
+        };
+        let (fetched, assembled) = (started(Stage::PeerFetch), started(Stage::Assemble));
+        let mut first_fetch = 0usize;
+        for (k, t) in rr.layout.primary_strips(ServerId(*id), strips).iter().enumerate() {
+            let deps =
+                rr.remote_dependent_strips(ServerId(*id), t.0, &offsets, data.len() as u64 / 4).len();
+            if k > 0 && deps > 0 {
+                let compute_end = assembled[k - 1].start_us + assembled[k - 1].dur_us;
+                fetches_handed_over_early += usize::from(fetched[first_fetch].start_us < compute_end);
+            }
+            first_fetch += deps;
+        }
+        assert_eq!(first_fetch, fetched.len(), "daemon {id}: fetch spans against the dependence plan");
         assert!(!spans.is_empty(), "daemon {id} retained no spans for the trace");
         let exec_roots: Vec<u32> = spans
             .iter()
@@ -473,15 +503,6 @@ fn execute_trace_reconstructs_cross_daemon_waterfall() {
                 Stage::PeerFetch => {
                     peer_fetch_spans += 1;
                     assert!(exec_roots.contains(&s.parent), "peer_fetch span outside exec root");
-                    // A task's own fetches all end before its kernel
-                    // starts, so a fetch that starts inside a kernel
-                    // span belongs to a later task.
-                    let overlapped = spans.iter().any(|k| {
-                        k.stage == Stage::Kernel
-                            && k.start_us <= s.start_us
-                            && s.start_us < k.start_us + k.dur_us
-                    });
-                    fetches_under_a_kernel += usize::from(overlapped);
                 }
                 Stage::Dispatch if s.op == OpClass::Get && s.parent == 0 => get_roots += 1,
                 _ => {}
@@ -490,13 +511,13 @@ fn execute_trace_reconstructs_cross_daemon_waterfall() {
             assert_eq!(s.daemon, *id);
         }
     }
-    let strips = StripeSpec::new(STRIP).strip_count(data.len() as u64) as usize;
+    let strips = strips as usize;
     assert_eq!(kernel_spans, strips, "one kernel span per task");
     assert_eq!(assemble_spans, strips, "one assemble span per task");
     assert_eq!(peer_fetch_spans as u64, fetches, "one peer_fetch span per dependence fetch");
     assert!(
-        fetches_under_a_kernel > 0,
-        "no dependence fetch started under an earlier task's kernel span: the fetch stage is not running ahead"
+        fetches_handed_over_early > 0,
+        "every task's first fetch waited for the task before it to finish computing: the fetch stage is not running ahead"
     );
     // A second Execute, on a layout that replicates: every task still
     // has one kernel and one (encode + local store) assemble span, and
