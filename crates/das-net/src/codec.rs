@@ -145,6 +145,55 @@ pub fn crc32(chunks: &[&[u8]]) -> u32 {
     !c
 }
 
+/// `X2N[k]` = x^(2^k) mod P in the reflected representation (bit 31
+/// is x^0): the powers [`crc32_combine`] assembles x^n from.
+static X2N: [u32; 32] = x2n_table();
+
+const fn x2n_table() -> [u32; 32] {
+    let mut table = [0u32; 32];
+    let mut p = 1u32 << 30; // x^1
+    let mut k = 0;
+    while k < 32 {
+        table[k] = p;
+        p = mul_mod_p(p, p);
+        k += 1;
+    }
+    table
+}
+
+/// a(x) · b(x) mod P over GF(2), reflected: at most 32 shift-and-add
+/// steps.
+const fn mul_mod_p(a: u32, mut b: u32) -> u32 {
+    let mut product = 0u32;
+    let mut bit = 1u32 << 31;
+    while bit != 0 {
+        if a & bit != 0 {
+            product ^= b;
+        }
+        b = if b & 1 != 0 { (b >> 1) ^ CRC_POLY } else { b >> 1 };
+        bit >>= 1;
+    }
+    product
+}
+
+/// The checksum of `a ⧺ b` from `sum_a = crc32(a)`, `sum_b = crc32(b)`
+/// and `len_b = b.len()`, without reading either: appending `len_b`
+/// bytes multiplies `a`'s remainder by x^(8·len_b) mod P, and the
+/// remainders of the two halves then add. One multiply per set bit of
+/// `len_b` — one for a power-of-two strip — and no allocation.
+pub fn crc32_combine(sum_a: u32, sum_b: u32, len_b: usize) -> u32 {
+    let mut shift = 1u32 << 31; // x^0
+    let (mut n, mut k) = (len_b, 3); // x^(8·len_b): start at 2^3
+    while n != 0 {
+        if n & 1 != 0 {
+            shift = mul_mod_p(X2N[k & 31], shift);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    mul_mod_p(shift, sum_a) ^ sum_b
+}
+
 /// Anything that can go wrong talking to a peer.
 #[derive(Debug)]
 pub enum NetError {
@@ -308,29 +357,45 @@ pub fn frame_parts_opts(
     trace: Option<u64>,
     budget_ms: Option<u32>,
 ) -> FrameParts<'_> {
+    frame_parts_summed(msg, None, trace, budget_ms)
+}
+
+/// [`frame_parts_opts`] for a sender that already knows `blob_sum`, the
+/// [`crc32`] of the message's blob alone: the trailer is then combined
+/// from it and the blob is not read.
+pub fn frame_parts_summed(
+    msg: &Message,
+    blob_sum: Option<u32>,
+    trace: Option<u64>,
+    budget_ms: Option<u32>,
+) -> FrameParts<'_> {
     let (prefix, body) = msg.split_payload();
-    raw_frame_parts_opts(msg.opcode(), &prefix, body, trace, budget_ms)
+    raw_frame_parts_opts(msg.opcode(), &prefix, body, blob_sum, trace, budget_ms)
 }
 
 /// Build frame segments from an already-split payload: `prefix` holds
 /// the fixed fields (copied into the head), `body` the borrowed bulk
-/// bytes. This is the layer that lets a server reply with a strip
-/// straight out of its store — the caller supplies the store's bytes
-/// as `body` and no intermediate payload `Vec` is ever built.
+/// bytes and `body_sum` their [`crc32`]. This is the layer that lets a
+/// server reply with a strip straight out of its store — the caller
+/// supplies the store's bytes and the sum kept with them, and the
+/// frame is built and signed without the body being copied or read.
 pub fn raw_frame_parts<'a>(
     opcode: u8,
     prefix: &[u8],
     body: &'a [u8],
+    body_sum: u32,
     trace: Option<u64>,
 ) -> FrameParts<'a> {
-    raw_frame_parts_opts(opcode, prefix, body, trace, None)
+    raw_frame_parts_opts(opcode, prefix, body, Some(body_sum), trace, None)
 }
 
-/// Like [`raw_frame_parts`], optionally carrying a deadline budget.
+/// Like [`raw_frame_parts`], optionally carrying a deadline budget;
+/// without a `body_sum` the body is summed here.
 pub fn raw_frame_parts_opts<'a>(
     opcode: u8,
     prefix: &[u8],
     body: &'a [u8],
+    body_sum: Option<u32>,
     trace: Option<u64>,
     budget_ms: Option<u32>,
 ) -> FrameParts<'a> {
@@ -352,7 +417,10 @@ pub fn raw_frame_parts_opts<'a>(
         head.extend_from_slice(&ms.to_le_bytes());
     }
     head.extend_from_slice(prefix);
-    let crc = crc32(&[&head, body]);
+    let crc = match body_sum {
+        Some(sum) => crc32_combine(crc32(&[&head]), sum, body.len()),
+        None => crc32(&[&head, body]),
+    };
     FrameParts { head, body, tail: crc.to_le_bytes() }
 }
 
@@ -501,6 +569,23 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<(Message, Option<u64>)>, 
     Ok(read_frame_ex(r)?.map(|f| (f.msg, f.trace)))
 }
 
+/// The checksum a frame's trailer must carry — `fixed` is everything
+/// before the payload (header, then the optional fields or nothing) —
+/// and, for a blob-carrying opcode, the blob's own sum: the fixed part
+/// and the blob are summed apart and combined, which reads each byte
+/// once, exactly as one pass over the whole would.
+fn frame_sums(opcode: u8, fixed: [&[u8]; 3], payload: &[u8]) -> (u32, Option<u32>) {
+    match Message::blob_offset(opcode).filter(|&at| at <= payload.len()) {
+        Some(at) => {
+            let (prefix, blob) = payload.split_at(at);
+            let blob_sum = crc32(&[blob]);
+            let fixed_sum = crc32(&[fixed[0], fixed[1], fixed[2], prefix]);
+            (crc32_combine(fixed_sum, blob_sum, blob.len()), Some(blob_sum))
+        }
+        None => (crc32(&[fixed[0], fixed[1], fixed[2], payload]), None),
+    }
+}
+
 /// One fully decoded frame: the message plus the optional per-request
 /// metadata fields the sender attached.
 #[derive(Debug)]
@@ -512,6 +597,10 @@ pub struct Frame {
     /// Deadline budget in milliseconds (`FLAG_DEADLINE`), when the
     /// sender attached one.
     pub budget_ms: Option<u32>,
+    /// [`crc32`] of the message's blob alone, for a blob-carrying
+    /// frame that arrived with a checksum trailer: verifying the frame
+    /// computes it, and a receiver that keeps the blob keeps this.
+    pub blob_sum: Option<u32>,
     /// Microseconds of CPU spent validating and decoding the frame
     /// (checksum verification + payload parse), excluding any time
     /// blocked on the transport — the honest "decode" stage for span
@@ -586,10 +675,12 @@ pub fn read_frame_ex<R: Read>(r: &mut R) -> Result<Option<Frame>, NetError> {
         None
     };
     let parse_started = Instant::now();
+    let mut blob_sum = None;
     if let Some(wanted) = crc_wanted {
         let trace_bytes: &[u8] = if trace.is_some() { &trace_field } else { &[] };
         let budget_bytes: &[u8] = if budget_ms.is_some() { &budget_field } else { &[] };
-        let actual = crc32(&[&header, trace_bytes, budget_bytes, &payload]);
+        let actual;
+        (actual, blob_sum) = frame_sums(opcode, [&header, trace_bytes, budget_bytes], &payload);
         if wanted != actual {
             return Err(NetError::Protocol(format!(
                 "frame checksum mismatch: wire {wanted:#010x}, computed {actual:#010x}"
@@ -601,6 +692,7 @@ pub fn read_frame_ex<R: Read>(r: &mut R) -> Result<Option<Frame>, NetError> {
         msg,
         trace,
         budget_ms,
+        blob_sum,
         decode_us: parse_started.elapsed().as_micros() as u64,
     }))
 }
@@ -778,9 +870,12 @@ impl FrameBuffer {
             None
         };
         let payload = &avail[HEADER_LEN + meta_len..HEADER_LEN + meta_len + len]; // das-lint: allow(DA502) `avail.len() < total` above bounds HEADER_LEN + meta_len + len + crc_len
+        let mut blob_sum = None;
         if crc_len == 4 {
             let trailer: [u8; 4] = avail[total - 4..total].try_into().unwrap(); // das-lint: allow(DA401) infallible 4-byte slice → array
-            let actual = crc32(&[&avail[..HEADER_LEN + meta_len + len]]); // das-lint: allow(DA502) covered by the same `total` bounds check
+            let actual;
+            let fixed = &avail[..HEADER_LEN + meta_len]; // das-lint: allow(DA502) covered by the same `total` bounds check
+            (actual, blob_sum) = frame_sums(opcode, [fixed, &[], &[]], payload);
             let wanted = u32::from_le_bytes(trailer);
             if wanted != actual {
                 return Err(NetError::Protocol(format!(
@@ -794,6 +889,7 @@ impl FrameBuffer {
             msg,
             trace,
             budget_ms,
+            blob_sum,
             decode_us: parse_started.elapsed().as_micros() as u64,
         }))
     }

@@ -17,7 +17,9 @@ use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::codec::{read_message, write_message_opts, CountingStream, NetError};
+use crate::codec::{
+    frame_parts_summed, read_message, write_frame_vectored, write_message_opts, CountingStream, NetError,
+};
 use crate::proto::{Message, Role, CAP_DEADLINE, CAP_TRACE, LOCAL_CAPS};
 use crate::retry::RetryPolicy;
 
@@ -114,11 +116,24 @@ impl RpcConn {
         trace: Option<u64>,
         budget: Option<Duration>,
     ) -> Result<(), NetError> {
+        self.send_summed(msg, None, trace, budget)
+    }
+
+    /// [`RpcConn::send`] for a sender that holds `blob_sum`, the
+    /// checksum of `msg`'s blob alone: the frame is signed from it
+    /// without reading the blob again.
+    pub(crate) fn send_summed(
+        &mut self,
+        msg: &Message,
+        blob_sum: Option<u32>,
+        trace: Option<u64>,
+        budget: Option<Duration>,
+    ) -> Result<(), NetError> {
         let trace = trace.filter(|_| self.has(CAP_TRACE));
         let budget_ms = budget
             .filter(|_| self.has(CAP_DEADLINE))
             .map(|b| b.as_millis().clamp(1, u128::from(u32::MAX)) as u32);
-        Ok(write_message_opts(&mut self.stream, msg, trace, budget_ms)?)
+        Ok(write_frame_vectored(&mut self.stream, &frame_parts_summed(msg, blob_sum, trace, budget_ms))?)
     }
 
     /// Read the reply to `msg` on a connection with one request in

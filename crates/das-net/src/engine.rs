@@ -440,12 +440,13 @@ fn run_job(shared: &Shared, queues: &ShardQueues, job: Job) {
     record_stage(shared, job.trace, job.ctx.root, Stage::QueueWait, opc, NOTE_NONE, job.enqueued.elapsed());
     let mut out = match process_request(shared, job.class, job.msg, job.trace, job.deadline, job.ctx) {
         ReplyAction::Reply(reply) => Outbound::frame(encode_frame_traced(&reply, echo), false),
-        ReplyAction::ReplyStrip(bytes) => {
-            // Zero-copy: head and CRC are computed over the store's
-            // bytes in place; the body segment shares the allocation
-            // and the 4-byte CRC tail rides inline.
+        ReplyAction::ReplyStrip(bytes, sum) => {
+            // Zero-copy and zero-read: the body segment shares the
+            // store's allocation, and the trailer is combined from the
+            // head's checksum and the sum stored with the strip — a
+            // strip that changed since ingest fails at its reader.
             let prefix = (bytes.len() as u32).to_le_bytes();
-            let parts = raw_frame_parts(STRIP_DATA_OPCODE, &prefix, &bytes, echo);
+            let parts = raw_frame_parts(STRIP_DATA_OPCODE, &prefix, &bytes, sum, echo);
             let (head, tail) = (parts.head, parts.tail);
             Outbound { head, body: bytes, tail, tail_len: 4, close_after: false, tag: None }
         }
@@ -712,7 +713,7 @@ fn pump_read(
                     .budget_ms
                     .map(|ms| Instant::now() + Duration::from_millis(u64::from(ms)));
                 let opc = op_class(&frame.msg);
-                let ctx = RequestCtx::new(shared, c.peer_spans, trace);
+                let ctx = RequestCtx::new(shared, c.peer_spans, trace, frame.blob_sum);
                 record_stage(
                     shared,
                     trace,

@@ -329,13 +329,14 @@ impl PeerTable {
         result
     }
 
-    /// Replica forwarding: send `target` a batch of `PutStrip`s and
-    /// return how many were not acknowledged. A wave (at most what the
+    /// Replica forwarding: send `target` a batch of `PutStrip`s, each
+    /// with the checksum of its payload (a wave's frames are signed from
+    /// it), and return how many were not acknowledged. A wave (at most what the
     /// peer holds in flight, so no socket buffer fills unread) is
     /// written back-to-back and its acks collected afterwards: one round
     /// trip, not one per strip. The daemon answers in completion order,
     /// but the acks are all alike and only their number matters.
-    pub fn put_strips(&self, target: u32, puts: &[Message], trace: Option<u64>) -> u64 {
+    pub fn put_strips(&self, target: u32, puts: &[(Message, u32)], trace: Option<u64>) -> u64 {
         let mut unacknowledged = 0;
         for wave in puts.chunks(MAX_INFLIGHT) {
             if !self.is_down(target) && self.put_wave(target, wave, trace) {
@@ -344,7 +345,7 @@ impl PeerTable {
             // The acks do not say which forward of the wave they miss.
             // `PutStrip` is idempotent: each goes again on its own,
             // retried and circuit-broken.
-            for put in wave {
+            for (put, _) in wave {
                 let acked = matches!(self.call(target, put, trace, None), Ok(Message::PutStripOk));
                 unacknowledged += u64::from(!acked);
             }
@@ -355,11 +356,12 @@ impl PeerTable {
     /// One attempt at a wave; whether every forward was acknowledged. A
     /// typed refusal leaves the link in step (its reply was read), a
     /// transport error evicts it like any other.
-    fn put_wave(&self, target: u32, wave: &[Message], trace: Option<u64>) -> bool {
+    fn put_wave(&self, target: u32, wave: &[(Message, u32)], trace: Option<u64>) -> bool {
         let Ok(conn) = self.conn(target) else { return false };
         let mut link = lock(&conn);
-        let exchange = wave.iter().try_for_each(|put| link.send(put, trace, None)).and_then(|()| {
-            wave.iter().try_fold(true, |acked, put| match link.recv(put, &self.policy) {
+        let sent = wave.iter().try_for_each(|(put, sum)| link.send_summed(put, Some(*sum), trace, None));
+        let exchange = sent.and_then(|()| {
+            wave.iter().try_fold(true, |acked, (put, _)| match link.recv(put, &self.policy) {
                 Err(e) if e.is_transport() => Err(e),
                 reply => Ok(acked & matches!(reply, Ok(Message::PutStripOk))),
             })

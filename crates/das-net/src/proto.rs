@@ -699,6 +699,18 @@ impl Message {
         }
     }
 
+    /// Where the blob's bytes begin in the payload of a blob-carrying
+    /// opcode — the length of [`Message::split_payload`]'s `prefix` —
+    /// and `None` for every other opcode. The blob is always the last
+    /// field, so it runs from here to the payload's end.
+    pub(crate) fn blob_offset(opcode: u8) -> Option<usize> {
+        match opcode {
+            0x12 => Some(16),
+            0x15 | 0x45 | 0x47 | 0x49 => Some(4),
+            _ => None,
+        }
+    }
+
     /// Decode a payload for `opcode`. Fails on unknown opcodes, short
     /// or over-long payloads, and malformed fields.
     pub fn decode(opcode: u8, payload: &[u8]) -> Result<Message, DecodeError> {
@@ -996,6 +1008,9 @@ mod tests {
             let mut joined = prefix.clone();
             joined.extend_from_slice(body);
             assert_eq!(joined, m.encode_payload(), "split drifted for {}", m.op_name());
+            // The decoders look for the blob where the encoder put it.
+            let at = Message::blob_offset(m.opcode());
+            assert_eq!(at, (!body.is_empty()).then_some(prefix.len()), "{}", m.op_name());
         }
         // The blob carriers actually borrow their bulk bytes.
         let strip = Message::StripData { payload: vec![7; 1024] };

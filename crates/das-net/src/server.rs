@@ -40,6 +40,7 @@ use das_kernels::{cells_to_le_bytes, kernel_by_name};
 use das_pfs::{FileId, FileMeta, Layout, ServerId, StorageServer, StripId, StripeSpec};
 use das_runtime::StripAssembly;
 
+use crate::codec::crc32;
 use crate::fault::{FaultAction, FaultPlan, FaultPoint};
 use crate::peer::PeerTable;
 use crate::proto::{ErrorCode, Message, WireStats};
@@ -249,8 +250,9 @@ struct Inner {
     store: StorageServer,
     files: Vec<FileMeta>,
     by_name: HashMap<String, FileId>,
-    /// Strips staged by `RedistPrepare`, keyed by file id.
-    staged: HashMap<u32, Vec<(StripId, Bytes)>>,
+    /// Strips staged by `RedistPrepare`, each with its checksum,
+    /// keyed by file id.
+    staged: HashMap<u32, Vec<(StripId, Bytes, u32)>>,
 }
 
 impl Inner {
@@ -300,13 +302,22 @@ pub(crate) struct RequestCtx {
     /// Root span id reserved for this traced request (0 when the
     /// request is untraced — nothing is recorded for it).
     pub(crate) root: u32,
+    /// Checksum of the request's blob alone, as the frame decoder
+    /// computed it while verifying the frame (`None`: no blob, or a
+    /// trailer-less frame). A `PutStrip` stores it with the strip.
+    pub(crate) blob_sum: Option<u32>,
 }
 
 impl RequestCtx {
     /// Build the context for one decoded request: reserve a root span
     /// id iff the request carries a trace id.
-    pub(crate) fn new(shared: &Shared, spans_ok: bool, trace: Option<u64>) -> RequestCtx {
-        RequestCtx { spans_ok, root: if trace.is_some() { shared.spans.reserve() } else { 0 } }
+    pub(crate) fn new(
+        shared: &Shared,
+        spans_ok: bool,
+        trace: Option<u64>,
+        blob_sum: Option<u32>,
+    ) -> RequestCtx {
+        RequestCtx { spans_ok, root: if trace.is_some() { shared.spans.reserve() } else { 0 }, blob_sum }
     }
 }
 
@@ -512,8 +523,9 @@ pub(crate) enum ReplyAction {
     /// Write the reply frame and keep serving.
     Reply(Message),
     /// Write a [`Message::StripData`] reply whose payload is these
-    /// store bytes — the zero-copy fast path for `GetStrip`.
-    ReplyStrip(Bytes),
+    /// store bytes, signed from the checksum stored with them — the
+    /// zero-copy fast path for `GetStrip`.
+    ReplyStrip(Bytes, u32),
     /// Write the reply frame with its final CRC byte flipped
     /// (injected [`FaultAction::CorruptCrc`]), then keep serving.
     ReplyCorrupt(Message),
@@ -623,7 +635,7 @@ pub(crate) fn process_request(
     if let Message::GetStrip { file, strip } = msg {
         let read_started = Instant::now();
         let action = match get_strip_bytes(shared, file, strip) {
-            Ok(bytes) => ReplyAction::ReplyStrip(bytes),
+            Ok((bytes, sum)) => ReplyAction::ReplyStrip(bytes, sum),
             Err(e) => {
                 log_request_failure(shared, op, &e);
                 ReplyAction::Reply(e)
@@ -825,7 +837,10 @@ fn dispatch(
                     format!("strip {strip} wants {expected} bytes, got {}", payload.len()),
                 );
             }
-            inner.store.store(id, StripId(strip), Bytes::from(payload), primary);
+            // Verified by the frame decoder a moment ago; a trailer-less
+            // frame's strip is summed here, where it enters the daemon.
+            let sum = ctx.blob_sum.unwrap_or_else(|| crc32(&[&payload]));
+            inner.store.store_summed(id, StripId(strip), Bytes::from(payload), sum, primary);
             Message::PutStripOk
         }
         Message::GetStrip { file, strip } => match get_strip_bytes(shared, file, strip) {
@@ -833,7 +848,7 @@ fn dispatch(
             // zero-copy as ReplyStrip; this owned-payload arm only
             // runs under fault injection (corrupt/truncated replies).
             // das-lint: allow(DA801) fault-injection fallback; live reads use the ReplyStrip fast path
-            Ok(data) => Message::StripData { payload: data.to_vec() },
+            Ok((data, _)) => Message::StripData { payload: data.to_vec() },
             Err(e) => e,
         },
         Message::RedistPrepare { file, policy } => {
@@ -854,11 +869,12 @@ fn dispatch(
     }
 }
 
-/// Read one locally-held strip as a refcounted handle — the zero-copy
-/// source for `GetStrip` replies (the engine writes the returned
-/// [`Bytes`] straight into the frame's body segment). Errors come
-/// back as the typed reply message.
-pub(crate) fn get_strip_bytes(shared: &Shared, file: u32, strip: u64) -> Result<Bytes, Message> {
+/// Read one locally-held strip as a refcounted handle, with the
+/// checksum stored beside it — the zero-copy source for `GetStrip`
+/// replies (the engine writes the returned [`Bytes`] straight into the
+/// frame's body segment and signs it from the sum). Errors come back
+/// as the typed reply message.
+pub(crate) fn get_strip_bytes(shared: &Shared, file: u32, strip: u64) -> Result<(Bytes, u32), Message> {
     let inner = lock(&shared.inner);
     let meta = inner.meta(file)?;
     if strip >= meta.strip_count() {
@@ -867,8 +883,10 @@ pub(crate) fn get_strip_bytes(shared: &Shared, file: u32, strip: u64) -> Result<
             format!("strip {strip} of {}-strip file", meta.strip_count()),
         ));
     }
-    match inner.store.read_strip(meta.id, StripId(strip)) {
-        Ok(data) => Ok(data),
+    match inner.store.read_strip_summed(meta.id, StripId(strip)) {
+        Ok((data, Some(sum))) => Ok((data, sum)),
+        // Every store site of this daemon sums what it stores.
+        Ok((_, None)) => Err(err(ErrorCode::Internal, format!("held strip {strip} has no checksum"))),
         Err(_) => Err(err(
             ErrorCode::StripNotLocal,
             format!("server {} does not hold strip {strip}", shared.id.0),
@@ -960,7 +978,8 @@ fn redist_prepare(
             Err(reply) => return reply,
         };
         fetched_bytes += payload.len() as u64;
-        staged.push((sid, payload));
+        let sum = crc32(&[&payload]);
+        staged.push((sid, payload, sum));
     }
     let fetched_strips = staged.len() as u64;
     lock(&shared.inner).staged.insert(file, staged);
@@ -984,22 +1003,13 @@ fn redist_commit(shared: &Shared, file: u32, policy: das_pfs::LayoutPolicy) -> M
         }
         if new_layout.holds(shared.id, sid) {
             // Survivor: refresh the primary flag under the new layout.
-            let data = match inner.store.read_strip(id, sid) {
-                Ok(d) => d,
-                Err(e) => {
-                    return err(
-                        ErrorCode::Internal,
-                        format!("held strip {} unreadable during commit: {e:?}", sid.0),
-                    )
-                }
-            };
-            inner.store.store(id, sid, data, new_layout.primary(sid) == shared.id);
+            inner.store.set_primary(id, sid, new_layout.primary(sid) == shared.id);
         } else {
             inner.store.evict(id, sid);
         }
     }
-    for (sid, data) in staged {
-        inner.store.store(id, sid, data, new_layout.primary(sid) == shared.id);
+    for (sid, data, sum) in staged {
+        inner.store.store_summed(id, sid, data, sum, new_layout.primary(sid) == shared.id);
     }
     inner.files[file as usize].layout = new_layout;
     Message::RedistCommitOk
@@ -1082,7 +1092,7 @@ fn execute(
     let mut view = plan.local.clone();
     let (mut dep_fetches, mut dep_fetch_bytes) = (0u64, 0u64);
     let (mut kernel_time, mut assemble_time) = (Duration::ZERO, Duration::ZERO);
-    let mut forwards: BTreeMap<u32, Vec<Message>> = BTreeMap::new();
+    let mut forwards: BTreeMap<u32, Vec<(Message, u32)>> = BTreeMap::new();
     let failure = std::thread::scope(|scope| {
         let (tx, rx) = mpsc::sync_channel::<TaskDeps>(1);
         let fetcher = std::thread::Builder::new().name("dasd-fetch".into()).spawn_scoped(scope, move || {
@@ -1307,8 +1317,9 @@ fn fetch_deps(
 
 /// Compute stage: lend task `t`'s fetched `deps` to `view` for the
 /// length of its kernel (so there is no cross-task reuse), run the
-/// kernel over the strip, store the output and queue a `PutStrip` for
-/// each of the strip's replica holders in `forwards`. Returns the kernel
+/// kernel over the strip, store the output and queue a `PutStrip` (with
+/// the payload's checksum) for each of the strip's replica holders in
+/// `forwards`. Returns the kernel
 /// and assemble times, each also recorded as a span of its own.
 #[allow(clippy::too_many_arguments)]
 fn compute_and_store(
@@ -1317,7 +1328,7 @@ fn compute_and_store(
     view: &mut StripAssembly,
     t: StripId,
     deps: &Strips,
-    forwards: &mut BTreeMap<u32, Vec<Message>>,
+    forwards: &mut BTreeMap<u32, Vec<(Message, u32)>>,
     trace: Option<u64>,
     ctx: RequestCtx,
 ) -> (Duration, Duration) {
@@ -1336,13 +1347,16 @@ fn compute_and_store(
     }
 
     let assemble_started = Instant::now();
-    lock(&shared.inner).store.store(plan.out_id, t, Bytes::from(cells_to_le_bytes(&out)), true);
+    // Summed once, here: the stored copy and every forward carry it.
+    let bytes = cells_to_le_bytes(&out);
+    let sum = crc32(&[&bytes]);
     // Never this server: `t` is its primary strip. `PutStrip` owns its
-    // payload, so each holder's is encoded for it.
+    // payload, so each holder gets a copy.
     for replica in plan.meta.layout.replicas(t) {
-        let put = Message::PutStrip { file: plan.out_file, strip: t.0, payload: cells_to_le_bytes(&out) };
-        forwards.entry(replica.0).or_default().push(put);
+        let put = Message::PutStrip { file: plan.out_file, strip: t.0, payload: bytes.clone() };
+        forwards.entry(replica.0).or_default().push((put, sum));
     }
+    lock(&shared.inner).store.store_summed(plan.out_id, t, Bytes::from(bytes), sum, true);
     let assemble_time = assemble_started.elapsed();
     record_span(shared, trace, ctx.root, Stage::Assemble, OpClass::Exec, NOTE_NONE, assemble_time);
     (kernel_time, assemble_time)
@@ -1351,8 +1365,113 @@ fn compute_and_store(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::DasCluster;
+    use crate::codec::NetError;
     use crate::conn::RpcConn;
     use crate::proto::Role;
+    use das_pfs::LayoutPolicy;
+    use das_runtime::DegradeEvent;
+
+    const SERVERS: usize = 4;
+    const STRIP: usize = 1024;
+
+    /// `SERVERS` daemons on ephemeral loopback ports, and their addresses.
+    fn boot() -> (Vec<DasdHandle>, Vec<String>) {
+        let listeners: Vec<TcpListener> =
+            (0..SERVERS).map(|_| TcpListener::bind("127.0.0.1:0").expect("bind")).collect();
+        let addrs: Vec<String> =
+            listeners.iter().map(|l| l.local_addr().expect("addr").to_string()).collect();
+        let handles = listeners
+            .into_iter()
+            .enumerate()
+            .map(|(i, l)| spawn(DasdConfig::new(i as u32, addrs.clone()), l).expect("spawn dasd"))
+            .collect();
+        (handles, addrs)
+    }
+
+    fn teardown(handles: Vec<DasdHandle>) {
+        for h in &handles {
+            h.shutdown();
+        }
+        handles.into_iter().for_each(DasdHandle::join);
+    }
+
+    /// The checksum is end to end: a strip whose bytes change in the
+    /// store after ingest is served under the sum it arrived with, so
+    /// its reader — not the daemon — rejects it, and a replicated read
+    /// goes to the other holder.
+    #[test]
+    fn a_strip_that_rots_in_the_store_fails_at_its_reader() {
+        let (handles, addrs) = boot();
+        let policy = RetryPolicy::fast();
+        let data: Vec<u8> = (0..8 * STRIP).map(|i| (i * 31 % 251) as u8).collect();
+        let grouped = LayoutPolicy::GroupedReplicated { group: 2 };
+        let mut writer = DasCluster::connect_with(&addrs, policy.clone()).expect("connect");
+        let file = writer.create_file("rot.raw", data.len() as u64, STRIP as u32, grouped).expect("create");
+        writer.put_file(file, &data).expect("ingest");
+
+        // Strip 0: primary on server 0, replica on server 3.
+        let layout = Layout::new(grouped, SERVERS as u32);
+        assert_eq!((layout.primary(StripId(0)), layout.replicas(StripId(0))), (ServerId(0), vec![ServerId(3)]));
+        {
+            let mut inner = lock(&handles[0].shared.inner);
+            let (bytes, sum) = inner.store.read_strip_summed(FileId(file), StripId(0)).expect("held");
+            let mut rotten = bytes.to_vec();
+            rotten[STRIP / 2] ^= 0x10;
+            inner.store.store_summed(FileId(file), StripId(0), Bytes::from(rotten), sum.expect("summed"), true);
+        }
+
+        let mut conn = RpcConn::dial(&addrs[0], &policy, Role::Client, 0).expect("dial");
+        let get = Message::GetStrip { file, strip: 0 };
+        conn.send(&get, None, None).expect("send");
+        match conn.recv(&get, &policy) {
+            Err(NetError::Protocol(m)) => assert!(m.starts_with("frame checksum mismatch"), "{m}"),
+            other => panic!("the flipped strip must fail its reader's check, got {other:?}"),
+        }
+
+        // A cold client walks strip 0's holders primary first.
+        let mut reader = DasCluster::connect_with(&addrs, policy).expect("connect");
+        assert_eq!(reader.read_file(file).expect("read around the rotten copy"), data);
+        let failover = DegradeEvent::ReplicaFailover { file, strip: 0, primary: 0, replica: 3 };
+        assert!(reader.take_events().contains(&failover), "no failover recorded for strip 0");
+        drop((writer, reader, conn));
+        teardown(handles);
+    }
+
+    /// Every way a strip enters a store — client `PutStrip`, a
+    /// redistribution pull, a survivor re-flagged at commit, a kernel
+    /// output, a forwarded replica — leaves it with the sum of its bytes.
+    #[test]
+    fn every_stored_strip_carries_the_sum_of_its_bytes() {
+        let (handles, addrs) = boot();
+        let (width, height) = (64u64, 32u64);
+        let data = das_kernels::workload::fbm_dem(width, height, 7).to_bytes();
+        let mut cluster = DasCluster::connect_with(&addrs, RetryPolicy::fast()).expect("connect");
+        let len = data.len() as u64;
+        let file = cluster.create_file("sum.raw", len, STRIP as u32, LayoutPolicy::RoundRobin).expect("create");
+        cluster.put_file(file, &data).expect("ingest");
+        let grouped = LayoutPolicy::GroupedReplicated { group: 2 };
+        assert!(cluster.redistribute(file, grouped).expect("redistribute") > 0);
+        let out = cluster.create_file("sum.out", len, STRIP as u32, grouped).expect("create output");
+        cluster.execute(file, out, "gaussian-filter", width, true, true).expect("execute").expect("offload runs");
+
+        let (mut copies, mut replicas) = (0usize, 0usize);
+        for h in &handles {
+            let inner = lock(&h.shared.inner);
+            for id in [FileId(file), FileId(out)] {
+                for sid in inner.store.all_strips(id) {
+                    let (bytes, sum) = inner.store.read_strip_summed(id, sid).expect("held");
+                    assert_eq!(sum, Some(crc32(&[&bytes])), "server {} file {} strip {}", h.shared.id.0, id.0, sid.0);
+                    copies += 1;
+                    replicas += usize::from(!inner.store.holds_primary(id, sid));
+                }
+            }
+        }
+        // 8 strips a file, each group's two boundary strips copied once.
+        assert_eq!((copies, replicas), (2 * (8 + 8), 2 * 8));
+        drop(cluster);
+        teardown(handles);
+    }
 
     /// Connection churn must not grow the registry: after 1,000
     /// connect–`Ping`–close cycles the live list is the size of the

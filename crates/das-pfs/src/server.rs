@@ -22,6 +22,10 @@ struct StoredStrip {
     data: Bytes,
     /// True when this is the primary copy rather than a replica.
     primary: bool,
+    /// The checksum the copy arrived with, when its owner keeps one.
+    /// Held in the same entry as `data`, so whatever replaces or
+    /// removes the bytes replaces or removes it too.
+    sum: Option<u32>,
 }
 
 /// One storage server: holds strip copies for any number of files and
@@ -45,7 +49,19 @@ impl StorageServer {
 
     /// Store (or overwrite) a strip copy.
     pub fn store(&mut self, file: FileId, strip: StripId, data: Bytes, primary: bool) {
-        self.strips.insert((file, strip), StoredStrip { data, primary });
+        self.strips.insert((file, strip), StoredStrip { data, primary, sum: None });
+    }
+
+    /// [`StorageServer::store`], keeping `sum` — a checksum of `data`
+    /// in whatever scheme the caller uses — beside the bytes.
+    pub fn store_summed(&mut self, file: FileId, strip: StripId, data: Bytes, sum: u32, primary: bool) {
+        self.strips.insert((file, strip), StoredStrip { data, primary, sum: Some(sum) });
+    }
+
+    /// Re-flag a held copy as primary or replica, bytes and checksum
+    /// untouched; returns whether it was present.
+    pub fn set_primary(&mut self, file: FileId, strip: StripId, primary: bool) -> bool {
+        self.strips.get_mut(&(file, strip)).map(|s| s.primary = primary).is_some()
     }
 
     /// Remove a strip copy; returns whether it was present.
@@ -70,6 +86,15 @@ impl StorageServer {
         self.strips
             .get(&(file, strip))
             .map(|s| s.data.clone())
+            .ok_or(PfsError::StripNotLocal { server: self.id, strip })
+    }
+
+    /// Read a strip copy and the checksum stored with it (`None` for a
+    /// copy that came in through plain [`StorageServer::store`]).
+    pub fn read_strip_summed(&self, file: FileId, strip: StripId) -> Result<(Bytes, Option<u32>), PfsError> {
+        self.strips
+            .get(&(file, strip))
+            .map(|s| (s.data.clone(), s.sum))
             .ok_or(PfsError::StripNotLocal { server: self.id, strip })
     }
 
@@ -208,6 +233,25 @@ mod tests {
             srv.read_strip(file(), StripId(3)).unwrap_err(),
             PfsError::StripNotLocal { server: ServerId(0), strip: StripId(3) }
         );
+    }
+
+    #[test]
+    fn a_checksum_lives_and_dies_with_the_bytes_it_covers() {
+        let mut srv = StorageServer::new(ServerId(0));
+        srv.store_summed(file(), StripId(1), Bytes::from_static(b"abc"), 0xA1, false);
+        assert_eq!(srv.read_strip_summed(file(), StripId(1)).unwrap().1, Some(0xA1));
+        // Re-flagging keeps it; an overwrite replaces or drops it; an
+        // evicted strip takes it along.
+        assert!(srv.set_primary(file(), StripId(1), true));
+        assert!(srv.holds_primary(file(), StripId(1)));
+        assert_eq!(srv.read_strip_summed(file(), StripId(1)).unwrap().1, Some(0xA1));
+        srv.store_summed(file(), StripId(1), Bytes::from_static(b"abd"), 0xB2, true);
+        assert_eq!(srv.read_strip_summed(file(), StripId(1)).unwrap(), (Bytes::from_static(b"abd"), Some(0xB2)));
+        srv.store(file(), StripId(1), Bytes::from_static(b"abe"), true);
+        assert_eq!(srv.read_strip_summed(file(), StripId(1)).unwrap().1, None);
+        srv.evict(file(), StripId(1));
+        assert!(srv.read_strip_summed(file(), StripId(1)).is_err());
+        assert!(!srv.set_primary(file(), StripId(1), true));
     }
 
     #[test]
