@@ -522,8 +522,7 @@ const PAYLOAD_PREALLOC: usize = 1 << 20;
 /// [`MAX_PAYLOAD`]) under [`read_full`]'s rules — bounded consecutive
 /// stalls, the counter reset by progress — but into a buffer that
 /// grows as bytes arrive: a header claiming 64 MiB costs its reader
-/// nothing until the peer actually sends them, and nothing is
-/// zero-filled ahead of the bytes that overwrite it.
+/// nothing until the peer actually sends them.
 fn read_payload<R: Read>(r: &mut R, len: usize) -> Result<Vec<u8>, NetError> {
     let mut payload = Vec::with_capacity(len.min(PAYLOAD_PREALLOC));
     let mut stalls = 0u32;
@@ -1277,9 +1276,9 @@ mod tests {
     fn payload_stalls_are_bounded_and_reset_by_progress() {
         let msg = Message::StripData { payload: vec![3; 40] };
         let budget = MIDFRAME_TIMEOUT_BUDGET as usize;
-        let header = Some(HEADER_LEN);
+        let header = [Some(1), Some(HEADER_LEN - 1)];
         // A full budget of stalls, progress, a full budget again: fine.
-        let mut script = vec![Some(1), Some(HEADER_LEN - 1)];
+        let mut script = header.to_vec();
         script.extend(std::iter::repeat_n(None, budget));
         script.push(Some(5));
         script.extend(std::iter::repeat_n(None, budget));
@@ -1287,7 +1286,8 @@ mod tests {
         let mut r = Scripted { wire: encode_frame(&msg), at: 0, script: script.into() };
         assert_eq!(read_frame_ex(&mut r).unwrap().unwrap().msg, msg);
         // One stall more than the budget with no byte between: typed.
-        let mut script = vec![Some(1), header, Some(5)];
+        let mut script = header.to_vec();
+        script.push(Some(5));
         script.extend(std::iter::repeat_n(None, budget + 1));
         let mut r = Scripted { wire: encode_frame(&msg), at: 0, script: script.into() };
         match read_frame_ex(&mut r) {

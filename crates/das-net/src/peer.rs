@@ -331,11 +331,11 @@ impl PeerTable {
 
     /// Replica forwarding: send `target` a batch of `PutStrip`s, each
     /// with the checksum of its payload (a wave's frames are signed from
-    /// it), and return how many were not acknowledged. A wave (at most what the
-    /// peer holds in flight, so no socket buffer fills unread) is
-    /// written back-to-back and its acks collected afterwards: one round
-    /// trip, not one per strip. The daemon answers in completion order,
-    /// but the acks are all alike and only their number matters.
+    /// it), and return how many were not acknowledged. A wave (at most
+    /// what the peer holds in flight, so no socket buffer fills unread)
+    /// is written back-to-back and its acks collected afterwards: one
+    /// round trip, not one per strip. The daemon answers in completion
+    /// order, but the acks are all alike and only their number matters.
     pub fn put_strips(&self, target: u32, puts: &[(Message, u32)], trace: Option<u64>) -> u64 {
         let mut unacknowledged = 0;
         for wave in puts.chunks(MAX_INFLIGHT) {

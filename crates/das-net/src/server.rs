@@ -1319,8 +1319,8 @@ fn fetch_deps(
 /// length of its kernel (so there is no cross-task reuse), run the
 /// kernel over the strip, store the output and queue a `PutStrip` (with
 /// the payload's checksum) for each of the strip's replica holders in
-/// `forwards`. Returns the kernel
-/// and assemble times, each also recorded as a span of its own.
+/// `forwards`. Returns the kernel and assemble times, each also
+/// recorded as a span of its own.
 #[allow(clippy::too_many_arguments)]
 fn compute_and_store(
     shared: &Shared,
