@@ -8,7 +8,7 @@
 //! * `--pass NAME` — run only the named pass (repeatable; default
 //!   all of `registry`, `descriptors`, `protocol`, `fetchgraph`,
 //!   `lints`, `taint`, `lockgraph`, `model`, `lockset`, `atomics`,
-//!   `pipemodel`, `hotpath`, `costmodel`).
+//!   `hotpath`, `costmodel`).
 //! * `--json` — one JSON object per finding on stdout instead of
 //!   aligned text.
 //! * `--timings` — per-pass wall-clock milliseconds on stderr

@@ -1,4 +1,4 @@
-//! Pass 13: `costmodel` — symbolic wire-cost verification against
+//! Pass 12: `costmodel` — symbolic wire-cost verification against
 //! the paper's Eqs. 1–17 bookkeeping.
 //!
 //! The das-core predictors (`predict_file`, `predict_nas_fetches`,
@@ -736,9 +736,9 @@ fn known_opcodes_len(toks: &[Token]) -> Option<u64> {
 
 /// Extract frame overhead constants: `HEADER_LEN` from the proto
 /// source, `trace_len`/`budget_len`/`crc_len` from the codec's
-/// `next_frame_ex` (the first numeric literal inside each binding's
-/// conditional). Returns the overhead plus the codec line to anchor
-/// findings on.
+/// `FrameHeader::parse`, the one header check under both readers
+/// (the first numeric literal inside each binding's conditional).
+/// Returns the overhead plus the codec line to anchor findings on.
 fn extract_overhead(proto_toks: &[Token], codec_toks: &[Token]) -> Option<(Overhead, u32)> {
     let header = const_value(proto_toks, "HEADER_LEN")?;
     let (trace, line) = flag_len(codec_toks, "trace_len")?;
@@ -1258,7 +1258,7 @@ impl Message {
     #[test]
     fn overhead_constants_verified_from_codec_source() {
         let codec = "\
-pub fn next_frame_ex(flags: u16) {
+fn parse(flags: u16) {
     let trace_len = if flags & FLAG_TRACE != 0 { 8 } else { 0 };
     let budget_len = if flags & FLAG_DEADLINE != 0 { 4 } else { 0 };
     let crc_len = if flags & FLAG_CRC != 0 { 4 } else { 0 };

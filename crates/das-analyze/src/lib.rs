@@ -1,6 +1,6 @@
 //! # das-analyze — static analysis for the DAS workspace
 //!
-//! Thirteen passes, each emitting machine-readable [`Finding`]s
+//! Twelve passes, each emitting machine-readable [`Finding`]s
 //! (`registry::REGISTRY` is the code registry; `das-analyze --list`
 //! prints it, `docs/ANALYSIS.md` documents it):
 //!
@@ -56,12 +56,6 @@
 //!   Relaxed loads feeding control flow (the publication pattern),
 //!   mismatched store/load strength on one atomic, and discarded
 //!   `fetch_*` results flagged, with justification-checked waivers.
-//! * [`pipemodel`] — bounded model checker for the *pipelined*
-//!   session: 4-deep per-connection pipelining with completion-order
-//!   replies, DRR weights, `--max-backlog` admission with
-//!   shed-then-retry, per-hop deadline budgets, and hedge lanes —
-//!   asserting no lost/duplicated reply ids, shed-then-retry
-//!   liveness, deadline monotonicity, and hedge-winner uniqueness.
 //! * [`hotpath`] — per-request allocation/copy/blocking analysis:
 //!   scan das-net's request-path sources for heap copies, unbounded
 //!   wire-sized allocations, payload byte-copy sinks, blocking ops
@@ -90,7 +84,6 @@ pub mod lints;
 pub mod lockgraph;
 pub mod lockset;
 pub mod model;
-pub mod pipemodel;
 pub mod protocol;
 pub mod registry;
 pub mod syntax;
@@ -101,7 +94,7 @@ use std::path::Path;
 pub use finding::{Finding, Report, Severity};
 
 /// Pass names in execution order, as accepted by `--pass`.
-pub const PASSES: [&str; 13] = [
+pub const PASSES: [&str; 12] = [
     "registry",
     "descriptors",
     "protocol",
@@ -112,7 +105,6 @@ pub const PASSES: [&str; 13] = [
     "model",
     "lockset",
     "atomics",
-    "pipemodel",
     "hotpath",
     "costmodel",
 ];
@@ -131,7 +123,6 @@ pub fn run_pass(name: &str, root: &Path) -> Option<Vec<Finding>> {
         "model" => Some(model::run(root)),
         "lockset" => Some(lockset::run(root)),
         "atomics" => Some(atomics::run(root)),
-        "pipemodel" => Some(pipemodel::run(root)),
         "hotpath" => Some(hotpath::run(root)),
         "costmodel" => Some(costmodel::run(root)),
         _ => None,

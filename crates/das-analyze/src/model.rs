@@ -45,7 +45,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
 
-use das_net::codec::{encode_frame_traced, read_frame, FLAG_CRC};
+use das_net::codec::{encode_frame_opts, read_frame, FLAG_CRC};
 use das_net::proto::{Message, Role, CAP_CRC, CAP_TRACE};
 use das_net::RetryPolicy;
 use das_pfs::LayoutPolicy;
@@ -204,25 +204,6 @@ fn grids() -> (Vec<RetryPolicy>, Vec<(u32, u32)>) {
     (policies, caps_grid)
 }
 
-/// Total states and transitions explored by the defect-free grid —
-/// the baseline the pipelined model (`pipemodel`) must meet or
-/// exceed.
-#[cfg(test)]
-pub(crate) fn baseline_counts() -> (usize, usize) {
-    let (policies, caps_grid) = grids();
-    let mut states = 0usize;
-    let mut transitions = 0usize;
-    for policy in &policies {
-        for &(ccaps, scaps) in &caps_grid {
-            let cfg = Cfg { ccaps, scaps, policy: policy.clone(), defect: None };
-            let ex = explore(&cfg);
-            states += ex.states;
-            transitions += ex.transitions;
-        }
-    }
-    (states, transitions)
-}
-
 /// Run the model checker against a repository root.
 pub fn run(root: &Path) -> Vec<Finding> {
     let mut out = Vec::new();
@@ -268,13 +249,8 @@ pub fn run(root: &Path) -> Vec<Finding> {
         )),
     }
 
-    // Seeded defects: each must produce a counterexample. `pipe-`
-    // names belong to the pipelined-session model (the `pipemodel`
-    // pass) and are skipped here.
+    // Seeded defects: each must produce a counterexample.
     for name in read_defects(root) {
-        if name.starts_with("pipe-") {
-            continue;
-        }
         let Some(defect) = Defect::parse(&name) else {
             out.push(Finding::new(
                 "DA607",
@@ -316,9 +292,8 @@ pub fn run(root: &Path) -> Vec<Finding> {
 }
 
 /// The seeded-defect list at `<root>/analyze/model-defects.txt`:
-/// trimmed lines, comments and blanks skipped. Shared with the
-/// pipelined model, which owns the `pipe-` prefixed names.
-pub(crate) fn read_defects(root: &Path) -> Vec<String> {
+/// trimmed lines, comments and blanks skipped.
+fn read_defects(root: &Path) -> Vec<String> {
     let Ok(text) = std::fs::read_to_string(root.join("analyze/model-defects.txt")) else {
         return Vec::new();
     };
@@ -745,7 +720,7 @@ fn wire_checks(cfg: &Cfg) -> Result<usize, Violation> {
     let mut checked = 0usize;
     for msg in script_messages(cfg) {
         let trace = if send_trace { Some(TRACE_ID) } else { None };
-        let mut frame = encode_frame_traced(&msg, trace);
+        let mut frame = encode_frame_opts(&msg, trace, None);
         if legacy {
             frame = strip_crc(frame);
         }
@@ -778,7 +753,7 @@ fn wire_checks(cfg: &Cfg) -> Result<usize, Violation> {
         }
         // A corrupted CRC'd frame must be rejected.
         if !legacy {
-            let mut bad = encode_frame_traced(&msg, trace);
+            let mut bad = encode_frame_opts(&msg, trace, None);
             let mid = bad.len() / 2;
             bad[mid] ^= 0x40;
             checked += 1;

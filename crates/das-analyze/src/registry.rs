@@ -77,14 +77,6 @@ pub const REGISTRY: &[(&str, &str, &str)] = &[
     ("DA605", "error", "protocol model: degradation skipped a ladder rung"),
     ("DA606", "error", "protocol model: retry loop exceeds its attempt budget"),
     ("DA607", "warning", "protocol model: defect list drifted from the model"),
-    ("DA620", "info", "pipelined model summary: explored states, transitions, configs"),
-    ("DA621", "error", "pipelined model: an admitted request's reply was lost"),
-    ("DA622", "error", "pipelined model: a reply id was delivered more than once"),
-    ("DA623", "error", "pipelined model: shed request never retried (liveness)"),
-    ("DA624", "error", "pipelined model: deadline budget grew across a hop"),
-    ("DA625", "error", "pipelined model: both hedge lanes delivered for one fetch"),
-    ("DA626", "error", "pipelined model: queue admitted past --max-backlog"),
-    ("DA627", "warning", "pipelined model: defect list drifted from the model"),
     ("DA700", "info", "lockset summary: guards inferred, fields bound, accesses checked"),
     ("DA701", "error", "field of a guard-protected struct accessed without its guard held"),
     ("DA702", "warning", "struct protected by more than one guard; lockset is ambiguous"),

@@ -263,57 +263,19 @@ impl From<DecodeError> for NetError {
     }
 }
 
-/// Serialize `msg` into a complete frame (header + payload + CRC32
-/// trailer). Exposed so the fault injector can truncate or corrupt a
-/// frame deliberately; normal senders use [`write_message`].
-pub fn encode_frame(msg: &Message) -> Vec<u8> {
-    encode_frame_traced(msg, None)
-}
-
-/// Like [`encode_frame`], optionally carrying a trace id (sets
-/// `FLAG_TRACE` and inserts the 8-byte field between header and
-/// payload). Callers must only pass `Some` when the receiving peer
-/// advertised [`crate::proto::CAP_TRACE`].
-pub fn encode_frame_traced(msg: &Message, trace: Option<u64>) -> Vec<u8> {
-    encode_frame_opts(msg, trace, None)
-}
-
-/// The full frame encoder: optional trace id and optional deadline
-/// budget (milliseconds). Callers must only pass `Some` for a field
-/// whose capability ([`crate::proto::CAP_TRACE`] /
-/// [`crate::proto::CAP_DEADLINE`]) the receiving peer advertised.
+/// `msg` as one contiguous frame — [`frame_parts_opts`] concatenated,
+/// for callers (fault injection, tests, the analyzer) that slice or
+/// corrupt a frame as bytes. Senders write the segments instead.
 pub fn encode_frame_opts(msg: &Message, trace: Option<u64>, budget_ms: Option<u32>) -> Vec<u8> {
-    let payload = msg.encode_payload();
-    assert!(payload.len() <= MAX_PAYLOAD, "payload exceeds MAX_PAYLOAD");
-    let flags = FLAG_CRC
-        | if trace.is_some() { FLAG_TRACE } else { 0 }
-        | if budget_ms.is_some() { FLAG_DEADLINE } else { 0 };
-    let mut frame = Vec::with_capacity(HEADER_LEN + 12 + payload.len() + 4);
-    frame.extend_from_slice(&MAGIC);
-    frame.push(VERSION);
-    frame.push(msg.opcode());
-    frame.extend_from_slice(&flags.to_le_bytes());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    if let Some(id) = trace {
-        frame.extend_from_slice(&id.to_le_bytes());
-    }
-    if let Some(ms) = budget_ms {
-        frame.extend_from_slice(&ms.to_le_bytes());
-    }
-    // das-lint: allow(DA804) single-buffer encode for small control replies; blob carriers use frame_parts
-    frame.extend_from_slice(&payload);
-    let crc = crc32(&[&frame]);
-    frame.extend_from_slice(&crc.to_le_bytes());
-    frame
+    frame_parts_opts(msg, trace, budget_ms).to_vec()
 }
 
 /// One frame split into scatter/gather segments: a small owned `head`
 /// (header, optional trace id, payload prefix), a borrowed `body`
 /// (the bulk blob bytes — a strip payload or metrics text), and the
-/// 4-byte CRC trailer. `head ⧺ body ⧺ tail` is bit-identical to
-/// [`encode_frame_traced`] output, but building one never copies the
-/// body: the CRC is computed chunk-wise and the writer hands the
-/// segments to `write_vectored`.
+/// 4-byte CRC trailer. `head ⧺ body ⧺ tail` is the frame, but
+/// building one never copies the body: the CRC is computed chunk-wise
+/// and the writer hands the segments to `write_vectored`.
 #[derive(Debug)]
 pub struct FrameParts<'a> {
     /// Frame header + optional trace id + payload prefix.
@@ -348,8 +310,10 @@ impl FrameParts<'_> {
 }
 
 /// Build the scatter/gather segments of one frame, optionally carrying
-/// a trace id and a deadline budget. The bulk payload of blob-carrying
-/// messages is *borrowed* from the message
+/// a trace id and a deadline budget (milliseconds). Callers must only
+/// pass `Some` for a field whose capability ([`crate::proto::CAP_TRACE`]
+/// / [`crate::proto::CAP_DEADLINE`]) the receiving peer advertised. The
+/// bulk payload of blob-carrying messages is *borrowed* from the message
 /// ([`Message::split_payload`]), so encoding a 4 MiB strip allocates
 /// only the ~30-byte head.
 pub fn frame_parts_opts(
@@ -370,28 +334,18 @@ pub fn frame_parts_summed(
     budget_ms: Option<u32>,
 ) -> FrameParts<'_> {
     let (prefix, body) = msg.split_payload();
-    raw_frame_parts_opts(msg.opcode(), &prefix, body, blob_sum, trace, budget_ms)
+    raw_frame_parts(msg.opcode(), &prefix, body, blob_sum, trace, budget_ms)
 }
 
-/// Build frame segments from an already-split payload: `prefix` holds
-/// the fixed fields (copied into the head), `body` the borrowed bulk
-/// bytes and `body_sum` their [`crc32`]. This is the layer that lets a
-/// server reply with a strip straight out of its store — the caller
-/// supplies the store's bytes and the sum kept with them, and the
-/// frame is built and signed without the body being copied or read.
+/// Lay out one frame — the only code that writes a header — from an
+/// already-split payload: `prefix` holds the fixed fields (copied into
+/// the head), `body` the borrowed bulk bytes and `body_sum` their
+/// [`crc32`] when the caller has it (without one the body is summed
+/// here). This is the layer that lets a server reply with a strip
+/// straight out of its store — the caller supplies the store's bytes
+/// and the sum kept with them, and the frame is built and signed
+/// without the body being copied or read.
 pub fn raw_frame_parts<'a>(
-    opcode: u8,
-    prefix: &[u8],
-    body: &'a [u8],
-    body_sum: u32,
-    trace: Option<u64>,
-) -> FrameParts<'a> {
-    raw_frame_parts_opts(opcode, prefix, body, Some(body_sum), trace, None)
-}
-
-/// Like [`raw_frame_parts`], optionally carrying a deadline budget;
-/// without a `body_sum` the body is summed here.
-pub fn raw_frame_parts_opts<'a>(
     opcode: u8,
     prefix: &[u8],
     body: &'a [u8],
@@ -424,29 +378,32 @@ pub fn raw_frame_parts_opts<'a>(
     FrameParts { head, body, tail: crc.to_le_bytes() }
 }
 
-/// Write `parts` onto `w` with `write_vectored`, falling back to a
-/// segment-advancing loop on short writes (the default `Write`
-/// implementation may accept only the first buffer, and a socket may
-/// accept any prefix). Flushes when done.
-pub fn write_frame_vectored<W: Write>(w: &mut W, parts: &FrameParts<'_>) -> io::Result<()> {
-    let segments: [&[u8]; 3] = [&parts.head, parts.body, &parts.tail];
-    let total: usize = segments.iter().map(|s| s.len()).sum();
-    let mut written = 0usize;
-    while written < total {
-        // Re-slice the segments past what has already been written.
-        let mut skip = written;
-        let mut bufs = [IoSlice::new(&[]); 3];
-        let mut n_bufs = 0;
-        for seg in &segments {
-            if skip >= seg.len() {
-                skip -= seg.len();
-                continue;
-            }
-            bufs[n_bufs] = IoSlice::new(&seg[skip..]);
-            n_bufs += 1;
-            skip = 0;
+/// One `write_vectored` of whatever of `segments` lies past their
+/// first `written` bytes — the skip-and-slice step under both frame
+/// writers (the default `Write` implementation may accept only the
+/// first buffer, and a socket may accept any prefix).
+fn write_segments<W: Write>(w: &mut W, segments: [&[u8]; 3], written: usize) -> io::Result<usize> {
+    let mut skip = written;
+    let mut bufs = [IoSlice::new(&[]); 3];
+    let mut n_bufs = 0;
+    for seg in segments {
+        if skip >= seg.len() {
+            skip -= seg.len();
+            continue;
         }
-        match w.write_vectored(&bufs[..n_bufs]) {
+        bufs[n_bufs] = IoSlice::new(&seg[skip..]);
+        n_bufs += 1;
+        skip = 0;
+    }
+    w.write_vectored(&bufs[..n_bufs])
+}
+
+/// Write `parts` onto `w` with `write_vectored`, resuming after short
+/// writes until the whole frame is out. Flushes when done.
+pub fn write_frame_vectored<W: Write>(w: &mut W, parts: &FrameParts<'_>) -> io::Result<()> {
+    let mut written = 0usize;
+    while written < parts.len() {
+        match write_segments(w, [&parts.head, parts.body, &parts.tail], written) {
             Ok(0) => {
                 return Err(io::Error::new(
                     io::ErrorKind::WriteZero,
@@ -459,11 +416,6 @@ pub fn write_frame_vectored<W: Write>(w: &mut W, parts: &FrameParts<'_>) -> io::
         }
     }
     w.flush()
-}
-
-/// Serialize `msg` as one frame onto `w` and flush.
-pub fn write_message<W: Write>(w: &mut W, msg: &Message) -> io::Result<()> {
-    write_message_opts(w, msg, None, None)
 }
 
 /// Serialize `msg` with optional trace id and deadline budget onto
@@ -514,38 +466,129 @@ fn read_full<R: Read>(r: &mut R, buf: &mut [u8], what: &str) -> Result<usize, Ne
     Ok(got)
 }
 
-/// Most a reader commits to a payload on the strength of its header
+/// The fields that follow a frame's header, in wire order — what a cut
+/// or stalled stream is reported to have been in the middle of.
+const FIELD_NAMES: [&str; 4] = ["trace", "budget", "payload", "checksum"];
+
+/// A validated frame header: the one place that checks a header and
+/// derives the frame's size from it, under both readers.
+struct FrameHeader {
+    opcode: u8,
+    /// Byte length of each of [`FIELD_NAMES`]; 0 for an absent one.
+    fields: [usize; 4],
+}
+
+impl FrameHeader {
+    /// Check magic, version and flag bits, and the wire length against
+    /// [`MAX_PAYLOAD`] before anything is sized or indexed from it.
+    fn parse(header: &[u8; HEADER_LEN]) -> Result<FrameHeader, NetError> {
+        let [m0, m1, m2, m3, version, opcode, f0, f1, l0, l1, l2, l3] = *header;
+        if [m0, m1, m2, m3] != MAGIC {
+            return Err(NetError::Protocol("bad frame magic".into()));
+        }
+        if version != VERSION {
+            return Err(NetError::Protocol(format!(
+                "unsupported protocol version {version} (want {VERSION})"
+            )));
+        }
+        let flags = u16::from_le_bytes([f0, f1]);
+        if flags & !KNOWN_FLAGS != 0 {
+            return Err(NetError::Protocol(format!("unknown flags 0x{flags:04x}")));
+        }
+        let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+        if len > MAX_PAYLOAD {
+            return Err(NetError::Protocol(format!(
+                "payload length {len} exceeds cap {MAX_PAYLOAD}"
+            )));
+        }
+        let trace_len = if flags & FLAG_TRACE != 0 { 8 } else { 0 };
+        let budget_len = if flags & FLAG_DEADLINE != 0 { 4 } else { 0 };
+        let crc_len = if flags & FLAG_CRC != 0 { 4 } else { 0 };
+        Ok(FrameHeader { opcode, fields: [trace_len, budget_len, len, crc_len] })
+    }
+
+    /// Bytes of the frame after its header.
+    fn rest_len(&self) -> usize {
+        self.fields.iter().sum()
+    }
+
+    /// The field that byte `at` of the rest lies in: its name, how much
+    /// of it precedes `at`, and its length.
+    fn field_at(&self, mut at: usize) -> (&'static str, usize, usize) {
+        let mut i = 0;
+        while i < 3 && at >= self.fields[i] {
+            at -= self.fields[i];
+            i += 1;
+        }
+        (FIELD_NAMES[i], at, self.fields[i])
+    }
+
+    /// Verify and decode the frame whose header (`header`, the bytes
+    /// `self` was parsed from) is followed by `rest`, exactly
+    /// [`FrameHeader::rest_len`] bytes: optional fields, checksum when
+    /// present, then the payload.
+    fn decode(&self, header: &[u8], rest: &[u8]) -> Result<Frame, NetError> {
+        let parse_started = Instant::now();
+        let (trace, rest) = rest.split_at(self.fields[0]);
+        let (budget, rest) = rest.split_at(self.fields[1]);
+        let (payload, trailer) = rest.split_at(self.fields[2]);
+        let mut blob_sum = None;
+        if let Ok(trailer) = <[u8; 4]>::try_from(trailer) {
+            let wanted = u32::from_le_bytes(trailer);
+            let actual;
+            (actual, blob_sum) = frame_sums(self.opcode, [header, trace, budget], payload);
+            if wanted != actual {
+                return Err(NetError::Protocol(format!(
+                    "frame checksum mismatch: wire {wanted:#010x}, computed {actual:#010x}"
+                )));
+            }
+        }
+        let msg = Message::decode(self.opcode, payload)?;
+        Ok(Frame {
+            msg,
+            trace: <[u8; 8]>::try_from(trace).ok().map(u64::from_le_bytes),
+            budget_ms: <[u8; 4]>::try_from(budget).ok().map(u32::from_le_bytes),
+            blob_sum,
+            decode_us: parse_started.elapsed().as_micros() as u64,
+        })
+    }
+}
+
+/// Most a reader commits to a frame on the strength of its header
 /// alone; past this the buffer grows only with bytes received.
 const PAYLOAD_PREALLOC: usize = 1 << 20;
 
-/// Read a `len`-byte payload (`len` already checked against
-/// [`MAX_PAYLOAD`]) under [`read_full`]'s rules — bounded consecutive
-/// stalls, the counter reset by progress — but into a buffer that
-/// grows as bytes arrive: a header claiming 64 MiB costs its reader
-/// nothing until the peer actually sends them.
-fn read_payload<R: Read>(r: &mut R, len: usize) -> Result<Vec<u8>, NetError> {
-    let mut payload = Vec::with_capacity(len.min(PAYLOAD_PREALLOC));
+/// Read what follows `header` on the wire under [`read_full`]'s rules
+/// — bounded consecutive stalls, the counter reset by progress — but
+/// into a buffer that grows as bytes arrive: a header claiming 64 MiB
+/// costs its reader nothing until the peer actually sends them. A cut
+/// or stalled stream is reported by the field it stopped in.
+fn read_rest<R: Read>(r: &mut R, header: &FrameHeader) -> Result<Vec<u8>, NetError> {
+    let len = header.rest_len();
+    let mut rest = Vec::with_capacity(len.min(PAYLOAD_PREALLOC));
     let mut stalls = 0u32;
-    while payload.len() < len {
-        let had = payload.len();
-        match r.by_ref().take((len - had) as u64).read_to_end(&mut payload) {
-            Ok(_) if payload.len() < len => {
-                return Err(NetError::Protocol("connection closed mid-payload".into()));
+    while rest.len() < len {
+        let had = rest.len();
+        match r.by_ref().take((len - had) as u64).read_to_end(&mut rest) {
+            Ok(_) if rest.len() < len => {
+                let (field, ..) = header.field_at(rest.len());
+                return Err(NetError::Protocol(format!("connection closed mid-{field}")));
             }
             Ok(_) => {}
             Err(e) if is_timeout(&e) => {
-                stalls = if payload.len() > had { 1 } else { stalls + 1 };
+                stalls = if rest.len() > had { 1 } else { stalls + 1 };
                 if stalls > MIDFRAME_TIMEOUT_BUDGET {
+                    let (field, got, of) = header.field_at(rest.len());
                     return Err(NetError::Io(io::Error::new(
                         io::ErrorKind::TimedOut,
-                        format!("peer stalled mid-payload ({} of {len} bytes)", payload.len()),
+                        format!("peer stalled mid-{field} ({got} of {of} bytes)"),
                     )));
                 }
             }
             Err(e) => return Err(NetError::Io(e)),
         }
     }
-    Ok(payload)
+    Ok(rest)
 }
 
 /// Read exactly one frame from `r`, verify its checksum when present,
@@ -569,7 +612,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<(Message, Option<u64>)>, 
 }
 
 /// The checksum a frame's trailer must carry — `fixed` is everything
-/// before the payload (header, then the optional fields or nothing) —
+/// before the payload (header, trace id, budget; absent ones empty) —
 /// and, for a blob-carrying opcode, the blob's own sum: the fixed part
 /// and the blob are summed apart and combined, which reads each byte
 /// once, exactly as one pass over the whole would.
@@ -611,89 +654,24 @@ pub struct Frame {
 /// when the sender attached one (`FLAG_DEADLINE`).
 pub fn read_frame_ex<R: Read>(r: &mut R) -> Result<Option<Frame>, NetError> {
     let mut header = [0u8; HEADER_LEN];
-    // The first header byte decides clean-close vs mid-frame cut, and
-    // a timeout before it belongs to the caller (shutdown polling).
+    // The first read decides clean-close vs mid-frame cut, and a
+    // timeout before any header byte belongs to the caller (shutdown
+    // polling).
     let mut got = 0;
     while got == 0 {
-        match r.read(&mut header[..1]) {
+        match r.read(&mut header) {
             Ok(0) => return Ok(None),
             Ok(n) => got = n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(NetError::Io(e)),
         }
     }
-    if read_full(r, &mut header[1..], "header")? != HEADER_LEN - 1 {
+    if got + read_full(r, &mut header[got..], "header")? != HEADER_LEN {
         return Err(NetError::Protocol("connection closed mid-header".into()));
     }
-    if header[0..4] != MAGIC {
-        return Err(NetError::Protocol("bad frame magic".into()));
-    }
-    if header[4] != VERSION {
-        return Err(NetError::Protocol(format!(
-            "unsupported protocol version {} (want {VERSION})",
-            header[4]
-        )));
-    }
-    let opcode = header[5];
-    let flags = u16::from_le_bytes(header[6..8].try_into().unwrap()); // das-lint: allow(DA401) infallible 2-byte slice → array
-    if flags & !KNOWN_FLAGS != 0 {
-        return Err(NetError::Protocol(format!("unknown flags 0x{flags:04x}")));
-    }
-    let len = u32::from_le_bytes(header[8..12].try_into().unwrap()) as usize; // das-lint: allow(DA401) infallible 4-byte slice → array
-    if len > MAX_PAYLOAD {
-        return Err(NetError::Protocol(format!(
-            "payload length {len} exceeds cap {MAX_PAYLOAD}"
-        )));
-    }
-    let mut trace_field = [0u8; 8];
-    let trace = if flags & FLAG_TRACE != 0 {
-        if read_full(r, &mut trace_field, "trace id")? != 8 {
-            return Err(NetError::Protocol("connection closed mid-trace".into()));
-        }
-        Some(u64::from_le_bytes(trace_field))
-    } else {
-        None
-    };
-    let mut budget_field = [0u8; 4];
-    let budget_ms = if flags & FLAG_DEADLINE != 0 {
-        if read_full(r, &mut budget_field, "deadline budget")? != 4 {
-            return Err(NetError::Protocol("connection closed mid-budget".into()));
-        }
-        Some(u32::from_le_bytes(budget_field))
-    } else {
-        None
-    };
-    let payload = read_payload(r, len)?;
-    let crc_wanted = if flags & FLAG_CRC != 0 {
-        let mut trailer = [0u8; 4];
-        if read_full(r, &mut trailer, "checksum")? != 4 {
-            return Err(NetError::Protocol("connection closed mid-checksum".into()));
-        }
-        Some(u32::from_le_bytes(trailer))
-    } else {
-        None
-    };
-    let parse_started = Instant::now();
-    let mut blob_sum = None;
-    if let Some(wanted) = crc_wanted {
-        let trace_bytes: &[u8] = if trace.is_some() { &trace_field } else { &[] };
-        let budget_bytes: &[u8] = if budget_ms.is_some() { &budget_field } else { &[] };
-        let actual;
-        (actual, blob_sum) = frame_sums(opcode, [&header, trace_bytes, budget_bytes], &payload);
-        if wanted != actual {
-            return Err(NetError::Protocol(format!(
-                "frame checksum mismatch: wire {wanted:#010x}, computed {actual:#010x}"
-            )));
-        }
-    }
-    let msg = Message::decode(opcode, &payload)?;
-    Ok(Some(Frame {
-        msg,
-        trace,
-        budget_ms,
-        blob_sum,
-        decode_us: parse_started.elapsed().as_micros() as u64,
-    }))
+    let parsed = FrameHeader::parse(&header)?;
+    let rest = read_rest(r, &parsed)?;
+    parsed.decode(&header, &rest).map(Some)
 }
 
 /// Owned scatter/gather write state for one frame on a nonblocking
@@ -724,10 +702,6 @@ impl IoVecCursor {
         IoVecCursor { head, body, tail: t, tail_len: tail.len() as u8, written: 0 }
     }
 
-    fn tail_slice(&self) -> &[u8] {
-        &self.tail[..self.tail_len as usize]
-    }
-
     /// Total frame length in bytes.
     pub fn total(&self) -> usize {
         self.head.len() + self.body.len() + self.tail_len as usize
@@ -747,20 +721,8 @@ impl IoVecCursor {
         if self.is_done() {
             return Ok(0);
         }
-        let segments: [&[u8]; 3] = [&self.head, &self.body, self.tail_slice()];
-        let mut skip = self.written;
-        let mut bufs = [IoSlice::new(&[]); 3];
-        let mut n_bufs = 0;
-        for seg in &segments {
-            if skip >= seg.len() {
-                skip -= seg.len();
-                continue;
-            }
-            bufs[n_bufs] = IoSlice::new(&seg[skip..]);
-            n_bufs += 1;
-            skip = 0;
-        }
-        match w.write_vectored(&bufs[..n_bufs]) {
+        let tail = &self.tail[..self.tail_len as usize];
+        match write_segments(w, [&self.head, &self.body, tail], self.written) {
             Ok(0) => Err(io::Error::new(io::ErrorKind::WriteZero, "peer stopped accepting bytes")),
             Ok(n) => {
                 self.written += n;
@@ -776,12 +738,10 @@ impl IoVecCursor {
 
 /// An incremental frame decoder for nonblocking readers: feed it
 /// whatever bytes the socket produced with [`FrameBuffer::extend`],
-/// then drain complete frames with [`FrameBuffer::next_frame`]. The
-/// validation order and limits are identical to [`read_frame`] — the
-/// wire length field is checked against [`MAX_PAYLOAD`] before any
-/// allocation or indexing derives from it — so a byte stream split at
-/// arbitrary boundaries reassembles bit-identically to blocking
-/// reads.
+/// then drain complete frames with [`FrameBuffer::next_frame_ex`]. It
+/// checks and decodes with the same code as [`read_frame_ex`], so a
+/// byte stream split at arbitrary boundaries reassembles bit-identically
+/// to blocking reads.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
@@ -812,85 +772,20 @@ impl FrameBuffer {
     }
 
     /// Decode the next complete frame, if the buffer holds one.
-    /// `Ok(None)` means "need more bytes"; errors are fatal to the
-    /// connection (framing violations desynchronize the stream).
-    pub fn next_frame(&mut self) -> Result<Option<(Message, Option<u64>)>, NetError> {
-        Ok(self.next_frame_ex()?.map(|f| (f.msg, f.trace)))
-    }
-
-    /// Like [`FrameBuffer::next_frame`], also surfacing the frame's
-    /// deadline budget when the sender attached one (`FLAG_DEADLINE`).
+    /// `Ok(None)` means "need more bytes" and consumes nothing; errors
+    /// are fatal to the connection (framing violations desynchronize
+    /// the stream).
     pub fn next_frame_ex(&mut self) -> Result<Option<Frame>, NetError> {
-        let parse_started = Instant::now();
-        let avail = &self.buf[self.pos..];
-        if avail.len() < HEADER_LEN {
+        let Some((header, after)) = self.buf[self.pos..].split_first_chunk::<HEADER_LEN>() else {
             return Ok(None);
-        }
-        let header = &avail[..HEADER_LEN];
-        if header[0..4] != MAGIC {
-            return Err(NetError::Protocol("bad frame magic".into()));
-        }
-        if header[4] != VERSION {
-            return Err(NetError::Protocol(format!(
-                "unsupported protocol version {} (want {VERSION})",
-                header[4]
-            )));
-        }
-        let opcode = header[5];
-        let flags = u16::from_le_bytes(header[6..8].try_into().unwrap()); // das-lint: allow(DA401) infallible 2-byte slice → array
-        if flags & !KNOWN_FLAGS != 0 {
-            return Err(NetError::Protocol(format!("unknown flags 0x{flags:04x}")));
-        }
-        let len = u32::from_le_bytes(header[8..12].try_into().unwrap()) as usize; // das-lint: allow(DA401) infallible 4-byte slice → array
-        if len > MAX_PAYLOAD {
-            return Err(NetError::Protocol(format!(
-                "payload length {len} exceeds cap {MAX_PAYLOAD}"
-            )));
-        }
-        let trace_len = if flags & FLAG_TRACE != 0 { 8 } else { 0 };
-        let budget_len = if flags & FLAG_DEADLINE != 0 { 4 } else { 0 };
-        let crc_len = if flags & FLAG_CRC != 0 { 4 } else { 0 };
-        let meta_len = trace_len + budget_len;
-        let total = HEADER_LEN + meta_len + len + crc_len;
-        if avail.len() < total {
+        };
+        let parsed = FrameHeader::parse(header)?;
+        let Some(rest) = after.get(..parsed.rest_len()) else {
             return Ok(None);
-        }
-        let trace = if trace_len == 8 {
-            let field: [u8; 8] = avail[HEADER_LEN..HEADER_LEN + 8].try_into().unwrap(); // das-lint: allow(DA401) infallible 8-byte slice → array
-            Some(u64::from_le_bytes(field))
-        } else {
-            None
         };
-        let budget_ms = if budget_len == 4 {
-            let at = HEADER_LEN + trace_len;
-            let field: [u8; 4] = avail[at..at + 4].try_into().unwrap(); // das-lint: allow(DA401) infallible 4-byte slice → array
-            Some(u32::from_le_bytes(field))
-        } else {
-            None
-        };
-        let payload = &avail[HEADER_LEN + meta_len..HEADER_LEN + meta_len + len]; // das-lint: allow(DA502) `avail.len() < total` above bounds HEADER_LEN + meta_len + len + crc_len
-        let mut blob_sum = None;
-        if crc_len == 4 {
-            let trailer: [u8; 4] = avail[total - 4..total].try_into().unwrap(); // das-lint: allow(DA401) infallible 4-byte slice → array
-            let actual;
-            let fixed = &avail[..HEADER_LEN + meta_len]; // das-lint: allow(DA502) covered by the same `total` bounds check
-            (actual, blob_sum) = frame_sums(opcode, [fixed, &[], &[]], payload);
-            let wanted = u32::from_le_bytes(trailer);
-            if wanted != actual {
-                return Err(NetError::Protocol(format!(
-                    "frame checksum mismatch: wire {wanted:#010x}, computed {actual:#010x}"
-                )));
-            }
-        }
-        let msg = Message::decode(opcode, payload)?;
-        self.pos += total;
-        Ok(Some(Frame {
-            msg,
-            trace,
-            budget_ms,
-            blob_sum,
-            decode_us: parse_started.elapsed().as_micros() as u64,
-        }))
+        let frame = parsed.decode(header, rest)?;
+        self.pos += HEADER_LEN + parsed.rest_len();
+        Ok(Some(frame))
     }
 }
 
@@ -968,7 +863,7 @@ mod tests {
     fn frame_roundtrip_and_counting() {
         let msg = Message::PutStrip { file: 2, strip: 5, payload: vec![9; 100] };
         let mut sink = CountingStream::new(Cursor::new(Vec::new()));
-        write_message(&mut sink, &msg).unwrap();
+        write_message_opts(&mut sink, &msg, None, None).unwrap();
         let written = sink.bytes_out().load(Ordering::Relaxed);
         let buf = sink.get_ref().get_ref().clone();
         assert_eq!(written as usize, buf.len());
@@ -987,7 +882,7 @@ mod tests {
     fn corrupt_magic_is_a_protocol_error() {
         let msg = Message::Ping;
         let mut buf = Vec::new();
-        write_message(&mut buf, &msg).unwrap();
+        write_message_opts(&mut buf, &msg, None, None).unwrap();
         buf[0] = b'X';
         match read_message(&mut Cursor::new(buf)) {
             Err(NetError::Protocol(m)) => assert!(m.contains("magic")),
@@ -998,7 +893,7 @@ mod tests {
     #[test]
     fn corrupted_payload_fails_the_checksum() {
         let msg = Message::PutStrip { file: 1, strip: 2, payload: vec![7; 64] };
-        let mut buf = encode_frame(&msg);
+        let mut buf = encode_frame_opts(&msg, None, None);
         buf[HEADER_LEN + 20] ^= 0x40; // flip one payload bit
         match read_message(&mut Cursor::new(buf)) {
             Err(NetError::Protocol(m)) => assert!(m.contains("checksum"), "got {m:?}"),
@@ -1010,7 +905,7 @@ mod tests {
     fn corrupted_opcode_fails_the_checksum() {
         // The CRC covers the header too: a flipped opcode must not
         // decode as a different (well-formed) message.
-        let mut buf = encode_frame(&Message::Ping);
+        let mut buf = encode_frame_opts(&Message::Ping, None, None);
         buf[5] ^= 0x01; // Ping (0x50) -> Pong (0x51), payloads identical
         assert!(read_message(&mut Cursor::new(buf)).is_err());
     }
@@ -1034,21 +929,20 @@ mod tests {
     #[test]
     fn traced_frames_roundtrip_and_legacy_readers_differ_only_by_flag() {
         let msg = Message::GetStrip { file: 3, strip: 9 };
-        let frame = encode_frame_traced(&msg, Some(0xDEAD_BEEF_CAFE_F00D));
+        let frame = encode_frame_opts(&msg, Some(0xDEAD_BEEF_CAFE_F00D), None);
         let (back, trace) = read_frame(&mut Cursor::new(frame)).unwrap().unwrap();
         assert_eq!(back, msg);
         assert_eq!(trace, Some(0xDEAD_BEEF_CAFE_F00D));
         // Untraced frames read identically through both entry points
         // and report no trace id.
-        let plain = encode_frame(&msg);
-        assert_eq!(plain, encode_frame_traced(&msg, None));
+        let plain = encode_frame_opts(&msg, None, None);
         let (back, trace) = read_frame(&mut Cursor::new(plain)).unwrap().unwrap();
         assert_eq!(back, msg);
         assert_eq!(trace, None);
     }
 
     #[test]
-    fn budgeted_frames_roundtrip_and_legacy_encoders_are_bit_identical() {
+    fn budgeted_frames_roundtrip_through_both_readers() {
         let msg = Message::GetStrip { file: 3, strip: 9 };
         // Every combination of the two optional fields roundtrips.
         for trace in [None, Some(0xDEAD_BEEF_CAFE_F00Du64)] {
@@ -1064,15 +958,8 @@ mod tests {
                 let f = fb.next_frame_ex().unwrap().unwrap();
                 assert_eq!((f.msg, f.trace, f.budget_ms), (msg.clone(), trace, budget));
                 assert_eq!(fb.pending(), 0);
-                // The vectored path builds the identical frame.
-                assert_eq!(frame_parts_opts(&msg, trace, budget).to_vec(), frame);
             }
         }
-        // Budget-less encoding through the new entry point is
-        // bit-identical to the legacy encoders: a client that never
-        // negotiated CAP_DEADLINE produces unchanged wire bytes.
-        assert_eq!(encode_frame_opts(&msg, None, None), encode_frame(&msg));
-        assert_eq!(encode_frame_opts(&msg, Some(7), None), encode_frame_traced(&msg, Some(7)));
     }
 
     #[test]
@@ -1087,20 +974,9 @@ mod tests {
 
     #[test]
     fn corrupted_trace_id_fails_the_checksum() {
-        let mut frame = encode_frame_traced(&Message::Ping, Some(42));
+        let mut frame = encode_frame_opts(&Message::Ping, Some(42), None);
         frame[HEADER_LEN] ^= 0x01; // first byte of the trace field
         assert!(read_frame(&mut Cursor::new(frame)).is_err());
-    }
-
-    #[test]
-    fn frame_parts_are_bit_identical_to_encode_frame() {
-        for msg in Message::samples() {
-            for trace in [None, Some(0x0123_4567_89AB_CDEFu64)] {
-                let parts = frame_parts_opts(&msg, trace, None);
-                assert_eq!(parts.to_vec(), encode_frame_traced(&msg, trace));
-                assert_eq!(parts.len(), parts.to_vec().len());
-            }
-        }
     }
 
     /// A writer that accepts at most one byte per call, exercising
@@ -1127,7 +1003,8 @@ mod tests {
         let parts = frame_parts_opts(&msg, Some(99), None);
         let mut w = TrickleWriter(Vec::new());
         write_frame_vectored(&mut w, &parts).unwrap();
-        assert_eq!(w.0, encode_frame_traced(&msg, Some(99)));
+        assert_eq!(w.0, parts.to_vec());
+        assert_eq!(w.0.len(), parts.len());
     }
 
     #[test]
@@ -1138,26 +1015,59 @@ mod tests {
             Message::GetStrip { file: 1, strip: 2 },
         ];
         let mut wire = Vec::new();
+        // Where each frame ends, and how long its payload is.
+        let mut frames = Vec::new();
         for (i, m) in msgs.iter().enumerate() {
-            wire.extend_from_slice(&encode_frame_traced(m, Some(i as u64)));
+            wire.extend_from_slice(&encode_frame_opts(m, Some(i as u64), Some(100 + i as u32)));
+            frames.push((wire.len(), m.encode_payload().len()));
         }
         for split in 0..=wire.len() {
+            // Frames wholly before the split, and how far it reaches
+            // into the next one.
+            let whole = frames.iter().filter(|(end, _)| *end <= split).count();
+            let into = split - whole.checked_sub(1).map_or(0, |last| frames[last].0);
+            let payload_len = frames.get(whole).map_or(0, |f| f.1);
             let mut fb = FrameBuffer::new();
             fb.extend(&wire[..split]);
             let mut got = Vec::new();
-            while let Some(f) = fb.next_frame().unwrap() {
+            while let Some(f) = fb.next_frame_ex().unwrap() {
                 got.push(f);
             }
+            // A strict prefix of a frame is "not yet", and stays buffered.
+            assert_eq!((got.len(), fb.pending()), (whole, into), "split at {split}");
             fb.extend(&wire[split..]);
-            while let Some(f) = fb.next_frame().unwrap() {
+            while let Some(f) = fb.next_frame_ex().unwrap() {
                 got.push(f);
             }
             assert_eq!(got.len(), msgs.len(), "split at {split}");
-            for (i, (m, t)) in got.iter().enumerate() {
-                assert_eq!(m, &msgs[i]);
-                assert_eq!(*t, Some(i as u64));
+            for (i, f) in got.iter().enumerate() {
+                assert_eq!(f.msg, msgs[i]);
+                assert_eq!((f.trace, f.budget_ms), (Some(i as u64), Some(100 + i as u32)));
             }
             assert_eq!(fb.pending(), 0);
+
+            // The blocking reader over the same prefix, then EOF: the
+            // same whole frames, then a clean close at a frame boundary
+            // and otherwise the field the cut fell in.
+            let mut r = Cursor::new(&wire[..split]);
+            for m in &msgs[..whole] {
+                assert_eq!(&read_frame_ex(&mut r).unwrap().unwrap().msg, m);
+            }
+            let field = match into {
+                0 => None,
+                n if n < HEADER_LEN => Some("header"),
+                n if n < HEADER_LEN + 8 => Some("trace"),
+                n if n < HEADER_LEN + 12 => Some("budget"),
+                n if n < HEADER_LEN + 12 + payload_len => Some("payload"),
+                _ => Some("checksum"),
+            };
+            match (read_frame_ex(&mut r), field) {
+                (Ok(None), None) => {}
+                (Err(NetError::Protocol(m)), Some(field)) => {
+                    assert_eq!(m, format!("connection closed mid-{field}"), "split at {split}");
+                }
+                (other, _) => panic!("split at {split}: want {field:?}, got {other:?}"),
+            }
         }
     }
 
@@ -1171,7 +1081,7 @@ mod tests {
         bad.extend_from_slice(&u32::MAX.to_le_bytes());
         let mut fb = FrameBuffer::new();
         fb.extend(&bad);
-        match fb.next_frame() {
+        match fb.next_frame_ex() {
             Err(NetError::Protocol(m)) => assert!(m.contains("cap")),
             other => panic!("expected protocol error, got {other:?}"),
         }
@@ -1179,11 +1089,12 @@ mod tests {
 
     #[test]
     fn frame_buffer_compacts_consumed_prefix() {
-        let frame = encode_frame(&Message::PutStrip { file: 1, strip: 0, payload: vec![1; 2048] });
+        let msg = Message::PutStrip { file: 1, strip: 0, payload: vec![1; 2048] };
+        let frame = encode_frame_opts(&msg, None, None);
         let mut fb = FrameBuffer::new();
         for _ in 0..16 {
             fb.extend(&frame);
-            assert!(fb.next_frame().unwrap().is_some());
+            assert!(fb.next_frame_ex().unwrap().is_some());
         }
         assert_eq!(fb.pending(), 0);
         assert!(fb.buf.len() < 3 * frame.len(), "buffer kept growing: {}", fb.buf.len());
@@ -1283,13 +1194,13 @@ mod tests {
         script.push(Some(5));
         script.extend(std::iter::repeat_n(None, budget));
         script.extend([Some(1000), Some(4)]);
-        let mut r = Scripted { wire: encode_frame(&msg), at: 0, script: script.into() };
+        let mut r = Scripted { wire: encode_frame_opts(&msg, None, None), at: 0, script: script.into() };
         assert_eq!(read_frame_ex(&mut r).unwrap().unwrap().msg, msg);
         // One stall more than the budget with no byte between: typed.
         let mut script = header.to_vec();
         script.push(Some(5));
         script.extend(std::iter::repeat_n(None, budget + 1));
-        let mut r = Scripted { wire: encode_frame(&msg), at: 0, script: script.into() };
+        let mut r = Scripted { wire: encode_frame_opts(&msg, None, None), at: 0, script: script.into() };
         match read_frame_ex(&mut r) {
             Err(NetError::Io(e)) => {
                 assert_eq!(e.kind(), io::ErrorKind::TimedOut);

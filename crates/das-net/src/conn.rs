@@ -158,7 +158,7 @@ mod tests {
     use std::sync::Arc;
 
     use crate::client::DasCluster;
-    use crate::codec::{read_message, write_message, NetError};
+    use crate::codec::{read_message, write_message_opts, NetError};
     use crate::peer::PeerTable;
     use crate::pipeline::PipeClient;
     use crate::proto::{ErrorCode, Message};
@@ -178,7 +178,7 @@ mod tests {
                 assert!(matches!(hello, Message::Hello { .. }), "{hello:?}");
                 let refusal =
                     Message::Error { code: ErrorCode::BadRequest, message: "not today".into() };
-                write_message(&mut sock, &refusal).expect("refuse");
+                write_message_opts(&mut sock, &refusal, None, None).expect("refuse");
             }
         });
         let policy = RetryPolicy::fast();

@@ -61,7 +61,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 
 use crate::codec::{
-    encode_frame_traced, raw_frame_parts, CountingStream, FrameBuffer, IoVecCursor,
+    encode_frame_opts, frame_parts_opts, raw_frame_parts, CountingStream, FrameBuffer, IoVecCursor,
 };
 use crate::proto::{ErrorCode, Message, Role, CAP_SPANS, CAP_TRACE, LOCAL_CAPS};
 use crate::server::{
@@ -110,16 +110,12 @@ struct ReplyTag {
     queued: Instant,
 }
 
-/// One fully-formed reply, queued from a worker back to the owning
-/// shard. Kept as segments so a strip reply's body stays a refcounted
-/// [`Bytes`] handle until the socket write itself.
+/// One fully-formed reply: queued from a worker back to the owning
+/// shard, then on the connection until the socket has taken it. The
+/// cursor keeps a strip reply's body a refcounted [`Bytes`] handle
+/// until the socket write itself.
 struct Outbound {
-    head: Vec<u8>,
-    body: Bytes,
-    /// CRC tail, inline — at most 4 bytes, so carrying it by value
-    /// costs no per-reply allocation.
-    tail: [u8; 4],
-    tail_len: u8,
+    cursor: IoVecCursor,
     /// Close the connection once (whatever exists of) this reply is
     /// flushed — mid-frame fault cuts and post-`Shutdown` closes.
     close_after: bool,
@@ -129,15 +125,16 @@ struct Outbound {
 }
 
 impl Outbound {
-    fn frame(frame: Vec<u8>, close_after: bool) -> Outbound {
-        Outbound {
-            head: frame,
-            body: Bytes::new(),
-            tail: [0; 4],
-            tail_len: 0,
-            close_after,
-            tag: None,
-        }
+    fn new(head: Vec<u8>, body: Bytes, tail: &[u8], close_after: bool) -> Outbound {
+        Outbound { cursor: IoVecCursor::new(head, body, tail), close_after, tag: None }
+    }
+
+    /// `msg` framed the way every other sender frames it. A control
+    /// reply's blob (metrics text, a span dump) lives in the message,
+    /// so it is copied once into a segment the queue can own.
+    fn reply(msg: &Message, trace: Option<u64>, close_after: bool) -> Outbound {
+        let parts = frame_parts_opts(msg, trace, None);
+        Outbound::new(parts.head, Bytes::copy_from_slice(parts.body), &parts.tail, close_after)
     }
 }
 
@@ -439,33 +436,31 @@ fn run_job(shared: &Shared, queues: &ShardQueues, job: Job) {
     // decoded request and this worker picking it up.
     record_stage(shared, job.trace, job.ctx.root, Stage::QueueWait, opc, NOTE_NONE, job.enqueued.elapsed());
     let mut out = match process_request(shared, job.class, job.msg, job.trace, job.deadline, job.ctx) {
-        ReplyAction::Reply(reply) => Outbound::frame(encode_frame_traced(&reply, echo), false),
+        ReplyAction::Reply(reply) => Outbound::reply(&reply, echo, false),
         ReplyAction::ReplyStrip(bytes, sum) => {
             // Zero-copy and zero-read: the body segment shares the
             // store's allocation, and the trailer is combined from the
             // head's checksum and the sum stored with the strip — a
             // strip that changed since ingest fails at its reader.
             let prefix = (bytes.len() as u32).to_le_bytes();
-            let parts = raw_frame_parts(STRIP_DATA_OPCODE, &prefix, &bytes, sum, echo);
+            let parts = raw_frame_parts(STRIP_DATA_OPCODE, &prefix, &bytes, Some(sum), echo, None);
             let (head, tail) = (parts.head, parts.tail);
-            Outbound { head, body: bytes, tail, tail_len: 4, close_after: false, tag: None }
+            Outbound::new(head, bytes, &tail, false)
         }
         ReplyAction::ReplyCorrupt(reply) => {
-            let mut frame = encode_frame_traced(&reply, echo);
-            let last = frame.len() - 1;
-            frame[last] ^= 0xFF;
-            Outbound::frame(frame, false)
+            let mut parts = frame_parts_opts(&reply, echo, None);
+            parts.tail[3] ^= 0xFF;
+            Outbound::new(parts.head, Bytes::copy_from_slice(parts.body), &parts.tail, false)
         }
         ReplyAction::ReplyTruncated(reply) => {
-            let frame = encode_frame_traced(&reply, echo);
-            let half = frame.len() / 2;
-            // das-lint: allow(DA801) fault-injection path: deliberately ships a cut frame
-            Outbound::frame(frame[..half].to_vec(), true)
+            let mut frame = encode_frame_opts(&reply, echo, None);
+            frame.truncate(frame.len() / 2);
+            Outbound::new(frame, Bytes::new(), &[], true)
         }
         ReplyAction::ShutdownAfter(reply) => {
             // process_request already raised the shutdown flag; the
             // shard flushes this reply before it exits.
-            Outbound::frame(encode_frame_traced(&reply, echo), true)
+            Outbound::reply(&reply, echo, true)
         }
     };
     out.tag = Some(ReplyTag { trace: job.trace, root: job.ctx.root, op: opc, queued: Instant::now() });
@@ -485,7 +480,7 @@ struct Conn {
     /// Requests submitted to workers whose replies have not finished
     /// writing.
     inflight: usize,
-    out: VecDeque<(IoVecCursor, bool, Option<ReplyTag>)>,
+    out: VecDeque<Outbound>,
     /// Peer closed its write side; serve what's in flight, then drop.
     read_closed: bool,
     /// Close once the outbound queue drains.
@@ -514,14 +509,8 @@ impl Conn {
     }
 
     fn queue(&mut self, out: Outbound) {
-        if out.close_after {
-            self.close_after_flush = true;
-        }
-        self.out.push_back((
-            IoVecCursor::new(out.head, out.body, &out.tail[..out.tail_len as usize]),
-            out.close_after,
-            out.tag,
-        ));
+        self.close_after_flush |= out.close_after;
+        self.out.push_back(out);
     }
 
     /// True when nothing remains to serve and the socket can go.
@@ -623,16 +612,13 @@ fn shard_loop(
 /// itself, which is exactly the tail a saturated socket adds.
 fn pump_write(shared: &Shared, c: &mut Conn) -> bool {
     let mut progressed = false;
-    while let Some((cursor, _, _)) = c.out.front_mut() {
-        match cursor.write_some(&mut c.stream) {
+    while let Some(out) = c.out.front_mut() {
+        match out.cursor.write_some(&mut c.stream) {
             Ok(0) => break, // would block
             Ok(_) => {
                 progressed = true;
-                if cursor.is_done() {
-                    let (_, close_after, tag) = match c.out.pop_front() {
-                        Some(f) => f,
-                        None => break,
-                    };
+                if out.cursor.is_done() {
+                    let Some(Outbound { close_after, tag, .. }) = c.out.pop_front() else { break };
                     if let Some(tag) = tag {
                         record_stage(
                             shared,
@@ -746,7 +732,7 @@ fn pump_read(
                             code: ErrorCode::Overloaded,
                             message: "request shed: worker backlog full".into(),
                         };
-                        c.queue(Outbound::frame(encode_frame_traced(&reply, trace), false));
+                        c.queue(Outbound::reply(&reply, trace, false));
                     }
                 }
             }
@@ -766,7 +752,7 @@ fn handle_hello(shared: &Shared, c: &mut Conn, msg: Message) {
                 code: ErrorCode::BadRequest,
                 message: "expected Hello".into(),
             };
-            c.queue(Outbound::frame(encode_frame_traced(&reply, None), true));
+            c.queue(Outbound::reply(&reply, None, true));
             return;
         }
     };
@@ -775,7 +761,7 @@ fn handle_hello(shared: &Shared, c: &mut Conn, msg: Message) {
     c.peer_spans = caps & CAP_SPANS != 0;
     shared.stats.register(class, c.stream.bytes_in(), c.stream.bytes_out());
     let reply = Message::HelloOk { server_id: shared.id.0, caps: LOCAL_CAPS };
-    c.queue(Outbound::frame(encode_frame_traced(&reply, None), false));
+    c.queue(Outbound::reply(&reply, None, false));
 }
 
 #[cfg(test)]

@@ -25,8 +25,10 @@
 //!   and no hedging — a cold client behaves exactly like a pre-hedge
 //!   build.
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 use std::time::Duration;
+
+use crate::server::lock;
 
 /// EWMA gain for the mean (TCP's 1/8).
 const GAIN_MEAN: f64 = 0.125;
@@ -46,15 +48,6 @@ const HEDGE_CAP: Duration = Duration::from_millis(250);
 /// this multiple of the best sampled holder's — ordering reacts to
 /// *stragglers*, not to ordinary jitter between healthy servers.
 const ORDER_HYSTERESIS: f64 = 3.0;
-
-/// Poison-recovering lock, same policy as the server's helper: the
-/// tracker holds plain numeric state that is valid after any panic.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 /// One server's latency estimate: exponentially weighted mean and
 /// mean deviation, in microseconds.

@@ -50,9 +50,8 @@ pub use client::{
     run_net_scheme, run_net_scheme_opts, DasCluster, ExecSummary, NetRunReport, NetScheme,
 };
 pub use codec::{
-    encode_frame, encode_frame_opts, encode_frame_traced, frame_parts_opts, read_frame,
-    read_frame_ex, read_message, write_frame_vectored, write_message, write_message_opts,
-    CountingStream, Frame, FrameBuffer, FrameParts, NetError, FLAG_CRC, FLAG_DEADLINE, FLAG_TRACE,
+    encode_frame_opts, frame_parts_opts, read_frame, read_frame_ex, read_message,
+    write_frame_vectored, write_message_opts, CountingStream, Frame, FrameBuffer, FrameParts, NetError, FLAG_CRC, FLAG_DEADLINE, FLAG_TRACE,
     KNOWN_FLAGS,
 };
 pub use fault::{FaultAction, FaultClass, FaultPlan, FaultPoint, FaultRule};

@@ -40,7 +40,7 @@ use crate::engine::MAX_INFLIGHT;
 use crate::hedge::LoadTracker;
 use crate::proto::{ErrorCode, Message, Role};
 use crate::retry::RetryPolicy;
-use crate::server::{ConnClass, StatsRegistry};
+use crate::server::{lock, ConnClass, StatsRegistry};
 
 /// One live peer link; workers calling the same peer serialize on it.
 type PeerConn = Arc<Mutex<RpcConn>>;
@@ -65,12 +65,6 @@ pub struct PeerTable {
     /// fetches on behalf of traced requests record caller-side
     /// `peer_fetch` child spans into it.
     spans: Option<Arc<das_obs::SpanStore>>,
-}
-
-fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    // A worker that panicked while holding the lock must not wedge
-    // every other worker: recover the guard and carry on.
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Time left until `deadline`: `None` means no budget at all,
@@ -370,5 +364,72 @@ impl PeerTable {
             lock(&self.conns).remove(&target);
         }
         exchange.unwrap_or(false)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    use crate::codec::{read_frame_ex, write_message_opts};
+    use crate::proto::LOCAL_CAPS;
+
+    /// Deadline monotonicity across a peer hop: each call stamps what is
+    /// *left* of the request's deadline, so a later hop carries less,
+    /// and a spent deadline is shed locally without touching the wire.
+    #[test]
+    fn peer_calls_under_one_deadline_carry_the_remaining_budget() {
+        const TOTAL: Duration = Duration::from_secs(5);
+        const NAP: Duration = Duration::from_millis(40);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        // A full-caps peer that answers every Ping and records the
+        // budget field of each request frame until the link closes.
+        let stub = std::thread::spawn(move || {
+            let (mut sock, _) = listener.accept().expect("accept");
+            let hello = read_frame_ex(&mut sock).expect("read").expect("hello");
+            assert!(matches!(hello.msg, Message::Hello { .. }), "{hello:?}");
+            let hello_ok = Message::HelloOk { server_id: 1, caps: LOCAL_CAPS };
+            write_message_opts(&mut sock, &hello_ok, None, None).expect("hello ok");
+            let mut budgets = Vec::new();
+            while let Some(frame) = read_frame_ex(&mut sock).expect("read") {
+                assert_eq!(frame.msg, Message::Ping);
+                budgets.push(frame.budget_ms.expect("a CAP_DEADLINE link stamps the budget"));
+                write_message_opts(&mut sock, &Message::Pong, None, None).expect("pong");
+            }
+            budgets
+        });
+        let metrics = Arc::new(das_obs::Registry::new());
+        let peers = PeerTable::with_policy(
+            0,
+            vec![String::new(), addr],
+            Arc::new(StatsRegistry::default()),
+            RetryPolicy::fast(),
+            Arc::clone(&metrics),
+        );
+        let deadline = Instant::now() + TOTAL;
+        assert_eq!(peers.call(1, &Message::Ping, None, Some(deadline)).expect("first hop"), Message::Pong);
+        std::thread::sleep(NAP);
+        assert_eq!(peers.call(1, &Message::Ping, None, Some(deadline)).expect("second hop"), Message::Pong);
+
+        let shed = metrics.counter("dasd_requests_shed_total", &[("reason", "deadline")]);
+        assert_eq!(shed.get(), 0);
+        match peers.call(1, &Message::Ping, None, Some(Instant::now())) {
+            Err(NetError::Remote { code: ErrorCode::Overloaded, message }) => {
+                assert!(message.contains("deadline budget exhausted"), "{message}")
+            }
+            other => panic!("expected the local typed shed, got {other:?}"),
+        }
+        assert_eq!(shed.get(), 1);
+
+        // Closing the link ends the stub's loop: it saw the two live
+        // calls and not one byte of the spent one.
+        drop(peers);
+        let budgets = stub.join().expect("stub peer");
+        let [b1, b2] = budgets[..] else { panic!("expected two request frames, got {budgets:?}") };
+        let (total, nap) = (TOTAL.as_millis() as u32, NAP.as_millis() as u32);
+        assert!(b1 <= total && b2 <= b1, "budget grew: {b1} then {b2} of {total}");
+        assert!(b1 - b2 >= nap - 1, "a {nap} ms nap took only {} ms off the budget", b1 - b2);
     }
 }

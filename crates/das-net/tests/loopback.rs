@@ -312,7 +312,7 @@ fn read_raw_frame(sock: &mut std::net::TcpStream) -> Vec<u8> {
 fn crc_only_client_interops_bit_identically() {
     use std::io::Write as _;
 
-    use das_net::{encode_frame, Message, Role, CAP_CRC, CAP_TRACE};
+    use das_net::{encode_frame_opts, Message, Role, CAP_CRC, CAP_TRACE};
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().unwrap().to_string();
@@ -321,11 +321,11 @@ fn crc_only_client_interops_bit_identically() {
     // A pre-CAP_TRACE client: advertises only the checksum capability
     // and speaks the legacy frame encoding.
     let mut sock = std::net::TcpStream::connect(&addr).expect("connect");
-    sock.write_all(&encode_frame(&Message::Hello {
+    sock.write_all(&encode_frame_opts(&Message::Hello {
         role: Role::Client,
         peer_id: 0,
         caps: CAP_CRC,
-    }))
+    }, None, None))
     .expect("hello");
 
     // The server still advertises everything it can do…
@@ -341,17 +341,17 @@ fn crc_only_client_interops_bit_identically() {
 
     // …but every reply to this client must be bit-identical to the
     // legacy encoding: no trace field, no new flags.
-    sock.write_all(&encode_frame(&Message::Ping)).expect("ping");
+    sock.write_all(&encode_frame_opts(&Message::Ping, None, None)).expect("ping");
     let reply = read_raw_frame(&mut sock);
     assert_eq!(
         reply,
-        encode_frame(&Message::Pong),
+        encode_frame_opts(&Message::Pong, None, None),
         "reply to a CRC-only client must match the legacy encoding byte-for-byte"
     );
 
-    sock.write_all(&encode_frame(&Message::Shutdown)).expect("shutdown");
+    sock.write_all(&encode_frame_opts(&Message::Shutdown, None, None)).expect("shutdown");
     let reply = read_raw_frame(&mut sock);
-    assert_eq!(reply, encode_frame(&Message::ShutdownOk));
+    assert_eq!(reply, encode_frame_opts(&Message::ShutdownOk, None, None));
     drop(sock);
     handle.join();
 }
@@ -362,23 +362,23 @@ fn crc_only_client_interops_bit_identically() {
 fn span_rpcs_without_negotiated_cap_are_refused() {
     use std::io::Write as _;
 
-    use das_net::{encode_frame, ErrorCode, Message, Role, CAP_CRC};
+    use das_net::{encode_frame_opts, ErrorCode, Message, Role, CAP_CRC};
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().unwrap().to_string();
     let handle = spawn(DasdConfig::new(0, vec![addr.clone()]), listener).expect("spawn dasd");
 
     let mut sock = std::net::TcpStream::connect(&addr).expect("connect");
-    sock.write_all(&encode_frame(&Message::Hello {
+    sock.write_all(&encode_frame_opts(&Message::Hello {
         role: Role::Client,
         peer_id: 0,
         caps: CAP_CRC,
-    }))
+    }, None, None))
     .expect("hello");
     let _ = read_raw_frame(&mut sock);
 
     for msg in [Message::TraceDump { trace: 42 }, Message::SlowLog { per_class: 4 }] {
-        sock.write_all(&encode_frame(&msg)).expect("span rpc");
+        sock.write_all(&encode_frame_opts(&msg, None, None)).expect("span rpc");
         let reply = read_raw_frame(&mut sock);
         match das_net::read_frame(&mut std::io::Cursor::new(&reply)).expect("parse").unwrap() {
             (Message::Error { code, .. }, None) => assert_eq!(
@@ -390,7 +390,7 @@ fn span_rpcs_without_negotiated_cap_are_refused() {
         }
     }
 
-    sock.write_all(&encode_frame(&Message::Shutdown)).expect("shutdown");
+    sock.write_all(&encode_frame_opts(&Message::Shutdown, None, None)).expect("shutdown");
     let _ = read_raw_frame(&mut sock);
     drop(sock);
     handle.join();

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use das_net::{
-    encode_frame_traced, read_frame, spawn, DasCluster, DasdConfig, ErrorCode, FrameBuffer,
+    encode_frame_opts, read_frame, spawn, DasCluster, DasdConfig, ErrorCode, FrameBuffer,
     Message, PipeClient, RetryPolicy,
 };
 use das_pfs::LayoutPolicy;
@@ -62,7 +62,7 @@ proptest! {
     ) {
         let mut wire = Vec::new();
         for (msg, trace) in &stream {
-            wire.extend_from_slice(&encode_frame_traced(msg, *trace));
+            wire.extend_from_slice(&encode_frame_opts(msg, *trace, None));
         }
 
         let mut fb = FrameBuffer::new();
@@ -74,8 +74,8 @@ proptest! {
             let end = (pos + n).min(wire.len());
             fb.extend(&wire[pos..end]);
             pos = end;
-            while let Some(frame) = fb.next_frame().expect("clean stream never errors") {
-                got.push(frame);
+            while let Some(f) = fb.next_frame_ex().expect("clean stream never errors") {
+                got.push((f.msg, f.trace));
             }
         }
         prop_assert_eq!(fb.pending(), 0, "no leftover bytes after the last frame");
@@ -101,8 +101,9 @@ fn out_of_order_replies_match_by_request_id() {
         // Handshake: accept any Hello, reply with full caps.
         let (hello, _) = read_frame(&mut sock).expect("read").expect("hello");
         assert!(matches!(hello, Message::Hello { .. }));
-        sock.write_all(&encode_frame_traced(
+        sock.write_all(&encode_frame_opts(
             &Message::HelloOk { server_id: 0, caps: das_net::LOCAL_CAPS },
+            None,
             None,
         ))
         .expect("hello ok");
@@ -118,7 +119,7 @@ fn out_of_order_replies_match_by_request_id() {
         }
         for (strip, trace) in batch.into_iter().rev() {
             let reply = Message::StripData { payload: strip.to_le_bytes().to_vec() };
-            sock.write_all(&encode_frame_traced(&reply, trace)).expect("reply");
+            sock.write_all(&encode_frame_opts(&reply, trace, None)).expect("reply");
         }
     });
 

@@ -4,7 +4,7 @@
 
 use std::io::Cursor;
 
-use das_net::{read_frame, read_message, write_message, Message, NetError};
+use das_net::{encode_frame_opts, read_frame, read_message, write_message_opts, Message, NetError};
 use das_net::{ErrorCode, Role, WireStats, MAX_PAYLOAD};
 use das_pfs::LayoutPolicy;
 use proptest::prelude::*;
@@ -145,7 +145,7 @@ fn arb_message() -> BoxedStrategy<Message> {
 
 fn frame_roundtrip(msg: &Message) -> Message {
     let mut buf = Vec::new();
-    write_message(&mut buf, msg).expect("encode");
+    write_message_opts(&mut buf, msg, None, None).expect("encode");
     let mut cursor = Cursor::new(buf);
     let back = read_message(&mut cursor).expect("decode").expect("one frame");
     // The frame must also consume the stream exactly.
@@ -200,7 +200,7 @@ proptest! {
         // legacy CRC-less frame (accepted for compatibility) whose
         // orphaned 4-byte trailer then desynchronizes the stream,
         // which the *next* read detects.
-        let mut frame = das_net::encode_frame(&msg);
+        let mut frame = encode_frame_opts(&msg, None, None);
         let pos = (pos as usize) % frame.len();
         frame[pos] ^= 1 << bit;
         let mut cursor = Cursor::new(&frame);
@@ -220,7 +220,7 @@ proptest! {
 
     #[test]
     fn traced_frames_roundtrip_message_and_trace_id(msg in arb_message(), trace in any::<u64>()) {
-        let frame = das_net::encode_frame_traced(&msg, Some(trace));
+        let frame = encode_frame_opts(&msg, Some(trace), None);
         let mut cursor = Cursor::new(&frame);
         let (back, got_trace) = read_frame(&mut cursor).expect("decode").expect("one frame");
         prop_assert_eq!(back, msg);
@@ -244,7 +244,7 @@ proptest! {
         // payload window over the trace field so the checksum compares
         // unrelated bytes (astronomically unlikely to pass, but not
         // structurally impossible — tolerated if it ever does).
-        let mut frame = das_net::encode_frame_traced(&msg, Some(trace));
+        let mut frame = encode_frame_opts(&msg, Some(trace), None);
         let pos = (pos as usize) % frame.len();
         frame[pos] ^= 1 << bit;
         let mut cursor = Cursor::new(&frame);
@@ -307,7 +307,7 @@ fn max_length_frame_roundtrips_and_one_more_byte_is_refused() {
     let payload: Vec<u8> = (0..blob_len).map(|i| (i * 31) as u8).collect();
     let msg = Message::StripData { payload };
     let mut buf = Vec::new();
-    write_message(&mut buf, &msg).unwrap();
+    write_message_opts(&mut buf, &msg, None, None).unwrap();
     let back = read_message(&mut Cursor::new(&buf)).unwrap().unwrap();
     assert_eq!(back, msg);
 
