@@ -11,7 +11,9 @@
 //!
 //! 1. **Replica failover** — [`DasCluster::read_file`] walks each
 //!    strip's holders primary-first, so a dead primary costs one
-//!    failed call, not the read.
+//!    failed call, not the read — and a merely slow one not even that:
+//!    the walk's first two steps overlap (a *hedge*) once the first
+//!    has been silent for longer than its latency estimate allows.
 //! 2. **Tolerant writes** — [`DasCluster::put_file`] succeeds if at
 //!    least one holder of each strip stores it, noting the reduced
 //!    redundancy.
@@ -20,8 +22,15 @@
 //!    dead server cannot compute the strips only it holds), so a
 //!    request is served in degraded form rather than failed, whenever
 //!    the data is still reachable.
+//!
+//! The client owns no threads and no channels: everything a
+//! [`DasCluster`] does happens on its caller's thread, over blocking
+//! sockets. A fan-out writes every request before it reads any reply;
+//! a hedge waits on two sockets by looking at each in turn; a reply
+//! nobody is waiting for any more sits in its socket until an entry
+//! point next looks.
 
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use das_core::{ActiveStorageClient, Decision, RequestOptions};
@@ -36,6 +45,10 @@ use crate::hedge::LoadTracker;
 use crate::proto::{ErrorCode, Message, Role, WireStats, CAP_SPANS};
 use crate::retry::RetryPolicy;
 
+/// How long one look at one lane of a hedge lasts before the other
+/// lane gets its look.
+const POLL_SLICE: Duration = Duration::from_millis(1);
+
 /// One server's slot: its address and, while one is up, the live
 /// connection to it.
 struct ClientConn {
@@ -48,12 +61,16 @@ struct ClientConn {
     spans_ok: bool,
 }
 
-impl ClientConn {
-    /// Move this slot's live connection into an owned slot a hedge
-    /// racer thread can drive, leaving a redialable placeholder behind.
-    fn take(&mut self) -> ClientConn {
-        ClientConn { addr: self.addr.clone(), live: self.live.take(), spans_ok: self.spans_ok }
-    }
+/// A hedge's losing lane: a connection that left its slot with its
+/// `GetStrip` still in flight. Its reply is read where it can never be
+/// taken for a later strip's — here, off the slot — and only then may
+/// the connection go back.
+struct Parked {
+    server: usize,
+    conn: RpcConn,
+    /// The request in flight, and when it was written.
+    msg: Message,
+    sent: Instant,
 }
 
 /// Connections to every `dasd` of a cluster, indexed by server id.
@@ -66,26 +83,12 @@ pub struct DasCluster {
     /// Trace id stamped on outgoing requests (to CAP_TRACE servers)
     /// until the next [`DasCluster::begin_trace`].
     trace: Option<u64>,
-    /// Per-server latency EWMAs (shared with hedge racer threads):
-    /// replica walks demote stragglers, and the hedge delay is derived
-    /// from the chosen server's estimate.
-    load: Arc<LoadTracker>,
-    /// Every racer thread ever spawned reports here. The receiver is
-    /// drained at request-path entry points so a *stale* racer (one
-    /// that outlived its race) still gets its connection restored.
-    racer_tx: mpsc::Sender<RacerDone>,
-    racer_rx: mpsc::Receiver<RacerDone>,
-    /// Id of the next hedge race, to tell current results from stale.
-    next_race: u64,
-}
-
-/// What one hedge racer thread reports back: its (restorable)
-/// connection and the outcome of the strip fetch it raced.
-struct RacerDone {
-    race: u64,
-    server: usize,
-    conn: ClientConn,
-    result: Result<Message, NetError>,
+    /// Per-server latency EWMAs: replica walks demote stragglers, and
+    /// the hedge delay is derived from the chosen server's estimate.
+    load: LoadTracker,
+    /// Hedge losers whose replies have not been read yet. Polled,
+    /// never waited on, at request-path entry points.
+    parked: Vec<Parked>,
 }
 
 /// One server's execution summary (from [`Message::ExecuteOk`]).
@@ -109,8 +112,7 @@ fn degradable(e: &NetError) -> bool {
 }
 
 /// The slot's live connection, dialled and greeted first if there is
-/// none. Free function (not a method) so hedge racer threads can drive
-/// an owned [`ClientConn`] without borrowing the whole cluster.
+/// none.
 fn conn_dial<'a>(conn: &'a mut ClientConn, policy: &RetryPolicy) -> Result<&'a mut RpcConn, NetError> {
     let live = match conn.live.take() {
         Some(live) => live,
@@ -158,17 +160,6 @@ fn conn_recv(
     result
 }
 
-/// One attempt against one connection: dial if needed, write, read.
-fn conn_call_once(
-    conn: &mut ClientConn,
-    policy: &RetryPolicy,
-    msg: &Message,
-    trace: Option<u64>,
-) -> Result<Message, NetError> {
-    conn_send(conn, policy, msg, trace)?;
-    conn_recv(conn, policy, msg)
-}
-
 impl DasCluster {
     /// Connect to every server and shake hands, with the default
     /// retry policy.
@@ -182,7 +173,6 @@ impl DasCluster {
     /// rather than failing the whole connect; only a cluster with *no*
     /// reachable server is an error.
     pub fn connect_with(addrs: &[String], policy: RetryPolicy) -> Result<Self, NetError> {
-        let (racer_tx, racer_rx) = mpsc::channel();
         let mut cluster = DasCluster {
             conns: addrs
                 .iter()
@@ -193,10 +183,8 @@ impl DasCluster {
             policy,
             metrics: Arc::new(das_obs::Registry::new()),
             trace: None,
-            load: Arc::new(LoadTracker::new(addrs.len())),
-            racer_tx,
-            racer_rx,
-            next_race: 0,
+            load: LoadTracker::new(addrs.len()),
+            parked: Vec::new(),
         };
         let mut last = None;
         let mut reachable = 0usize;
@@ -228,7 +216,7 @@ impl DasCluster {
 
     /// Drain the fault-tolerance events recorded since the last call.
     pub fn take_events(&mut self) -> Vec<DegradeEvent> {
-        self.drain_racers();
+        self.poll_parked();
         std::mem::take(&mut self.events)
     }
 
@@ -287,22 +275,26 @@ impl DasCluster {
 
     /// One attempt: dial if needed, write, read. Transport errors
     /// evict the connection so the next attempt redials instead of
-    /// reusing a socket in an unknown state. A successful attempt's
-    /// wall time feeds the server's latency EWMA — the strip-read
-    /// estimate behind hedge delays and holder ordering — unless the
-    /// request is a long operation (down servers fail fast and are not
-    /// scored either).
+    /// reusing a socket in an unknown state. Down servers fail fast.
     fn call_once(&mut self, s: usize, msg: &Message) -> Result<Message, NetError> {
         if self.down[s] {
             return Err(Self::down_error(s));
         }
-        let started = Instant::now();
-        let result = conn_call_once(&mut self.conns[s], &self.policy, msg, self.trace);
-        // Only successes feed the estimate — a refused connection
-        // fails in microseconds and would make a dead server score as
-        // the fastest holder in every walk.
+        let sent = Instant::now();
+        conn_send(&mut self.conns[s], &self.policy, msg, self.trace)?;
+        self.recv_once(s, msg, sent)
+    }
+
+    /// Read the reply to the `msg` written to server `s` at `sent`. A
+    /// successful attempt's wall time feeds the server's latency EWMA —
+    /// the strip-read estimate behind hedge delays and holder ordering
+    /// — unless the request is a long operation. Only successes do: a
+    /// refused connection fails in microseconds and would make a dead
+    /// server score as the fastest holder in every walk.
+    fn recv_once(&mut self, s: usize, msg: &Message, sent: Instant) -> Result<Message, NetError> {
+        let result = conn_recv(&mut self.conns[s], &self.policy, msg);
         if result.is_ok() && !is_long_op(msg) {
-            self.load.observe(s, started.elapsed());
+            self.load.observe(s, sent.elapsed());
         }
         result
     }
@@ -349,7 +341,7 @@ impl DasCluster {
     /// to a later request. Latencies measured across a wave include the
     /// other servers' replies, so none feeds the [`LoadTracker`].
     fn wave_once(&mut self, targets: &[usize], msg: &Message) -> Vec<Result<Message, NetError>> {
-        self.drain_racers();
+        self.poll_parked();
         let sent: Vec<Result<(), NetError>> = targets
             .iter()
             .map(|&s| {
@@ -433,30 +425,31 @@ impl DasCluster {
         id.ok_or_else(|| NetError::Protocol("no reachable servers to register the file".into()))
     }
 
-    /// Resolve a name to `(file id, distribution)`. Falls over to the
-    /// next reachable server if the asked one dies mid-call.
-    pub fn lookup(&mut self, name: &str) -> Result<(u32, DistributionInfo), NetError> {
+    /// Ask the first reachable server a metadata question, moving on to
+    /// the next if the asked one dies mid-call.
+    fn ask_any(&mut self, msg: &Message) -> Result<Message, NetError> {
         loop {
             let s = self.any_up()?;
-            match self.call(s, &Message::Lookup { name: name.to_string() }) {
-                Ok(Message::LookupOk { file, dist }) => return Ok((file, dist)),
-                Ok(other) => return Err(NetError::Unexpected { opcode: other.opcode() }),
+            match self.call(s, msg) {
                 Err(e) if e.is_transport() => continue, // `s` was just marked down; ask the next
-                Err(e) => return Err(e),
+                reply => return reply,
             }
+        }
+    }
+
+    /// Resolve a name to `(file id, distribution)`.
+    pub fn lookup(&mut self, name: &str) -> Result<(u32, DistributionInfo), NetError> {
+        match self.ask_any(&Message::Lookup { name: name.to_string() })? {
+            Message::LookupOk { file, dist } => Ok((file, dist)),
+            other => Err(NetError::Unexpected { opcode: other.opcode() }),
         }
     }
 
     /// Query a file's distribution information.
     pub fn distribution(&mut self, file: u32) -> Result<DistributionInfo, NetError> {
-        loop {
-            let s = self.any_up()?;
-            match self.call(s, &Message::GetDistribution { file }) {
-                Ok(Message::DistributionResp { dist }) => return Ok(dist),
-                Ok(other) => return Err(NetError::Unexpected { opcode: other.opcode() }),
-                Err(e) if e.is_transport() => continue,
-                Err(e) => return Err(e),
-            }
+        match self.ask_any(&Message::GetDistribution { file })? {
+            Message::DistributionResp { dist } => Ok(dist),
+            other => Err(NetError::Unexpected { opcode: other.opcode() }),
         }
     }
 
@@ -495,14 +488,12 @@ impl DasCluster {
             let sid = StripId(s);
             let start = spec.strip_start(sid) as usize;
             let end = start + spec.strip_len(sid, dist.file_len);
+            let msg = Message::PutStrip { file, strip: s, payload: data[start..end].to_vec() };
             let mut stored = 0u32;
             let mut missed = 0u32;
             let mut last = None;
             for holder in layout.holders(sid) {
-                match self.call(
-                    holder.index(),
-                    &Message::PutStrip { file, strip: s, payload: data[start..end].to_vec() },
-                ) {
+                match self.call(holder.index(), &msg) {
                     Ok(Message::PutStripOk) => stored += 1,
                     Ok(other) => return Err(NetError::Unexpected { opcode: other.opcode() }),
                     Err(e) => {
@@ -530,8 +521,9 @@ impl DasCluster {
     /// ([`DegradeEvent::ReplicaFailover`]); a strip fails only when no
     /// holder can serve it. When the first choice has a latency
     /// estimate and a second holder exists, the fetch is **hedged**: if
-    /// no reply lands within the EWMA-derived delay, the same request
-    /// races on the next-best holder and the first valid reply wins.
+    /// no reply begins within the EWMA-derived delay, the same request
+    /// goes to the next-best holder as well and the first good reply
+    /// wins.
     pub fn read_file(&mut self, file: u32) -> Result<Vec<u8>, NetError> {
         let dist = self.distribution(file)?;
         let spec = StripeSpec::new(dist.strip_size);
@@ -554,9 +546,13 @@ impl DasCluster {
         Ok(out)
     }
 
-    /// Fetch one strip from the holders in `walk` order: hedged race
-    /// between the two best holders when possible, otherwise (or when
-    /// the race yields nothing usable) a sequential failover walk.
+    /// Fetch one strip from the holders in `walk` order, failing over
+    /// to the next on any failure — a transport or typed error that
+    /// outlasts its retries, a reply of the wrong length. The walk's
+    /// first two steps may already have been taken, overlapped, by
+    /// [`DasCluster::hedge`]: what each of the two holders answered is
+    /// attempt one of the walk's call to it, and the walk starts at the
+    /// second if only its answer was good — a hedge win.
     fn fetch_strip(
         &mut self,
         file: u32,
@@ -565,35 +561,23 @@ impl DasCluster {
         primary: u32,
         walk: &[u32],
     ) -> Result<Vec<u8>, NetError> {
-        self.drain_racers();
-        if let [a, b, ..] = *walk {
-            let (a, b) = (a as usize, b as usize);
-            if !self.down[a] && !self.down[b] {
-                // `hedge_delay` is None until the first choice has
-                // enough samples — no estimate, no race.
-                if let Some(delay) = self.load.hedge_delay(a) {
-                    if let Some(payload) =
-                        self.hedged_get_strip(file, strip, want, primary, a, b, delay)?
-                    {
-                        return Ok(payload);
-                    }
-                }
-            }
-        }
+        self.poll_parked();
+        let msg = Message::GetStrip { file, strip };
+        let mut firsts = self.hedge(&msg, walk);
+        let hedge_won = matches!(firsts, [None | Some(Err(_)), Some(Ok(_))]);
         let mut last = None;
-        for (pos, &h) in walk.iter().enumerate() {
-            match self.call(h as usize, &Message::GetStrip { file, strip }) {
-                Ok(Message::StripData { payload }) => {
-                    if payload.len() != want {
-                        return Err(NetError::Protocol(format!(
-                            "strip {strip}: wanted {want} bytes, got {}",
-                            payload.len()
-                        )));
+        for (pos, &h) in walk.iter().enumerate().cycle().skip(usize::from(hedge_won)).take(walk.len()) {
+            let first = firsts.get_mut(pos).and_then(Option::take);
+            match self.call_resuming(h as usize, &msg, first) {
+                Ok(Message::StripData { payload }) if payload.len() == want => {
+                    if hedge_won && pos == 1 {
+                        self.metrics.counter("das_client_hedge_wins_total", &[]).inc();
                     }
                     // A replica serving because it was *ordered* first
                     // is load balancing, not degradation — only record
-                    // a failover when an earlier attempt actually
-                    // failed.
+                    // a failover when the first choice failed, or (a
+                    // proactive one) did not answer inside its latency
+                    // envelope and lost to the hedge.
                     if pos > 0 && h != primary {
                         das_obs::event_limited(
                             das_obs::Level::Debug,
@@ -604,6 +588,7 @@ impl DasCluster {
                                 ("primary", primary.to_string()),
                                 ("served_by", h.to_string()),
                                 ("hops", pos.to_string()),
+                                ("hedge_won", hedge_won.to_string()),
                             ],
                         );
                         self.record_event(DegradeEvent::ReplicaFailover {
@@ -615,6 +600,12 @@ impl DasCluster {
                     }
                     return Ok(payload);
                 }
+                Ok(Message::StripData { payload }) => {
+                    last = Some(NetError::Protocol(format!(
+                        "strip {strip}: wanted {want} bytes, got {}",
+                        payload.len()
+                    )))
+                }
                 Ok(other) => return Err(NetError::Unexpected { opcode: other.opcode() }),
                 Err(e) => last = Some(e),
             }
@@ -624,51 +615,38 @@ impl DasCluster {
         }))
     }
 
-    /// Settle one racer report: put its connection back in the slot
-    /// table (unless a fresh one was dialed there meanwhile). Racer
-    /// connections are always frame-aligned — the racer either read a
-    /// whole reply or evicted the stream on a transport error — so
-    /// restoring one can never desynchronize the slot.
-    fn settle_racer(&mut self, done: RacerDone) {
-        if self.conns[done.server].live.is_none() {
-            self.conns[done.server] = done.conn;
+    /// Read every parked reply that has begun to arrive — without
+    /// waiting for one that has not. A late reply feeds the server's
+    /// latency estimate (send → this poll, so a straggler is demoted by
+    /// what it really cost) and its connection, frame-aligned again,
+    /// goes back to its slot unless a fresh one was dialled there
+    /// meanwhile. A lane past its reply deadline is dropped unread.
+    fn poll_parked(&mut self) {
+        let (landed, waiting): (Vec<Parked>, Vec<Parked>) = std::mem::take(&mut self.parked)
+            .into_iter()
+            .filter(|lane| lane.sent.elapsed() < reply_deadline(&self.policy, &lane.msg, false))
+            .partition(|lane| lane.conn.wait_readable(Duration::ZERO, &self.policy));
+        self.parked = waiting;
+        for Parked { server, mut conn, msg, sent } in landed {
+            let reply = conn.recv(&msg, &self.policy);
+            if reply.is_ok() {
+                self.load.observe(server, sent.elapsed());
+            }
+            if !reply.is_err_and(|e| e.is_transport()) && self.conns[server].live.is_none() {
+                self.conns[server].live = Some(conn);
+            }
         }
     }
 
-    /// Collect every racer report that has landed since the last
-    /// drain, so stale racers' connections return to the pool.
-    fn drain_racers(&mut self) {
-        while let Ok(done) = self.racer_rx.try_recv() {
-            self.settle_racer(done);
-        }
-    }
-
-    /// Move server `server`'s connection out of the slot table and
-    /// drive `msg` against it on a detached thread, reporting back on
-    /// the cluster's racer channel. The thread owns the connection:
-    /// the main thread never blocks on the slow racer, which is the
-    /// entire point of hedging.
-    ///
-    /// A racer retries *remote* transient errors through the policy's
-    /// budget (counting retries like [`DasCluster::call`] would, so
-    /// fault accounting is identical either way), but gives up
-    /// immediately on transport errors: a dead server should fail the
-    /// race fast and deterministically fall through to the sequential
-    /// walk, whose full retry-and-mark-down machinery owns that case.
-    ///
-    /// Each racer carries a **distinct hedge sub-trace id** derived
-    /// from the run's trace id and the racer's lane (0 = first choice,
-    /// 1 = hedge). Racing both lanes under the parent id would alias
-    /// winner and loser in every server-side flight recorder — same
-    /// trace, same stages, double-counted; with per-lane sub-ids a
-    /// hedge loser's server-side spans stay attributable on their own.
+    /// Write `msg` to `server` as lane `lane` of a hedge. Each lane
+    /// carries a **distinct sub-trace id** derived from the run's trace
+    /// id (0 = first choice, 1 = hedge): both under the parent id would
+    /// alias winner and loser in every server-side flight recorder —
+    /// same trace, same stages, double-counted; with per-lane sub-ids a
+    /// lost lane's server-side spans stay attributable on their own.
     /// `das trace <parent>` does not auto-join the sub-ids; the
     /// rate-limited `hedge lane` event records the parent↔child link.
-    fn spawn_racer(&mut self, race: u64, server: usize, lane: u32, msg: &Message) {
-        let mut conn = self.conns[server].take();
-        let policy = self.policy.clone();
-        let load = Arc::clone(&self.load);
-        let metrics = Arc::clone(&self.metrics);
+    fn send_lane(&mut self, server: usize, lane: u32, msg: &Message) -> Result<Instant, NetError> {
         let trace = self.trace.map(|parent| {
             let child = das_obs::hedge_sub_id(parent, lane);
             das_obs::event_limited(
@@ -684,134 +662,75 @@ impl DasCluster {
             );
             child
         });
-        let msg = msg.clone();
-        let tx = self.racer_tx.clone();
-        std::thread::spawn(move || {
-            let attempts = policy.max_attempts.max(1);
-            let mut attempt = 0u32;
-            let result = loop {
-                attempt += 1;
-                let started = Instant::now();
-                let r = conn_call_once(&mut conn, &policy, &msg, trace);
-                if r.is_ok() {
-                    load.observe(server, started.elapsed());
-                }
-                match r {
-                    Err(e)
-                        if matches!(e, NetError::Remote { .. })
-                            && e.is_transient()
-                            && attempt < attempts =>
-                    {
-                        policy.sleep_before_retry(attempt)
-                    }
-                    other => break other,
-                }
-            };
-            if attempt > 1 {
-                metrics.counter("das_client_retries_total", &[]).add(u64::from(attempt - 1));
-            }
-            // A send failure means the cluster itself was dropped; the
-            // connection just closes with it.
-            let _ = tx.send(RacerDone { race, server, conn, result });
-        });
+        let sent = Instant::now();
+        conn_send(&mut self.conns[server], &self.policy, msg, trace).map(|()| sent)
     }
 
-    /// Race a strip fetch: fire at `a`; if no reply lands within
-    /// `delay`, fire the identical request at `b` and take the first
-    /// length-valid [`Message::StripData`]. Returns `Ok(None)` when
-    /// neither racer produced a usable payload, so the caller can fall
-    /// back to the plain sequential walk.
-    #[allow(clippy::too_many_arguments)]
-    fn hedged_get_strip(
-        &mut self,
-        file: u32,
-        strip: u64,
-        want: usize,
-        primary: u32,
-        a: usize,
-        b: usize,
-        delay: Duration,
-    ) -> Result<Option<Vec<u8>>, NetError> {
-        let msg = Message::GetStrip { file, strip };
-        let race = self.next_race;
-        self.next_race += 1;
-        self.spawn_racer(race, a, 0, &msg);
-        let mut outstanding = 1u32;
-        let mut hedged = false;
-        // Once hedged, wait well past the per-frame read timeout: the
-        // racers' retry loops need room to conclude before we give up
-        // on the race entirely.
-        let patience = self.policy.read_timeout.saturating_mul(12);
-        while outstanding > 0 {
-            let done = match self.racer_rx.recv_timeout(if hedged { patience } else { delay }) {
-                Ok(done) => done,
-                Err(_) => {
-                    if hedged {
-                        // Both racers stuck past the generous window:
-                        // abandon the race (their slots redial later).
-                        break;
+    /// Whether `server`'s slot connection turns readable within `wait`.
+    fn lane_readable(&self, server: usize, wait: Duration) -> bool {
+        self.conns[server].live.as_ref().is_some_and(|live| live.wait_readable(wait, &self.policy))
+    }
+
+    /// The hedge: steps one and two of a strip's walk, overlapped on
+    /// the caller's thread. Ask `walk[0]`; if its reply has not begun
+    /// within the delay its latency estimate gives, ask `walk[1]` the
+    /// same and take whichever socket turns readable first, looking at
+    /// each in turn for a [`POLL_SLICE`], until one answers well or
+    /// both have answered. Returns what each of the two answered, if it
+    /// did — one attempt each; retrying is the walk's. A lane still
+    /// unanswered when the other wins, or when both outlast a reply
+    /// deadline, is [`Parked`]: the slow server is never waited on,
+    /// which is the entire point of hedging.
+    ///
+    /// No hedge — `[None, None]`, the walk proceeds as if this were
+    /// never called — without a second holder, with either of the two
+    /// marked down, or until the first choice has a latency estimate.
+    fn hedge(&mut self, msg: &Message, walk: &[u32]) -> [Option<Result<Message, NetError>>; 2] {
+        let [a, b, ..] = *walk else { return [None, None] };
+        let holders = [a as usize, b as usize];
+        if holders.iter().any(|&h| self.down[h]) {
+            return [None, None];
+        }
+        let Some(delay) = self.load.hedge_delay(holders[0]) else { return [None, None] };
+
+        // Step one, alone for `delay` — which a dial eats into.
+        let sent = match self.send_lane(holders[0], 0, msg) {
+            Ok(sent) => sent,
+            Err(e) => return [Some(Err(e)), None],
+        };
+        if self.lane_readable(holders[0], delay.saturating_sub(sent.elapsed())) {
+            return [Some(self.recv_once(holders[0], msg, sent)), None];
+        }
+
+        // Step two, overlapping it.
+        self.metrics.counter("das_client_hedges_total", &[]).inc();
+        let mut open = [Some(sent), None];
+        let mut firsts = [None, None];
+        match self.send_lane(holders[1], 1, msg) {
+            Ok(sent) => open[1] = Some(sent),
+            Err(e) => firsts[1] = Some(Err(e)),
+        }
+        let give_up = Instant::now() + reply_deadline(&self.policy, msg, false);
+        'race: while open.iter().any(Option::is_some) && Instant::now() < give_up {
+            // The hedge lane first: it was asked because the other is late.
+            for lane in [1, 0] {
+                let Some(sent) = open[lane] else { continue };
+                if self.lane_readable(holders[lane], POLL_SLICE) {
+                    open[lane] = None;
+                    let reply = firsts[lane].insert(self.recv_once(holders[lane], msg, sent));
+                    if reply.is_ok() {
+                        break 'race;
                     }
-                    self.metrics.counter("das_client_hedges_total", &[]).inc();
-                    self.spawn_racer(race, b, 1, &msg);
-                    outstanding += 1;
-                    hedged = true;
-                    continue;
                 }
-            };
-            if done.race != race {
-                // A straggler from an earlier race: restore its
-                // connection, it does not decide this strip.
-                self.settle_racer(done);
-                continue;
-            }
-            outstanding -= 1;
-            let RacerDone { server, conn, result, .. } = done;
-            if self.conns[server].live.is_none() {
-                self.conns[server] = conn;
-            }
-            match result {
-                Ok(Message::StripData { payload }) => {
-                    if payload.len() != want {
-                        return Err(NetError::Protocol(format!(
-                            "strip {strip}: wanted {want} bytes, got {}",
-                            payload.len()
-                        )));
-                    }
-                    if hedged && server == b {
-                        self.metrics.counter("das_client_hedge_wins_total", &[]).inc();
-                        das_obs::event_limited(
-                            das_obs::Level::Debug,
-                            "das.client",
-                            "hedge win",
-                            &[
-                                ("strip", strip.to_string()),
-                                ("winner", server.to_string()),
-                                ("loser", a.to_string()),
-                            ],
-                        );
-                        // The first choice did not answer inside its
-                        // latency envelope and the hedge served the
-                        // strip from a replica: that is a replica
-                        // failover in the report's vocabulary, just a
-                        // proactive one.
-                        if server as u32 != primary {
-                            self.record_event(DegradeEvent::ReplicaFailover {
-                                file,
-                                strip,
-                                primary,
-                                replica: server as u32,
-                            });
-                        }
-                    }
-                    return Ok(Some(payload));
-                }
-                Ok(other) => return Err(NetError::Unexpected { opcode: other.opcode() }),
-                // This racer lost; the other may still deliver, and if
-                // not the sequential walk below retries everything.
-                Err(_) => {}
             }
         }
-        Ok(None)
+        for (server, sent) in holders.into_iter().zip(open) {
+            let Some(sent) = sent else { continue };
+            if let Some(conn) = self.conns[server].live.take() {
+                self.parked.push(Parked { server, conn, msg: msg.clone(), sent });
+            }
+        }
+        firsts
     }
 
     /// Two-phase redistribution to `policy`: every server prepares
@@ -912,39 +831,53 @@ impl DasCluster {
             .collect()
     }
 
-    /// Dump the spans server `s` retains for `trace` from its flight
-    /// recorder (see [`Message::TraceDump`]). Fails with a typed
+    /// Ask server `s` for a span blob (`ask` is a `TraceDump` or a
+    /// `SlowLog`) and decode it. Fails with a typed
     /// [`ErrorCode::BadRequest`]-shaped error client-side when the
     /// server did not advertise [`CAP_SPANS`] — the opcode is never
     /// put on a legacy server's wire.
-    pub fn trace_dump(&mut self, s: usize, trace: u64) -> Result<Vec<das_obs::SpanRecord>, NetError> {
+    fn spans_from(&mut self, s: usize, ask: &Message) -> Result<Vec<das_obs::SpanRecord>, NetError> {
         if !self.conns[s].spans_ok {
             return Err(NetError::Remote {
                 code: ErrorCode::BadRequest,
                 message: format!("server {s} did not negotiate CAP_SPANS"),
             });
         }
-        match self.call(s, &Message::TraceDump { trace })? {
-            Message::TraceDumpResp { spans } => das_obs::decode_spans(&spans)
+        match (ask, self.call(s, ask)?) {
+            (Message::TraceDump { .. }, Message::TraceDumpResp { spans })
+            | (Message::SlowLog { .. }, Message::SlowLogResp { spans }) => das_obs::decode_spans(&spans)
                 .ok_or_else(|| NetError::Protocol(format!("server {s}: malformed span blob"))),
-            other => Err(NetError::Unexpected { opcode: other.opcode() }),
+            (_, other) => Err(NetError::Unexpected { opcode: other.opcode() }),
         }
     }
 
-    /// [`DasCluster::trace_dump`] from every reachable server that
+    /// [`DasCluster::spans_from`] every reachable server that
     /// negotiated [`CAP_SPANS`], paired with its server id. Legacy
     /// servers are skipped, not errored: a mixed fleet still renders a
     /// (partial) waterfall.
-    pub fn trace_dump_all(
-        &mut self,
-        trace: u64,
-    ) -> Result<Vec<(u32, Vec<das_obs::SpanRecord>)>, NetError> {
+    fn spans_from_all(&mut self, ask: &Message) -> Result<Vec<(u32, Vec<das_obs::SpanRecord>)>, NetError> {
         let capable: Vec<usize> =
             self.up_servers().into_iter().filter(|&s| self.conns[s].spans_ok).collect();
         capable
             .into_iter()
-            .map(|s| self.trace_dump(s, trace).map(|spans| (s as u32, spans)))
+            .map(|s| self.spans_from(s, ask).map(|spans| (s as u32, spans)))
             .collect()
+    }
+
+    /// Dump the spans server `s` retains for `trace` from its flight
+    /// recorder (see [`Message::TraceDump`]); a typed error, nothing on
+    /// the wire, if the server did not advertise [`CAP_SPANS`].
+    pub fn trace_dump(&mut self, s: usize, trace: u64) -> Result<Vec<das_obs::SpanRecord>, NetError> {
+        self.spans_from(s, &Message::TraceDump { trace })
+    }
+
+    /// [`DasCluster::trace_dump`] from every reachable [`CAP_SPANS`]
+    /// server, paired with its server id (legacy servers skipped).
+    pub fn trace_dump_all(
+        &mut self,
+        trace: u64,
+    ) -> Result<Vec<(u32, Vec<das_obs::SpanRecord>)>, NetError> {
+        self.spans_from_all(&Message::TraceDump { trace })
     }
 
     /// Server `s`'s slowest-roots reservoir: up to `per_class` slowest
@@ -956,17 +889,7 @@ impl DasCluster {
         s: usize,
         per_class: u32,
     ) -> Result<Vec<das_obs::SpanRecord>, NetError> {
-        if !self.conns[s].spans_ok {
-            return Err(NetError::Remote {
-                code: ErrorCode::BadRequest,
-                message: format!("server {s} did not negotiate CAP_SPANS"),
-            });
-        }
-        match self.call(s, &Message::SlowLog { per_class })? {
-            Message::SlowLogResp { spans } => das_obs::decode_spans(&spans)
-                .ok_or_else(|| NetError::Protocol(format!("server {s}: malformed span blob"))),
-            other => Err(NetError::Unexpected { opcode: other.opcode() }),
-        }
+        self.spans_from(s, &Message::SlowLog { per_class })
     }
 
     /// [`DasCluster::slow_log`] from every reachable [`CAP_SPANS`]
@@ -975,12 +898,7 @@ impl DasCluster {
         &mut self,
         per_class: u32,
     ) -> Result<Vec<(u32, Vec<das_obs::SpanRecord>)>, NetError> {
-        let capable: Vec<usize> =
-            self.up_servers().into_iter().filter(|&s| self.conns[s].spans_ok).collect();
-        capable
-            .into_iter()
-            .map(|s| self.slow_log(s, per_class).map(|spans| (s as u32, spans)))
-            .collect()
+        self.spans_from_all(&Message::SlowLog { per_class })
     }
 
     /// Zero every reachable server's traffic counters.
@@ -1306,10 +1224,241 @@ fn run_ts_into(
 
 #[cfg(test)]
 mod tests {
-    use std::net::TcpListener;
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::thread::JoinHandle;
 
     use super::*;
+    use crate::codec::{read_message, write_message_opts};
     use crate::server::{spawn, DasdConfig};
+
+    /// The one-strip file the stub holders serve: two servers, strip 0
+    /// primaried on server 0 and replicated on server 1.
+    const STRIP_LEN: usize = 64;
+    const STUB_DIST: DistributionInfo = DistributionInfo {
+        strip_size: STRIP_LEN,
+        servers: 2,
+        policy: LayoutPolicy::GroupedReplicated { group: 1 },
+        file_len: STRIP_LEN as u64,
+    };
+
+    /// A stand-in for one holder of that file: greets, describes the
+    /// file, and answers every `GetStrip` with `answer` once `hold`
+    /// returns.
+    struct StubHolder {
+        addr: String,
+        /// Connections accepted, `GetStrip`s read, `GetStrip`s answered.
+        accepts: Arc<AtomicUsize>,
+        gets: Arc<AtomicUsize>,
+        answered: Arc<AtomicUsize>,
+        stop: Arc<AtomicBool>,
+        acceptor: JoinHandle<()>,
+    }
+
+    impl StubHolder {
+        fn spawn(hold: impl Fn() + Send + Sync + 'static, answer: Message) -> StubHolder {
+            let hold = Arc::new(hold);
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            listener.set_nonblocking(true).expect("nonblocking accept");
+            let addr = listener.local_addr().expect("addr").to_string();
+            let counters: [Arc<AtomicUsize>; 3] = Default::default();
+            let [accepts, gets, answered] = counters.clone();
+            let stop = Arc::new(AtomicBool::new(false));
+            let stopped = Arc::clone(&stop);
+            let acceptor = std::thread::spawn(move || {
+                let mut serving = Vec::new();
+                while !stopped.load(Ordering::SeqCst) {
+                    let Ok((sock, _)) = listener.accept() else {
+                        std::thread::sleep(Duration::from_millis(1));
+                        continue;
+                    };
+                    accepts.fetch_add(1, Ordering::SeqCst);
+                    let (hold, gets, answered) = (Arc::clone(&hold), Arc::clone(&gets), Arc::clone(&answered));
+                    let answer = answer.clone();
+                    serving.push(std::thread::spawn(move || serve(sock, &*hold, &answer, &gets, &answered)));
+                }
+                for conn in serving {
+                    conn.join().expect("stub connection");
+                }
+            });
+            let [accepts, gets, answered] = counters;
+            StubHolder { addr, accepts, gets, answered, stop, acceptor }
+        }
+
+        /// Stop accepting and wait for every connection to be closed by
+        /// its client — drop the cluster first.
+        fn join(self) {
+            self.stop.store(true, Ordering::SeqCst);
+            self.acceptor.join().expect("stub acceptor");
+        }
+    }
+
+    fn serve(mut sock: TcpStream, hold: &dyn Fn(), answer: &Message, gets: &AtomicUsize, answered: &AtomicUsize) {
+        sock.set_nonblocking(false).expect("blocking connection");
+        while let Ok(Some(request)) = read_message(&mut sock) {
+            let is_get = matches!(request, Message::GetStrip { .. });
+            let reply = match request {
+                Message::Hello { .. } => Message::HelloOk { server_id: 0, caps: 0 },
+                Message::GetDistribution { .. } => Message::DistributionResp { dist: STUB_DIST },
+                Message::GetStrip { .. } => {
+                    gets.fetch_add(1, Ordering::SeqCst);
+                    hold();
+                    answer.clone()
+                }
+                _ => Message::Pong,
+            };
+            if write_message_opts(&mut sock, &reply, None, None).is_err() {
+                break;
+            }
+            if is_get {
+                answered.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+    }
+
+    /// Sleep-poll until `ready`; a stub or a test that waits on the
+    /// other side of a socket has no condition variable to share.
+    fn wait_until(ready: impl Fn() -> bool) {
+        let started = Instant::now();
+        while !ready() {
+            assert!(started.elapsed() < Duration::from_secs(5), "waited 5 s for the other side");
+            std::thread::sleep(Duration::from_micros(200));
+        }
+    }
+
+    fn strip_of(byte: u8, len: usize) -> Message {
+        Message::StripData { payload: vec![byte; len] }
+    }
+
+    /// A cluster over `stubs`, its tracker warmed with healthy 1 ms
+    /// samples for server 0 — a 2 ms hedge delay, the floor — when
+    /// `warm`.
+    fn stub_cluster(stubs: &[StubHolder], warm: bool) -> DasCluster {
+        let addrs: Vec<String> = stubs.iter().map(|s| s.addr.clone()).collect();
+        let policy = RetryPolicy { backoff_base: Duration::from_micros(100), ..RetryPolicy::fast() };
+        let cluster = DasCluster::connect_with(&addrs, policy).expect("connect");
+        for _ in 0..if warm { 4 } else { 0 } {
+            cluster.load.observe(0, Duration::from_millis(1));
+        }
+        cluster
+    }
+
+    fn client_counter(cluster: &DasCluster, name: &str) -> u64 {
+        cluster.metrics.counter(name, &[]).get()
+    }
+
+    /// A first choice that answers late loses to the hedge without
+    /// being waited on; its reply, when it lands, demotes it and gives
+    /// its connection back.
+    #[test]
+    fn a_late_first_choice_loses_the_hedge_and_its_reply_is_read_later() {
+        const LATE: Duration = Duration::from_millis(40);
+        let release = Arc::new(AtomicBool::new(false));
+        let released = Arc::clone(&release);
+        let stubs = [
+            StubHolder::spawn(move || wait_until(|| released.load(Ordering::SeqCst)), strip_of(0xAA, STRIP_LEN)),
+            StubHolder::spawn(|| (), strip_of(0xBB, STRIP_LEN)),
+        ];
+        let mut cluster = stub_cluster(&stubs, true);
+
+        let started = Instant::now();
+        let payload = cluster.fetch_strip(1, 0, STRIP_LEN, 0, &[0, 1]).expect("hedged fetch");
+        let took = started.elapsed();
+        assert_eq!(payload, vec![0xBB; STRIP_LEN], "the hedge lane's bytes must win");
+        assert!(took < LATE, "the fetch outlasted a late holder it must not wait on: {took:?}");
+        assert_eq!(client_counter(&cluster, "das_client_hedges_total"), 1);
+        assert_eq!(client_counter(&cluster, "das_client_hedge_wins_total"), 1);
+        assert_eq!(
+            cluster.take_events(),
+            vec![DegradeEvent::ReplicaFailover { file: 1, strip: 0, primary: 0, replica: 1 }]
+        );
+        assert!(cluster.conns[0].live.is_none() && cluster.parked.len() == 1, "the loser must be parked");
+
+        // The late holder answers `LATE` after it was asked. Once its
+        // reply is in the socket, the next entry point reads it: the
+        // connection goes back, the estimate moves.
+        std::thread::sleep(LATE.saturating_sub(started.elapsed()));
+        release.store(true, Ordering::SeqCst);
+        wait_until(|| stubs[0].answered.load(Ordering::SeqCst) == 1);
+        assert!(cluster.take_events().is_empty());
+        assert!(cluster.conns[0].live.is_some() && cluster.parked.is_empty(), "the loser must be restored");
+        let mean_us = cluster.load.get(0).mean_us();
+        let floor_us = 1000.0 + (LATE.as_micros() as f64 - 1000.0) / 8.0;
+        assert!(mean_us >= floor_us, "a {LATE:?} reply left the estimate at {mean_us} us");
+        assert_eq!(cluster.call(0, &Message::Ping).expect("ping"), Message::Pong);
+        assert_eq!(stubs[0].accepts.load(Ordering::SeqCst), 1, "the restored connection was not reused");
+        assert_eq!(stubs[0].gets.load(Ordering::SeqCst), 1, "the late holder was asked twice");
+        assert_eq!(cluster.call(1, &Message::Ping).expect("ping"), Message::Pong);
+        assert_eq!(stubs[1].accepts.load(Ordering::SeqCst), 1, "the winner lost its connection");
+
+        drop(cluster);
+        for stub in stubs {
+            stub.join();
+        }
+    }
+
+    /// Two lanes that both fail transiently settle nothing: each
+    /// failure is attempt one of the walk's retried call to that
+    /// holder, and the walk's accounting is the only accounting.
+    #[test]
+    fn a_hedge_both_lanes_lose_falls_through_to_the_retrying_walk() {
+        let busy = Message::Error { code: ErrorCode::Retryable, message: "busy".into() };
+        // The first choice holds its first refusal until the hedge
+        // lane has been asked: both lanes are open when both fail.
+        let second = StubHolder::spawn(|| (), busy.clone());
+        let hedged = Arc::clone(&second.gets);
+        let first = StubHolder::spawn(move || wait_until(|| hedged.load(Ordering::SeqCst) > 0), busy);
+        let stubs = [first, second];
+        let mut cluster = stub_cluster(&stubs, true);
+
+        match cluster.fetch_strip(1, 0, STRIP_LEN, 0, &[0, 1]) {
+            Err(NetError::Remote { code: ErrorCode::Retryable, .. }) => {}
+            other => panic!("expected the holders' typed refusal, got {other:?}"),
+        }
+        let attempts = u64::from(cluster.policy.max_attempts);
+        assert_eq!(client_counter(&cluster, "das_client_hedges_total"), 1);
+        assert_eq!(client_counter(&cluster, "das_client_hedge_wins_total"), 0);
+        assert_eq!(client_counter(&cluster, "das_client_retries_total"), 2 * (attempts - 1));
+        for stub in &stubs {
+            assert_eq!(stub.gets.load(Ordering::SeqCst) as u64, attempts, "a lane is attempt one of its holder's budget");
+        }
+        assert!(cluster.take_events().is_empty() && cluster.down_servers().is_empty());
+
+        drop(cluster);
+        for stub in stubs {
+            stub.join();
+        }
+    }
+
+    /// A reply of the wrong length is that holder's failure, not the
+    /// read's: the walk moves on, and only running out of holders
+    /// returns the typed error.
+    #[test]
+    fn a_wrong_length_strip_fails_over_to_the_next_holder() {
+        let short = || StubHolder::spawn(|| (), strip_of(0xAA, STRIP_LEN - 1));
+        let stubs = [short(), StubHolder::spawn(|| (), strip_of(0xBB, STRIP_LEN))];
+        let mut cluster = stub_cluster(&stubs, false);
+        assert_eq!(cluster.read_file(1).expect("the replica has the strip"), vec![0xBB; STRIP_LEN]);
+        assert_eq!(
+            cluster.take_events(),
+            vec![DegradeEvent::ReplicaFailover { file: 1, strip: 0, primary: 0, replica: 1 }]
+        );
+        drop(cluster);
+        for stub in stubs {
+            stub.join();
+        }
+
+        let stubs = [short(), short()];
+        let mut cluster = stub_cluster(&stubs, false);
+        match cluster.read_file(1) {
+            Err(NetError::Protocol(what)) => assert_eq!(what, "strip 0: wanted 64 bytes, got 63"),
+            other => panic!("expected the typed length error, got {other:?}"),
+        }
+        drop(cluster);
+        for stub in stubs {
+            stub.join();
+        }
+    }
 
     /// The `LoadTracker` is the strip-read latency estimate: a
     /// fan-out — an `Execute` least of all — must leave every server's

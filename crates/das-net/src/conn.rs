@@ -7,9 +7,12 @@
 //! `Hello`/`HelloOk` handshake, which optional frame fields the
 //! server's capabilities admit, how long a reply may take, and what a
 //! reply frame means to the caller. Redial, retry, hedging, circuit
-//! breaking and reply demultiplexing stay with the users. After a
-//! transport error ([`NetError::is_transport`]) the connection is in
-//! an unknown state and its owner drops it.
+//! breaking and reply demultiplexing stay with the users — the core
+//! only lets a user ask, without consuming anything, whether a reply
+//! has begun ([`RpcConn::wait_readable`]), which is all a hedge needs
+//! to overlap two of these on one thread. After a transport error
+//! ([`NetError::is_transport`]) the connection is in an unknown state
+//! and its owner drops it.
 
 use std::io;
 use std::net::TcpStream;
@@ -149,6 +152,27 @@ impl RpcConn {
             let _ = self.socket().set_read_timeout(Some(policy.read_timeout));
         }
         result
+    }
+
+    /// Whether the reply in flight has begun to arrive — or the
+    /// connection has ended, which the [`RpcConn::recv`] that follows
+    /// reports — within `timeout`; a zero `timeout` asks without
+    /// blocking. A one-byte `peek`: the socket is read unbuffered, so
+    /// nothing is consumed and `recv` still sees the whole frame.
+    pub(crate) fn wait_readable(&self, timeout: Duration, policy: &RetryPolicy) -> bool {
+        let sock = self.socket();
+        let peeked = if timeout.is_zero() {
+            let _ = sock.set_nonblocking(true);
+            let peeked = sock.peek(&mut [0]);
+            let _ = sock.set_nonblocking(false);
+            peeked
+        } else {
+            let _ = sock.set_read_timeout(Some(timeout));
+            let peeked = sock.peek(&mut [0]);
+            let _ = sock.set_read_timeout(Some(policy.read_timeout));
+            peeked
+        };
+        !peeked.is_err_and(|e| matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut))
     }
 }
 

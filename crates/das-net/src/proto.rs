@@ -883,17 +883,29 @@ struct Dec<'a> {
 }
 
 impl<'a> Dec<'a> {
+    fn truncated(&self, n: usize) -> DecodeError {
+        DecodeError::new(format!(
+            "truncated: wanted {n} bytes at offset {}, have {}",
+            self.pos,
+            self.buf.len() - self.pos
+        ))
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         if self.buf.len() - self.pos < n {
-            return Err(DecodeError::new(format!(
-                "truncated: wanted {n} bytes at offset {}, have {}",
-                self.pos,
-                self.buf.len() - self.pos
-            )));
+            return Err(self.truncated(n));
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
+    }
+
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let Some((head, _)) = self.buf[self.pos..].split_first_chunk::<N>() else {
+            return Err(self.truncated(N));
+        };
+        self.pos += N;
+        Ok(*head)
     }
 
     fn take_u8(&mut self) -> Result<u8, DecodeError> {
@@ -901,15 +913,15 @@ impl<'a> Dec<'a> {
     }
 
     fn take_u16(&mut self) -> Result<u16, DecodeError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap())) // das-lint: allow(DA401) infallible 2-byte slice → array
+        self.take_array().map(u16::from_le_bytes)
     }
 
     fn take_u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap())) // das-lint: allow(DA401) infallible 4-byte slice → array
+        self.take_array().map(u32::from_le_bytes)
     }
 
     fn take_u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap())) // das-lint: allow(DA401) infallible 8-byte slice → array
+        self.take_array().map(u64::from_le_bytes)
     }
 
     fn take_str(&mut self) -> Result<String, DecodeError> {

@@ -566,7 +566,7 @@ fn client_degrade_counters_match_recorded_events() {
 /// reads must bound the whole-file read *under a single fault delay*:
 /// every slow strip is raced against its replica after the EWMA-derived
 /// hedge delay and the replica's bit-identical reply wins. A slow
-/// server is never marked down, and once the losing racers' 300ms
+/// server is never marked down, and once the losing lanes' 300ms
 /// replies have fed the latency tracker, the next read demotes the
 /// straggler in every replica walk and completes fast with no hedges.
 #[test]
@@ -610,8 +610,9 @@ fn slow_server_is_hedged_around_and_then_demoted() {
     // …and a slow server is never a *down* server.
     assert!(h.cluster.down_servers().is_empty(), "a slow server must not be marked down");
 
-    // Let the losing racers land their 300ms replies: each feeds the
-    // slow server's EWMA, so the next read starts from an honest
+    // Let the losing lanes' 300ms replies land in their parked
+    // connections: the next read's first poll reads each and feeds the
+    // slow server's EWMA, so that read starts from an honest
     // straggler estimate and orders the replica first.
     std::thread::sleep(Duration::from_millis(DELAY_MS + 100));
     let start = Instant::now();
