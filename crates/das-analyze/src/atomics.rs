@@ -66,7 +66,7 @@ struct Site {
 pub fn run(root: &Path) -> Vec<Finding> {
     let mut out = Vec::new();
     let mut sites: Vec<Site> = Vec::new();
-    let mut lexed: Vec<lints::LexedFile> = Vec::new();
+    let mut lexed: lints::Scanned = BTreeMap::new();
 
     for (rel, src) in lints::workspace_sources(root) {
         if !CRATES.contains(&lints::crate_of(&rel)) {
@@ -74,15 +74,18 @@ pub fn run(root: &Path) -> Vec<Finding> {
         }
         let lx = syntax::lex(&src);
         collect_sites(&rel, &lx, &mut sites);
-        lexed.push((rel, lx, Vec::new()));
+        lexed.insert(rel, (lx, Vec::new()));
     }
+    let mut waive = |file: &str, line: u32, code: &str| {
+        lexed.get_mut(file).is_some_and(|(lx, used)| lx.waive(line, code, used))
+    };
 
     // DA711 — Relaxed load feeding control flow.
     for s in &sites {
         if s.ordering == "Relaxed"
             && s.op.as_deref() == Some("load")
             && s.in_branch
-            && !waive(&mut lexed, &s.file, s.line, "DA711")
+            && !waive(&s.file, s.line, "DA711")
         {
             out.push(Finding::new(
                 "DA711",
@@ -124,7 +127,7 @@ pub fn run(root: &Path) -> Vec<Finding> {
         let mismatch = (store_sync && load_relaxed) || (load_sync && store_relaxed);
         if mismatch {
             let w = stores.iter().chain(loads.iter()).find(|s| s.ordering == "Relaxed").unwrap();
-            if waive(&mut lexed, &w.file, w.line, "DA712") {
+            if waive(&w.file, w.line, "DA712") {
                 continue;
             }
             let sd = stores.iter().map(|s| s.ordering.as_str()).collect::<Vec<_>>().join("/");
@@ -159,7 +162,7 @@ pub fn run(root: &Path) -> Vec<Finding> {
         let discarded: Vec<&&Site> = group.iter().filter(|s| !s.result_used).collect();
         if any_used && !discarded.is_empty() {
             for s in discarded {
-                if waive(&mut lexed, &s.file, s.line, "DA713") {
+                if waive(&s.file, s.line, "DA713") {
                     continue;
                 }
                 out.push(Finding::new(
@@ -178,7 +181,7 @@ pub fn run(root: &Path) -> Vec<Finding> {
     // DA714 — a DA71x waiver must justify itself: text after
     // `allow(DA71x)` in the same comment. Waivers annotating
     // `#[cfg(test)]` code are skipped like the stale-waiver sweep.
-    for (rel, lx, _) in &lexed {
+    for (rel, (lx, _)) in &lexed {
         let mask = syntax::test_mask(lx);
         for c in &lx.comments {
             let in_test = lx
@@ -209,7 +212,7 @@ pub fn run(root: &Path) -> Vec<Finding> {
     }
 
     // DA430 — stale DA71x waivers.
-    for (rel, lx, used) in &lexed {
+    for (rel, (lx, used)) in &lexed {
         lints::stale_waivers(PASS, rel, lx, &["DA711", "DA712", "DA713"], used, &mut out);
     }
 
@@ -237,22 +240,6 @@ pub fn run(root: &Path) -> Vec<Finding> {
         format!("{} Ordering uses classified — {}", sites.len(), rendered),
     ));
     out
-}
-
-/// Check a waiver in the per-file store and record the use when it
-/// fires, so the stale-waiver sweep can tell live waivers from dead
-/// ones.
-fn waive(lexed: &mut [lints::LexedFile], file: &str, line: u32, code: &str) -> bool {
-    for (rel, lx, used) in lexed.iter_mut() {
-        if rel == file {
-            if lx.waived(line, code) {
-                used.push((line, code.to_string()));
-                return true;
-            }
-            return false;
-        }
-    }
-    false
 }
 
 /// Collect every `Ordering::X` site in a file with its operation

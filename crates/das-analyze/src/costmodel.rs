@@ -420,9 +420,7 @@ fn emit_waivable(
     out: &mut Vec<Finding>,
     f: Finding,
 ) {
-    if lx.waived(line, f.code) {
-        used.push((line, f.code.to_string()));
-    } else {
+    if !lx.waive(line, f.code, used) {
         out.push(f);
     }
 }

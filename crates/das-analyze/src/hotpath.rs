@@ -8,8 +8,7 @@
 //! invariant dies silently — one `to_vec()` in a reply arm or one
 //! blocking `recv` on the poll loop and the benchmarks quietly
 //! regress. This pass re-proves both on every run, over the das-net
-//! request-path sources, using the same name-based call graph the
-//! `lockgraph` pass trusts:
+//! request-path sources, with a name-based call graph:
 //!
 //! * `DA801` (error) — a per-request heap copy (`.to_vec()` /
 //!   `.to_owned()` on byte-ish data, `.clone()` on a hot byte
@@ -29,7 +28,8 @@
 //!   zero-copy path.
 //! * `DA805` (error) — a lock guard held across a dispatch/enqueue/
 //!   write call: serializes the request path behind the guard (and
-//!   deadlocks if the callee takes the same lock).
+//!   deadlocks if the callee takes the same lock). The held set comes
+//!   from the `locks` pass's guard walker.
 //! * `DA800` (info) — proof record: every function of the engine/
 //!   codec write path (`run_job` → `pump_write` → `write_some` →
 //!   `write_segments`, `raw_frame_parts`, `frame_parts_summed`,
@@ -39,7 +39,7 @@
 //!   sites examined.
 //!
 //! Known imprecision, stated so the reader can calibrate: calls are
-//! matched by bare name (as in `lockgraph`), with a generic-name
+//! matched by bare name (as in `locks`), with a generic-name
 //! ignore list (`new`, `from`, `clone`, …) so `Vec::new()` does not
 //! alias every constructor in the crate; receiver "byte-ishness" is
 //! judged by identifier vocabulary (`payload`, `buf`, `frame`, …).
@@ -47,11 +47,12 @@
 //! plus a justification; the `DA430` stale-waiver sweep keeps the
 //! waivers honest.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::path::Path;
 
 use crate::finding::{Finding, Severity};
 use crate::lints;
+use crate::locks::{self, Step};
 use crate::syntax::{self, TokKind, Token};
 
 const PASS: &str = "hotpath";
@@ -161,7 +162,7 @@ struct FnDef {
 pub fn run(root: &Path) -> Vec<Finding> {
     let mut out = Vec::new();
     let mut defs: Vec<FnDef> = Vec::new();
-    let mut lexed: Vec<(String, syntax::Lexed)> = Vec::new();
+    let mut lexed: lints::Scanned = BTreeMap::new();
     let mut files = 0usize;
 
     for (rel, src) in lints::workspace_sources(root) {
@@ -170,19 +171,18 @@ pub fn run(root: &Path) -> Vec<Finding> {
         }
         files += 1;
         let lx = syntax::lex(&src);
-        for f in syntax::extract_fns(&lx) {
-            if f.in_test {
-                continue;
-            }
+        let fns = syntax::extract_fns(&lx);
+        let helpers = locks::guard_helpers(&lx, &fns);
+        for f in fns.iter().filter(|f| !f.in_test) {
             // Empty-bodied fns (and braceless trait signatures) carry
             // no facts but must still count as *defined* — the DA800
             // proof checks the write-path names exist.
-            defs.push(scan_fn(&lx, &f, &rel));
+            defs.push(scan_fn(&lx, f, &rel, &helpers));
         }
-        lexed.push((rel, lx));
+        lexed.insert(rel, (lx, Vec::new()));
     }
 
-    // Merge same-named fns (conservatively, as lockgraph does) and
+    // Merge same-named fns (conservatively, as `locks` does) and
     // restrict call edges to names defined in the scanned set.
     let names: BTreeSet<String> = defs.iter().map(|d| d.name.clone()).collect();
     let mut graph: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
@@ -197,7 +197,6 @@ pub fn run(root: &Path) -> Vec<Finding> {
     // Emit reachable candidates, honoring waivers; track per-file
     // waiver uses for the stale sweep, and per-fn unwaived counts for
     // the DA800 proof.
-    let mut used: HashMap<String, Vec<(u32, String)>> = HashMap::new();
     let mut dirty: BTreeSet<String> = BTreeSet::new();
     let mut emitted: BTreeSet<(&'static str, String, u32)> = BTreeSet::new();
     let mut sites = 0usize;
@@ -216,10 +215,10 @@ pub fn run(root: &Path) -> Vec<Finding> {
                 if !emitted.insert((c.code, d.file.clone(), c.line)) {
                     continue; // nested-fn double scan
                 }
-                let lx = &lexed.iter().find(|(rel, _)| *rel == d.file).expect("lexed").1;
-                if lx.waived(c.line, c.code) {
-                    used.entry(d.file.clone()).or_default().push((c.line, c.code.to_string()));
-                } else {
+                let waived = lexed
+                    .get_mut(&d.file)
+                    .is_some_and(|(lx, used)| lx.waive(c.line, c.code, used));
+                if !waived {
                     dirty.insert(d.name.clone());
                     out.push(Finding::new(
                         c.code,
@@ -233,16 +232,9 @@ pub fn run(root: &Path) -> Vec<Finding> {
         }
     }
 
-    for (rel, lx) in &lexed {
-        let file_used = used.remove(rel).unwrap_or_default();
-        lints::stale_waivers(
-            PASS,
-            rel,
-            lx,
-            &["DA801", "DA802", "DA803", "DA804", "DA805"],
-            &file_used,
-            &mut out,
-        );
+    for (rel, (lx, used)) in &lexed {
+        let owned = ["DA801", "DA802", "DA803", "DA804", "DA805"];
+        lints::stale_waivers(PASS, rel, lx, &owned, used, &mut out);
     }
 
     // DA800 — proof record for the zero-copy write path, only
@@ -311,7 +303,12 @@ fn frame_path_file(rel: &str) -> bool {
 }
 
 /// Scan one function body for hot-path candidates and call edges.
-fn scan_fn(lx: &syntax::Lexed, f: &syntax::FnItem, rel: &str) -> FnDef {
+fn scan_fn(
+    lx: &syntax::Lexed,
+    f: &syntax::FnItem,
+    rel: &str,
+    helpers: &HashMap<String, String>,
+) -> FnDef {
     let toks = &lx.tokens;
     let body = f.body.clone();
     let end = body.end.min(toks.len());
@@ -340,59 +337,12 @@ fn scan_fn(lx: &syntax::Lexed, f: &syntax::FnItem, rel: &str) -> FnDef {
         }
     }
 
-    // Guard tracking for DA805 — same model as lockgraph: let-bound
-    // guards live to their block's close or `drop(g)`; temporaries
-    // die at `;`.
-    struct Guard {
-        lock: String,
-        var: Option<String>,
-        depth: i64,
-        temp: bool,
-    }
-    let lock_at: HashMap<usize, lints::LockSite> = lints::lock_sites(toks, body.clone())
-        .into_iter()
-        .map(|s| (s.at, s))
-        .collect();
-    let mut guards: Vec<Guard> = Vec::new();
-    let mut depth = 0i64;
-
-    let mut i = body.start;
-    while i < end {
+    // The held set for DA805 comes from the `locks` guard walker.
+    locks::walk(toks, body.clone(), helpers, &mut HashSet::new(), |step, held| {
+        let Step::Token(i) = step else { return };
         let t = &toks[i];
-        match t.text.as_str() {
-            "{" => depth += 1,
-            "}" => {
-                depth -= 1;
-                guards.retain(|g| g.depth <= depth);
-            }
-            ";" => guards.retain(|g| !g.temp),
-            _ => {}
-        }
-        if t.kind == TokKind::Ident
-            && t.text == "drop"
-            && toks.get(i + 1).is_some_and(|n| n.text == "(")
-        {
-            if let Some(arg) = toks.get(i + 2) {
-                if arg.kind == TokKind::Ident {
-                    guards.retain(|g| g.var.as_deref() != Some(arg.text.as_str()));
-                }
-            }
-        }
-        if let Some(site) = lock_at.get(&i) {
-            let bound = bound_var(toks, i);
-            guards.push(Guard {
-                lock: site.name.clone(),
-                var: bound.clone(),
-                depth,
-                temp: bound.is_none(),
-            });
-            i += 1;
-            continue;
-        }
-
         if t.kind != TokKind::Ident {
-            i += 1;
-            continue;
+            return;
         }
         let dotted = i > body.start && toks[i - 1].text == ".";
         let called = toks.get(i + 1).is_some_and(|n| n.text == "(");
@@ -403,19 +353,19 @@ fn scan_fn(lx: &syntax::Lexed, f: &syntax::FnItem, rel: &str) -> FnDef {
             def.calls.insert(t.text.clone());
         }
         if called && dotted && !EDGE_IGNORE.contains(&t.text.as_str()) {
-            // Method calls also resolve by bare name, as in lockgraph.
+            // Method calls also resolve by bare name.
             def.calls.insert(t.text.clone());
         }
 
         // DA805 — a dispatch/write boundary crossed under a guard.
         if called && DISPATCHY.contains(&t.text.as_str()) {
-            if let Some(g) = guards.first() {
+            if let Some(lock) = held.first() {
                 def.guard.push(Candidate {
                     code: "DA805",
                     line: t.line,
                     message: format!(
                         "`{}` called while guard `{}` is held — the lock serializes the request path across the dispatch boundary; release it first",
-                        t.text, g.lock
+                        t.text, lock
                     ),
                 });
             }
@@ -520,9 +470,7 @@ fn scan_fn(lx: &syntax::Lexed, f: &syntax::FnItem, rel: &str) -> FnDef {
                 }
             }
         }
-
-        i += 1;
-    }
+    });
     def
 }
 
@@ -614,29 +562,6 @@ fn has_semicolon_before_close(toks: &[Token], open_idx: usize, end: usize) -> bo
         }
     }
     false
-}
-
-/// If the lock site at `at` is the RHS of `let [mut] NAME = lock(…)`,
-/// return NAME (the guard is block-scoped); otherwise `None` (the
-/// guard is a statement temporary).
-fn bound_var(toks: &[Token], at: usize) -> Option<String> {
-    let eq = at.checked_sub(1)?;
-    if toks.get(eq)?.text != "=" {
-        return None;
-    }
-    let name_tok = toks.get(at.checked_sub(2)?)?;
-    if name_tok.kind != TokKind::Ident {
-        return None;
-    }
-    let kw_tok = toks.get(at.checked_sub(3)?)?;
-    let is_let = kw_tok.text == "let"
-        || (kw_tok.text == "mut"
-            && at.checked_sub(4).and_then(|k| toks.get(k)).is_some_and(|t| t.text == "let"));
-    if is_let {
-        Some(name_tok.text.clone())
-    } else {
-        None
-    }
 }
 
 #[cfg(test)]
@@ -827,6 +752,29 @@ fn dispatch(s: &S, job: Job) {}
         let hits: Vec<_> = out.iter().filter(|f| f.code == "DA805").collect();
         assert_eq!(hits.len(), 1, "{out:?}");
         assert!(hits[0].entity.ends_with(":3"), "{hits:?}");
+    }
+
+    #[test]
+    fn early_return_drop_keeps_the_guard_across_a_later_dispatch() {
+        // The drop only releases the guard on the early-return arm; the
+        // fall-through still holds it when it dispatches.
+        let out = run_on(&[(
+            "server.rs",
+            "\
+fn run_job(s: &S, job: Job, full: bool) {
+    let g = lock(&s.inner);
+    if full {
+        drop(g);
+        return;
+    }
+    dispatch(s, job);
+}
+fn dispatch(s: &S, job: Job) {}
+",
+        )]);
+        let hits: Vec<_> = out.iter().filter(|f| f.code == "DA805").collect();
+        assert_eq!(hits.len(), 1, "{out:?}");
+        assert!(hits[0].entity.ends_with(":7"), "{hits:?}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! # das-analyze — static analysis for the DAS workspace
 //!
-//! Twelve passes, each emitting machine-readable [`Finding`]s
+//! Eleven passes, each emitting machine-readable [`Finding`]s
 //! (`registry::REGISTRY` is the code registry; `das-analyze --list`
 //! prints it, `docs/ANALYSIS.md` documents it):
 //!
@@ -29,28 +29,27 @@
 //! * [`lints`] — token-based source lints via the in-crate [`syntax`]
 //!   lexer: no `unwrap()`/`expect(`/`panic!` in das-net's wire-facing
 //!   modules, no `eprintln!` outside das-obs, no stray stdout prints
-//!   in library code, and intra-function lock ordering against the
-//!   declared hierarchy. `// das-lint: allow(<code>)` on the same or
+//!   in library code. `// das-lint: allow(<code>)` on the same or
 //!   preceding line waives a site; `#[cfg(test)]` code is masked out.
 //! * [`taint`] — wire-taint dataflow: lengths and counts decoded off
 //!   the wire in das-net's `proto`/`codec` must be bounds-checked
 //!   before they reach an allocation or index sink, and peer-returned
 //!   strip payloads must be length-validated before the server
 //!   assembles them.
-//! * [`lockgraph`] — inter-procedural lock-order analysis: propagate
-//!   guard-held sets through the das-net call graph and report
-//!   cross-function hierarchy inversions and AB/BA cycles, with the
-//!   witness call chain.
+//! * [`locks`] — one lock model over das-net/das-obs/das-load: one
+//!   acquisition recognizer and one guard-lifetime walker feed both
+//!   lock-order analysis (held sets propagated through each crate's
+//!   call graph; hierarchy inversions, direct or through a call, and
+//!   AB/BA cycles, with the witness chain) and RacerD-style guard
+//!   inference (which mutex dominates each shared struct field, every
+//!   access checked against it, dead locks and guardless `Arc`
+//!   interior mutation flagged, with witness access sites).
 //! * [`model`] — bounded protocol model checker: exhaustively explore
 //!   the client↔daemon session state machine (caps negotiation ×
 //!   framing × retry/backoff × breaker × the DAS→NAS→TS ladder),
 //!   driving the real codec and retry policy, and report any stuck
 //!   state, idempotence breach, or discipline violation with a
 //!   minimal counterexample trace.
-//! * [`lockset`] — RacerD-style guard inference over das-net/das-obs:
-//!   which mutex dominates each shared struct field, every access
-//!   checked against its dominating guard, dead locks and guardless
-//!   `Arc` interior mutation flagged, with witness access sites.
 //! * [`atomics`] — atomics-ordering audit over
 //!   das-net/das-obs/das-load: every `Ordering::*` use classified;
 //!   Relaxed loads feeding control flow (the publication pattern),
@@ -81,8 +80,7 @@ pub mod fetchgraph;
 pub mod finding;
 pub mod hotpath;
 pub mod lints;
-pub mod lockgraph;
-pub mod lockset;
+pub mod locks;
 pub mod model;
 pub mod protocol;
 pub mod registry;
@@ -94,16 +92,15 @@ use std::path::Path;
 pub use finding::{Finding, Report, Severity};
 
 /// Pass names in execution order, as accepted by `--pass`.
-pub const PASSES: [&str; 12] = [
+pub const PASSES: [&str; 11] = [
     "registry",
     "descriptors",
     "protocol",
     "fetchgraph",
     "lints",
     "taint",
-    "lockgraph",
+    "locks",
     "model",
-    "lockset",
     "atomics",
     "hotpath",
     "costmodel",
@@ -119,9 +116,8 @@ pub fn run_pass(name: &str, root: &Path) -> Option<Vec<Finding>> {
         "fetchgraph" => Some(fetchgraph::run(root)),
         "lints" => Some(lints::run(root)),
         "taint" => Some(taint::run(root)),
-        "lockgraph" => Some(lockgraph::run(root)),
+        "locks" => Some(locks::run(root)),
         "model" => Some(model::run(root)),
-        "lockset" => Some(lockset::run(root)),
         "atomics" => Some(atomics::run(root)),
         "hotpath" => Some(hotpath::run(root)),
         "costmodel" => Some(costmodel::run(root)),

@@ -11,12 +11,6 @@
 //! * `DA404` (error) — `eprintln!` outside das-obs. Diagnostics go
 //!   through the das-obs event/metrics layer so they carry structure
 //!   and can be rate-limited; raw stderr writes bypass all of it.
-//! * `DA405` (error) — a function acquires hierarchy locks out of
-//!   the declared order (`conns → inner → downs → inbox → sched →
-//!   done → pending → wr → ewma`). Out-of-order
-//!   acquisition across threads is an AB/BA deadlock. This is the
-//!   *intra*-procedural check; the `lockgraph` pass propagates
-//!   acquisitions across calls (`DA407`/`DA408`).
 //! * `DA406` (warning) — `println!` in library (non-`bin/`,
 //!   non-test) code. Library crates must not write to a stdout they
 //!   do not own; das-bench's report harness is the sanctioned
@@ -38,10 +32,11 @@
 //! greppable. Tokens inside `#[cfg(test)]` items are exempt — tests
 //! panic by design.
 
+use std::collections::BTreeMap;
 use std::path::Path;
 
 use crate::finding::{Finding, Severity};
-use crate::syntax::{self, TokKind, Token};
+use crate::syntax::{self, TokKind};
 
 const PASS: &str = "lints";
 
@@ -65,21 +60,6 @@ pub const REQUEST_PATH: [&str; 14] = [
     "crates/das-load/src/fleet.rs",
     "crates/das-load/src/report.rs",
     "src/bin/das.rs",
-];
-
-/// The declared lock hierarchy (outermost first). A function's first
-/// acquisitions must follow this order. `inbox`, `sched` and `done`
-/// are the event-loop engine's shard queues and fair scheduler (the
-/// shed path pushes an `Overloaded` reply to `done` while holding
-/// `sched`, hence the order); `pending` and `wr` belong to the
-/// pipelined client (reply-routing table, then write half); `ewma`
-/// is the hedging load tracker; `errs` is das-load's monitor-state
-/// error breakdown, held only to bump a counter; `spans` is the span
-/// flight recorder's ring/reservoir state, the hierarchy's leaf —
-/// nothing may be acquired while it is held, so every request-path
-/// stage can record a span under any combination of the other ranks.
-pub const LOCK_HIERARCHY: [&str; 11] = [
-    "conns", "inner", "downs", "inbox", "sched", "done", "pending", "wr", "ewma", "errs", "spans",
 ];
 
 /// Crates whose library code may print to stdout: das-obs is the
@@ -107,8 +87,7 @@ pub fn run(root: &Path) -> Vec<Finding> {
 
 /// Every `crates/*/src/**/*.rs` file under `root`, plus the root
 /// package's `src/**/*.rs` (the `das` CLI), as (repo-relative path,
-/// contents), sorted by path. Shared with the taint, lock-graph,
-/// lockset and atomics passes.
+/// contents), sorted by path. Shared with every source pass.
 pub fn workspace_sources(root: &Path) -> Vec<(String, String)> {
     let mut files = Vec::new();
     collect_rs_files(&root.join("crates"), &mut files);
@@ -171,77 +150,6 @@ pub fn is_request_path(rel: &str) -> bool {
     REQUEST_PATH.iter().any(|m| rel.ends_with(m))
 }
 
-/// A lock acquisition found in a token stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LockSite {
-    /// The lock's field/variable name (`conns`, `inner`, …).
-    pub name: String,
-    /// 1-based source line.
-    pub line: u32,
-    /// Token index of the acquisition's first token.
-    pub at: usize,
-}
-
-/// Find every lock acquisition in `toks[range]`: the helper form
-/// `lock(&self.X)` / `lock(&mut X)` and the method form `X.lock()`.
-/// Shared with the lock-graph pass.
-pub fn lock_sites(toks: &[Token], range: std::ops::Range<usize>) -> Vec<LockSite> {
-    let mut out = Vec::new();
-    let mut i = range.start;
-    let end = range.end.min(toks.len());
-    while i < end {
-        let t = &toks[i];
-        if t.kind == TokKind::Ident && t.text == "lock" {
-            let after_paren = toks.get(i + 1).is_some_and(|n| n.text == "(");
-            let dotted = i > 0 && toks[i - 1].text == ".";
-            if after_paren && dotted {
-                // Method form: recv.lock() — receiver is the ident
-                // right before the dot.
-                if toks.get(i + 2).is_some_and(|n| n.text == ")") {
-                    if let Some(recv) = toks.get(i.wrapping_sub(2)) {
-                        if recv.kind == TokKind::Ident {
-                            out.push(LockSite { name: recv.text.clone(), line: t.line, at: i });
-                        }
-                    }
-                }
-                i += 1;
-                continue;
-            }
-            if after_paren && !dotted {
-                // Helper form: lock(&self.conns) — the lock name is
-                // the last ident inside the parens.
-                let mut depth = 0i64;
-                let mut j = i + 1;
-                let mut last_ident = None;
-                while j < end {
-                    match toks[j].text.as_str() {
-                        "(" => depth += 1,
-                        ")" => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {
-                            if toks[j].kind == TokKind::Ident {
-                                last_ident = Some(j);
-                            }
-                        }
-                    }
-                    j += 1;
-                }
-                if let Some(k) = last_ident {
-                    out.push(LockSite { name: toks[k].text.clone(), line: t.line, at: i });
-                }
-                i = j.max(i + 1);
-                continue;
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
 /// Lint one file. `rel` is the repo-relative path used in entities.
 pub fn lint_file(rel: &str, src: &str, out: &mut Vec<Finding>) {
     let lx = syntax::lex(src);
@@ -249,9 +157,6 @@ pub fn lint_file(rel: &str, src: &str, out: &mut Vec<Finding>) {
     let toks = &lx.tokens;
     let request_path = is_request_path(rel);
     let library = !is_bin(rel) && !STDOUT_EXEMPT.contains(&crate_of(rel));
-    // Hierarchy-ranked crates: das-net owns most of the hierarchy,
-    // das-load contributes the monitor-state `errs` rank.
-    let ranked = matches!(crate_of(rel), "das-net" | "das-load");
     // (finding line, code) pairs where a waiver actually suppressed a
     // finding — fuel for the stale-waiver sweep at the end.
     let mut used: Vec<(u32, String)> = Vec::new();
@@ -270,7 +175,7 @@ pub fn lint_file(rel: &str, src: &str, out: &mut Vec<Finding>) {
         let banged = toks.get(i + 1).is_some_and(|n| n.text == "!");
 
         if request_path {
-            if t.text == "unwrap" && dotted_call && !waive(&lx, t.line, "DA401", &mut used) {
+            if t.text == "unwrap" && dotted_call && !lx.waive(t.line, "DA401", &mut used) {
                 out.push(site(
                     "DA401",
                     rel,
@@ -278,7 +183,7 @@ pub fn lint_file(rel: &str, src: &str, out: &mut Vec<Finding>) {
                     "`.unwrap()` on the request path — a malformed or unlucky input panics the daemon; return a typed NetError instead",
                 ));
             }
-            if t.text == "expect" && dotted_call && !waive(&lx, t.line, "DA402", &mut used) {
+            if t.text == "expect" && dotted_call && !lx.waive(t.line, "DA402", &mut used) {
                 out.push(site(
                     "DA402",
                     rel,
@@ -286,7 +191,7 @@ pub fn lint_file(rel: &str, src: &str, out: &mut Vec<Finding>) {
                     "`.expect(` on the request path — same hazard as unwrap; return a typed NetError instead",
                 ));
             }
-            if t.text == "panic" && banged && !waive(&lx, t.line, "DA403", &mut used) {
+            if t.text == "panic" && banged && !lx.waive(t.line, "DA403", &mut used) {
                 out.push(site(
                     "DA403",
                     rel,
@@ -300,7 +205,7 @@ pub fn lint_file(rel: &str, src: &str, out: &mut Vec<Finding>) {
             && banged
             && crate_of(rel) != "das-obs"
             && !is_bin(rel)
-            && !waive(&lx, t.line, "DA404", &mut used)
+            && !lx.waive(t.line, "DA404", &mut used)
         {
             out.push(site(
                 "DA404",
@@ -310,7 +215,7 @@ pub fn lint_file(rel: &str, src: &str, out: &mut Vec<Finding>) {
             ));
         }
 
-        if t.text == "println" && banged && library && !waive(&lx, t.line, "DA406", &mut used) {
+        if t.text == "println" && banged && library && !lx.waive(t.line, "DA406", &mut used) {
             out.push(Finding::new(
                 "DA406",
                 Severity::Warning,
@@ -321,78 +226,12 @@ pub fn lint_file(rel: &str, src: &str, out: &mut Vec<Finding>) {
         }
     }
 
-    // Lock-order (intra-procedural): the rank of each hierarchy lock
-    // the first time a function acquires it; a rank lower than one
-    // already held is an inversion. Nested fn bodies are scanned as
-    // their own windows and skipped in the enclosing one.
-    if ranked {
-        let fns = syntax::extract_fns(&lx);
-        for (fi, f) in fns.iter().enumerate() {
-            if f.in_test || f.body.is_empty() {
-                continue;
-            }
-            let nested: Vec<std::ops::Range<usize>> = fns
-                .iter()
-                .enumerate()
-                .filter(|(gi, g)| {
-                    *gi != fi && g.body.start >= f.body.start && g.body.end <= f.body.end
-                })
-                .map(|(_, g)| g.body.clone())
-                .collect();
-            let mut seen: Vec<usize> = Vec::new();
-            for s in lock_sites(toks, f.body.clone()) {
-                if nested.iter().any(|r| r.contains(&s.at)) {
-                    continue;
-                }
-                let Some(rank) = LOCK_HIERARCHY.iter().position(|&h| h == s.name) else {
-                    continue;
-                };
-                if seen.contains(&rank) {
-                    continue;
-                }
-                if let Some(&held) = seen.iter().max() {
-                    if rank < held && !waive(&lx, s.line, "DA405", &mut used) {
-                        out.push(site(
-                            "DA405",
-                            rel,
-                            s.line,
-                            &format!(
-                                "lock `{}` acquired after `{}` — violates the declared hierarchy {:?} and risks an AB/BA deadlock",
-                                s.name, LOCK_HIERARCHY[held], LOCK_HIERARCHY
-                            ),
-                        ));
-                    }
-                }
-                seen.push(rank);
-            }
-        }
-    }
-
-    stale_waivers(
-        PASS,
-        rel,
-        &lx,
-        &["DA401", "DA402", "DA403", "DA404", "DA405", "DA406"],
-        &used,
-        out,
-    );
+    stale_waivers(PASS, rel, &lx, &["DA401", "DA402", "DA403", "DA404", "DA406"], &used, out);
 }
 
-/// Check a waiver and record the use when it fires, so the
-/// stale-waiver sweep can tell live waivers from dead ones.
-fn waive(lx: &syntax::Lexed, line: u32, code: &'static str, used: &mut Vec<(u32, String)>) -> bool {
-    if lx.waived(line, code) {
-        used.push((line, code.to_string()));
-        true
-    } else {
-        false
-    }
-}
-
-/// A lexed file carried between a pass's scan and its stale-waiver
-/// sweep: repo-relative path, token stream, and the (finding line,
-/// code) pairs where a waiver fired.
-pub type LexedFile = (String, syntax::Lexed, Vec<(u32, String)>);
+/// The files a pass scanned, by repo-relative path: each one lexed,
+/// with the (finding line, code) pairs where one of its waivers fired.
+pub type Scanned = BTreeMap<String, (syntax::Lexed, Vec<(u32, String)>)>;
 
 /// `DA430` — stale-waiver sweep, shared by every waiver-honoring
 /// pass. `owned` is the set of codes the calling pass can suppress;
@@ -527,45 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn lock_order_inversion_is_caught() {
-        let bad = "\
-fn inverted(&self) {
-    let d = lock(&self.downs);
-    let c = lock(&self.conns);
-}
-";
-        let mut out = Vec::new();
-        lint_file("crates/das-net/src/peer.rs", bad, &mut out);
-        assert!(out.iter().any(|f| f.code == "DA405"), "{out:?}");
-
-        let good = "\
-fn ordered(&self) {
-    let c = lock(&self.conns);
-    let i = lock(&self.inner);
-    let d = lock(&self.downs);
-}
-fn fresh(&self) {
-    let c = lock(&self.conns);
-}
-";
-        out.clear();
-        lint_file("crates/das-net/src/peer.rs", good, &mut out);
-        assert!(out.is_empty(), "{out:?}");
-    }
-
-    #[test]
-    fn lock_sites_parse_helper_and_method_forms() {
-        let lx = syntax::lex(
-            "let c = lock(&self.conns); let g = self.inner.lock(); let x = lock(&mut rx); no locks here",
-        );
-        let names: Vec<String> = lock_sites(&lx.tokens, 0..lx.tokens.len())
-            .into_iter()
-            .map(|s| s.name)
-            .collect();
-        assert_eq!(names, ["conns", "inner", "rx"]);
-    }
-
-    #[test]
     fn das_load_and_cli_are_on_the_request_path() {
         let mut out = Vec::new();
         lint_file("crates/das-load/src/lib.rs", "fn f() { x.unwrap(); }\n", &mut out);
@@ -576,18 +376,6 @@ fn fresh(&self) {
         // The CLI is a bin: its prints are its own business.
         out.clear();
         lint_file("src/bin/das.rs", "fn f() { println!(\"x\"); eprintln!(\"y\"); }\n", &mut out);
-        assert!(out.is_empty(), "{out:?}");
-    }
-
-    #[test]
-    fn errs_rank_is_part_of_the_hierarchy() {
-        let bad = "fn f(&self) { let s = lock(&self.errs); let e = lock(&self.ewma); }\n";
-        let mut out = Vec::new();
-        lint_file("crates/das-load/src/lib.rs", bad, &mut out);
-        assert!(out.iter().any(|f| f.code == "DA405"), "{out:?}");
-        let good = "fn f(&self) { let e = lock(&self.ewma); let s = lock(&self.errs); }\n";
-        out.clear();
-        lint_file("crates/das-load/src/lib.rs", good, &mut out);
         assert!(out.is_empty(), "{out:?}");
     }
 

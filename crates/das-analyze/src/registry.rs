@@ -59,9 +59,8 @@ pub const REGISTRY: &[(&str, &str, &str)] = &[
     ("DA402", "error", ".expect( in a das-net request-path module"),
     ("DA403", "error", "panic! in a das-net request-path module"),
     ("DA404", "error", "eprintln! outside das-obs (and outside bin/)"),
-    ("DA405", "error", "locks acquired against the declared hierarchy in one function"),
     ("DA406", "warning", "println! in library code"),
-    ("DA407", "error", "cross-function lock acquisition inverts the declared hierarchy"),
+    ("DA407", "error", "lock acquired against the declared hierarchy, directly or through a call"),
     ("DA408", "error", "AB/BA lock-order cycle across call chains"),
     ("DA409", "info", "lock-graph summary: functions, sites, held-edges"),
     ("DA430", "warning", "das-lint: allow(...) waiver that suppresses nothing"),

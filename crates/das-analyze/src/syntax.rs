@@ -80,9 +80,21 @@ pub struct Lexed {
 }
 
 impl Lexed {
+    /// Whether a waiver covers a `code` finding on `line`; a hit is
+    /// recorded in `used` as `(line, code)` so the pass's stale-waiver
+    /// sweep (`lints::stale_waivers`) can tell live waivers from dead
+    /// ones. The one waiver check every pass goes through.
+    pub fn waive(&self, line: u32, code: &str, used: &mut Vec<(u32, String)>) -> bool {
+        let hit = self.waived(line, code);
+        if hit {
+            used.push((line, code.to_string()));
+        }
+        hit
+    }
+
     /// Whether any comment on `line` or the line directly above
     /// carries the waiver token `das-lint: allow(<code>)`.
-    pub fn waived(&self, line: u32, code: &str) -> bool {
+    fn waived(&self, line: u32, code: &str) -> bool {
         let token = format!("das-lint: allow({code})");
         self.comments
             .iter()

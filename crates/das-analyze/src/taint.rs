@@ -372,8 +372,7 @@ fn report_hot(
             Taint::Direct => ("DA501", Severity::Error, "decoded from the wire"),
             Taint::Derived => ("DA502", Severity::Warning, "derived from a wire value"),
         };
-        if lx.waived(t.line, code) {
-            used.push((t.line, code.to_string()));
+        if lx.waive(t.line, code, used) {
             continue;
         }
         out.push(Finding::new(
@@ -531,8 +530,7 @@ fn blob_taint_fn(
                     && blobs.contains(&a.text)
                     && !reported.contains(&(a.text.clone(), a.line))
                 {
-                    if lx.waived(a.line, "DA503") {
-                        used.push((a.line, "DA503".to_string()));
+                    if lx.waive(a.line, "DA503", used) {
                         continue;
                     }
                     reported.insert((a.text.clone(), a.line));
@@ -556,19 +554,15 @@ fn blob_taint_fn(
         {
             let a = &toks[i - 1];
             stats.sinks += 1;
-            if !reported.contains(&(a.text.clone(), a.line)) {
-                if lx.waived(a.line, "DA503") {
-                    used.push((a.line, "DA503".to_string()));
-                } else {
-                    reported.insert((a.text.clone(), a.line));
-                    out.push(Finding::new(
-                        "DA503",
-                        Severity::Error,
-                        PASS,
-                        format!("{rel}:{}", a.line),
-                        format!("wire blob `{}` indexed without a length check", a.text),
-                    ));
-                }
+            if !reported.contains(&(a.text.clone(), a.line)) && !lx.waive(a.line, "DA503", used) {
+                reported.insert((a.text.clone(), a.line));
+                out.push(Finding::new(
+                    "DA503",
+                    Severity::Error,
+                    PASS,
+                    format!("{rel}:{}", a.line),
+                    format!("wire blob `{}` indexed without a length check", a.text),
+                ));
             }
         }
 

@@ -1,5 +1,5 @@
 // Fixture: every concurrency finding in here is waived with a
-// justifying comment — the lockset and atomics passes must pass it
+// justifying comment — the locks and atomics passes must pass it
 // under --deny, and none of the waivers may read as stale (DA430)
 // or bare (DA714).
 struct Inner {

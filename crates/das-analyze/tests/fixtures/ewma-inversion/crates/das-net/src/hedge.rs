@@ -1,8 +1,8 @@
 //! Seeded defect: `observe` holds `ewma` (rank 9; only the span
 //! recorder ranks below it) while calling `reorder`, which
 //! acquires `sched` (rank 5) — an inversion of the hierarchy's
-//! tail-tolerance ranks that only the inter-procedural lockgraph pass
-//! can see. Must fail `--deny --pass lockgraph` with DA407.
+//! tail-tolerance ranks visible only across the call. Must fail
+//! `--deny --pass locks` with DA407.
 
 pub struct LoadTracker;
 

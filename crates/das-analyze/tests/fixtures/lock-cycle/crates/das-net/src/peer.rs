@@ -1,6 +1,6 @@
 //! Seeded defect: `ab` takes alpha then (via a call) beta, while
 //! `ba` takes beta then (via a call) alpha — an AB/BA cycle spread
-//! across four functions. Must fail `--deny --pass lockgraph` with
+//! across four functions. Must fail `--deny --pass locks` with
 //! DA408. The locks are deliberately outside the declared hierarchy
 //! so only the cycle detector fires.
 

@@ -1,7 +1,7 @@
 //! Seeded defect: `outer` holds `inner` (rank 2) while calling
 //! `helper`, which acquires `conns` (rank 1) — a cross-function
-//! inversion of the declared hierarchy that only an inter-procedural
-//! pass can see. Must fail `--deny --pass lockgraph` with DA407.
+//! inversion of the declared hierarchy visible only across the call.
+//! Must fail `--deny --pass locks` with DA407.
 
 pub struct Srv;
 

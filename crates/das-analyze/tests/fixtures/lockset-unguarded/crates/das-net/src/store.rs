@@ -1,5 +1,5 @@
 // Fixture: a mutex-protected struct with one access path that
-// bypasses the guard — the lockset pass must flag it with a witness.
+// bypasses the guard — the locks pass must flag it with a witness.
 struct Inner {
     items: Vec<u32>,
     total: u64,

@@ -2,8 +2,7 @@
 //! — the flight recorder's ring, under which nothing may be acquired)
 //! while calling `mirror_gauges`, which acquires `sched` (rank 5) —
 //! the inversion the SpanStore leaf rank exists to forbid, visible
-//! only to the inter-procedural lockgraph pass. Must fail
-//! `--deny --pass lockgraph` with DA407.
+//! only across the call. Must fail `--deny --pass locks` with DA407.
 
 pub struct SpanStore;
 

@@ -93,7 +93,7 @@ fn lint_shaped_text_in_comments_strings_and_tests_is_clean() {
 
 #[test]
 fn cross_function_lock_inversion_fails_with_da407() {
-    let (ok, stdout) = analyze(&fixture("lock-inversion"), &["lockgraph"]);
+    let (ok, stdout) = analyze(&fixture("lock-inversion"), &["locks"]);
     assert!(!ok, "{stdout}");
     assert!(stdout.contains("\"code\":\"DA407\""), "{stdout}");
     // The witness chain names both ends of the call.
@@ -106,11 +106,22 @@ fn engine_shard_queue_inversion_fails_with_da407() {
     // The event-loop engine's locks (`inbox` rank 4, `done` rank 5)
     // are part of the declared hierarchy; acquiring them backwards
     // across a call is the same AB/BA deadlock as the server locks.
-    let (ok, stdout) = analyze(&fixture("engine-inversion"), &["lockgraph"]);
+    let (ok, stdout) = analyze(&fixture("engine-inversion"), &["locks"]);
     assert!(!ok, "{stdout}");
     assert!(stdout.contains("\"code\":\"DA407\""), "{stdout}");
     assert!(stdout.contains("route_done"), "{stdout}");
     assert!(stdout.contains("adopt"), "{stdout}");
+}
+
+#[test]
+fn early_return_drop_keeps_the_guard_on_the_fall_through() {
+    // `drop(i)` on the early-return arm does not release `inner` for
+    // the rest of `outer`: the call to `helper` still inverts.
+    let (ok, stdout) = analyze(&fixture("lock-early-drop"), &["locks"]);
+    assert!(!ok, "{stdout}");
+    assert!(stdout.contains("\"code\":\"DA407\""), "{stdout}");
+    assert!(stdout.contains("outer"), "{stdout}");
+    assert!(stdout.contains("helper"), "{stdout}");
 }
 
 #[test]
@@ -119,7 +130,7 @@ fn ewma_leaf_inversion_fails_with_da407() {
     // tracker): acquiring the fair scheduler's `sched` through a call
     // made under it inverts the tail-tolerance ranks added with the
     // hedged-read/shedding work.
-    let (ok, stdout) = analyze(&fixture("ewma-inversion"), &["lockgraph"]);
+    let (ok, stdout) = analyze(&fixture("ewma-inversion"), &["locks"]);
     assert!(!ok, "{stdout}");
     assert!(stdout.contains("\"code\":\"DA407\""), "{stdout}");
     assert!(stdout.contains("observe"), "{stdout}");
@@ -133,7 +144,7 @@ fn span_store_leaf_inversion_fails_with_da407() {
     // ranks, so acquiring *anything* ranked through a call made while
     // `spans` is held inverts the order the observability work
     // declared.
-    let (ok, stdout) = analyze(&fixture("span-inversion"), &["lockgraph"]);
+    let (ok, stdout) = analyze(&fixture("span-inversion"), &["locks"]);
     assert!(!ok, "{stdout}");
     assert!(stdout.contains("\"code\":\"DA407\""), "{stdout}");
     assert!(stdout.contains("record"), "{stdout}");
@@ -142,7 +153,7 @@ fn span_store_leaf_inversion_fails_with_da407() {
 
 #[test]
 fn ab_ba_lock_cycle_across_calls_fails_with_da408() {
-    let (ok, stdout) = analyze(&fixture("lock-cycle"), &["lockgraph"]);
+    let (ok, stdout) = analyze(&fixture("lock-cycle"), &["locks"]);
     assert!(!ok, "{stdout}");
     assert!(stdout.contains("\"code\":\"DA408\""), "{stdout}");
     assert!(stdout.contains("alpha"), "{stdout}");
@@ -180,7 +191,7 @@ fn every_seeded_model_defect_yields_its_counterexample() {
 
 #[test]
 fn unguarded_field_access_fails_with_da701() {
-    let (ok, stdout) = analyze(&fixture("lockset-unguarded"), &["lockset"]);
+    let (ok, stdout) = analyze(&fixture("lockset-unguarded"), &["locks"]);
     assert!(!ok, "{stdout}");
     assert!(stdout.contains("\"code\":\"DA701\""), "{stdout}");
     // The witness names the field, the dominating guard, and a
@@ -192,7 +203,7 @@ fn unguarded_field_access_fails_with_da701() {
 
 #[test]
 fn dead_lock_fails_with_da703() {
-    let (ok, stdout) = analyze(&fixture("lockset-deadlock"), &["lockset"]);
+    let (ok, stdout) = analyze(&fixture("lockset-deadlock"), &["locks"]);
     assert!(!ok, "{stdout}");
     assert!(stdout.contains("\"code\":\"DA703\""), "{stdout}");
     assert!(stdout.contains("idle"), "{stdout}");
@@ -218,7 +229,7 @@ fn justified_concurrency_waivers_pass_deny() {
     // comment: the passes must honor every waiver (no findings), see
     // none as stale (no DA430), and accept the justifications (no
     // DA714).
-    let (ok, stdout) = analyze(&fixture("concurrency-waived"), &["lockset", "atomics"]);
+    let (ok, stdout) = analyze(&fixture("concurrency-waived"), &["locks", "atomics"]);
     assert!(ok, "justified waivers must pass --deny:\n{stdout}");
 }
 
@@ -303,9 +314,12 @@ fn real_repo_is_clean_under_deny() {
 
 #[test]
 fn unknown_pass_is_a_usage_error() {
-    let out = Command::new(env!("CARGO_BIN_EXE_das-analyze"))
-        .args(["--pass", "nonsense"])
-        .output()
-        .expect("spawn das-analyze");
-    assert_eq!(out.status.code(), Some(2));
+    // `lockgraph` was a pass name until `locks` replaced it.
+    for pass in ["nonsense", "lockgraph"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_das-analyze"))
+            .args(["--pass", pass])
+            .output()
+            .expect("spawn das-analyze");
+        assert_eq!(out.status.code(), Some(2), "--pass {pass}");
+    }
 }
