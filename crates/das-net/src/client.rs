@@ -12,8 +12,9 @@
 //! 1. **Replica failover** — [`DasCluster::read_file`] walks each
 //!    strip's holders primary-first, so a dead primary costs one
 //!    failed call, not the read — and a merely slow one not even that:
-//!    the walk's first two steps overlap (a *hedge*) once the first
-//!    has been silent for longer than its latency estimate allows.
+//!    a server that has not begun to answer within its latency
+//!    estimate has its strips re-asked from their next holders (a
+//!    *hedge*).
 //! 2. **Tolerant writes** — [`DasCluster::put_file`] succeeds if at
 //!    least one holder of each strip stores it, noting the reduced
 //!    redundancy.
@@ -23,13 +24,21 @@
 //!    request is served in degraded form rather than failed, whenever
 //!    the data is still reachable.
 //!
+//! Strip I/O is a **wave**: `read_file` and `put_file` write every
+//! strip's request before they read any reply — many on one connection
+//! when the server echoes per-request ids, matched by the id each reply
+//! echoes — and only then walk each strip's holders one by one, from
+//! what its wave request answered, wherever that failed.
+//!
 //! The client owns no threads and no channels: everything a
 //! [`DasCluster`] does happens on its caller's thread, over blocking
-//! sockets. A fan-out writes every request before it reads any reply;
-//! a hedge waits on two sockets by looking at each in turn; a reply
-//! nobody is waiting for any more sits in its socket until an entry
-//! point next looks.
+//! sockets. A wave or a fan-out writes every request before it reads
+//! any reply; a hedge waits on the sockets by looking at each in turn;
+//! a reply nobody is waiting for any more sits in its socket until an
+//! entry point next looks.
 
+use std::collections::VecDeque;
+use std::io;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -41,12 +50,13 @@ use das_runtime::DegradeEvent;
 
 use crate::codec::NetError;
 use crate::conn::{is_long_op, reply_deadline, RpcConn};
+use crate::engine::MAX_INFLIGHT;
 use crate::hedge::LoadTracker;
-use crate::proto::{ErrorCode, Message, Role, WireStats, CAP_SPANS};
+use crate::proto::{ErrorCode, Message, Role, WireStats, CAP_SPANS, CAP_TRACE};
 use crate::retry::RetryPolicy;
 
-/// How long one look at one lane of a hedge lasts before the other
-/// lane gets its look.
+/// How long one look at a connection lasts while replies may be
+/// landing on others the wave has to notice.
 const POLL_SLICE: Duration = Duration::from_millis(1);
 
 /// One server's slot: its address and, while one is up, the live
@@ -61,16 +71,48 @@ struct ClientConn {
     spans_ok: bool,
 }
 
-/// A hedge's losing lane: a connection that left its slot with its
-/// `GetStrip` still in flight. Its reply is read where it can never be
-/// taken for a later strip's — here, off the slot — and only then may
-/// the connection go back.
+/// One request of an exchange: the message, the server it is written
+/// to, and — for a strip read with a second holder — the server a
+/// hedge re-asks.
+struct Ask<'m> {
+    msg: &'m Message,
+    to: usize,
+    hedge_to: Option<usize>,
+}
+
+/// What an ask's first attempts answered, where one was made and
+/// answered: lane 0 at its server, lane 1 at its hedge holder.
+type Firsts = [Option<Result<Message, NetError>>; 2];
+
+/// A request on the wire: its ask and lane, the trace id its reply
+/// echoes, and when it was written.
+struct Sent {
+    ask: usize,
+    lane: usize,
+    id: Option<u64>,
+    at: Instant,
+}
+
+/// A hedged server's connection, taken off its slot with requests still
+/// in flight. Their replies are read where none can be taken for a
+/// later request's — here, off the slot — and once the last has landed
+/// the connection may go back. Past `until` it is dropped unread.
 struct Parked {
     server: usize,
     conn: RpcConn,
-    /// The request in flight, and when it was written.
+    /// One of the requests in flight: all are strip reads.
     msg: Message,
-    sent: Instant,
+    inflight: Vec<Sent>,
+    until: Instant,
+}
+
+/// One strip of a gather: which, how many bytes it has, its primary,
+/// and its holders in walk order.
+struct StripRead {
+    strip: u64,
+    want: usize,
+    primary: u32,
+    walk: Vec<u32>,
 }
 
 /// Connections to every `dasd` of a cluster, indexed by server id.
@@ -86,9 +128,12 @@ pub struct DasCluster {
     /// Per-server latency EWMAs: replica walks demote stragglers, and
     /// the hedge delay is derived from the chosen server's estimate.
     load: LoadTracker,
-    /// Hedge losers whose replies have not been read yet. Polled,
-    /// never waited on, at request-path entry points.
+    /// Hedged connections whose replies have not all been read yet.
+    /// Polled, never waited on, at request-path entry points.
     parked: Vec<Parked>,
+    /// Requests stamped with a derived id under the current trace id:
+    /// the next one's index.
+    subs: u64,
 }
 
 /// One server's execution summary (from [`Message::ExecuteOk`]).
@@ -185,6 +230,7 @@ impl DasCluster {
             trace: None,
             load: LoadTracker::new(addrs.len()),
             parked: Vec::new(),
+            subs: 0,
         };
         let mut last = None;
         let mut reachable = 0usize;
@@ -235,6 +281,7 @@ impl DasCluster {
     pub fn begin_trace(&mut self) -> u64 {
         let id = das_obs::next_trace_id();
         self.trace = Some(id);
+        self.subs = 0;
         id
     }
 
@@ -331,43 +378,68 @@ impl DasCluster {
         result
     }
 
-    /// Scatter/gather, one attempt: write `msg` to every target's
-    /// connection, then read every reply, in `targets` order. Each
-    /// connection still has at most one request outstanding, so the
-    /// frames are those of `targets.len()` serial calls — only the
-    /// servers' work overlaps. Every request written is answered or its
-    /// connection evicted before this returns, whatever the other
-    /// replies were: no reply is left behind to be read as the answer
-    /// to a later request. Latencies measured across a wave include the
-    /// other servers' replies, so none feeds the [`LoadTracker`].
-    fn wave_once(&mut self, targets: &[usize], msg: &Message) -> Vec<Result<Message, NetError>> {
+    /// Scatter/gather, one attempt per request. Every ask is written
+    /// before any reply is read, one request per server in turn — up to
+    /// [`MAX_INFLIGHT`] on one connection for `strip_io` under a trace
+    /// id to a server that echoes ids ([`CAP_TRACE`]), each stamped with
+    /// its own [`das_obs::sub_id`] of the run's id; else one at a time,
+    /// under the run's id — and each reply is matched to its request by
+    /// the id it echoes. Returns what each ask's lanes answered: attempt
+    /// one of each; retrying is the caller's. Every request written is
+    /// answered, parked, or its connection evicted before this returns:
+    /// no reply is left behind to be read as the answer to a later one.
+    ///
+    /// For `strip_io` each burst — what is written to a connection with
+    /// nothing in flight — feeds the server's [`LoadTracker`] estimate
+    /// with the wait for its first reply; a fan-out's replies include
+    /// the other servers', so none does. A burst whose first reply has
+    /// not begun within the server's hedge delay, and whose requests all
+    /// have a second holder, is **hedged**: each is re-asked there (lane
+    /// 1, one `das_client_hedges_total` each), and the connection races
+    /// them until every one is answered on either lane, then is
+    /// [`Parked`]. A server that fails a request gets no more of the
+    /// exchange; a request it was never sent, or that was in flight on a
+    /// connection that failed, has no answer: the caller's walk makes
+    /// that attempt.
+    fn exchange(&mut self, asks: &[Ask<'_>], strip_io: bool) -> Vec<Firsts> {
         self.poll_parked();
-        let sent: Vec<Result<(), NetError>> = targets
-            .iter()
-            .map(|&s| {
-                if self.down[s] {
-                    return Err(Self::down_error(s));
-                }
-                conn_send(&mut self.conns[s], &self.policy, msg, self.trace)
-            })
-            .collect();
-        targets
-            .iter()
-            .zip(sent)
-            .map(|(&s, sent)| sent.and_then(|()| conn_recv(&mut self.conns[s], &self.policy, msg)))
-            .collect()
+        let first_sub = self.subs;
+        let mut wave = Wave::new(self, asks, strip_io);
+        loop {
+            wave.send_queued(self);
+            let mut busy: Vec<usize> = (0..self.conns.len()).filter(|&s| !wave.flight[s].is_empty()).collect();
+            if busy.is_empty() && wave.racing.is_empty() {
+                break;
+            }
+            busy.sort_by(|&a, &b| wave.due(self, a).total_cmp(&wave.due(self, b)));
+            for &s in &busy {
+                wave.take_reply(self, s);
+            }
+            wave.race(self, if busy.is_empty() { POLL_SLICE } else { Duration::ZERO });
+        }
+        if let Some(parent) = self.trace.filter(|_| self.subs > first_sub) {
+            das_obs::event_limited(
+                das_obs::Level::Debug,
+                "das.client",
+                "strip wave",
+                &[("parent", format!("{parent:016x}")), ("sub_ids", format!("{first_sub}..{}", self.subs))],
+            );
+        }
+        wave.firsts
     }
 
-    /// [`DasCluster::wave_once`], then each server whose attempt failed
-    /// transiently is retried on its own through the [`DasCluster::call`]
-    /// machinery (every fanned-out request is idempotent). Results are
-    /// in `targets` order.
+    /// [`DasCluster::exchange`] of `msg` to every target — one request
+    /// per connection, so the frames are those of serial calls and only
+    /// the servers' work overlaps — then each server whose attempt
+    /// failed transiently is retried on its own through the
+    /// [`DasCluster::call`] machinery (every fanned-out request is
+    /// idempotent). Results are in `targets` order.
     fn wave(&mut self, targets: &[usize], msg: &Message) -> Vec<Result<Message, NetError>> {
-        let firsts = self.wave_once(targets, msg);
+        let firsts = self.exchange(&fan_out(targets, msg), false);
         targets
             .iter()
             .zip(firsts)
-            .map(|(&s, first)| self.call_resuming(s, msg, Some(first)))
+            .map(|(&s, [first, _])| self.call_resuming(s, msg, first))
             .collect()
     }
 
@@ -468,11 +540,13 @@ impl DasCluster {
     }
 
     /// Scatter `data` over the cluster: each strip goes to every
-    /// server that holds it under the file's layout. The write is
+    /// server that holds it under the file's layout, all of them in one
+    /// wave (of at most [`MAX_INFLIGHT`] strips). The write is
     /// **tolerant**: a strip succeeds if at least one of its holders
     /// stores it (missed holders are recorded as
-    /// [`DegradeEvent::DegradedWrite`]); it fails only when *no*
-    /// holder is reachable.
+    /// [`DegradeEvent::DegradedWrite`]); it fails only when *no* holder
+    /// is reachable. What a holder answered in the wave is attempt one
+    /// of the strip's call to it.
     pub fn put_file(&mut self, file: u32, data: &[u8]) -> Result<(), NetError> {
         let dist = self.distribution(file)?;
         if data.len() as u64 != dist.file_len {
@@ -484,91 +558,125 @@ impl DasCluster {
         }
         let spec = StripeSpec::new(dist.strip_size);
         let layout = Layout::new(dist.policy, dist.servers);
-        for s in 0..spec.strip_count(dist.file_len) {
-            let sid = StripId(s);
-            let start = spec.strip_start(sid) as usize;
-            let end = start + spec.strip_len(sid, dist.file_len);
-            let msg = Message::PutStrip { file, strip: s, payload: data[start..end].to_vec() };
-            let mut stored = 0u32;
-            let mut missed = 0u32;
-            let mut last = None;
-            for holder in layout.holders(sid) {
-                match self.call(holder.index(), &msg) {
-                    Ok(Message::PutStripOk) => stored += 1,
-                    Ok(other) => return Err(NetError::Unexpected { opcode: other.opcode() }),
-                    Err(e) => {
-                        missed += 1;
-                        last = Some(e);
+        let count = spec.strip_count(dist.file_len);
+        for first in (0..count).step_by(MAX_INFLIGHT) {
+            let puts: Vec<(u64, Vec<usize>, Message)> = (first..count.min(first + MAX_INFLIGHT as u64))
+                .map(|s| {
+                    let sid = StripId(s);
+                    let start = spec.strip_start(sid) as usize;
+                    let end = start + spec.strip_len(sid, dist.file_len);
+                    let holders = layout.holders(sid).into_iter().map(|h| h.index()).collect();
+                    (s, holders, Message::PutStrip { file, strip: s, payload: data[start..end].to_vec() })
+                })
+                .collect();
+            let asks: Vec<Ask<'_>> = puts
+                .iter()
+                .flat_map(|(_, holders, msg)| fan_out(holders, msg))
+                .collect();
+            let mut firsts = self.exchange(&asks, true).into_iter();
+            for (s, holders, msg) in &puts {
+                let mut stored = 0u32;
+                let mut missed = 0u32;
+                let mut last = None;
+                for &holder in holders {
+                    let first = firsts.next().and_then(|[first, _]| first);
+                    match self.call_resuming(holder, msg, first) {
+                        Ok(Message::PutStripOk) => stored += 1,
+                        Ok(other) => return Err(NetError::Unexpected { opcode: other.opcode() }),
+                        Err(e) => {
+                            missed += 1;
+                            last = Some(e);
+                        }
                     }
                 }
-            }
-            if stored == 0 {
-                return Err(last.unwrap_or_else(|| {
-                    NetError::Protocol(format!("strip {s}: no holders under the layout"))
-                }));
-            }
-            if missed > 0 {
-                self.record_event(DegradeEvent::DegradedWrite { file, strip: s, missed });
+                if stored == 0 {
+                    return Err(last.unwrap_or_else(|| {
+                        NetError::Protocol(format!("strip {s}: no holders under the layout"))
+                    }));
+                }
+                if missed > 0 {
+                    self.record_event(DegradeEvent::DegradedWrite { file, strip: *s, missed });
+                }
             }
         }
         Ok(())
     }
 
-    /// Gather a whole file (the "normal I/O" read path). Each strip's
-    /// holders are walked **lightest-first** by observed latency (a
-    /// cold tracker preserves primary-first placement order), failing
-    /// over to the next holder on error
-    /// ([`DegradeEvent::ReplicaFailover`]); a strip fails only when no
-    /// holder can serve it. When the first choice has a latency
-    /// estimate and a second holder exists, the fetch is **hedged**: if
-    /// no reply begins within the EWMA-derived delay, the same request
-    /// goes to the next-best holder as well and the first good reply
+    /// Gather a whole file (the "normal I/O" read path), in waves of at
+    /// most [`MAX_INFLIGHT`] strips. Each strip's holders are walked
+    /// **lightest-first** by observed latency (a cold tracker preserves
+    /// primary-first placement order), failing over to the next holder
+    /// on error ([`DegradeEvent::ReplicaFailover`]); a strip fails only
+    /// when no holder can serve it. The wave asks every strip's first
+    /// choice at once; a server that has not begun to answer within the
+    /// delay its latency estimate gives is **hedged**: its strips are
+    /// re-asked from their next-best holders, and the first good reply
     /// wins.
     pub fn read_file(&mut self, file: u32) -> Result<Vec<u8>, NetError> {
         let dist = self.distribution(file)?;
         let spec = StripeSpec::new(dist.strip_size);
         let layout = Layout::new(dist.policy, dist.servers);
+        // Late replies first: what they cost orders this read's walks.
+        self.poll_parked();
         // Cap the preallocation hint: `file_len` arrived over the
         // wire, and a corrupt daemon must not be able to make the
         // client reserve 16 EiB up front. The Vec still grows to the
-        // true size strip by strip.
+        // true size wave by wave.
         let mut out = Vec::with_capacity(dist.file_len.min(crate::proto::MAX_PAYLOAD as u64) as usize);
-        for s in 0..spec.strip_count(dist.file_len) {
-            let sid = StripId(s);
-            let placement = layout.placement(sid);
-            let want = spec.strip_len(sid, dist.file_len);
-            let mut walk: Vec<u32> = placement.holders().into_iter().map(|h| h.0).collect();
-            self.load.order_by_load(&mut walk, |&h| h as usize);
-            let payload =
-                self.fetch_strip(file, s, want, placement.primary_server.0, &walk)?;
-            out.extend_from_slice(&payload);
+        let count = spec.strip_count(dist.file_len);
+        for first in (0..count).step_by(MAX_INFLIGHT) {
+            let reads: Vec<StripRead> = (first..count.min(first + MAX_INFLIGHT as u64))
+                .map(|s| {
+                    let sid = StripId(s);
+                    let placement = layout.placement(sid);
+                    let mut walk: Vec<u32> = placement.holders().into_iter().map(|h| h.0).collect();
+                    self.load.order_by_load(&mut walk, |&h| h as usize);
+                    let want = spec.strip_len(sid, dist.file_len);
+                    StripRead { strip: s, want, primary: placement.primary_server.0, walk }
+                })
+                .collect();
+            self.gather(file, &reads, &mut out)?;
         }
         Ok(out)
     }
 
-    /// Fetch one strip from the holders in `walk` order, failing over
+    /// Append `reads`' strips to `out`, in order: one wave asks each
+    /// strip's first choice (hedging to its second), then each strip's
+    /// walk takes over from what that answered.
+    fn gather(&mut self, file: u32, reads: &[StripRead], out: &mut Vec<u8>) -> Result<(), NetError> {
+        let msgs: Vec<Message> = reads.iter().map(|r| Message::GetStrip { file, strip: r.strip }).collect();
+        let asks: Vec<Ask<'_>> = reads
+            .iter()
+            .zip(&msgs)
+            .map(|(r, msg)| Ask { msg, to: r.walk[0] as usize, hedge_to: r.walk.get(1).map(|&h| h as usize) })
+            .collect();
+        let firsts = self.exchange(&asks, true);
+        for ((r, msg), firsts) in reads.iter().zip(&msgs).zip(firsts) {
+            out.extend_from_slice(&self.walk_strip(file, r, msg, firsts)?);
+        }
+        Ok(())
+    }
+
+    /// Fetch one strip from the holders in its walk order, failing over
     /// to the next on any failure — a transport or typed error that
     /// outlasts its retries, a reply of the wrong length. The walk's
-    /// first two steps may already have been taken, overlapped, by
-    /// [`DasCluster::hedge`]: what each of the two holders answered is
-    /// attempt one of the walk's call to it, and the walk starts at the
-    /// second if only its answer was good — a hedge win.
-    fn fetch_strip(
+    /// first two steps may already have been taken by the wave: what
+    /// each of the two holders answered is attempt one of the walk's
+    /// call to it, and the walk starts at the second if only its answer
+    /// was good — a hedge win.
+    fn walk_strip(
         &mut self,
         file: u32,
-        strip: u64,
-        want: usize,
-        primary: u32,
-        walk: &[u32],
+        read: &StripRead,
+        msg: &Message,
+        mut firsts: Firsts,
     ) -> Result<Vec<u8>, NetError> {
-        self.poll_parked();
-        let msg = Message::GetStrip { file, strip };
-        let mut firsts = self.hedge(&msg, walk);
+        let StripRead { strip, want, primary, ref walk } = *read;
         let hedge_won = matches!(firsts, [None | Some(Err(_)), Some(Ok(_))]);
         let mut last = None;
         for (pos, &h) in walk.iter().enumerate().cycle().skip(usize::from(hedge_won)).take(walk.len()) {
             let first = firsts.get_mut(pos).and_then(Option::take);
-            match self.call_resuming(h as usize, &msg, first) {
+            match self.call_resuming(h as usize, msg, first) {
                 Ok(Message::StripData { payload }) if payload.len() == want => {
                     if hedge_won && pos == 1 {
                         self.metrics.counter("das_client_hedge_wins_total", &[]).inc();
@@ -616,121 +724,51 @@ impl DasCluster {
     }
 
     /// Read every parked reply that has begun to arrive — without
-    /// waiting for one that has not. A late reply feeds the server's
-    /// latency estimate (send → this poll, so a straggler is demoted by
-    /// what it really cost) and its connection, frame-aligned again,
-    /// goes back to its slot unless a fresh one was dialled there
-    /// meanwhile. A lane past its reply deadline is dropped unread.
+    /// waiting for one that has not. A connection whose requests have
+    /// all been answered goes back to its slot, unless a fresh one was
+    /// dialled there meanwhile; one past its reply deadline is dropped
+    /// unread.
     fn poll_parked(&mut self) {
-        let (landed, waiting): (Vec<Parked>, Vec<Parked>) = std::mem::take(&mut self.parked)
-            .into_iter()
-            .filter(|lane| lane.sent.elapsed() < reply_deadline(&self.policy, &lane.msg, false))
-            .partition(|lane| lane.conn.wait_readable(Duration::ZERO, &self.policy));
-        self.parked = waiting;
-        for Parked { server, mut conn, msg, sent } in landed {
-            let reply = conn.recv(&msg, &self.policy);
+        for mut parked in std::mem::take(&mut self.parked) {
+            if Instant::now() >= parked.until || !self.land(&mut parked, Duration::ZERO, |_, _| {}) {
+                continue;
+            }
+            if parked.inflight.is_empty() {
+                self.restore(parked.server, parked.conn);
+            } else {
+                self.parked.push(parked);
+            }
+        }
+    }
+
+    /// Read every reply that lands on `parked` within `wait` of the
+    /// last, handing each to `landed` with the request it answers. A
+    /// late reply feeds the server's latency estimate with its own
+    /// request's wait, so a straggler is demoted by what it really
+    /// cost. False when the connection failed or a reply answered
+    /// nothing in flight: it is done for.
+    fn land(
+        &self,
+        parked: &mut Parked,
+        wait: Duration,
+        mut landed: impl FnMut(Sent, Result<Message, NetError>),
+    ) -> bool {
+        while !parked.inflight.is_empty() && parked.conn.wait_readable(wait, &self.policy) {
+            let Ok((id, reply)) = parked.conn.recv_echo(&parked.msg, &self.policy) else { return false };
+            let Some(i) = parked.inflight.iter().position(|sent| sent.id == id) else { return false };
+            let sent = parked.inflight.remove(i);
             if reply.is_ok() {
-                self.load.observe(server, sent.elapsed());
+                self.load.observe(parked.server, sent.at.elapsed());
             }
-            if !reply.is_err_and(|e| e.is_transport()) && self.conns[server].live.is_none() {
-                self.conns[server].live = Some(conn);
-            }
+            landed(sent, reply);
         }
+        true
     }
 
-    /// Write `msg` to `server` as lane `lane` of a hedge. Each lane
-    /// carries a **distinct sub-trace id** derived from the run's trace
-    /// id (0 = first choice, 1 = hedge): both under the parent id would
-    /// alias winner and loser in every server-side flight recorder —
-    /// same trace, same stages, double-counted; with per-lane sub-ids a
-    /// lost lane's server-side spans stay attributable on their own.
-    /// `das trace <parent>` does not auto-join the sub-ids; the
-    /// rate-limited `hedge lane` event records the parent↔child link.
-    fn send_lane(&mut self, server: usize, lane: u32, msg: &Message) -> Result<Instant, NetError> {
-        let trace = self.trace.map(|parent| {
-            let child = das_obs::hedge_sub_id(parent, lane);
-            das_obs::event_limited(
-                das_obs::Level::Debug,
-                "das.client",
-                "hedge lane",
-                &[
-                    ("parent", format!("{parent:016x}")),
-                    ("child", format!("{child:016x}")),
-                    ("lane", lane.to_string()),
-                    ("server", server.to_string()),
-                ],
-            );
-            child
-        });
-        let sent = Instant::now();
-        conn_send(&mut self.conns[server], &self.policy, msg, trace).map(|()| sent)
-    }
-
-    /// Whether `server`'s slot connection turns readable within `wait`.
-    fn lane_readable(&self, server: usize, wait: Duration) -> bool {
-        self.conns[server].live.as_ref().is_some_and(|live| live.wait_readable(wait, &self.policy))
-    }
-
-    /// The hedge: steps one and two of a strip's walk, overlapped on
-    /// the caller's thread. Ask `walk[0]`; if its reply has not begun
-    /// within the delay its latency estimate gives, ask `walk[1]` the
-    /// same and take whichever socket turns readable first, looking at
-    /// each in turn for a [`POLL_SLICE`], until one answers well or
-    /// both have answered. Returns what each of the two answered, if it
-    /// did — one attempt each; retrying is the walk's. A lane still
-    /// unanswered when the other wins, or when both outlast a reply
-    /// deadline, is [`Parked`]: the slow server is never waited on,
-    /// which is the entire point of hedging.
-    ///
-    /// No hedge — `[None, None]`, the walk proceeds as if this were
-    /// never called — without a second holder, with either of the two
-    /// marked down, or until the first choice has a latency estimate.
-    fn hedge(&mut self, msg: &Message, walk: &[u32]) -> [Option<Result<Message, NetError>>; 2] {
-        let [a, b, ..] = *walk else { return [None, None] };
-        let holders = [a as usize, b as usize];
-        if holders.iter().any(|&h| self.down[h]) {
-            return [None, None];
-        }
-        let Some(delay) = self.load.hedge_delay(holders[0]) else { return [None, None] };
-
-        // Step one, alone for `delay` — which a dial eats into.
-        let sent = match self.send_lane(holders[0], 0, msg) {
-            Ok(sent) => sent,
-            Err(e) => return [Some(Err(e)), None],
-        };
-        if self.lane_readable(holders[0], delay.saturating_sub(sent.elapsed())) {
-            return [Some(self.recv_once(holders[0], msg, sent)), None];
-        }
-
-        // Step two, overlapping it.
-        self.metrics.counter("das_client_hedges_total", &[]).inc();
-        let mut open = [Some(sent), None];
-        let mut firsts = [None, None];
-        match self.send_lane(holders[1], 1, msg) {
-            Ok(sent) => open[1] = Some(sent),
-            Err(e) => firsts[1] = Some(Err(e)),
-        }
-        let give_up = Instant::now() + reply_deadline(&self.policy, msg, false);
-        'race: while open.iter().any(Option::is_some) && Instant::now() < give_up {
-            // The hedge lane first: it was asked because the other is late.
-            for lane in [1, 0] {
-                let Some(sent) = open[lane] else { continue };
-                if self.lane_readable(holders[lane], POLL_SLICE) {
-                    open[lane] = None;
-                    let reply = firsts[lane].insert(self.recv_once(holders[lane], msg, sent));
-                    if reply.is_ok() {
-                        break 'race;
-                    }
-                }
-            }
-        }
-        for (server, sent) in holders.into_iter().zip(open) {
-            let Some(sent) = sent else { continue };
-            if let Some(conn) = self.conns[server].live.take() {
-                self.parked.push(Parked { server, conn, msg: msg.clone(), sent });
-            }
-        }
-        firsts
+    /// Give `server` back a connection with nothing in flight, unless a
+    /// fresh one was dialled into its slot meanwhile.
+    fn restore(&mut self, server: usize, conn: RpcConn) {
+        self.conns[server].live.get_or_insert(conn);
     }
 
     /// Two-phase redistribution to `policy`: every server prepares
@@ -917,8 +955,307 @@ impl DasCluster {
     /// attempt and errors are swallowed.
     pub fn shutdown_all(&mut self) -> Result<(), NetError> {
         let ups = self.up_servers();
-        let _ = self.wave_once(&ups, &Message::Shutdown);
+        let _ = self.exchange(&fan_out(&ups, &Message::Shutdown), false);
         Ok(())
+    }
+}
+
+/// One ask of `msg` to each of `targets`, none hedged.
+fn fan_out<'m>(targets: &[usize], msg: &'m Message) -> Vec<Ask<'m>> {
+    targets.iter().map(|&to| Ask { msg, to, hedge_to: None }).collect()
+}
+
+/// Whether `live` takes a strip wave pipelined: many requests in
+/// flight, told apart by per-request ids — which needs a trace id to
+/// derive them from and a server that echoes them.
+fn pipelined(strip_io: bool, trace: Option<u64>, live: &RpcConn) -> bool {
+    strip_io && trace.is_some() && live.has(CAP_TRACE)
+}
+
+/// One exchange in progress: per server, the requests not yet written
+/// and those in flight on its slot connection; the hedged connections
+/// still racing their re-asks; and what every ask's lanes answered.
+struct Wave<'a, 'm> {
+    asks: &'a [Ask<'m>],
+    strip_io: bool,
+    firsts: Vec<Firsts>,
+    /// Per server, `(ask, lane)` pairs not yet written.
+    queued: Vec<VecDeque<(usize, usize)>>,
+    flight: Vec<Vec<Sent>>,
+    /// When the burst in flight on each slot connection was first
+    /// written, until its first reply.
+    burst: Vec<Option<Instant>>,
+    /// When that first reply was first seen to have begun, if that was
+    /// before it was read: while the wave waits on one server the
+    /// others' replies land unread, and a burst is timed to when its
+    /// reply was seen, not to when the wave got round to reading it.
+    seen: Vec<Option<Instant>>,
+    racing: Vec<Parked>,
+}
+
+impl<'a, 'm> Wave<'a, 'm> {
+    /// Every ask queued at its server, save those to a server marked
+    /// down: their walks find it down.
+    fn new(cluster: &DasCluster, asks: &'a [Ask<'m>], strip_io: bool) -> Self {
+        let servers = cluster.conns.len();
+        let mut queued = vec![VecDeque::new(); servers];
+        for (i, ask) in asks.iter().enumerate().filter(|(_, ask)| !cluster.down[ask.to]) {
+            queued[ask.to].push_back((i, 0));
+        }
+        Wave {
+            asks,
+            strip_io,
+            firsts: asks.iter().map(|_| [None, None]).collect(),
+            queued,
+            flight: (0..servers).map(|_| Vec::new()).collect(),
+            burst: vec![None; servers],
+            seen: vec![None; servers],
+            racing: Vec::new(),
+        }
+    }
+
+    /// Whether some lane of `ask` was answered well.
+    fn settled(&self, ask: usize) -> bool {
+        self.firsts[ask].iter().any(|first| matches!(first, Some(Ok(_))))
+    }
+
+    /// Take `reply` as `sent`'s answer — unless its ask was already
+    /// answered well on the other lane: the first good reply wins.
+    fn record(&mut self, sent: &Sent, reply: Result<Message, NetError>) {
+        if !self.settled(sent.ask) {
+            self.firsts[sent.ask][sent.lane] = Some(reply);
+        }
+    }
+
+    /// How long `s`'s next reply is expected to take: nothing once its
+    /// burst has answered or been seen to begin, else its latency
+    /// score — unknown, so last, while it has none. A sweep waits on
+    /// the soonest first, so the wait on a straggler — a slice at a
+    /// time, each rounded up to the kernel's tick — does not hide when
+    /// the others' replies landed.
+    fn due(&self, cluster: &DasCluster, s: usize) -> f64 {
+        match (self.burst[s], self.seen[s]) {
+            (Some(_), None) => Some(cluster.load.get(s).score_us()).filter(|&us| us > 0.0).unwrap_or(f64::INFINITY),
+            _ => -1.0,
+        }
+    }
+
+    /// Whether some other server needs the client before a wait on one
+    /// whose reply has not begun: a reply there has begun, or it has
+    /// answered all it was sent and has more to be sent.
+    fn wanted_elsewhere(&self) -> bool {
+        self.seen.iter().any(Option::is_some)
+            || self.flight.iter().zip(&self.queued).any(|(flight, queued)| flight.is_empty() && !queued.is_empty())
+    }
+
+    /// After a wait on `waited`, note every other burst whose first
+    /// reply has begun to land meanwhile.
+    fn stamp(&mut self, cluster: &DasCluster, waited: usize) {
+        for s in 0..self.burst.len() {
+            if s == waited || self.burst[s].is_none() || self.seen[s].is_some() {
+                continue;
+            }
+            if cluster.conns[s].live.as_ref().is_some_and(|live| live.wait_readable(Duration::ZERO, &cluster.policy)) {
+                self.seen[s] = Some(Instant::now());
+            }
+        }
+    }
+
+    /// Write until every connection is full or has nothing queued, one
+    /// request per server per pass, so that every server is at work
+    /// before any one server's whole share is on the wire.
+    fn send_queued(&mut self, cluster: &mut DasCluster) {
+        // Dial first: a dial waits a round trip, and a burst written
+        // before it would be timed as if its reply had waited as well.
+        for s in 0..self.queued.len() {
+            let Some(&job) = self.queued[s].front().filter(|_| cluster.conns[s].live.is_none()) else { continue };
+            if let Err(e) = conn_dial(&mut cluster.conns[s], &cluster.policy) {
+                self.queued[s].pop_front();
+                self.fail(s, job, e);
+            }
+        }
+        let mut wrote = true;
+        while wrote {
+            wrote = false;
+            for s in 0..self.queued.len() {
+                let depth = match &cluster.conns[s].live {
+                    Some(live) if pipelined(self.strip_io, cluster.trace, live) => MAX_INFLIGHT,
+                    _ => 1,
+                };
+                if self.flight[s].len() >= depth {
+                    continue;
+                }
+                let Some((ask, lane)) = self.queued[s].pop_front() else { continue };
+                wrote = true;
+                if lane == 1 {
+                    if self.settled(ask) {
+                        continue; // the late server answered after all
+                    }
+                    cluster.metrics.counter("das_client_hedges_total", &[]).inc();
+                }
+                let (msg, strip_io, at) = (self.asks[ask].msg, self.strip_io, Instant::now());
+                let policy = &cluster.policy;
+                let sent = conn_dial(&mut cluster.conns[s], policy).and_then(|live| {
+                    let pipelined = pipelined(strip_io, cluster.trace, live);
+                    let id = match cluster.trace {
+                        _ if !live.has(CAP_TRACE) => None,
+                        Some(parent) if pipelined => {
+                            cluster.subs += 1;
+                            Some(das_obs::sub_id(parent, cluster.subs - 1))
+                        }
+                        trace => trace,
+                    };
+                    live.send(msg, id, Some(reply_deadline(policy, msg, pipelined))).map(|()| id)
+                });
+                match sent {
+                    Ok(id) => {
+                        if self.flight[s].is_empty() {
+                            self.burst[s] = Some(at);
+                        }
+                        self.flight[s].push(Sent { ask, lane, id, at });
+                    }
+                    Err(e) => {
+                        cluster.conns[s].live = None;
+                        self.fail(s, (ask, lane), e);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Server `s` failed request `(ask, lane)` with `e`: that is its
+    /// answer, and `s` gets no more of this exchange. After a transport
+    /// error its connection is gone, and with it every other request in
+    /// flight there, unanswered.
+    fn fail(&mut self, s: usize, (ask, lane): (usize, usize), e: NetError) {
+        if e.is_transport() {
+            self.flight[s].clear();
+            (self.burst[s], self.seen[s]) = (None, None);
+        }
+        self.queued[s].clear();
+        self.firsts[ask][lane] = Some(Err(e));
+    }
+
+    /// When the burst in flight on `s` is hedged if its first reply has
+    /// not begun: when it was written plus the server's hedge delay.
+    /// Never once it has answered, while the tracker is cold, or when
+    /// one of its requests is a re-ask or has no live second holder.
+    fn hedge_at(&self, cluster: &DasCluster, s: usize) -> Option<Instant> {
+        let written = self.burst[s]?;
+        let hedgeable = self.flight[s].iter().all(|sent| {
+            sent.lane == 0 && self.asks[sent.ask].hedge_to.is_some_and(|h| h != s && !cluster.down[h])
+        });
+        if !hedgeable {
+            return None;
+        }
+        Some(written + cluster.load.hedge_delay(s)?)
+    }
+
+    /// Read one reply from `s`'s slot connection. A burst's first reply
+    /// is waited for a slice at a time, noting between slices which
+    /// other bursts' replies have begun — and not at all while another
+    /// server is wanted: it is served first, and `s` is come back to. A
+    /// hedgeable burst whose reply has not begun by its hedge time is
+    /// hedged instead.
+    fn take_reply(&mut self, cluster: &mut DasCluster, s: usize) {
+        let oldest = (self.flight[s][0].ask, self.flight[s][0].lane);
+        let msg = self.asks[oldest.0].msg;
+        if let (Some(written), None) = (self.burst[s], self.seen[s]) {
+            let hedge_at = self.hedge_at(cluster, s);
+            let give_up = written + reply_deadline(&cluster.policy, msg, self.flight[s].len() > 1);
+            let until = hedge_at.map_or(give_up, |at| at.min(give_up));
+            loop {
+                self.stamp(cluster, s);
+                let ahead = self.wanted_elsewhere();
+                let slice =
+                    if ahead { Duration::ZERO } else { POLL_SLICE.min(until.saturating_duration_since(Instant::now())) };
+                if cluster.conns[s].live.as_ref().is_some_and(|live| live.wait_readable(slice, &cluster.policy)) {
+                    self.seen[s] = Some(Instant::now());
+                    break;
+                }
+                if Instant::now() < until {
+                    if ahead {
+                        return; // serve the others first, and come back
+                    }
+                    continue;
+                }
+                if hedge_at.is_some_and(|at| at <= give_up) {
+                    self.hedge(cluster, s);
+                } else {
+                    cluster.conns[s].live = None;
+                    let silent = io::Error::new(io::ErrorKind::TimedOut, "no reply began within the reply deadline");
+                    self.fail(s, oldest, NetError::Io(silent));
+                }
+                return;
+            }
+        }
+        let echoed = match cluster.conns[s].live.as_mut() {
+            Some(live) => live.recv_echo(msg, &cluster.policy),
+            None => Err(NetError::Protocol("requests in flight on an empty slot".into())),
+        };
+        self.stamp(cluster, s);
+        let matched = echoed.and_then(|(id, reply)| {
+            let i = self.flight[s].iter().position(|sent| sent.id == id).ok_or_else(|| {
+                NetError::Protocol(format!("a reply echoes id {id:?}, which no request in flight carries"))
+            })?;
+            Ok((self.flight[s].remove(i), reply))
+        });
+        match matched {
+            Ok((sent, reply)) => {
+                if let (Some(written), Some(seen)) = (self.burst[s].take(), self.seen[s].take()) {
+                    if self.strip_io && reply.is_ok() {
+                        cluster.load.observe(s, seen.saturating_duration_since(written));
+                    }
+                }
+                if reply.is_err() {
+                    self.queued[s].clear();
+                }
+                self.record(&sent, reply);
+            }
+            Err(e) => {
+                cluster.conns[s].live = None;
+                self.fail(s, oldest, e);
+            }
+        }
+    }
+
+    /// Re-ask every request in flight on `s` from its second holder,
+    /// ahead of what that holder has queued (it is asked because this
+    /// one is late), and take `s`'s connection off its slot to race
+    /// them. Requests still queued for `s` go on a fresh connection.
+    fn hedge(&mut self, cluster: &mut DasCluster, s: usize) {
+        let inflight = std::mem::take(&mut self.flight[s]);
+        let written = self.burst[s].take().unwrap_or_else(Instant::now);
+        self.seen[s] = None;
+        for sent in inflight.iter().rev() {
+            if let Some(h) = self.asks[sent.ask].hedge_to {
+                self.queued[h].push_front((sent.ask, 1));
+            }
+        }
+        let msg = self.asks[inflight[0].ask].msg;
+        let until = written + reply_deadline(&cluster.policy, msg, inflight.len() > 1);
+        if let Some(conn) = cluster.conns[s].live.take() {
+            self.racing.push(Parked { server: s, conn, msg: msg.clone(), inflight, until });
+        }
+    }
+
+    /// Read what has landed on each racing connection, waiting up to
+    /// `wait` for each reply. One with nothing left in flight goes back
+    /// to its slot; one whose requests are all answered on either lane
+    /// is parked; one past its deadline is dropped.
+    fn race(&mut self, cluster: &mut DasCluster, wait: Duration) {
+        for mut racing in std::mem::take(&mut self.racing) {
+            if !cluster.land(&mut racing, wait, |sent, reply| self.record(&sent, reply)) {
+                continue;
+            }
+            if racing.inflight.is_empty() {
+                cluster.restore(racing.server, racing.conn);
+            } else if racing.inflight.iter().all(|sent| self.settled(sent.ask)) {
+                cluster.parked.push(racing);
+            } else if Instant::now() < racing.until {
+                self.racing.push(racing);
+            }
+        }
     }
 }
 
@@ -1229,8 +1566,8 @@ mod tests {
     use std::thread::JoinHandle;
 
     use super::*;
-    use crate::codec::{read_message, write_message_opts};
-    use crate::server::{spawn, DasdConfig};
+    use crate::codec::{read_frame, read_message, write_message_opts};
+    use crate::server::{spawn, DasdConfig, DasdHandle};
 
     /// The one-strip file the stub holders serve: two servers, strip 0
     /// primaried on server 0 and replicated on server 1.
@@ -1242,29 +1579,53 @@ mod tests {
         file_len: STRIP_LEN as u64,
     };
 
-    /// A stand-in for one holder of that file: greets, describes the
-    /// file, and answers every `GetStrip` with `answer` once `hold`
-    /// returns.
+    /// A four-strip file on the same two servers, for waves: each
+    /// server primaries two strips and holds all four.
+    const WAVE_DIST: DistributionInfo = DistributionInfo { file_len: 4 * STRIP_LEN as u64, ..STUB_DIST };
+
+    /// A stand-in for one holder of a file: greets, describes the file,
+    /// and answers strip requests as its `serve` loop decides.
     struct StubHolder {
         addr: String,
-        /// Connections accepted, `GetStrip`s read, `GetStrip`s answered.
+        /// Connections accepted, strip requests read, strip requests
+        /// answered, and the most strip requests held unanswered at
+        /// once.
         accepts: Arc<AtomicUsize>,
         gets: Arc<AtomicUsize>,
         answered: Arc<AtomicUsize>,
+        deepest: Arc<AtomicUsize>,
         stop: Arc<AtomicBool>,
         acceptor: JoinHandle<()>,
     }
 
+    /// What a stub connection counts: strip requests read, answered,
+    /// and the most held unanswered at once.
+    type Tally = [Arc<AtomicUsize>; 3];
+
     impl StubHolder {
+        /// A legacy holder (no capabilities) of [`STUB_DIST`] that
+        /// answers every `GetStrip` with `answer` once `hold` returns.
         fn spawn(hold: impl Fn() + Send + Sync + 'static, answer: Message) -> StubHolder {
-            let hold = Arc::new(hold);
+            StubHolder::start(move |sock, tally| serve(sock, &hold, &answer, tally))
+        }
+
+        /// A [`CAP_TRACE`] holder of [`WAVE_DIST`] that holds strip
+        /// requests while the client is still writing them, then
+        /// answers them newest first with the ids they carried:
+        /// `answer` maps each request to its reply.
+        fn spawn_wave(answer: impl Fn(&Message) -> Message + Send + Sync + 'static) -> StubHolder {
+            StubHolder::start(move |sock, tally| serve_wave(sock, &answer, tally))
+        }
+
+        fn start(serve: impl Fn(TcpStream, &Tally) + Send + Sync + 'static) -> StubHolder {
+            let serve = Arc::new(serve);
             let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
             listener.set_nonblocking(true).expect("nonblocking accept");
             let addr = listener.local_addr().expect("addr").to_string();
-            let counters: [Arc<AtomicUsize>; 3] = Default::default();
-            let [accepts, gets, answered] = counters.clone();
+            let accepts = Arc::new(AtomicUsize::new(0));
+            let tally: Tally = Default::default();
             let stop = Arc::new(AtomicBool::new(false));
-            let stopped = Arc::clone(&stop);
+            let (counted, tallied, stopped) = (Arc::clone(&accepts), tally.clone(), Arc::clone(&stop));
             let acceptor = std::thread::spawn(move || {
                 let mut serving = Vec::new();
                 while !stopped.load(Ordering::SeqCst) {
@@ -1272,17 +1633,16 @@ mod tests {
                         std::thread::sleep(Duration::from_millis(1));
                         continue;
                     };
-                    accepts.fetch_add(1, Ordering::SeqCst);
-                    let (hold, gets, answered) = (Arc::clone(&hold), Arc::clone(&gets), Arc::clone(&answered));
-                    let answer = answer.clone();
-                    serving.push(std::thread::spawn(move || serve(sock, &*hold, &answer, &gets, &answered)));
+                    counted.fetch_add(1, Ordering::SeqCst);
+                    let (serve, tally) = (Arc::clone(&serve), tallied.clone());
+                    serving.push(std::thread::spawn(move || serve(sock, &tally)));
                 }
                 for conn in serving {
                     conn.join().expect("stub connection");
                 }
             });
-            let [accepts, gets, answered] = counters;
-            StubHolder { addr, accepts, gets, answered, stop, acceptor }
+            let [gets, answered, deepest] = tally;
+            StubHolder { addr, accepts, gets, answered, deepest, stop, acceptor }
         }
 
         /// Stop accepting and wait for every connection to be closed by
@@ -1293,7 +1653,7 @@ mod tests {
         }
     }
 
-    fn serve(mut sock: TcpStream, hold: &dyn Fn(), answer: &Message, gets: &AtomicUsize, answered: &AtomicUsize) {
+    fn serve(mut sock: TcpStream, hold: &dyn Fn(), answer: &Message, [gets, answered, _]: &Tally) {
         sock.set_nonblocking(false).expect("blocking connection");
         while let Ok(Some(request)) = read_message(&mut sock) {
             let is_get = matches!(request, Message::GetStrip { .. });
@@ -1313,6 +1673,42 @@ mod tests {
             if is_get {
                 answered.fetch_add(1, Ordering::SeqCst);
             }
+        }
+    }
+
+    fn is_strip_op(msg: &Message) -> bool {
+        matches!(msg, Message::GetStrip { .. } | Message::PutStrip { .. })
+    }
+
+    fn serve_wave(mut sock: TcpStream, answer: &dyn Fn(&Message) -> Message, [gets, answered, deepest]: &Tally) {
+        sock.set_nonblocking(false).expect("blocking connection");
+        let mut held: Vec<(Message, Option<u64>)> = Vec::new();
+        loop {
+            // The client writes a wave back to back: a 5 ms pause means
+            // it has written all it will before reading.
+            let _ = sock.set_read_timeout(Some(Duration::from_millis(5)));
+            let paused = !held.is_empty() && sock.peek(&mut [0]).is_err();
+            let _ = sock.set_read_timeout(None);
+            if paused {
+                deepest.fetch_max(held.iter().filter(|(request, _)| is_strip_op(request)).count(), Ordering::SeqCst);
+                for (request, id) in held.drain(..).rev() {
+                    let reply = match request {
+                        Message::Hello { .. } => Message::HelloOk { server_id: 0, caps: CAP_TRACE },
+                        Message::GetDistribution { .. } => Message::DistributionResp { dist: WAVE_DIST },
+                        _ => answer(&request),
+                    };
+                    let _ = write_message_opts(&mut sock, &reply, id, None);
+                    if is_strip_op(&request) {
+                        answered.fetch_add(1, Ordering::SeqCst);
+                    }
+                }
+                continue;
+            }
+            let Ok(Some((request, id))) = read_frame(&mut sock) else { break };
+            if is_strip_op(&request) {
+                gets.fetch_add(1, Ordering::SeqCst);
+            }
+            held.push((request, id));
         }
     }
 
@@ -1347,6 +1743,13 @@ mod tests {
         cluster.metrics.counter(name, &[]).get()
     }
 
+    /// The stub file's one strip, gathered with the walk `[0, 1]`.
+    fn read_stub_strip(cluster: &mut DasCluster) -> Result<Vec<u8>, NetError> {
+        let mut out = Vec::new();
+        let read = StripRead { strip: 0, want: STRIP_LEN, primary: 0, walk: vec![0, 1] };
+        cluster.gather(1, &[read], &mut out).map(|()| out)
+    }
+
     /// A first choice that answers late loses to the hedge without
     /// being waited on; its reply, when it lands, demotes it and gives
     /// its connection back.
@@ -1362,7 +1765,7 @@ mod tests {
         let mut cluster = stub_cluster(&stubs, true);
 
         let started = Instant::now();
-        let payload = cluster.fetch_strip(1, 0, STRIP_LEN, 0, &[0, 1]).expect("hedged fetch");
+        let payload = read_stub_strip(&mut cluster).expect("hedged fetch");
         let took = started.elapsed();
         assert_eq!(payload, vec![0xBB; STRIP_LEN], "the hedge lane's bytes must win");
         assert!(took < LATE, "the fetch outlasted a late holder it must not wait on: {took:?}");
@@ -1411,7 +1814,7 @@ mod tests {
         let stubs = [first, second];
         let mut cluster = stub_cluster(&stubs, true);
 
-        match cluster.fetch_strip(1, 0, STRIP_LEN, 0, &[0, 1]) {
+        match read_stub_strip(&mut cluster) {
             Err(NetError::Remote { code: ErrorCode::Retryable, .. }) => {}
             other => panic!("expected the holders' typed refusal, got {other:?}"),
         }
@@ -1460,22 +1863,152 @@ mod tests {
         }
     }
 
+    /// Every strip of [`WAVE_DIST`] as the wave stubs serve it: strip
+    /// `s` is `STRIP_LEN` bytes of `s`.
+    fn wave_file() -> Vec<u8> {
+        (0..4u8).flat_map(|s| [s; STRIP_LEN]).collect()
+    }
+
+    /// A wave answered newest first is matched by the echoed ids, so
+    /// the bytes come back in strip order; one strip answered short
+    /// fails over alone, to its replica.
+    #[test]
+    fn a_wave_answered_out_of_order_is_matched_by_id_and_one_short_strip_fails_over() {
+        let holder = |server: u64| {
+            move |request: &Message| match *request {
+                Message::GetStrip { strip, .. } => {
+                    let short = usize::from(server == 0 && strip == 2);
+                    strip_of(strip as u8, STRIP_LEN - short)
+                }
+                _ => Message::PutStripOk,
+            }
+        };
+        let stubs = [StubHolder::spawn_wave(holder(0)), StubHolder::spawn_wave(holder(1))];
+        let mut cluster = stub_cluster(&stubs, false);
+        cluster.begin_trace();
+        assert_eq!(cluster.read_file(1).expect("every strip has a whole copy"), wave_file());
+        assert_eq!(
+            cluster.take_events(),
+            vec![DegradeEvent::ReplicaFailover { file: 1, strip: 2, primary: 0, replica: 1 }]
+        );
+        for stub in &stubs {
+            assert_eq!(stub.deepest.load(Ordering::SeqCst), 2, "a holder's two strips were not in flight at once");
+        }
+        assert_eq!(client_counter(&cluster, "das_client_retries_total"), 0);
+        drop(cluster);
+        for stub in stubs {
+            stub.join();
+        }
+    }
+
+    /// A holder that refuses one strip of a put wave, answered newest
+    /// first, misses that strip and no other.
+    #[test]
+    fn a_put_wave_refused_for_one_strip_degrades_that_strip_only() {
+        let holder = |server: u64| {
+            move |request: &Message| match *request {
+                Message::PutStrip { strip: 3, .. } if server == 1 => {
+                    Message::Error { code: ErrorCode::BadRequest, message: "no room for strip 3".into() }
+                }
+                _ => Message::PutStripOk,
+            }
+        };
+        let stubs = [StubHolder::spawn_wave(holder(0)), StubHolder::spawn_wave(holder(1))];
+        let mut cluster = stub_cluster(&stubs, false);
+        cluster.begin_trace();
+        cluster.put_file(1, &wave_file()).expect("every strip has a holder that stored it");
+        assert_eq!(cluster.take_events(), vec![DegradeEvent::DegradedWrite { file: 1, strip: 3, missed: 1 }]);
+        for stub in &stubs {
+            assert_eq!(stub.deepest.load(Ordering::SeqCst), 4, "a holder's four strips were not in flight at once");
+            assert_eq!(stub.gets.load(Ordering::SeqCst), 4, "a typed refusal is not retried");
+        }
+        drop(cluster);
+        for stub in stubs {
+            stub.join();
+        }
+    }
+
+    /// A long operation's first reply is waited for to its stretched
+    /// deadline, not to the read timeout: an `Execute` slower than that
+    /// is answered on attempt one.
+    #[test]
+    fn a_slow_execute_is_answered_on_attempt_one() {
+        let stub = StubHolder::start(|mut sock, [execs, _, _]| {
+            sock.set_nonblocking(false).expect("blocking connection");
+            while let Ok(Some(request)) = read_message(&mut sock) {
+                let reply = match request {
+                    Message::Hello { .. } => Message::HelloOk { server_id: 0, caps: 0 },
+                    Message::Execute { .. } => {
+                        execs.fetch_add(1, Ordering::SeqCst);
+                        std::thread::sleep(RetryPolicy::fast().read_timeout * 3 / 2);
+                        Message::ExecuteOk { strips_computed: 1, dep_fetches: 0, dep_fetch_bytes: 0 }
+                    }
+                    _ => Message::Pong,
+                };
+                if write_message_opts(&mut sock, &reply, None, None).is_err() {
+                    break;
+                }
+            }
+        });
+        let stubs = [stub];
+        let mut cluster = stub_cluster(&stubs, false);
+        let summaries = cluster.execute(0, 1, "gaussian-filter", 16, true, true).expect("execute");
+        assert_eq!(summaries.expect("offload ran").len(), 1);
+        assert_eq!(stubs[0].gets.load(Ordering::SeqCst), 1, "the slow Execute was sent again");
+        assert_eq!(client_counter(&cluster, "das_client_retries_total"), 0);
+        drop(cluster);
+        for stub in stubs {
+            stub.join();
+        }
+    }
+
+    /// `servers` in-process daemons and a cluster connected to them.
+    fn fleet(servers: u32) -> (Vec<DasdHandle>, DasCluster) {
+        let listeners: Vec<TcpListener> =
+            (0..servers).map(|_| TcpListener::bind("127.0.0.1:0").expect("bind")).collect();
+        let addrs: Vec<String> =
+            listeners.iter().map(|l| l.local_addr().expect("addr").to_string()).collect();
+        let handles = listeners
+            .into_iter()
+            .enumerate()
+            .map(|(i, l)| spawn(DasdConfig::new(i as u32, addrs.clone()), l).expect("spawn dasd"))
+            .collect();
+        (handles, DasCluster::connect(&addrs).expect("connect"))
+    }
+
+    fn teardown(handles: Vec<DasdHandle>, mut cluster: DasCluster) {
+        cluster.shutdown_all().expect("shutdown");
+        drop(cluster);
+        for h in handles {
+            h.join();
+        }
+    }
+
+    /// A wave times every server it asks: on a fresh cluster, one
+    /// pipelined put and one pipelined read leave every server sampled
+    /// and the hedge armed.
+    #[test]
+    fn waves_warm_the_latency_tracker() {
+        let (handles, mut cluster) = fleet(2);
+        let data = vec![7u8; 8 * 1024];
+        let file = cluster.create_file("in", data.len() as u64, 1024, LayoutPolicy::RoundRobin).expect("create");
+        cluster.begin_trace();
+        cluster.put_file(file, &data).expect("ingest");
+        assert_eq!(cluster.read_file(file).expect("read"), data);
+        for s in 0..2 {
+            assert!(cluster.load.get(s).samples() >= 2, "server {s}: the waves fed no latency sample");
+            assert!(cluster.load.hedge_delay(s).is_some(), "server {s}: waves left the hedge unarmed");
+        }
+        teardown(handles, cluster);
+    }
+
     /// The `LoadTracker` is the strip-read latency estimate: a
     /// fan-out — an `Execute` least of all — must leave every server's
     /// sample count and hedge delay exactly as the strip reads left
     /// them.
     #[test]
     fn an_execute_leaves_the_hedge_delay_unchanged() {
-        let listeners: Vec<TcpListener> =
-            (0..2).map(|_| TcpListener::bind("127.0.0.1:0").expect("bind")).collect();
-        let addrs: Vec<String> =
-            listeners.iter().map(|l| l.local_addr().expect("addr").to_string()).collect();
-        let handles: Vec<_> = listeners
-            .into_iter()
-            .enumerate()
-            .map(|(i, l)| spawn(DasdConfig::new(i as u32, addrs.clone()), l).expect("spawn dasd"))
-            .collect();
-        let mut cluster = DasCluster::connect(&addrs).expect("connect");
+        let (handles, mut cluster) = fleet(2);
 
         let data = vec![7u8; 8 * 1024];
         let mut create = |name: &str| {
@@ -1497,10 +2030,6 @@ mod tests {
         cluster.ping_all().expect("ping");
         assert_eq!(estimates(&cluster), before, "a fan-out fed the strip-read latency estimate");
 
-        cluster.shutdown_all().expect("shutdown");
-        drop(cluster);
-        for h in handles {
-            h.join();
-        }
+        teardown(handles, cluster);
     }
 }

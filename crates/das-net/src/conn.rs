@@ -9,10 +9,11 @@
 //! reply frame means to the caller. Redial, retry, hedging, circuit
 //! breaking and reply demultiplexing stay with the users — the core
 //! only lets a user ask, without consuming anything, whether a reply
-//! has begun ([`RpcConn::wait_readable`]), which is all a hedge needs
-//! to overlap two of these on one thread. After a transport error
-//! ([`NetError::is_transport`]) the connection is in an unknown state
-//! and its owner drops it.
+//! has begun ([`RpcConn::wait_readable`]), and which request a reply
+//! answers ([`RpcConn::recv_echo`]), which is all a strip wave needs to
+//! keep many requests in flight on several of these from one thread.
+//! After a transport error ([`NetError::is_transport`]) the connection
+//! is in an unknown state and its owner drops it.
 
 use std::io;
 use std::net::TcpStream;
@@ -21,7 +22,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::codec::{
-    frame_parts_summed, read_message, write_frame_vectored, write_message_opts, CountingStream, NetError,
+    frame_parts_summed, read_frame, read_message, write_frame_vectored, write_message_opts, CountingStream,
+    NetError,
 };
 use crate::proto::{Message, Role, CAP_DEADLINE, CAP_TRACE, LOCAL_CAPS};
 use crate::retry::RetryPolicy;
@@ -140,18 +142,36 @@ impl RpcConn {
     }
 
     /// Read the reply to `msg` on a connection with one request in
-    /// flight. A long operation's reply gets its stretched deadline as
-    /// the socket's read timeout for this one read.
+    /// flight.
     pub(crate) fn recv(&mut self, msg: &Message, policy: &RetryPolicy) -> Result<Message, NetError> {
+        self.recv_echo(msg, policy).and_then(|(_, reply)| reply)
+    }
+
+    /// Read one reply, with the trace id it echoes: on a connection
+    /// with several requests in flight, which of them it answers. `msg`
+    /// is one of those requests; a long operation's reply gets its
+    /// stretched deadline as the socket's read timeout for this one
+    /// read. A transport error is the outer `Err`; a typed refusal is
+    /// the reply.
+    pub(crate) fn recv_echo(
+        &mut self,
+        msg: &Message,
+        policy: &RetryPolicy,
+    ) -> Result<(Option<u64>, Result<Message, NetError>), NetError> {
         let long_op = is_long_op(msg);
         if long_op {
             let _ = self.socket().set_read_timeout(Some(reply_deadline(policy, msg, false)));
         }
-        let result = reply(read_message(&mut self.stream));
+        let frame = read_frame(&mut self.stream);
         if long_op {
             let _ = self.socket().set_read_timeout(Some(policy.read_timeout));
         }
-        result
+        let frame = frame?;
+        let echo = frame.as_ref().and_then(|(_, trace)| *trace);
+        match reply(Ok(frame.map(|(msg, _)| msg))) {
+            Err(e) if e.is_transport() => Err(e),
+            reply => Ok((echo, reply)),
+        }
     }
 
     /// Whether the reply in flight has begun to arrive — or the

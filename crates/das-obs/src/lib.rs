@@ -35,7 +35,7 @@ pub use metrics::{
 };
 pub use ratelimit::{event_limited, suppressed_total};
 pub use span::{
-    decode_spans, encode_spans, hedge_sub_id, note_name, OpClass, SpanRecord, SpanStore, Stage,
+    decode_spans, encode_spans, note_name, sub_id, OpClass, SpanRecord, SpanStore, Stage,
     NOTE_FORWARD, NOTE_HEDGE, NOTE_NONE, NOTE_SHED_BACKLOG, NOTE_SHED_DEADLINE,
 };
 pub use trace::next_trace_id;

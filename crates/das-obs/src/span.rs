@@ -151,7 +151,7 @@ impl OpClass {
 
 /// No annotation on the span.
 pub const NOTE_NONE: u8 = 0;
-/// The span belongs to a hedged duplicate (distinct hedge sub-id).
+/// The span belongs to a hedged duplicate.
 pub const NOTE_HEDGE: u8 = 1;
 /// The request died at admission: worker backlog full.
 pub const NOTE_SHED_BACKLOG: u8 = 2;
@@ -255,14 +255,14 @@ pub fn decode_spans(blob: &[u8]) -> Option<Vec<SpanRecord>> {
     Some(out)
 }
 
-/// Mint the trace sub-id a hedged duplicate travels under: derived
-/// deterministically from the parent id and the race attempt, nonzero
-/// and never equal to the parent — so the winner and the loser of a
-/// hedge race stay distinguishable in every daemon's spans and
-/// metrics instead of aliasing (and double-counting) the original
-/// request.
-pub fn hedge_sub_id(parent: u64, attempt: u32) -> u64 {
-    let mut salt = 0xDA5_0B5u64.wrapping_add(u64::from(attempt));
+/// Mint the `n`-th trace sub-id under `parent`: the id one request of
+/// a pipelined strip wave travels under, derived deterministically from
+/// the run's trace id and the request's index, nonzero and never equal
+/// to the parent — so requests sharing one connection stay
+/// distinguishable (their replies are matched by it) in every daemon's
+/// spans and metrics instead of aliasing the run's id.
+pub fn sub_id(parent: u64, n: u64) -> u64 {
+    let mut salt = 0xDA5_0B5u64.wrapping_add(n);
     loop {
         let id = crate::trace::mix(parent ^ salt);
         if id != 0 && id != parent {
@@ -609,14 +609,14 @@ mod tests {
     }
 
     #[test]
-    fn hedge_sub_ids_are_distinct_and_stable() {
+    fn sub_ids_are_distinct_and_stable() {
         let parent = 0xDEAD_BEEF_u64;
-        let a = hedge_sub_id(parent, 0);
-        let b = hedge_sub_id(parent, 1);
+        let a = sub_id(parent, 0);
+        let b = sub_id(parent, 1);
         assert_ne!(a, parent);
         assert_ne!(b, parent);
         assert_ne!(a, b);
         assert_ne!(a, 0);
-        assert_eq!(a, hedge_sub_id(parent, 0), "derivation must be deterministic");
+        assert_eq!(a, sub_id(parent, 0), "derivation must be deterministic");
     }
 }

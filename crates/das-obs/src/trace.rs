@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-/// The SplitMix64 finalizer — shared with hedge sub-id derivation.
+/// The SplitMix64 finalizer — shared with sub-id derivation.
 pub(crate) fn mix(x: u64) -> u64 {
     splitmix64(x)
 }
