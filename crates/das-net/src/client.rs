@@ -403,7 +403,6 @@ impl DasCluster {
     /// that attempt.
     fn exchange(&mut self, asks: &[Ask<'_>], strip_io: bool) -> Vec<Firsts> {
         self.poll_parked();
-        let first_sub = self.subs;
         let mut wave = Wave::new(self, asks, strip_io);
         loop {
             wave.send_queued(self);
@@ -416,14 +415,6 @@ impl DasCluster {
                 wave.take_reply(self, s);
             }
             wave.race(self, if busy.is_empty() { POLL_SLICE } else { Duration::ZERO });
-        }
-        if let Some(parent) = self.trace.filter(|_| self.subs > first_sub) {
-            das_obs::event_limited(
-                das_obs::Level::Debug,
-                "das.client",
-                "strip wave",
-                &[("parent", format!("{parent:016x}")), ("sub_ids", format!("{first_sub}..{}", self.subs))],
-            );
         }
         wave.firsts
     }

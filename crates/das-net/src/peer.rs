@@ -1,16 +1,27 @@
-//! Server→server connections: lazy, persistent, one per peer — now
-//! fault-tolerant.
+//! Server→server connections: lazy, persistent, one per peer, driven
+//! in pipelined waves — and fault-tolerant.
 //!
 //! A `dasd` talks to its peers for three reasons, all mirroring the
 //! in-process runtime's traffic classes: dependence fetches during an
 //! offloaded execution (the NAS cost the predictor prices), pulls
 //! during redistribution's prepare phase, and forwarding of output
 //! replica strips. Each peer link is opened on first use, greets with
-//! `Hello { role: Server }`, and stays up while it works; concurrent
-//! workers serialize on the link's mutex, which mirrors the
-//! synchronous per-strip RPCs the paper's model assumes. The one
-//! exception is an Execute's replica-forward pass, which holds a link
-//! for a whole wave of `PutStrip`s ([`PeerTable::put_strips`]).
+//! `Hello { role: Server }`, and stays up while it works.
+//!
+//! All three are **waves**: each strip goes to its first-choice holder,
+//! and every link gets its share written before any reply is read. To a
+//! peer that echoes ids (`CAP_TRACE`), a traced wave keeps up to
+//! `WAVE_DEPTH` requests in flight, each under its own
+//! [`das_obs::sub_id`], and takes each reply for the request whose id
+//! it echoes; otherwise a link carries one request at a time, in a
+//! single call's frames. A wave holds its links until it is done,
+//! locked in ascending server id. What it answers for a strip is
+//! attempt one of that strip's own call, which walks on alone wherever
+//! that failed. **Bound:** `WAVE_DEPTH` is half the engine's
+//! `MAX_INFLIGHT`, 64, so the three peers of a four-daemon fleet, all
+//! aiming full waves at one daemon, queue at most 192 requests against
+//! its `DEFAULT_MAX_BACKLOG` of 256: a healthy fleet never sheds its
+//! own peer traffic.
 //!
 //! Failure handling: every dial and I/O carries the table's
 //! [`RetryPolicy`] timeouts, a transport error **evicts** the cached
@@ -23,27 +34,76 @@
 //!
 //! A peer that exhausts the budget additionally trips a **circuit
 //! breaker**: for a cooldown window every call to it fails fast with
-//! a typed error instead of re-burning the whole retry budget. This
-//! matters most for replica forwarding during an offloaded execute —
-//! without it, one dead peer adds a full retry budget of latency to
-//! *every* boundary strip, and a busy daemon can look dead to its
-//! clients. After the cooldown the next call probes the peer again,
-//! so a rebooted server rejoins naturally.
+//! a typed error instead of re-burning the whole retry budget, and no
+//! wave writes to it. This matters most for replica forwarding during
+//! an offloaded execute — without it, one dead peer adds a full retry
+//! budget of latency to *every* boundary strip, and a busy daemon can
+//! look dead to its clients. After the cooldown the next call probes
+//! the peer again, so a rebooted server rejoins naturally.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::codec::NetError;
 use crate::conn::RpcConn;
 use crate::engine::MAX_INFLIGHT;
 use crate::hedge::LoadTracker;
-use crate::proto::{ErrorCode, Message, Role};
+use crate::proto::{ErrorCode, Message, Role, CAP_TRACE};
 use crate::retry::RetryPolicy;
 use crate::server::{lock, ConnClass, StatsRegistry};
 
-/// One live peer link; workers calling the same peer serialize on it.
+/// One live peer link, held by a call or a wave while its requests are in flight.
 type PeerConn = Arc<Mutex<RpcConn>>;
+
+/// Requests a wave keeps in flight on one link (see the module doc).
+const WAVE_DEPTH: usize = MAX_INFLIGHT / 2;
+
+/// A peer's reply; a typed refusal is its `Err`.
+type Reply = Result<Message, NetError>;
+
+/// Where a wave hands each reply, with its ask and when that was written.
+trait Landed: FnMut(usize, Instant, Reply) {}
+impl<F: FnMut(usize, Instant, Reply)> Landed for F {}
+
+/// One request of a wave: the peer, the message, and the checksum of
+/// its blob when the caller holds one — the frame is signed from it.
+pub(crate) type Ask = (u32, Message, Option<u32>);
+
+/// One strip a fetch wave asks for, and its holders, primary first.
+pub(crate) struct StripAsk {
+    pub(crate) strip: u64,
+    pub(crate) holders: Vec<u32>,
+}
+
+/// What a fetch's requests carry, and where its `peer_fetch` spans and
+/// observations go.
+#[derive(Clone, Copy)]
+pub(crate) struct FetchFor {
+    pub(crate) trace: Option<u64>,
+    pub(crate) deadline: Option<Instant>,
+    pub(crate) parent: u32,
+    pub(crate) op: das_obs::OpClass,
+}
+
+/// A request in flight: its ask, the id its reply echoes, its write.
+struct Sent {
+    ask: usize,
+    id: Option<u64>,
+    at: Instant,
+}
+
+/// One held link of a wave in progress.
+struct Lane<'g> {
+    target: u32,
+    link: MutexGuard<'g, RpcConn>,
+    depth: usize,
+    queued: VecDeque<usize>,
+    /// In write order: the front is the earliest ask in flight.
+    flight: Vec<Sent>,
+    /// Requests written so far: the next one's sub-id index.
+    written: u64,
+}
 
 /// Addresses of every server in the cluster, indexed by server id,
 /// plus the live outbound connections of one daemon.
@@ -57,9 +117,9 @@ pub struct PeerTable {
     stats: Arc<StatsRegistry>,
     policy: RetryPolicy,
     metrics: Arc<das_obs::Registry>,
-    /// Per-peer latency EWMAs, fed by every call attempt; failover
-    /// walks are reordered lightest-first so a straggling peer drifts
-    /// to the back of every dependence fetch.
+    /// Per-peer latency EWMAs, fed by calls and waves; fetches ask
+    /// holders lightest-first, so a straggling peer drifts to the back
+    /// of every dependence fetch.
     load: LoadTracker,
     /// The owning daemon's flight recorder, when attached: outbound
     /// fetches on behalf of traced requests record caller-side
@@ -101,8 +161,7 @@ impl PeerTable {
 
     /// Attach the owning daemon's span store: dependence and
     /// redistribution fetches issued on behalf of traced requests
-    /// then record `peer_fetch` child spans (see
-    /// [`PeerTable::get_strip_failover`]).
+    /// then record `peer_fetch` child spans.
     pub fn with_span_store(mut self, spans: Arc<das_obs::SpanStore>) -> Self {
         self.spans = Some(spans);
         self
@@ -216,7 +275,21 @@ impl PeerTable {
         trace: Option<u64>,
         deadline: Option<Instant>,
     ) -> Result<Message, NetError> {
-        if self.is_down(target) {
+        self.call_resuming(target, msg, trace, deadline, None)
+    }
+
+    /// [`PeerTable::call`] whose first attempt a wave may already have
+    /// made: `first` is attempt one of the same retry budget, retry
+    /// accounting and breaker verdict.
+    fn call_resuming(
+        &self,
+        target: u32,
+        msg: &Message,
+        trace: Option<u64>,
+        deadline: Option<Instant>,
+        mut first: Option<Reply>,
+    ) -> Reply {
+        if !matches!(first, Some(Ok(_))) && self.is_down(target) {
             return Err(NetError::Remote {
                 code: ErrorCode::NoSuchServer,
                 message: format!("peer {target} unreachable (circuit open)"),
@@ -227,12 +300,12 @@ impl PeerTable {
         // (which may retry with a fresh deadline), but retrying here
         // would only burn backoff on a request the caller abandoned.
         if remaining_budget(deadline) == Some(Duration::ZERO) {
-            return self.call_once(target, msg, trace, deadline);
+            return first.unwrap_or_else(|| self.call_once(target, msg, trace, deadline));
         }
         let mut attempts = 0u64;
         let result = self.policy.retry(|| {
             attempts += 1;
-            self.call_once(target, msg, trace, deadline)
+            first.take().unwrap_or_else(|| self.call_once(target, msg, trace, deadline))
         });
         if attempts > 1 {
             self.metrics.counter("dasd_peer_retries_total", &[]).add(attempts - 1);
@@ -255,44 +328,165 @@ impl PeerTable {
         (0..self.addrs.len() as u32).map(|id| (id, self.is_down(id))).collect()
     }
 
-    /// Fetch one strip of `file` from any of `holders` — the
-    /// replica-failover read behind dependence and redistribution
-    /// fetches. Non-transient remote errors from a holder fail over to
-    /// the next holder too (a server that lost the strip is as useless
-    /// as a dead one); only running out of holders is fatal, and a read
-    /// served by anything but the first holder tried bumps
-    /// `dasd_peer_failovers_total`.
-    ///
-    /// The walk order is the caller's holder list **reordered by
-    /// observed load**: each peer's latency EWMA scores it, lightest
-    /// first, with unsampled peers keeping their caller-given
-    /// (primary-first) positions — so a cold table walks primaries
-    /// exactly as placed, and a warmed-up table routes fetches around a
-    /// straggler instead of paying its tail on every strip.
-    ///
-    /// Every fetch is one `peer_fetch` observation (classed `op`)
-    /// covering the whole walk, success or failure — a fetch that
-    /// burned the retry budget across three dead holders is attributed
-    /// at its true cost — and, for a traced request with a span store
-    /// attached, one `peer_fetch` span under `parent`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn get_strip_failover(
+    /// The wave core: write every ask to its peer, each carrying what
+    /// is left of `deadline`, and hand every reply to `landed`, reading
+    /// from the link that holds the earliest ask in flight. A link's
+    /// first reply, if good, feeds its peer's latency estimate with its
+    /// wait until read. Asks for this server or a peer whose breaker is
+    /// open are not written, nor is any once `deadline` is spent. A
+    /// failed dial, write or read is the answer of the ask it hit and
+    /// evicts the link, leaving the other asks on it unanswered: their
+    /// calls make their own attempt one.
+    fn wave(&self, asks: &[Ask], trace: Option<u64>, deadline: Option<Instant>, mut landed: impl Landed) {
+        let mut by_target: BTreeMap<u32, VecDeque<usize>> = BTreeMap::new();
+        let asked = asks.iter().enumerate().filter(|(_, &(to, ..))| to != self.self_id && !self.is_down(to));
+        for (i, &(to, ..)) in asked {
+            by_target.entry(to).or_default().push_back(i);
+        }
+        // Dial before any link is held.
+        let mut dialled = Vec::with_capacity(by_target.len());
+        for (target, mut queued) in by_target {
+            match self.conn(target) {
+                Ok(conn) => dialled.push((target, conn, queued)),
+                Err(e) => if let Some(i) = queued.pop_front() { landed(i, Instant::now(), Err(e)) },
+            }
+        }
+        // Ascending by server id: the lock order every wave shares.
+        let mut lanes: Vec<Lane<'_>> = dialled
+            .iter_mut()
+            .map(|(target, conn, queued)| {
+                let link = lock(conn);
+                let depth = if trace.is_some() && link.has(CAP_TRACE) { WAVE_DEPTH } else { 1 };
+                let queued = std::mem::take(queued);
+                Lane { target: *target, link, depth, queued, flight: Vec::new(), written: 0 }
+            })
+            .collect();
+        loop {
+            for lane in &mut lanes {
+                while lane.flight.len() < lane.depth {
+                    let budget = remaining_budget(deadline);
+                    if budget == Some(Duration::ZERO) {
+                        lane.queued.clear();
+                    }
+                    let Some(i) = lane.queued.pop_front() else { break };
+                    let id = trace.filter(|_| lane.link.has(CAP_TRACE)).map(|t| das_obs::sub_id(t, lane.written));
+                    let (at, (_, msg, sum)) = (Instant::now(), &asks[i]);
+                    if let Err(e) = lane.link.send_summed(msg, *sum, id, budget) {
+                        self.fail(lane, (i, at), e, &mut landed);
+                        break;
+                    }
+                    lane.written += 1;
+                    lane.flight.push(Sent { ask: i, id, at });
+                }
+            }
+            let Some(lane) = lanes.iter_mut().filter(|l| !l.flight.is_empty()).min_by_key(|l| l.flight[0].ask)
+            else {
+                break;
+            };
+            let oldest = (lane.flight[0].ask, lane.flight[0].at);
+            let echoed = lane.link.recv_echo(&asks[oldest.0].1, &self.policy);
+            let matched = echoed.and_then(|(id, reply)| {
+                let i = lane.flight.iter().position(|sent| sent.id == id).ok_or_else(|| {
+                    NetError::Protocol(format!("a peer reply echoes id {id:?}, which no request in flight carries"))
+                })?;
+                Ok((lane.flight.remove(i), reply))
+            });
+            match matched {
+                Ok((sent, reply)) => {
+                    if reply.is_ok() && lane.written == lane.flight.len() as u64 + 1 {
+                        self.load.observe(lane.target as usize, sent.at.elapsed());
+                    }
+                    landed(sent.ask, sent.at, reply);
+                }
+                Err(e) => self.fail(lane, oldest, e, &mut landed),
+            }
+        }
+    }
+
+    /// `lane`'s link failed ask `i`, written at `at`, with `e`: that is
+    /// its answer, the link is evicted, and no other ask on it gets one.
+    fn fail(&self, lane: &mut Lane<'_>, (i, at): (usize, Instant), e: NetError, landed: &mut impl Landed) {
+        lock(&self.conns).remove(&lane.target);
+        (lane.flight, lane.queued) = (Vec::new(), VecDeque::new());
+        landed(i, at, Err(e));
+    }
+
+    /// Fetch `strips` of `file` in one wave, handing each to `deliver`
+    /// in ask order as soon as it and every strip before it have landed,
+    /// until `deliver` fails. Holders are walked lightest first by
+    /// latency EWMA (unsampled ones keep their primary-first places);
+    /// the wave asks the first, and a strip it answered with anything
+    /// but bytes walks on alone after the wave. Its length is the
+    /// caller's to check. Every fetch is one `peer_fetch` observation
+    /// and, traced, one span, from its write to its bytes or walk's end.
+    pub(crate) fn get_strips<E>(
         &self,
-        holders: &[u32],
         file: u32,
-        strip: u64,
-        trace: Option<u64>,
-        deadline: Option<Instant>,
-        parent: u32,
-        op: das_obs::OpClass,
+        strips: &[StripAsk],
+        by: FetchFor,
+        mut deliver: impl FnMut(usize, Result<Vec<u8>, NetError>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let (walks, asks): (Vec<Vec<u32>>, Vec<Ask>) = strips
+            .iter()
+            .map(|s| {
+                let mut walk: Vec<u32> = s.holders.iter().copied().filter(|&h| h != self.self_id).collect();
+                self.load.order_by_load(&mut walk, |&h| h as usize);
+                // A strip with no remote holder is asked nowhere: its
+                // walk reports it.
+                let to = walk.first().copied().unwrap_or(self.self_id);
+                (walk, (to, Message::GetStrip { file, strip: s.strip }, None))
+            })
+            .unzip();
+        // What the wave answered for each strip: its bytes, or else when
+        // it was written and what came back.
+        let mut bytes: Vec<Option<Vec<u8>>> = strips.iter().map(|_| None).collect();
+        let mut firsts: Vec<Option<(Instant, Reply)>> = strips.iter().map(|_| None).collect();
+        let (mut next, mut delivered) = (0, Ok(()));
+        self.wave(&asks, by.trace, by.deadline, |i, at, reply| {
+            match reply {
+                Ok(Message::StripData { payload }) => {
+                    self.record_fetch(at, by);
+                    bytes[i] = Some(payload);
+                }
+                reply => firsts[i] = Some((at, reply)),
+            }
+            while delivered.is_ok() {
+                let Some(payload) = bytes.get_mut(next).and_then(Option::take) else { break };
+                delivered = deliver(next, Ok(payload));
+                next += 1;
+            }
+        });
+        delivered?;
+        for i in next..strips.len() {
+            let got = match bytes[i].take() {
+                Some(payload) => Ok(payload),
+                None => self.get_strip_failover(&walks[i], &asks[i].1, firsts[i].take(), by),
+            };
+            deliver(i, got)?;
+        }
+        Ok(())
+    }
+
+    /// The replica-failover walk a fetch wave falls back to: `get` from
+    /// the holders in `walk`, in order, where `first` — when the wave
+    /// wrote it and what came back — is attempt one of the first
+    /// holder's call. Non-transient remote errors fail over too (a
+    /// server that lost the strip is as useless as a dead one); a read
+    /// served past the first holder bumps `dasd_peer_failovers_total`.
+    /// The fetch's observation and span cover the whole walk, so one
+    /// that burned the retry budget is attributed at its true cost.
+    fn get_strip_failover(
+        &self,
+        walk: &[u32],
+        get: &Message,
+        first: Option<(Instant, Reply)>,
+        by: FetchFor,
     ) -> Result<Vec<u8>, NetError> {
-        let started = Instant::now();
-        let mut walk: Vec<u32> =
-            holders.iter().copied().filter(|&h| h != self.self_id).collect();
-        self.load.order_by_load(&mut walk, |&h| h as usize);
-        let mut result = Err(NetError::Protocol(format!("strip {strip}: no remote holder to fetch from")));
+        let started = first.as_ref().map_or_else(Instant::now, |(at, _)| *at);
+        let mut first = first.map(|(_, reply)| reply);
+        let mut result = Err(NetError::Protocol("no remote holder to fetch from".into()));
         for (pos, &holder) in walk.iter().enumerate() {
-            result = match self.call(holder, &Message::GetStrip { file, strip }, trace, deadline) {
+            result = match self.call_resuming(holder, get, by.trace, by.deadline, first.take()) {
                 Ok(Message::StripData { payload }) => Ok(payload),
                 Ok(other) => Err(NetError::Unexpected { opcode: other.opcode() }),
                 Err(e) => Err(e),
@@ -304,75 +498,43 @@ impl PeerTable {
                 break;
             }
         }
-        let dur_us = started.elapsed().as_micros() as u64;
-        self.metrics
-            .histogram("dasd_stage_duration_us", &[("stage", "peer_fetch"), ("op", op.name())])
-            .observe(dur_us);
-        if let (Some(store), Some(t)) = (&self.spans, trace) {
-            let start_us = store.now_us().saturating_sub(dur_us);
-            store.record(
-                t,
-                parent,
-                das_obs::Stage::PeerFetch,
-                op,
-                das_obs::NOTE_NONE,
-                start_us,
-                dur_us,
-            );
-        }
+        self.record_fetch(started, by);
         result
     }
 
-    /// Replica forwarding: send `target` a batch of `PutStrip`s, each
-    /// with the checksum of its payload (a wave's frames are signed from
-    /// it), and return how many were not acknowledged. A wave (at most
-    /// what the peer holds in flight, so no socket buffer fills unread)
-    /// is written back-to-back and its acks collected afterwards: one
-    /// round trip, not one per strip. The daemon answers in completion
-    /// order, but the acks are all alike and only their number matters.
-    pub fn put_strips(&self, target: u32, puts: &[(Message, u32)], trace: Option<u64>) -> u64 {
-        let mut unacknowledged = 0;
-        for wave in puts.chunks(MAX_INFLIGHT) {
-            if !self.is_down(target) && self.put_wave(target, wave, trace) {
-                continue;
-            }
-            // The acks do not say which forward of the wave they miss.
-            // `PutStrip` is idempotent: each goes again on its own,
-            // retried and circuit-broken.
-            for (put, _) in wave {
-                let acked = matches!(self.call(target, put, trace, None), Ok(Message::PutStripOk));
-                unacknowledged += u64::from(!acked);
-            }
+    /// Close one fetch begun at `started`: its `peer_fetch`
+    /// observation, and its span when traced.
+    fn record_fetch(&self, started: Instant, by: FetchFor) {
+        let dur_us = started.elapsed().as_micros() as u64;
+        self.metrics
+            .histogram("dasd_stage_duration_us", &[("stage", "peer_fetch"), ("op", by.op.name())])
+            .observe(dur_us);
+        if let (Some(store), Some(t)) = (&self.spans, by.trace) {
+            let start_us = store.now_us().saturating_sub(dur_us);
+            store.record(t, by.parent, das_obs::Stage::PeerFetch, by.op, das_obs::NOTE_NONE, start_us, dur_us);
         }
-        unacknowledged
     }
 
-    /// One attempt at a wave; whether every forward was acknowledged. A
-    /// typed refusal leaves the link in step (its reply was read), a
-    /// transport error evicts it like any other.
-    fn put_wave(&self, target: u32, wave: &[(Message, u32)], trace: Option<u64>) -> bool {
-        let Ok(conn) = self.conn(target) else { return false };
-        let mut link = lock(&conn);
-        let sent = wave.iter().try_for_each(|(put, sum)| link.send_summed(put, Some(*sum), trace, None));
-        let exchange = sent.and_then(|()| {
-            wave.iter().try_fold(true, |acked, (put, _)| match link.recv(put, &self.policy) {
-                Err(e) if e.is_transport() => Err(e),
-                reply => Ok(acked & matches!(reply, Ok(Message::PutStripOk))),
-            })
-        });
-        if exchange.is_err() {
-            lock(&self.conns).remove(&target);
-        }
-        exchange.unwrap_or(false)
+    /// Replica forwarding: send every `PutStrip` of `puts` to its
+    /// holder in one wave and return how many were not acknowledged.
+    /// Each ack is matched to its forward like any wave reply, so a
+    /// forward the wave did not see acknowledged goes again on its own
+    /// (`PutStrip` is idempotent), retried and circuit-broken.
+    pub(crate) fn put_strips(&self, puts: &[Ask], trace: Option<u64>) -> u64 {
+        let mut acked = vec![false; puts.len()];
+        self.wave(puts, trace, None, |i, _, reply| acked[i] = matches!(reply, Ok(Message::PutStripOk)));
+        let resent = |(to, put, _): &Ask| matches!(self.call(*to, put, trace, None), Ok(Message::PutStripOk));
+        puts.iter().zip(acked).filter(|&(put, acked)| !acked && !resent(put)).count() as u64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
+    use std::io::Read;
+    use std::net::{TcpListener, TcpStream};
 
-    use crate::codec::{read_frame_ex, write_message_opts};
+    use crate::codec::{encode_frame_opts, read_frame_ex, write_message_opts};
     use crate::proto::LOCAL_CAPS;
 
     /// Deadline monotonicity across a peer hop: each call stamps what is
@@ -387,11 +549,7 @@ mod tests {
         // A full-caps peer that answers every Ping and records the
         // budget field of each request frame until the link closes.
         let stub = std::thread::spawn(move || {
-            let (mut sock, _) = listener.accept().expect("accept");
-            let hello = read_frame_ex(&mut sock).expect("read").expect("hello");
-            assert!(matches!(hello.msg, Message::Hello { .. }), "{hello:?}");
-            let hello_ok = Message::HelloOk { server_id: 1, caps: LOCAL_CAPS };
-            write_message_opts(&mut sock, &hello_ok, None, None).expect("hello ok");
+            let mut sock = greet(&listener, LOCAL_CAPS);
             let mut budgets = Vec::new();
             while let Some(frame) = read_frame_ex(&mut sock).expect("read") {
                 assert_eq!(frame.msg, Message::Ping);
@@ -400,14 +558,7 @@ mod tests {
             }
             budgets
         });
-        let metrics = Arc::new(das_obs::Registry::new());
-        let peers = PeerTable::with_policy(
-            0,
-            vec![String::new(), addr],
-            Arc::new(StatsRegistry::default()),
-            RetryPolicy::fast(),
-            Arc::clone(&metrics),
-        );
+        let (peers, metrics) = table(vec![String::new(), addr]);
         let deadline = Instant::now() + TOTAL;
         assert_eq!(peers.call(1, &Message::Ping, None, Some(deadline)).expect("first hop"), Message::Pong);
         std::thread::sleep(NAP);
@@ -431,5 +582,171 @@ mod tests {
         let (total, nap) = (TOTAL.as_millis() as u32, NAP.as_millis() as u32);
         assert!(b1 <= total && b2 <= b1, "budget grew: {b1} then {b2} of {total}");
         assert!(b1 - b2 >= nap - 1, "a {nap} ms nap took only {} ms off the budget", b1 - b2);
+    }
+
+    /// A table for server 0 of a cluster at `addrs`, with its metrics.
+    fn table(addrs: Vec<String>) -> (PeerTable, Arc<das_obs::Registry>) {
+        let metrics = Arc::new(das_obs::Registry::new());
+        let stats = Arc::new(StatsRegistry::default());
+        (PeerTable::with_policy(0, addrs, stats, RetryPolicy::fast(), Arc::clone(&metrics)), metrics)
+    }
+
+    /// Accept one peer link and answer its `Hello` with `caps`.
+    fn greet(listener: &TcpListener, caps: u32) -> TcpStream {
+        let (mut sock, _) = listener.accept().expect("accept");
+        let hello = read_frame_ex(&mut sock).expect("read").expect("hello");
+        assert!(matches!(hello.msg, Message::Hello { .. }), "{hello:?}");
+        write_message_opts(&mut sock, &Message::HelloOk { server_id: 1, caps }, None, None).expect("hello ok");
+        sock
+    }
+
+    /// The bytes of strip `s` as the stubs serve it.
+    fn strip_bytes(s: u64) -> Vec<u8> {
+        vec![s as u8; 16]
+    }
+
+    /// One listener per stub peer, and the cluster's addresses with
+    /// server 0 (the table's own) first.
+    fn stub_addrs(n: usize) -> (Vec<TcpListener>, Vec<String>) {
+        let listeners: Vec<TcpListener> = (0..n).map(|_| TcpListener::bind("127.0.0.1:0").expect("bind")).collect();
+        let addrs = std::iter::once(String::new())
+            .chain(listeners.iter().map(|l| l.local_addr().expect("addr").to_string()))
+            .collect();
+        (listeners, addrs)
+    }
+
+    fn fetch_for(trace: Option<u64>) -> FetchFor {
+        FetchFor { trace, deadline: None, parent: 0, op: das_obs::OpClass::Exec }
+    }
+
+    /// A traced fetch wave to a peer that echoes ids: all five asks are
+    /// on the wire before any reply, each under its own sub-id; the peer
+    /// answers newest first and refuses strip 12 with a typed
+    /// `StripNotLocal`. The strips still come back in ask order, and
+    /// only strip 12 walks on — to its second holder, as one failover.
+    #[test]
+    fn a_fetch_wave_answered_newest_first_delivers_in_ask_order_and_walks_one_refusal_alone() {
+        const STRIPS: [u64; 5] = [10, 11, 12, 13, 14];
+        let (listeners, addrs) = stub_addrs(2);
+        let mut listeners = listeners.into_iter();
+        let (first, second) = (listeners.next().expect("stub 1"), listeners.next().expect("stub 2"));
+        let primary = std::thread::spawn(move || {
+            let mut sock = greet(&first, LOCAL_CAPS);
+            let wave: Vec<_> =
+                (0..STRIPS.len()).map(|_| read_frame_ex(&mut sock).expect("read").expect("ask")).collect();
+            for frame in wave.iter().rev() {
+                let Message::GetStrip { strip, .. } = frame.msg else { panic!("{frame:?}") };
+                let reply = if strip == 12 {
+                    Message::Error { code: ErrorCode::StripNotLocal, message: "lost it".into() }
+                } else {
+                    Message::StripData { payload: strip_bytes(strip) }
+                };
+                write_message_opts(&mut sock, &reply, frame.trace, None).expect("reply");
+            }
+            // The refused strip is not asked here again.
+            assert!(read_frame_ex(&mut sock).expect("read").is_none(), "a second ask reached the primary");
+            wave.into_iter().map(|frame| frame.trace).collect::<Vec<_>>()
+        });
+        let replica = std::thread::spawn(move || {
+            let mut sock = greet(&second, LOCAL_CAPS);
+            let mut asked = Vec::new();
+            while let Some(frame) = read_frame_ex(&mut sock).expect("read") {
+                let Message::GetStrip { strip, .. } = frame.msg else { panic!("{frame:?}") };
+                asked.push(strip);
+                let reply = Message::StripData { payload: strip_bytes(strip) };
+                write_message_opts(&mut sock, &reply, frame.trace, None).expect("reply");
+            }
+            asked
+        });
+        let (peers, metrics) = table(addrs);
+        let parent = das_obs::next_trace_id();
+        let asks: Vec<StripAsk> = STRIPS.iter().map(|&strip| StripAsk { strip, holders: vec![1, 2] }).collect();
+        let mut got = Vec::new();
+        let fetched = peers.get_strips(3, &asks, fetch_for(Some(parent)), |i, bytes| {
+            got.push((i, bytes.expect("every strip arrives")));
+            Ok::<(), ()>(())
+        });
+        assert_eq!(fetched, Ok(()));
+        let want: Vec<(usize, Vec<u8>)> = STRIPS.iter().enumerate().map(|(i, &s)| (i, strip_bytes(s))).collect();
+        assert_eq!(got, want, "strips out of ask order");
+        assert_eq!(metrics.counter("dasd_peer_failovers_total", &[]).get(), 1);
+        drop(peers);
+        let ids = primary.join().expect("primary stub");
+        assert_eq!(replica.join().expect("replica stub"), vec![12], "only the refused strip walks on");
+        let distinct: std::collections::HashSet<_> = ids.iter().collect();
+        assert_eq!(distinct.len(), STRIPS.len(), "ids in one wave must differ: {ids:?}");
+        assert!(ids.iter().all(|id| id.is_some_and(|id| id != parent && das_obs::trace_root(id) == parent)));
+    }
+
+    /// A peer that does not echo ids sees a traced wave one request at
+    /// a time, each frame exactly a single call's: no trace id, no
+    /// budget, nothing more written before its reply.
+    #[test]
+    fn a_peer_without_cap_trace_sees_depth_one_and_unchanged_frames() {
+        const STRIPS: [u64; 3] = [4, 5, 6];
+        let (listeners, addrs) = stub_addrs(1);
+        let listener = listeners.into_iter().next().expect("stub");
+        let stub = std::thread::spawn(move || {
+            let mut sock = greet(&listener, 0);
+            for strip in STRIPS {
+                let want = encode_frame_opts(&Message::GetStrip { file: 3, strip }, None, None);
+                let mut frame = vec![0u8; want.len()];
+                sock.read_exact(&mut frame).expect("ask");
+                assert_eq!(frame, want, "strip {strip}: the frame is not a single call's");
+                sock.set_read_timeout(Some(Duration::from_millis(30))).expect("timeout");
+                let early = sock.peek(&mut [0]);
+                assert!(early.is_err(), "strip {strip}: a second request was written before this one's reply");
+                sock.set_read_timeout(None).expect("timeout");
+                write_message_opts(&mut sock, &Message::StripData { payload: strip_bytes(strip) }, None, None)
+                    .expect("reply");
+            }
+        });
+        let (peers, _) = table(addrs);
+        let asks: Vec<StripAsk> = STRIPS.iter().map(|&strip| StripAsk { strip, holders: vec![1] }).collect();
+        let mut got = Vec::new();
+        let fetched = peers.get_strips(3, &asks, fetch_for(Some(das_obs::next_trace_id())), |_, bytes| {
+            got.push(bytes.expect("strip"));
+            Ok::<(), ()>(())
+        });
+        assert_eq!(fetched, Ok(()));
+        assert_eq!(got, STRIPS.map(strip_bytes));
+        stub.join().expect("stub peer");
+    }
+
+    /// A forward wave whose peer refuses one `PutStrip`: that forward,
+    /// and only it, is sent again, and once it is acknowledged nothing
+    /// is left unacknowledged.
+    #[test]
+    fn a_put_wave_resends_only_the_refused_forward() {
+        let (listeners, addrs) = stub_addrs(1);
+        let listener = listeners.into_iter().next().expect("stub");
+        let stub = std::thread::spawn(move || {
+            let mut sock = greet(&listener, LOCAL_CAPS);
+            let mut seen = Vec::new();
+            while let Some(frame) = read_frame_ex(&mut sock).expect("read") {
+                let Message::PutStrip { strip, .. } = frame.msg else { panic!("{frame:?}") };
+                let reply = if strip == 2 && !seen.contains(&2) {
+                    Message::Error { code: ErrorCode::StripNotLocal, message: "not yet".into() }
+                } else {
+                    Message::PutStripOk
+                };
+                seen.push(strip);
+                write_message_opts(&mut sock, &reply, frame.trace, None).expect("ack");
+            }
+            seen
+        });
+        let (peers, _) = table(addrs);
+        let puts: Vec<Ask> = (0..4u64)
+            .map(|strip| {
+                let payload = strip_bytes(strip);
+                let sum = crate::codec::crc32(&[&payload]);
+                (1, Message::PutStrip { file: 3, strip, payload }, Some(sum))
+            })
+            .collect();
+        assert_eq!(peers.put_strips(&puts, Some(das_obs::next_trace_id())), 0);
+        drop(peers);
+        let mut seen = stub.join().expect("stub peer");
+        seen.sort_unstable();
+        assert_eq!(seen, vec![0, 1, 2, 2, 3], "exactly one resend, of the refused forward");
     }
 }

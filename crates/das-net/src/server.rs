@@ -10,10 +10,12 @@
 //! the paper's Fig. 3 decision workflow over its own metadata
 //! (`das_core::decide`), and on acceptance computes the kernel over
 //! its **primary** strips, fetching dependent strips it does not hold
-//! from peer daemons — per task, with no cross-task cache, exactly the
-//! traffic `das_core`'s `predict_nas_fetches` prices. A rejected
-//! request comes back as [`ErrorCode::FallbackToNormalIo`] and the
-//! client serves it as normal I/O.
+//! from peer daemons — all tasks' fetches in one pipelined wave, the
+//! multiset of fetches per task that of a serial per-task loop with no
+//! cross-task cache, exactly the traffic `das_core`'s
+//! `predict_nas_fetches` prices. A rejected request comes back as
+//! [`ErrorCode::FallbackToNormalIo`] and the client serves it as
+//! normal I/O.
 //!
 //! Fault tolerance: peer traffic rides the shared [`RetryPolicy`]
 //! (timeouts, reconnect, bounded backoff), dependence and
@@ -26,7 +28,7 @@
 //! the chaos suite can exercise all of the above on a loopback
 //! cluster.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -40,9 +42,9 @@ use das_kernels::{cells_to_le_bytes, kernel_by_name};
 use das_pfs::{FileId, FileMeta, Layout, ServerId, StorageServer, StripId, StripeSpec};
 use das_runtime::StripAssembly;
 
-use crate::codec::crc32;
+use crate::codec::{crc32, NetError};
 use crate::fault::{FaultAction, FaultPlan, FaultPoint};
-use crate::peer::PeerTable;
+use crate::peer::{Ask, FetchFor, PeerTable, StripAsk};
 use crate::proto::{ErrorCode, Message, WireStats};
 use crate::retry::RetryPolicy;
 use das_obs::log::{event, Level};
@@ -903,32 +905,20 @@ fn dist_of(meta: &FileMeta) -> das_pfs::DistributionInfo {
     }
 }
 
-/// Pull strip `sid` of `file` from a peer, with replica failover: the
-/// strip's primary under `meta`'s layout, then each replica holder.
-/// Only when *every* holder is unreachable does the fetch fail — typed
-/// and transient (`Retryable`), so the client retries or degrades the
-/// scheme instead of hanging. The fetch carries the request's remaining
-/// budget downstream, so a peer that is itself overloaded can shed work
-/// this request no longer has time to use; it is one `peer_fetch` span
-/// (the walk, not each holder try).
-#[allow(clippy::too_many_arguments)]
-fn fetch_strip(
-    shared: &Shared,
-    file: u32,
-    meta: &FileMeta,
-    sid: StripId,
-    trace: Option<u64>,
-    deadline: Option<Instant>,
-    ctx: RequestCtx,
-    op: OpClass,
-) -> Result<Bytes, Message> {
-    let holders: Vec<u32> = meta.layout.placement(sid).holders().iter().map(|h| h.0).collect();
-    let payload = shared
-        .peers
-        .get_strip_failover(&holders, file, sid.0, trace, deadline, ctx.root, op)
-        .map_err(|e| {
-            err(ErrorCode::Retryable, format!("strip {} unreachable on holders {holders:?}: {e}", sid.0))
-        })?;
+/// A fetch of strip `sid` under `meta`'s layout: the strip and its
+/// holders, primary first.
+fn strip_ask(meta: &FileMeta, sid: StripId) -> StripAsk {
+    StripAsk { strip: sid.0, holders: meta.layout.placement(sid).holders().iter().map(|h| h.0).collect() }
+}
+
+/// What a peer fetch of `ask`, a strip of `meta`, delivered, as a
+/// request takes it: a strip no holder served is the transient
+/// `Retryable`, so the client retries or degrades instead of hanging.
+fn checked_strip(meta: &FileMeta, ask: &StripAsk, got: Result<Vec<u8>, NetError>) -> Result<Bytes, Message> {
+    let sid = StripId(ask.strip);
+    let payload = got.map_err(|e| {
+        err(ErrorCode::Retryable, format!("strip {} unreachable on holders {:?}: {e}", sid.0, ask.holders))
+    })?;
     // A short (or long) strip from a confused peer must fail typed
     // here: accepted into a strip assembly it would panic the first
     // out-of-range element read.
@@ -943,8 +933,9 @@ fn fetch_strip(
 }
 
 /// Phase one of redistribution: pull every strip this server gains
-/// under `policy` from its current primary, into the staging area.
-/// The live layout is untouched until every server has prepared.
+/// under `policy` from its current holders, in one peer wave, into the
+/// staging area. The live layout is untouched until every server has
+/// prepared.
 fn redist_prepare(
     shared: &Shared,
     file: u32,
@@ -967,21 +958,23 @@ fn redist_prepare(
             .collect();
         (old, wanted)
     };
-    let mut staged = Vec::with_capacity(wanted.len());
-    let mut fetched_bytes = 0u64;
-    for sid in wanted {
-        // An unreachable strip is a *transient* failure (the holder may
-        // come back), so the client may retry or abandon the
-        // redistribution and degrade.
-        let payload = match fetch_strip(shared, file, &old, sid, trace, deadline, ctx, OpClass::Redist) {
-            Ok(p) => p,
-            Err(reply) => return reply,
-        };
-        fetched_bytes += payload.len() as u64;
+    let asks: Vec<StripAsk> = wanted.into_iter().map(|sid| strip_ask(&old, sid)).collect();
+    let mut staged = Vec::with_capacity(asks.len());
+    // An unreachable strip is a *transient* failure (the holder may
+    // come back), so the client may retry or abandon the
+    // redistribution and degrade.
+    let by = FetchFor { trace, deadline, parent: ctx.root, op: OpClass::Redist };
+    let pulled = shared.peers.get_strips(file, &asks, by, |i, got| {
+        let payload = checked_strip(&old, &asks[i], got)?;
         let sum = crc32(&[&payload]);
-        staged.push((sid, payload, sum));
+        staged.push((StripId(asks[i].strip), payload, sum));
+        Ok(())
+    });
+    if let Err(reply) = pulled {
+        return reply;
     }
     let fetched_strips = staged.len() as u64;
+    let fetched_bytes = staged.iter().map(|(_, payload, _)| payload.len() as u64).sum();
     lock(&shared.inner).staged.insert(file, staged);
     Message::RedistPrepareOk { fetched_strips, fetched_bytes }
 }
@@ -1052,6 +1045,12 @@ impl ExecPlan {
     fn total_elements(&self) -> u64 {
         self.meta.len / 4
     }
+
+    /// Task `t`'s dependence strips this server does not hold, ascending.
+    fn remote_deps(&self, t: StripId) -> Vec<StripId> {
+        let deps = dependent_strips(t.0, &self.offsets, self.elems_per_strip(), self.total_elements());
+        deps.into_iter().map(StripId).filter(|&sid| !self.local.contains(sid)).collect()
+    }
 }
 
 /// Strips with their bytes, ascending by id.
@@ -1063,18 +1062,17 @@ type TaskDeps = Result<Strips, Message>;
 
 /// The active-storage execution path (paper Fig. 3 right branch): plan,
 /// then a two-stage pipeline over this server's tasks in ascending
-/// order. A scoped fetcher thread pulls task k+1's dependence strips
-/// from peers while this thread runs the kernel on task k — an Execute
-/// is a chain of fetch_k → compute_k pairs, so one stage of look-ahead
-/// is all the overlap there is to have. Fetch count, bytes and issue
-/// order are those of the serial loop: each task still re-fetches what
-/// it needs, with no cross-task cache, exactly as the predictor prices.
+/// order. A scoped fetcher thread asks the peers for every task's
+/// dependence strips in one wave and hands them over task by task,
+/// while this thread runs the kernel on each task as soon as its strips
+/// are in. The multiset of fetches per task is the serial loop's: each
+/// task fetches every remote strip it reads, however many other tasks
+/// fetch it too — no cross-task cache, exactly as the predictor prices.
 ///
 /// Replica forwards are not part of that loop, where each would be a
 /// blocking round trip to a peer that is itself computing: they go out
-/// in one pass after the last kernel, a pipelined batch per holder, and
-/// every one is acknowledged or counted in
-/// `dasd_replica_forward_failures_total` before `ExecuteOk`.
+/// in one wave after the last kernel, and every one is acknowledged or
+/// counted in `dasd_replica_forward_failures_total` before `ExecuteOk`.
 fn execute(
     shared: &Shared,
     args: ExecuteArgs<'_>,
@@ -1092,19 +1090,15 @@ fn execute(
     let mut view = plan.local.clone();
     let (mut dep_fetches, mut dep_fetch_bytes) = (0u64, 0u64);
     let (mut kernel_time, mut assemble_time) = (Duration::ZERO, Duration::ZERO);
-    let mut forwards: BTreeMap<u32, Vec<(Message, u32)>> = BTreeMap::new();
+    let mut forwards = Vec::new();
     let failure = std::thread::scope(|scope| {
-        let (tx, rx) = mpsc::sync_channel::<TaskDeps>(1);
-        let fetcher = std::thread::Builder::new().name("dasd-fetch".into()).spawn_scoped(scope, move || {
-            for &t in &plan.tasks {
-                let deps = fetch_deps(shared, plan, t, trace, deadline, ctx);
-                let failed = deps.is_err();
-                // A closed channel means the compute stage gave up.
-                if tx.send(deps).is_err() || failed {
-                    return;
-                }
-            }
-        });
+        // Unbounded: the fetch stage holds its peer links until its wave
+        // is done, and must not wait on the compute stage meanwhile.
+        let (tx, rx) = mpsc::channel::<TaskDeps>();
+        let by = FetchFor { trace, deadline, parent: ctx.root, op: OpClass::Exec };
+        let fetcher = std::thread::Builder::new()
+            .name("dasd-fetch".into())
+            .spawn_scoped(scope, move || fetch_stage(shared, plan, by, &tx));
         if let Err(e) = fetcher {
             return Some(err(ErrorCode::Retryable, format!("cannot start the dependence fetcher: {e}")));
         }
@@ -1127,14 +1121,12 @@ fn execute(
     }
     if !forwards.is_empty() {
         let forward_started = Instant::now();
-        for (&holder, puts) in &forwards {
-            // A holder that stays down just means these output strips
-            // are stored at reduced redundancy — the primary copies are
-            // authoritative, so the execution still succeeds.
-            let failed = shared.peers.put_strips(holder, puts, trace);
-            if failed > 0 {
-                shared.metrics.counter("dasd_replica_forward_failures_total", &[]).add(failed);
-            }
+        // A holder that stays down just means its output strips are
+        // stored at reduced redundancy — the primary copies are
+        // authoritative, so the execution still succeeds.
+        let failed = shared.peers.put_strips(&forwards, trace);
+        if failed > 0 {
+            shared.metrics.counter("dasd_replica_forward_failures_total", &[]).add(failed);
         }
         let forward_time = forward_started.elapsed();
         record_span(shared, trace, ctx.root, Stage::Assemble, OpClass::Exec, NOTE_FORWARD, forward_time);
@@ -1294,33 +1286,39 @@ fn decide_offload(
     Ok(())
 }
 
-/// Fetch stage: pull the dependence strips of task `t` that this
-/// server does not hold, in ascending strip order.
-fn fetch_deps(
-    shared: &Shared,
-    plan: &ExecPlan,
-    t: StripId,
-    trace: Option<u64>,
-    deadline: Option<Instant>,
-    ctx: RequestCtx,
-) -> TaskDeps {
-    let mut deps = Vec::new();
-    for u in dependent_strips(t.0, &plan.offsets, plan.elems_per_strip(), plan.total_elements()) {
-        let sid = StripId(u);
-        if plan.local.contains(sid) {
-            continue;
+/// Fetch stage: every task's remote dependence strips asked in one peer
+/// wave, and handed to the compute stage in task order, each task's as
+/// soon as they and every earlier task's have landed — or the typed
+/// reply, for the first strip that cannot be had, that ends the Execute.
+fn fetch_stage(shared: &Shared, plan: &ExecPlan, by: FetchFor, tx: &mpsc::Sender<TaskDeps>) {
+    let per_task: Vec<Vec<StripId>> = plan.tasks.iter().map(|&t| plan.remote_deps(t)).collect();
+    let asks: Vec<StripAsk> = per_task.iter().flatten().map(|&sid| strip_ask(&plan.meta, sid)).collect();
+    let mut sizes = per_task.iter().map(Vec::len).peekable();
+    // Hand over every task whose strips are all in; a closed channel
+    // means the compute stage gave up, and nothing is left to do.
+    let mut hand_over = |deps: &mut Strips| {
+        while sizes.next_if_eq(&deps.len()).is_some() {
+            let _ = tx.send(Ok(std::mem::take(deps)));
         }
-        deps.push((sid, fetch_strip(shared, plan.file, &plan.meta, sid, trace, deadline, ctx, OpClass::Exec)?));
+    };
+    let mut deps = Vec::new();
+    hand_over(&mut deps);
+    let fetched = shared.peers.get_strips(plan.file, &asks, by, |i, got| {
+        deps.push((StripId(asks[i].strip), checked_strip(&plan.meta, &asks[i], got)?));
+        hand_over(&mut deps);
+        Ok(())
+    });
+    if let Err(reply) = fetched {
+        let _ = tx.send(Err(reply));
     }
-    Ok(deps)
 }
 
 /// Compute stage: lend task `t`'s fetched `deps` to `view` for the
 /// length of its kernel (so there is no cross-task reuse), run the
 /// kernel over the strip, store the output and queue a `PutStrip` (with
-/// the payload's checksum) for each of the strip's replica holders in
-/// `forwards`. Returns the kernel and assemble times, each also
-/// recorded as a span of its own.
+/// its holder and the payload's checksum) for each of the strip's
+/// replica holders in `forwards`. Returns the kernel and assemble
+/// times, each also recorded as a span of its own.
 #[allow(clippy::too_many_arguments)]
 fn compute_and_store(
     shared: &Shared,
@@ -1328,7 +1326,7 @@ fn compute_and_store(
     view: &mut StripAssembly,
     t: StripId,
     deps: &Strips,
-    forwards: &mut BTreeMap<u32, Vec<(Message, u32)>>,
+    forwards: &mut Vec<Ask>,
     trace: Option<u64>,
     ctx: RequestCtx,
 ) -> (Duration, Duration) {
@@ -1354,7 +1352,7 @@ fn compute_and_store(
     // payload, so each holder gets a copy.
     for replica in plan.meta.layout.replicas(t) {
         let put = Message::PutStrip { file: plan.out_file, strip: t.0, payload: bytes.clone() };
-        forwards.entry(replica.0).or_default().push((put, sum));
+        forwards.push((replica.0, put, Some(sum)));
     }
     lock(&shared.inner).store.store_summed(plan.out_id, t, Bytes::from(bytes), sum, true);
     let assemble_time = assemble_started.elapsed();
@@ -1366,7 +1364,6 @@ fn compute_and_store(
 mod tests {
     use super::*;
     use crate::client::DasCluster;
-    use crate::codec::NetError;
     use crate::conn::RpcConn;
     use crate::proto::Role;
     use das_pfs::LayoutPolicy;
@@ -1436,6 +1433,32 @@ mod tests {
         assert!(reader.take_events().contains(&failover), "no failover recorded for strip 0");
         drop((writer, reader, conn));
         teardown(handles);
+    }
+
+    /// What a peer fetch delivers is taken only at the strip's length:
+    /// a confused peer's short or long strip is the typed
+    /// `StripLengthMismatch` — in a strip assembly it would panic the
+    /// first out-of-range element read — and a strip no holder served
+    /// is the transient `Retryable`.
+    #[test]
+    fn a_fetched_strip_is_taken_only_at_its_length() {
+        let meta = FileMeta {
+            id: FileId(0),
+            name: "len.raw".into(),
+            len: 3 * STRIP as u64 - 8,
+            spec: StripeSpec::new(STRIP),
+            layout: Layout::new(LayoutPolicy::RoundRobin, SERVERS as u32),
+        };
+        let ask = strip_ask(&meta, StripId(2));
+        assert_eq!(ask.holders, vec![2]);
+        let code = |got| match checked_strip(&meta, &ask, got) {
+            Err(Message::Error { code, .. }) => Some(code),
+            _ => None,
+        };
+        assert_eq!(code(Ok(vec![0; STRIP])), Some(ErrorCode::StripLengthMismatch), "the last strip is short");
+        assert_eq!(code(Ok(vec![0; STRIP - 9])), Some(ErrorCode::StripLengthMismatch));
+        assert_eq!(code(Err(NetError::Protocol("gone".into()))), Some(ErrorCode::Retryable));
+        assert_eq!(checked_strip(&meta, &ask, Ok(vec![7; STRIP - 8])), Ok(Bytes::from(vec![7; STRIP - 8])));
     }
 
     /// Every way a strip enters a store — client `PutStrip`, a

@@ -580,6 +580,40 @@ fn execute_trace_reconstructs_cross_daemon_waterfall() {
     h.teardown();
 }
 
+/// A traced `read_file` sends its strip gets pipelined, each under its
+/// own sub-id of the run's trace id, and every daemon files their roots
+/// under the run: the dump of the run's id shows each strip it read, on
+/// the daemon that served it, and nothing under any other id.
+#[test]
+fn a_traced_read_files_strip_gets_join_their_run_on_every_daemon() {
+    use das_obs::{OpClass, Stage};
+
+    let data = workload::fbm_dem(WIDTH, HEIGHT, 7).to_bytes();
+    let mut h = boot(SERVERS);
+    let file = h
+        .cluster
+        .create_file("join.raw", data.len() as u64, STRIP as u32, LayoutPolicy::RoundRobin)
+        .expect("create");
+    h.cluster.put_file(file, &data).expect("ingest");
+    let parent = h.cluster.begin_trace();
+    assert_eq!(h.cluster.read_file(file).expect("read"), data);
+    let _ = h.cluster.begin_trace();
+
+    let strips = StripeSpec::new(STRIP).strip_count(data.len() as u64);
+    let layout = Layout::new(LayoutPolicy::RoundRobin, SERVERS as u32);
+    let dumps = h.cluster.trace_dump_all(parent).expect("trace dump");
+    assert_eq!(dumps.len(), SERVERS, "every daemon answers TraceDump");
+    for (id, spans) in dumps {
+        let gets = spans
+            .iter()
+            .filter(|s| s.parent == 0 && s.stage == Stage::Dispatch && s.op == OpClass::Get)
+            .count();
+        assert_eq!(gets, layout.primary_strips(ServerId(id), strips).len(), "daemon {id}: strip get roots");
+        assert!(spans.iter().all(|s| s.trace == parent), "daemon {id}: a span filed outside the run");
+    }
+    h.teardown();
+}
+
 /// Two clients fanning `Execute` out to every daemon at once, on
 /// daemons with only two workers each. Without the engine's cap on
 /// running heavy requests both workers of every daemon end up inside

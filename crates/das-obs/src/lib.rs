@@ -13,7 +13,8 @@
 //!   cannot flood stderr (suppression is counted, never silent);
 //! * [`trace`] — per-request trace-id minting, carried over the wire
 //!   behind the `CAP_TRACE` capability so one offload's cross-server
-//!   fan-out is correlatable end to end;
+//!   fan-out is correlatable end to end, and the structural sub-ids a
+//!   pipelined wave's requests travel under;
 //! * [`span`] — stage-typed span records keyed by those trace ids,
 //!   and the bounded per-daemon [`SpanStore`] flight recorder behind
 //!   the `TraceDump`/`SlowLog` RPCs.
@@ -35,7 +36,7 @@ pub use metrics::{
 };
 pub use ratelimit::{event_limited, suppressed_total};
 pub use span::{
-    decode_spans, encode_spans, note_name, sub_id, OpClass, SpanRecord, SpanStore, Stage,
-    NOTE_FORWARD, NOTE_HEDGE, NOTE_NONE, NOTE_SHED_BACKLOG, NOTE_SHED_DEADLINE,
+    decode_spans, encode_spans, note_name, OpClass, SpanRecord, SpanStore, Stage, NOTE_FORWARD,
+    NOTE_HEDGE, NOTE_NONE, NOTE_SHED_BACKLOG, NOTE_SHED_DEADLINE,
 };
-pub use trace::next_trace_id;
+pub use trace::{next_trace_id, sub_id, trace_root};

@@ -26,6 +26,8 @@ use std::collections::VecDeque;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
+use crate::trace::trace_root;
+
 /// Poison-recovering lock, same policy as das-net's helper: the store
 /// holds plain record state that is valid after any panic.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -175,7 +177,8 @@ pub fn note_name(note: u8) -> &'static str {
 /// One finished span. Plain data; 40 bytes on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanRecord {
-    /// The wire-propagated trace id this span belongs to.
+    /// The run this span belongs to: the root of the wire-propagated
+    /// trace id.
     pub trace: u64,
     /// Store-local span id (nonzero, monotonic per daemon).
     pub span: u32,
@@ -253,23 +256,6 @@ pub fn decode_spans(blob: &[u8]) -> Option<Vec<SpanRecord>> {
         });
     }
     Some(out)
-}
-
-/// Mint the `n`-th trace sub-id under `parent`: the id one request of
-/// a pipelined strip wave travels under, derived deterministically from
-/// the run's trace id and the request's index, nonzero and never equal
-/// to the parent — so requests sharing one connection stay
-/// distinguishable (their replies are matched by it) in every daemon's
-/// spans and metrics instead of aliasing the run's id.
-pub fn sub_id(parent: u64, n: u64) -> u64 {
-    let mut salt = 0xDA5_0B5u64.wrapping_add(n);
-    loop {
-        let id = crate::trace::mix(parent ^ salt);
-        if id != 0 && id != parent {
-            return id;
-        }
-        salt = salt.wrapping_add(1);
-    }
 }
 
 /// Reservoir depth per op class (slowest-N roots kept).
@@ -378,10 +364,11 @@ impl SpanStore {
         self.epoch.elapsed().as_micros() as u64
     }
 
-    /// Record one finished span; returns its assigned span id (to be
-    /// used as `parent` by sub-spans). Untraced requests (trace 0)
-    /// are not recorded — the recorder only holds what `das trace`
-    /// could ever look up.
+    /// Record one finished span under `trace`'s root (see
+    /// [`trace_root`]: a request sent under a sub-id is filed with its
+    /// run); returns its assigned span id (to be used as `parent` by
+    /// sub-spans). Untraced requests (trace 0) are not recorded — the
+    /// recorder only holds what `das trace` could ever look up.
     #[allow(clippy::too_many_arguments)]
     pub fn record(
         &self,
@@ -400,7 +387,7 @@ impl SpanStore {
         let span = s.next_span;
         s.next_span = s.next_span.wrapping_add(1).max(1);
         let rec = SpanRecord {
-            trace,
+            trace: trace_root(trace),
             span,
             parent,
             daemon: self.daemon,
@@ -445,7 +432,7 @@ impl SpanStore {
             return;
         }
         let rec = SpanRecord {
-            trace,
+            trace: trace_root(trace),
             span,
             parent,
             daemon: self.daemon,
@@ -459,9 +446,11 @@ impl SpanStore {
         s.insert(rec, self.capacity, self.slow_n);
     }
 
-    /// All retained spans belonging to `trace` (ring and reservoir,
-    /// deduplicated), sorted by start time then span id.
+    /// All retained spans belonging to `trace`'s run — its own and its
+    /// sub-ids' (ring and reservoir, deduplicated), sorted by start
+    /// time then span id.
     pub fn dump_trace(&self, trace: u64) -> Vec<SpanRecord> {
+        let trace = trace_root(trace);
         let s = lock(&self.spans);
         let mut out: Vec<SpanRecord> =
             s.ring.iter().filter(|r| r.trace == trace).copied().collect();
@@ -609,14 +598,18 @@ mod tests {
     }
 
     #[test]
-    fn sub_ids_are_distinct_and_stable() {
+    fn spans_under_sub_ids_are_filed_with_their_run() {
+        use crate::trace::sub_id;
+        let store = SpanStore::new(2);
         let parent = 0xDEAD_BEEF_u64;
-        let a = sub_id(parent, 0);
-        let b = sub_id(parent, 1);
-        assert_ne!(a, parent);
-        assert_ne!(b, parent);
-        assert_ne!(a, b);
-        assert_ne!(a, 0);
-        assert_eq!(a, sub_id(parent, 0), "derivation must be deterministic");
+        let root = store.record(parent, 0, Stage::Dispatch, OpClass::Exec, NOTE_NONE, 0, 50);
+        store.record(sub_id(parent, 0), 0, Stage::Dispatch, OpClass::Get, NOTE_NONE, 1, 5);
+        store.record(sub_id(parent, 1), root, Stage::PeerFetch, OpClass::Exec, NOTE_NONE, 2, 5);
+        store.record(parent + 1, 0, Stage::Dispatch, OpClass::Get, NOTE_NONE, 3, 5);
+        for asked in [parent, sub_id(parent, 9)] {
+            let dump = store.dump_trace(asked);
+            assert_eq!(dump.len(), 3, "{asked:#x}: {dump:?}");
+            assert!(dump.iter().all(|r| r.trace == parent));
+        }
     }
 }
