@@ -405,7 +405,7 @@ pub fn run(root: &Path) -> Vec<Finding> {
         PASS,
         "costmodel",
         format!(
-            "{} encode arms extracted ({fixed} fixed, {varlen} variable-length), {verified} formulas verified against the linked codec; sequence grid: 18 layout cells × 4 caps, {frames_measured} frames measured",
+            "{} encode arms extracted ({fixed} fixed, {varlen} variable-length), {verified} formulas verified against the linked codec; sequence grid: 24 layout cells × 4 caps, {frames_measured} frames measured",
             arms.len()
         ),
     ));
@@ -458,6 +458,7 @@ fn grid_check(
         LayoutPolicy::RoundRobin,
         LayoutPolicy::Grouped { group: 2 },
         LayoutPolicy::GroupedReplicated { group: 2 },
+        LayoutPolicy::GroupedHalo { group: 4, halo: 2 },
     ];
 
     let mut memo: BTreeMap<(u8, u64, bool, bool), u64> = BTreeMap::new();
@@ -612,6 +613,7 @@ fn policy_name(p: LayoutPolicy) -> String {
         LayoutPolicy::RoundRobin => "RoundRobin".into(),
         LayoutPolicy::Grouped { group } => format!("Grouped{{{group}}}"),
         LayoutPolicy::GroupedReplicated { group } => format!("GroupedReplicated{{{group}}}"),
+        LayoutPolicy::GroupedHalo { group, halo } => format!("GroupedHalo{{{group},{halo}}}"),
     }
 }
 

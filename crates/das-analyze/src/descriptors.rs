@@ -467,10 +467,10 @@ fn parse_manifest(src: &str, rel: &str, out: &mut Vec<Finding>) -> Vec<Deploymen
 }
 
 /// The grouped-replication radius check (DA107): replication covers
-/// exactly one strip ring around each group boundary, so a kernel
-/// whose stencil reaches `ceil(reach_rows / strip_rows) > 1` strips
-/// still fetches from peers — on a layout whose whole point is that
-/// it never does.
+/// a ring of `h` strips around each group boundary (the policy's
+/// halo), so a kernel whose stencil reaches `ceil(reach_rows /
+/// strip_rows) > h` strips still fetches from peers — on a layout
+/// whose whole point is that it never does.
 fn check_layout_manifest(path: &Path, txt: &[(usize, KernelFeatures)], out: &mut Vec<Finding>) {
     let rel = "descriptors/layouts.txt";
     let src = match std::fs::read_to_string(path) {
@@ -540,9 +540,10 @@ fn check_manifest_src(
                 PASS,
                 entity,
                 format!(
-                    "deployment {:?}: grouped replication (r={}) covers a 1-strip ring, but kernel {:?} reaches {reach_rows} rows = {radius} strips of {strip_rows} rows — strip {} must still fetch strip {} from a peer ({} B of dependence traffic predicted over the file)",
+                    "deployment {:?}: grouped replication (r={}) covers a {}-strip ring, but kernel {:?} reaches {reach_rows} rows = {radius} strips of {strip_rows} rows — strip {} must still fetch strip {} from a peer ({} B of dependence traffic predicted over the file)",
                     dep.name,
                     dep.policy.group_size(),
+                    dep.policy.halo(),
                     dep.kernel,
                     t.0,
                     missing[0].0,

@@ -21,9 +21,9 @@
 //!   Eqs. 14–17 (the grouped/replicated generalization), implemented
 //!   exactly and also summed over whole files in O(strips) time.
 //! * [`plan`] — the **improved data distribution** calculator: choose
-//!   the group size `r` and replication so mutually dependent data is
-//!   co-located (paper Section III-D), trading the `2/r` capacity
-//!   overhead against the offload criterion.
+//!   the group size `r` (balance first) and a replication halo `h` as
+//!   wide as the kernel's reach so mutually dependent data is
+//!   co-located (paper Section III-D), at `2h/r` capacity overhead.
 //! * [`decide`](mod@decide) + [`client`] — the Fig. 3 **workflow**: fetch the
 //!   dependence pattern, query the file's distribution from the
 //!   parallel file system, predict the bandwidth cost, and accept the

@@ -14,6 +14,7 @@ fn arb_policy() -> impl Strategy<Value = LayoutPolicy> {
         Just(LayoutPolicy::RoundRobin),
         (1u64..6).prop_map(|group| LayoutPolicy::Grouped { group }),
         (1u64..6).prop_map(|group| LayoutPolicy::GroupedReplicated { group }),
+        (2u64..6, 2u64..4).prop_map(|(group, halo)| LayoutPolicy::replicated(group, halo)),
     ]
 }
 
@@ -139,12 +140,15 @@ proptest! {
         servers in 2u32..7,
         rows in 16u64..200,
         width in 8u64..64,
+        strip_rows in 1u64..=3,
     ) {
-        // 8-neighbor pattern, strip of two rows: the planner must find
-        // a satisfying layout and stay within its overhead bound.
+        // 8-neighbor pattern, strips of one to three rows: the reach is
+        // one strip, or two when a row is a strip. The planner must cover
+        // it whenever its balanced group is wide enough, and price the
+        // halo at its nominal 2h/r.
         let w = width as i64;
         let offsets = vec![-w + 1, -w, -w - 1, -1, 1, w - 1, w, w + 1];
-        let strip = 2 * width * 4;
+        let strip = strip_rows * width * 4;
         let file = rows * width * 4;
         let opts = PlanOptions::default();
         let plan = plan_distribution(&offsets, 4, strip, servers, file, opts);
@@ -152,10 +156,24 @@ proptest! {
             prop_assert_eq!(plan.prediction.remote_fetches, 0);
         }
         prop_assert!(plan.capacity_overhead <= 2.0 + 1e-9);
+        let reach = (width + 1) * 4;
+        let strips = file.div_ceil(strip);
         match plan.policy {
-            LayoutPolicy::GroupedReplicated { group } => {
+            LayoutPolicy::GroupedReplicated { .. } | LayoutPolicy::GroupedHalo { .. } => {
+                let (group, halo) = (plan.policy.group_size(), plan.policy.halo());
                 prop_assert!(group >= 1 && group <= opts.max_group);
-                prop_assert!((plan.capacity_overhead - 2.0 / group as f64).abs() < 1e-12);
+                prop_assert_eq!(halo, reach.div_ceil(strip).min(group));
+                prop_assert!((plan.capacity_overhead - 2.0 * halo as f64 / group as f64).abs() < 1e-12);
+                if group * strip >= reach {
+                    prop_assert!(plan.satisfied, "r={} h={} should cover the reach", group, halo);
+                }
+                // Balance first: no server holds more than its share.
+                let layout = Layout::new(plan.policy, servers);
+                let busiest = (0..servers)
+                    .map(|d| layout.primary_strips(das_pfs::ServerId(d), strips).len() as u64)
+                    .max()
+                    .unwrap();
+                prop_assert!(busiest <= strips.div_ceil(u64::from(servers)));
             }
             _ => prop_assert_eq!(plan.capacity_overhead, 0.0),
         }

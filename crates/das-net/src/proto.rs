@@ -867,6 +867,11 @@ fn put_policy(b: &mut Vec<u8>, p: LayoutPolicy) {
             put_u8(b, 2);
             put_u64(b, group);
         }
+        LayoutPolicy::GroupedHalo { group, halo } => {
+            assert!(group < 1 << 48 && halo <= u64::from(u16::MAX), "halo policy field too wide");
+            put_u8(b, 3);
+            put_u64(b, (halo << 48) | group);
+        }
     }
 }
 
@@ -942,6 +947,16 @@ impl<'a> Dec<'a> {
             0 => Ok(LayoutPolicy::RoundRobin),
             1 if group >= 1 => Ok(LayoutPolicy::Grouped { group }),
             2 if group >= 1 => Ok(LayoutPolicy::GroupedReplicated { group }),
+            3 => {
+                // Only the canonical form decodes: h = 1 travels as tag 2.
+                let (halo, group) = (group >> 48, group & ((1 << 48) - 1));
+                let policy = LayoutPolicy::replicated(group, halo);
+                if policy == (LayoutPolicy::GroupedHalo { group, halo }) {
+                    Ok(policy)
+                } else {
+                    Err(DecodeError::new(format!("bad halo policy: group {group}, halo {halo}")))
+                }
+            }
             _ => Err(DecodeError::new(format!("bad policy tag {tag} / group {group}"))),
         }
     }
@@ -1029,6 +1044,27 @@ mod tests {
         let (prefix, body) = strip.split_payload();
         assert_eq!(prefix.len(), 4, "blob length prefix only");
         assert_eq!(body.len(), 1024);
+    }
+
+    #[test]
+    fn one_strip_policy_frames_are_pinned_and_halo_packs_into_the_same_word() {
+        let encode = |policy| {
+            let mut b = Vec::new();
+            put_policy(&mut b, policy);
+            b
+        };
+        assert_eq!(encode(LayoutPolicy::GroupedReplicated { group: 6 }), [2, 6, 0, 0, 0, 0, 0, 0, 0]);
+        let halo = LayoutPolicy::replicated(18, 2);
+        assert_eq!(encode(halo), [3, 18, 0, 0, 0, 0, 0, 2, 0]);
+        let decode = |bytes: &[u8]| Dec { buf: bytes, pos: 0 }.take_policy();
+        assert_eq!(decode(&encode(halo)).unwrap(), halo);
+        roundtrip(Message::RedistCommit { file: 7, policy: halo });
+        // h ≤ 1, a zero group and a halo wider than its group have
+        // canonical forms of their own (or none): refused, not coerced.
+        for (group, halo) in [(18u64, 1u64), (18, 0), (0, 2), (2, 3)] {
+            let err = decode(&[&[3][..], &((halo << 48) | group).to_le_bytes()].concat()).unwrap_err();
+            assert!(err.reason.contains("bad halo policy"), "{err}");
+        }
     }
 
     #[test]

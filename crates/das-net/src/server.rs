@@ -13,7 +13,11 @@
 //! from peer daemons — all tasks' fetches in one pipelined wave, the
 //! multiset of fetches per task that of a serial per-task loop with no
 //! cross-task cache, exactly the traffic `das_core`'s
-//! `predict_nas_fetches` prices. A rejected request comes back as
+//! `predict_nas_fetches` prices. Under a planned layout whose halo
+//! covers the kernel's reach (`das_core::plan_distribution`) that wave
+//! is empty: every dependence is a primary or replica strip held right
+//! here, and the only peer traffic left is forwarding the output's
+//! boundary strips to their replicas. A rejected request comes back as
 //! [`ErrorCode::FallbackToNormalIo`] and the client serves it as
 //! normal I/O.
 //!

@@ -195,6 +195,90 @@ fn gaussian_over_wire_matches_in_process() {
     run_kernel_over_wire("gaussian-filter");
 }
 
+/// A 1536-wide f32 raster in 4 KiB strips: a row is a strip and a
+/// half, so the 8-neighbour reach (1537 elements) crosses two strips.
+const WIDE: u64 = 1536;
+
+#[test]
+fn halo_layout_leaves_das_zero_dependence_fetches() {
+    let input = workload::fbm_dem(WIDE, 48, 11);
+    let data = input.to_bytes();
+    let file_len = data.len() as u64;
+    let kernel = kernel_by_name("flow-routing").unwrap();
+    let offsets = kernel.dependence_offsets(WIDE);
+    let plan = plan_distribution(&offsets, 4, STRIP as u64, SERVERS as u32, file_len, PlanOptions::default());
+    assert_eq!(plan.policy, LayoutPolicy::replicated(18, 2), "one group per daemon, two-strip halo");
+    assert!(plan.satisfied);
+
+    // In process: the same layout, and the only server↔server bytes
+    // are the output's boundary strips forwarded to their replicas.
+    let mut cfg = ClusterConfig::paper_default();
+    cfg.storage_nodes = SERVERS as u32;
+    cfg.compute_nodes = SERVERS as u32;
+    cfg.strip_size = STRIP;
+    let truth = run_scheme(&cfg, SchemeKind::Das, kernel.as_ref(), &input);
+    let outcome = truth.das.as_ref().expect("DAS outcome");
+    assert!(outcome.offloaded);
+    assert_eq!(outcome.layout, plan.policy);
+    assert_eq!(outcome.predicted_server_bytes, 0);
+    let spec = StripeSpec::new(STRIP);
+    let layout = Layout::new(plan.policy, SERVERS as u32);
+    let forwards: u64 = (0..spec.strip_count(file_len))
+        .map(StripId)
+        .map(|t| layout.replicas(t).len() as u64 * spec.strip_len(t, file_len) as u64)
+        .sum();
+    assert_eq!(truth.bytes.net_server_server, forwards, "in-process DAS fetched dependences");
+
+    // Over the wire: same layout, no dependence fetch, same answer.
+    let mut h = boot(SERVERS);
+    let file = h.cluster.create_file("wide.raw", file_len, STRIP as u32, LayoutPolicy::RoundRobin).unwrap();
+    h.cluster.put_file(file, &data).unwrap();
+    let das = run_net_scheme(&mut h.cluster, NetScheme::Das, file, "wide.das", "flow-routing", WIDE).unwrap();
+    assert!(das.offloaded);
+    assert_eq!(das.layout, plan.policy);
+    assert_eq!(das.exec.iter().map(|e| e.dep_fetches).sum::<u64>(), 0);
+    assert_eq!(das.exec.iter().map(|e| e.dep_fetch_bytes).sum::<u64>(), 0);
+    assert_eq!(das.output_fingerprint, kernel.apply(&input).fingerprint());
+    assert_eq!(das.output_fingerprint, truth.output_fingerprint);
+    h.teardown();
+}
+
+#[test]
+fn unsatisfied_plans_are_predicted_to_the_byte() {
+    // Two ways a plan leaves fetches: a file too short for r ≥ h (three
+    // strips over four daemons balance only at r = 1), and a reach past
+    // the widest halo (2 KiB strips: 1537 elements span four strips).
+    let kernel = kernel_by_name("flow-routing").unwrap();
+    let offsets = kernel.dependence_offsets(WIDE);
+    let mut h = boot(SERVERS);
+    for (rows, strip) in [(2u64, STRIP), (48, STRIP / 2)] {
+        let input = workload::fbm_dem(WIDE, rows, 12);
+        let data = input.to_bytes();
+        let file_len = data.len() as u64;
+        let plan = plan_distribution(&offsets, 4, strip as u64, SERVERS as u32, file_len, PlanOptions::default());
+        assert!(!plan.satisfied, "{rows} rows in {strip} B strips: {:?}", plan.policy);
+        let name = format!("short{rows}.raw");
+        let file = h.cluster.create_file(&name, file_len, strip as u32, LayoutPolicy::RoundRobin).unwrap();
+        h.cluster.put_file(file, &data).unwrap();
+        let das =
+            run_net_scheme(&mut h.cluster, NetScheme::Das, file, &format!("{name}.das"), "flow-routing", WIDE)
+                .unwrap();
+        assert!(das.offloaded);
+        assert_eq!(das.layout, plan.policy);
+        let predicted = StripingParams {
+            element_size: 4,
+            strip_size: strip as u64,
+            layout: Layout::new(plan.policy, SERVERS as u32),
+        }
+        .predict_nas_fetches(&offsets, file_len);
+        assert!(predicted.fetches > 0);
+        assert_eq!(das.exec.iter().map(|e| e.dep_fetches).sum::<u64>(), predicted.fetches);
+        assert_eq!(das.exec.iter().map(|e| e.dep_fetch_bytes).sum::<u64>(), predicted.bytes);
+        assert_eq!(das.output_fingerprint, kernel.apply(&input).fingerprint());
+    }
+    h.teardown();
+}
+
 #[test]
 fn six_server_cluster_redistributes_and_matches() {
     // A different cluster size exercises layout arithmetic end to end.

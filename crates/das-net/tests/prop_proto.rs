@@ -14,6 +14,7 @@ fn arb_policy() -> BoxedStrategy<LayoutPolicy> {
         Just(LayoutPolicy::RoundRobin),
         (1u64..64).prop_map(|group| LayoutPolicy::Grouped { group }),
         (1u64..64).prop_map(|group| LayoutPolicy::GroupedReplicated { group }),
+        (2u64..64, 2u64..64).prop_map(|(group, halo)| LayoutPolicy::replicated(group, halo)),
     ]
     .boxed()
 }

@@ -93,7 +93,7 @@ impl BalanceReport {
     }
 
     /// Total stored bytes over logical file bytes (1.0 = no
-    /// replication; `1 + 2/r` for the DAS layout).
+    /// replication; `1 + 2h/r` for the DAS layout).
     pub fn storage_factor(&self) -> f64 {
         let stored: u64 = self.per_server.iter().map(|s| s.stored_bytes).sum();
         if self.file_len == 0 {

@@ -10,9 +10,11 @@
 //! * the default distribution is **round-robin** (paper Figs. 4–5);
 //! * the paper's improved distribution — `r` successive strips grouped
 //!   on one server with the group's boundary strips **replicated** onto
-//!   the neighboring servers (paper Figs. 7–9, Eqs. 14–16, capacity
-//!   overhead `2/r`) — is the [`LayoutPolicy::GroupedReplicated`]
-//!   layout;
+//!   the neighboring servers (paper Figs. 7–9, Eqs. 14–16) — is the
+//!   [`LayoutPolicy::GroupedReplicated`] layout (one boundary strip each
+//!   way, capacity overhead `2/r`), widened to a halo of `h` strips each
+//!   way by [`LayoutPolicy::GroupedHalo`] (overhead `2h/r`) for stencils
+//!   that reach past the adjacent strip;
 //! * clients can query **distribution information** (strip size, server
 //!   count, layout) exactly as the DAS bandwidth predictor requires
 //!   (paper Section III-C: *"The data distribution information and

@@ -99,7 +99,7 @@ impl StorageServer {
     }
 
     /// Bytes stored on this server for `file` (primaries + replicas) —
-    /// capacity accounting for the `2/r` overhead measurements.
+    /// capacity accounting for the `2h/r` overhead measurements.
     pub fn stored_bytes(&self, file: FileId) -> u64 {
         self.strips
             .range((file, StripId(0))..=(file, StripId(u64::MAX)))

@@ -44,7 +44,7 @@
 //! let das = run_scheme(&cfg, SchemeKind::Das, &GaussianFilter, &dem);
 //! assert_eq!(ts.output_fingerprint, das.output_fingerprint);
 //! // Input dependence traffic is eliminated; what remains between
-//! // servers is bounded replica maintenance of the output (2/r).
+//! // servers is bounded replica maintenance of the output (2h/r).
 //! assert_eq!(das.das.as_ref().unwrap().predicted_server_bytes, 0);
 //! assert!(das.bytes.net_server_server < dem.byte_len());
 //! ```

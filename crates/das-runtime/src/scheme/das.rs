@@ -224,7 +224,7 @@ pub(crate) fn build_das_offload(
             // Result written locally; the output file inherits the
             // replicated layout, so boundary strips also ship one copy
             // to the ring neighbor (the only server↔server traffic DAS
-            // retains, bounded by 2/r of the output).
+            // retains, bounded by 2h/r of the output).
             ctx.sim.add_op(
                 OpSpec::new(OpKind::DiskWrite { node: ctx.server_node(s), bytes: strip_bytes })
                     .duration(cfg.disk_write.transfer_time(strip_bytes))
@@ -337,15 +337,13 @@ mod tests {
         let das = report.das.as_ref().unwrap();
         assert_eq!(das.predicted_server_bytes, 0, "plan satisfied");
         // The only server↔server bytes are output replica copies,
-        // bounded by the 2/r capacity overhead of the layout.
-        let r = match das.layout {
-            LayoutPolicy::GroupedReplicated { group } => group,
-            other => panic!("unexpected layout {other:?}"),
-        };
-        let bound = input.byte_len() * 2 / r + 2 * cfg.strip_size as u64;
+        // bounded by the 2h/r capacity overhead of the layout.
+        assert!(das.layout.replicates(), "unexpected layout {:?}", das.layout);
+        let (r, h) = (das.layout.group_size(), das.layout.halo());
+        let bound = input.byte_len() * 2 * h / r + 2 * h * cfg.strip_size as u64;
         assert!(
             report.bytes.net_server_server <= bound,
-            "replica traffic {} exceeds 2/r bound {bound}",
+            "replica traffic {} exceeds 2h/r bound {bound}",
             report.bytes.net_server_server
         );
         assert_eq!(report.bytes.net_client_server, 0);
