@@ -45,7 +45,7 @@ const PASS: &str = "lints";
 /// remote-triggerable; the das-load entries and the `das` CLI drive
 /// live fleets from CI and long soak runs, where an unwrap on a
 /// transient error kills the run instead of counting it.
-pub const REQUEST_PATH: [&str; 14] = [
+pub const REQUEST_PATH: [&str; 13] = [
     "crates/das-net/src/client.rs",
     "crates/das-net/src/server.rs",
     "crates/das-net/src/codec.rs",
@@ -54,7 +54,6 @@ pub const REQUEST_PATH: [&str; 14] = [
     "crates/das-net/src/retry.rs",
     "crates/das-net/src/proto.rs",
     "crates/das-net/src/engine.rs",
-    "crates/das-net/src/pipeline.rs",
     "crates/das-net/src/hedge.rs",
     "crates/das-load/src/lib.rs",
     "crates/das-load/src/fleet.rs",

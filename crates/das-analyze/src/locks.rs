@@ -79,15 +79,13 @@ const CRATES: [&str; 3] = ["das-net", "das-obs", "das-load"];
 /// acquired while a later one is held. `inbox`, `sched` and `done` are
 /// the event-loop engine's shard queues and fair scheduler (the shed
 /// path pushes an `Overloaded` reply to `done` while holding `sched`,
-/// hence the order); `pending` and `wr` belong to the pipelined client
-/// (reply-routing table, then write half); `ewma` is the hedging load
-/// tracker; `errs` is das-load's monitor-state error breakdown, held
-/// only to bump a counter; `spans` is the span flight recorder's
-/// ring/reservoir state, the hierarchy's leaf — nothing may be
-/// acquired while it is held, so every request-path stage can record a
-/// span under any combination of the other ranks.
-pub const LOCK_HIERARCHY: [&str; 11] =
-    ["conns", "inner", "downs", "inbox", "sched", "done", "pending", "wr", "ewma", "errs", "spans"];
+/// hence the order); `ewma` is the hedging load tracker; `errs` is
+/// das-load's monitor-state error breakdown, held only to bump a
+/// counter; `spans` is the span flight recorder's ring/reservoir state,
+/// the hierarchy's leaf — nothing may be acquired while it is held, so
+/// every request-path stage can record a span under any combination of
+/// the other ranks.
+pub const LOCK_HIERARCHY: [&str; 9] = ["conns", "inner", "downs", "inbox", "sched", "done", "ewma", "errs", "spans"];
 
 /// The codes this pass's waivers may name.
 const WAIVABLE: [&str; 6] = ["DA407", "DA408", "DA701", "DA702", "DA703", "DA704"];

@@ -83,8 +83,6 @@ pub struct BenchReport {
     pub duration_ms: u64,
     /// Concurrent client workers.
     pub clients: usize,
-    /// Pipelined connections per server.
-    pub conns_per_server: usize,
     /// Strip size, bytes.
     pub strip_size: u32,
     /// Workload seed.
@@ -98,8 +96,8 @@ pub struct BenchReport {
     /// Failure breakdown, sorted by class name: typed remote errors
     /// keyed by wire `ErrorCode` name (`Overloaded`, `Retryable`, …),
     /// transport failures as `io`, malformed traffic as `protocol`,
-    /// wrong/short replies as `bad-reply`, dead bench connections as
-    /// `no-connection`. Sums to `total_errors`.
+    /// wrong/short replies as `bad-reply`, ops to a server the worker
+    /// could not reach as `NoSuchServer`. Sums to `total_errors`.
     pub errors_by_code: Vec<(String, u64)>,
     /// Highest `dasd_worker_queue_depth` observed on any daemon while
     /// the run was in flight (sampled via shed-exempt `MetricsDump`).
@@ -127,7 +125,6 @@ impl BenchReport {
         out.push_str(&format!("  \"target_rate_ops_s\": {},\n", json_num(self.target_rate_ops_s)));
         out.push_str(&format!("  \"duration_ms\": {},\n", self.duration_ms));
         out.push_str(&format!("  \"clients\": {},\n", self.clients));
-        out.push_str(&format!("  \"conns_per_server\": {},\n", self.conns_per_server));
         out.push_str(&format!("  \"strip_size\": {},\n", self.strip_size));
         out.push_str(&format!("  \"seed\": {},\n", self.seed));
         out.push_str(&format!("  \"wall_ms\": {},\n", self.wall_ms));
@@ -222,7 +219,6 @@ mod tests {
             target_rate_ops_s: 1000.0,
             duration_ms: 1000,
             clients: 8,
-            conns_per_server: 2,
             strip_size: 4096,
             seed: 42,
             wall_ms: 1003,

@@ -1,30 +1,31 @@
 //! The client-side connection core: one live, greeted connection to a
 //! `dasd`, as each RPC user holds it — [`crate::client::DasCluster`]'s
-//! serial slots, a daemon's [`crate::peer::PeerTable`] links and the
-//! write half of a [`crate::pipeline::PipeClient`].
+//! slots and a daemon's [`crate::peer::PeerTable`] links — and the
+//! [`Link`] both drive pipelined waves of requests over.
 //!
-//! It owns what all three must decide identically: the
+//! [`RpcConn`] owns what both must decide identically: the
 //! `Hello`/`HelloOk` handshake, which optional frame fields the
 //! server's capabilities admit, how long a reply may take, and what a
-//! reply frame means to the caller. Redial, retry, hedging, circuit
-//! breaking and reply demultiplexing stay with the users — the core
-//! only lets a user ask, without consuming anything, whether a reply
-//! has begun ([`RpcConn::wait_readable`]), and which request a reply
-//! answers ([`RpcConn::recv_echo`]), which is all a strip wave needs to
-//! keep many requests in flight on several of these from one thread.
-//! After a transport error ([`NetError::is_transport`]) the connection
-//! is in an unknown state and its owner drops it.
+//! reply frame means to the caller. [`Link`] owns one connection's
+//! share of a wave: the requests queued for it, those in flight on it
+//! up to a depth under per-request ids, which request each reply
+//! answers, and the latency sample its first reply gives. Redial,
+//! retry, hedging, circuit breaking and which link to read next stay
+//! with the users. After a transport error ([`NetError::is_transport`])
+//! the connection is in an unknown state and its owner drops it.
 
+use std::collections::VecDeque;
 use std::io;
 use std::net::TcpStream;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::codec::{
     frame_parts_summed, read_frame, read_message, write_frame_vectored, write_message_opts, CountingStream,
     NetError,
 };
+use crate::hedge::LoadTracker;
 use crate::proto::{Message, Role, CAP_DEADLINE, CAP_TRACE, LOCAL_CAPS};
 use crate::retry::RetryPolicy;
 
@@ -114,20 +115,10 @@ impl RpcConn {
     /// instead of answering into the void — only to a [`CAP_DEADLINE`]
     /// one, so a legacy server keeps seeing bit-identical frames. A
     /// live sub-millisecond budget rounds up to 1 ms rather than
-    /// reading as spent.
+    /// reading as spent. A sender that holds `blob_sum`, the checksum
+    /// of `msg`'s blob alone, has the frame signed from it without
+    /// reading the blob again.
     pub(crate) fn send(
-        &mut self,
-        msg: &Message,
-        trace: Option<u64>,
-        budget: Option<Duration>,
-    ) -> Result<(), NetError> {
-        self.send_summed(msg, None, trace, budget)
-    }
-
-    /// [`RpcConn::send`] for a sender that holds `blob_sum`, the
-    /// checksum of `msg`'s blob alone: the frame is signed from it
-    /// without reading the blob again.
-    pub(crate) fn send_summed(
         &mut self,
         msg: &Message,
         blob_sum: Option<u32>,
@@ -196,27 +187,161 @@ impl RpcConn {
     }
 }
 
+/// A request on a [`Link`]'s wire: the caller's handle on it, the id
+/// its reply echoes, and when it was written.
+pub(crate) struct Sent<J> {
+    pub(crate) job: J,
+    pub(crate) id: Option<u64>,
+    pub(crate) at: Instant,
+}
+
+/// One connection's share of a wave. The connection stays with its
+/// owner, who hands it to each call; when a call fails, the link is
+/// already cleared and the owner drops the connection.
+///
+/// Under a trace id, to a server that echoes ids ([`CAP_TRACE`]), up
+/// to `depth` requests are in flight at once, each under its own
+/// [`das_obs::sub_id`] of the trace id; otherwise one, under the trace
+/// id itself where the server takes one.
+pub(crate) struct Link<J> {
+    /// Requests not yet written, in the order they go out.
+    pub(crate) queued: VecDeque<J>,
+    /// Requests written and not yet answered, in write order.
+    pub(crate) flight: Vec<Sent<J>>,
+    trace: Option<u64>,
+    depth: usize,
+    /// Requests written so far: the next one's sub-id index.
+    written: u64,
+    /// When the burst in flight — what was written to the link with
+    /// nothing in flight — was first written, until its first reply.
+    pub(crate) burst: Option<Instant>,
+    /// When that first reply was seen to have begun, if that was
+    /// before it was read.
+    pub(crate) seen: Option<Instant>,
+}
+
+impl<J> Link<J> {
+    pub(crate) fn new(trace: Option<u64>, depth: usize, queued: VecDeque<J>) -> Self {
+        Link { queued, flight: Vec::new(), trace, depth, written: 0, burst: None, seen: None }
+    }
+
+    /// Whether `conn` takes this link's requests pipelined.
+    pub(crate) fn pipelined(&self, conn: &RpcConn) -> bool {
+        self.depth > 1 && self.trace.is_some() && conn.has(CAP_TRACE)
+    }
+
+    /// Whether another request may go on `conn` before a reply is read.
+    pub(crate) fn has_room(&self, conn: &RpcConn) -> bool {
+        self.flight.len() < if self.pipelined(conn) { self.depth } else { 1 }
+    }
+
+    /// Drop every request queued and in flight: the connection failed.
+    pub(crate) fn clear(&mut self) {
+        (self.queued, self.flight) = (VecDeque::new(), Vec::new());
+        (self.burst, self.seen) = (None, None);
+    }
+
+    /// The requests in flight, moved to a link of their own to be read
+    /// off their connection elsewhere; this one keeps its queue, for a
+    /// fresh connection.
+    pub(crate) fn take_flight(&mut self) -> Link<J> {
+        (self.burst, self.seen) = (None, None);
+        Link { flight: std::mem::take(&mut self.flight), ..Link::new(self.trace, self.depth, VecDeque::new()) }
+    }
+
+    /// Write `job`'s `msg` on `conn`, signed from `blob_sum` when the
+    /// caller holds it (see [`RpcConn::send`]), with `budget`.
+    pub(crate) fn send(
+        &mut self,
+        conn: &mut RpcConn,
+        job: J,
+        msg: &Message,
+        blob_sum: Option<u32>,
+        budget: Option<Duration>,
+    ) -> Result<(), NetError> {
+        let id = match self.trace {
+            Some(trace) if self.pipelined(conn) => Some(das_obs::sub_id(trace, self.written)),
+            trace => trace.filter(|_| conn.has(CAP_TRACE)),
+        };
+        let at = Instant::now();
+        if let Err(e) = conn.send(msg, blob_sum, id, budget) {
+            self.clear();
+            return Err(e);
+        }
+        self.written += 1;
+        if self.flight.is_empty() {
+            self.burst = Some(at);
+        }
+        self.flight.push(Sent { job, id, at });
+        Ok(())
+    }
+
+    /// Whether the next reply on `conn` has begun to arrive within
+    /// `wait` (see [`RpcConn::wait_readable`]), noting when if it is
+    /// the burst's first.
+    pub(crate) fn begun(&mut self, conn: &RpcConn, wait: Duration, policy: &RetryPolicy) -> bool {
+        let begun = conn.wait_readable(wait, policy);
+        if begun && self.burst.is_some() {
+            self.seen.get_or_insert_with(Instant::now);
+        }
+        begun
+    }
+
+    /// Read one reply from `conn` and take it off the request in flight
+    /// whose id it echoes; `msg` is one of those requests (see
+    /// [`RpcConn::recv_echo`]). The burst's first reply, when good,
+    /// feeds `sample`'s latency estimate with its wait, until it was
+    /// seen to begin. A transport error, or a reply that echoes an id
+    /// no request in flight carries, fails the link.
+    pub(crate) fn recv(
+        &mut self,
+        conn: &mut RpcConn,
+        msg: &Message,
+        policy: &RetryPolicy,
+        sample: Option<(&LoadTracker, usize)>,
+    ) -> Result<(Sent<J>, Result<Message, NetError>), NetError> {
+        let matched = conn.recv_echo(msg, policy).and_then(|(id, reply)| {
+            let i = self.flight.iter().position(|sent| sent.id == id).ok_or_else(|| {
+                NetError::Protocol(format!("a reply echoes id {id:?}, which no request in flight carries"))
+            })?;
+            Ok((self.flight.remove(i), reply))
+        });
+        let Ok((sent, reply)) = matched else {
+            self.clear();
+            return matched;
+        };
+        if let Some(burst) = self.burst.take() {
+            let waited = self.seen.take().unwrap_or_else(Instant::now).saturating_duration_since(burst);
+            if let Some((load, server)) = sample.filter(|_| reply.is_ok()) {
+                load.observe(server, waited);
+            }
+        }
+        Ok((sent, reply))
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
     use std::net::TcpListener;
     use std::sync::Arc;
 
+    use super::{Link, RpcConn};
     use crate::client::DasCluster;
-    use crate::codec::{read_message, write_message_opts, NetError};
+    use crate::codec::{read_frame, read_message, write_message_opts, NetError};
     use crate::peer::PeerTable;
-    use crate::pipeline::PipeClient;
-    use crate::proto::{ErrorCode, Message};
+    use crate::proto::{ErrorCode, Message, Role, CAP_TRACE};
     use crate::retry::RetryPolicy;
     use crate::server::StatsRegistry;
 
     /// A daemon that answers `Hello` with a typed error: each of the
-    /// three users of the core reports that error, code and all.
+    /// two users of the core reports that error, code and all.
     #[test]
     fn a_refused_hello_is_a_typed_remote_error_for_every_user() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();
         let stub = std::thread::spawn(move || {
-            for _ in 0..3 {
+            for _ in 0..2 {
                 let (mut sock, _) = listener.accept().expect("accept");
                 let hello = read_message(&mut sock).expect("read").expect("hello");
                 assert!(matches!(hello, Message::Hello { .. }), "{hello:?}");
@@ -236,7 +361,6 @@ mod tests {
         let outcomes = [
             ("DasCluster", DasCluster::connect_with(std::slice::from_ref(&addr), policy.clone()).err()),
             ("PeerTable", peers.call(1, &Message::Ping, None, None).err()),
-            ("PipeClient", PipeClient::connect(&addr, &policy).err()),
         ];
         for (user, outcome) in outcomes {
             match outcome {
@@ -247,5 +371,53 @@ mod tests {
             }
         }
         stub.join().expect("stub listener");
+    }
+
+    /// A traced link to a server that echoes ids: four strip reads go
+    /// out before any reply, each under its own id, and the server
+    /// answers them newest first — each reply still lands on the read
+    /// it answers. A reply echoing an id no request in flight carries
+    /// is a typed protocol error, and fails the link.
+    #[test]
+    fn a_link_matches_replies_by_echoed_id_and_fails_on_an_unknown_one() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let stub = std::thread::spawn(move || {
+            let (mut sock, _) = listener.accept().expect("accept");
+            read_message(&mut sock).expect("read").expect("hello");
+            write_message_opts(&mut sock, &Message::HelloOk { server_id: 0, caps: CAP_TRACE }, None, None)
+                .expect("hello ok");
+            let wave: Vec<_> = (0..4).map(|_| read_frame(&mut sock).expect("read").expect("ask")).collect();
+            for (ask, id) in wave.iter().rev() {
+                let Message::GetStrip { strip, .. } = *ask else { panic!("{ask:?}") };
+                write_message_opts(&mut sock, &Message::StripData { payload: vec![strip as u8] }, *id, None)
+                    .expect("reply");
+            }
+            let (_, id) = read_frame(&mut sock).expect("read").expect("ask");
+            let stray = id.map(|id| id ^ 1);
+            write_message_opts(&mut sock, &Message::StripData { payload: Vec::new() }, stray, None).expect("stray");
+        });
+        let policy = RetryPolicy::fast();
+        let mut conn = RpcConn::dial(&addr, &policy, Role::Client, 0).expect("dial");
+        let mut link = Link::new(Some(das_obs::next_trace_id()), 8, (0..5u64).collect::<VecDeque<_>>());
+        let get = |strip| Message::GetStrip { file: 1, strip };
+        for _ in 0..4 {
+            let strip = link.queued.pop_front().expect("queued");
+            link.send(&mut conn, strip, &get(strip), None, None).expect("send");
+        }
+        let ids: std::collections::HashSet<_> = link.flight.iter().map(|sent| sent.id).collect();
+        assert_eq!(ids.len(), 4, "requests in flight share an id");
+        for want in (0..4u64).rev() {
+            let (sent, reply) = link.recv(&mut conn, &get(want), &policy, None).expect("reply");
+            assert_eq!(sent.job, want, "a reply landed on another request");
+            assert_eq!(reply.expect("strip"), Message::StripData { payload: vec![want as u8] });
+        }
+        link.send(&mut conn, 4, &get(4), None, None).expect("send");
+        match link.recv(&mut conn, &get(4), &policy, None) {
+            Err(NetError::Protocol(what)) => assert!(what.contains("no request in flight carries"), "{what}"),
+            other => panic!("expected the typed protocol error, got {:?}", other.map(|(_, reply)| reply)),
+        }
+        assert!(link.flight.is_empty() && link.queued.is_empty(), "the failed link kept requests");
+        stub.join().expect("stub server");
     }
 }

@@ -41,7 +41,6 @@ pub mod engine;
 pub mod fault;
 pub mod hedge;
 pub mod peer;
-pub mod pipeline;
 pub mod proto;
 pub mod retry;
 pub mod server;
@@ -56,7 +55,6 @@ pub use codec::{
 };
 pub use fault::{FaultAction, FaultClass, FaultPlan, FaultPoint, FaultRule};
 pub use hedge::{Ewma, LoadTracker};
-pub use pipeline::PipeClient;
 pub use proto::{
     ErrorCode, Message, Role, WireStats, CAP_CRC, CAP_DEADLINE, CAP_TRACE, KNOWN_OPCODES,
     LOCAL_CAPS, MAX_PAYLOAD, VERSION,

@@ -139,6 +139,23 @@ impl RetryPolicy {
         // das-lint: allow(DA402) the loop body runs at least once, so `last` is always set here
         Err(last.expect("at least one attempt"))
     }
+
+    /// [`RetryPolicy::retry`] of `op` whose first attempt a wave may
+    /// already have made: `first`, when there, is attempt one of the
+    /// same budget and backoff. Returns the outcome and how many
+    /// retries it took.
+    pub fn resume<T>(
+        &self,
+        mut first: Option<Result<T, NetError>>,
+        mut op: impl FnMut() -> Result<T, NetError>,
+    ) -> (Result<T, NetError>, u64) {
+        let mut attempts = 0u64;
+        let result = self.retry(|| {
+            attempts += 1;
+            first.take().unwrap_or_else(&mut op)
+        });
+        (result, attempts - 1)
+    }
 }
 
 #[cfg(test)]

@@ -1424,7 +1424,7 @@ mod tests {
 
         let mut conn = RpcConn::dial(&addrs[0], &policy, Role::Client, 0).expect("dial");
         let get = Message::GetStrip { file, strip: 0 };
-        conn.send(&get, None, None).expect("send");
+        conn.send(&get, None, None, None).expect("send");
         match conn.recv(&get, &policy) {
             Err(NetError::Protocol(m)) => assert!(m.starts_with("frame checksum mismatch"), "{m}"),
             other => panic!("the flipped strip must fail its reader's check, got {other:?}"),
@@ -1518,7 +1518,7 @@ mod tests {
         let (mut sent, mut received, mut peak) = (0u64, 0u64, 0usize);
         for _ in 0..1000 {
             let mut conn = RpcConn::dial(&addr, &policy, Role::Client, 0).expect("dial");
-            conn.send(&Message::Ping, None, None).expect("send");
+            conn.send(&Message::Ping, None, None, None).expect("send");
             assert_eq!(conn.recv(&Message::Ping, &policy).expect("recv"), Message::Pong);
             let (bytes_in, bytes_out) = conn.counters();
             received += bytes_in.load(Ordering::Relaxed);

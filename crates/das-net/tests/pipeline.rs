@@ -1,17 +1,15 @@
 //! Pipelining integration: incremental frame decoding at hostile
-//! byte boundaries, out-of-order reply matching by request id, the
-//! pipelined client against a real daemon, and deterministic
-//! shutdown with requests in flight.
+//! byte boundaries, and deterministic shutdown with pipelined waves in
+//! flight.
 
-use std::io::Write;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use das_net::{
-    encode_frame_opts, read_frame, spawn, DasCluster, DasdConfig, ErrorCode, FrameBuffer,
-    Message, PipeClient, RetryPolicy,
+    encode_frame_opts, spawn, DasCluster, DasdConfig, ErrorCode, FrameBuffer, Message,
+    RetryPolicy,
 };
 use das_pfs::LayoutPolicy;
 use proptest::prelude::*;
@@ -87,64 +85,6 @@ proptest! {
     }
 }
 
-/// A server that echoes trace ids but answers a batch of requests in
-/// REVERSE arrival order: the pipelined client must still hand every
-/// caller its own reply.
-#[test]
-fn out_of_order_replies_match_by_request_id() {
-    const BATCH: usize = 8;
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr").to_string();
-
-    let server = std::thread::spawn(move || {
-        let (mut sock, _) = listener.accept().expect("accept");
-        // Handshake: accept any Hello, reply with full caps.
-        let (hello, _) = read_frame(&mut sock).expect("read").expect("hello");
-        assert!(matches!(hello, Message::Hello { .. }));
-        sock.write_all(&encode_frame_opts(
-            &Message::HelloOk { server_id: 0, caps: das_net::LOCAL_CAPS },
-            None,
-            None,
-        ))
-        .expect("hello ok");
-        // Collect a full batch, then reply in reverse order, each
-        // reply's payload derived from its own request.
-        let mut batch = Vec::new();
-        while batch.len() < BATCH {
-            let (msg, trace) = read_frame(&mut sock).expect("read").expect("frame");
-            let Message::GetStrip { strip, .. } = msg else {
-                panic!("unexpected request {msg:?}")
-            };
-            batch.push((strip, trace));
-        }
-        for (strip, trace) in batch.into_iter().rev() {
-            let reply = Message::StripData { payload: strip.to_le_bytes().to_vec() };
-            sock.write_all(&encode_frame_opts(&reply, trace, None)).expect("reply");
-        }
-    });
-
-    let client =
-        Arc::new(PipeClient::connect(&addr, &RetryPolicy::fast()).expect("pipelined connect"));
-    let mut callers = Vec::new();
-    for strip in 0..BATCH as u64 {
-        let client = Arc::clone(&client);
-        callers.push(std::thread::spawn(move || {
-            let reply =
-                client.call(&Message::GetStrip { file: 1, strip }).expect("pipelined call");
-            match reply {
-                Message::StripData { payload } => {
-                    assert_eq!(payload, strip.to_le_bytes().to_vec(), "got another caller's reply");
-                }
-                other => panic!("unexpected reply {other:?}"),
-            }
-        }));
-    }
-    for c in callers {
-        c.join().expect("caller");
-    }
-    server.join().expect("server");
-}
-
 fn boot(servers: usize) -> (Vec<das_net::DasdHandle>, Vec<String>) {
     let listeners: Vec<TcpListener> =
         (0..servers).map(|_| TcpListener::bind("127.0.0.1:0").expect("bind")).collect();
@@ -158,55 +98,11 @@ fn boot(servers: usize) -> (Vec<das_net::DasdHandle>, Vec<String>) {
     (handles, addrs)
 }
 
-/// Many threads hammering one pipelined connection against a real
-/// daemon: every caller gets the right strip back.
-#[test]
-fn pipelined_client_against_live_daemon() {
-    const STRIPS: u64 = 24;
-    const STRIP_SIZE: u32 = 512;
-    let (handles, addrs) = boot(1);
-    let mut cluster = DasCluster::connect(&addrs).expect("connect");
-    let len = STRIPS * STRIP_SIZE as u64;
-    let file = cluster
-        .create_file("pipe.dat", len, STRIP_SIZE, LayoutPolicy::RoundRobin)
-        .expect("create");
-    let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
-    cluster.put_file(file, &data).expect("put");
-
-    let client =
-        Arc::new(PipeClient::connect(&addrs[0], &RetryPolicy::default()).expect("pipe connect"));
-    let mut threads = Vec::new();
-    for t in 0..8u64 {
-        let client = Arc::clone(&client);
-        let data = data.clone();
-        threads.push(std::thread::spawn(move || {
-            for round in 0..16u64 {
-                let strip = (t * 7 + round * 3) % STRIPS;
-                let reply =
-                    client.call(&Message::GetStrip { file, strip }).expect("pipelined get");
-                let Message::StripData { payload } = reply else {
-                    panic!("unexpected reply")
-                };
-                let start = (strip * STRIP_SIZE as u64) as usize;
-                assert_eq!(payload, &data[start..start + STRIP_SIZE as usize]);
-            }
-        }));
-    }
-    for t in threads {
-        t.join().expect("caller");
-    }
-    drop(client);
-    cluster.shutdown_all().expect("shutdown");
-    drop(cluster);
-    for h in handles {
-        h.join();
-    }
-}
-
 /// `DasdHandle::shutdown` with requests still in flight: the daemon
 /// must drain and join deterministically — no throwaway connection,
-/// no hang — while concurrent callers either complete or fail with a
-/// transport error, never a wrong reply.
+/// no hang — while concurrent callers, each reading the file in
+/// pipelined waves on its own connection, either complete or fail
+/// with a transport error, never a wrong reply.
 #[test]
 fn handle_shutdown_is_deterministic_under_inflight_load() {
     const STRIPS: u64 = 16;
@@ -217,27 +113,23 @@ fn handle_shutdown_is_deterministic_under_inflight_load() {
     let file = cluster
         .create_file("drain.dat", len, STRIP_SIZE, LayoutPolicy::RoundRobin)
         .expect("create");
-    cluster.put_file(file, &vec![7u8; len as usize]).expect("put");
+    let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+    cluster.put_file(file, &data).expect("put");
     drop(cluster);
 
-    let client =
-        Arc::new(PipeClient::connect(&addrs[0], &RetryPolicy::fast()).expect("pipe connect"));
+    let data = Arc::new(data);
     let stop = Arc::new(AtomicBool::new(false));
     let mut callers = Vec::new();
-    for t in 0..4u64 {
-        let client = Arc::clone(&client);
-        let stop = Arc::clone(&stop);
+    for _ in 0..4 {
+        let mut caller = DasCluster::connect_with(&addrs, RetryPolicy::fast()).expect("connect");
+        let (data, stop) = (Arc::clone(&data), Arc::clone(&stop));
         callers.push(std::thread::spawn(move || {
-            let mut strip = t;
+            caller.begin_trace();
             while !stop.load(Ordering::SeqCst) {
-                match client.call(&Message::GetStrip { file, strip: strip % STRIPS }) {
-                    Ok(Message::StripData { payload }) => {
-                        assert_eq!(payload.len(), STRIP_SIZE as usize);
-                    }
-                    Ok(other) => panic!("unexpected reply {other:?}"),
+                match caller.read_file(file) {
+                    Ok(read) => assert!(read == *data, "a read came back with another strip's bytes"),
                     Err(_) => return, // connection died during drain — fine
                 }
-                strip += 1;
             }
         }));
     }

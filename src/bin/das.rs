@@ -57,7 +57,7 @@ fn usage() -> ! {
          \x20        [--servers N]         boot an in-process loopback fleet\n\
          \x20                              (default; N daemons, default 3)\n\
          \x20        [--cluster ...]       drive an external fleet instead\n\
-         \x20        [--rate OPS] [--duration-ms MS] [--clients N] [--conns N]\n\
+         \x20        [--rate OPS] [--duration-ms MS] [--clients N]\n\
          \x20        [--strip-size S] [--strips N] [--mix G:P:E] [--seed K]\n\
          \x20        [--kernel K] [--pool N] [--max-backlog N] [--out PATH]\n\
          \x20                              (--max-backlog caps daemon admission:\n\
@@ -216,9 +216,6 @@ fn bench_command(opts: &HashMap<String, String>) {
     }
     if let Some(n) = num("clients") {
         cfg.clients = n as usize;
-    }
-    if let Some(n) = num("conns") {
-        cfg.conns_per_server = n as usize;
     }
     if let Some(n) = num("strip-size") {
         cfg.strip_size = n as u32;
