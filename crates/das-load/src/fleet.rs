@@ -13,7 +13,7 @@ use das_net::{spawn, DasCluster, DasdConfig, DasdHandle, NetError};
 pub struct Fleet {
     /// Listen address of every daemon, by server id.
     pub addrs: Vec<String>,
-    handles: Vec<DasdHandle>,
+    pub(crate) handles: Vec<DasdHandle>,
 }
 
 /// Bind `servers` ephemeral loopback ports and spawn one daemon per
