@@ -9,7 +9,7 @@ use std::fmt;
 /// How bad a finding is.
 ///
 /// * [`Severity::Info`] — a proof or a summary the pass wants on the
-///   record (an acyclic fetch graph, a canonical fetch order). Never
+///   record (a verified frame size, an allocation-free write path). Never
 ///   fails a build.
 /// * [`Severity::Warning`] — a smell that deserves a look (a dead
 ///   descriptor that can never be offloaded). Fails `--deny`.
@@ -52,7 +52,7 @@ pub struct Finding {
     /// Severity class.
     pub severity: Severity,
     /// The pass that produced it (`descriptors`, `protocol`,
-    /// `fetchgraph`, `lints`).
+    /// `lints`, …).
     pub pass: &'static str,
     /// What the finding is about: `file:line` for source-anchored
     /// findings, otherwise a logical entity (kernel name, opcode,
@@ -169,7 +169,7 @@ mod tests {
         assert!(Severity::Warning > Severity::Info);
         let mut r = Report::default();
         assert!(!r.denied());
-        r.findings.push(Finding::new("DA303", Severity::Info, "fetchgraph", "x", "ok"));
+        r.findings.push(Finding::new("DA400", Severity::Info, "lints", "x", "ok"));
         assert!(!r.denied());
         assert_eq!(r.worst(), Some(Severity::Info));
         r.findings.push(Finding::new("DA108", Severity::Warning, "descriptors", "k", "dead"));

@@ -1,6 +1,6 @@
 //! # das-analyze — static analysis for the DAS workspace
 //!
-//! Eleven passes, each emitting machine-readable [`Finding`]s
+//! Nine passes, each emitting machine-readable [`Finding`]s
 //! (`registry::REGISTRY` is the code registry; `das-analyze --list`
 //! prints it, `docs/ANALYSIS.md` documents it):
 //!
@@ -15,17 +15,9 @@
 //!   cover the kernel's stencil reach, and sweep the paper's
 //!   Eqs. 1–13 decision over a (D, strip, E, r) grid to flag "dead"
 //!   descriptors no layout would ever offload.
-//! * [`protocol`] — exhaustively roundtrip the das-net wire protocol
-//!   (every message variant × every frame flag combination), probe
-//!   every unassigned opcode and flag bit for rejection, and parse
-//!   the tables in `docs/PROTOCOL.md` to fail on constant drift
-//!   between the spec and the code.
-//! * [`fetchgraph`] — build the server→server dependence-fetch graph
-//!   each descriptor induces on each layout of a (D, r, policy) grid,
-//!   detect cycles that could distributed-deadlock a blocking
-//!   fetch-while-serving design, and prove the shipped service is
-//!   safe (depth-1 `GetStrip`, canonical ascending-strip fetch
-//!   order).
+//! * [`protocol`] — parse the tables in `docs/PROTOCOL.md` and fail
+//!   on constant drift between the spec and the code (opcodes, error
+//!   codes, fault classes).
 //! * [`lints`] — token-based source lints via the in-crate [`syntax`]
 //!   lexer: no `unwrap()`/`expect(`/`panic!` in das-net's wire-facing
 //!   modules, no `eprintln!` outside das-obs, no stray stdout prints
@@ -44,12 +36,6 @@
 //!   inference (which mutex dominates each shared struct field, every
 //!   access checked against it, dead locks and guardless `Arc`
 //!   interior mutation flagged, with witness access sites).
-//! * [`model`] — bounded protocol model checker: exhaustively explore
-//!   the client↔daemon session state machine (caps negotiation ×
-//!   framing × retry/backoff × breaker × the DAS→NAS→TS ladder),
-//!   driving the real codec and retry policy, and report any stuck
-//!   state, idempotence breach, or discipline violation with a
-//!   minimal counterexample trace.
 //! * [`atomics`] — atomics-ordering audit over
 //!   das-net/das-obs/das-load: every `Ordering::*` use classified;
 //!   Relaxed loads feeding control flow (the publication pattern),
@@ -76,12 +62,10 @@
 pub mod atomics;
 pub mod costmodel;
 pub mod descriptors;
-pub mod fetchgraph;
 pub mod finding;
 pub mod hotpath;
 pub mod lints;
 pub mod locks;
-pub mod model;
 pub mod protocol;
 pub mod registry;
 pub mod syntax;
@@ -92,15 +76,13 @@ use std::path::Path;
 pub use finding::{Finding, Report, Severity};
 
 /// Pass names in execution order, as accepted by `--pass`.
-pub const PASSES: [&str; 11] = [
+pub const PASSES: [&str; 9] = [
     "registry",
     "descriptors",
     "protocol",
-    "fetchgraph",
     "lints",
     "taint",
     "locks",
-    "model",
     "atomics",
     "hotpath",
     "costmodel",
@@ -113,11 +95,9 @@ pub fn run_pass(name: &str, root: &Path) -> Option<Vec<Finding>> {
         "registry" => Some(registry::run(root)),
         "descriptors" => Some(descriptors::run(root)),
         "protocol" => Some(protocol::run(root)),
-        "fetchgraph" => Some(fetchgraph::run(root)),
         "lints" => Some(lints::run(root)),
         "taint" => Some(taint::run(root)),
         "locks" => Some(locks::run(root)),
-        "model" => Some(model::run(root)),
         "atomics" => Some(atomics::run(root)),
         "hotpath" => Some(hotpath::run(root)),
         "costmodel" => Some(costmodel::run(root)),

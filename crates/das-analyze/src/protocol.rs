@@ -1,25 +1,13 @@
-//! Pass 2 — wire-protocol conformance and spec-drift detection.
+//! Pass 2 — protocol spec-drift detection.
 //!
-//! The wire half runs entirely in memory: every message variant
-//! ([`Message::samples`]) is encoded and decoded under every assigned
-//! frame-flag combination, every unassigned opcode and flag bit is
-//! probed for rejection, and the capability constants are checked to
-//! cover the frame flags they negotiate. The doc half parses the
-//! tables in `docs/PROTOCOL.md` — the protocol's source of truth for
-//! humans — and fails when the spec and the code disagree on an
-//! opcode, an error code, or a fault class.
+//! Parses the tables in `docs/PROTOCOL.md` — the protocol's source of
+//! truth for humans — and fails when the spec and the code disagree
+//! on an opcode, an error code, or a fault class. The wire behaviour
+//! itself (roundtrips, rejected opcodes and flag bits, caps
+//! negotiation) is held by das-net's own tests.
 //!
 //! Finding codes:
 //!
-//! * `DA201` (error) — a message fails its encode/decode roundtrip
-//!   under some framing, or the sample set does not cover the known
-//!   opcode table.
-//! * `DA202` (error) — a frame with an unassigned opcode decodes
-//!   instead of being rejected with a typed error.
-//! * `DA203` (error) — a frame with an unassigned flag bit is
-//!   accepted instead of rejected.
-//! * `DA204` (error) — the capability constants do not cover the
-//!   frame flags (a peer could negotiate a flag no cap gates).
 //! * `DA205` (error) — `docs/PROTOCOL.md` RPC table drift: opcode or
 //!   message-name mismatch against the code, or a documented opcode
 //!   the code does not implement.
@@ -29,47 +17,20 @@
 //!   documented in `docs/PROTOCOL.md`.
 
 use std::collections::BTreeMap;
-use std::io::Cursor;
 use std::path::Path;
 
 use das_net::fault::FaultClass;
-use das_net::proto::{ErrorCode, Message, HEADER_LEN, MAGIC, VERSION};
-use das_net::{
-    encode_frame_opts, read_frame, read_frame_ex, CAP_CRC, CAP_DEADLINE, CAP_TRACE, FLAG_CRC,
-    FLAG_DEADLINE, FLAG_TRACE, KNOWN_FLAGS, KNOWN_OPCODES, LOCAL_CAPS,
-};
+use das_net::proto::{ErrorCode, Message};
+use das_net::KNOWN_OPCODES;
 
 use crate::finding::{Finding, Severity};
 
 const PASS: &str = "protocol";
 
-/// Run the pass. The wire sweep is root-independent; the drift checks
-/// read `docs/PROTOCOL.md` under `root`.
+/// Run the pass: the drift checks read `docs/PROTOCOL.md` under `root`.
 pub fn run(root: &Path) -> Vec<Finding> {
     let mut out = Vec::new();
-    let samples = Message::samples();
-    check_sample_coverage(&samples, &mut out);
-    check_roundtrips(&samples, &mut out);
-    check_unknown_opcodes(&mut out);
-    check_unknown_flags(&mut out);
-    check_caps_cover_flags(&mut out);
-    let wire_clean = out.is_empty();
-    check_protocol_doc(root, &samples, &mut out);
-    if wire_clean {
-        out.push(Finding::new(
-            "DA200",
-            Severity::Info,
-            PASS,
-            "das-net wire protocol",
-            format!(
-                "{} message variants roundtripped under {} framings; {} unassigned opcodes and {} unassigned flag bits rejected",
-                samples.len(),
-                5,
-                256 - KNOWN_OPCODES.len(),
-                16 - KNOWN_FLAGS.count_ones()
-            ),
-        ));
-    }
+    check_protocol_doc(root, &Message::samples(), &mut out);
     out
 }
 
@@ -82,157 +43,6 @@ pub fn variant_name(msg: &Message) -> String {
         .next()
         .unwrap_or_default()
         .to_string()
-}
-
-fn check_sample_coverage(samples: &[Message], out: &mut Vec<Finding>) {
-    let mut sample_ops: Vec<u8> = samples.iter().map(Message::opcode).collect();
-    sample_ops.sort_unstable();
-    sample_ops.dedup();
-    let mut known = KNOWN_OPCODES.to_vec();
-    known.sort_unstable();
-    if sample_ops != known {
-        out.push(Finding::new(
-            "DA201",
-            Severity::Error,
-            PASS,
-            "Message::samples",
-            format!(
-                "sample set covers opcodes {sample_ops:02x?} but KNOWN_OPCODES declares {known:02x?} — a variant was added without extending the conformance sweep"
-            ),
-        ));
-    }
-}
-
-/// Every sample × five framings: the (trace × deadline-budget) CRC
-/// frame combinations, plus the negotiated-downgrade frame with no
-/// CRC trailer.
-fn check_roundtrips(samples: &[Message], out: &mut Vec<Finding>) {
-    for msg in samples {
-        let entity = format!("opcode 0x{:02x} ({})", msg.opcode(), variant_name(msg));
-        for trace in [None, Some(0x0102_0304_0506_0708u64)] {
-            for budget in [None, Some(750u32)] {
-                let frame = encode_frame_opts(msg, trace, budget);
-                match read_frame_ex(&mut Cursor::new(frame)) {
-                    Ok(Some(f)) if f.msg == *msg && f.trace == trace && f.budget_ms == budget => {}
-                    other => out.push(Finding::new(
-                        "DA201",
-                        Severity::Error,
-                        PASS,
-                        entity.clone(),
-                        format!("roundtrip with trace={trace:?} budget={budget:?} failed: {other:?}"),
-                    )),
-                }
-            }
-        }
-        let bare = raw_frame(msg.opcode(), 0, &msg.encode_payload());
-        match read_frame(&mut Cursor::new(bare)) {
-            Ok(Some((back, None))) if back == *msg => {}
-            other => out.push(Finding::new(
-                "DA201",
-                Severity::Error,
-                PASS,
-                entity,
-                format!("CRC-less (downgraded) roundtrip failed: {other:?}"),
-            )),
-        }
-    }
-}
-
-/// A syntactically valid frame with arbitrary opcode/flags and no CRC
-/// trailer — the probe shape for rejection tests.
-fn raw_frame(opcode: u8, flags: u16, payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
-    frame.extend_from_slice(&MAGIC);
-    frame.push(VERSION);
-    frame.push(opcode);
-    frame.extend_from_slice(&flags.to_le_bytes());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(payload);
-    frame
-}
-
-fn check_unknown_opcodes(out: &mut Vec<Finding>) {
-    for opcode in 0u8..=255 {
-        if KNOWN_OPCODES.contains(&opcode) {
-            continue;
-        }
-        let frame = raw_frame(opcode, 0, &[]);
-        if let Ok(Some((msg, _))) = read_frame(&mut Cursor::new(frame)) {
-            out.push(Finding::new(
-                "DA202",
-                Severity::Error,
-                PASS,
-                format!("opcode 0x{opcode:02x}"),
-                format!(
-                    "unassigned opcode decodes as {} instead of being rejected with a typed error",
-                    variant_name(&msg)
-                ),
-            ));
-        }
-    }
-}
-
-fn check_unknown_flags(out: &mut Vec<Finding>) {
-    for bit in 0..16u16 {
-        let flag = 1 << bit;
-        if flag & KNOWN_FLAGS != 0 {
-            continue;
-        }
-        let frame = raw_frame(0x50 /* Ping */, flag, &[]);
-        if let Ok(Some(_)) = read_frame(&mut Cursor::new(frame)) {
-            out.push(Finding::new(
-                "DA203",
-                Severity::Error,
-                PASS,
-                format!("frame flag 0x{flag:04x}"),
-                "unassigned flag bit accepted — a future protocol extension would be silently misread by this build".to_string(),
-            ));
-        }
-    }
-}
-
-fn check_caps_cover_flags(out: &mut Vec<Finding>) {
-    let pairs = [
-        ("FLAG_CRC", FLAG_CRC, "CAP_CRC", CAP_CRC),
-        ("FLAG_TRACE", FLAG_TRACE, "CAP_TRACE", CAP_TRACE),
-        ("FLAG_DEADLINE", FLAG_DEADLINE, "CAP_DEADLINE", CAP_DEADLINE),
-    ];
-    for (flag_name, flag, cap_name, cap) in pairs {
-        if KNOWN_FLAGS & flag == 0 {
-            out.push(Finding::new(
-                "DA204",
-                Severity::Error,
-                PASS,
-                flag_name,
-                format!("{flag_name} is not part of KNOWN_FLAGS"),
-            ));
-        }
-        if LOCAL_CAPS & cap == 0 {
-            out.push(Finding::new(
-                "DA204",
-                Severity::Error,
-                PASS,
-                cap_name,
-                format!("{cap_name} is not advertised in LOCAL_CAPS, but this build emits frames using {flag_name}"),
-            ));
-        }
-    }
-    // Extra caps beyond the frame flags are legal — `CAP_SPANS` gates
-    // opcodes, not a frame field — but a frame flag *without* a
-    // negotiating cap can never be downgraded for legacy peers.
-    if KNOWN_FLAGS.count_ones() > LOCAL_CAPS.count_ones() {
-        out.push(Finding::new(
-            "DA204",
-            Severity::Error,
-            PASS,
-            "LOCAL_CAPS",
-            format!(
-                "{} frame flags vs {} advertised caps — a flag without a negotiating capability cannot be downgraded for legacy peers",
-                KNOWN_FLAGS.count_ones(),
-                LOCAL_CAPS.count_ones()
-            ),
-        ));
-    }
 }
 
 /// A markdown table cell like `` `0x01` `` or `` `Hello` `` with the
@@ -375,18 +185,6 @@ fn check_protocol_doc(root: &Path, samples: &[Message], out: &mut Vec<Finding>) 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn wire_sweep_is_clean_in_this_build() {
-        let samples = Message::samples();
-        let mut out = Vec::new();
-        check_sample_coverage(&samples, &mut out);
-        check_roundtrips(&samples, &mut out);
-        check_unknown_opcodes(&mut out);
-        check_unknown_flags(&mut out);
-        check_caps_cover_flags(&mut out);
-        assert!(out.is_empty(), "{out:#?}");
-    }
 
     #[test]
     fn variant_names_match_doc_spelling() {

@@ -43,17 +43,9 @@ pub const REGISTRY: &[(&str, &str, &str)] = &[
     ("DA108", "warning", "dead descriptor: never offloaded anywhere on the decision grid"),
     ("DA109", "error", "descriptors/kernels.txt drifted from the compiled-in copy"),
     ("DA110", "error", "malformed layouts.txt row"),
-    ("DA200", "info", "protocol summary: wire sweep clean"),
-    ("DA201", "error", "wire roundtrip failure or sample set misses an opcode"),
-    ("DA202", "error", "unassigned opcode decodes instead of being rejected"),
-    ("DA203", "error", "unassigned frame-flag bit accepted"),
-    ("DA204", "error", "frame flag without a negotiating capability bit"),
     ("DA205", "error", "docs/PROTOCOL.md RPC-table drift"),
     ("DA206", "error", "docs/PROTOCOL.md error-code-table drift"),
     ("DA207", "error", "fault class accepted by dasd --fault but undocumented"),
-    ("DA301", "info", "cyclic fetch graph noted, with the canonical-order bound"),
-    ("DA302", "error", "GetStrip handler performs a nested peer fetch"),
-    ("DA303", "info", "fetch-graph proof record: edge-free or depth-1 verified"),
     ("DA400", "info", "lint summary: files linted"),
     ("DA401", "error", ".unwrap() in a das-net request-path module"),
     ("DA402", "error", ".expect( in a das-net request-path module"),
@@ -68,14 +60,6 @@ pub const REGISTRY: &[(&str, &str, &str)] = &[
     ("DA501", "error", "wire-decoded length reaches an allocation/index sink unchecked"),
     ("DA502", "warning", "value derived from a wire length reaches a sink unchecked"),
     ("DA503", "error", "peer-returned blob consumed without a length check"),
-    ("DA600", "info", "model summary: explored states, transitions, frame shapes"),
-    ("DA601", "error", "protocol model: stuck state, or gave up without the TS fallback"),
-    ("DA602", "error", "protocol model: retransmitted CreateFile is not idempotent"),
-    ("DA603", "error", "protocol model: breaker never half-opens after cooldown"),
-    ("DA604", "error", "protocol model: frame/caps discipline violated"),
-    ("DA605", "error", "protocol model: degradation skipped a ladder rung"),
-    ("DA606", "error", "protocol model: retry loop exceeds its attempt budget"),
-    ("DA607", "warning", "protocol model: defect list drifted from the model"),
     ("DA700", "info", "lockset summary: guards inferred, fields bound, accesses checked"),
     ("DA701", "error", "field of a guard-protected struct accessed without its guard held"),
     ("DA702", "warning", "struct protected by more than one guard; lockset is ambiguous"),

@@ -176,20 +176,6 @@ fn unvalidated_peer_blob_fails_with_da503() {
 }
 
 #[test]
-fn every_seeded_model_defect_yields_its_counterexample() {
-    let (ok, stdout) = analyze(&fixture("model-defects"), &["model"]);
-    assert!(!ok, "{stdout}");
-    for code in ["DA601", "DA602", "DA603", "DA604", "DA605", "DA606"] {
-        assert!(stdout.contains(&format!("\"code\":\"{code}\"")), "missing {code}:\n{stdout}");
-    }
-    // The unknown defect name is registry drift…
-    assert!(stdout.contains("\"code\":\"DA607\""), "{stdout}");
-    // …and each counterexample is a readable numbered trace.
-    assert!(stdout.contains("counterexample"), "{stdout}");
-    assert!(stdout.contains("[1] connect"), "{stdout}");
-}
-
-#[test]
 fn unguarded_field_access_fails_with_da701() {
     let (ok, stdout) = analyze(&fixture("lockset-unguarded"), &["locks"]);
     assert!(!ok, "{stdout}");
@@ -284,16 +270,11 @@ fn doctored_encode_arm_fails_with_da811_and_da812() {
 fn real_repo_is_clean_under_deny() {
     let (ok, stdout) = analyze(&repo_root(), &[]);
     assert!(ok, "the shipped repo must pass --deny:\n{stdout}");
-    // The proof findings must be on the record.
-    assert!(stdout.contains("\"code\":\"DA200\""), "{stdout}");
-    assert!(stdout.contains("\"code\":\"DA301\""), "{stdout}");
-    assert!(stdout.contains("\"code\":\"DA303\""), "{stdout}");
-    // …including the deep-analysis summaries: registry, taint,
-    // lock graph, and the model checker's explored-state record.
+    // The deep-analysis summaries must be on the record: registry,
+    // taint and lock graph.
     assert!(stdout.contains("\"code\":\"DA000\""), "{stdout}");
     assert!(stdout.contains("\"code\":\"DA500\""), "{stdout}");
     assert!(stdout.contains("\"code\":\"DA409\""), "{stdout}");
-    assert!(stdout.contains("\"code\":\"DA600\""), "{stdout}");
     // …and the concurrency-soundness records: the lockset proof and
     // the atomics census.
     assert!(stdout.contains("\"code\":\"DA700\""), "{stdout}");
@@ -314,8 +295,10 @@ fn real_repo_is_clean_under_deny() {
 
 #[test]
 fn unknown_pass_is_a_usage_error() {
-    // `lockgraph` was a pass name until `locks` replaced it.
-    for pass in ["nonsense", "lockgraph"] {
+    // `lockgraph` was a pass name until `locks` replaced it; `model`
+    // and `fetchgraph` were passes until das-net's own tests took over
+    // what they claimed.
+    for pass in ["nonsense", "lockgraph", "model", "fetchgraph"] {
         let out = Command::new(env!("CARGO_BIN_EXE_das-analyze"))
             .args(["--pass", pass])
             .output()

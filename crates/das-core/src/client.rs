@@ -9,7 +9,6 @@
 //! reconfiguration to the file system.
 
 use std::fmt;
-use std::sync::Arc;
 
 use das_pfs::{DistributionInfo, FileId, PfsCluster, PfsError, TrafficLog};
 
@@ -86,40 +85,21 @@ impl Default for RequestOptions {
 }
 
 /// The client-side entry point of the DAS architecture.
-#[derive(Clone, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct ActiveStorageClient {
     registry: FeatureRegistry,
-    metrics: Option<Arc<das_obs::Registry>>,
-}
-
-impl fmt::Debug for ActiveStorageClient {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ActiveStorageClient")
-            .field("registry", &self.registry)
-            .field("observed", &self.metrics.is_some())
-            .finish()
-    }
 }
 
 impl ActiveStorageClient {
     /// A client with an empty feature registry.
     pub fn new(registry: FeatureRegistry) -> Self {
-        ActiveStorageClient { registry, metrics: None }
+        ActiveStorageClient { registry }
     }
 
     /// A client pre-loaded with the descriptors of every built-in
     /// kernel.
     pub fn with_builtin_features() -> Self {
-        ActiveStorageClient { registry: FeatureRegistry::with_builtin(), metrics: None }
-    }
-
-    /// Record every decision this client makes into `metrics`: one
-    /// `das_decide_total{decision}` count per outcome plus the Eqs.
-    /// 1–13 predicted wire traffic (dependence fetches/bytes and the
-    /// normal-I/O client bytes) that priced it.
-    pub fn with_observability(mut self, metrics: Arc<das_obs::Registry>) -> Self {
-        self.metrics = Some(metrics);
-        self
+        ActiveStorageClient { registry: FeatureRegistry::with_builtin() }
     }
 
     /// The underlying registry (e.g. to load additional descriptor
@@ -167,7 +147,7 @@ impl ActiveStorageClient {
                 element_size: opts.element_size,
             });
         }
-        let decision = decide(&DecisionInput {
+        Ok(decide(&DecisionInput {
             features,
             dist,
             element_size: opts.element_size,
@@ -176,16 +156,7 @@ impl ActiveStorageClient {
             output_bytes: dist.file_len,
             successive: opts.successive,
             plan_opts: opts.plan_opts,
-        });
-        if let Some(metrics) = &self.metrics {
-            let outcome = if decision.is_offload() { "offload" } else { "reject" };
-            metrics.counter("das_decide_total", &[("decision", outcome)]).inc();
-            let p = decision.predicted();
-            metrics.counter("das_predicted_nas_fetches_total", &[]).add(p.nas.fetches);
-            metrics.counter("das_predicted_nas_bytes_total", &[]).add(p.nas.bytes);
-            metrics.counter("das_predicted_ts_bytes_total", &[]).add(p.ts_client_bytes);
-        }
-        Ok(decision)
+        }))
     }
 
     /// Run the decision workflow and, if it chose a new layout, apply

@@ -922,8 +922,14 @@ mod tests {
         buf.extend_from_slice(&0u16.to_le_bytes());
         buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         buf.extend_from_slice(&payload);
-        let back = read_message(&mut Cursor::new(buf)).unwrap().unwrap();
+        let back = read_message(&mut Cursor::new(&buf)).unwrap().unwrap();
         assert_eq!(back, msg);
+        // With no checksum to catch it, an unassigned flag bit is still
+        // refused by the header check.
+        for flag in (0..16).map(|bit| 1u16 << bit).filter(|flag| flag & KNOWN_FLAGS == 0) {
+            buf[6..8].copy_from_slice(&flag.to_le_bytes());
+            assert!(read_message(&mut Cursor::new(&buf)).is_err(), "flag 0x{flag:04x} accepted");
+        }
     }
 
     #[test]

@@ -551,6 +551,49 @@ mod tests {
         assert!(b1 - b2 >= nap - 1, "a {nap} ms nap took only {} ms off the budget", b1 - b2);
     }
 
+    /// Breaker recovery: a refused peer trips the breaker; inside the
+    /// cooldown the next call fails fast, typed, without dialling;
+    /// once the cooldown has passed the live peer is called again and
+    /// the breaker closes.
+    #[test]
+    fn a_tripped_breaker_fails_fast_then_closes_after_its_cooldown() {
+        let addr = TcpListener::bind("127.0.0.1:0").expect("bind").local_addr().expect("addr");
+        // The listener is gone: every dial to `addr` is refused. The
+        // cooldown is long enough that no scheduling hiccup between the
+        // trip and the next call outlasts it.
+        let metrics = Arc::new(das_obs::Registry::new());
+        let policy = RetryPolicy { backoff_max: Duration::from_millis(400), ..RetryPolicy::fast() };
+        let stats = Arc::new(StatsRegistry::default());
+        let peers = PeerTable::with_policy(0, vec![String::new(), addr.to_string()], stats, policy, Arc::clone(&metrics));
+        assert!(peers.call(1, &Message::Ping, None, None).is_err_and(|e| e.is_transport()));
+        assert_eq!(peers.breaker_states(), vec![(0, false), (1, true)]);
+        assert_eq!(metrics.counter("dasd_peer_breaker_trips_total", &[]).get(), 1);
+
+        let listener = TcpListener::bind(addr).expect("rebind the peer's address");
+        listener.set_nonblocking(true).expect("nonblocking");
+        match peers.call(1, &Message::Ping, None, None) {
+            Err(NetError::Remote { code: ErrorCode::NoSuchServer, message }) => {
+                assert!(message.contains("circuit open"), "{message}")
+            }
+            other => panic!("expected a fast typed refusal, got {other:?}"),
+        }
+        let dial = listener.accept().map(|_| ()).map_err(|e| e.kind());
+        assert_eq!(dial, Err(std::io::ErrorKind::WouldBlock), "an open breaker dialled its peer");
+
+        listener.set_nonblocking(false).expect("blocking");
+        let stub = std::thread::spawn(move || {
+            let mut sock = greet(&listener, LOCAL_CAPS);
+            while let Some(frame) = read_frame_ex(&mut sock).expect("read") {
+                write_message_opts(&mut sock, &Message::Pong, frame.trace, None).expect("pong");
+            }
+        });
+        std::thread::sleep(peers.cooldown());
+        assert_eq!(peers.call(1, &Message::Ping, None, None).expect("the peer is back"), Message::Pong);
+        assert_eq!(peers.breaker_states(), vec![(0, false), (1, false)]);
+        drop(peers);
+        stub.join().expect("stub peer");
+    }
+
     /// A table for server 0 of a cluster at `addrs`, with its metrics.
     fn table(addrs: Vec<String>) -> (PeerTable, Arc<das_obs::Registry>) {
         let metrics = Arc::new(das_obs::Registry::new());
@@ -647,7 +690,8 @@ mod tests {
 
     /// A peer that does not echo ids sees a traced wave one request at
     /// a time, each frame exactly a single call's: no trace id, no
-    /// budget, nothing more written before its reply.
+    /// budget, nothing more written before its reply. A single traced
+    /// call reaches it without a trace id too.
     #[test]
     fn a_peer_without_cap_trace_sees_depth_one_and_unchanged_frames() {
         const STRIPS: [u64; 3] = [4, 5, 6];
@@ -667,6 +711,11 @@ mod tests {
                 write_message_opts(&mut sock, &Message::StripData { payload: strip_bytes(strip) }, None, None)
                     .expect("reply");
             }
+            let want = encode_frame_opts(&Message::Ping, None, None);
+            let mut frame = vec![0u8; want.len()];
+            sock.read_exact(&mut frame).expect("ping");
+            assert_eq!(frame, want, "a traced call stamped its trace id for a peer without CAP_TRACE");
+            write_message_opts(&mut sock, &Message::Pong, None, None).expect("pong");
         });
         let (peers, _) = table(addrs);
         let asks: Vec<StripAsk> = STRIPS.iter().map(|&strip| StripAsk { strip, holders: vec![1] }).collect();
@@ -677,6 +726,8 @@ mod tests {
         });
         assert_eq!(fetched, Ok(()));
         assert_eq!(got, STRIPS.map(strip_bytes));
+        let traced = peers.call(1, &Message::Ping, Some(das_obs::next_trace_id()), None);
+        assert_eq!(traced.expect("ping"), Message::Pong);
         stub.join().expect("stub peer");
     }
 

@@ -452,8 +452,7 @@ pub fn spawn(cfg: DasdConfig, listener: TcpListener) -> std::io::Result<DasdHand
             by_name: HashMap::new(),
             staged: HashMap::new(),
         }),
-        as_client: ActiveStorageClient::with_builtin_features()
-            .with_observability(Arc::clone(&metrics)),
+        as_client: ActiveStorageClient::with_builtin_features(),
         peers: PeerTable::with_policy(
             cfg.id,
             cfg.cluster,
@@ -1337,11 +1336,8 @@ fn compute_and_store(
     for (sid, data) in deps {
         view.insert(*sid, data.clone());
     }
-    let start = t.0 * plan.elems_per_strip();
-    let end = (start + plan.elems_per_strip()).min(plan.total_elements());
-    let mut out = vec![0f32; (end - start) as usize];
     let kernel_started = Instant::now();
-    plan.kernel.process_range(&*view, start, &mut out);
+    let (_, out) = view.compute_strip(&*plan.kernel, t);
     let kernel_time = kernel_started.elapsed();
     record_span(shared, trace, ctx.root, Stage::Kernel, OpClass::Exec, NOTE_NONE, kernel_time);
     for (sid, _) in deps {

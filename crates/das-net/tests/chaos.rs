@@ -264,7 +264,12 @@ fn dead_server_with_replicas_degrades_but_completes() {
     assert!(!das.offloaded, "an offload cannot complete without server 1");
     assert_eq!(das.output_fingerprint, truth_fingerprint(SchemeKind::Das, &input));
     let das_tags = tags(&das.degradations);
-    assert!(das_tags.contains(&"degraded-to-ts"), "ladder not recorded: {das_tags:?}");
+    // The ladder descends one rung at a time: DAS → NAS, then NAS → TS.
+    let rung = |tag: &str| das_tags.iter().position(|t| *t == tag);
+    assert!(
+        matches!((rung("degraded-to-nas"), rung("degraded-to-ts")), (Some(nas), Some(ts)) if nas < ts),
+        "ladder not recorded rung by rung: {das_tags:?}"
+    );
     assert!(das_tags.contains(&"degraded-write"), "no degraded write recorded: {das_tags:?}");
 
     // NAS degrades the same way.

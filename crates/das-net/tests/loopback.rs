@@ -333,6 +333,20 @@ fn typed_errors_cross_the_wire() {
         Err(NetError::Remote { code: ErrorCode::StripNotLocal, .. }) => {}
         other => panic!("expected StripNotLocal, got {other:?}"),
     }
+    // A GetStrip is served from this server's own store or refused: it
+    // makes no peer call, even for a strip a peer holds — the fetch
+    // protocol is depth one. No server↔server byte moves across it.
+    h.cluster.put_file(file, &[7; 100]).unwrap();
+    let peer_bytes = |h: &mut Harness| -> (u64, u64) {
+        let stats = h.cluster.stats().unwrap();
+        (stats.iter().map(|s| s.server_in).sum(), stats.iter().map(|s| s.server_out).sum())
+    };
+    let before = peer_bytes(&mut h);
+    match h.cluster.call(0, &Message::GetStrip { file, strip: 1 }) {
+        Err(NetError::Remote { code: ErrorCode::StripNotLocal, .. }) => {}
+        other => panic!("expected StripNotLocal, got {other:?}"),
+    }
+    assert_eq!(peer_bytes(&mut h), before, "a GetStrip moved bytes between servers");
     // Unknown kernel is refused before any execution.
     let out = h.cluster.create_file("g", 100, 64, LayoutPolicy::RoundRobin).unwrap();
     match h.cluster.execute(file, out, "bitcoin-miner", 5, false, true) {

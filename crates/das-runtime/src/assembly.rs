@@ -19,7 +19,7 @@ use std::borrow::Cow;
 use std::ops::Range;
 
 use bytes::Bytes;
-use das_kernels::{cells_from_le_bytes, ElemSource};
+use das_kernels::{cells_from_le_bytes, ElemSource, Kernel};
 use das_pfs::StripId;
 
 /// Element size this workspace's rasters use (f32).
@@ -96,6 +96,18 @@ impl StripAssembly {
     /// Number of strips held.
     pub fn strip_count(&self) -> usize {
         self.strips.iter().flatten().count()
+    }
+
+    /// Run `kernel` over strip `t`'s elements — the range this
+    /// assembly's own geometry gives the strip, the file's tail for the
+    /// last — and return `(start element, output)`. The in-process
+    /// runner and the daemon's Execute both compute a strip here.
+    pub fn compute_strip(&self, kernel: &dyn Kernel, t: StripId) -> (u64, Vec<f32>) {
+        let per_strip = self.strip_size / ELEMENT_SIZE;
+        let start = t.0 * per_strip;
+        let mut out = vec![0f32; ((start + per_strip).min(self.width * self.height) - start) as usize];
+        kernel.process_range(self, start, &mut out);
+        (start, out)
     }
 
     /// Read the element with linear index `i`.

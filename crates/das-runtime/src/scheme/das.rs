@@ -259,7 +259,7 @@ pub(crate) fn build_das_offload(
         }
 
         // Functional execution.
-        chunks.extend(ctx.run_tasks(f, kernel, &assembly, &my_strips));
+        chunks.extend(ctx.run_tasks(kernel, &assembly, &my_strips));
     }
     chunks
 }

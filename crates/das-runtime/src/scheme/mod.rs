@@ -261,20 +261,8 @@ impl Ctx {
 
     /// Functional execution of the strip tasks `strips` through `view`:
     /// `(start element, output)` per strip.
-    pub fn run_tasks(
-        &self,
-        f: &FileCtx,
-        kernel: &dyn Kernel,
-        view: &StripAssembly,
-        strips: &[StripId],
-    ) -> Vec<(u64, Vec<f32>)> {
-        let task = |t: &StripId| {
-            let (e0, e1) = self.strip_elem_range(f, t.0);
-            let mut out = vec![0.0f32; (e1 - e0) as usize];
-            kernel.process_range(view, e0, &mut out);
-            (e0, out)
-        };
-        strips.iter().map(task).collect()
+    pub fn run_tasks(&self, kernel: &dyn Kernel, view: &StripAssembly, strips: &[StripId]) -> Vec<(u64, Vec<f32>)> {
+        strips.iter().map(|&t| view.compute_strip(kernel, t)).collect()
     }
 
     /// Compute-op duration for `elements` of `kernel`.

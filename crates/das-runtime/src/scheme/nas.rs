@@ -185,7 +185,7 @@ pub(crate) fn build_nas(
         }
 
         // Functional execution of every local strip task.
-        chunks.extend(ctx.run_tasks(f, kernel, &assembly, &my_strips));
+        chunks.extend(ctx.run_tasks(kernel, &assembly, &my_strips));
     }
     chunks
 }
