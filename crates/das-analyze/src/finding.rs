@@ -6,6 +6,8 @@
 
 use std::fmt;
 
+use das_obs::json_string;
+
 /// How bad a finding is.
 ///
 /// * [`Severity::Info`] — a proof or a summary the pass wants on the
@@ -102,25 +104,6 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Escape a string as a JSON string literal.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// The result of running one or more passes.
 #[derive(Debug, Default)]
 pub struct Report {
@@ -178,9 +161,7 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_control_characters() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+    fn a_finding_is_one_json_object_with_its_strings_escaped() {
         let f = Finding::new("DA101", Severity::Error, "descriptors", "f:1", "bad \"x\"");
         let j = f.to_json();
         assert!(j.contains("\\\"x\\\""), "{j}");

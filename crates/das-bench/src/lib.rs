@@ -19,7 +19,6 @@
 //! | `ablation_node_ratio` | storage:compute ratio (paper fixes 1:1) |
 //! | `ablation_decision` | decision quality across a stride sweep |
 //! | `ablation_skew` | launch-skew sensitivity (NAS fragility, DAS immunity) |
-//! | `micro` | criterion micro-benchmarks of predictor/planner/kernels/engine |
 //!
 //! Run all of them with `cargo bench`, or one with
 //! `cargo bench --bench fig11`.

@@ -7,8 +7,6 @@
 //! [`Kernel::apply`]. Used by the heavier examples and benches to
 //! keep the functional (non-simulated) layer fast.
 
-use crossbeam::thread;
-
 use crate::kernel::Kernel;
 use crate::raster::Raster;
 use crate::source::RasterSource;
@@ -36,12 +34,12 @@ pub fn apply_parallel(kernel: &dyn Kernel, input: &Raster, threads: usize) -> Ra
     };
 
     let src = RasterSource(input);
-    let mut parts: Vec<(u64, Vec<f32>)> = thread::scope(|scope| {
+    let mut parts: Vec<(u64, Vec<f32>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads as u64)
             .map(|i| {
                 let src = &src;
                 let kernel = &kernel;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let (r0, r1) = block(i);
                     let start_elem = r0 * width;
                     let mut out = vec![0.0f32; ((r1 - r0) * width) as usize];
@@ -54,8 +52,7 @@ pub fn apply_parallel(kernel: &dyn Kernel, input: &Raster, threads: usize) -> Ra
             .into_iter()
             .map(|h| h.join().expect("kernel worker panicked"))
             .collect()
-    })
-    .expect("scope");
+    });
 
     parts.sort_by_key(|&(start, _)| start);
     let mut out = Raster::filled(width, height, 0.0);

@@ -13,6 +13,8 @@
 //! }
 //! ```
 
+use das_obs::json_string;
+
 /// Throughput and latency of one operation class in one run.
 #[derive(Debug, Clone)]
 pub struct ClassStats {
@@ -62,8 +64,8 @@ impl StageStats {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"stage\": {}, \"op\": {}, \"count\": {}, \"mean_us\": {}, \"p99_us\": {}}}",
-            json_str(&self.stage),
-            json_str(&self.op),
+            json_string(&self.stage),
+            json_string(&self.op),
             self.count,
             json_num(self.mean_us),
             json_num(self.p99_us),
@@ -121,7 +123,7 @@ impl BenchReport {
     /// Serialize the run as the `BENCH_net.json` object.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str(&format!("  \"engine\": {},\n", json_str(&self.engine)));
+        out.push_str(&format!("  \"engine\": {},\n", json_string(&self.engine)));
         out.push_str(&format!("  \"target_rate_ops_s\": {},\n", json_num(self.target_rate_ops_s)));
         out.push_str(&format!("  \"duration_ms\": {},\n", self.duration_ms));
         out.push_str(&format!("  \"clients\": {},\n", self.clients));
@@ -133,7 +135,7 @@ impl BenchReport {
         let by_code: Vec<String> = self
             .errors_by_code
             .iter()
-            .map(|(code, n)| format!("{}: {}", json_str(code), n))
+            .map(|(code, n)| format!("{}: {}", json_string(code), n))
             .collect();
         out.push_str(&format!("  \"errors_by_code\": {{{}}},\n", by_code.join(", ")));
         out.push_str(&format!("  \"queue_depth_peak\": {},\n", self.queue_depth_peak));
@@ -162,7 +164,7 @@ impl ClassStats {
             "{{\n  \"class\": {},\n  \"scheduled\": {},\n  \"completed\": {},\n  \
              \"errors\": {},\n  \"throughput_ops_s\": {},\n  \"mean_us\": {},\n  \
              \"p50_us\": {},\n  \"p99_us\": {},\n  \"p999_us\": {},\n  \"max_us\": {}\n}}",
-            json_str(&self.class),
+            json_string(&self.class),
             self.scheduled,
             self.completed,
             self.errors,
@@ -174,25 +176,6 @@ impl ClassStats {
             self.max_us,
         )
     }
-}
-
-/// JSON string literal with the mandatory escapes.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Finite float formatting JSON accepts (JSON has no NaN/Infinity).
@@ -251,8 +234,7 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_and_structure() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+    fn json_nulls_and_structure() {
         assert_eq!(json_num(f64::NAN), "null");
         let doc = sample_report("evloop", 10.0, 5).to_json();
         assert!(doc.contains("\"engine\": \"evloop\""));

@@ -963,9 +963,9 @@ impl<'a, 'm> Wave<'a, 'm> {
     /// time, each rounded up to the kernel's tick — does not hide when
     /// the others' replies landed.
     fn due(&self, cluster: &DasCluster, s: usize) -> f64 {
-        match (self.links[s].burst, self.links[s].seen) {
-            (Some(_), None) => Some(cluster.load.get(s).score_us()).filter(|&us| us > 0.0).unwrap_or(f64::INFINITY),
-            _ => -1.0,
+        match self.links[s].waiting_since() {
+            Some(_) => Some(cluster.load.get(s).score_us()).filter(|&us| us > 0.0).unwrap_or(f64::INFINITY),
+            None => -1.0,
         }
     }
 
@@ -973,7 +973,7 @@ impl<'a, 'm> Wave<'a, 'm> {
     /// whose reply has not begun: a reply there has begun, or it has
     /// answered all it was sent and has more to be sent.
     fn wanted_elsewhere(&self) -> bool {
-        self.links.iter().any(|link| link.seen.is_some() || link.flight.is_empty() && !link.queued.is_empty())
+        self.links.iter().any(|link| link.reply_begun() || link.flight.is_empty() && !link.queued.is_empty())
     }
 
     /// After a wait on `waited`, note every other burst whose first
@@ -983,7 +983,7 @@ impl<'a, 'm> Wave<'a, 'm> {
     /// reading it.
     fn stamp(&mut self, cluster: &DasCluster, waited: usize) {
         for (s, link) in self.links.iter_mut().enumerate() {
-            if s == waited || link.burst.is_none() || link.seen.is_some() {
+            if s == waited || link.waiting_since().is_none() {
                 continue;
             }
             if let Some(live) = &cluster.conns[s].live {
@@ -1040,7 +1040,7 @@ impl<'a, 'm> Wave<'a, 'm> {
     /// Never once it has answered, while the tracker is cold, or when
     /// one of its requests is a re-ask or has no live second holder.
     fn hedge_at(&self, cluster: &DasCluster, s: usize) -> Option<Instant> {
-        let written = self.links[s].burst?;
+        let written = self.links[s].waiting_since()?;
         let hedgeable = self.links[s].flight.iter().all(|sent| {
             let (ask, lane) = sent.job;
             lane == 0 && self.asks[ask].hedge_to.is_some_and(|h| h != s && !cluster.down[h])
@@ -1060,7 +1060,7 @@ impl<'a, 'm> Wave<'a, 'm> {
     fn take_reply(&mut self, cluster: &mut DasCluster, s: usize) {
         let oldest = self.links[s].flight[0].job;
         let msg = self.asks[oldest.0].msg;
-        if let (Some(written), None) = (self.links[s].burst, self.links[s].seen) {
+        if let Some(written) = self.links[s].waiting_since() {
             let hedge_at = self.hedge_at(cluster, s);
             let give_up = written + reply_deadline(&cluster.policy, msg, self.links[s].flight.len() > 1);
             let until = hedge_at.map_or(give_up, |at| at.min(give_up));
@@ -1114,7 +1114,7 @@ impl<'a, 'm> Wave<'a, 'm> {
     /// one is late), and take `s`'s connection off its slot to race
     /// them. Requests still queued for `s` go on a fresh connection.
     fn hedge(&mut self, cluster: &mut DasCluster, s: usize) {
-        let written = self.links[s].burst.unwrap_or_else(Instant::now);
+        let written = self.links[s].waiting_since().unwrap_or_else(Instant::now);
         let link = self.links[s].take_flight();
         for sent in link.flight.iter().rev() {
             if let Some(h) = self.asks[sent.job.0].hedge_to {

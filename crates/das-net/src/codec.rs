@@ -41,7 +41,6 @@
 //! legacy peers see bit-identical frames without it.
 
 use std::io::{self, IoSlice, Read, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -790,36 +789,30 @@ impl FrameBuffer {
 }
 
 /// A `Read + Write` wrapper that counts every byte crossing it, in
-/// both directions, into shared atomic counters. The daemon registers
-/// each connection's counters under its traffic class (client↔server
-/// or server↔server) once the peer's [`Message::Hello`] arrives —
-/// the counters are shared, so bytes that crossed before
+/// both directions, into two [`das_obs::Gauge`]s. A fresh stream
+/// counts into private gauges; [`CountingStream::count_into`] moves it
+/// onto shared ones — a daemon's `dasd_wire_bytes{class,dir}` pair,
+/// once the peer's [`Message::Hello`] fixes the traffic class — and
+/// carries over what it had counted, so bytes that crossed before
 /// classification are not lost.
-#[derive(Debug)]
 pub struct CountingStream<S> {
     inner: S,
-    bytes_in: Arc<AtomicU64>,
-    bytes_out: Arc<AtomicU64>,
+    bytes_in: Arc<das_obs::Gauge>,
+    bytes_out: Arc<das_obs::Gauge>,
 }
 
 impl<S> CountingStream<S> {
-    /// Wrap `inner` with fresh zeroed counters.
+    /// Wrap `inner`, counting into fresh private gauges.
     pub fn new(inner: S) -> Self {
-        CountingStream {
-            inner,
-            bytes_in: Arc::new(AtomicU64::new(0)),
-            bytes_out: Arc::new(AtomicU64::new(0)),
-        }
+        CountingStream { inner, bytes_in: Arc::default(), bytes_out: Arc::default() }
     }
 
-    /// Handle on the receive counter.
-    pub fn bytes_in(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.bytes_in)
-    }
-
-    /// Handle on the send counter.
-    pub fn bytes_out(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.bytes_out)
+    /// Count into `bytes_in` (received) and `bytes_out` (sent) from now
+    /// on, adding to them what was counted so far.
+    pub fn count_into(&mut self, bytes_in: Arc<das_obs::Gauge>, bytes_out: Arc<das_obs::Gauge>) {
+        bytes_in.add(self.bytes_in.get());
+        bytes_out.add(self.bytes_out.get());
+        (self.bytes_in, self.bytes_out) = (bytes_in, bytes_out);
     }
 
     /// The wrapped stream.
@@ -831,7 +824,7 @@ impl<S> CountingStream<S> {
 impl<S: Read> Read for CountingStream<S> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         let n = self.inner.read(buf)?;
-        self.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
+        self.bytes_in.add(n as i64);
         Ok(n)
     }
 }
@@ -839,13 +832,13 @@ impl<S: Read> Read for CountingStream<S> {
 impl<S: Write> Write for CountingStream<S> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         let n = self.inner.write(buf)?;
-        self.bytes_out.fetch_add(n as u64, Ordering::Relaxed);
+        self.bytes_out.add(n as i64);
         Ok(n)
     }
 
     fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
         let n = self.inner.write_vectored(bufs)?;
-        self.bytes_out.fetch_add(n as u64, Ordering::Relaxed);
+        self.bytes_out.add(n as i64);
         Ok(n)
     }
 
@@ -862,18 +855,22 @@ mod tests {
     #[test]
     fn frame_roundtrip_and_counting() {
         let msg = Message::PutStrip { file: 2, strip: 5, payload: vec![9; 100] };
+        let (bytes_in, bytes_out) = (Arc::new(das_obs::Gauge::default()), Arc::new(das_obs::Gauge::default()));
         let mut sink = CountingStream::new(Cursor::new(Vec::new()));
         write_message_opts(&mut sink, &msg, None, None).unwrap();
-        let written = sink.bytes_out().load(Ordering::Relaxed);
+        // Moved onto shared gauges after the write: the count comes along.
+        sink.count_into(Arc::clone(&bytes_in), Arc::clone(&bytes_out));
+        let written = bytes_out.get();
         let buf = sink.get_ref().get_ref().clone();
         assert_eq!(written as usize, buf.len());
         // Header + payload + 4-byte CRC trailer.
         assert_eq!(buf.len(), HEADER_LEN + msg.encode_payload().len() + 4);
 
         let mut src = CountingStream::new(Cursor::new(buf));
+        src.count_into(Arc::clone(&bytes_in), Arc::clone(&bytes_out));
         let back = read_message(&mut src).unwrap().unwrap();
         assert_eq!(back, msg);
-        assert_eq!(src.bytes_in().load(Ordering::Relaxed), written);
+        assert_eq!((bytes_in.get(), bytes_out.get()), (written, written));
         // Clean EOF after the frame.
         assert!(read_message(&mut src).unwrap().is_none());
     }

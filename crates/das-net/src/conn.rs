@@ -17,7 +17,6 @@
 use std::collections::VecDeque;
 use std::io;
 use std::net::TcpStream;
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -104,9 +103,11 @@ impl RpcConn {
         self.stream.get_ref()
     }
 
-    /// Handles on the connection's `(received, sent)` byte counters.
-    pub(crate) fn counters(&self) -> (Arc<AtomicU64>, Arc<AtomicU64>) {
-        (self.stream.bytes_in(), self.stream.bytes_out())
+    /// Count the connection's bytes into `bytes_in` (received) and
+    /// `bytes_out` (sent) from now on, the handshake's included (see
+    /// [`CountingStream::count_into`]).
+    pub(crate) fn count_into(&mut self, bytes_in: Arc<das_obs::Gauge>, bytes_out: Arc<das_obs::Gauge>) {
+        self.stream.count_into(bytes_in, bytes_out);
     }
 
     /// Write one request. `trace` goes on the wire only to a
@@ -214,15 +215,26 @@ pub(crate) struct Link<J> {
     written: u64,
     /// When the burst in flight — what was written to the link with
     /// nothing in flight — was first written, until its first reply.
-    pub(crate) burst: Option<Instant>,
+    burst: Option<Instant>,
     /// When that first reply was seen to have begun, if that was
     /// before it was read.
-    pub(crate) seen: Option<Instant>,
+    seen: Option<Instant>,
 }
 
 impl<J> Link<J> {
     pub(crate) fn new(trace: Option<u64>, depth: usize, queued: VecDeque<J>) -> Self {
         Link { queued, flight: Vec::new(), trace, depth, written: 0, burst: None, seen: None }
+    }
+
+    /// When the burst in flight was written, while its first reply has
+    /// not been seen to begin: the link is waited on.
+    pub(crate) fn waiting_since(&self) -> Option<Instant> {
+        self.burst.filter(|_| self.seen.is_none())
+    }
+
+    /// Whether the burst's first reply has begun and is not yet read.
+    pub(crate) fn reply_begun(&self) -> bool {
+        self.seen.is_some()
     }
 
     /// Whether `conn` takes this link's requests pipelined.
@@ -332,7 +344,6 @@ mod tests {
     use crate::peer::PeerTable;
     use crate::proto::{ErrorCode, Message, Role, CAP_TRACE};
     use crate::retry::RetryPolicy;
-    use crate::server::StatsRegistry;
 
     /// A daemon that answers `Hello` with a typed error: each of the
     /// two users of the core reports that error, code and all.
@@ -354,7 +365,6 @@ mod tests {
         let peers = PeerTable::with_policy(
             0,
             vec![String::new(), addr.clone()],
-            Arc::new(StatsRegistry::default()),
             policy.clone(),
             Arc::new(das_obs::Registry::new()),
         );

@@ -66,7 +66,7 @@ use crate::codec::{
 use crate::proto::{ErrorCode, Message, Role, CAP_SPANS, CAP_TRACE, LOCAL_CAPS};
 use crate::server::{
     accept_loop, finish_root, lock, op_class, process_request, record_stage, shed_exempt,
-    ConnClass, ReplyAction, RequestCtx, Shared, STRIP_DATA_OPCODE,
+    wire_gauges, ConnClass, ReplyAction, RequestCtx, Shared, STRIP_DATA_OPCODE,
 };
 use das_obs::{OpClass, Stage, NOTE_NONE, NOTE_SHED_BACKLOG};
 
@@ -741,8 +741,8 @@ fn pump_read(
     progressed
 }
 
-/// First frame of a connection: fix the traffic class, register the
-/// byte counters, answer `HelloOk`.
+/// First frame of a connection: fix the traffic class, move the byte
+/// counts onto the class's wire-byte gauges, answer `HelloOk`.
 fn handle_hello(shared: &Shared, c: &mut Conn, msg: Message) {
     let (class, caps) = match msg {
         Message::Hello { role: Role::Client, caps, .. } => (ConnClass::Client, caps),
@@ -759,7 +759,8 @@ fn handle_hello(shared: &Shared, c: &mut Conn, msg: Message) {
     c.class = Some(class);
     c.peer_traced = caps & CAP_TRACE != 0;
     c.peer_spans = caps & CAP_SPANS != 0;
-    shared.stats.register(class, c.stream.bytes_in(), c.stream.bytes_out());
+    let (bytes_in, bytes_out) = wire_gauges(&shared.metrics, class);
+    c.stream.count_into(bytes_in, bytes_out);
     let reply = Message::HelloOk { server_id: shared.id.0, caps: LOCAL_CAPS };
     c.queue(Outbound::reply(&reply, None, false));
 }

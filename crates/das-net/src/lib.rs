@@ -60,4 +60,4 @@ pub use proto::{
     LOCAL_CAPS, MAX_PAYLOAD, VERSION,
 };
 pub use retry::RetryPolicy;
-pub use server::{spawn, ConnClass, DasdConfig, DasdHandle, StatsRegistry};
+pub use server::{spawn, ConnClass, DasdConfig, DasdHandle};

@@ -51,7 +51,7 @@ use crate::engine::MAX_INFLIGHT;
 use crate::hedge::LoadTracker;
 use crate::proto::{ErrorCode, Message, Role};
 use crate::retry::RetryPolicy;
-use crate::server::{lock, ConnClass, StatsRegistry};
+use crate::server::{lock, wire_gauges, ConnClass};
 
 /// One live peer link, held by a call or a wave while its requests are in flight.
 type PeerConn = Arc<Mutex<RpcConn>>;
@@ -105,7 +105,6 @@ pub struct PeerTable {
     /// Circuit breaker: peers that exhausted a retry budget, mapped
     /// to the instant their cooldown expires.
     downs: Mutex<HashMap<u32, Instant>>,
-    stats: Arc<StatsRegistry>,
     policy: RetryPolicy,
     metrics: Arc<das_obs::Registry>,
     /// Per-peer latency EWMAs, fed by calls and waves; fetches ask
@@ -126,23 +125,17 @@ fn remaining_budget(deadline: Option<Instant>) -> Option<Duration> {
 
 impl PeerTable {
     /// A table for server `self_id` in a cluster whose `addrs[i]` is
-    /// the listen address of server `i`. Outbound traffic is counted
-    /// into `stats` under the server↔server class; `metrics` receives
-    /// the peer-side counters (retries, failovers, breaker trips).
-    pub fn with_policy(
-        self_id: u32,
-        addrs: Vec<String>,
-        stats: Arc<StatsRegistry>,
-        policy: RetryPolicy,
-        metrics: Arc<das_obs::Registry>,
-    ) -> Self {
+    /// the listen address of server `i`, calling its peers under
+    /// `policy`. `metrics` receives the peer-side counters (retries,
+    /// failovers, breaker trips), and every byte of an outbound link
+    /// goes into its server↔server `dasd_wire_bytes` gauges.
+    pub fn with_policy(self_id: u32, addrs: Vec<String>, policy: RetryPolicy, metrics: Arc<das_obs::Registry>) -> Self {
         let load = LoadTracker::new(addrs.len());
         PeerTable {
             self_id,
             addrs,
             conns: Mutex::new(HashMap::new()),
             downs: Mutex::new(HashMap::new()),
-            stats,
             policy,
             metrics,
             load,
@@ -180,9 +173,9 @@ impl PeerTable {
         }
         // Connect outside the map lock; a racing worker may connect
         // twice, in which case the loser's link is dropped unused.
-        let conn = RpcConn::dial(&addr, &self.policy, Role::Server, self.self_id)?;
-        let (bytes_in, bytes_out) = conn.counters();
-        self.stats.register(ConnClass::Server, bytes_in, bytes_out);
+        let mut conn = RpcConn::dial(&addr, &self.policy, Role::Server, self.self_id)?;
+        let (bytes_in, bytes_out) = wire_gauges(&self.metrics, ConnClass::Server);
+        conn.count_into(bytes_in, bytes_out);
         Ok(Arc::clone(lock(&self.conns).entry(target).or_insert(Arc::new(Mutex::new(conn)))))
     }
 
@@ -563,8 +556,7 @@ mod tests {
         // trip and the next call outlasts it.
         let metrics = Arc::new(das_obs::Registry::new());
         let policy = RetryPolicy { backoff_max: Duration::from_millis(400), ..RetryPolicy::fast() };
-        let stats = Arc::new(StatsRegistry::default());
-        let peers = PeerTable::with_policy(0, vec![String::new(), addr.to_string()], stats, policy, Arc::clone(&metrics));
+        let peers = PeerTable::with_policy(0, vec![String::new(), addr.to_string()], policy, Arc::clone(&metrics));
         assert!(peers.call(1, &Message::Ping, None, None).is_err_and(|e| e.is_transport()));
         assert_eq!(peers.breaker_states(), vec![(0, false), (1, true)]);
         assert_eq!(metrics.counter("dasd_peer_breaker_trips_total", &[]).get(), 1);
@@ -597,8 +589,7 @@ mod tests {
     /// A table for server 0 of a cluster at `addrs`, with its metrics.
     fn table(addrs: Vec<String>) -> (PeerTable, Arc<das_obs::Registry>) {
         let metrics = Arc::new(das_obs::Registry::new());
-        let stats = Arc::new(StatsRegistry::default());
-        (PeerTable::with_policy(0, addrs, stats, RetryPolicy::fast(), Arc::clone(&metrics)), metrics)
+        (PeerTable::with_policy(0, addrs, RetryPolicy::fast(), Arc::clone(&metrics)), metrics)
     }
 
     /// Accept one peer link and answer its `Hello` with `caps`.

@@ -34,7 +34,7 @@
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -122,80 +122,37 @@ pub enum ConnClass {
     Server,
 }
 
-/// Registry of every connection's byte counters, grouped by class.
-/// Counters are shared with the live [`CountingStream`]s, so sums are
-/// always current; a closed connection's totals are folded into
-/// per-class running sums, so the list walked under the lock stays the
-/// size of the open-connection count however many connections come
-/// and go.
-///
-/// [`CountingStream`]: crate::codec::CountingStream
-#[derive(Default)]
-pub struct StatsRegistry {
-    conns: Mutex<Registered>,
-}
+impl ConnClass {
+    /// Both classes, client first.
+    const ALL: [ConnClass; 2] = [ConnClass::Client, ConnClass::Server];
 
-#[derive(Default)]
-struct Registered {
-    /// Connections whose stream may still move bytes.
-    live: Vec<ConnCounters>,
-    /// Totals of the connections whose stream is gone.
-    retired: WireStats,
-}
-
-/// One connection's shared in/out counters and traffic class.
-type ConnCounters = (ConnClass, Arc<AtomicU64>, Arc<AtomicU64>);
-
-fn add_counters(s: &mut WireStats, (class, bytes_in, bytes_out): &ConnCounters) {
-    let (i, o) = (bytes_in.load(Ordering::Relaxed), bytes_out.load(Ordering::Relaxed));
-    match class {
-        ConnClass::Client => {
-            s.client_in += i;
-            s.client_out += o;
-        }
-        ConnClass::Server => {
-            s.server_in += i;
-            s.server_out += o;
+    fn label(self) -> &'static str {
+        match self {
+            ConnClass::Client => "client",
+            ConnClass::Server => "server",
         }
     }
 }
 
-impl StatsRegistry {
-    /// Track a connection's counters under `class`. Entries whose
-    /// stream has been dropped — the registry holds the only handle
-    /// left, so their values are final — are retired on the way.
-    pub fn register(&self, class: ConnClass, bytes_in: Arc<AtomicU64>, bytes_out: Arc<AtomicU64>) {
-        let mut guard = lock(&self.conns);
-        let Registered { live, retired } = &mut *guard;
-        live.retain(|conn| {
-            let gone = Arc::strong_count(&conn.1) == 1;
-            if gone {
-                add_counters(retired, conn);
-            }
-            !gone
-        });
-        live.push((class, bytes_in, bytes_out));
-    }
+/// The daemon's `dasd_wire_bytes{class,dir}` gauges for `class`, as
+/// `(in, out)`: every byte its connections of that class moved since
+/// the last `ResetStats`. `Stats` reads them, `ResetStats` zeroes them,
+/// and every `MetricsDump` carries them.
+pub(crate) fn wire_gauges(
+    metrics: &das_obs::Registry,
+    class: ConnClass,
+) -> (Arc<das_obs::Gauge>, Arc<das_obs::Gauge>) {
+    let gauge = |dir| metrics.gauge("dasd_wire_bytes", &[("class", class.label()), ("dir", dir)]);
+    (gauge("in"), gauge("out"))
+}
 
-    /// Current totals per class.
-    pub fn snapshot(&self) -> WireStats {
-        let conns = lock(&self.conns);
-        let mut s = conns.retired;
-        for conn in &conns.live {
-            add_counters(&mut s, conn);
-        }
-        s
-    }
-
-    /// Zero every counter.
-    pub fn reset(&self) {
-        let mut conns = lock(&self.conns);
-        conns.retired = WireStats::default();
-        for (_, bi, bo) in &conns.live {
-            bi.store(0, Ordering::Relaxed);
-            bo.store(0, Ordering::Relaxed);
-        }
-    }
+/// The four wire-byte gauges, as a `StatsResp` carries them.
+fn wire_stats(metrics: &das_obs::Registry) -> WireStats {
+    let [(client_in, client_out), (server_in, server_out)] = ConnClass::ALL.map(|class| {
+        let (bytes_in, bytes_out) = wire_gauges(metrics, class);
+        (bytes_in.get() as u64, bytes_out.get() as u64)
+    });
+    WireStats { client_in, client_out, server_in, server_out }
 }
 
 /// Static configuration of one daemon.
@@ -333,7 +290,6 @@ pub struct Shared {
     inner: Mutex<Inner>,
     as_client: ActiveStorageClient,
     peers: PeerTable,
-    pub(crate) stats: Arc<StatsRegistry>,
     pub(crate) metrics: Arc<das_obs::Registry>,
     /// The daemon's flight recorder behind `TraceDump`/`SlowLog`.
     pub(crate) spans: Arc<SpanStore>,
@@ -441,7 +397,6 @@ pub fn spawn(cfg: DasdConfig, listener: TcpListener) -> std::io::Result<DasdHand
     assert!((cfg.id as usize) < cfg.cluster.len(), "id {} outside cluster of {}", cfg.id, cfg.cluster.len());
     assert!(cfg.pool >= 2, "need at least two request workers");
     let addr = listener.local_addr()?;
-    let stats = Arc::new(StatsRegistry::default());
     let metrics = Arc::new(das_obs::Registry::new());
     let spans = Arc::new(SpanStore::new(cfg.id));
     let shared = Arc::new(Shared {
@@ -453,15 +408,8 @@ pub fn spawn(cfg: DasdConfig, listener: TcpListener) -> std::io::Result<DasdHand
             staged: HashMap::new(),
         }),
         as_client: ActiveStorageClient::with_builtin_features(),
-        peers: PeerTable::with_policy(
-            cfg.id,
-            cfg.cluster,
-            Arc::clone(&stats),
-            cfg.retry,
-            Arc::clone(&metrics),
-        )
-        .with_span_store(Arc::clone(&spans)),
-        stats,
+        peers: PeerTable::with_policy(cfg.id, cfg.cluster, cfg.retry, Arc::clone(&metrics))
+            .with_span_store(Arc::clone(&spans)),
         stage_hists: StageHists::new(Arc::clone(&metrics)),
         metrics,
         spans,
@@ -469,8 +417,12 @@ pub fn spawn(cfg: DasdConfig, listener: TcpListener) -> std::io::Result<DasdHand
         fault: cfg.fault,
         max_backlog: cfg.max_backlog.max(1),
     });
-    // Register the shed counters up front so a metrics dump carries
-    // them (at zero) before the first overload, not only after.
+    // Register the wire-byte gauges and the shed counters up front so
+    // a metrics dump carries them (at zero) before the first byte or
+    // overload, not only after.
+    for class in ConnClass::ALL {
+        wire_gauges(&shared.metrics, class);
+    }
     shared.metrics.counter("dasd_requests_shed_total", &[("reason", "backlog")]);
     shared.metrics.counter("dasd_requests_shed_total", &[("reason", "deadline")]);
 
@@ -697,26 +649,16 @@ fn dispatch(
         Message::Hello { .. } => err(ErrorCode::BadRequest, "duplicate Hello"),
         Message::Ping => Message::Pong,
         Message::Shutdown => Message::ShutdownOk,
-        Message::Stats => Message::StatsResp(shared.stats.snapshot()),
+        Message::Stats => Message::StatsResp(wire_stats(&shared.metrics)),
         Message::ResetStats => {
-            shared.stats.reset();
+            for class in ConnClass::ALL {
+                let (bytes_in, bytes_out) = wire_gauges(&shared.metrics, class);
+                bytes_in.set(0);
+                bytes_out.set(0);
+            }
             Message::ResetStatsOk
         }
         Message::MetricsDump => {
-            // Mirror the live per-class byte counters into gauges so
-            // one dump carries the whole picture.
-            let s = shared.stats.snapshot();
-            for (class, dir, v) in [
-                ("client", "in", s.client_in),
-                ("client", "out", s.client_out),
-                ("server", "in", s.server_in),
-                ("server", "out", s.server_out),
-            ] {
-                shared
-                    .metrics
-                    .gauge("dasd_wire_bytes", &[("class", class), ("dir", dir)])
-                    .set(v as i64);
-            }
             shared.metrics.gauge("dasd_server_id", &[]).set(i64::from(shared.id.0));
             for (peer, open) in shared.peers.breaker_states() {
                 shared
@@ -725,7 +667,7 @@ fn dispatch(
                     .set(i64::from(open));
             }
             // Flight-recorder occupancy and the event throttle's
-            // suppression count, mirrored the same way: one dump
+            // suppression count, mirrored into gauges: one dump
             // carries the whole picture.
             shared.metrics.gauge("dasd_spans_retained", &[]).set(shared.spans.len() as i64);
             shared
@@ -1364,6 +1306,7 @@ fn compute_and_store(
 mod tests {
     use super::*;
     use crate::client::DasCluster;
+    use crate::codec::encode_frame_opts;
     use crate::conn::RpcConn;
     use crate::proto::Role;
     use das_pfs::LayoutPolicy;
@@ -1496,36 +1439,84 @@ mod tests {
         teardown(handles);
     }
 
-    /// Connection churn must not grow the registry: after 1,000
-    /// connect–`Ping`–close cycles the live list is the size of the
-    /// open-connection count, and the totals are still exactly what the
-    /// connections moved.
+    /// Connection churn keeps the wire-byte gauges exact: after 1,000
+    /// connect–`Ping`–close cycles the daemon's client bytes are what
+    /// the connections moved, their `Hello`s included.
     #[test]
-    fn connection_churn_leaves_the_registry_bounded_and_exact() {
+    fn connection_churn_leaves_the_wire_bytes_exact() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();
-        // Two workers ⇒ one shard: it drops connection k before it can
-        // see connection k + 2's `Hello`.
-        let cfg = DasdConfig { pool: 2, ..DasdConfig::new(0, vec![addr.clone()]) };
-        let handle = spawn(cfg, listener).expect("spawn dasd");
-        let stats = Arc::clone(&handle.shared.stats);
+        let handle = spawn(DasdConfig::new(0, vec![addr.clone()]), listener).expect("spawn dasd");
+        let shared = Arc::clone(&handle.shared);
         let policy = RetryPolicy::fast();
 
-        let (mut sent, mut received, mut peak) = (0u64, 0u64, 0usize);
+        // Every connection's bytes, counted on the client's side.
+        let (received, sent) = (Arc::new(das_obs::Gauge::default()), Arc::new(das_obs::Gauge::default()));
         for _ in 0..1000 {
             let mut conn = RpcConn::dial(&addr, &policy, Role::Client, 0).expect("dial");
+            conn.count_into(Arc::clone(&received), Arc::clone(&sent));
             conn.send(&Message::Ping, None, None, None).expect("send");
             assert_eq!(conn.recv(&Message::Ping, &policy).expect("recv"), Message::Pong);
-            let (bytes_in, bytes_out) = conn.counters();
-            received += bytes_in.load(Ordering::Relaxed);
-            sent += bytes_out.load(Ordering::Relaxed);
-            peak = peak.max(lock(&stats.conns).live.len());
         }
-        assert!(peak <= 3, "{peak} registry entries with one connection open at a time");
-        // Joined, so the shard's last counter update has landed.
+        // Joined, so the shard's last count has landed.
         handle.shutdown();
         handle.join();
-        let want = WireStats { client_in: sent, client_out: received, ..WireStats::default() };
-        assert_eq!(stats.snapshot(), want);
+        let want = WireStats { client_in: sent.get() as u64, client_out: received.get() as u64, ..WireStats::default() };
+        assert_eq!(wire_stats(&shared.metrics), want);
+    }
+
+    /// `Stats` and `MetricsDump` read one store: after ingest, a
+    /// forced NAS offload's peer fetches and `ResetStats`, each
+    /// daemon's `StatsResp` and its dump's `dasd_wire_bytes` hold just
+    /// the control frames it moved since the reset.
+    #[test]
+    fn stats_and_the_metrics_dump_count_the_same_bytes_from_a_reset() {
+        let (handles, addrs) = boot();
+        let mut cluster = DasCluster::connect_with(&addrs, RetryPolicy::fast()).expect("connect");
+        let data = das_kernels::workload::fbm_dem(64, 32, 3).to_bytes();
+        let len = data.len() as u64;
+        let file = cluster.create_file("wire.raw", len, STRIP as u32, LayoutPolicy::RoundRobin).expect("create");
+        cluster.put_file(file, &data).expect("ingest");
+        let out = cluster.create_file("wire.out", len, STRIP as u32, LayoutPolicy::RoundRobin).expect("create output");
+        cluster.execute(file, out, "gaussian-filter", 64, false, true).expect("execute").expect("offload runs");
+        let before = cluster.stats().expect("stats");
+        assert!(before.iter().all(|s| s.client_in > 0 && s.server_in > 0 && s.server_out > 0), "{before:?}");
+
+        cluster.reset_stats().expect("reset");
+        // Requests carry a deadline budget; replies go out bare.
+        let ask = |msg: &Message| encode_frame_opts(msg, None, Some(1)).len() as u64;
+        let answer = |msg: &Message| encode_frame_opts(msg, None, None).len() as u64;
+        for s in 0..SERVERS {
+            let Message::StatsResp(stats) = cluster.call(s, &Message::Stats).expect("stats") else {
+                panic!("server {s} answered Stats with something else")
+            };
+            let samples = das_obs::parse(&cluster.metrics_dump(s).expect("dump"));
+            let gauge = |class, dir| {
+                das_obs::sample_value(&samples, "dasd_wire_bytes", &[("class", class), ("dir", dir)])
+                    .expect("a wire-byte gauge") as u64
+            };
+            let dumped = WireStats {
+                client_in: gauge("client", "in"),
+                client_out: gauge("client", "out"),
+                server_in: gauge("server", "in"),
+                server_out: gauge("server", "out"),
+            };
+            // `Stats` is read after `ResetStatsOk` went out; the dump,
+            // after `StatsResp` went out and `MetricsDump` came in.
+            let at_stats = WireStats {
+                client_in: ask(&Message::Stats),
+                client_out: answer(&Message::ResetStatsOk),
+                ..WireStats::default()
+            };
+            assert_eq!(stats, at_stats, "server {s}");
+            let at_dump = WireStats {
+                client_in: at_stats.client_in + ask(&Message::MetricsDump),
+                client_out: at_stats.client_out + answer(&Message::StatsResp(stats)),
+                ..WireStats::default()
+            };
+            assert_eq!(dumped, at_dump, "server {s}");
+        }
+        drop(cluster);
+        teardown(handles);
     }
 }

@@ -29,7 +29,7 @@ pub mod ratelimit;
 pub mod span;
 pub mod trace;
 
-pub use log::{enabled, event, set_json, set_level, Level};
+pub use log::{enabled, event, json_string, set_json, set_level, Level};
 pub use metrics::{
     histogram_quantile, parse, quantile_from_buckets, sample_value, Counter, Gauge, Histogram,
     Registry, Sample,

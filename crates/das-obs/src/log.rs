@@ -85,8 +85,10 @@ pub fn init_from_env() {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Escape `s` as a JSON string literal, quotes included.
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -98,6 +100,7 @@ fn json_escape(s: &str) -> String {
             c => out.push(c),
         }
     }
+    out.push('"');
     out
 }
 
@@ -118,13 +121,13 @@ pub fn event(level: Level, target: &str, msg: &str, fields: &[(&str, String)]) {
     // das-lint: allow(DA711) format-mode flag — both branches render the same already-local data, no publication edge needed
     if JSON.load(Ordering::Relaxed) {
         let mut line = format!(
-            "{{\"level\":\"{}\",\"target\":\"{}\",\"msg\":\"{}\"",
+            "{{\"level\":\"{}\",\"target\":{},\"msg\":{}",
             level.as_str().to_ascii_lowercase(),
-            json_escape(target),
-            json_escape(msg)
+            json_string(target),
+            json_string(msg)
         );
         for (k, v) in fields {
-            line.push_str(&format!(",\"{}\":\"{}\"", json_escape(k), json_escape(v)));
+            line.push_str(&format!(",{}:{}", json_string(k), json_string(v)));
         }
         line.push('}');
         let _ = writeln!(w, "{line}");
@@ -161,7 +164,7 @@ mod tests {
 
     #[test]
     fn json_escaping_is_safe() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 }

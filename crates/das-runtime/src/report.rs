@@ -160,37 +160,24 @@ impl RunReport {
 
     /// Serializable snapshot (JSON for the bench harness artifacts).
     ///
-    /// Hand-rolled: the kernel name is the only string field, and
-    /// kernel names are ASCII identifiers, so escaping `"` and `\` is
-    /// sufficient. Floats use Rust's shortest-roundtrip `Display`.
+    /// Hand-rolled (strings through [`das_obs::json_string`]). Floats
+    /// use Rust's shortest-roundtrip `Display`.
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.chars()
-                .flat_map(|c| match c {
-                    '"' => vec!['\\', '"'],
-                    '\\' => vec!['\\', '\\'],
-                    c if (c as u32) < 0x20 => {
-                        format!("\\u{:04x}", c as u32).chars().collect()
-                    }
-                    c => vec![c],
-                })
-                .collect()
-        }
         let offloaded = match self.das.as_ref().map(|d| d.offloaded) {
             Some(b) => b.to_string(),
             None => "null".to_string(),
         };
         format!(
             concat!(
-                "{{\"scheme\":\"{}\",\"kernel\":\"{}\",\"data_bytes\":{},",
+                "{{\"scheme\":{},\"kernel\":{},\"data_bytes\":{},",
                 "\"storage_nodes\":{},\"compute_nodes\":{},\"exec_secs\":{},",
                 "\"critical_path_secs\":{},\"op_count\":{},\"disk_read\":{},",
                 "\"disk_write\":{},\"net_client_server\":{},\"net_server_server\":{},",
                 "\"sustained_bandwidth_mib\":{},\"output_fingerprint\":{},",
                 "\"offloaded\":{}}}"
             ),
-            esc(self.scheme.name()),
-            esc(&self.kernel),
+            das_obs::json_string(self.scheme.name()),
+            das_obs::json_string(&self.kernel),
             self.data_bytes,
             self.storage_nodes,
             self.compute_nodes,

@@ -2,7 +2,6 @@
 //! figures, parallelized over independent simulation runs with scoped
 //! threads.
 
-use crossbeam::thread;
 use das_kernels::{kernel_by_name, workload, Raster};
 
 use crate::config::ClusterConfig;
@@ -76,17 +75,13 @@ pub fn node_sweep(
 /// Map `f` over `items` with one scoped thread per item (simulation
 /// runs are independent and CPU-bound), preserving order.
 fn run_parallel<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .iter()
-            .map(|item| scope.spawn(|_| f(item)))
-            .collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items.iter().map(|item| scope.spawn(|| f(item))).collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("sweep worker panicked"))
             .collect()
     })
-    .expect("sweep scope")
 }
 
 #[cfg(test)]
