@@ -21,8 +21,8 @@
 //!    strip writes) compose per-sequence wire-cost formulas from the
 //!    verified per-message expressions plus frame overhead extracted
 //!    from `codec.rs`, and cross-check the totals against measured
-//!    `frame_parts_opts` byte counts over a (D, strip, policy, caps)
-//!    grid. Divergence is `DA812` (deny).
+//!    `frame_parts_opts` byte counts over a (D, strip, policy) grid ×
+//!    the per-frame trace/budget fields. Divergence is `DA812` (deny).
 //!
 //! Codes: `DA810` proof record (per-variant formula verified),
 //! `DA811` symbolic/measured payload drift, `DA812` composed
@@ -84,8 +84,8 @@ struct Arm {
 }
 
 /// Frame overhead constants extracted from source: header and CRC
-/// always present (`frame_parts_opts` sets `FLAG_CRC`), trace and
-/// budget lengths added per caps.
+/// always present (every frame carries the trailer), trace and budget
+/// lengths added per frame that carries them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Overhead {
     header: u64,
@@ -325,7 +325,7 @@ pub fn run(root: &Path) -> Vec<Finding> {
     }
 
     // ---- frame overhead: extracted constants vs the linked framer ----
-    let caps: [(Option<u64>, Option<u32>); 4] =
+    let fields: [(Option<u64>, Option<u32>); 4] =
         [(None, None), (Some(0xD05E), None), (None, Some(250)), (Some(0xD05E), Some(250))];
     let measured_overhead = |trace: Option<u64>, budget: Option<u32>| -> u64 {
         let ping = Message::Ping;
@@ -341,7 +341,7 @@ pub fn run(root: &Path) -> Vec<Finding> {
                     Severity::Error,
                     PASS,
                     format!("{codec_rel}:0"),
-                    "could not extract frame overhead constants (HEADER_LEN / trace_len / budget_len / crc_len) from source — the overhead model is unverifiable",
+                    "could not extract frame overhead constants (HEADER_LEN / trace_len / budget_len / CRC_LEN) from source — the overhead model is unverifiable",
                 ));
                 None
             }
@@ -350,7 +350,7 @@ pub fn run(root: &Path) -> Vec<Finding> {
     let overhead = if let Some((oh, codec_rel, clx, line)) = &extracted_overhead {
         let mut codec_used: Vec<(u32, String)> = Vec::new();
         let mut ok = true;
-        for (tr, bu) in caps {
+        for (tr, bu) in fields {
             let want = oh.of(tr.is_some(), bu.is_some());
             let got = measured_overhead(tr, bu);
             if want != got {
@@ -375,7 +375,7 @@ pub fn run(root: &Path) -> Vec<Finding> {
                 PASS,
                 format!("{codec_rel}:{line}"),
                 format!(
-                    "frame overhead ≡ {} (header) + {} (CRC) + {}·[trace] + {}·[budget] — verified over all caps combinations",
+                    "frame overhead ≡ {} (header) + {} (CRC) + {}·[trace] + {}·[budget] — verified over every trace/budget combination",
                     oh.header, oh.crc, oh.trace, oh.budget
                 ),
             ));
@@ -395,7 +395,7 @@ pub fn run(root: &Path) -> Vec<Finding> {
 
     // ---- composed sequence costs over the layout grid ----------------
     let frames_measured =
-        grid_check(&exprs_by_op, overhead, &caps, &mut out);
+        grid_check(&exprs_by_op, overhead, &fields, &mut out);
 
     lints::stale_waivers(PASS, proto_rel, &lx, &["DA811", "DA813", "DA814"], &used, &mut out);
 
@@ -405,7 +405,7 @@ pub fn run(root: &Path) -> Vec<Finding> {
         PASS,
         "costmodel",
         format!(
-            "{} encode arms extracted ({fixed} fixed, {varlen} variable-length), {verified} formulas verified against the linked codec; sequence grid: 24 layout cells × 4 caps, {frames_measured} frames measured",
+            "{} encode arms extracted ({fixed} fixed, {varlen} variable-length), {verified} formulas verified against the linked codec; sequence grid: 24 layout cells × 4 trace/budget combinations, {frames_measured} frames measured",
             arms.len()
         ),
     ));
@@ -427,7 +427,7 @@ fn emit_waivable(
 
 // ---- grid composition ----------------------------------------------------
 
-/// Sweep the (D, strip, policy) × caps grid: compose symbolic
+/// Sweep the (D, strip, policy) × trace/budget grid: compose symbolic
 /// sequence costs from per-message formulas + overhead, measure the
 /// same sequences through the linked codec, and compare. Also checks
 /// `nas_fetch_plan` against `predict_nas_fetches` (the plan is the
@@ -436,7 +436,7 @@ fn emit_waivable(
 fn grid_check(
     exprs: &BTreeMap<u8, SizeExpr>,
     oh: Overhead,
-    caps: &[(Option<u64>, Option<u32>)],
+    fields: &[(Option<u64>, Option<u32>)],
     out: &mut Vec<Finding>,
 ) -> u64 {
     const OP_PUT: u8 = 0x12;
@@ -513,10 +513,10 @@ fn grid_check(
                 }
                 let strips = (FILE_LEN / ELEMENT).div_ceil((strip / ELEMENT).max(1));
                 let strip_len = |t: u64| strip.min(FILE_LEN - t * strip);
-                for &(tr, bu) in caps {
+                for &(tr, bu) in fields {
                     let o = oh.of(tr.is_some(), bu.is_some());
-                    let cap_cell = format!(
-                        "{cell},caps={}{}",
+                    let field_cell = format!(
+                        "{cell},fields={}{}",
                         if tr.is_some() { "T" } else { "-" },
                         if bu.is_some() { "B" } else { "-" }
                     );
@@ -539,7 +539,7 @@ fn grid_check(
                             })
                             .sum();
                         if sym != meas {
-                            emit(out, cap_cell.clone(), format!(
+                            emit(out, field_cell.clone(), format!(
                                 "peer-fetch sequence: symbolic cost {sym} B ({} fetches × (2·{o} + {k_get} + {k_data}) + {} B), codec produces {meas} B",
                                 pred.fetches, pred.bytes
                             ));
@@ -562,7 +562,7 @@ fn grid_check(
                             })
                             .sum();
                         if sym_r != meas_r {
-                            emit(out, cap_cell.clone(), format!(
+                            emit(out, field_cell.clone(), format!(
                                 "client-read sequence over {strips} strips: symbolic cost {sym_r} B, codec produces {meas_r} B"
                             ));
                         }
@@ -587,7 +587,7 @@ fn grid_check(
                             })
                             .sum();
                         if sym_w != meas_w {
-                            emit(out, cap_cell, format!(
+                            emit(out, field_cell, format!(
                                 "client-write sequence over {strips} strips: symbolic cost {sym_w} B, codec produces {meas_w} B"
                             ));
                         }
@@ -735,15 +735,15 @@ fn known_opcodes_len(toks: &[Token]) -> Option<u64> {
 }
 
 /// Extract frame overhead constants: `HEADER_LEN` from the proto
-/// source, `trace_len`/`budget_len`/`crc_len` from the codec's
-/// `FrameHeader::parse`, the one header check under both readers
-/// (the first numeric literal inside each binding's conditional).
-/// Returns the overhead plus the codec line to anchor findings on.
+/// source; `CRC_LEN` and the `trace_len`/`budget_len` bindings of
+/// `FrameHeader::parse`, the one header check under both readers (the
+/// first numeric literal inside each binding's conditional), from the
+/// codec source. Returns the overhead and the codec line to anchor on.
 fn extract_overhead(proto_toks: &[Token], codec_toks: &[Token]) -> Option<(Overhead, u32)> {
     let header = const_value(proto_toks, "HEADER_LEN")?;
+    let crc = const_value(codec_toks, "CRC_LEN")?;
     let (trace, line) = flag_len(codec_toks, "trace_len")?;
     let (budget, _) = flag_len(codec_toks, "budget_len")?;
-    let (crc, _) = flag_len(codec_toks, "crc_len")?;
     Some((Overhead { header, crc, trace, budget }, line))
 }
 
@@ -1258,10 +1258,10 @@ impl Message {
     #[test]
     fn overhead_constants_verified_from_codec_source() {
         let codec = "\
+const CRC_LEN: usize = 4;
 fn parse(flags: u16) {
     let trace_len = if flags & FLAG_TRACE != 0 { 8 } else { 0 };
     let budget_len = if flags & FLAG_DEADLINE != 0 { 4 } else { 0 };
-    let crc_len = if flags & FLAG_CRC != 0 { 4 } else { 0 };
 }
 ";
         let proto = format!("pub const HEADER_LEN: usize = 12;\n{FAITHFUL}");

@@ -52,8 +52,8 @@
 //!   against the linked codec per variant, then compose per-sequence
 //!   costs (peer dependence fetches, client reads/writes) and
 //!   cross-check them against measured frames over a
-//!   (D, strip, policy, caps) grid — the Eqs. 1–17 bookkeeping held
-//!   to the actual bytes.
+//!   (D, strip, policy) grid × the per-frame trace/budget fields —
+//!   the Eqs. 1–17 bookkeeping held to the actual bytes.
 //!
 //! The `das-analyze` binary runs the passes against a repository
 //! root; `--deny` turns any warning- or error-level finding into a

@@ -3,8 +3,8 @@
 //! Parses the tables in `docs/PROTOCOL.md` — the protocol's source of
 //! truth for humans — and fails when the spec and the code disagree
 //! on an opcode, an error code, or a fault class. The wire behaviour
-//! itself (roundtrips, rejected opcodes and flag bits, caps
-//! negotiation) is held by das-net's own tests.
+//! itself (roundtrips, rejected opcodes and flag bits, the handshake's
+//! `caps` check) is held by das-net's own tests.
 //!
 //! Finding codes:
 //!

@@ -164,7 +164,7 @@ fn messages() -> impl Strategy<Value = Message> {
     ]
 }
 
-fn caps() -> impl Strategy<Value = (Option<u64>, Option<u32>)> {
+fn fields() -> impl Strategy<Value = (Option<u64>, Option<u32>)> {
     (
         prop_oneof![Just(None), any::<u64>().prop_map(Some)],
         prop_oneof![Just(None), any::<u32>().prop_map(Some)],
@@ -180,10 +180,10 @@ proptest! {
     }
 
     // The frame-level formula: header + CRC + optional trace and
-    // budget fields + payload, for every caps combination — the
+    // budget fields + payload, for every combination of the two — the
     // per-message term every DA812 sequence cost composes from.
     #[test]
-    fn frame_len_matches_symbolic_formula(msg in messages(), (trace, budget) in caps()) {
+    fn frame_len_matches_symbolic_formula(msg in messages(), (trace, budget) in fields()) {
         let overhead = 12 + 4
             + if trace.is_some() { 8 } else { 0 }
             + if budget.is_some() { 4 } else { 0 };

@@ -114,8 +114,7 @@ pub struct BenchReport {
     /// Per-class breakdown, in `get`/`put`/`exec` order.
     pub classes: Vec<ClassStats>,
     /// Fleet-aggregated server-side stage attribution, sorted by
-    /// `(stage, op)`. Empty when the fleet predates `CAP_SPANS`
-    /// instrumentation or no request was served.
+    /// `(stage, op)`. Empty when no request was served.
     pub stages: Vec<StageStats>,
 }
 

@@ -52,9 +52,7 @@ use crate::codec::NetError;
 use crate::conn::{is_long_op, reply_deadline, Link, RpcConn, Sent};
 use crate::engine::MAX_INFLIGHT;
 use crate::hedge::LoadTracker;
-use crate::proto::{ErrorCode, Message, Role, WireStats, CAP_SPANS};
-#[cfg(test)]
-use crate::proto::CAP_TRACE;
+use crate::proto::{ErrorCode, Message, Role, WireStats};
 use crate::retry::RetryPolicy;
 
 /// How long one look at a connection lasts while replies may be
@@ -66,11 +64,6 @@ const POLL_SLICE: Duration = Duration::from_millis(1);
 struct ClientConn {
     addr: String,
     live: Option<RpcConn>,
-    /// Whether the server's last `HelloOk` advertised [`CAP_SPANS`] —
-    /// the `TraceDump`/`SlowLog` opcodes are never sent to a server
-    /// that did not, so a legacy daemon is never shown an opcode it
-    /// cannot parse.
-    spans_ok: bool,
 }
 
 /// One request of an exchange: the message, the server it is written
@@ -118,8 +111,8 @@ pub struct DasCluster {
     events: Vec<DegradeEvent>,
     policy: RetryPolicy,
     metrics: Arc<das_obs::Registry>,
-    /// Trace id stamped on outgoing requests (to CAP_TRACE servers)
-    /// until the next [`DasCluster::begin_trace`].
+    /// Trace id stamped on outgoing requests until the next
+    /// [`DasCluster::begin_trace`].
     trace: Option<u64>,
     /// Per-server latency EWMAs: replica walks demote stragglers, and
     /// the hedge delay is derived from the chosen server's estimate.
@@ -154,11 +147,7 @@ fn degradable(e: &NetError) -> bool {
 fn conn_dial<'a>(conn: &'a mut ClientConn, policy: &RetryPolicy) -> Result<&'a mut RpcConn, NetError> {
     let live = match conn.live.take() {
         Some(live) => live,
-        None => {
-            let live = RpcConn::dial(&conn.addr, policy, Role::Client, 0)?;
-            conn.spans_ok = live.has(CAP_SPANS);
-            live
-        }
+        None => RpcConn::dial(&conn.addr, policy, Role::Client, 0)?,
     };
     Ok(conn.live.insert(live))
 }
@@ -179,7 +168,7 @@ impl DasCluster {
         let mut cluster = DasCluster {
             conns: addrs
                 .iter()
-                .map(|a| ClientConn { addr: a.clone(), live: None, spans_ok: false })
+                .map(|a| ClientConn { addr: a.clone(), live: None })
                 .collect(),
             down: vec![false; addrs.len()],
             events: Vec::new(),
@@ -239,9 +228,8 @@ impl DasCluster {
         &self.metrics
     }
 
-    /// Mint a fresh trace id and stamp it on every subsequent request
-    /// to servers that advertised [`crate::proto::CAP_TRACE`]. Returns
-    /// the id so callers can correlate client logs with daemon-side
+    /// Mint a fresh trace id and stamp it on every subsequent request.
+    /// Returns the id so callers can correlate client logs with daemon-side
     /// traces.
     pub fn begin_trace(&mut self) -> u64 {
         let id = das_obs::next_trace_id();
@@ -341,8 +329,7 @@ impl DasCluster {
     /// Scatter/gather, one attempt per request. Every ask is written
     /// before any reply is read, one request per server in turn — up to
     /// [`MAX_INFLIGHT`] on one connection for `strip_io` under a trace
-    /// id to a server that echoes ids ([`crate::proto::CAP_TRACE`]),
-    /// each under its own [`das_obs::sub_id`] of the run's id; else one
+    /// id, each under its own [`das_obs::sub_id`] of the run's id; else one
     /// at a time, under the run's id — and each reply is matched to its
     /// request by the id it echoes. Returns what each ask's lanes
     /// answered: attempt one of each; retrying is the caller's. Every
@@ -821,17 +808,8 @@ impl DasCluster {
     }
 
     /// Ask server `s` for a span blob (`ask` is a `TraceDump` or a
-    /// `SlowLog`) and decode it. Fails with a typed
-    /// [`ErrorCode::BadRequest`]-shaped error client-side when the
-    /// server did not advertise [`CAP_SPANS`] — the opcode is never
-    /// put on a legacy server's wire.
+    /// `SlowLog`) and decode it.
     fn spans_from(&mut self, s: usize, ask: &Message) -> Result<Vec<das_obs::SpanRecord>, NetError> {
-        if !self.conns[s].spans_ok {
-            return Err(NetError::Remote {
-                code: ErrorCode::BadRequest,
-                message: format!("server {s} did not negotiate CAP_SPANS"),
-            });
-        }
         match (ask, self.call(s, ask)?) {
             (Message::TraceDump { .. }, Message::TraceDumpResp { spans })
             | (Message::SlowLog { .. }, Message::SlowLogResp { spans }) => das_obs::decode_spans(&spans)
@@ -840,28 +818,23 @@ impl DasCluster {
         }
     }
 
-    /// [`DasCluster::spans_from`] every reachable server that
-    /// negotiated [`CAP_SPANS`], paired with its server id. Legacy
-    /// servers are skipped, not errored: a mixed fleet still renders a
-    /// (partial) waterfall.
+    /// [`DasCluster::spans_from`] every reachable server, paired with
+    /// its server id.
     fn spans_from_all(&mut self, ask: &Message) -> Result<Vec<(u32, Vec<das_obs::SpanRecord>)>, NetError> {
-        let capable: Vec<usize> =
-            self.up_servers().into_iter().filter(|&s| self.conns[s].spans_ok).collect();
-        capable
+        self.up_servers()
             .into_iter()
             .map(|s| self.spans_from(s, ask).map(|spans| (s as u32, spans)))
             .collect()
     }
 
     /// Dump the spans server `s` retains for `trace` from its flight
-    /// recorder (see [`Message::TraceDump`]); a typed error, nothing on
-    /// the wire, if the server did not advertise [`CAP_SPANS`].
+    /// recorder (see [`Message::TraceDump`]).
     pub fn trace_dump(&mut self, s: usize, trace: u64) -> Result<Vec<das_obs::SpanRecord>, NetError> {
         self.spans_from(s, &Message::TraceDump { trace })
     }
 
-    /// [`DasCluster::trace_dump`] from every reachable [`CAP_SPANS`]
-    /// server, paired with its server id (legacy servers skipped).
+    /// [`DasCluster::trace_dump`] from every reachable server, paired
+    /// with its server id.
     pub fn trace_dump_all(
         &mut self,
         trace: u64,
@@ -871,8 +844,7 @@ impl DasCluster {
 
     /// Server `s`'s slowest-roots reservoir: up to `per_class` slowest
     /// requests per op class with their retained sub-spans (see
-    /// [`Message::SlowLog`]). Same [`CAP_SPANS`] gating as
-    /// [`DasCluster::trace_dump`].
+    /// [`Message::SlowLog`]).
     pub fn slow_log(
         &mut self,
         s: usize,
@@ -881,8 +853,8 @@ impl DasCluster {
         self.spans_from(s, &Message::SlowLog { per_class })
     }
 
-    /// [`DasCluster::slow_log`] from every reachable [`CAP_SPANS`]
-    /// server, paired with its server id (legacy servers skipped).
+    /// [`DasCluster::slow_log`] from every reachable server, paired
+    /// with its server id.
     pub fn slow_log_all(
         &mut self,
         per_class: u32,
@@ -1008,7 +980,7 @@ impl<'a, 'm> Wave<'a, 'm> {
         while wrote {
             wrote = false;
             for (s, link) in self.links.iter_mut().enumerate() {
-                let Some(live) = cluster.conns[s].live.as_mut().filter(|live| link.has_room(live)) else { continue };
+                let Some(live) = cluster.conns[s].live.as_mut().filter(|_| link.has_room()) else { continue };
                 let Some((ask, lane)) = link.queued.pop_front() else { continue };
                 wrote = true;
                 if lane == 1 {
@@ -1018,7 +990,7 @@ impl<'a, 'm> Wave<'a, 'm> {
                     cluster.metrics.counter("das_client_hedges_total", &[]).inc();
                 }
                 let msg = self.asks[ask].msg;
-                let budget = reply_deadline(&cluster.policy, msg, link.pipelined(live));
+                let budget = reply_deadline(&cluster.policy, msg, link.pipelined());
                 if let Err(e) = link.send(live, (ask, lane), msg, None, Some(budget)) {
                     cluster.conns[s].live = None;
                     self.firsts[ask][lane] = Some(Err(e));
@@ -1455,7 +1427,8 @@ mod tests {
     use std::thread::JoinHandle;
 
     use super::*;
-    use crate::codec::{read_frame, read_message, write_message_opts};
+    use crate::codec::{read_frame_ex, write_message_opts};
+    use crate::proto::LOCAL_CAPS;
     use crate::server::{spawn, DasdConfig, DasdHandle};
 
     /// The one-strip file the stub holders serve: two servers, strip 0
@@ -1492,13 +1465,13 @@ mod tests {
     type Tally = [Arc<AtomicUsize>; 3];
 
     impl StubHolder {
-        /// A legacy holder (no capabilities) of [`STUB_DIST`] that
-        /// answers every `GetStrip` with `answer` once `hold` returns.
+        /// A holder of [`STUB_DIST`] that answers every `GetStrip` with
+        /// `answer` once `hold` returns, one request at a time.
         fn spawn(hold: impl Fn() + Send + Sync + 'static, answer: Message) -> StubHolder {
             StubHolder::start(move |sock, tally| serve(sock, &hold, &answer, tally))
         }
 
-        /// A [`CAP_TRACE`] holder of [`WAVE_DIST`] that holds strip
+        /// A holder of [`WAVE_DIST`] that holds strip
         /// requests while the client is still writing them, then
         /// answers them newest first with the ids they carried:
         /// `answer` maps each request to its reply.
@@ -1544,10 +1517,10 @@ mod tests {
 
     fn serve(mut sock: TcpStream, hold: &dyn Fn(), answer: &Message, [gets, answered, _]: &Tally) {
         sock.set_nonblocking(false).expect("blocking connection");
-        while let Ok(Some(request)) = read_message(&mut sock) {
-            let is_get = matches!(request, Message::GetStrip { .. });
-            let reply = match request {
-                Message::Hello { .. } => Message::HelloOk { server_id: 0, caps: 0 },
+        while let Ok(Some(frame)) = read_frame_ex(&mut sock) {
+            let is_get = matches!(frame.msg, Message::GetStrip { .. });
+            let reply = match frame.msg {
+                Message::Hello { .. } => Message::HelloOk { server_id: 0, caps: LOCAL_CAPS },
                 Message::GetDistribution { .. } => Message::DistributionResp { dist: STUB_DIST },
                 Message::GetStrip { .. } => {
                     gets.fetch_add(1, Ordering::SeqCst);
@@ -1556,7 +1529,7 @@ mod tests {
                 }
                 _ => Message::Pong,
             };
-            if write_message_opts(&mut sock, &reply, None, None).is_err() {
+            if write_message_opts(&mut sock, &reply, frame.trace, None).is_err() {
                 break;
             }
             if is_get {
@@ -1582,7 +1555,7 @@ mod tests {
                 deepest.fetch_max(held.iter().filter(|(request, _)| is_strip_op(request)).count(), Ordering::SeqCst);
                 for (request, id) in held.drain(..).rev() {
                     let reply = match request {
-                        Message::Hello { .. } => Message::HelloOk { server_id: 0, caps: CAP_TRACE },
+                        Message::Hello { .. } => Message::HelloOk { server_id: 0, caps: LOCAL_CAPS },
                         Message::GetDistribution { .. } => Message::DistributionResp { dist: WAVE_DIST },
                         _ => answer(&request),
                     };
@@ -1593,11 +1566,11 @@ mod tests {
                 }
                 continue;
             }
-            let Ok(Some((request, id))) = read_frame(&mut sock) else { break };
-            if is_strip_op(&request) {
+            let Ok(Some(frame)) = read_frame_ex(&mut sock) else { break };
+            if is_strip_op(&frame.msg) {
                 gets.fetch_add(1, Ordering::SeqCst);
             }
-            held.push((request, id));
+            held.push((frame.msg, frame.trace));
         }
     }
 
@@ -1824,9 +1797,9 @@ mod tests {
     fn a_slow_execute_is_answered_on_attempt_one() {
         let stub = StubHolder::start(|mut sock, [execs, _, _]| {
             sock.set_nonblocking(false).expect("blocking connection");
-            while let Ok(Some(request)) = read_message(&mut sock) {
-                let reply = match request {
-                    Message::Hello { .. } => Message::HelloOk { server_id: 0, caps: 0 },
+            while let Ok(Some(frame)) = read_frame_ex(&mut sock) {
+                let reply = match frame.msg {
+                    Message::Hello { .. } => Message::HelloOk { server_id: 0, caps: LOCAL_CAPS },
                     Message::Execute { .. } => {
                         execs.fetch_add(1, Ordering::SeqCst);
                         std::thread::sleep(RetryPolicy::fast().read_timeout * 3 / 2);
@@ -1834,7 +1807,7 @@ mod tests {
                     }
                     _ => Message::Pong,
                 };
-                if write_message_opts(&mut sock, &reply, None, None).is_err() {
+                if write_message_opts(&mut sock, &reply, frame.trace, None).is_err() {
                     break;
                 }
             }

@@ -17,18 +17,16 @@
 //!      …     4  CRC32 of header[+trace][+budget]+payload (flag bit 0)
 //! ```
 //!
-//! Writers in this build always emit the CRC trailer; readers verify
-//! it when present and still accept trailer-less frames (flags 0) so
-//! a capability-negotiated downgrade stays possible. The checksum
-//! covers the *header as well as* the payload, so a flipped opcode or
-//! length byte is caught, not just corrupted payload bytes.
+//! Every frame carries the CRC trailer: a reader refuses a frame whose
+//! header lacks flag bit 0 before reading past the header, so no frame
+//! is ever taken unchecked. The checksum covers the *header as well
+//! as* the payload, so a flipped opcode or length byte is caught, not
+//! just corrupted payload bytes.
 //!
 //! The optional 8-byte **trace id** (little-endian, between header
 //! and payload; *not* counted by the payload-length field) correlates
-//! every hop of one logical request across the cluster. It is only
-//! sent to peers that advertised `CAP_TRACE` in their
-//! `Hello`/`HelloOk`, so frames to a legacy peer stay bit-identical
-//! to protocol version 1 without the field.
+//! every hop of one logical request across the cluster. A sender
+//! attaches it per frame, only to a traced request or its reply.
 //!
 //! The optional 4-byte **deadline budget** (little-endian
 //! milliseconds, after the trace id when both are present; also not
@@ -36,9 +34,7 @@
 //! sender is still willing to wait for this request. A server sheds
 //! the request with a typed `Overloaded` error instead of running it
 //! once the budget has expired, and forwards the *remaining* budget
-//! on any dependence fetch it issues on the request's behalf. The
-//! field is only sent to peers that advertised `CAP_DEADLINE` —
-//! legacy peers see bit-identical frames without it.
+//! on any dependence fetch it issues on the request's behalf.
 
 use std::io::{self, IoSlice, Read, Write};
 use std::sync::Arc;
@@ -47,25 +43,25 @@ use std::time::Instant;
 use crate::proto::{DecodeError, ErrorCode, Message, HEADER_LEN, MAGIC, MAX_PAYLOAD, VERSION};
 
 /// Frame-header flag bit 0: a 4-byte CRC32 trailer follows the
-/// payload, covering the header and payload bytes.
+/// payload, covering the header and payload bytes. Set on every frame;
+/// a frame without it is refused.
 pub const FLAG_CRC: u16 = 0x0001;
+
+/// Length of the CRC32 trailer every frame ends with.
+const CRC_LEN: usize = 4;
 
 /// Frame-header flag bit 1: an 8-byte little-endian trace id sits
 /// between the header and the payload (and is covered by the CRC
-/// trailer when both flags are set). Only sent to peers that
-/// advertised [`crate::proto::CAP_TRACE`].
+/// trailer).
 pub const FLAG_TRACE: u16 = 0x0002;
 
 /// Frame-header flag bit 2: a 4-byte little-endian deadline budget
 /// (milliseconds) sits between the trace id (when present) and the
-/// payload, covered by the CRC trailer. Only sent to peers that
-/// advertised [`crate::proto::CAP_DEADLINE`].
+/// payload, covered by the CRC trailer.
 pub const FLAG_DEADLINE: u16 = 0x0004;
 
 /// Every assigned frame-flag bit. A frame setting any other bit is
-/// rejected before its payload is read; the protocol-conformance
-/// pass sweeps the full combination space of these bits (and probes
-/// unassigned ones) against [`read_frame`].
+/// rejected before its payload is read.
 pub const KNOWN_FLAGS: u16 = FLAG_CRC | FLAG_TRACE | FLAG_DEADLINE;
 
 /// Consecutive mid-frame read timeouts tolerated before the reader
@@ -282,7 +278,7 @@ pub struct FrameParts<'a> {
     /// Borrowed bulk payload bytes (empty for non-blob messages).
     pub body: &'a [u8],
     /// CRC32 trailer over `head ⧺ body`, little-endian.
-    pub tail: [u8; 4],
+    pub tail: [u8; CRC_LEN],
 }
 
 impl FrameParts<'_> {
@@ -309,10 +305,8 @@ impl FrameParts<'_> {
 }
 
 /// Build the scatter/gather segments of one frame, optionally carrying
-/// a trace id and a deadline budget (milliseconds). Callers must only
-/// pass `Some` for a field whose capability ([`crate::proto::CAP_TRACE`]
-/// / [`crate::proto::CAP_DEADLINE`]) the receiving peer advertised. The
-/// bulk payload of blob-carrying messages is *borrowed* from the message
+/// a trace id and a deadline budget (milliseconds). The bulk payload
+/// of blob-carrying messages is *borrowed* from the message
 /// ([`Message::split_payload`]), so encoding a 4 MiB strip allocates
 /// only the ~30-byte head.
 pub fn frame_parts_opts(
@@ -478,8 +472,9 @@ struct FrameHeader {
 }
 
 impl FrameHeader {
-    /// Check magic, version and flag bits, and the wire length against
-    /// [`MAX_PAYLOAD`] before anything is sized or indexed from it.
+    /// Check magic, version and flag bits — [`FLAG_CRC`] set, no
+    /// unassigned bit — and the wire length against [`MAX_PAYLOAD`]
+    /// before anything is sized or indexed from it.
     fn parse(header: &[u8; HEADER_LEN]) -> Result<FrameHeader, NetError> {
         let [m0, m1, m2, m3, version, opcode, f0, f1, l0, l1, l2, l3] = *header;
         if [m0, m1, m2, m3] != MAGIC {
@@ -494,6 +489,9 @@ impl FrameHeader {
         if flags & !KNOWN_FLAGS != 0 {
             return Err(NetError::Protocol(format!("unknown flags 0x{flags:04x}")));
         }
+        if flags & FLAG_CRC == 0 {
+            return Err(NetError::Protocol(format!("frame without checksum (flags 0x{flags:04x})")));
+        }
         let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
         if len > MAX_PAYLOAD {
             return Err(NetError::Protocol(format!(
@@ -502,8 +500,7 @@ impl FrameHeader {
         }
         let trace_len = if flags & FLAG_TRACE != 0 { 8 } else { 0 };
         let budget_len = if flags & FLAG_DEADLINE != 0 { 4 } else { 0 };
-        let crc_len = if flags & FLAG_CRC != 0 { 4 } else { 0 };
-        Ok(FrameHeader { opcode, fields: [trace_len, budget_len, len, crc_len] })
+        Ok(FrameHeader { opcode, fields: [trace_len, budget_len, len, CRC_LEN] })
     }
 
     /// Bytes of the frame after its header.
@@ -524,23 +521,21 @@ impl FrameHeader {
 
     /// Verify and decode the frame whose header (`header`, the bytes
     /// `self` was parsed from) is followed by `rest`, exactly
-    /// [`FrameHeader::rest_len`] bytes: optional fields, checksum when
-    /// present, then the payload.
+    /// [`FrameHeader::rest_len`] bytes: optional fields, the payload,
+    /// then the checksum, which is verified first.
     fn decode(&self, header: &[u8], rest: &[u8]) -> Result<Frame, NetError> {
         let parse_started = Instant::now();
         let (trace, rest) = rest.split_at(self.fields[0]);
         let (budget, rest) = rest.split_at(self.fields[1]);
         let (payload, trailer) = rest.split_at(self.fields[2]);
-        let mut blob_sum = None;
-        if let Ok(trailer) = <[u8; 4]>::try_from(trailer) {
-            let wanted = u32::from_le_bytes(trailer);
-            let actual;
-            (actual, blob_sum) = frame_sums(self.opcode, [header, trace, budget], payload);
-            if wanted != actual {
-                return Err(NetError::Protocol(format!(
-                    "frame checksum mismatch: wire {wanted:#010x}, computed {actual:#010x}"
-                )));
-            }
+        let mut wanted = [0u8; CRC_LEN];
+        wanted.copy_from_slice(trailer);
+        let wanted = u32::from_le_bytes(wanted);
+        let (actual, blob_sum) = frame_sums(self.opcode, [header, trace, budget], payload);
+        if wanted != actual {
+            return Err(NetError::Protocol(format!(
+                "frame checksum mismatch: wire {wanted:#010x}, computed {actual:#010x}"
+            )));
         }
         let msg = Message::decode(self.opcode, payload)?;
         Ok(Frame {
@@ -590,26 +585,6 @@ fn read_rest<R: Read>(r: &mut R, header: &FrameHeader) -> Result<Vec<u8>, NetErr
     Ok(rest)
 }
 
-/// Read exactly one frame from `r`, verify its checksum when present,
-/// and decode it. An EOF *before the first header byte* surfaces as
-/// `Ok(None)` (clean connection close); an EOF mid-frame is an error.
-///
-/// Sockets with a read timeout: a timeout while *waiting* for a frame
-/// (no header byte read yet) surfaces as the I/O error so the caller
-/// can poll a shutdown flag and retry; a timeout *mid-frame* retries
-/// a bounded number of times (giving up there desynchronizes the
-/// stream, so the caller must discard the connection — which every
-/// caller in this crate now does).
-pub fn read_message<R: Read>(r: &mut R) -> Result<Option<Message>, NetError> {
-    Ok(read_frame(r)?.map(|(msg, _trace)| msg))
-}
-
-/// Like [`read_message`], also surfacing the frame's trace id when
-/// the sender attached one (`FLAG_TRACE`).
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<(Message, Option<u64>)>, NetError> {
-    Ok(read_frame_ex(r)?.map(|f| (f.msg, f.trace)))
-}
-
 /// The checksum a frame's trailer must carry — `fixed` is everything
 /// before the payload (header, trace id, budget; absent ones empty) —
 /// and, for a blob-carrying opcode, the blob's own sum: the fixed part
@@ -639,8 +614,8 @@ pub struct Frame {
     /// sender attached one.
     pub budget_ms: Option<u32>,
     /// [`crc32`] of the message's blob alone, for a blob-carrying
-    /// frame that arrived with a checksum trailer: verifying the frame
-    /// computes it, and a receiver that keeps the blob keeps this.
+    /// frame: verifying the frame computes it, and a receiver that
+    /// keeps the blob keeps this.
     pub blob_sum: Option<u32>,
     /// Microseconds of CPU spent validating and decoding the frame
     /// (checksum verification + payload parse), excluding any time
@@ -649,8 +624,17 @@ pub struct Frame {
     pub decode_us: u64,
 }
 
-/// Like [`read_frame`], also surfacing the frame's deadline budget
-/// when the sender attached one (`FLAG_DEADLINE`).
+/// Read exactly one frame from `r`, verify its checksum, and decode
+/// it with the optional fields the sender attached. An EOF *before the
+/// first header byte* surfaces as `Ok(None)` (clean connection close);
+/// an EOF mid-frame is an error.
+///
+/// Sockets with a read timeout: a timeout while *waiting* for a frame
+/// (no header byte read yet) surfaces as the I/O error so the caller
+/// can poll a shutdown flag and retry; a timeout *mid-frame* retries
+/// a bounded number of times (giving up there desynchronizes the
+/// stream, so the caller must discard the connection — which every
+/// caller in this crate does).
 pub fn read_frame_ex<R: Read>(r: &mut R) -> Result<Option<Frame>, NetError> {
     let mut header = [0u8; HEADER_LEN];
     // The first read decides clean-close vs mid-frame cut, and a
@@ -868,11 +852,11 @@ mod tests {
 
         let mut src = CountingStream::new(Cursor::new(buf));
         src.count_into(Arc::clone(&bytes_in), Arc::clone(&bytes_out));
-        let back = read_message(&mut src).unwrap().unwrap();
+        let back = read_frame_ex(&mut src).unwrap().unwrap().msg;
         assert_eq!(back, msg);
         assert_eq!((bytes_in.get(), bytes_out.get()), (written, written));
         // Clean EOF after the frame.
-        assert!(read_message(&mut src).unwrap().is_none());
+        assert!(read_frame_ex(&mut src).unwrap().is_none());
     }
 
     #[test]
@@ -881,7 +865,7 @@ mod tests {
         let mut buf = Vec::new();
         write_message_opts(&mut buf, &msg, None, None).unwrap();
         buf[0] = b'X';
-        match read_message(&mut Cursor::new(buf)) {
+        match read_frame_ex(&mut Cursor::new(buf)) {
             Err(NetError::Protocol(m)) => assert!(m.contains("magic")),
             other => panic!("expected protocol error, got {other:?}"),
         }
@@ -892,7 +876,7 @@ mod tests {
         let msg = Message::PutStrip { file: 1, strip: 2, payload: vec![7; 64] };
         let mut buf = encode_frame_opts(&msg, None, None);
         buf[HEADER_LEN + 20] ^= 0x40; // flip one payload bit
-        match read_message(&mut Cursor::new(buf)) {
+        match read_frame_ex(&mut Cursor::new(buf)) {
             Err(NetError::Protocol(m)) => assert!(m.contains("checksum"), "got {m:?}"),
             other => panic!("expected checksum error, got {other:?}"),
         }
@@ -904,12 +888,13 @@ mod tests {
         // decode as a different (well-formed) message.
         let mut buf = encode_frame_opts(&Message::Ping, None, None);
         buf[5] ^= 0x01; // Ping (0x50) -> Pong (0x51), payloads identical
-        assert!(read_message(&mut Cursor::new(buf)).is_err());
+        assert!(read_frame_ex(&mut Cursor::new(buf)).is_err());
     }
 
     #[test]
-    fn crc_less_frames_are_still_accepted() {
-        // Flags 0, no trailer — the negotiated-downgrade format.
+    fn crc_less_frames_are_refused() {
+        // Flags 0, no trailer: a frame nothing checks is refused at its
+        // header, through both readers.
         let msg = Message::GetStrip { file: 3, strip: 9 };
         let payload = msg.encode_payload();
         let mut buf = Vec::new();
@@ -919,29 +904,32 @@ mod tests {
         buf.extend_from_slice(&0u16.to_le_bytes());
         buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         buf.extend_from_slice(&payload);
-        let back = read_message(&mut Cursor::new(&buf)).unwrap().unwrap();
-        assert_eq!(back, msg);
-        // With no checksum to catch it, an unassigned flag bit is still
-        // refused by the header check.
+        match read_frame_ex(&mut Cursor::new(&buf)) {
+            Err(NetError::Protocol(m)) => assert!(m.contains("without checksum"), "{m}"),
+            other => panic!("expected the typed refusal, got {other:?}"),
+        }
+        let mut fb = FrameBuffer::new();
+        fb.extend(&buf);
+        assert!(fb.next_frame_ex().is_err());
+        // An unassigned flag bit is refused by the header check too,
+        // alone or beside the checksum flag.
         for flag in (0..16).map(|bit| 1u16 << bit).filter(|flag| flag & KNOWN_FLAGS == 0) {
-            buf[6..8].copy_from_slice(&flag.to_le_bytes());
-            assert!(read_message(&mut Cursor::new(&buf)).is_err(), "flag 0x{flag:04x} accepted");
+            for flags in [flag, flag | FLAG_CRC] {
+                buf[6..8].copy_from_slice(&flags.to_le_bytes());
+                assert!(read_frame_ex(&mut Cursor::new(&buf)).is_err(), "flags 0x{flags:04x} accepted");
+            }
         }
     }
 
     #[test]
-    fn traced_frames_roundtrip_and_legacy_readers_differ_only_by_flag() {
+    fn traced_frames_roundtrip_and_untraced_ones_report_no_trace() {
         let msg = Message::GetStrip { file: 3, strip: 9 };
         let frame = encode_frame_opts(&msg, Some(0xDEAD_BEEF_CAFE_F00D), None);
-        let (back, trace) = read_frame(&mut Cursor::new(frame)).unwrap().unwrap();
-        assert_eq!(back, msg);
-        assert_eq!(trace, Some(0xDEAD_BEEF_CAFE_F00D));
-        // Untraced frames read identically through both entry points
-        // and report no trace id.
+        let back = read_frame_ex(&mut Cursor::new(frame)).unwrap().unwrap();
+        assert_eq!((back.msg, back.trace), (msg.clone(), Some(0xDEAD_BEEF_CAFE_F00D)));
         let plain = encode_frame_opts(&msg, None, None);
-        let (back, trace) = read_frame(&mut Cursor::new(plain)).unwrap().unwrap();
-        assert_eq!(back, msg);
-        assert_eq!(trace, None);
+        let back = read_frame_ex(&mut Cursor::new(plain)).unwrap().unwrap();
+        assert_eq!((back.msg, back.trace), (msg, None));
     }
 
     #[test]
@@ -979,7 +967,7 @@ mod tests {
     fn corrupted_trace_id_fails_the_checksum() {
         let mut frame = encode_frame_opts(&Message::Ping, Some(42), None);
         frame[HEADER_LEN] ^= 0x01; // first byte of the trace field
-        assert!(read_frame(&mut Cursor::new(frame)).is_err());
+        assert!(read_frame_ex(&mut Cursor::new(frame)).is_err());
     }
 
     /// A writer that accepts at most one byte per call, exercising
@@ -1080,7 +1068,7 @@ mod tests {
         bad.extend_from_slice(&MAGIC);
         bad.push(VERSION);
         bad.push(0x50);
-        bad.extend_from_slice(&0u16.to_le_bytes());
+        bad.extend_from_slice(&FLAG_CRC.to_le_bytes());
         bad.extend_from_slice(&u32::MAX.to_le_bytes());
         let mut fb = FrameBuffer::new();
         fb.extend(&bad);
@@ -1134,13 +1122,13 @@ mod tests {
         }
     }
 
-    /// A frame header claiming `len` payload bytes, no trailer.
+    /// A frame header claiming `len` payload bytes.
     fn bare_header(len: usize) -> Vec<u8> {
         let mut buf = Vec::new();
         buf.extend_from_slice(&MAGIC);
         buf.push(VERSION);
         buf.push(0x15);
-        buf.extend_from_slice(&0u16.to_le_bytes());
+        buf.extend_from_slice(&FLAG_CRC.to_le_bytes());
         buf.extend_from_slice(&(len as u32).to_le_bytes());
         buf
     }
@@ -1219,9 +1207,9 @@ mod tests {
         buf.extend_from_slice(&MAGIC);
         buf.push(VERSION);
         buf.push(0x50);
-        buf.extend_from_slice(&0u16.to_le_bytes());
+        buf.extend_from_slice(&FLAG_CRC.to_le_bytes());
         buf.extend_from_slice(&(u32::MAX).to_le_bytes());
-        match read_message(&mut Cursor::new(buf)) {
+        match read_frame_ex(&mut Cursor::new(buf)) {
             Err(NetError::Protocol(m)) => assert!(m.contains("cap")),
             other => panic!("expected protocol error, got {other:?}"),
         }

@@ -4,8 +4,7 @@
 //! [`Link`] both drive pipelined waves of requests over.
 //!
 //! [`RpcConn`] owns what both must decide identically: the
-//! `Hello`/`HelloOk` handshake, which optional frame fields the
-//! server's capabilities admit, how long a reply may take, and what a
+//! `Hello`/`HelloOk` handshake, how long a reply may take, and what a
 //! reply frame means to the caller. [`Link`] owns one connection's
 //! share of a wave: the requests queued for it, those in flight on it
 //! up to a depth under per-request ids, which request each reply
@@ -21,18 +20,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::codec::{
-    frame_parts_summed, read_frame, read_message, write_frame_vectored, write_message_opts, CountingStream,
-    NetError,
+    frame_parts_summed, read_frame_ex, write_frame_vectored, write_message_opts, CountingStream, Frame, NetError,
 };
 use crate::hedge::LoadTracker;
-use crate::proto::{Message, Role, CAP_DEADLINE, CAP_TRACE, LOCAL_CAPS};
+use crate::proto::{check_caps, Message, Role, LOCAL_CAPS};
 use crate::retry::RetryPolicy;
 
 /// A connection that has completed the handshake.
 pub(crate) struct RpcConn {
     stream: CountingStream<TcpStream>,
-    /// Capabilities the server's `HelloOk` advertised.
-    caps: u32,
 }
 
 /// Offloaded executes and redistribution phases do real work (kernel
@@ -63,8 +59,8 @@ pub(crate) fn reply_deadline(policy: &RetryPolicy, msg: &Message, pipelined: boo
 /// What one reply frame means to the caller: a typed
 /// [`Message::Error`] is [`NetError::Remote`], a close where the reply
 /// should be is a transport error.
-pub(crate) fn reply(frame: Result<Option<Message>, NetError>) -> Result<Message, NetError> {
-    match frame? {
+pub(crate) fn reply(frame: Option<Frame>) -> Result<Message, NetError> {
+    match frame.map(|f| f.msg) {
         Some(Message::Error { code, message }) => Err(NetError::Remote { code, message }),
         Some(reply) => Ok(reply),
         None => Err(NetError::Io(io::Error::new(
@@ -78,7 +74,8 @@ impl RpcConn {
     /// Dial `addr` under `policy`'s timeouts and shake hands as `role`
     /// (`peer_id` is the dialling daemon's id; clients send 0). A
     /// server that refuses the `Hello` with a typed error is reported
-    /// as that error.
+    /// as that error; a `HelloOk` whose `caps` lacks a bit of
+    /// [`LOCAL_CAPS`] is a protocol error.
     pub(crate) fn dial(
         addr: &str,
         policy: &RetryPolicy,
@@ -87,15 +84,11 @@ impl RpcConn {
     ) -> Result<RpcConn, NetError> {
         let mut stream = CountingStream::new(policy.connect(addr)?);
         write_message_opts(&mut stream, &Message::Hello { role, peer_id, caps: LOCAL_CAPS }, None, None)?;
-        match reply(read_message(&mut stream))? {
-            Message::HelloOk { caps, .. } => Ok(RpcConn { stream, caps }),
-            other => Err(NetError::Unexpected { opcode: other.opcode() }),
+        match reply(read_frame_ex(&mut stream)?)? {
+            Message::HelloOk { caps, .. } => check_caps(caps).map_err(NetError::Protocol)?,
+            other => return Err(NetError::Unexpected { opcode: other.opcode() }),
         }
-    }
-
-    /// Whether the server advertised capability bit(s) `cap`.
-    pub(crate) fn has(&self, cap: u32) -> bool {
-        self.caps & cap != 0
+        Ok(RpcConn { stream })
     }
 
     /// The underlying socket (to clone a read half, or shut it down).
@@ -110,11 +103,9 @@ impl RpcConn {
         self.stream.count_into(bytes_in, bytes_out);
     }
 
-    /// Write one request. `trace` goes on the wire only to a
-    /// [`CAP_TRACE`] server and `budget` — how long the sender will
-    /// still wait, which lets an overloaded server shed the request
-    /// instead of answering into the void — only to a [`CAP_DEADLINE`]
-    /// one, so a legacy server keeps seeing bit-identical frames. A
+    /// Write one request, with its trace id and `budget` — how long the
+    /// sender will still wait, which lets an overloaded server shed the
+    /// request instead of answering into the void — when it has them. A
     /// live sub-millisecond budget rounds up to 1 ms rather than
     /// reading as spent. A sender that holds `blob_sum`, the checksum
     /// of `msg`'s blob alone, has the frame signed from it without
@@ -126,10 +117,7 @@ impl RpcConn {
         trace: Option<u64>,
         budget: Option<Duration>,
     ) -> Result<(), NetError> {
-        let trace = trace.filter(|_| self.has(CAP_TRACE));
-        let budget_ms = budget
-            .filter(|_| self.has(CAP_DEADLINE))
-            .map(|b| b.as_millis().clamp(1, u128::from(u32::MAX)) as u32);
+        let budget_ms = budget.map(|b| b.as_millis().clamp(1, u128::from(u32::MAX)) as u32);
         Ok(write_frame_vectored(&mut self.stream, &frame_parts_summed(msg, blob_sum, trace, budget_ms))?)
     }
 
@@ -154,13 +142,13 @@ impl RpcConn {
         if long_op {
             let _ = self.socket().set_read_timeout(Some(reply_deadline(policy, msg, false)));
         }
-        let frame = read_frame(&mut self.stream);
+        let frame = read_frame_ex(&mut self.stream);
         if long_op {
             let _ = self.socket().set_read_timeout(Some(policy.read_timeout));
         }
         let frame = frame?;
-        let echo = frame.as_ref().and_then(|(_, trace)| *trace);
-        match reply(Ok(frame.map(|(msg, _)| msg))) {
+        let echo = frame.as_ref().and_then(|f| f.trace);
+        match reply(frame) {
             Err(e) if e.is_transport() => Err(e),
             reply => Ok((echo, reply)),
         }
@@ -200,10 +188,9 @@ pub(crate) struct Sent<J> {
 /// owner, who hands it to each call; when a call fails, the link is
 /// already cleared and the owner drops the connection.
 ///
-/// Under a trace id, to a server that echoes ids ([`CAP_TRACE`]), up
-/// to `depth` requests are in flight at once, each under its own
-/// [`das_obs::sub_id`] of the trace id; otherwise one, under the trace
-/// id itself where the server takes one.
+/// Under a trace id, up to `depth` requests are in flight at once, each
+/// under its own [`das_obs::sub_id`] of the trace id; untraced, one at
+/// a time.
 pub(crate) struct Link<J> {
     /// Requests not yet written, in the order they go out.
     pub(crate) queued: VecDeque<J>,
@@ -237,14 +224,14 @@ impl<J> Link<J> {
         self.seen.is_some()
     }
 
-    /// Whether `conn` takes this link's requests pipelined.
-    pub(crate) fn pipelined(&self, conn: &RpcConn) -> bool {
-        self.depth > 1 && self.trace.is_some() && conn.has(CAP_TRACE)
+    /// Whether this link's requests go out pipelined.
+    pub(crate) fn pipelined(&self) -> bool {
+        self.depth > 1 && self.trace.is_some()
     }
 
-    /// Whether another request may go on `conn` before a reply is read.
-    pub(crate) fn has_room(&self, conn: &RpcConn) -> bool {
-        self.flight.len() < if self.pipelined(conn) { self.depth } else { 1 }
+    /// Whether another request may go out before a reply is read.
+    pub(crate) fn has_room(&self) -> bool {
+        self.flight.len() < if self.pipelined() { self.depth } else { 1 }
     }
 
     /// Drop every request queued and in flight: the connection failed.
@@ -272,8 +259,8 @@ impl<J> Link<J> {
         budget: Option<Duration>,
     ) -> Result<(), NetError> {
         let id = match self.trace {
-            Some(trace) if self.pipelined(conn) => Some(das_obs::sub_id(trace, self.written)),
-            trace => trace.filter(|_| conn.has(CAP_TRACE)),
+            Some(trace) if self.pipelined() => Some(das_obs::sub_id(trace, self.written)),
+            trace => trace,
         };
         let at = Instant::now();
         if let Err(e) = conn.send(msg, blob_sum, id, budget) {
@@ -340,39 +327,45 @@ mod tests {
 
     use super::{Link, RpcConn};
     use crate::client::DasCluster;
-    use crate::codec::{read_frame, read_message, write_message_opts, NetError};
+    use crate::codec::{read_frame_ex, write_message_opts, NetError};
     use crate::peer::PeerTable;
-    use crate::proto::{ErrorCode, Message, Role, CAP_TRACE};
+    use crate::proto::{ErrorCode, Message, Role, CAP_SPANS, LOCAL_CAPS};
     use crate::retry::RetryPolicy;
 
-    /// A daemon that answers `Hello` with a typed error: each of the
-    /// two users of the core reports that error, code and all.
+    /// A daemon that answers `Hello` with a typed error, then one whose
+    /// `HelloOk` lacks a capability bit: each of the two users of the
+    /// core reports the refusal as that error, code and all, and the
+    /// short `HelloOk` as a typed protocol error.
     #[test]
     fn a_refused_hello_is_a_typed_remote_error_for_every_user() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();
+        let refusal = Message::Error { code: ErrorCode::BadRequest, message: "not today".into() };
+        let short = Message::HelloOk { server_id: 1, caps: LOCAL_CAPS & !CAP_SPANS };
+        let answers = [refusal.clone(), refusal, short.clone(), short];
         let stub = std::thread::spawn(move || {
-            for _ in 0..2 {
+            for answer in answers {
                 let (mut sock, _) = listener.accept().expect("accept");
-                let hello = read_message(&mut sock).expect("read").expect("hello");
+                let hello = read_frame_ex(&mut sock).expect("read").expect("hello").msg;
                 assert!(matches!(hello, Message::Hello { .. }), "{hello:?}");
-                let refusal =
-                    Message::Error { code: ErrorCode::BadRequest, message: "not today".into() };
-                write_message_opts(&mut sock, &refusal, None, None).expect("refuse");
+                write_message_opts(&mut sock, &answer, None, None).expect("answer");
             }
         });
-        let policy = RetryPolicy::fast();
+        // One attempt per call: the stub answers each dial once.
+        let policy = RetryPolicy { max_attempts: 1, ..RetryPolicy::fast() };
         let peers = PeerTable::with_policy(
             0,
             vec![String::new(), addr.clone()],
             policy.clone(),
             Arc::new(das_obs::Registry::new()),
         );
-        let outcomes = [
-            ("DasCluster", DasCluster::connect_with(std::slice::from_ref(&addr), policy.clone()).err()),
-            ("PeerTable", peers.call(1, &Message::Ping, None, None).err()),
-        ];
-        for (user, outcome) in outcomes {
+        let call = || {
+            [
+                ("DasCluster", DasCluster::connect_with(std::slice::from_ref(&addr), policy.clone()).err()),
+                ("PeerTable", peers.call(1, &Message::Ping, None, None).err()),
+            ]
+        };
+        for (user, outcome) in call() {
             match outcome {
                 Some(NetError::Remote { code: ErrorCode::BadRequest, message }) => {
                     assert_eq!(message, "not today", "{user}")
@@ -380,13 +373,20 @@ mod tests {
                 other => panic!("{user}: expected the typed refusal, got {other:?}"),
             }
         }
+        for (user, outcome) in call() {
+            match outcome {
+                Some(NetError::Protocol(message)) => {
+                    assert!(message.contains("lacks capabilities 0x8"), "{user}: {message}")
+                }
+                other => panic!("{user}: expected the typed protocol error, got {other:?}"),
+            }
+        }
         stub.join().expect("stub listener");
     }
 
-    /// A traced link to a server that echoes ids: four strip reads go
-    /// out before any reply, each under its own id, and the server
-    /// answers them newest first — each reply still lands on the read
-    /// it answers. A reply echoing an id no request in flight carries
+    /// A traced link: four strip reads go out before any reply, each
+    /// under its own id, and the server answers them newest first —
+    /// each reply still lands on the read it answers. A reply echoing an id no request in flight carries
     /// is a typed protocol error, and fails the link.
     #[test]
     fn a_link_matches_replies_by_echoed_id_and_fails_on_an_unknown_one() {
@@ -394,16 +394,16 @@ mod tests {
         let addr = listener.local_addr().expect("addr").to_string();
         let stub = std::thread::spawn(move || {
             let (mut sock, _) = listener.accept().expect("accept");
-            read_message(&mut sock).expect("read").expect("hello");
-            write_message_opts(&mut sock, &Message::HelloOk { server_id: 0, caps: CAP_TRACE }, None, None)
+            read_frame_ex(&mut sock).expect("read").expect("hello");
+            write_message_opts(&mut sock, &Message::HelloOk { server_id: 0, caps: LOCAL_CAPS }, None, None)
                 .expect("hello ok");
-            let wave: Vec<_> = (0..4).map(|_| read_frame(&mut sock).expect("read").expect("ask")).collect();
-            for (ask, id) in wave.iter().rev() {
-                let Message::GetStrip { strip, .. } = *ask else { panic!("{ask:?}") };
-                write_message_opts(&mut sock, &Message::StripData { payload: vec![strip as u8] }, *id, None)
+            let wave: Vec<_> = (0..4).map(|_| read_frame_ex(&mut sock).expect("read").expect("ask")).collect();
+            for ask in wave.iter().rev() {
+                let Message::GetStrip { strip, .. } = ask.msg else { panic!("{ask:?}") };
+                write_message_opts(&mut sock, &Message::StripData { payload: vec![strip as u8] }, ask.trace, None)
                     .expect("reply");
             }
-            let (_, id) = read_frame(&mut sock).expect("read").expect("ask");
+            let id = read_frame_ex(&mut sock).expect("read").expect("ask").trace;
             let stray = id.map(|id| id ^ 1);
             write_message_opts(&mut sock, &Message::StripData { payload: Vec::new() }, stray, None).expect("stray");
         });

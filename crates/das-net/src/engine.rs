@@ -63,7 +63,7 @@ use bytes::Bytes;
 use crate::codec::{
     encode_frame_opts, frame_parts_opts, raw_frame_parts, CountingStream, FrameBuffer, IoVecCursor,
 };
-use crate::proto::{ErrorCode, Message, Role, CAP_SPANS, CAP_TRACE, LOCAL_CAPS};
+use crate::proto::{check_caps, ErrorCode, Message, Role, LOCAL_CAPS};
 use crate::server::{
     accept_loop, finish_root, lock, op_class, process_request, record_stage, shed_exempt,
     wire_gauges, ConnClass, ReplyAction, RequestCtx, Shared, STRIP_DATA_OPCODE,
@@ -144,8 +144,7 @@ struct Job {
     conn: u64,
     class: ConnClass,
     msg: Message,
-    /// Trace id, already filtered by the peer's negotiated caps; the
-    /// reply echoes it.
+    /// The frame's trace id; the reply echoes it.
     trace: Option<u64>,
     /// Absolute deadline derived from the frame's budget field at
     /// decode time, so time spent queued counts against the budget.
@@ -153,7 +152,7 @@ struct Job {
     /// When the decoded request entered the fair queue — the
     /// queue-wait span measures from here to worker pickup.
     enqueued: Instant,
-    /// Span/caps context reserved at decode time, so queue-wait and
+    /// Span context reserved at decode time, so queue-wait and
     /// decode spans link to the same root the dispatch span closes.
     ctx: RequestCtx,
 }
@@ -474,9 +473,6 @@ struct Conn {
     fb: FrameBuffer,
     /// `None` until the peer's `Hello` arrives and fixes the class.
     class: Option<ConnClass>,
-    peer_traced: bool,
-    /// Peer negotiated `CAP_SPANS`: span-dump RPCs are admissible.
-    peer_spans: bool,
     /// Requests submitted to workers whose replies have not finished
     /// writing.
     inflight: usize,
@@ -498,8 +494,6 @@ impl Conn {
             stream: CountingStream::new(stream),
             fb: FrameBuffer::new(),
             class: None,
-            peer_traced: false,
-            peer_spans: false,
             inflight: 0,
             out: VecDeque::new(),
             read_closed: false,
@@ -691,7 +685,7 @@ fn pump_read(
         match c.class {
             None => handle_hello(shared, c, frame.msg),
             Some(class) => {
-                let trace = if c.peer_traced { frame.trace } else { None };
+                let trace = frame.trace;
                 // The budget starts burning now: queueing delay counts
                 // against it, which is exactly what lets an overloaded
                 // worker pool shed requests nobody is waiting for.
@@ -699,7 +693,7 @@ fn pump_read(
                     .budget_ms
                     .map(|ms| Instant::now() + Duration::from_millis(u64::from(ms)));
                 let opc = op_class(&frame.msg);
-                let ctx = RequestCtx::new(shared, c.peer_spans, trace, frame.blob_sum);
+                let ctx = RequestCtx::new(shared, trace, frame.blob_sum);
                 record_stage(
                     shared,
                     trace,
@@ -742,23 +736,24 @@ fn pump_read(
 }
 
 /// First frame of a connection: fix the traffic class, move the byte
-/// counts onto the class's wire-byte gauges, answer `HelloOk`.
+/// counts onto the class's wire-byte gauges, answer `HelloOk`. Anything
+/// but a `Hello` whose `caps` carries all of [`LOCAL_CAPS`] is refused
+/// with a typed `BadRequest`, and the connection closes.
 fn handle_hello(shared: &Shared, c: &mut Conn, msg: Message) {
-    let (class, caps) = match msg {
-        Message::Hello { role: Role::Client, caps, .. } => (ConnClass::Client, caps),
-        Message::Hello { role: Role::Server, caps, .. } => (ConnClass::Server, caps),
-        _ => {
-            let reply = Message::Error {
-                code: ErrorCode::BadRequest,
-                message: "expected Hello".into(),
-            };
+    let hello = match msg {
+        Message::Hello { role: Role::Client, caps, .. } => check_caps(caps).map(|()| ConnClass::Client),
+        Message::Hello { role: Role::Server, caps, .. } => check_caps(caps).map(|()| ConnClass::Server),
+        _ => Err("expected Hello".into()),
+    };
+    let class = match hello {
+        Ok(class) => class,
+        Err(message) => {
+            let reply = Message::Error { code: ErrorCode::BadRequest, message };
             c.queue(Outbound::reply(&reply, None, true));
             return;
         }
     };
     c.class = Some(class);
-    c.peer_traced = caps & CAP_TRACE != 0;
-    c.peer_spans = caps & CAP_SPANS != 0;
     let (bytes_in, bytes_out) = wire_gauges(&shared.metrics, class);
     c.stream.count_into(bytes_in, bytes_out);
     let reply = Message::HelloOk { server_id: shared.id.0, caps: LOCAL_CAPS };

@@ -49,15 +49,13 @@ pub use client::{
     run_net_scheme, run_net_scheme_opts, DasCluster, ExecSummary, NetRunReport, NetScheme,
 };
 pub use codec::{
-    encode_frame_opts, frame_parts_opts, read_frame, read_frame_ex, read_message,
-    write_frame_vectored, write_message_opts, CountingStream, Frame, FrameBuffer, FrameParts, NetError, FLAG_CRC, FLAG_DEADLINE, FLAG_TRACE,
+    encode_frame_opts, frame_parts_opts, read_frame_ex, write_frame_vectored, write_message_opts, CountingStream, Frame, FrameBuffer, FrameParts, NetError, FLAG_CRC, FLAG_DEADLINE, FLAG_TRACE,
     KNOWN_FLAGS,
 };
 pub use fault::{FaultAction, FaultClass, FaultPlan, FaultPoint, FaultRule};
 pub use hedge::{Ewma, LoadTracker};
 pub use proto::{
-    ErrorCode, Message, Role, WireStats, CAP_CRC, CAP_DEADLINE, CAP_TRACE, KNOWN_OPCODES,
-    LOCAL_CAPS, MAX_PAYLOAD, VERSION,
+    ErrorCode, Message, Role, WireStats, KNOWN_OPCODES, LOCAL_CAPS, MAX_PAYLOAD, VERSION,
 };
 pub use retry::RetryPolicy;
 pub use server::{spawn, ConnClass, DasdConfig, DasdHandle};

@@ -9,12 +9,11 @@
 //! `Hello { role: Server }`, and stays up while it works.
 //!
 //! All three are **waves**: each strip goes to its first-choice holder,
-//! and every link gets its share written before any reply is read. To a
-//! peer that echoes ids (`CAP_TRACE`), a traced wave keeps up to
-//! `WAVE_DEPTH` requests in flight, each under its own
-//! [`das_obs::sub_id`], and takes each reply for the request whose id
-//! it echoes; otherwise a link carries one request at a time, in a
-//! single call's frames. A wave holds its links until it is done,
+//! and every link gets its share written before any reply is read. A
+//! traced wave keeps up to `WAVE_DEPTH` requests in flight per link,
+//! each under its own [`das_obs::sub_id`], and takes each reply for the
+//! request whose id it echoes; an untraced one carries one request at a
+//! time per link, in a single call's frames. A wave holds its links until it is done,
 //! locked in ascending server id. What it answers for a strip is
 //! attempt one of that strip's own call, which walks on alone wherever
 //! that failed. **Bound:** `WAVE_DEPTH` is half the engine's
@@ -247,11 +246,9 @@ impl PeerTable {
     /// errors trips the breaker, and any success closes it.
     ///
     /// `trace` and the *remaining* budget before `deadline` are stamped
-    /// on the outgoing frame only over links whose peer advertised
-    /// `CAP_TRACE` / `CAP_DEADLINE`, so legacy peers keep seeing
-    /// legacy frames; a budget that is already spent fails locally with
-    /// the typed [`ErrorCode::Overloaded`] instead of burning a peer
-    /// round-trip.
+    /// on the outgoing frame; a budget that is already spent fails
+    /// locally with the typed [`ErrorCode::Overloaded`] instead of
+    /// burning a peer round-trip.
     pub fn call(
         &self,
         target: u32,
@@ -342,7 +339,7 @@ impl PeerTable {
             .collect();
         loop {
             for Lane { target, conn, link, .. } in &mut lanes {
-                while link.has_room(conn) {
+                while link.has_room() {
                     let budget = remaining_budget(deadline);
                     if budget == Some(Duration::ZERO) {
                         link.queued.clear();
@@ -509,11 +506,11 @@ mod tests {
         // A full-caps peer that answers every Ping and records the
         // budget field of each request frame until the link closes.
         let stub = std::thread::spawn(move || {
-            let mut sock = greet(&listener, LOCAL_CAPS);
+            let mut sock = greet(&listener);
             let mut budgets = Vec::new();
             while let Some(frame) = read_frame_ex(&mut sock).expect("read") {
                 assert_eq!(frame.msg, Message::Ping);
-                budgets.push(frame.budget_ms.expect("a CAP_DEADLINE link stamps the budget"));
+                budgets.push(frame.budget_ms.expect("a call under a deadline stamps the budget"));
                 write_message_opts(&mut sock, &Message::Pong, None, None).expect("pong");
             }
             budgets
@@ -574,7 +571,7 @@ mod tests {
 
         listener.set_nonblocking(false).expect("blocking");
         let stub = std::thread::spawn(move || {
-            let mut sock = greet(&listener, LOCAL_CAPS);
+            let mut sock = greet(&listener);
             while let Some(frame) = read_frame_ex(&mut sock).expect("read") {
                 write_message_opts(&mut sock, &Message::Pong, frame.trace, None).expect("pong");
             }
@@ -592,12 +589,12 @@ mod tests {
         (PeerTable::with_policy(0, addrs, RetryPolicy::fast(), Arc::clone(&metrics)), metrics)
     }
 
-    /// Accept one peer link and answer its `Hello` with `caps`.
-    fn greet(listener: &TcpListener, caps: u32) -> TcpStream {
+    /// Accept one peer link and answer its `Hello`.
+    fn greet(listener: &TcpListener) -> TcpStream {
         let (mut sock, _) = listener.accept().expect("accept");
         let hello = read_frame_ex(&mut sock).expect("read").expect("hello");
         assert!(matches!(hello.msg, Message::Hello { .. }), "{hello:?}");
-        write_message_opts(&mut sock, &Message::HelloOk { server_id: 1, caps }, None, None).expect("hello ok");
+        write_message_opts(&mut sock, &Message::HelloOk { server_id: 1, caps: LOCAL_CAPS }, None, None).expect("hello ok");
         sock
     }
 
@@ -620,7 +617,7 @@ mod tests {
         FetchFor { trace, deadline: None, parent: 0, op: das_obs::OpClass::Exec }
     }
 
-    /// A traced fetch wave to a peer that echoes ids: all five asks are
+    /// A traced fetch wave: all five asks are
     /// on the wire before any reply, each under its own sub-id; the peer
     /// answers newest first and refuses strip 12 with a typed
     /// `StripNotLocal`. The strips still come back in ask order, and
@@ -632,7 +629,7 @@ mod tests {
         let mut listeners = listeners.into_iter();
         let (first, second) = (listeners.next().expect("stub 1"), listeners.next().expect("stub 2"));
         let primary = std::thread::spawn(move || {
-            let mut sock = greet(&first, LOCAL_CAPS);
+            let mut sock = greet(&first);
             let wave: Vec<_> =
                 (0..STRIPS.len()).map(|_| read_frame_ex(&mut sock).expect("read").expect("ask")).collect();
             for frame in wave.iter().rev() {
@@ -649,7 +646,7 @@ mod tests {
             wave.into_iter().map(|frame| frame.trace).collect::<Vec<_>>()
         });
         let replica = std::thread::spawn(move || {
-            let mut sock = greet(&second, LOCAL_CAPS);
+            let mut sock = greet(&second);
             let mut asked = Vec::new();
             while let Some(frame) = read_frame_ex(&mut sock).expect("read") {
                 let Message::GetStrip { strip, .. } = frame.msg else { panic!("{frame:?}") };
@@ -679,17 +676,16 @@ mod tests {
         assert!(ids.iter().all(|id| id.is_some_and(|id| id != parent && das_obs::trace_root(id) == parent)));
     }
 
-    /// A peer that does not echo ids sees a traced wave one request at
-    /// a time, each frame exactly a single call's: no trace id, no
-    /// budget, nothing more written before its reply. A single traced
-    /// call reaches it without a trace id too.
+    /// An untraced wave goes one request at a time per link, each frame
+    /// exactly a single call's: no trace id, no budget, nothing more
+    /// written before its reply.
     #[test]
-    fn a_peer_without_cap_trace_sees_depth_one_and_unchanged_frames() {
+    fn an_untraced_wave_sees_depth_one_and_single_call_frames() {
         const STRIPS: [u64; 3] = [4, 5, 6];
         let (listeners, addrs) = stub_addrs(1);
         let listener = listeners.into_iter().next().expect("stub");
         let stub = std::thread::spawn(move || {
-            let mut sock = greet(&listener, 0);
+            let mut sock = greet(&listener);
             for strip in STRIPS {
                 let want = encode_frame_opts(&Message::GetStrip { file: 3, strip }, None, None);
                 let mut frame = vec![0u8; want.len()];
@@ -702,23 +698,16 @@ mod tests {
                 write_message_opts(&mut sock, &Message::StripData { payload: strip_bytes(strip) }, None, None)
                     .expect("reply");
             }
-            let want = encode_frame_opts(&Message::Ping, None, None);
-            let mut frame = vec![0u8; want.len()];
-            sock.read_exact(&mut frame).expect("ping");
-            assert_eq!(frame, want, "a traced call stamped its trace id for a peer without CAP_TRACE");
-            write_message_opts(&mut sock, &Message::Pong, None, None).expect("pong");
         });
         let (peers, _) = table(addrs);
         let asks: Vec<StripAsk> = STRIPS.iter().map(|&strip| StripAsk { strip, holders: vec![1] }).collect();
         let mut got = Vec::new();
-        let fetched = peers.get_strips(3, &asks, fetch_for(Some(das_obs::next_trace_id())), |_, bytes| {
+        let fetched = peers.get_strips(3, &asks, fetch_for(None), |_, bytes| {
             got.push(bytes.expect("strip"));
             Ok::<(), ()>(())
         });
         assert_eq!(fetched, Ok(()));
         assert_eq!(got, STRIPS.map(strip_bytes));
-        let traced = peers.call(1, &Message::Ping, Some(das_obs::next_trace_id()), None);
-        assert_eq!(traced.expect("ping"), Message::Pong);
         stub.join().expect("stub peer");
     }
 
@@ -730,7 +719,7 @@ mod tests {
         let (listeners, addrs) = stub_addrs(1);
         let listener = listeners.into_iter().next().expect("stub");
         let stub = std::thread::spawn(move || {
-            let mut sock = greet(&listener, LOCAL_CAPS);
+            let mut sock = greet(&listener);
             let mut seen = Vec::new();
             while let Some(frame) = read_frame_ex(&mut sock).expect("read") {
                 let Message::PutStrip { strip, .. } = frame.msg else { panic!("{frame:?}") };

@@ -22,40 +22,36 @@ pub const MAX_PAYLOAD: usize = 64 * 1024 * 1024;
 /// Size of the fixed frame header in bytes.
 pub const HEADER_LEN: usize = 12;
 
-/// Capability bit advertised in [`Message::Hello`]/[`Message::HelloOk`]:
-/// the sender emits and verifies the CRC32 frame trailer (header flag
-/// `FLAG_CRC` in [`crate::codec`]). Every in-tree build sets it; the
-/// bit exists so a future rolling upgrade can negotiate the trailer
-/// instead of hard-failing on version skew.
+/// Capability bit: the CRC32 frame trailer (`FLAG_CRC` in
+/// [`crate::codec`]), which every frame carries.
 pub const CAP_CRC: u32 = 1 << 0;
 
-/// Capability bit advertised in [`Message::Hello`]/[`Message::HelloOk`]:
-/// the sender understands the `FLAG_TRACE` frame field
-/// ([`crate::codec::FLAG_TRACE`]) carrying a per-request trace id.
-/// Traced frames are only sent to peers that advertised this bit, so
-/// a legacy (CRC-only) peer sees bit-identical frames.
+/// Capability bit: the optional per-frame trace id
+/// ([`crate::codec::FLAG_TRACE`]), echoed on replies.
 pub const CAP_TRACE: u32 = 1 << 1;
 
-/// Capability bit advertised in [`Message::Hello`]/[`Message::HelloOk`]:
-/// the sender understands the `FLAG_DEADLINE` frame field
-/// ([`crate::codec::FLAG_DEADLINE`]) carrying a per-request deadline
-/// budget in milliseconds. Budgeted frames are only sent to peers that
-/// advertised this bit, so a legacy peer sees bit-identical frames —
-/// the same negotiation pattern as [`CAP_TRACE`].
+/// Capability bit: the optional per-frame deadline budget
+/// ([`crate::codec::FLAG_DEADLINE`]).
 pub const CAP_DEADLINE: u32 = 1 << 2;
 
-/// Capability bit advertised in [`Message::Hello`]/[`Message::HelloOk`]:
-/// the sender implements the span flight recorder and serves the
-/// [`Message::TraceDump`]/[`Message::SlowLog`] RPCs. Unlike the other
-/// caps this one gates **opcodes, not a frame field**: a daemon
-/// refuses the two span RPCs from a peer that did not advertise the
-/// bit (typed `BadRequest`), and a client never sends them to a
-/// daemon that did not — so a legacy peer's frames stay bit-identical
-/// and it is never asked to decode an opcode it does not know.
+/// Capability bit: the span flight recorder's
+/// [`Message::TraceDump`]/[`Message::SlowLog`] RPCs.
 pub const CAP_SPANS: u32 = 1 << 3;
 
-/// The capabilities this build advertises.
+/// The one protocol this build speaks, as the `caps` word every
+/// [`Message::Hello`]/[`Message::HelloOk`] carries. It is not
+/// negotiated: each side refuses a handshake whose `caps` lacks a bit
+/// of it.
 pub const LOCAL_CAPS: u32 = CAP_CRC | CAP_TRACE | CAP_DEADLINE | CAP_SPANS;
+
+/// Check the `caps` word of a peer's `Hello`/`HelloOk`: every bit of
+/// [`LOCAL_CAPS`] must be set, or the error names the ones missing.
+pub(crate) fn check_caps(caps: u32) -> Result<(), String> {
+    match LOCAL_CAPS & !caps {
+        0 => Ok(()),
+        missing => Err(format!("peer lacks capabilities {missing:#x} of {LOCAL_CAPS:#x}")),
+    }
+}
 
 /// Who is on the other end of a connection — drives the byte-class a
 /// connection's traffic is accounted under (client↔server vs
@@ -202,14 +198,14 @@ pub enum Message {
         /// Sender's server id when `role` is [`Role::Server`]; 0 for
         /// clients.
         peer_id: u32,
-        /// Capability bits the sender supports (see [`CAP_CRC`]).
+        /// The sender's [`LOCAL_CAPS`].
         caps: u32,
     },
     /// Accepts a [`Message::Hello`]; identifies the serving daemon.
     HelloOk {
         /// The responding server's id.
         server_id: u32,
-        /// Capability bits the daemon supports (see [`CAP_CRC`]).
+        /// The daemon's [`LOCAL_CAPS`].
         caps: u32,
     },
 
@@ -360,7 +356,7 @@ pub enum Message {
         text: String,
     },
     /// Fetch every span the daemon's flight recorder retains for one
-    /// trace id (caps-gated behind [`CAP_SPANS`]). `das trace` sends
+    /// trace id. `das trace` sends
     /// this to every daemon and merges the replies into a
     /// cross-daemon waterfall.
     TraceDump {
@@ -376,7 +372,7 @@ pub enum Message {
         spans: Vec<u8>,
     },
     /// Fetch the daemon's slowest-N root spans per op class, with
-    /// their retained sub-spans (caps-gated behind [`CAP_SPANS`]).
+    /// their retained sub-spans.
     SlowLog {
         /// Upper bound on roots returned per op class (clamped
         /// server-side to the reservoir depth).
@@ -419,11 +415,11 @@ pub const KNOWN_OPCODES: [u8; 33] = [
 impl Message {
     /// One representative instance of **every** message kind, with
     /// non-default field values, in opcode order. This is what makes
-    /// the protocol enumerable for analysis: the conformance pass
-    /// encodes each sample, decodes it back, and checks the
-    /// (flags × caps × opcode) space without hand-listing variants —
-    /// adding a variant without extending this list fails the
-    /// exhaustiveness test.
+    /// the protocol enumerable for analysis and tests: each sample is
+    /// encoded, decoded back and framed under every combination of the
+    /// optional frame fields without hand-listing variants — adding a
+    /// variant without extending this list fails the exhaustiveness
+    /// test.
     pub fn samples() -> Vec<Message> {
         let dist = DistributionInfo {
             strip_size: 4096,

@@ -255,32 +255,24 @@ impl StageHists {
 }
 
 /// Per-request context threaded from the connection layer into
-/// [`process_request`]: what the peer's negotiated capabilities allow,
-/// and the pre-reserved root span id sub-spans hang off.
+/// [`process_request`]: the pre-reserved root span id sub-spans hang
+/// off, and the blob checksum the frame decoder computed.
 #[derive(Clone, Copy)]
 pub(crate) struct RequestCtx {
-    /// Peer negotiated [`CAP_SPANS`]: the span-dump RPCs
-    /// (`TraceDump`/`SlowLog`) are admissible on this connection.
-    pub(crate) spans_ok: bool,
     /// Root span id reserved for this traced request (0 when the
     /// request is untraced — nothing is recorded for it).
     pub(crate) root: u32,
     /// Checksum of the request's blob alone, as the frame decoder
-    /// computed it while verifying the frame (`None`: no blob, or a
-    /// trailer-less frame). A `PutStrip` stores it with the strip.
+    /// computed it while verifying the frame (`None`: no blob). A
+    /// `PutStrip` stores it with the strip.
     pub(crate) blob_sum: Option<u32>,
 }
 
 impl RequestCtx {
     /// Build the context for one decoded request: reserve a root span
     /// id iff the request carries a trace id.
-    pub(crate) fn new(
-        shared: &Shared,
-        spans_ok: bool,
-        trace: Option<u64>,
-        blob_sum: Option<u32>,
-    ) -> RequestCtx {
-        RequestCtx { spans_ok, root: if trace.is_some() { shared.spans.reserve() } else { 0 }, blob_sum }
+    pub(crate) fn new(shared: &Shared, trace: Option<u64>, blob_sum: Option<u32>) -> RequestCtx {
+        RequestCtx { root: if trace.is_some() { shared.spans.reserve() } else { 0 }, blob_sum }
     }
 }
 
@@ -495,10 +487,9 @@ pub(crate) enum ReplyAction {
 }
 
 /// The request core: metrics, trace events, fault injection, deadline
-/// enforcement, dispatch. `trace` must already be
-/// filtered by the peer's negotiated capabilities; `deadline` is the
-/// absolute expiry derived from the frame's budget field at decode
-/// time (`None` for legacy clients — never enforced).
+/// enforcement, dispatch. `trace` is the frame's trace id; `deadline`
+/// is the absolute expiry derived from the frame's budget field at
+/// decode time (`None` for a frame without one — never enforced).
 pub(crate) fn process_request(
     shared: &Shared,
     class: ConnClass,
@@ -680,25 +671,12 @@ fn dispatch(
                 .set(das_obs::suppressed_total() as i64);
             Message::MetricsText { text: shared.metrics.encode() }
         }
-        Message::TraceDump { trace: wanted } => {
-            // Caps-gated: a peer that did not negotiate CAP_SPANS
-            // asked for an RPC it was never offered — typed refusal,
-            // not silence, so a misconfigured client fails loudly.
-            if !ctx.spans_ok {
-                return err(ErrorCode::BadRequest, "TraceDump requires CAP_SPANS");
-            }
-            Message::TraceDumpResp {
-                spans: das_obs::encode_spans(&shared.spans.dump_trace(wanted)),
-            }
-        }
-        Message::SlowLog { per_class } => {
-            if !ctx.spans_ok {
-                return err(ErrorCode::BadRequest, "SlowLog requires CAP_SPANS");
-            }
-            Message::SlowLogResp {
-                spans: das_obs::encode_spans(&shared.spans.slowest(per_class as usize)),
-            }
-        }
+        Message::TraceDump { trace: wanted } => Message::TraceDumpResp {
+            spans: das_obs::encode_spans(&shared.spans.dump_trace(wanted)),
+        },
+        Message::SlowLog { per_class } => Message::SlowLogResp {
+            spans: das_obs::encode_spans(&shared.spans.slowest(per_class as usize)),
+        },
         Message::CreateFile { name, file_len, strip_size, policy, servers } => {
             if servers != shared.peers.cluster_size() {
                 return err(
@@ -784,9 +762,11 @@ fn dispatch(
                     format!("strip {strip} wants {expected} bytes, got {}", payload.len()),
                 );
             }
-            // Verified by the frame decoder a moment ago; a trailer-less
-            // frame's strip is summed here, where it enters the daemon.
-            let sum = ctx.blob_sum.unwrap_or_else(|| crc32(&[&payload]));
+            // The sum the frame decoder verified the strip's bytes
+            // under; bytes that came without one are never summed here.
+            let Some(sum) = ctx.blob_sum else {
+                return err(ErrorCode::Internal, format!("strip {strip} arrived without a checksum"));
+            };
             inner.store.store_summed(id, StripId(strip), Bytes::from(payload), sum, primary);
             Message::PutStripOk
         }

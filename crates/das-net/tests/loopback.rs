@@ -384,114 +384,79 @@ fn rejected_offload_falls_back_to_normal_io() {
     h.teardown();
 }
 
-/// Read one whole frame's raw bytes off a stream: header, optional
-/// trace field, payload, optional checksum trailer.
-fn read_raw_frame(sock: &mut std::net::TcpStream) -> Vec<u8> {
-    use std::io::Read as _;
-    let mut header = [0u8; 12];
-    sock.read_exact(&mut header).expect("frame header");
-    let flags = u16::from_le_bytes([header[6], header[7]]);
-    let payload_len = u32::from_le_bytes([header[8], header[9], header[10], header[11]]) as usize;
-    let mut rest = payload_len;
-    if flags & das_net::FLAG_TRACE != 0 {
-        rest += 8;
-    }
-    if flags & das_net::FLAG_CRC != 0 {
-        rest += 4;
-    }
-    let mut body = vec![0u8; rest];
-    sock.read_exact(&mut body).expect("frame body");
-    let mut frame = header.to_vec();
-    frame.extend_from_slice(&body);
-    frame
-}
-
-#[test]
-fn crc_only_client_interops_bit_identically() {
+/// Dial `addr` raw and greet it with a `Hello` carrying `caps`; the
+/// daemon's answer.
+fn hello_raw(addr: &str, caps: u32) -> (std::net::TcpStream, das_net::Message) {
     use std::io::Write as _;
 
-    use das_net::{encode_frame_opts, Message, Role, CAP_CRC, CAP_TRACE};
+    use das_net::{encode_frame_opts, Message, Role};
 
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().unwrap().to_string();
-    let handle = spawn(DasdConfig::new(0, vec![addr.clone()]), listener).expect("spawn dasd");
-
-    // A pre-CAP_TRACE client: advertises only the checksum capability
-    // and speaks the legacy frame encoding.
-    let mut sock = std::net::TcpStream::connect(&addr).expect("connect");
-    sock.write_all(&encode_frame_opts(&Message::Hello {
-        role: Role::Client,
-        peer_id: 0,
-        caps: CAP_CRC,
-    }, None, None))
-    .expect("hello");
-
-    // The server still advertises everything it can do…
-    let hello_ok = read_raw_frame(&mut sock);
-    let flags = u16::from_le_bytes([hello_ok[6], hello_ok[7]]);
-    assert_eq!(flags & das_net::FLAG_TRACE, 0, "handshake reply must not carry a trace field");
-    match das_net::read_frame(&mut std::io::Cursor::new(&hello_ok)).expect("parse").unwrap() {
-        (Message::HelloOk { caps, .. }, None) => {
-            assert_ne!(caps & CAP_TRACE, 0, "server should advertise CAP_TRACE")
-        }
-        other => panic!("expected HelloOk, got {other:?}"),
-    }
-
-    // …but every reply to this client must be bit-identical to the
-    // legacy encoding: no trace field, no new flags.
-    sock.write_all(&encode_frame_opts(&Message::Ping, None, None)).expect("ping");
-    let reply = read_raw_frame(&mut sock);
-    assert_eq!(
-        reply,
-        encode_frame_opts(&Message::Pong, None, None),
-        "reply to a CRC-only client must match the legacy encoding byte-for-byte"
-    );
-
-    sock.write_all(&encode_frame_opts(&Message::Shutdown, None, None)).expect("shutdown");
-    let reply = read_raw_frame(&mut sock);
-    assert_eq!(reply, encode_frame_opts(&Message::ShutdownOk, None, None));
-    drop(sock);
-    handle.join();
+    let mut sock = std::net::TcpStream::connect(addr).expect("connect");
+    sock.set_read_timeout(Some(std::time::Duration::from_secs(5))).expect("read timeout");
+    let hello = Message::Hello { role: Role::Client, peer_id: 0, caps };
+    sock.write_all(&encode_frame_opts(&hello, None, None)).expect("hello");
+    let answer = das_net::read_frame_ex(&mut sock).expect("read").expect("answer").msg;
+    (sock, answer)
 }
 
-/// A client that did not negotiate `CAP_SPANS` must be refused the
-/// span RPCs with a typed `BadRequest`, not served or disconnected.
+/// One protocol, not negotiated: a `Hello` whose `caps` lacks any bit
+/// of `LOCAL_CAPS` is refused with a typed `BadRequest`, and the
+/// connection closes; the full word is greeted.
 #[test]
-fn span_rpcs_without_negotiated_cap_are_refused() {
+fn a_hello_missing_a_capability_bit_is_refused_typed() {
+    use das_net::{ErrorCode, Message, LOCAL_CAPS};
+
+    let mut h = boot(1);
+    for bit in (0..32).map(|b| 1u32 << b).filter(|bit| LOCAL_CAPS & bit != 0) {
+        let (mut sock, answer) = hello_raw(&h.addrs[0], LOCAL_CAPS & !bit);
+        match answer {
+            Message::Error { code: ErrorCode::BadRequest, message } => {
+                assert!(message.contains(&format!("lacks capabilities {bit:#x}")), "{message}")
+            }
+            other => panic!("caps without {bit:#x}: expected the typed refusal, got {other:?}"),
+        }
+        assert!(das_net::read_frame_ex(&mut sock).expect("close").is_none(), "the refused connection stayed open");
+    }
+    let (_, answer) = hello_raw(&h.addrs[0], LOCAL_CAPS);
+    assert!(matches!(answer, Message::HelloOk { caps: LOCAL_CAPS, .. }), "{answer:?}");
+    h.cluster.ping_all().expect("the greeted client still works");
+    h.teardown();
+}
+
+/// A `PutStrip` whose checksum flag was cleared, its trailer dropped and
+/// one payload bit flipped on the way is refused at its header: the
+/// daemon drops the connection without a reply and stores nothing, and
+/// the strip still reads back as written.
+#[test]
+fn a_crc_less_put_strip_is_refused_and_stores_nothing() {
     use std::io::Write as _;
 
-    use das_net::{encode_frame_opts, ErrorCode, Message, Role, CAP_CRC};
+    use das_net::{encode_frame_opts, Message, FLAG_CRC, LOCAL_CAPS};
 
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().unwrap().to_string();
-    let handle = spawn(DasdConfig::new(0, vec![addr.clone()]), listener).expect("spawn dasd");
+    let mut h = boot(1);
+    let original: Vec<u8> = (0..64u8).collect();
+    let file = h.cluster.create_file("crc-less", 64, 64, LayoutPolicy::RoundRobin).expect("create");
+    h.cluster.put_file(file, &original).expect("put");
 
-    let mut sock = std::net::TcpStream::connect(&addr).expect("connect");
-    sock.write_all(&encode_frame_opts(&Message::Hello {
-        role: Role::Client,
-        peer_id: 0,
-        caps: CAP_CRC,
-    }, None, None))
-    .expect("hello");
-    let _ = read_raw_frame(&mut sock);
-
-    for msg in [Message::TraceDump { trace: 42 }, Message::SlowLog { per_class: 4 }] {
-        sock.write_all(&encode_frame_opts(&msg, None, None)).expect("span rpc");
-        let reply = read_raw_frame(&mut sock);
-        match das_net::read_frame(&mut std::io::Cursor::new(&reply)).expect("parse").unwrap() {
-            (Message::Error { code, .. }, None) => assert_eq!(
-                code,
-                ErrorCode::BadRequest,
-                "unnegotiated span RPC must be refused as BadRequest"
-            ),
-            other => panic!("expected typed refusal, got {other:?}"),
-        }
+    let (mut sock, answer) = hello_raw(&h.addrs[0], LOCAL_CAPS);
+    assert!(matches!(answer, Message::HelloOk { .. }), "{answer:?}");
+    let mut frame = encode_frame_opts(&Message::PutStrip { file, strip: 0, payload: original.clone() }, None, None);
+    let flags = u16::from_le_bytes([frame[6], frame[7]]) & !FLAG_CRC;
+    frame[6..8].copy_from_slice(&flags.to_le_bytes());
+    frame.truncate(frame.len() - 4);
+    *frame.last_mut().expect("payload byte") ^= 0x10;
+    sock.write_all(&frame).expect("crc-less put");
+    match das_net::read_frame_ex(&mut sock) {
+        Ok(None) | Err(_) => {}
+        Ok(Some(reply)) => panic!("the daemon answered a CRC-less frame: {:?}", reply.msg),
     }
 
-    sock.write_all(&encode_frame_opts(&Message::Shutdown, None, None)).expect("shutdown");
-    let _ = read_raw_frame(&mut sock);
-    drop(sock);
-    handle.join();
+    match h.cluster.call(0, &Message::GetStrip { file, strip: 0 }) {
+        Ok(Message::StripData { payload }) => assert_eq!(payload, original, "the corrupt strip was stored"),
+        Err(das_net::NetError::Remote { .. }) => {}
+        other => panic!("expected the original strip or a typed error, got {other:?}"),
+    }
+    h.teardown();
 }
 
 /// The tentpole end-to-end: one traced `Execute` across the fleet,

@@ -112,31 +112,32 @@ enum Verdict {
     Reject(String),
 }
 
-/// The whole-frame check: validate the header, sum everything before
-/// the trailer in one pass with the reference checksum, compare, decode.
+/// The whole-frame check: validate the header (checksum flag set), sum
+/// everything before the trailer in one pass with the reference
+/// checksum, compare, decode.
 fn whole_frame_verdict(frame: &[u8]) -> Verdict {
     if frame.len() < HEADER_LEN {
         return Verdict::Short;
     }
     let flags = u16::from_le_bytes([frame[6], frame[7]]);
     let len = u32::from_le_bytes([frame[8], frame[9], frame[10], frame[11]]) as usize;
-    if frame[..4] != MAGIC || frame[4] != VERSION || flags & !KNOWN_FLAGS != 0 || len > MAX_PAYLOAD {
+    if frame[..4] != MAGIC
+        || frame[4] != VERSION
+        || flags & !KNOWN_FLAGS != 0
+        || flags & FLAG_CRC == 0
+        || len > MAX_PAYLOAD
+    {
         return Verdict::Malformed;
     }
     let meta = if flags & FLAG_TRACE != 0 { 8 } else { 0 } + if flags & FLAG_DEADLINE != 0 { 4 } else { 0 };
     let end = HEADER_LEN + meta + len;
-    let signed = flags & FLAG_CRC != 0;
-    if frame.len() < end + if signed { 4 } else { 0 } {
+    if frame.len() < end + 4 {
         return Verdict::Short;
     }
-    if signed {
-        let wanted = u32::from_le_bytes([frame[end], frame[end + 1], frame[end + 2], frame[end + 3]]);
-        let actual = crc32_reference(&frame[..end]);
-        if wanted != actual {
-            return Verdict::Reject(format!(
-                "frame checksum mismatch: wire {wanted:#010x}, computed {actual:#010x}"
-            ));
-        }
+    let wanted = u32::from_le_bytes([frame[end], frame[end + 1], frame[end + 2], frame[end + 3]]);
+    let actual = crc32_reference(&frame[..end]);
+    if wanted != actual {
+        return Verdict::Reject(format!("frame checksum mismatch: wire {wanted:#010x}, computed {actual:#010x}"));
     }
     match Message::decode(frame[5], &frame[HEADER_LEN + meta..end]) {
         Ok(msg) => Verdict::Accept(msg),
@@ -180,9 +181,8 @@ fn every_bit_flip_is_judged_as_the_whole_frame_check_judges_it() {
         flipped[bit / 8] ^= 1 << (bit % 8);
         let want = whole_frame_verdict(&flipped);
         assert_eq!(decoders_verdict(&flipped), want, "bit {bit}");
-        // Only a cleared CRC flag gets a frame through unverified, as
-        // it always did.
-        assert!(!matches!(want, Verdict::Accept(_)) || bit == 6 * 8, "bit {bit} accepted");
+        // No flip gets a frame through, the checksum flag's included.
+        assert!(!matches!(want, Verdict::Accept(_)), "bit {bit} accepted");
         rejected += usize::from(matches!(want, Verdict::Reject(_)));
     }
     assert!(rejected > (frame.len() - HEADER_LEN) * 8 - 8, "{rejected} flips reached the checksum");

@@ -4,7 +4,7 @@
 
 use std::io::Cursor;
 
-use das_net::{encode_frame_opts, read_frame, read_message, write_message_opts, Message, NetError};
+use das_net::{encode_frame_opts, read_frame_ex, write_message_opts, Message, NetError};
 use das_net::{ErrorCode, Role, WireStats, MAX_PAYLOAD};
 use das_pfs::LayoutPolicy;
 use proptest::prelude::*;
@@ -148,9 +148,9 @@ fn frame_roundtrip(msg: &Message) -> Message {
     let mut buf = Vec::new();
     write_message_opts(&mut buf, msg, None, None).expect("encode");
     let mut cursor = Cursor::new(buf);
-    let back = read_message(&mut cursor).expect("decode").expect("one frame");
+    let back = read_frame_ex(&mut cursor).expect("decode").expect("one frame").msg;
     // The frame must also consume the stream exactly.
-    assert!(read_message(&mut cursor).expect("clean EOF").is_none());
+    assert!(read_frame_ex(&mut cursor).expect("clean EOF").is_none());
     back
 }
 
@@ -194,39 +194,25 @@ proptest! {
         bit in 0u8..8,
     ) {
         // The frame checksum must catch any corruption of the header
-        // or payload, and the trailer itself; flipping one bit
-        // anywhere must yield a typed error — never a panic, never a
-        // misparsed message. The single exception is the bit that IS
-        // the checksum flag: clearing it turns the frame into a valid
-        // legacy CRC-less frame (accepted for compatibility) whose
-        // orphaned 4-byte trailer then desynchronizes the stream,
-        // which the *next* read detects.
+        // or payload, and the trailer itself, and a frame without the
+        // checksum flag is refused: flipping one bit anywhere must
+        // yield a typed error — never a panic, never a misparsed
+        // message.
         let mut frame = encode_frame_opts(&msg, None, None);
         let pos = (pos as usize) % frame.len();
         frame[pos] ^= 1 << bit;
-        let mut cursor = Cursor::new(&frame);
-        match read_message(&mut cursor) {
-            Err(_) => {}
-            Ok(got) => {
-                prop_assert_eq!(pos, 6, "corruption outside the flag byte parsed: {:?}", got);
-                prop_assert_eq!(bit, 0, "unknown flag bit survived: {:?}", got);
-                prop_assert_eq!(got, Some(msg.clone()), "flag-cleared frame misparsed");
-                prop_assert!(
-                    read_message(&mut cursor).is_err(),
-                    "orphaned checksum trailer went undetected"
-                );
-            }
-        }
+        let got = read_frame_ex(&mut Cursor::new(&frame));
+        prop_assert!(got.is_err(), "a frame flipped at byte {} bit {} parsed: {:?}", pos, bit, got);
     }
 
     #[test]
     fn traced_frames_roundtrip_message_and_trace_id(msg in arb_message(), trace in any::<u64>()) {
         let frame = encode_frame_opts(&msg, Some(trace), None);
         let mut cursor = Cursor::new(&frame);
-        let (back, got_trace) = read_frame(&mut cursor).expect("decode").expect("one frame");
-        prop_assert_eq!(back, msg);
-        prop_assert_eq!(got_trace, Some(trace));
-        prop_assert!(read_frame(&mut cursor).expect("clean EOF").is_none());
+        let back = read_frame_ex(&mut cursor).expect("decode").expect("one frame");
+        prop_assert_eq!(back.msg, msg);
+        prop_assert_eq!(back.trace, Some(trace));
+        prop_assert!(read_frame_ex(&mut cursor).expect("clean EOF").is_none());
     }
 
     #[test]
@@ -238,34 +224,16 @@ proptest! {
     ) {
         // Same contract as the untraced property: the checksum covers
         // the header, the trace field and the payload, so one flipped
-        // bit yields a typed error. Two exceptions, both in the flag
-        // byte (pos 6): bit 0 clears FLAG_CRC, producing a valid
-        // CRC-less traced frame whose orphaned trailer desyncs the
-        // next read; bit 1 clears FLAG_TRACE, shifting the reader's
-        // payload window over the trace field so the checksum compares
+        // bit yields a typed error. One exception: bit 1 of the flag
+        // byte (pos 6) clears FLAG_TRACE, shifting the reader's payload
+        // window over the trace field so the checksum compares
         // unrelated bytes (astronomically unlikely to pass, but not
         // structurally impossible — tolerated if it ever does).
         let mut frame = encode_frame_opts(&msg, Some(trace), None);
         let pos = (pos as usize) % frame.len();
         frame[pos] ^= 1 << bit;
-        let mut cursor = Cursor::new(&frame);
-        match read_frame(&mut cursor) {
-            Err(_) => {}
-            Ok(got) => {
-                prop_assert_eq!(pos, 6, "corruption outside the flag byte parsed: {:?}", got);
-                prop_assert!(bit <= 1, "unknown flag bit survived: {:?}", got);
-                if bit == 0 {
-                    prop_assert_eq!(
-                        got,
-                        Some((msg.clone(), Some(trace))),
-                        "flag-cleared frame misparsed"
-                    );
-                    prop_assert!(
-                        read_frame(&mut cursor).is_err(),
-                        "orphaned checksum trailer went undetected"
-                    );
-                }
-            }
+        if let Ok(got) = read_frame_ex(&mut Cursor::new(&frame)) {
+            prop_assert!((pos, bit) == (6, 1), "a frame flipped at byte {} bit {} parsed: {:?}", pos, bit, got);
         }
     }
 
@@ -309,14 +277,14 @@ fn max_length_frame_roundtrips_and_one_more_byte_is_refused() {
     let msg = Message::StripData { payload };
     let mut buf = Vec::new();
     write_message_opts(&mut buf, &msg, None, None).unwrap();
-    let back = read_message(&mut Cursor::new(&buf)).unwrap().unwrap();
+    let back = read_frame_ex(&mut Cursor::new(&buf)).unwrap().unwrap().msg;
     assert_eq!(back, msg);
 
     // One byte longer and the reader must refuse before allocating:
     // patch the header's length field past the cap.
     let oversize = (MAX_PAYLOAD as u32) + 1;
     buf[8..12].copy_from_slice(&oversize.to_le_bytes());
-    match read_message(&mut Cursor::new(&buf)) {
+    match read_frame_ex(&mut Cursor::new(&buf)) {
         Err(NetError::Protocol(m)) => assert!(m.contains("cap")),
         other => panic!("expected protocol error, got {other:?}"),
     }

@@ -12,7 +12,7 @@
 //!   the event sink, so per-request diagnostics at bench rates
 //!   cannot flood stderr (suppression is counted, never silent);
 //! * [`trace`] — per-request trace-id minting, carried over the wire
-//!   behind the `CAP_TRACE` capability so one offload's cross-server
+//!   as an optional frame field so one offload's cross-server
 //!   fan-out is correlatable end to end, and the structural sub-ids a
 //!   pipelined wave's requests travel under;
 //! * [`span`] — stage-typed span records keyed by those trace ids,

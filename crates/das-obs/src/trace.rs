@@ -1,7 +1,7 @@
 //! Per-request trace ids.
 //!
 //! A client mints one id per logical request and sends it over the
-//! wire (behind `CAP_TRACE`); daemons echo it on replies and forward
+//! wire (an optional frame field); daemons echo it on replies and forward
 //! it on peer fetches, so every hop of one offload shares an id.
 //! Ids are nonzero, unique within a process, and salted with process
 //! id + wall clock so two clients almost never collide.
