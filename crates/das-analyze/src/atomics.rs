@@ -34,7 +34,6 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 use crate::finding::{Finding, Severity};
-use crate::lints;
 use crate::syntax::{self, TokKind, Token};
 
 const PASS: &str = "atomics";
@@ -66,10 +65,10 @@ struct Site {
 pub fn run(root: &Path) -> Vec<Finding> {
     let mut out = Vec::new();
     let mut sites: Vec<Site> = Vec::new();
-    let mut lexed: lints::Scanned = BTreeMap::new();
+    let mut lexed: syntax::Scanned = BTreeMap::new();
 
-    for (rel, src) in lints::workspace_sources(root) {
-        if !CRATES.contains(&lints::crate_of(&rel)) {
+    for (rel, src) in syntax::workspace_sources(root) {
+        if !CRATES.contains(&syntax::crate_of(&rel)) {
             continue;
         }
         let lx = syntax::lex(&src);
@@ -109,7 +108,7 @@ pub fn run(root: &Path) -> Vec<Finding> {
         let (Some(op), Some(recv)) = (&s.op, &s.recv) else {
             continue;
         };
-        let key = (lints::crate_of(&s.file).to_string(), recv.clone());
+        let key = (syntax::crate_of(&s.file).to_string(), recv.clone());
         match op.as_str() {
             "store" => pairs.entry(key).or_default().0.push(s),
             "load" => pairs.entry(key).or_default().1.push(s),
@@ -152,7 +151,7 @@ pub fn run(root: &Path) -> Vec<Finding> {
             continue;
         };
         if op.starts_with("fetch_") || op == "compare_exchange" || op == "swap" {
-            rmw.entry((lints::crate_of(&s.file).to_string(), recv.clone(), op.clone()))
+            rmw.entry((syntax::crate_of(&s.file).to_string(), recv.clone(), op.clone()))
                 .or_default()
                 .push(s);
         }
@@ -213,14 +212,14 @@ pub fn run(root: &Path) -> Vec<Finding> {
 
     // DA430 — stale DA71x waivers.
     for (rel, (lx, used)) in &lexed {
-        lints::stale_waivers(PASS, rel, lx, &["DA711", "DA712", "DA713"], used, &mut out);
+        syntax::stale_waivers(PASS, rel, lx, &["DA711", "DA712", "DA713"], used, &mut out);
     }
 
     // DA710 — census.
     let mut census: BTreeMap<(String, String), usize> = BTreeMap::new();
     for s in &sites {
         *census
-            .entry((lints::crate_of(&s.file).to_string(), s.ordering.clone()))
+            .entry((syntax::crate_of(&s.file).to_string(), s.ordering.clone()))
             .or_default() += 1;
     }
     let mut per_crate: BTreeMap<String, Vec<String>> = BTreeMap::new();

@@ -43,7 +43,6 @@ use das_net::proto::{ErrorCode, Message};
 use das_pfs::{Layout, LayoutPolicy};
 
 use crate::finding::{Finding, Severity};
-use crate::lints;
 use crate::syntax::{self, TokKind, Token};
 
 const PASS: &str = "costmodel";
@@ -106,10 +105,10 @@ impl Overhead {
 /// Run the costmodel pass against a repository root.
 pub fn run(root: &Path) -> Vec<Finding> {
     let mut out = Vec::new();
-    let sources = lints::workspace_sources(root);
+    let sources = syntax::workspace_sources(root);
     let proto = sources
         .iter()
-        .find(|(rel, _)| lints::crate_of(rel) == "das-net" && rel.ends_with("src/proto.rs"));
+        .find(|(rel, _)| syntax::crate_of(rel) == "das-net" && rel.ends_with("src/proto.rs"));
     let Some((proto_rel, proto_src)) = proto else {
         out.push(Finding::new(
             "DA815",
@@ -122,7 +121,7 @@ pub fn run(root: &Path) -> Vec<Finding> {
     };
     let codec = sources
         .iter()
-        .find(|(rel, _)| lints::crate_of(rel) == "das-net" && rel.ends_with("src/codec.rs"));
+        .find(|(rel, _)| syntax::crate_of(rel) == "das-net" && rel.ends_with("src/codec.rs"));
 
     let lx = syntax::lex(proto_src);
     let toks = &lx.tokens;
@@ -380,7 +379,7 @@ pub fn run(root: &Path) -> Vec<Finding> {
                 ),
             ));
         }
-        lints::stale_waivers(PASS, codec_rel, clx, &["DA814"], &codec_used, &mut out);
+        syntax::stale_waivers(PASS, codec_rel, clx, &["DA814"], &codec_used, &mut out);
         *oh
     } else {
         // No codec source (fixture runs): trust the linked framer for
@@ -397,7 +396,7 @@ pub fn run(root: &Path) -> Vec<Finding> {
     let frames_measured =
         grid_check(&exprs_by_op, overhead, &fields, &mut out);
 
-    lints::stale_waivers(PASS, proto_rel, &lx, &["DA811", "DA813", "DA814"], &used, &mut out);
+    syntax::stale_waivers(PASS, proto_rel, &lx, &["DA811", "DA813", "DA814"], &used, &mut out);
 
     out.push(Finding::new(
         "DA815",

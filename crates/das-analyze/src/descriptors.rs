@@ -22,14 +22,12 @@
 //!   decision rejects offloading in every cell of a
 //!   (D, strip, r, policy) grid, so the descriptor can never be
 //!   offloaded on any supported layout.
-//! * `DA109` (error) — `descriptors/kernels.txt` drifts from the
-//!   compiled-in copy (`das_core::features::BUILTIN_DESCRIPTORS`).
 //! * `DA110` (error) — `descriptors/layouts.txt` fails to parse or
 //!   references unknown kernels / inconsistent geometry.
 
 use std::path::Path;
 
-use das_core::features::{KernelFeatures, BUILTIN_DESCRIPTORS};
+use das_core::features::KernelFeatures;
 use das_core::{decide, parse_kernel_xml, DecisionInput, PlanOptions, StripingParams};
 use das_pfs::{DistributionInfo, Layout, LayoutPolicy, StripId};
 
@@ -56,7 +54,6 @@ pub fn run(root: &Path) -> Vec<Finding> {
         for (line, rec) in records {
             check_offsets(rec, &format!("{txt_rel}:{line}"), &mut out);
         }
-        check_builtin_drift(records, txt_rel, &mut out);
     }
 
     let xml_rel = "descriptors/kernels.xml";
@@ -267,60 +264,6 @@ fn cross_check(
                 PASS,
                 xml_rel,
                 format!("kernel {:?} is in {xml_rel} but missing from {txt_rel}", x.name),
-            ));
-        }
-    }
-}
-
-/// The shipped `descriptors/kernels.txt` must match the compiled-in
-/// registry byte-for-byte in *meaning* — same kernels, same patterns.
-fn check_builtin_drift(txt: &[(usize, KernelFeatures)], txt_rel: &str, out: &mut Vec<Finding>) {
-    let builtin = match KernelFeatures::parse_text(BUILTIN_DESCRIPTORS) {
-        Ok(b) => b,
-        Err(e) => {
-            out.push(Finding::new(
-                "DA109",
-                Severity::Error,
-                PASS,
-                "das_core::features::BUILTIN_DESCRIPTORS",
-                format!("compiled-in descriptors fail to parse: {e}"),
-            ));
-            return;
-        }
-    };
-    for b in &builtin {
-        match txt.iter().find(|(_, rec)| rec.name == b.name) {
-            None => out.push(Finding::new(
-                "DA109",
-                Severity::Error,
-                PASS,
-                txt_rel,
-                format!("built-in kernel {:?} is missing from {txt_rel}", b.name),
-            )),
-            Some((line, rec)) if !patterns_agree(rec, b) => out.push(Finding::new(
-                "DA109",
-                Severity::Error,
-                PASS,
-                format!("{txt_rel}:{line}"),
-                format!(
-                    "kernel {:?} drifted from the compiled-in copy (das_core::features::BUILTIN_DESCRIPTORS)",
-                    b.name
-                ),
-            )),
-            Some(_) => {}
-        }
-    }
-    for (line, rec) in txt {
-        if !builtin.iter().any(|b| b.name == rec.name) {
-            out.push(Finding::new(
-                "DA109",
-                Severity::Error,
-                PASS,
-                format!("{txt_rel}:{line}"),
-                format!(
-                    "kernel {:?} has no compiled-in counterpart — add it to BUILTIN_DESCRIPTORS or drop it",
-                    rec.name
-                ),
             ));
         }
     }
@@ -613,6 +556,7 @@ fn check_dead_descriptor(rec: &KernelFeatures, entity: &str, out: &mut Vec<Findi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use das_core::features::BUILTIN_DESCRIPTORS;
     use das_core::OffsetExpr;
 
     fn kernel(name: &str, offsets: &[&str]) -> KernelFeatures {

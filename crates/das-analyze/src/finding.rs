@@ -54,7 +54,7 @@ pub struct Finding {
     /// Severity class.
     pub severity: Severity,
     /// The pass that produced it (`descriptors`, `protocol`,
-    /// `lints`, …).
+    /// `taint`, …).
     pub pass: &'static str,
     /// What the finding is about: `file:line` for source-anchored
     /// findings, otherwise a logical entity (kernel name, opcode,
@@ -152,7 +152,7 @@ mod tests {
         assert!(Severity::Warning > Severity::Info);
         let mut r = Report::default();
         assert!(!r.denied());
-        r.findings.push(Finding::new("DA400", Severity::Info, "lints", "x", "ok"));
+        r.findings.push(Finding::new("DA500", Severity::Info, "taint", "x", "ok"));
         assert!(!r.denied());
         assert_eq!(r.worst(), Some(Severity::Info));
         r.findings.push(Finding::new("DA108", Severity::Warning, "descriptors", "k", "dead"));

@@ -15,10 +15,6 @@
 //!   buffer, `format!` on the frame path outside error
 //!   construction) in a function reachable from the request-serving
 //!   roots (`shard_loop`, `run_job`).
-//! * `DA802` (error) — an allocation (`with_capacity`, `vec![x; n]`)
-//!   in a wire-decoding function (`from_le_bytes` present) with no
-//!   visible bound (`MAX_PAYLOAD`, `.min(`, `.clamp(`): a hostile
-//!   length field sizes the allocation.
 //! * `DA803` (error) — a blocking operation (sleep, blocking
 //!   connect, channel `recv`, condvar `wait`, `read_to_end`)
 //!   reachable from the shard poll loop, which must never stall —
@@ -38,6 +34,10 @@
 //! * `DA806` (info) — census: files, functions, reachable set,
 //!   sites examined.
 //!
+//! An allocation sized by a wire-decoded length is not this pass's
+//! business: `taint` tracks those lengths through the same modules
+//! and reports the unchecked ones as `DA501`.
+//!
 //! Known imprecision, stated so the reader can calibrate: calls are
 //! matched by bare name (as in `locks`), with a generic-name
 //! ignore list (`new`, `from`, `clone`, …) so `Vec::new()` does not
@@ -51,7 +51,6 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::path::Path;
 
 use crate::finding::{Finding, Severity};
-use crate::lints;
 use crate::locks::{self, Step};
 use crate::syntax::{self, TokKind, Token};
 
@@ -146,7 +145,7 @@ struct Candidate {
 struct FnDef {
     name: String,
     file: String,
-    /// Allocation-class candidates (DA801/DA802/DA804), fire when
+    /// Allocation-class candidates (DA801/DA804), fire when
     /// the fn is reachable from [`ALLOC_ROOTS`].
     alloc: Vec<Candidate>,
     /// Blocking-class candidates (DA803), fire when the fn is
@@ -162,11 +161,11 @@ struct FnDef {
 pub fn run(root: &Path) -> Vec<Finding> {
     let mut out = Vec::new();
     let mut defs: Vec<FnDef> = Vec::new();
-    let mut lexed: lints::Scanned = BTreeMap::new();
+    let mut lexed: syntax::Scanned = BTreeMap::new();
     let mut files = 0usize;
 
-    for (rel, src) in lints::workspace_sources(root) {
-        if lints::crate_of(&rel) != "das-net" || !lints::is_request_path(&rel) {
+    for (rel, src) in syntax::workspace_sources(root) {
+        if !syntax::is_request_path(&rel) {
             continue;
         }
         files += 1;
@@ -233,8 +232,8 @@ pub fn run(root: &Path) -> Vec<Finding> {
     }
 
     for (rel, (lx, used)) in &lexed {
-        let owned = ["DA801", "DA802", "DA803", "DA804", "DA805"];
-        lints::stale_waivers(PASS, rel, lx, &owned, used, &mut out);
+        let owned = ["DA801", "DA803", "DA804", "DA805"];
+        syntax::stale_waivers(PASS, rel, lx, &owned, used, &mut out);
     }
 
     // DA800 — proof record for the zero-copy write path, only
@@ -321,22 +320,6 @@ fn scan_fn(
         calls: BTreeSet::new(),
     };
 
-    // Body-wide facts for the DA802 bound heuristic.
-    let mut decodes_wire = false;
-    let mut bounded = false;
-    for i in body.clone() {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        match t.text.as_str() {
-            "from_le_bytes" => decodes_wire = true,
-            "MAX_PAYLOAD" => bounded = true,
-            "min" | "clamp" if i > 0 && toks[i - 1].text == "." => bounded = true,
-            _ => {}
-        }
-    }
-
     // The held set for DA805 comes from the `locks` guard walker.
     locks::walk(toks, body.clone(), helpers, &mut HashSet::new(), |step, held| {
         let Step::Token(i) = step else { return };
@@ -410,27 +393,6 @@ fn scan_fn(
                 line: t.line,
                 message: "`format!` allocates a String on the frame path — preformat once or write into a reused buffer".to_string(),
             });
-        }
-
-        // DA802 — unbounded wire-sized allocation.
-        if decodes_wire && !bounded {
-            let vec_macro = t.text == "vec"
-                && banged
-                && toks.get(i + 2).is_some_and(|n| n.text == "[")
-                && has_semicolon_before_close(toks, i + 2, end);
-            let with_cap = t.text == "with_capacity"
-                && called
-                && !matches!(
-                    (toks.get(i + 2), toks.get(i + 3)),
-                    (Some(a), Some(b)) if a.kind == TokKind::Num && b.text == ")"
-                );
-            if vec_macro || with_cap {
-                def.alloc.push(Candidate {
-                    code: "DA802",
-                    line: t.line,
-                    message: "allocation sized in a wire-decoding fn with no visible bound (`MAX_PAYLOAD`, `.min(`, `.clamp(`) — a hostile length field controls it".to_string(),
-                });
-            }
         }
 
         // DA803 — blocking operations.
@@ -539,26 +501,6 @@ fn in_error_ctx(toks: &[Token], i: usize, floor: usize) -> bool {
                 || t.text.ends_with("Error"))
         {
             return true;
-        }
-    }
-    false
-}
-
-/// Whether the bracket group opened at `open_idx` contains a `;`
-/// before its matching `]` — the `vec![elem; n]` repeat form.
-fn has_semicolon_before_close(toks: &[Token], open_idx: usize, end: usize) -> bool {
-    let mut depth = 0i64;
-    for t in toks.iter().take(end).skip(open_idx) {
-        match t.text.as_str() {
-            "[" => depth += 1,
-            "]" => {
-                depth -= 1;
-                if depth == 0 {
-                    return false;
-                }
-            }
-            ";" if depth == 1 => return true,
-            _ => {}
         }
     }
     false
@@ -690,27 +632,6 @@ fn run_job(job: Job) {
 ",
         )]);
         let hits: Vec<_> = out.iter().filter(|f| f.code == "DA801").collect();
-        assert_eq!(hits.len(), 1, "{out:?}");
-        assert!(hits[0].entity.ends_with(":3"), "{hits:?}");
-    }
-
-    #[test]
-    fn unbounded_wire_allocation_is_da802_and_bounded_is_not() {
-        let out = run_on(&[(
-            "codec.rs",
-            "\
-fn run_job(b: &[u8]) {
-    let len = u32::from_le_bytes(four(b)) as usize;
-    let mut v = Vec::with_capacity(len);
-}
-fn shard_loop(b: &[u8]) {
-    let len = u32::from_le_bytes(four(b)) as usize;
-    if len > MAX_PAYLOAD { return; }
-    let mut v = Vec::with_capacity(len);
-}
-",
-        )]);
-        let hits: Vec<_> = out.iter().filter(|f| f.code == "DA802").collect();
         assert_eq!(hits.len(), 1, "{out:?}");
         assert!(hits[0].entity.ends_with(":3"), "{hits:?}");
     }

@@ -1,6 +1,6 @@
 //! # das-analyze — static analysis for the DAS workspace
 //!
-//! Nine passes, each emitting machine-readable [`Finding`]s
+//! Eight passes, each emitting machine-readable [`Finding`]s
 //! (`registry::REGISTRY` is the code registry; `das-analyze --list`
 //! prints it, `docs/ANALYSIS.md` documents it):
 //!
@@ -9,25 +9,19 @@
 //!   present in one but missing from another is drift.
 //! * [`descriptors`] — parse every Kernel Features descriptor under
 //!   `descriptors/`, validate offsets symbolically (affine in
-//!   `imgWidth`), cross-check the txt and XML forms, verify the
-//!   shipped file against the compiled-in copy, check each deployment
-//!   in `descriptors/layouts.txt` for replication radii that do not
-//!   cover the kernel's stencil reach, and sweep the paper's
+//!   `imgWidth`), cross-check the txt and XML forms, check each
+//!   deployment in `descriptors/layouts.txt` for replication radii
+//!   that do not cover the kernel's stencil reach, and sweep the paper's
 //!   Eqs. 1–13 decision over a (D, strip, E, r) grid to flag "dead"
 //!   descriptors no layout would ever offload.
 //! * [`protocol`] — parse the tables in `docs/PROTOCOL.md` and fail
 //!   on constant drift between the spec and the code (opcodes, error
 //!   codes, fault classes).
-//! * [`lints`] — token-based source lints via the in-crate [`syntax`]
-//!   lexer: no `unwrap()`/`expect(`/`panic!` in das-net's wire-facing
-//!   modules, no `eprintln!` outside das-obs, no stray stdout prints
-//!   in library code. `// das-lint: allow(<code>)` on the same or
-//!   preceding line waives a site; `#[cfg(test)]` code is masked out.
 //! * [`taint`] — wire-taint dataflow: lengths and counts decoded off
-//!   the wire in das-net's `proto`/`codec` must be bounds-checked
-//!   before they reach an allocation or index sink, and peer-returned
-//!   strip payloads must be length-validated before the server
-//!   assembles them.
+//!   the wire in das-net's request-path modules must be
+//!   bounds-checked before they reach an allocation or index sink,
+//!   and strip payloads destructured from wire messages must be
+//!   length-validated before the server assembles them.
 //! * [`locks`] — one lock model over das-net/das-obs/das-load: one
 //!   acquisition recognizer and one guard-lifetime walker feed both
 //!   lock-order analysis (held sets propagated through each crate's
@@ -42,9 +36,9 @@
 //!   mismatched store/load strength on one atomic, and discarded
 //!   `fetch_*` results flagged, with justification-checked waivers.
 //! * [`hotpath`] — per-request allocation/copy/blocking analysis:
-//!   scan das-net's request-path sources for heap copies, unbounded
-//!   wire-sized allocations, payload byte-copy sinks, blocking ops
-//!   and guard-across-dispatch sites, keep only those reachable from
+//!   scan das-net's request-path sources for heap copies, payload
+//!   byte-copy sinks, blocking ops and guard-across-dispatch sites,
+//!   keep only those reachable from
 //!   the evloop hot roots via the call graph, and prove the write
 //!   path (`run_job` → … → `frame_parts_opts`) allocation-free.
 //! * [`costmodel`] — symbolic wire-cost verification: extract each
@@ -55,16 +49,25 @@
 //!   (D, strip, policy) grid × the per-frame trace/budget fields —
 //!   the Eqs. 1–17 bookkeeping held to the actual bytes.
 //!
+//! The source passes read tokens from the in-crate [`syntax`] lexer;
+//! `// das-lint: allow(<code>)` on the same or preceding line waives
+//! a site, and `#[cfg(test)]` code is masked out. Panics and stray
+//! prints on the request path are clippy's to catch, not a pass's:
+//! the crate roots warn on `clippy::unwrap_used`/`expect_used`/
+//! `panic`/`print_stdout`/`print_stderr` (`docs/ANALYSIS.md`,
+//! "Waivers").
+//!
 //! The `das-analyze` binary runs the passes against a repository
 //! root; `--deny` turns any warning- or error-level finding into a
 //! nonzero exit for CI.
+
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod atomics;
 pub mod costmodel;
 pub mod descriptors;
 pub mod finding;
 pub mod hotpath;
-pub mod lints;
 pub mod locks;
 pub mod protocol;
 pub mod registry;
@@ -76,11 +79,10 @@ use std::path::Path;
 pub use finding::{Finding, Report, Severity};
 
 /// Pass names in execution order, as accepted by `--pass`.
-pub const PASSES: [&str; 9] = [
+pub const PASSES: [&str; 8] = [
     "registry",
     "descriptors",
     "protocol",
-    "lints",
     "taint",
     "locks",
     "atomics",
@@ -95,7 +97,6 @@ pub fn run_pass(name: &str, root: &Path) -> Option<Vec<Finding>> {
         "registry" => Some(registry::run(root)),
         "descriptors" => Some(descriptors::run(root)),
         "protocol" => Some(protocol::run(root)),
-        "lints" => Some(lints::run(root)),
         "taint" => Some(taint::run(root)),
         "locks" => Some(locks::run(root)),
         "atomics" => Some(atomics::run(root)),

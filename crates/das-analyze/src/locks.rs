@@ -66,7 +66,6 @@ use std::path::Path;
 use std::rc::Rc;
 
 use crate::finding::{Finding, Severity};
-use crate::lints;
 use crate::syntax::{self, TokKind, Token};
 
 const PASS: &str = "locks";
@@ -149,9 +148,9 @@ struct Scan {
 /// Run the pass over das-net, das-obs and das-load under `root`.
 pub fn run(root: &Path) -> Vec<Finding> {
     let mut scan = Scan::default();
-    let mut files: lints::Scanned = BTreeMap::new();
-    for (rel, src) in lints::workspace_sources(root) {
-        let Some(krate) = CRATES.into_iter().find(|&c| c == lints::crate_of(&rel)) else {
+    let mut files: syntax::Scanned = BTreeMap::new();
+    for (rel, src) in syntax::workspace_sources(root) {
+        let Some(krate) = CRATES.into_iter().find(|&c| c == syntax::crate_of(&rel)) else {
             continue;
         };
         let lx = syntax::lex(&src);
@@ -229,7 +228,7 @@ pub fn run(root: &Path) -> Vec<Finding> {
     }
 
     for (rel, (lx, used)) in &files {
-        lints::stale_waivers(PASS, rel, lx, &WAIVABLE, used, &mut out);
+        syntax::stale_waivers(PASS, rel, lx, &WAIVABLE, used, &mut out);
     }
 
     out.push(Finding::new(

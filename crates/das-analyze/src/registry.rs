@@ -41,17 +41,10 @@ pub const REGISTRY: &[(&str, &str, &str)] = &[
     ("DA106", "error", "txt and XML disagree on a shared kernel's pattern"),
     ("DA107", "warning", "deployment replication ring under a kernel's stencil radius"),
     ("DA108", "warning", "dead descriptor: never offloaded anywhere on the decision grid"),
-    ("DA109", "error", "descriptors/kernels.txt drifted from the compiled-in copy"),
     ("DA110", "error", "malformed layouts.txt row"),
     ("DA205", "error", "docs/PROTOCOL.md RPC-table drift"),
     ("DA206", "error", "docs/PROTOCOL.md error-code-table drift"),
     ("DA207", "error", "fault class accepted by dasd --fault but undocumented"),
-    ("DA400", "info", "lint summary: files linted"),
-    ("DA401", "error", ".unwrap() in a das-net request-path module"),
-    ("DA402", "error", ".expect( in a das-net request-path module"),
-    ("DA403", "error", "panic! in a das-net request-path module"),
-    ("DA404", "error", "eprintln! outside das-obs (and outside bin/)"),
-    ("DA406", "warning", "println! in library code"),
     ("DA407", "error", "lock acquired against the declared hierarchy, directly or through a call"),
     ("DA408", "error", "AB/BA lock-order cycle across call chains"),
     ("DA409", "info", "lock-graph summary: functions, sites, held-edges"),
@@ -59,7 +52,7 @@ pub const REGISTRY: &[(&str, &str, &str)] = &[
     ("DA500", "info", "taint summary: wire ints and blobs tracked"),
     ("DA501", "error", "wire-decoded length reaches an allocation/index sink unchecked"),
     ("DA502", "warning", "value derived from a wire length reaches a sink unchecked"),
-    ("DA503", "error", "peer-returned blob consumed without a length check"),
+    ("DA503", "error", "wire-message blob consumed without a length check"),
     ("DA700", "info", "lockset summary: guards inferred, fields bound, accesses checked"),
     ("DA701", "error", "field of a guard-protected struct accessed without its guard held"),
     ("DA702", "warning", "struct protected by more than one guard; lockset is ambiguous"),
@@ -73,7 +66,6 @@ pub const REGISTRY: &[(&str, &str, &str)] = &[
     ("DA714", "warning", "DA71x waiver lacks a justifying comment"),
     ("DA800", "info", "hot-path proof record: engine/codec write path allocation-free"),
     ("DA801", "error", "per-request heap copy (to_vec/clone/format!) on a request-serving path"),
-    ("DA802", "error", "allocation sized by a wire-decoded length with no visible bound"),
     ("DA803", "error", "blocking operation reachable from the evloop shard poll loop"),
     ("DA804", "error", "byte-copy sink fed a strip payload, defeating the Bytes zero-copy path"),
     ("DA805", "error", "lock guard held across a dispatch/enqueue/write boundary"),

@@ -1,16 +1,16 @@
 //! A dependency-free Rust tokenizer and item extractor — the
-//! syntactic substrate of the source-level passes.
+//! syntactic substrate of the source-level passes — plus the
+//! workspace walk and the waiver bookkeeping they share.
 //!
-//! The line-based lints of PR 4 had a structural false-positive
-//! class: a string literal containing `.unwrap()`, a `//` comment
-//! containing `eprintln!`, or a `#[cfg(test)]` module whose body
-//! contains a brace inside a string all confused the per-line
-//! heuristics. This module lexes source into a real token stream
-//! (string/char/raw-string literals are single tokens, comments are
-//! trivia on the side) and recovers just enough structure — `fn`
-//! items with brace-balanced bodies, attributes, `#[cfg(test)]`
-//! regions — for the lint, taint and lock-graph passes to reason on
-//! tokens instead of lines.
+//! Per-line heuristics have a structural false-positive class: a
+//! string literal containing `.unwrap()`, a `//` comment containing a
+//! sink name, or a `#[cfg(test)]` module whose body contains a brace
+//! inside a string all confuse them. This module lexes source into a
+//! real token stream (string/char/raw-string literals are single
+//! tokens, comments are trivia on the side) and recovers just enough
+//! structure — `fn` items with brace-balanced bodies, attributes,
+//! `#[cfg(test)]` regions — for the taint, lock, atomics and hot-path
+//! passes to reason on tokens instead of lines.
 //!
 //! Design constraints:
 //!
@@ -24,6 +24,11 @@
 //!   the lex→reprint→relex fixpoint the property tests assert.
 //!   Punctuation is lexed one character at a time, which makes the
 //!   fixpoint trivially stable (`<<` and `< <` are the same stream).
+
+use std::collections::BTreeMap;
+use std::path::Path;
+
+use crate::finding::{Finding, Severity};
 
 /// What a token is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,7 +87,7 @@ pub struct Lexed {
 impl Lexed {
     /// Whether a waiver covers a `code` finding on `line`; a hit is
     /// recorded in `used` as `(line, code)` so the pass's stale-waiver
-    /// sweep (`lints::stale_waivers`) can tell live waivers from dead
+    /// sweep ([`stale_waivers`]) can tell live waivers from dead
     /// ones. The one waiver check every pass goes through.
     pub fn waive(&self, line: u32, code: &str, used: &mut Vec<(u32, String)>) -> bool {
         let hit = self.waived(line, code);
@@ -629,6 +634,130 @@ pub fn extract_fns(lx: &Lexed) -> Vec<FnItem> {
     out
 }
 
+/// das-net's request-path modules (repo-relative suffixes): every
+/// byte they touch comes off a socket. `hotpath` scans them for
+/// per-request costs and `taint` tracks wire-decoded integers
+/// through them.
+pub const REQUEST_PATH: [&str; 9] = [
+    "crates/das-net/src/client.rs",
+    "crates/das-net/src/server.rs",
+    "crates/das-net/src/codec.rs",
+    "crates/das-net/src/conn.rs",
+    "crates/das-net/src/peer.rs",
+    "crates/das-net/src/retry.rs",
+    "crates/das-net/src/proto.rs",
+    "crates/das-net/src/engine.rs",
+    "crates/das-net/src/hedge.rs",
+];
+
+/// Whether a repo-relative path is one of the [`REQUEST_PATH`]
+/// modules.
+pub fn is_request_path(rel: &str) -> bool {
+    REQUEST_PATH.iter().any(|m| rel.ends_with(m))
+}
+
+/// Every `crates/*/src/**/*.rs` file under `root`, plus the root
+/// package's `src/**/*.rs` (the `das` CLI), as (repo-relative path,
+/// contents), sorted by path. Shared with every source pass.
+pub fn workspace_sources(root: &Path) -> Vec<(String, String)> {
+    let mut files = Vec::new();
+    collect_rs_files(&root.join("crates"), &mut files);
+    collect_rs_files(&root.join("src"), &mut files);
+    files.sort();
+    let mut out = Vec::new();
+    for path in files {
+        let Ok(src) = std::fs::read_to_string(&path) else {
+            continue;
+        };
+        let rel = path
+            .strip_prefix(root)
+            .unwrap_or(&path)
+            .to_string_lossy()
+            .replace('\\', "/");
+        out.push((rel, src));
+    }
+    out
+}
+
+fn collect_rs_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            // From the crates/ level, descend only into each crate's
+            // src/ tree — benches, tests/ and target/ are out of
+            // scope by construction.
+            if dir.ends_with("crates") {
+                collect_rs_files(&path.join("src"), out);
+            } else {
+                collect_rs_files(&path, out);
+            }
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Which crate a repo-relative path is in: the directory under
+/// `crates/`, or `das` for the root package's `src/` tree.
+pub fn crate_of(rel: &str) -> &str {
+    if rel.starts_with("src/") {
+        return "das";
+    }
+    rel.strip_prefix("crates/")
+        .and_then(|r| r.split('/').next())
+        .unwrap_or("")
+}
+
+/// The files a pass scanned, by repo-relative path: each one lexed,
+/// with the (finding line, code) pairs where one of its waivers fired.
+pub type Scanned = BTreeMap<String, (Lexed, Vec<(u32, String)>)>;
+
+/// `DA430` — stale-waiver sweep, shared by every waiver-honoring
+/// pass. `owned` is the set of codes the calling pass can suppress;
+/// `used` holds the (finding line, code) pairs where a waiver
+/// actually fired this run. A waiver comment on line `L` covers
+/// findings on `L` and `L+1`; one that covers nothing is reported.
+/// Waivers annotating `#[cfg(test)]` code are the tests' business
+/// and are skipped.
+pub fn stale_waivers(
+    pass: &'static str,
+    rel: &str,
+    lx: &Lexed,
+    owned: &[&str],
+    used: &[(u32, String)],
+    out: &mut Vec<Finding>,
+) {
+    let mask = test_mask(lx);
+    for (line, code) in lx.waivers() {
+        if !owned.contains(&code.as_str()) {
+            continue;
+        }
+        let in_test = lx
+            .tokens
+            .iter()
+            .position(|t| t.line >= line)
+            .is_some_and(|i| mask.get(i).copied().unwrap_or(false));
+        if in_test {
+            continue;
+        }
+        let fired = used.iter().any(|(l, c)| c == &code && (*l == line || *l == line + 1));
+        if !fired {
+            out.push(Finding::new(
+                "DA430",
+                Severity::Warning,
+                pass,
+                format!("{rel}:{line}"),
+                format!(
+                    "stale waiver: `das-lint: allow({code})` suppresses nothing — remove it so it cannot mask a future regression"
+                ),
+            ));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -676,18 +805,41 @@ mod tests {
 
     #[test]
     fn waivers_resolve_from_comment_trivia() {
-        let lx = lex("// das-lint: allow(DA401)\nx.unwrap();\ny.unwrap();");
-        assert!(lx.waived(2, "DA401"));
-        assert!(!lx.waived(3, "DA401"));
-        assert!(!lx.waived(2, "DA402"));
+        let lx = lex("// das-lint: allow(DA801)\nx.to_vec();\ny.to_vec();");
+        assert!(lx.waived(2, "DA801"));
+        assert!(!lx.waived(3, "DA801"));
+        assert!(!lx.waived(2, "DA804"));
     }
 
     #[test]
     fn waiver_enumeration_lists_every_allow() {
         let lx = lex(
-            "// das-lint: allow(DA401) reason\nx();\n/* das-lint: allow(DA502) */ y();\n// a plain comment\n",
+            "// das-lint: allow(DA801) reason\nx();\n/* das-lint: allow(DA502) */ y();\n// a plain comment\n",
         );
-        assert_eq!(lx.waivers(), vec![(1, "DA401".to_string()), (3, "DA502".to_string())]);
+        assert_eq!(lx.waivers(), vec![(1, "DA801".to_string()), (3, "DA502".to_string())]);
+    }
+
+    fn stale(src: &str, used: &[(u32, String)]) -> Vec<Finding> {
+        let mut out = Vec::new();
+        stale_waivers("t", "x.rs", &lex(src), &["DA801"], used, &mut out);
+        out
+    }
+
+    #[test]
+    fn a_waiver_that_fired_is_live_and_one_that_did_not_is_da430() {
+        let src = "fn f() {\n    // das-lint: allow(DA801) audited\n    let v = b.to_vec();\n}\n";
+        let out = stale(src, &[]);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!((out[0].code, out[0].entity.as_str()), ("DA430", "x.rs:2"));
+        assert!(stale(src, &[(3, "DA801".to_string())]).is_empty());
+        // Codes other passes own are theirs to sweep.
+        assert!(stale("// das-lint: allow(DA502)\nfn f() {}\n", &[]).is_empty());
+    }
+
+    #[test]
+    fn waivers_in_test_code_are_not_stale() {
+        let src = "#[cfg(test)]\nmod tests {\n    // das-lint: allow(DA801) fixture text\n    fn t() {}\n}\n";
+        assert!(stale(src, &[]).is_empty());
     }
 
     #[test]

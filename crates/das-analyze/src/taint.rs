@@ -5,19 +5,20 @@
 //! passing a bounds check first:
 //!
 //! * **Integer taint** (`DA501` error / `DA502` warning) — in
-//!   das-net's decode modules (`proto.rs`, `codec.rs`), a local bound
-//!   from `take_u8/u16/u32/u64` or `from_le_bytes`/`from_be_bytes` is
-//!   tainted. It must be compared against a bound, clamped with
-//!   `.min(`/`.clamp(`, or consumed by the internally-checked
-//!   `take(n)` before it reaches `vec![_; n]`, `with_capacity(n)`,
-//!   a slice index, or a `read_exact` argument. An unchecked direct
+//!   das-net's request-path modules ([`syntax::REQUEST_PATH`]), a
+//!   local bound from `take_u8/u16/u32/u64` or
+//!   `from_le_bytes`/`from_be_bytes` is tainted. It must be compared
+//!   against a bound, clamped with `.min(`/`.clamp(`, or consumed by
+//!   the internally-checked `take(n)` before it reaches
+//!   `vec![_; n]`, `with_capacity(n)`, a slice index, or a
+//!   `read_exact` argument. An unchecked direct
 //!   use is `DA501` (remote-triggerable OOM or panic); a use after
 //!   arithmetic derivation is `DA502` — the derivation may have
 //!   re-bounded the value, so it warns instead of erroring.
 //! * **Blob taint** (`DA503` error) — in `server.rs`/`client.rs`, a
-//!   payload obtained from a peer fetch (`get_strip_failover*`) or a
-//!   wire message destructure (`StripData`/`PutStrip`) must have its
-//!   `.len()` *compared* before the bytes are consumed (`insert`,
+//!   payload bound by a wire message destructure
+//!   (`StripData { payload }`, `PutStrip { …, payload }`) must have
+//!   its `.len()` *compared* before the bytes are consumed (`insert`,
 //!   `Bytes::from`, `extend_from_slice`, `store`, indexing, …). A
 //!   short strip accepted into a `StripAssembly` panics the daemon on
 //!   the first out-of-range element read; merely *reading* `.len()`
@@ -37,7 +38,6 @@
 use std::path::Path;
 
 use crate::finding::{Finding, Severity};
-use crate::lints;
 use crate::syntax::{self, TokKind, Token};
 
 const PASS: &str = "taint";
@@ -45,9 +45,6 @@ const PASS: &str = "taint";
 /// Calls whose result is an attacker-controlled integer.
 const WIRE_SOURCES: [&str; 6] =
     ["take_u8", "take_u16", "take_u32", "take_u64", "from_le_bytes", "from_be_bytes"];
-
-/// Calls whose result is an attacker-controlled byte payload.
-const BLOB_SOURCES: [&str; 2] = ["get_strip_failover_traced", "get_strip_failover"];
 
 /// Wire message variants whose destructured fields carry a payload.
 const BLOB_VARIANTS: [&str; 2] = ["StripData", "PutStrip"];
@@ -70,25 +67,14 @@ enum Taint {
     Derived,
 }
 
-/// Run the wire-taint pass over `root/crates/das-net/src`.
+/// Run the wire-taint pass over das-net's request-path modules.
 pub fn run(root: &Path) -> Vec<Finding> {
     let mut out = Vec::new();
     let mut stats = Stats::default();
-    for (rel, src) in lints::workspace_sources(root) {
-        let decode = is_decode_module(&rel);
-        let blob = is_blob_module(&rel);
-        if !decode && !blob {
-            continue;
+    for (rel, src) in syntax::workspace_sources(root) {
+        if syntax::is_request_path(&rel) {
+            taint_file(&rel, &src, &mut out, &mut stats);
         }
-        let mut used: Vec<(u32, String)> = Vec::new();
-        if decode {
-            int_taint_file(&rel, &src, &mut out, &mut stats, &mut used);
-        }
-        if blob {
-            blob_taint_file(&rel, &src, &mut out, &mut stats, &mut used);
-        }
-        let lx = syntax::lex(&src);
-        lints::stale_waivers(PASS, &rel, &lx, &["DA501", "DA502", "DA503"], &used, &mut out);
     }
     out.push(Finding::new(
         "DA500",
@@ -112,13 +98,20 @@ struct Stats {
     sinks: usize,
 }
 
-fn is_decode_module(rel: &str) -> bool {
-    lints::crate_of(rel) == "das-net"
-        && (rel.ends_with("src/proto.rs") || rel.ends_with("src/codec.rs"))
+/// Integer taint over one request-path module, blob taint as well in
+/// the modules that consume strips, then the file's stale-waiver sweep.
+fn taint_file(rel: &str, src: &str, out: &mut Vec<Finding>, stats: &mut Stats) {
+    let mut used: Vec<(u32, String)> = Vec::new();
+    int_taint_file(rel, src, out, stats, &mut used);
+    if is_blob_module(rel) {
+        blob_taint_file(rel, src, out, stats, &mut used);
+    }
+    let lx = syntax::lex(src);
+    syntax::stale_waivers(PASS, rel, &lx, &["DA501", "DA502", "DA503"], &used, out);
 }
 
 fn is_blob_module(rel: &str) -> bool {
-    lints::crate_of(rel) == "das-net"
+    syntax::crate_of(rel) == "das-net"
         && (rel.ends_with("src/server.rs") || rel.ends_with("src/client.rs"))
 }
 
@@ -194,7 +187,7 @@ fn stmt_end(toks: &[Token], from: usize, end: usize) -> usize {
     end
 }
 
-/// Integer-taint analysis over one decode module.
+/// Integer-taint analysis over one request-path module.
 fn int_taint_file(
     rel: &str,
     src: &str,
@@ -425,41 +418,7 @@ fn blob_taint_fn(
     while i < end {
         let t = &toks[i];
 
-        // Source 1: let NAME = … get_strip_failover…(…) … ;
-        if t.kind == TokKind::Ident && t.text == "let" {
-            if let Some((name, rhs)) = let_binding(toks, i, end) {
-                if toks[rhs]
-                    .iter()
-                    .any(|t| t.kind == TokKind::Ident && BLOB_SOURCES.contains(&t.text.as_str()))
-                {
-                    stats.blobs += 1;
-                    blobs.insert(name);
-                }
-            }
-            // A `let payload = match peers.get_strip_failover…` RHS is
-            // a block, which let_binding rejects; catch it below via
-            // the statement scan.
-            let se = stmt_end(toks, i, end);
-            if toks[i..se]
-                .iter()
-                .any(|t| t.kind == TokKind::Ident && BLOB_SOURCES.contains(&t.text.as_str()))
-            {
-                if let Some(name_tok) = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident) {
-                    let name = if name_tok.text == "mut" {
-                        toks.get(i + 2).map(|t| t.text.clone())
-                    } else {
-                        Some(name_tok.text.clone())
-                    };
-                    if let Some(name) = name {
-                        if blobs.insert(name) {
-                            stats.blobs += 1;
-                        }
-                    }
-                }
-            }
-        }
-
-        // Source 2: shorthand destructure of a payload-bearing
+        // Source: shorthand destructure of a payload-bearing
         // variant: `StripData { payload }` / `PutStrip { …, payload }`.
         if t.kind == TokKind::Ident
             && BLOB_VARIANTS.contains(&t.text.as_str())
@@ -576,16 +535,9 @@ mod tests {
 
     fn run_on(rel: &str, src: &str) -> Vec<Finding> {
         let mut out = Vec::new();
-        let mut stats = Stats::default();
-        let mut used = Vec::new();
-        if is_decode_module(rel) {
-            int_taint_file(rel, src, &mut out, &mut stats, &mut used);
+        if syntax::is_request_path(rel) {
+            taint_file(rel, src, &mut out, &mut Stats::default());
         }
-        if is_blob_module(rel) {
-            blob_taint_file(rel, src, &mut out, &mut stats, &mut used);
-        }
-        let lx = syntax::lex(src);
-        lints::stale_waivers(PASS, rel, &lx, &["DA501", "DA502", "DA503"], &used, &mut out);
         out
     }
 
@@ -654,14 +606,15 @@ fn read(&mut self) -> Vec<u8> {
     #[test]
     fn unchecked_peer_blob_consumed_is_da503() {
         let src = "\
-fn execute(shared: &Shared) -> Message {
-    let payload = match shared.peers.get_strip_failover_traced(&holders, file, u, trace) {
-        Ok((p, _)) => p,
-        Err(e) => return err(e),
-    };
-    bytes += payload.len() as u64;
-    asm.insert(StripId(u), Bytes::from(payload));
-    Message::Ok
+fn fetched(reply: Message, asm: &mut StripAssembly) -> Message {
+    match reply {
+        Message::StripData { payload } => {
+            bytes += payload.len() as u64;
+            asm.insert(StripId(u), Bytes::from(payload));
+            Message::Ok
+        }
+        _ => err(),
+    }
 }
 ";
         let out = run_on("crates/das-net/src/server.rs", src);
@@ -671,19 +624,35 @@ fn execute(shared: &Shared) -> Message {
     #[test]
     fn length_compared_blob_is_clean() {
         let src = "\
-fn prepare(shared: &Shared) -> Message {
-    let payload = match shared.peers.get_strip_failover_traced(&holders, file, s, trace) {
-        Ok((p, _)) => p,
-        Err(e) => return err(e),
-    };
-    if payload.len() != spec.strip_len(sid, len) {
-        return err(ErrorCode::StripLengthMismatch);
+fn fetched(reply: Message, staged: &mut Vec<(StripId, Bytes)>) -> Message {
+    match reply {
+        Message::StripData { payload } => {
+            if payload.len() != spec.strip_len(sid, len) {
+                return err(ErrorCode::StripLengthMismatch);
+            }
+            staged.push((sid, Bytes::from(payload)));
+            Message::Ok
+        }
+        _ => err(),
     }
-    staged.push((sid, Bytes::from(payload)));
-    Message::Ok
 }
 ";
         assert!(run_on("crates/das-net/src/server.rs", src).is_empty());
+    }
+
+    #[test]
+    fn integer_taint_covers_every_request_path_module() {
+        let src = "\
+fn handle(hdr: [u8; 4]) {
+    let n = u32::from_le_bytes(hdr) as usize;
+    let mut out = Vec::with_capacity(n);
+}
+";
+        let out = run_on("crates/das-net/src/engine.rs", src);
+        assert!(out.iter().any(|f| f.code == "DA501"), "{out:?}");
+        // Off the request path (a bin, another crate) the rule is silent.
+        assert!(run_on("crates/das-net/src/bin/dasd.rs", src).is_empty());
+        assert!(run_on("crates/das-load/src/lib.rs", src).is_empty());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Seeded hot-path allocation defects: a byte-copy in the job
-//! runner (DA801), an unbounded wire-sized allocation (DA802), and
-//! a payload byte-copy sink (DA804) — all reachable from the shard
-//! poll loop.
+//! runner (DA801) and a payload byte-copy sink (DA804), both
+//! reachable from the shard poll loop — plus an unbounded wire-sized
+//! allocation, which is `taint`'s to report (DA501).
 
 fn shard_loop(q: &Queues) {
     while let Some(job) = q.pop() {

@@ -1,10 +1,14 @@
-//! Seeded defect for the blob-taint rule: a peer-returned strip is
+//! Seeded defect for the blob-taint rule: a strip a peer sent back is
 //! stored without its length ever being validated (DA503).
 
 impl Srv {
-    fn assemble(&self, file: u32, u: u64) -> Result<(), NetError> {
-        let payload = self.get_strip_failover(file, u)?;
-        self.store.insert(u, payload);
-        Ok(())
+    fn assemble(&self, u: u64, reply: Message) -> Result<(), NetError> {
+        match reply {
+            Message::StripData { payload } => {
+                self.store.insert(u, payload);
+                Ok(())
+            }
+            _ => Err(NetError::BadReply),
+        }
     }
 }

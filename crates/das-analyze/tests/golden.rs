@@ -75,23 +75,6 @@ fn doctored_protocol_doc_fails_with_drift_codes() {
 }
 
 #[test]
-fn seeded_unwrap_in_request_path_fails_with_da401() {
-    let (ok, stdout) = analyze(&fixture("seeded-unwrap"), &["lints"]);
-    assert!(!ok, "{stdout}");
-    assert!(stdout.contains("\"code\":\"DA401\""), "{stdout}");
-    assert!(stdout.contains("server.rs:3"), "{stdout}");
-}
-
-#[test]
-fn lint_shaped_text_in_comments_strings_and_tests_is_clean() {
-    // Regression net for the old line-heuristic false positives:
-    // every pattern in this fixture once misfired, and the
-    // token-based lints must pass it.
-    let (ok, stdout) = analyze(&fixture("lint-fp"), &["lints"]);
-    assert!(ok, "token-based lints must not fire on comments/strings/tests:\n{stdout}");
-}
-
-#[test]
 fn cross_function_lock_inversion_fails_with_da407() {
     let (ok, stdout) = analyze(&fixture("lock-inversion"), &["locks"]);
     assert!(!ok, "{stdout}");
@@ -232,16 +215,17 @@ fn registry_drift_fails_with_da001_and_da003() {
 }
 
 #[test]
-fn seeded_hot_path_allocations_fail_with_da801_da802_da804() {
-    let (ok, stdout) = analyze(&fixture("hotpath-alloc"), &["hotpath"]);
+fn seeded_hot_path_allocations_fail_with_da801_da804_and_taint_da501() {
+    let (ok, stdout) = analyze(&fixture("hotpath-alloc"), &["hotpath", "taint"]);
     assert!(!ok, "{stdout}");
-    // The reachable to_vec, the unbounded wire-sized allocation, and
-    // the payload byte-copy sink…
+    // The reachable to_vec and the payload byte-copy sink…
     assert!(stdout.contains("\"code\":\"DA801\""), "{stdout}");
-    assert!(stdout.contains("\"code\":\"DA802\""), "{stdout}");
     assert!(stdout.contains("\"code\":\"DA804\""), "{stdout}");
     // …but not the copy in the unreachable admin tool.
     assert_eq!(stdout.matches("\"code\":\"DA801\"").count(), 1, "{stdout}");
+    // The allocation sized by the wire-decoded `n` is taint's.
+    assert!(stdout.contains("\"code\":\"DA501\""), "{stdout}");
+    assert!(stdout.contains("engine.rs:20"), "{stdout}");
 }
 
 #[test]
@@ -297,8 +281,8 @@ fn real_repo_is_clean_under_deny() {
 fn unknown_pass_is_a_usage_error() {
     // `lockgraph` was a pass name until `locks` replaced it; `model`
     // and `fetchgraph` were passes until das-net's own tests took over
-    // what they claimed.
-    for pass in ["nonsense", "lockgraph", "model", "fetchgraph"] {
+    // what they claimed, and `lints` until clippy did.
+    for pass in ["nonsense", "lockgraph", "model", "fetchgraph", "lints"] {
         let out = Command::new(env!("CARGO_BIN_EXE_das-analyze"))
             .args(["--pass", pass])
             .output()

@@ -6,7 +6,7 @@
 
 use std::path::Path;
 
-use das_analyze::lints::workspace_sources;
+use das_analyze::syntax::workspace_sources;
 use das_analyze::syntax::{extract_fns, lex, reprint, test_mask, TokKind};
 
 use proptest::prelude::*;

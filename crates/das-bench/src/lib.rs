@@ -23,6 +23,8 @@
 //! Run all of them with `cargo bench`, or one with
 //! `cargo bench --bench fig11`.
 
+#![warn(clippy::print_stderr)]
+
 use das_runtime::RunReport;
 
 /// Percent improvement of `new` over `base` (positive = faster).

@@ -405,41 +405,9 @@ fn strip_prefix_ci<'a>(line: &'a str, prefix: &str) -> Option<&'a str> {
 
 /// The descriptors shipped with the prototype: one record per kernel in
 /// `das-kernels`, written exactly as the paper's Section III-B example.
-pub const BUILTIN_DESCRIPTORS: &str = "\
-# Kernel Features descriptors (paper Section III-B format).
-Name:flow-routing
-Dependence: -imgWidth+1, -imgWidth, -imgWidth-1, -1, 1, imgWidth-1, imgWidth, imgWidth+1
-
-Name:flow-accumulation
-Dependence: -imgWidth+1, -imgWidth, -imgWidth-1, -1, 1, imgWidth-1, imgWidth, imgWidth+1
-
-Name:gaussian-filter
-Dependence: -imgWidth+1, -imgWidth, -imgWidth-1, -1, 1, imgWidth-1, imgWidth, imgWidth+1
-
-Name:median-filter
-Dependence: -imgWidth+1, -imgWidth, -imgWidth-1, -1, 1, imgWidth-1, imgWidth, imgWidth+1
-
-Name:slope-analysis
-Dependence: -imgWidth+1, -imgWidth, -imgWidth-1, -1, 1, imgWidth-1, imgWidth, imgWidth+1
-
-Name:sobel-edge
-Dependence: -imgWidth+1, -imgWidth, -imgWidth-1, -1, 1, imgWidth-1, imgWidth, imgWidth+1
-
-Name:local-variance
-Dependence: -imgWidth+1, -imgWidth, -imgWidth-1, -1, 1, imgWidth-1, imgWidth, imgWidth+1
-
-# Radius-2 stencil: 24 offsets spanning two rows in each direction.
-Name:gaussian-filter-5x5
-Dependence: -2*imgWidth-2, -2*imgWidth-1, -2*imgWidth, -2*imgWidth+1, -2*imgWidth+2, -imgWidth-2, -imgWidth-1, -imgWidth, -imgWidth+1, -imgWidth+2, -2, -1, 1, 2, imgWidth-2, imgWidth-1, imgWidth, imgWidth+1, imgWidth+2, 2*imgWidth-2, 2*imgWidth-1, 2*imgWidth, 2*imgWidth+1, 2*imgWidth+2
-
-# 4-neighbor (von Neumann) pattern, the paper's other common case.
-Name:laplacian-4
-Dependence: -imgWidth, -1, 1, imgWidth
-
-# Dependence-free pointwise operator: the ideal active-storage case.
-Name:pointwise-scale
-Dependence: none
-";
+/// This is `descriptors/kernels.txt`, compiled in: the file is the one
+/// copy, and a client that loads it from disk reads the same records.
+pub const BUILTIN_DESCRIPTORS: &str = include_str!("../../../descriptors/kernels.txt");
 
 /// The operator-name → [`KernelFeatures`] store embedded in the active
 /// storage client.

@@ -53,6 +53,7 @@
 //! println!("{decision:?}");
 //! ```
 
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod client;
 pub mod decide;

@@ -43,6 +43,7 @@
 //! assert_eq!(offsets.len(), 8);
 //! ```
 
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 mod extended;
 mod filters;

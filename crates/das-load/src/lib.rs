@@ -20,6 +20,11 @@
 //! `BENCH_net.json`. [`fleet::spawn_fleet`] boots an in-process
 //! loopback fleet for it when no external cluster is given.
 
+// The load generator drives live fleets through long runs: a panic on
+// a transient error would end the run instead of counting it.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod fleet;
 pub mod report;
 

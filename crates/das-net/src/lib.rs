@@ -34,6 +34,11 @@
 //! predictions of `das-core` — the strongest end-to-end validation of
 //! the paper's bandwidth model this repo has.
 
+// Every byte this crate handles comes off a socket: a panic takes the
+// daemon down for every client, so errors are returned typed.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod client;
 pub mod codec;
 mod conn;

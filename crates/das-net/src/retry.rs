@@ -124,20 +124,13 @@ impl RetryPolicy {
     /// classifies as worth retrying. Returns the last error when the
     /// budget is exhausted.
     pub fn retry<T>(&self, mut op: impl FnMut() -> Result<T, NetError>) -> Result<T, NetError> {
-        let attempts = self.max_attempts.max(1);
-        let mut last = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                self.sleep_before_retry(attempt);
-            }
+        for attempt in 1..self.max_attempts.max(1) {
             match op() {
-                Ok(v) => return Ok(v),
-                Err(e) if e.is_transient() && attempt + 1 < attempts => last = Some(e),
-                Err(e) => return Err(e),
+                Err(e) if e.is_transient() => self.sleep_before_retry(attempt),
+                done => return done,
             }
         }
-        // das-lint: allow(DA402) the loop body runs at least once, so `last` is always set here
-        Err(last.expect("at least one attempt"))
+        op()
     }
 
     /// [`RetryPolicy::retry`] of `op` whose first attempt a wave may

@@ -51,6 +51,7 @@
 //! assert_eq!(pfs.read(file, 100_000, 1234).unwrap().0, bytes);
 //! ```
 
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 mod cluster;
 mod error;

@@ -49,6 +49,7 @@
 //! assert!(das.bytes.net_server_server < dem.byte_len());
 //! ```
 
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod assembly;
 pub mod config;

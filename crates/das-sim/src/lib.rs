@@ -50,6 +50,7 @@
 //! let _ = send;
 //! ```
 
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 mod engine;
 mod op;

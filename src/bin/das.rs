@@ -17,6 +17,10 @@
 //! `--cluster` it boots an in-process loopback fleet, runs the seeded
 //! workload against it, and writes the run to `BENCH_net.json`.
 
+// The CLI drives live fleets: an error is reported typed, never as a
+// panic.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 use std::collections::HashMap;
 use std::process::exit;
 

@@ -42,6 +42,8 @@
 //! assert!(das.exec_time < ts.exec_time);
 //! ```
 
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+
 pub use das_core as core;
 pub use das_kernels as kernels;
 pub use das_net as net;
