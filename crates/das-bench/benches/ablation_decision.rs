@@ -17,7 +17,7 @@
 
 use das_core::{decide, decide_timed, DecisionInput, KernelFeatures, LinkCost, OffsetExpr,
     PlanOptions};
-use das_kernels::{workload, ElemSource, Kernel};
+use das_kernels::{workload, Kernel, Window};
 use das_pfs::{PfsCluster, StripeSpec};
 use das_runtime::{run_das_forced_offload, run_scheme, ClusterConfig, SchemeKind};
 
@@ -36,7 +36,7 @@ impl Kernel for Stride {
     fn cost_per_element(&self) -> f64 {
         80.0
     }
-    fn process_element(&self, src: &dyn ElemSource, row: u64, col: u64) -> f32 {
+    fn process_element(&self, src: &Window<'_>, row: u64, col: u64) -> f32 {
         let mut acc = src.get(row as i64, col as i64).expect("center");
         for dr in [-self.0, self.0] {
             if let Some(v) = src.get(row as i64 + dr, col as i64) {
@@ -44,6 +44,12 @@ impl Kernel for Stride {
             }
         }
         acc
+    }
+    fn process_interior(&self, rows: &[&[f32]], out: &mut [f32]) {
+        let k = self.0 as usize;
+        for (j, slot) in out.iter_mut().enumerate() {
+            *slot = rows[k][j] + rows[0][j] + rows[2 * k][j];
+        }
     }
 }
 

@@ -2,12 +2,15 @@
 //!
 //! Regenerates the paper's kernel inventory, extended with the
 //! dependence pattern (from the Kernel Features descriptors), the
-//! calibrated per-element cost, and a functional self-check of each
-//! kernel on a small raster.
+//! calibrated per-element cost, a functional self-check of each kernel
+//! on a small raster, and its measured speed.
+
+use std::hint::black_box;
+use std::time::Instant;
 
 use das_bench::TABLE1_KERNELS;
 use das_core::FeatureRegistry;
-use das_kernels::{kernel_by_name, kernel_names, workload};
+use das_kernels::{kernel_by_name, kernel_names, workload, RasterSource};
 
 fn describe(name: &str) -> &'static str {
     match name {
@@ -45,6 +48,7 @@ fn main() {
 
     let registry = FeatureRegistry::with_builtin();
     let probe = workload::fbm_dem(64, 64, 1);
+    let timed = workload::fbm_dem(512, 512, 2);
 
     for &name in kernel_names() {
         let kernel = kernel_by_name(name).expect("registered");
@@ -68,6 +72,21 @@ fn main() {
         b.sort_unstable();
         assert_eq!(a, b, "{name}: descriptor matches implementation");
         println!("  self-check: output {}x{}, descriptor consistent ✔", out.width(), out.height());
+
+        // Measured speed: `process_range` (the loop every scheme runs)
+        // over a 512 × 512 DEM, best of 5.
+        let mut cells = vec![0f32; timed.cells() as usize];
+        let best = (0..5)
+            .map(|_| {
+                let t = Instant::now();
+                kernel.process_range(&RasterSource(black_box(&timed)), 0, black_box(&mut cells));
+                t.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min);
+        println!(
+            "  measured: {:.1} ns/element (process_range, 512x512, best of 5)",
+            best * 1e9 / timed.cells() as f64
+        );
     }
     println!();
 }

@@ -14,8 +14,8 @@
 //!   storage node does not need to request dependent data"), under
 //!   which NAS and DAS coincide.
 
-use crate::kernel::Kernel;
-use crate::source::ElemSource;
+use crate::kernel::{centred, each_block, Kernel};
+use crate::source::Window;
 
 /// Sobel gradient magnitude (3×3, replicate-edge): classic edge
 /// detection over the paper's medical/GIS rasters.
@@ -35,15 +35,21 @@ impl Kernel for SobelEdge {
         180.0
     }
 
-    fn process_element(&self, src: &dyn ElemSource, row: u64, col: u64) -> f32 {
-        let (r, c) = (row as i64, col as i64);
-        let px = |dr: i64, dc: i64| src.get_clamped(r + dr, c + dc);
-        let gx = (px(-1, 1) + 2.0 * px(0, 1) + px(1, 1))
-            - (px(-1, -1) + 2.0 * px(0, -1) + px(1, -1));
-        let gy = (px(1, -1) + 2.0 * px(1, 0) + px(1, 1))
-            - (px(-1, -1) + 2.0 * px(-1, 0) + px(-1, 1));
-        (gx * gx + gy * gy).sqrt()
+    fn process_element(&self, src: &Window<'_>, row: u64, col: u64) -> f32 {
+        sobel(|dr, dc| src.get_clamped(row as i64 + dr, col as i64 + dc))
     }
+
+    fn process_interior(&self, rows: &[&[f32]], out: &mut [f32]) {
+        each_block::<3>(rows, out, |b| sobel(|dr, dc| centred(b, dr, dc)))
+    }
+}
+
+/// The Sobel gradient magnitude over the neighbours `px` reads.
+#[inline]
+fn sobel(px: impl Fn(i64, i64) -> f32) -> f32 {
+    let gx = (px(-1, 1) + 2.0 * px(0, 1) + px(1, 1)) - (px(-1, -1) + 2.0 * px(0, -1) + px(1, -1));
+    let gy = (px(1, -1) + 2.0 * px(1, 0) + px(1, 1)) - (px(-1, -1) + 2.0 * px(-1, 0) + px(-1, 1));
+    (gx * gx + gy * gy).sqrt()
 }
 
 /// 5×5 Gaussian smoothing — a radius-2 stencil with 24 dependence
@@ -75,17 +81,26 @@ impl Kernel for GaussianFilter5x5 {
         450.0
     }
 
-    fn process_element(&self, src: &dyn ElemSource, row: u64, col: u64) -> f32 {
-        const W: [f32; 5] = [1.0, 4.0, 6.0, 4.0, 1.0];
-        let (r, c) = (row as i64, col as i64);
-        let mut acc = 0.0f32;
-        for (i, wr) in W.iter().enumerate() {
-            for (j, wc) in W.iter().enumerate() {
-                acc += wr * wc * src.get_clamped(r + i as i64 - 2, c + j as i64 - 2);
-            }
-        }
-        acc / 256.0
+    fn process_element(&self, src: &Window<'_>, row: u64, col: u64) -> f32 {
+        smooth5(|dr, dc| src.get_clamped(row as i64 + dr, col as i64 + dc))
     }
+
+    fn process_interior(&self, rows: &[&[f32]], out: &mut [f32]) {
+        each_block::<5>(rows, out, |b| smooth5(|dr, dc| centred(b, dr, dc)))
+    }
+}
+
+/// The binomial 5×5 average of the neighbours `at` reads.
+#[inline]
+fn smooth5(at: impl Fn(i64, i64) -> f32) -> f32 {
+    const W: [f32; 5] = [1.0, 4.0, 6.0, 4.0, 1.0];
+    let mut acc = 0.0f32;
+    for (i, wr) in W.iter().enumerate() {
+        for (j, wc) in W.iter().enumerate() {
+            acc += wr * wc * at(i as i64 - 2, j as i64 - 2);
+        }
+    }
+    acc / 256.0
 }
 
 /// 3×3 local variance (population variance of the window) — texture /
@@ -106,20 +121,29 @@ impl Kernel for LocalVariance {
         160.0
     }
 
-    fn process_element(&self, src: &dyn ElemSource, row: u64, col: u64) -> f32 {
-        let (r, c) = (row as i64, col as i64);
-        let mut sum = 0.0f32;
-        let mut sq = 0.0f32;
-        for dr in -1..=1 {
-            for dc in -1..=1 {
-                let v = src.get_clamped(r + dr, c + dc);
-                sum += v;
-                sq += v * v;
-            }
-        }
-        let mean = sum / 9.0;
-        (sq / 9.0 - mean * mean).max(0.0)
+    fn process_element(&self, src: &Window<'_>, row: u64, col: u64) -> f32 {
+        variance9(|dr, dc| src.get_clamped(row as i64 + dr, col as i64 + dc))
     }
+
+    fn process_interior(&self, rows: &[&[f32]], out: &mut [f32]) {
+        each_block::<3>(rows, out, |b| variance9(|dr, dc| centred(b, dr, dc)))
+    }
+}
+
+/// The population variance of the 3×3 neighbours `at` reads.
+#[inline]
+fn variance9(at: impl Fn(i64, i64) -> f32) -> f32 {
+    let mut sum = 0.0f32;
+    let mut sq = 0.0f32;
+    for dr in -1..=1 {
+        for dc in -1..=1 {
+            let v = at(dr, dc);
+            sum += v;
+            sq += v * v;
+        }
+    }
+    let mean = sum / 9.0;
+    (sq / 9.0 - mean * mean).max(0.0)
 }
 
 /// 4-neighbor (von Neumann) Laplacian: `Δx = N + S + E + W − 4·center`
@@ -142,12 +166,20 @@ impl Kernel for Laplacian4 {
         100.0
     }
 
-    fn process_element(&self, src: &dyn ElemSource, row: u64, col: u64) -> f32 {
-        let (r, c) = (row as i64, col as i64);
-        src.get_clamped(r - 1, c) + src.get_clamped(r + 1, c) + src.get_clamped(r, c - 1)
-            + src.get_clamped(r, c + 1)
-            - 4.0 * src.get_clamped(r, c)
+    fn process_element(&self, src: &Window<'_>, row: u64, col: u64) -> f32 {
+        laplacian(|dr, dc| src.get_clamped(row as i64 + dr, col as i64 + dc))
     }
+
+    fn process_interior(&self, rows: &[&[f32]], out: &mut [f32]) {
+        each_block::<3>(rows, out, |b| laplacian(|dr, dc| centred(b, dr, dc)))
+    }
+}
+
+/// The 4-neighbour Laplacian of the cells `at` reads: the four
+/// neighbours and the centre, nothing diagonal.
+#[inline]
+fn laplacian(at: impl Fn(i64, i64) -> f32) -> f32 {
+    at(-1, 0) + at(1, 0) + at(0, -1) + at(0, 1) - 4.0 * at(0, 0)
 }
 
 /// Dependence-free pointwise transform (`x → scale·x + offset`): the
@@ -180,8 +212,14 @@ impl Kernel for PointwiseScale {
         20.0
     }
 
-    fn process_element(&self, src: &dyn ElemSource, row: u64, col: u64) -> f32 {
+    fn process_element(&self, src: &Window<'_>, row: u64, col: u64) -> f32 {
         self.scale * src.get(row as i64, col as i64).expect("center in bounds") + self.offset
+    }
+
+    fn process_interior(&self, rows: &[&[f32]], out: &mut [f32]) {
+        for (slot, &v) in out.iter_mut().zip(rows[0]) {
+            *slot = self.scale * v + self.offset;
+        }
     }
 }
 

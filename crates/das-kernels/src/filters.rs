@@ -2,8 +2,8 @@
 //! surface slope — the 8-neighbor operations from medical imaging and
 //! GIS the paper lists in Section III-C.
 
-use crate::kernel::{eight_neighbor_offsets, Kernel};
-use crate::source::ElemSource;
+use crate::kernel::{centred, each_block, eight_neighbor_offsets, Kernel};
+use crate::source::Window;
 
 /// 3×3 Gaussian smoothing (Table I's third kernel), binomial weights
 /// `[1 2 1; 2 4 2; 1 2 1] / 16`, replicate-edge boundary.
@@ -23,17 +23,26 @@ impl Kernel for GaussianFilter {
         220.0
     }
 
-    fn process_element(&self, src: &dyn ElemSource, row: u64, col: u64) -> f32 {
-        const W: [[f32; 3]; 3] = [[1.0, 2.0, 1.0], [2.0, 4.0, 2.0], [1.0, 2.0, 1.0]];
-        let (row, col) = (row as i64, col as i64);
-        let mut acc = 0.0f32;
-        for (i, wr) in W.iter().enumerate() {
-            for (j, &w) in wr.iter().enumerate() {
-                acc += w * src.get_clamped(row + i as i64 - 1, col + j as i64 - 1);
-            }
-        }
-        acc / 16.0
+    fn process_element(&self, src: &Window<'_>, row: u64, col: u64) -> f32 {
+        smooth3(|dr, dc| src.get_clamped(row as i64 + dr, col as i64 + dc))
     }
+
+    fn process_interior(&self, rows: &[&[f32]], out: &mut [f32]) {
+        each_block::<3>(rows, out, |b| smooth3(|dr, dc| centred(b, dr, dc)))
+    }
+}
+
+/// The binomial 3×3 average of the neighbours `at` reads.
+#[inline]
+fn smooth3(at: impl Fn(i64, i64) -> f32) -> f32 {
+    const W: [[f32; 3]; 3] = [[1.0, 2.0, 1.0], [2.0, 4.0, 2.0], [1.0, 2.0, 1.0]];
+    let mut acc = 0.0f32;
+    for (i, wr) in W.iter().enumerate() {
+        for (j, &w) in wr.iter().enumerate() {
+            acc += w * at(i as i64 - 1, j as i64 - 1);
+        }
+    }
+    acc / 16.0
 }
 
 /// 3×3 median filter (impulse-noise removal in medical imaging),
@@ -54,21 +63,30 @@ impl Kernel for MedianFilter {
         300.0
     }
 
-    fn process_element(&self, src: &dyn ElemSource, row: u64, col: u64) -> f32 {
-        let (row, col) = (row as i64, col as i64);
-        let mut window = [0.0f32; 9];
-        let mut k = 0;
-        for dr in -1..=1 {
-            for dc in -1..=1 {
-                window[k] = src.get_clamped(row + dr, col + dc);
-                k += 1;
-            }
-        }
-        // total_cmp gives a total order (no NaNs expected in workloads,
-        // but determinism must not depend on that).
-        window.sort_unstable_by(f32::total_cmp);
-        window[4]
+    fn process_element(&self, src: &Window<'_>, row: u64, col: u64) -> f32 {
+        median9(|dr, dc| src.get_clamped(row as i64 + dr, col as i64 + dc))
     }
+
+    fn process_interior(&self, rows: &[&[f32]], out: &mut [f32]) {
+        each_block::<3>(rows, out, |b| median9(|dr, dc| centred(b, dr, dc)))
+    }
+}
+
+/// The median of the 3×3 neighbours `at` reads.
+#[inline]
+fn median9(at: impl Fn(i64, i64) -> f32) -> f32 {
+    let mut window = [0.0f32; 9];
+    let mut k = 0;
+    for dr in -1..=1 {
+        for dc in -1..=1 {
+            window[k] = at(dr, dc);
+            k += 1;
+        }
+    }
+    // total_cmp gives a total order (no NaNs expected in workloads,
+    // but determinism must not depend on that).
+    window.sort_unstable_by(f32::total_cmp);
+    window[4]
 }
 
 /// Surface slope: maximum elevation drop to any of the 8 neighbors
@@ -90,28 +108,39 @@ impl Kernel for SlopeAnalysis {
         200.0
     }
 
-    fn process_element(&self, src: &dyn ElemSource, row: u64, col: u64) -> f32 {
-        const INV_SQRT2: f32 = std::f32::consts::FRAC_1_SQRT_2;
-        let center = src
-            .get(row as i64, col as i64)
-            .expect("center cell in bounds");
-        let mut max_drop = 0.0f32;
-        for dr in -1i64..=1 {
-            for dc in -1i64..=1 {
-                if dr == 0 && dc == 0 {
-                    continue;
-                }
-                if let Some(v) = src.get(row as i64 + dr, col as i64 + dc) {
-                    let dist = if dr != 0 && dc != 0 { INV_SQRT2 } else { 1.0 };
-                    let drop = (center - v) * dist;
-                    if drop > max_drop {
-                        max_drop = drop;
-                    }
+    fn process_element(&self, src: &Window<'_>, row: u64, col: u64) -> f32 {
+        steepest_drop(|dr, dc| src.get(row as i64 + dr, col as i64 + dc))
+    }
+
+    fn process_interior(&self, rows: &[&[f32]], out: &mut [f32]) {
+        each_block::<3>(rows, out, |b| {
+            steepest_drop(|dr, dc| Some(centred(b, dr, dc)))
+        })
+    }
+}
+
+/// The largest distance-scaled drop from the centre to a neighbour `at`
+/// reads (`None` off the grid), or 0.
+#[inline]
+fn steepest_drop(at: impl Fn(i64, i64) -> Option<f32>) -> f32 {
+    const INV_SQRT2: f32 = std::f32::consts::FRAC_1_SQRT_2;
+    let center = at(0, 0).expect("center cell in bounds");
+    let mut max_drop = 0.0f32;
+    for dr in -1i64..=1 {
+        for dc in -1i64..=1 {
+            if dr == 0 && dc == 0 {
+                continue;
+            }
+            if let Some(v) = at(dr, dc) {
+                let dist = if dr != 0 && dc != 0 { INV_SQRT2 } else { 1.0 };
+                let drop = (center - v) * dist;
+                if drop > max_drop {
+                    max_drop = drop;
                 }
             }
         }
-        max_drop
     }
+    max_drop
 }
 
 #[cfg(test)]

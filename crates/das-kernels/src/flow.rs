@@ -7,9 +7,9 @@
 //! follows" flow-routing and consumes its intermediate raster,
 //! Section I).
 
-use crate::kernel::{eight_neighbor_offsets, Kernel};
+use crate::kernel::{centred, each_block, eight_neighbor_offsets, Kernel};
 use crate::raster::Raster;
-use crate::source::ElemSource;
+use crate::source::Window;
 
 /// D8 direction codes → (row, col) displacement. Code 0 is "no
 /// outflow" (a sink or flat); codes 1–8 start East and proceed
@@ -47,22 +47,31 @@ impl Kernel for FlowRouting {
         190.0
     }
 
-    fn process_element(&self, src: &dyn ElemSource, row: u64, col: u64) -> f32 {
-        let center = src
-            .get(row as i64, col as i64)
-            .expect("center cell in bounds");
-        let mut best_code = 0u8;
-        let mut best_val = center;
-        for (k, (dr, dc)) in DIR_OFFSETS.iter().enumerate() {
-            if let Some(v) = src.get(row as i64 + dr, col as i64 + dc) {
-                if v < best_val {
-                    best_val = v;
-                    best_code = (k + 1) as u8;
-                }
+    fn process_element(&self, src: &Window<'_>, row: u64, col: u64) -> f32 {
+        route(|dr, dc| src.get(row as i64 + dr, col as i64 + dc))
+    }
+
+    fn process_interior(&self, rows: &[&[f32]], out: &mut [f32]) {
+        each_block::<3>(rows, out, |b| route(|dr, dc| Some(centred(b, dr, dc))))
+    }
+}
+
+/// The D8 code of the cell whose neighbour `(dr, dc)` `at` reads
+/// (`None` off the grid).
+#[inline]
+fn route(at: impl Fn(i64, i64) -> Option<f32>) -> f32 {
+    let center = at(0, 0).expect("center cell in bounds");
+    let mut best_code = 0u8;
+    let mut best_val = center;
+    for (k, &(dr, dc)) in DIR_OFFSETS.iter().enumerate() {
+        if let Some(v) = at(dr, dc) {
+            if v < best_val {
+                best_val = v;
+                best_code = (k + 1) as u8;
             }
         }
-        f32::from(best_code)
     }
+    f32::from(best_code)
 }
 
 /// One-step flow accumulation: the 8-neighbor stencil the paper's
@@ -89,22 +98,29 @@ impl Kernel for FlowAccumulationStep {
         160.0
     }
 
-    fn process_element(&self, src: &dyn ElemSource, row: u64, col: u64) -> f32 {
-        let mut inflow = 1.0f32;
-        for (dr, dc) in DIR_OFFSETS {
-            let (nr, nc) = (row as i64 + dr, col as i64 + dc);
-            if let Some(code) = src.get(nr, nc) {
-                let code = code as usize;
-                if (1..=8).contains(&code) {
-                    let (fr, fc) = DIR_OFFSETS[code - 1];
-                    if nr + fr == row as i64 && nc + fc == col as i64 {
-                        inflow += 1.0;
-                    }
-                }
-            }
-        }
-        inflow
+    fn process_element(&self, src: &Window<'_>, row: u64, col: u64) -> f32 {
+        inflow(|dr, dc| src.get(row as i64 + dr, col as i64 + dc))
     }
+
+    fn process_interior(&self, rows: &[&[f32]], out: &mut [f32]) {
+        each_block::<3>(rows, out, |b| inflow(|dr, dc| Some(centred(b, dr, dc))))
+    }
+}
+
+/// One plus the number of neighbours, read by `at` (`None` off the
+/// grid), whose direction code points at the cell: the neighbour in
+/// direction `k` does when its code truncates to the opposite
+/// direction's.
+#[inline]
+fn inflow(at: impl Fn(i64, i64) -> Option<f32>) -> f32 {
+    let mut inflow = 1.0f32;
+    for (k, (dr, dc)) in DIR_OFFSETS.into_iter().enumerate() {
+        let back = ((k + 4) % 8 + 1) as f32;
+        if at(dr, dc).is_some_and(|code| (back..back + 1.0).contains(&code)) {
+            inflow += 1.0;
+        }
+    }
+    inflow
 }
 
 /// Full (global) flow accumulation over a D8 direction raster — the

@@ -9,7 +9,7 @@
 //! pattern, per-element cost, and the element-wise computation itself.
 
 use crate::raster::Raster;
-use crate::source::{ElemSource, RasterSource, WindowSource};
+use crate::source::{ElemSource, RasterSource, Window};
 
 /// An offloadable data-analysis operation over a 2-D raster.
 ///
@@ -17,6 +17,16 @@ use crate::source::{ElemSource, RasterSource, WindowSource};
 /// from the input cells named by `dependence_offsets` (plus the cell
 /// itself). That structure is exactly what lets the DAS bandwidth
 /// model (paper Eqs. 1–5) predict the cost of offloading.
+///
+/// A kernel computes a cell in one of two ways, which must agree bit
+/// for bit. [`process_element`](Self::process_element) is the kernel's
+/// definition: it reads through a [`Window`] and handles the raster's
+/// borders. [`process_interior`](Self::process_interior) computes a run
+/// of cells whose every neighbour is at hand, from plain row slices
+/// with no border or `Option` handling: the fast path. Every caller
+/// goes through [`process_range`](Self::process_range), which picks
+/// the path per cell; `process_element` stays the oracle the tests
+/// hold the fast path to.
 pub trait Kernel: Send + Sync {
     /// Operator name, matching its Kernel Features descriptor.
     fn name(&self) -> &'static str;
@@ -31,17 +41,24 @@ pub trait Kernel: Send + Sync {
     fn cost_per_element(&self) -> f64;
 
     /// Compute the output cell at `(row, col)`.
-    fn process_element(&self, src: &dyn ElemSource, row: u64, col: u64) -> f32;
+    fn process_element(&self, src: &Window<'_>, row: u64, col: u64) -> f32;
+
+    /// Compute a run of interior cells of one row, exactly as
+    /// `process_element` would.
+    ///
+    /// With `(R, C)` the half-extents of the block the kernel's
+    /// `dependence_offsets` reach (each offset read as `dr·width + dc`
+    /// with the nearest row `dr`), `rows` holds the `2·R + 1` input rows
+    /// around the run, top to bottom, each cut `C` columns wider than
+    /// the run on either side: the neighbour `(dr, dc)` of `out[j]` is
+    /// `rows[R + dr][j + C + dc]`. Every one of those cells is in the
+    /// raster and held.
+    fn process_interior(&self, rows: &[&[f32]], out: &mut [f32]);
 
     /// Reference execution over a whole raster.
     fn apply(&self, input: &Raster) -> Raster {
-        let src = RasterSource(input);
         let mut out = Raster::filled(input.width(), input.height(), 0.0);
-        for row in 0..input.height() {
-            for col in 0..input.width() {
-                out.set(row, col, self.process_element(&src, row, col));
-            }
-        }
+        self.process_range(&RasterSource(input), 0, out.as_mut_slice());
         out
     }
 
@@ -52,8 +69,10 @@ pub trait Kernel: Send + Sync {
     ///
     /// The source is asked once, for the window
     /// `[start − reach, start + out.len() + reach) ∩ [0, n)` with
-    /// `reach` the largest `|offset|` this kernel declares, and every
-    /// `process_element` then reads that slice.
+    /// `reach` the largest `|offset|` this kernel declares. A cell whose
+    /// whole block of neighbours lies inside the raster and inside a
+    /// hole-free part of that window goes to `process_interior`; every
+    /// other cell to `process_element`.
     ///
     /// # Panics
     /// Panics if the range runs past the raster, if a read lands on an
@@ -64,28 +83,94 @@ pub trait Kernel: Send + Sync {
         let (width, height) = (src.width(), src.height());
         let (end, n) = (start + out.len() as u64, width * height);
         assert!(end <= n, "{}: elements [{start}, {end}) outside {width}x{height} raster", self.name());
-        let reach = self.dependence_offsets(width).iter().map(|o| o.unsigned_abs()).max().unwrap_or(0);
+        if out.is_empty() {
+            return;
+        }
+        let offsets = self.dependence_offsets(width);
+        let reach = offsets.iter().map(|o| o.unsigned_abs()).max().unwrap_or(0);
         let lo = start.saturating_sub(reach);
         let (cells, holes) = src.window(lo, end.saturating_add(reach).min(n));
-        let window = WindowSource {
-            backing: src,
-            width,
-            height,
-            lo,
-            cells: &cells,
-            holes: &holes,
-            kernel: self.name(),
-            reach,
-        };
-        let (mut row, mut col) = (start / width, start % width);
-        for slot in out {
-            *slot = self.process_element(&window, row, col);
-            col += 1;
-            if col == width {
-                (row, col) = (row + 1, 0);
+        let window = Window::new(src, lo, &cells, &holes, self.name(), reach);
+        let (up, across) = interior_block(&offsets, width);
+        let mut rows: Vec<&[f32]> = Vec::new();
+        for row in start / width..=(end - 1) / width {
+            let base = row * width;
+            let (first, stop) = (start.max(base) - base, (end - base).min(width));
+            let slots = &mut out[(base + first - start) as usize..(base + stop - start) as usize];
+            let mut next = first;
+            for run in window.clear_runs(row, (up, across)) {
+                let (from, to) = (run.start.max(next), run.end.min(stop));
+                if from >= to {
+                    continue;
+                }
+                for col in next..from {
+                    slots[(col - first) as usize] = self.process_element(&window, row, col);
+                }
+                rows.clear();
+                rows.extend(
+                    (row - up..=row + up)
+                        .map(|y| window.cells(y * width + from - across, y * width + to + across)),
+                );
+                self.process_interior(
+                    &rows,
+                    &mut slots[(from - first) as usize..(to - first) as usize],
+                );
+                next = to;
+            }
+            for col in next..stop {
+                slots[(col - first) as usize] = self.process_element(&window, row, col);
             }
         }
     }
+}
+
+/// The half-extents `(rows, cols)` of the block around a cell that
+/// `offsets` reach on a raster `width` wide, each offset read as
+/// `dr·width + dc` with the nearest row `dr` (`width > 0`).
+fn interior_block(offsets: &[i64], width: u64) -> (u64, u64) {
+    let w = width as i64;
+    let (mut rows, mut cols) = (0, 0);
+    for &o in offsets {
+        let dr = (o + w / 2).div_euclid(w);
+        rows = rows.max(dr.unsigned_abs());
+        cols = cols.max((o - dr * w).unsigned_abs());
+    }
+    (rows, cols)
+}
+
+/// Runs `cell` over every `N × N` block of a run of interior cells —
+/// the block's rows top to bottom, each left to right, centred on the
+/// cell — and stores what it returns: the body of `process_interior`
+/// for a kernel whose block is square.
+///
+/// # Panics
+/// Panics unless `rows` holds `N` rows of `out.len() + N − 1` cells.
+#[inline]
+pub(crate) fn each_block<const N: usize>(
+    rows: &[&[f32]],
+    out: &mut [f32],
+    cell: impl Fn(&[[f32; N]; N]) -> f32,
+) {
+    let rows: &[&[f32]; N] = rows.try_into().expect("one row per block row");
+    for row in rows {
+        assert_eq!(
+            row.len(),
+            out.len() + N - 1,
+            "a row spans the run and its block"
+        );
+    }
+    for (j, slot) in out.iter_mut().enumerate() {
+        let block: [[f32; N]; N] = std::array::from_fn(|r| std::array::from_fn(|c| rows[r][j + c]));
+        *slot = cell(&block);
+    }
+}
+
+/// The neighbour `(dr, dc)` of the centre of an `N × N` block from
+/// [`each_block`].
+#[inline]
+pub(crate) fn centred<const N: usize>(block: &[[f32; N]; N], dr: i64, dc: i64) -> f32 {
+    let r = N as i64 / 2;
+    block[(r + dr) as usize][(r + dc) as usize]
 }
 
 /// The canonical 8-neighbor dependence pattern used by every kernel in
@@ -118,8 +203,11 @@ mod tests {
         fn cost_per_element(&self) -> f64 {
             1.0
         }
-        fn process_element(&self, src: &dyn ElemSource, row: u64, col: u64) -> f32 {
+        fn process_element(&self, src: &Window<'_>, row: u64, col: u64) -> f32 {
             src.get(row as i64, col as i64).expect("in bounds")
+        }
+        fn process_interior(&self, rows: &[&[f32]], out: &mut [f32]) {
+            out.copy_from_slice(rows[0]);
         }
     }
 

@@ -26,6 +26,14 @@
 //! element a kernel touches panics loudly, which is how the test suite
 //! catches layout/replication bugs.
 //!
+//! Every run of a kernel — [`Kernel::apply`], [`apply_parallel`], a
+//! storage server's strip — is one loop, [`Kernel::process_range`]: one
+//! [`Window`] of the source per task, the cells whose neighbours are all
+//! at hand computed from its row slices by
+//! [`Kernel::process_interior`], and the raster's borders (and any cell
+//! next to data the assembly lacks) by [`Kernel::process_element`],
+//! the kernel's definition.
+//!
 //! The paper's 24–60 GB terrain datasets are replaced by seeded
 //! synthetic workloads ([`workload`]): fractal DEMs (fBm value noise
 //! and diamond–square), ramps, noise and impulse images.
@@ -62,4 +70,4 @@ pub use kernel::{eight_neighbor_offsets, four_neighbor_offsets, Kernel};
 pub use parallel::apply_parallel;
 pub use raster::{cells_from_le_bytes, cells_to_le_bytes, Raster};
 pub use registry::{kernel_by_name, kernel_names};
-pub use source::{ElemSource, RasterSource};
+pub use source::{ElemSource, RasterSource, Window};

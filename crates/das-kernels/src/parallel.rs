@@ -2,8 +2,8 @@
 //!
 //! Kernels are element-independent, so a raster can be partitioned by
 //! rows across threads with no synchronization beyond the join —
-//! and because every element is computed by the same code path,
-//! the result is **bit-identical** to the sequential
+//! and because a cell's value does not depend on which task computed
+//! it, the result is **bit-identical** to the sequential
 //! [`Kernel::apply`]. Used by the heavier examples and benches to
 //! keep the functional (non-simulated) layer fast.
 
@@ -23,44 +23,25 @@ pub fn apply_parallel(kernel: &dyn Kernel, input: &Raster, threads: usize) -> Ra
     let width = input.width();
     let threads = threads.min(usize::try_from(height).unwrap_or(1)).max(1);
 
-    // Partition rows contiguously; remainder spread over the first
-    // workers (same arithmetic as the TS executor's row blocks).
-    let base = height / threads as u64;
-    let extra = height % threads as u64;
-    let block = |i: u64| -> (u64, u64) {
-        let start = i * base + i.min(extra);
-        let len = base + u64::from(i < extra);
-        (start, (start + len).min(height))
-    };
-
+    // Each worker computes a block of whole rows straight into its
+    // slice of the output.
+    let block = (height.div_ceil(threads as u64) * width) as usize;
     let src = RasterSource(input);
-    let mut parts: Vec<(u64, Vec<f32>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads as u64)
-            .map(|i| {
+    let mut out = Raster::filled(width, height, 0.0);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = out
+            .as_mut_slice()
+            .chunks_mut(block)
+            .enumerate()
+            .map(|(i, cells)| {
                 let src = &src;
-                let kernel = &kernel;
-                scope.spawn(move || {
-                    let (r0, r1) = block(i);
-                    let start_elem = r0 * width;
-                    let mut out = vec![0.0f32; ((r1 - r0) * width) as usize];
-                    kernel.process_range(src, start_elem, &mut out);
-                    (start_elem, out)
-                })
+                scope.spawn(move || kernel.process_range(src, (i * block) as u64, cells))
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("kernel worker panicked"))
-            .collect()
-    });
-
-    parts.sort_by_key(|&(start, _)| start);
-    let mut out = Raster::filled(width, height, 0.0);
-    for (start, values) in parts {
-        for (k, v) in values.into_iter().enumerate() {
-            out.set_linear(start + k as u64, v);
+        for h in handles {
+            h.join().expect("kernel worker panicked");
         }
-    }
+    });
     out
 }
 

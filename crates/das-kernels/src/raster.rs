@@ -126,6 +126,11 @@ impl Raster {
         &self.data
     }
 
+    /// The underlying row-major cells, writable.
+    pub fn as_mut_slice(&mut self) -> &mut [f32] {
+        &mut self.data
+    }
+
     /// Serialize row-major as little-endian `f32`.
     pub fn to_bytes(&self) -> Vec<u8> {
         cells_to_le_bytes(&self.data)

@@ -7,14 +7,16 @@
 //! sufficient, each strip a task really reads is necessary, and a hole
 //! nobody reads is harmless.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeSet;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Once;
 
 use bytes::Bytes;
 use das_core::dependent_strips;
-use das_kernels::{kernel_by_name, kernel_names, workload, ElemSource, Kernel, Raster};
+use das_kernels::{kernel_by_name, kernel_names, workload, ElemSource, Kernel, Raster, Window};
 use das_pfs::StripId;
 use das_runtime::StripAssembly;
 use proptest::prelude::*;
@@ -42,14 +44,38 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_default()
 }
 
-/// A raster that remembers which in-bounds cells were read: the oracle
-/// for "the strips task `t` really touches".
-struct Recording<'a> {
+/// A raster served with some cells withheld: its `window` reports
+/// them as holes and fills them with a poison value, so every read that
+/// lands on one comes back to `get`, which serves the true value and
+/// remembers the read. Withholding every cell makes it the oracle for
+/// "the strips task `t` really touches": each output cell then goes
+/// through `process_element`, and each of its in-bounds reads is
+/// recorded.
+struct Withheld<'a> {
     raster: &'a Raster,
+    held: Vec<bool>,
     read: RefCell<BTreeSet<u64>>,
 }
 
-impl ElemSource for Recording<'_> {
+/// What a withheld cell holds in a window: far below any input, so an
+/// interior computation that read one would show it.
+const POISON: f32 = -1e30;
+
+impl<'a> Withheld<'a> {
+    fn new(raster: &'a Raster, held: Vec<bool>) -> Self {
+        Withheld {
+            raster,
+            held,
+            read: RefCell::new(BTreeSet::new()),
+        }
+    }
+
+    fn everything(raster: &'a Raster) -> Self {
+        Withheld::new(raster, vec![false; raster.cells() as usize])
+    }
+}
+
+impl ElemSource for Withheld<'_> {
     fn width(&self) -> u64 {
         self.raster.width()
     }
@@ -58,8 +84,26 @@ impl ElemSource for Recording<'_> {
     }
     fn get(&self, row: i64, col: i64) -> Option<f32> {
         let v = self.raster.try_get(row, col)?;
-        self.read.borrow_mut().insert(row as u64 * self.raster.width() + col as u64);
+        self.read
+            .borrow_mut()
+            .insert(row as u64 * self.raster.width() + col as u64);
         Some(v)
+    }
+    fn window(&self, lo: u64, hi: u64) -> (Cow<'_, [f32]>, Vec<Range<u64>>) {
+        let mut holes: Vec<Range<u64>> = Vec::new();
+        let cells = (lo..hi)
+            .map(|i| {
+                if self.held[i as usize] {
+                    return self.raster.get_linear(i);
+                }
+                match holes.last_mut() {
+                    Some(hole) if hole.end == i => hole.end = i + 1,
+                    _ => holes.push(i..i + 1),
+                }
+                POISON
+            })
+            .collect();
+        (Cow::Owned(cells), holes)
     }
 }
 
@@ -135,10 +179,9 @@ proptest! {
         let start = t * per_strip;
         let len = (cells - start).min(per_strip);
 
-        let oracle = Recording { raster: &raster, read: RefCell::new(BTreeSet::new()) };
-        let want: Vec<f32> = (start..start + len)
-            .map(|i| kernel.process_element(&oracle, i / width, i % width))
-            .collect();
+        let oracle = Withheld::everything(&raster);
+        let mut want = vec![0f32; len as usize];
+        kernel.process_range(&oracle, start, &mut want);
         let touched: BTreeSet<u64> = oracle.read.borrow().iter().map(|i| i / per_strip).collect();
 
         let mut delivered = dependent_strips(t, &offsets, per_strip, cells);
@@ -165,6 +208,43 @@ proptest! {
             }
         }
     }
+
+    // A cell next to a hole takes the fallback: with runs of cells
+    // withheld from every window (and poisoned in it), each kernel still
+    // gives the reference output, so no interior computation read
+    // across a hole.
+    #[test]
+    fn a_cell_next_to_a_hole_is_computed_by_process_element(
+        (raster, per_strip) in arb_striped(),
+        gaps in proptest::collection::vec((any::<u64>(), 1u64..8), 1..4),
+    ) {
+        let cells = raster.cells();
+        let mut held = vec![true; cells as usize];
+        for &(at, len) in &gaps {
+            let from = at % cells;
+            for i in from..(from + len).min(cells) {
+                held[i as usize] = false;
+            }
+        }
+        let src = Withheld::new(&raster, held);
+        for &name in kernel_names() {
+            let kernel = kernel_by_name(name).unwrap();
+            let reference = kernel.apply(&raster);
+            for t in 0..cells.div_ceil(per_strip) {
+                let start = t * per_strip;
+                let mut out = vec![0f32; (cells - start).min(per_strip) as usize];
+                kernel.process_range(&src, start, &mut out);
+                for (k, v) in out.iter().enumerate() {
+                    prop_assert_eq!(
+                        v.to_bits(),
+                        reference.get_linear(start + k as u64).to_bits(),
+                        "{} element {} (width {}, gaps {:?})",
+                        name, start + k as u64, raster.width(), gaps
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// Declares the cells either side of it, reads the ones above and
@@ -181,8 +261,15 @@ impl Kernel for ShyStencil {
     fn cost_per_element(&self) -> f64 {
         1.0
     }
-    fn process_element(&self, src: &dyn ElemSource, row: u64, col: u64) -> f32 {
+    fn process_element(&self, src: &Window<'_>, row: u64, col: u64) -> f32 {
         src.get_clamped(row as i64 - 1, col as i64) + src.get_clamped(row as i64 + 1, col as i64)
+    }
+    /// Reads what it declares: the interior path only ever hands it
+    /// the declared block.
+    fn process_interior(&self, rows: &[&[f32]], out: &mut [f32]) {
+        for (j, slot) in out.iter_mut().enumerate() {
+            *slot = rows[0][j] + rows[0][j + 2];
+        }
     }
 }
 

@@ -2,7 +2,7 @@
 //! acceptance, the dynamic rejection fallback, and the successive-
 //! operation layout reuse the paper motivates in Section I.
 
-use das::kernels::{workload, ElemSource, Kernel};
+use das::kernels::{workload, Kernel, Window};
 use das::prelude::*;
 
 /// A pathological operator: long vertical strides that no single-strip
@@ -24,7 +24,7 @@ impl Kernel for WideStride {
         50.0
     }
 
-    fn process_element(&self, src: &dyn ElemSource, row: u64, col: u64) -> f32 {
+    fn process_element(&self, src: &Window<'_>, row: u64, col: u64) -> f32 {
         let mut acc = src.get(row as i64, col as i64).expect("center in bounds");
         for dr in [-33i64, -17, -9, 9, 17, 33] {
             if let Some(v) = src.get(row as i64 + dr, col as i64) {
@@ -32,6 +32,16 @@ impl Kernel for WideStride {
             }
         }
         acc
+    }
+
+    fn process_interior(&self, rows: &[&[f32]], out: &mut [f32]) {
+        for (j, slot) in out.iter_mut().enumerate() {
+            let mut acc = rows[33][j];
+            for dr in [-33i64, -17, -9, 9, 17, 33] {
+                acc += rows[(33 + dr) as usize][j];
+            }
+            *slot = acc;
+        }
     }
 }
 
@@ -198,7 +208,7 @@ fn decision_quality_predictor_picks_the_faster_side() {
         fn cost_per_element(&self) -> f64 {
             50.0
         }
-        fn process_element(&self, src: &dyn ElemSource, row: u64, col: u64) -> f32 {
+        fn process_element(&self, src: &Window<'_>, row: u64, col: u64) -> f32 {
             let mut acc = src.get(row as i64, col as i64).expect("center");
             for dr in [-self.0, self.0] {
                 if let Some(v) = src.get(row as i64 + dr, col as i64) {
@@ -206,6 +216,12 @@ fn decision_quality_predictor_picks_the_faster_side() {
                 }
             }
             acc
+        }
+        fn process_interior(&self, rows: &[&[f32]], out: &mut [f32]) {
+            let k = self.0 as usize;
+            for (j, slot) in out.iter_mut().enumerate() {
+                *slot = rows[k][j] + rows[0][j] + rows[2 * k][j];
+            }
         }
     }
 
