@@ -6,8 +6,8 @@
 //!
 //! * `--root PATH` — repository root to analyze (default `.`).
 //! * `--pass NAME` — run only the named pass (repeatable; default
-//!   all of `registry`, `descriptors`, `protocol`, `taint`, `locks`,
-//!   `atomics`, `hotpath`, `costmodel`).
+//!   all of `registry`, `taint`, `locks`, `atomics`, `hotpath`,
+//!   `costmodel`).
 //! * `--json` — one JSON object per finding on stdout instead of
 //!   aligned text.
 //! * `--timings` — per-pass wall-clock milliseconds on stderr

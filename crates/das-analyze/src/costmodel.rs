@@ -1,4 +1,4 @@
-//! Pass 12: `costmodel` — symbolic wire-cost verification against
+//! Pass — `costmodel`: symbolic wire-cost verification against
 //! the paper's Eqs. 1–17 bookkeeping.
 //!
 //! The das-core predictors (`predict_file`, `predict_nas_fetches`,

@@ -1,6 +1,6 @@
 //! The finding model shared by every analysis pass: a typed code, a
 //! severity, an entity anchor (`file:line` or a logical entity like a
-//! kernel name or opcode), and a human-readable message. Findings are
+//! message variant or grid cell), and a human-readable message. Findings are
 //! machine-readable — the CLI renders them as aligned text or JSON
 //! lines — and drive the exit code in `--deny` mode.
 
@@ -13,11 +13,10 @@ use das_obs::json_string;
 /// * [`Severity::Info`] — a proof or a summary the pass wants on the
 ///   record (a verified frame size, an allocation-free write path). Never
 ///   fails a build.
-/// * [`Severity::Warning`] — a smell that deserves a look (a dead
-///   descriptor that can never be offloaded). Fails `--deny`.
-/// * [`Severity::Error`] — a correctness hazard (descriptor drift, a
-///   protocol/doc mismatch, an unwrap on a request path). Fails
-///   `--deny`.
+/// * [`Severity::Warning`] — a smell that deserves a look (a Relaxed
+///   load feeding control flow). Fails `--deny`.
+/// * [`Severity::Error`] — a correctness hazard (an unchecked wire
+///   length, a lock-order inversion). Fails `--deny`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Informational: proofs, summaries, canonical orders.
@@ -48,17 +47,16 @@ impl fmt::Display for Severity {
 /// One analysis finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Stable finding code (`DA101`…); `docs/ANALYSIS.md` is the
+    /// Stable finding code (`DA501`…); `docs/ANALYSIS.md` is the
     /// registry.
     pub code: &'static str,
     /// Severity class.
     pub severity: Severity,
-    /// The pass that produced it (`descriptors`, `protocol`,
-    /// `taint`, …).
+    /// The pass that produced it (`registry`, `taint`, `locks`, …).
     pub pass: &'static str,
     /// What the finding is about: `file:line` for source-anchored
-    /// findings, otherwise a logical entity (kernel name, opcode,
-    /// deployment name).
+    /// findings, otherwise a logical entity (message variant, grid
+    /// cell).
     pub entity: String,
     /// Human-readable description.
     pub message: String,
@@ -155,14 +153,14 @@ mod tests {
         r.findings.push(Finding::new("DA500", Severity::Info, "taint", "x", "ok"));
         assert!(!r.denied());
         assert_eq!(r.worst(), Some(Severity::Info));
-        r.findings.push(Finding::new("DA108", Severity::Warning, "descriptors", "k", "dead"));
+        r.findings.push(Finding::new("DA711", Severity::Warning, "atomics", "k", "relaxed"));
         assert!(r.denied());
         assert_eq!(r.counts(), (1, 1, 0));
     }
 
     #[test]
     fn a_finding_is_one_json_object_with_its_strings_escaped() {
-        let f = Finding::new("DA101", Severity::Error, "descriptors", "f:1", "bad \"x\"");
+        let f = Finding::new("DA501", Severity::Error, "taint", "f:1", "bad \"x\"");
         let j = f.to_json();
         assert!(j.contains("\\\"x\\\""), "{j}");
         assert!(j.starts_with('{') && j.ends_with('}'));

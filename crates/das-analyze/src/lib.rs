@@ -1,22 +1,12 @@
 //! # das-analyze — static analysis for the DAS workspace
 //!
-//! Eight passes, each emitting machine-readable [`Finding`]s
+//! Six passes, each emitting machine-readable [`Finding`]s
 //! (`registry::REGISTRY` is the code registry; `das-analyze --list`
 //! prints it, `docs/ANALYSIS.md` documents it):
 //!
 //! * [`registry`] — cross-check the compiled-in finding-code registry
 //!   against the pass sources and the documentation tables; any code
 //!   present in one but missing from another is drift.
-//! * [`descriptors`] — parse every Kernel Features descriptor under
-//!   `descriptors/`, validate offsets symbolically (affine in
-//!   `imgWidth`), cross-check the txt and XML forms, check each
-//!   deployment in `descriptors/layouts.txt` for replication radii
-//!   that do not cover the kernel's stencil reach, and sweep the paper's
-//!   Eqs. 1–13 decision over a (D, strip, E, r) grid to flag "dead"
-//!   descriptors no layout would ever offload.
-//! * [`protocol`] — parse the tables in `docs/PROTOCOL.md` and fail
-//!   on constant drift between the spec and the code (opcodes, error
-//!   codes, fault classes).
 //! * [`taint`] — wire-taint dataflow: lengths and counts decoded off
 //!   the wire in das-net's request-path modules must be
 //!   bounds-checked before they reach an allocation or index sink,
@@ -65,11 +55,9 @@
 
 pub mod atomics;
 pub mod costmodel;
-pub mod descriptors;
 pub mod finding;
 pub mod hotpath;
 pub mod locks;
-pub mod protocol;
 pub mod registry;
 pub mod syntax;
 pub mod taint;
@@ -79,10 +67,8 @@ use std::path::Path;
 pub use finding::{Finding, Report, Severity};
 
 /// Pass names in execution order, as accepted by `--pass`.
-pub const PASSES: [&str; 8] = [
+pub const PASSES: [&str; 6] = [
     "registry",
-    "descriptors",
-    "protocol",
     "taint",
     "locks",
     "atomics",
@@ -95,8 +81,6 @@ pub const PASSES: [&str; 8] = [
 pub fn run_pass(name: &str, root: &Path) -> Option<Vec<Finding>> {
     match name {
         "registry" => Some(registry::run(root)),
-        "descriptors" => Some(descriptors::run(root)),
-        "protocol" => Some(protocol::run(root)),
         "taint" => Some(taint::run(root)),
         "locks" => Some(locks::run(root)),
         "atomics" => Some(atomics::run(root)),

@@ -32,19 +32,6 @@ pub const REGISTRY: &[(&str, &str, &str)] = &[
     ("DA002", "warning", "registered code undocumented in docs/ANALYSIS.md"),
     ("DA003", "warning", "documented code that is not registered"),
     ("DA004", "warning", "registered code no pass emits (dead registration)"),
-    ("DA100", "info", "descriptor summary: descriptors validated"),
-    ("DA101", "error", "descriptor file cannot be read or parsed"),
-    ("DA102", "error", "offset not affine in imgWidth (a*imgWidth + b)"),
-    ("DA103", "warning", "duplicate offset in one dependence list"),
-    ("DA104", "warning", "zero self-offset (element depends on itself)"),
-    ("DA105", "error", "kernel present in txt but not XML, or vice versa"),
-    ("DA106", "error", "txt and XML disagree on a shared kernel's pattern"),
-    ("DA107", "warning", "deployment replication ring under a kernel's stencil radius"),
-    ("DA108", "warning", "dead descriptor: never offloaded anywhere on the decision grid"),
-    ("DA110", "error", "malformed layouts.txt row"),
-    ("DA205", "error", "docs/PROTOCOL.md RPC-table drift"),
-    ("DA206", "error", "docs/PROTOCOL.md error-code-table drift"),
-    ("DA207", "error", "fault class accepted by dasd --fault but undocumented"),
     ("DA407", "error", "lock acquired against the declared hierarchy, directly or through a call"),
     ("DA408", "error", "AB/BA lock-order cycle across call chains"),
     ("DA409", "info", "lock-graph summary: functions, sites, held-edges"),
@@ -236,11 +223,11 @@ mod tests {
 
     #[test]
     fn documented_codes_only_count_table_rows() {
-        let docs = "| `DA101` | error | x |\nprose about `DA999` is ignored\n  | `DA102` | e | y |\n";
+        let docs = "| `DA500` | info | x |\nprose about `DA999` is ignored\n  | `DA501` | e | y |\n";
         let got = documented_codes(docs);
         assert_eq!(
             got.into_iter().collect::<Vec<_>>(),
-            vec!["DA101".to_string(), "DA102".to_string()]
+            vec!["DA500".to_string(), "DA501".to_string()]
         );
     }
 

@@ -27,53 +27,6 @@ fn analyze(root: &Path, passes: &[&str]) -> (bool, String) {
     (out.status.success(), stdout)
 }
 
-fn assert_denied_with(root: &Path, passes: &[&str], codes: &[&str]) {
-    let (ok, stdout) = analyze(root, passes);
-    assert!(!ok, "expected --deny to fail on {}:\n{stdout}", root.display());
-    for code in codes {
-        assert!(
-            stdout.contains(&format!("\"code\":\"{code}\"")),
-            "expected {code} on {}:\n{stdout}",
-            root.display()
-        );
-    }
-}
-
-#[test]
-fn malformed_descriptor_fails_with_parse_error() {
-    assert_denied_with(&fixture("malformed"), &["descriptors"], &["DA101"]);
-}
-
-#[test]
-fn conflicting_txt_and_xml_fail_with_drift_codes() {
-    let (ok, stdout) = analyze(&fixture("conflict"), &["descriptors"]);
-    assert!(!ok, "{stdout}");
-    // Pattern disagreement on the shared kernel…
-    assert!(stdout.contains("\"code\":\"DA106\""), "{stdout}");
-    // …and one-sided kernels in both directions.
-    assert!(stdout.contains("\"code\":\"DA105\""), "{stdout}");
-    assert!(stdout.contains("txt-only"), "{stdout}");
-    assert!(stdout.contains("xml-only"), "{stdout}");
-}
-
-#[test]
-fn under_replicated_layout_fails_with_da107() {
-    assert_denied_with(&fixture("underrep"), &["descriptors"], &["DA107"]);
-}
-
-#[test]
-fn doctored_protocol_doc_fails_with_drift_codes() {
-    let (ok, stdout) = analyze(&fixture("doc-drift"), &["protocol"]);
-    assert!(!ok, "{stdout}");
-    // Misnamed opcode 0x01 and the ghost opcode both surface as DA205.
-    assert!(stdout.contains("\"code\":\"DA205\""), "{stdout}");
-    assert!(stdout.contains("0x7e"), "{stdout}");
-    // Misnamed error code 1 and the missing rows surface as DA206.
-    assert!(stdout.contains("\"code\":\"DA206\""), "{stdout}");
-    // No fault class is documented at all.
-    assert!(stdout.contains("\"code\":\"DA207\""), "{stdout}");
-}
-
 #[test]
 fn cross_function_lock_inversion_fails_with_da407() {
     let (ok, stdout) = analyze(&fixture("lock-inversion"), &["locks"]);
@@ -281,8 +234,10 @@ fn real_repo_is_clean_under_deny() {
 fn unknown_pass_is_a_usage_error() {
     // `lockgraph` was a pass name until `locks` replaced it; `model`
     // and `fetchgraph` were passes until das-net's own tests took over
-    // what they claimed, and `lints` until clippy did.
-    for pass in ["nonsense", "lockgraph", "model", "fetchgraph", "lints"] {
+    // what they claimed, `lints` until clippy did, and `descriptors`
+    // and `protocol` until the root package's `tests/descriptors.rs`
+    // and `tests/protocol_doc.rs` did.
+    for pass in ["nonsense", "lockgraph", "model", "fetchgraph", "lints", "descriptors", "protocol"] {
         let out = Command::new(env!("CARGO_BIN_EXE_das-analyze"))
             .args(["--pass", pass])
             .output()

@@ -63,51 +63,6 @@ impl OffsetExpr {
         }
         Ok(expr)
     }
-
-    /// The expression as an affine form `a·imgWidth + b`, when it is
-    /// linear in `imgWidth`.
-    ///
-    /// Every well-formed raster dependence offset is affine: `a` is
-    /// the row reach and `b` the column reach of that dependence.
-    /// Returns `None` for a nonlinear expression (one multiplying
-    /// `imgWidth` by itself — such an offset depends quadratically on
-    /// the geometry and cannot describe a fixed stencil) or when a
-    /// coefficient overflows `i64`. Static analysis uses this to
-    /// validate offsets symbolically, for **every** width at once,
-    /// instead of sampling a few widths.
-    pub fn affine(&self) -> Option<(i64, i64)> {
-        match self {
-            OffsetExpr::Const(c) => Some((0, *c)),
-            OffsetExpr::ImgWidth => Some((1, 0)),
-            OffsetExpr::Neg(e) => {
-                let (a, b) = e.affine()?;
-                Some((a.checked_neg()?, b.checked_neg()?))
-            }
-            OffsetExpr::Add(x, y) => {
-                let (ax, bx) = x.affine()?;
-                let (ay, by) = y.affine()?;
-                Some((ax.checked_add(ay)?, bx.checked_add(by)?))
-            }
-            OffsetExpr::Sub(x, y) => {
-                let (ax, bx) = x.affine()?;
-                let (ay, by) = y.affine()?;
-                Some((ax.checked_sub(ay)?, bx.checked_sub(by)?))
-            }
-            OffsetExpr::Mul(x, y) => {
-                let (ax, bx) = x.affine()?;
-                let (ay, by) = y.affine()?;
-                if ax == 0 {
-                    // constant × affine
-                    Some((bx.checked_mul(ay)?, bx.checked_mul(by)?))
-                } else if ay == 0 {
-                    // affine × constant
-                    Some((ax.checked_mul(by)?, bx.checked_mul(by)?))
-                } else {
-                    None // imgWidth × imgWidth: nonlinear
-                }
-            }
-        }
-    }
 }
 
 impl fmt::Display for OffsetExpr {
@@ -310,32 +265,23 @@ impl KernelFeatures {
     /// (records separated by their `Name:` lines; blank lines and `#`
     /// comments are ignored).
     pub fn parse_text(src: &str) -> Result<Vec<KernelFeatures>, ParseError> {
-        Ok(Self::parse_text_with_lines(src)?.into_iter().map(|(_, r)| r).collect())
-    }
-
-    /// Like [`KernelFeatures::parse_text`], but each record carries
-    /// the 1-based line number of its `Name:` line — the anchor that
-    /// lets static analysis report findings as `file:line` instead of
-    /// just a kernel name.
-    pub fn parse_text_with_lines(src: &str) -> Result<Vec<(usize, KernelFeatures)>, ParseError> {
-        let mut out: Vec<(usize, KernelFeatures)> = Vec::new();
-        let mut current_name: Option<(usize, String)> = None;
-        for (idx, raw) in src.lines().enumerate() {
-            let lineno = idx + 1;
+        let mut out = Vec::new();
+        let mut current_name: Option<String> = None;
+        for raw in src.lines() {
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
             if let Some(rest) = strip_prefix_ci(line, "name:") {
-                if let Some((_, name)) = current_name.take() {
+                if let Some(name) = current_name.take() {
                     return Err(ParseError::new(
                         src,
                         format!("record {name:?} has no Dependence line"),
                     ));
                 }
-                current_name = Some((lineno, rest.trim().to_string()));
+                current_name = Some(rest.trim().to_string());
             } else if let Some(rest) = strip_prefix_ci(line, "dependence:") {
-                let (name_line, name) = current_name.take().ok_or_else(|| {
+                let name = current_name.take().ok_or_else(|| {
                     ParseError::new(src, "Dependence line without preceding Name line")
                 })?;
                 let mut dependence = Vec::new();
@@ -356,35 +302,15 @@ impl KernelFeatures {
                         ));
                     }
                 }
-                out.push((name_line, KernelFeatures { name, dependence }));
+                out.push(KernelFeatures { name, dependence });
             } else {
                 return Err(ParseError::new(raw, "expected Name: or Dependence: line"));
             }
         }
-        if let Some((_, name)) = current_name {
+        if let Some(name) = current_name {
             return Err(ParseError::new(src, format!("record {name:?} has no Dependence line")));
         }
         Ok(out)
-    }
-
-    /// The stencil reach of this dependence pattern as
-    /// `(rows, cols)` — the maximum `|a|` and `|b|` over the affine
-    /// forms `a·imgWidth + b` of every offset. `None` when any offset
-    /// is not affine in `imgWidth` (see [`OffsetExpr::affine`]).
-    ///
-    /// The row reach is what the grouped-replication radius check
-    /// compares against a layout's strip height: a kernel reaching
-    /// `rows` rows needs every strip within
-    /// `ceil(rows / strip_rows)` strips locally available.
-    pub fn stencil_reach(&self) -> Option<(u64, u64)> {
-        let mut rows = 0u64;
-        let mut cols = 0u64;
-        for e in &self.dependence {
-            let (a, b) = e.affine()?;
-            rows = rows.max(a.unsigned_abs());
-            cols = cols.max(b.unsigned_abs());
-        }
-        Some((rows, cols))
     }
 }
 
@@ -478,11 +404,6 @@ impl FeatureRegistry {
     pub fn get(&self, name: &str) -> Option<&KernelFeatures> {
         self.records.get(name)
     }
-
-    /// Registered operator names, sorted.
-    pub fn names(&self) -> Vec<&str> {
-        self.records.keys().map(String::as_str).collect()
-    }
 }
 
 #[cfg(test)]
@@ -526,47 +447,12 @@ mod tests {
     }
 
     #[test]
-    fn affine_forms_cover_the_grammar() {
-        let cases = [
-            ("-imgWidth+1", (-1, 1)),
-            ("2*imgWidth-2", (2, -2)),
-            ("-(imgWidth-3)*2", (-2, 6)),
-            ("7", (0, 7)),
-            ("imgWidth*3", (3, 0)),
-            ("-imgWidth", (-1, 0)),
-        ];
-        for (src, expected) in cases {
-            let e = OffsetExpr::parse(src).unwrap();
-            assert_eq!(e.affine(), Some(expected), "{src}");
-            // Affine form must agree with direct evaluation.
-            for w in [1u64, 16, 1000] {
-                let (a, b) = e.affine().unwrap();
-                assert_eq!(e.eval(w), a * w as i64 + b, "{src} at width {w}");
-            }
-        }
-        // Nonlinear: imgWidth × imgWidth has no affine form.
-        assert_eq!(OffsetExpr::parse("imgWidth*imgWidth").unwrap().affine(), None);
-        assert_eq!(OffsetExpr::parse("imgWidth*(imgWidth+1)").unwrap().affine(), None);
-    }
-
-    #[test]
-    fn parse_with_lines_anchors_records() {
+    fn comments_blank_lines_and_none_parse() {
         let src = "# comment\nName:a\nDependence: 1\n\nName:b\nDependence: none\n";
-        let recs = KernelFeatures::parse_text_with_lines(src).unwrap();
+        let recs = KernelFeatures::parse_text(src).unwrap();
         assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].0, 2);
-        assert_eq!(recs[0].1.name, "a");
-        assert_eq!(recs[1].0, 5);
-        assert_eq!(recs[1].1.name, "b");
-    }
-
-    #[test]
-    fn stencil_reach_of_builtin_kernels() {
-        let reg = FeatureRegistry::with_builtin();
-        assert_eq!(reg.get("flow-routing").unwrap().stencil_reach(), Some((1, 1)));
-        assert_eq!(reg.get("laplacian-4").unwrap().stencil_reach(), Some((1, 1)));
-        assert_eq!(reg.get("gaussian-filter-5x5").unwrap().stencil_reach(), Some((2, 2)));
-        assert_eq!(reg.get("pointwise-scale").unwrap().stencil_reach(), Some((0, 0)));
+        assert_eq!((recs[0].name.as_str(), recs[0].offsets(10)), ("a", vec![1]));
+        assert_eq!((recs[1].name.as_str(), recs[1].dependence.len()), ("b", 0));
     }
 
     #[test]
@@ -632,6 +518,5 @@ mod tests {
         assert_eq!(reg.get("op").unwrap().offsets(10), vec![1]);
         reg.load_text("Name:op\nDependence: 2, 3").unwrap();
         assert_eq!(reg.get("op").unwrap().offsets(10), vec![2, 3]);
-        assert_eq!(reg.names(), vec!["op"]);
     }
 }

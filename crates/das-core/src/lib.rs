@@ -69,4 +69,3 @@ pub use plan::{plan_distribution, LayoutPlan, PlanOptions};
 pub use predict::{
     dependent_strips, DependencePrediction, NasFetch, NasFetchPrediction, StripingParams,
 };
-pub use xml::parse_kernel_xml;

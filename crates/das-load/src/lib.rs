@@ -36,6 +36,8 @@ use std::time::{Duration, Instant};
 use das_net::{DasCluster, Message, NetError, RetryPolicy};
 use das_obs::{event, Histogram, Level};
 use das_pfs::LayoutPolicy;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use report::{BenchReport, ClassStats};
 
@@ -167,17 +169,9 @@ impl Default for BenchConfig {
     }
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
 /// Uniform f64 in (0, 1] from one rng draw (never 0, so `ln` is safe).
-fn unit_open(state: &mut u64) -> f64 {
-    ((splitmix64(state) >> 11) as f64 + 1.0) / (1u64 << 53) as f64
+fn unit_open(rng: &mut StdRng) -> f64 {
+    ((rng.next_u64() >> 11) as f64 + 1.0) / (1u64 << 53) as f64
 }
 
 /// One pre-scheduled arrival.
@@ -192,10 +186,10 @@ struct ScheduledOp {
 /// Deterministic per-strip payload so puts are reproducible and gets
 /// verifiable by length.
 fn strip_bytes(seed: u64, strip: u64, len: usize) -> Vec<u8> {
-    let mut state = seed ^ strip.wrapping_mul(0x9e3779b97f4a7c15);
+    let mut rng = StdRng::seed_from_u64(seed ^ strip.wrapping_mul(0x9e3779b97f4a7c15));
     let mut out = Vec::with_capacity(len);
     while out.len() < len {
-        out.extend_from_slice(&splitmix64(&mut state).to_le_bytes());
+        out.extend_from_slice(&rng.next_u64().to_le_bytes());
     }
     out.truncate(len);
     out
@@ -204,17 +198,17 @@ fn strip_bytes(seed: u64, strip: u64, len: usize) -> Vec<u8> {
 /// Build the full arrival schedule up front: exponential inter-arrival
 /// times at `rate` until `duration` is covered.
 fn build_schedule(cfg: &BenchConfig) -> Vec<ScheduledOp> {
-    let mut state = cfg.seed;
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut ops = Vec::new();
     let horizon_us = cfg.duration.as_micros() as u64;
     let mut t_us = 0f64;
     loop {
-        t_us += -unit_open(&mut state).ln() / cfg.rate * 1e6;
+        t_us += -unit_open(&mut rng).ln() / cfg.rate * 1e6;
         if t_us as u64 >= horizon_us {
             break;
         }
-        let kind = cfg.mix.pick(splitmix64(&mut state));
-        let strip = splitmix64(&mut state) % cfg.strips.max(1);
+        let kind = cfg.mix.pick(rng.next_u64());
+        let strip = rng.next_u64() % cfg.strips.max(1);
         ops.push(ScheduledOp { offset_us: t_us as u64, kind, strip });
     }
     ops
@@ -669,6 +663,26 @@ mod tests {
         for roll in 0..100 {
             assert_eq!(m.pick(roll), OpKind::Exec);
         }
+    }
+
+    #[test]
+    fn schedule_and_payloads_are_pinned() {
+        // Pinned: a seed names one run, so its arrivals and payloads
+        // must not move.
+        let cfg = BenchConfig { seed: 7, ..BenchConfig::default() };
+        let first: Vec<(u64, OpKind, u64)> =
+            build_schedule(&cfg).iter().take(5).map(|o| (o.offset_us, o.kind, o.strip)).collect();
+        assert_eq!(
+            first,
+            [
+                (2355, OpKind::Get, 2),
+                (3704, OpKind::Put, 17),
+                (5602, OpKind::Put, 33),
+                (7812, OpKind::Put, 44),
+                (8026, OpKind::Get, 38),
+            ]
+        );
+        assert_eq!(strip_bytes(7, 3, 12), [194, 208, 218, 237, 225, 182, 206, 40, 49, 121, 183, 174]);
     }
 
     #[test]

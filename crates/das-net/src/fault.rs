@@ -53,8 +53,8 @@ pub enum FaultClass {
 
 impl FaultClass {
     /// Every fault class, in the order `docs/PROTOCOL.md` documents
-    /// them. The protocol-conformance pass iterates this to prove the
-    /// doc and the [`FaultPlan::parse`] grammar agree.
+    /// them. The root package's `tests/protocol_doc.rs` iterates this
+    /// to prove the doc and the [`FaultPlan::parse`] grammar agree.
     pub const ALL: [FaultClass; 7] = [
         FaultClass::Accept,
         FaultClass::Client,

@@ -105,8 +105,8 @@ pub enum ErrorCode {
 }
 
 impl ErrorCode {
-    /// Every assigned error code, in wire-value order. Static analysis
-    /// and the protocol-conformance pass iterate this to prove the
+    /// Every assigned error code, in wire-value order. The root
+    /// package's `tests/protocol_doc.rs` iterates this to prove the
     /// code table and `docs/PROTOCOL.md` agree; a new variant that is
     /// not added here fails the exhaustiveness test below.
     pub const ALL: [ErrorCode; 13] = [
@@ -403,7 +403,7 @@ pub enum Message {
 }
 
 /// Every opcode assigned by protocol version 1, in numeric order —
-/// the enumerable ground truth the protocol-conformance pass sweeps
+/// the enumerable ground truth `tests/protocol_doc.rs` checks
 /// against [`Message::samples`] and `docs/PROTOCOL.md`. Any opcode
 /// **not** in this list must be rejected by [`Message::decode`].
 pub const KNOWN_OPCODES: [u8; 33] = [

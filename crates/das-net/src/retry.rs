@@ -7,10 +7,11 @@
 //! * **Never hang.** Every connect, read and write carries a timeout,
 //!   and the total time a call can spend retrying is bounded by
 //!   `max_attempts × (timeout + backoff)`.
-//! * **Deterministic.** Backoff jitter comes from a SplitMix64 hash of
-//!   the policy's seed and the attempt ordinal — no wall clock, no
-//!   global RNG — so a chaos test replays identically and two
-//!   processes with different seeds still decorrelate.
+//! * **Deterministic.** Backoff jitter is the first draw of a
+//!   `StdRng` seeded with the policy's seed and the attempt ordinal —
+//!   no wall clock, no global RNG — so a chaos test replays
+//!   identically and two processes with different seeds still
+//!   decorrelate.
 //! * **Connections are disposable.** After any transport error the
 //!   link is in an unknown state (a late reply would desynchronize
 //!   the request/response alternation), so retries always discard the
@@ -19,6 +20,9 @@
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use crate::codec::NetError;
 
@@ -55,13 +59,6 @@ impl Default for RetryPolicy {
     }
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 impl RetryPolicy {
     /// An aggressive policy for tests: tight timeouts, fast backoff.
     /// Keeps a chaos run's worst case (every attempt timing out) in
@@ -90,7 +87,7 @@ impl RetryPolicy {
             .max(Duration::from_micros(1));
         let nanos = exp.as_nanos() as u64;
         let half = nanos / 2;
-        let jitter = splitmix64(self.jitter_seed ^ u64::from(attempt)) % (half + 1);
+        let jitter = StdRng::seed_from_u64(self.jitter_seed ^ u64::from(attempt)).next_u64() % (half + 1);
         Duration::from_nanos(half + jitter)
     }
 
@@ -170,6 +167,14 @@ mod tests {
         // Early attempts trend upward (half of exp step is monotone
         // until the cap).
         assert!(p.backoff(3) >= p.backoff_base, "exponential growth missing");
+    }
+
+    #[test]
+    fn default_backoff_is_pinned() {
+        // Pinned: a chaos run replays only while a seed's backoff
+        // schedule stays put.
+        let nanos: Vec<u128> = (1..=4).map(|a| RetryPolicy::default().backoff(a).as_nanos()).collect();
+        assert_eq!(nanos, [35_523_932, 67_389_856, 132_834_222, 274_120_703]);
     }
 
     #[test]

@@ -385,9 +385,17 @@ impl DasdHandle {
 /// Start a daemon on an already-bound listener. Binding is the
 /// caller's job so a test harness can grab ephemeral ports for the
 /// whole cluster *before* any daemon needs the full address list.
+///
+/// An `id` outside the cluster or a `pool` under two workers is an
+/// [`std::io::ErrorKind::InvalidInput`] error.
 pub fn spawn(cfg: DasdConfig, listener: TcpListener) -> std::io::Result<DasdHandle> {
-    assert!((cfg.id as usize) < cfg.cluster.len(), "id {} outside cluster of {}", cfg.id, cfg.cluster.len());
-    assert!(cfg.pool >= 2, "need at least two request workers");
+    let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg);
+    if cfg.id as usize >= cfg.cluster.len() {
+        return Err(invalid(format!("id {} outside cluster of {}", cfg.id, cfg.cluster.len())));
+    }
+    if cfg.pool < 2 {
+        return Err(invalid(format!("pool {} is under the two request workers a daemon needs", cfg.pool)));
+    }
     let addr = listener.local_addr()?;
     let metrics = Arc::new(das_obs::Registry::new());
     let spans = Arc::new(SpanStore::new(cfg.id));
@@ -1307,6 +1315,18 @@ mod tests {
             .map(|(i, l)| spawn(DasdConfig::new(i as u32, addrs.clone()), l).expect("spawn dasd"))
             .collect();
         (handles, addrs)
+    }
+
+    #[test]
+    fn spawn_refuses_a_pool_under_two_and_an_id_outside_the_cluster() {
+        let addr = |l: &TcpListener| l.local_addr().expect("addr").to_string();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let cluster = vec![addr(&listener)];
+        let one_worker = DasdConfig { pool: 1, ..DasdConfig::new(0, cluster.clone()) };
+        let err = spawn(one_worker, listener.try_clone().expect("clone")).err().expect("pool 1 refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        let err = spawn(DasdConfig::new(1, cluster), listener).err().expect("id 1 of 1 refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
     }
 
     fn teardown(handles: Vec<DasdHandle>) {

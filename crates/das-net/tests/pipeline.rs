@@ -13,6 +13,8 @@ use das_net::{
 };
 use das_pfs::LayoutPolicy;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn arb_small_message() -> BoxedStrategy<Message> {
     prop_oneof![
@@ -40,14 +42,6 @@ fn arb_traced_stream() -> BoxedStrategy<Vec<(Message, Option<u64>)>> {
     proptest::collection::vec((arb_small_message(), arb_trace()), 1..8).boxed()
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
 // A pipelined byte stream of several traced frames, delivered in
 // chunks cut at arbitrary positions (mid-header, mid-trace,
 // mid-payload, mid-CRC — wherever the seed lands), must decode to
@@ -65,10 +59,10 @@ proptest! {
 
         let mut fb = FrameBuffer::new();
         let mut got = Vec::new();
-        let mut state = seed;
+        let mut rng = StdRng::seed_from_u64(seed);
         let mut pos = 0usize;
         while pos < wire.len() {
-            let n = 1 + (splitmix64(&mut state) as usize) % 16;
+            let n = 1 + (rng.next_u64() as usize) % 16;
             let end = (pos + n).min(wire.len());
             fb.extend(&wire[pos..end]);
             pos = end;

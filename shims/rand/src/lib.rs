@@ -6,8 +6,8 @@
 //! (Steele et al.), which passes BigCrush-scale statistical tests and
 //! is more than adequate for synthetic workload generation and
 //! property tests. Streams differ from the real crate's ChaCha12
-//! `StdRng`; everything in this workspace that depends on exact values
-//! derives them from its own seeded hash functions instead.
+//! `StdRng`: das-net's backoff jitter and das-load's schedules and
+//! payloads pin this generator's exact values in their tests.
 
 use std::ops::Range;
 
