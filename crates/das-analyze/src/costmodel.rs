@@ -17,10 +17,12 @@
 //!    variable-length ones against purpose-built messages over
 //!    `n ∈ {0, 1, 7, 1024}`. Divergence is `DA811` (deny).
 //! 3. **Compose** — for the paper's RPC sequences (peer dependence
-//!    fetches from `nas_fetch_plan`, client strip reads, client
-//!    strip writes) compose per-sequence wire-cost formulas from the
-//!    verified per-message expressions plus frame overhead extracted
-//!    from `codec.rs`, and cross-check the totals against measured
+//!    fetches from `nas_fetch_plan`, one strip each; client whole-file
+//!    reads and writes and an Execute's replica forward wave, one
+//!    frame per run of consecutive strips with the same holders)
+//!    compose per-sequence wire-cost formulas from the verified
+//!    per-message expressions plus frame overhead extracted from
+//!    `codec.rs`, and cross-check the totals against measured
 //!    `frame_parts_opts` byte counts over a (D, strip, policy) grid ×
 //!    the per-frame trace/budget fields. Divergence is `DA812` (deny).
 //!
@@ -39,8 +41,8 @@ use std::path::Path;
 
 use das_core::StripingParams;
 use das_net::codec::frame_parts_opts;
-use das_net::proto::{ErrorCode, Message};
-use das_pfs::{Layout, LayoutPolicy};
+use das_net::proto::{strip_runs, ErrorCode, Message};
+use das_pfs::{Layout, LayoutPolicy, ServerId, StripeSpec};
 
 use crate::finding::{Finding, Severity};
 use crate::syntax::{self, TokKind, Token};
@@ -442,12 +444,16 @@ fn grid_check(
     const OP_PUT_OK: u8 = 0x13;
     const OP_GET: u8 = 0x14;
     const OP_DATA: u8 = 0x15;
+    const OP_GETS: u8 = 0x1A;
     // Sequences need a *fixed* request formula and a blob reply
     // formula; skip composition when the extraction didn't yield them
     // (a doctored or partial proto).
     let fixed_k = |op: u8| exprs.get(&op).filter(|e| e.lens.is_empty()).map(|e| e.konst);
     let blob_k = |op: u8| exprs.get(&op).filter(|e| e.lens.len() == 1).map(|e| e.konst);
     let read_ks = fixed_k(OP_GET).zip(blob_k(OP_DATA));
+    // A run of more than one strip is read with GetStrips; a proto
+    // without it (a partial one) prices round-robin reads only.
+    let k_gets = fixed_k(OP_GETS);
     let write_ks = blob_k(OP_PUT).zip(fixed_k(OP_PUT_OK));
 
     let offsets: [i64; 8] = [-9, -8, -7, -1, 1, 7, 8, 9];
@@ -512,6 +518,24 @@ fn grid_check(
                 }
                 let strips = (FILE_LEN / ELEMENT).div_ceil((strip / ELEMENT).max(1));
                 let strip_len = |t: u64| strip.min(FILE_LEN - t * strip);
+                let layout = Layout::new(policy, d);
+                let spec = StripeSpec::new(strip as usize);
+                // A client with no latency samples walks each strip's
+                // holders primary first; each server forwards its own
+                // primary strips to their replica holders.
+                let runs: Vec<(Range<u64>, Vec<ServerId>)> =
+                    strip_runs(&spec, FILE_LEN, 0..strips, |t| layout.holders(t))
+                        .into_iter()
+                        .map(|(run, _, holders)| (run, holders))
+                        .collect();
+                let run_len = |run: &Range<u64>| run.clone().map(strip_len).sum::<u64>();
+                let forwards: Vec<(ServerId, Range<u64>)> = (0..d)
+                    .flat_map(|s| {
+                        let primaries = layout.primary_strips(ServerId(s), strips).into_iter().map(|t| t.0);
+                        strip_runs(&spec, FILE_LEN, primaries, |t| layout.replicas(t))
+                    })
+                    .flat_map(|(run, _, holders)| holders.into_iter().map(move |h| (h, run.clone())))
+                    .collect();
                 for &(tr, bu) in fields {
                     let o = oh.of(tr.is_some(), bu.is_some());
                     let field_cell = format!(
@@ -543,51 +567,61 @@ fn grid_check(
                                 pred.fetches, pred.bytes
                             ));
                         }
-                        // Client whole-file read: GetStrip +
-                        // StripData(strip_len) per strip.
-                        let sym_r: u64 = (0..strips)
-                            .map(|t| 2 * o + k_get + k_data + strip_len(t))
-                            .sum();
-                        let meas_r: u64 = (0..strips)
-                            .map(|t| {
-                                flen(&Message::GetStrip { file: 1, strip: t }, tr, bu)
-                                    + flen(
-                                        &Message::StripData {
-                                            payload: vec![0u8; strip_len(t) as usize],
-                                        },
-                                        tr,
-                                        bu,
-                                    )
-                            })
-                            .sum();
-                        if sym_r != meas_r {
-                            emit(out, field_cell.clone(), format!(
-                                "client-read sequence over {strips} strips: symbolic cost {sym_r} B, codec produces {meas_r} B"
-                            ));
+                        // Client whole-file read, per run: GetStrip (a
+                        // run of one) or GetStrips, + StripData(run).
+                        let k_asks: Option<Vec<u64>> = runs
+                            .iter()
+                            .map(|(run, _)| if run.end - run.start == 1 { Some(k_get) } else { k_gets })
+                            .collect();
+                        if let Some(k_asks) = k_asks {
+                            let sym_r: u64 = k_asks
+                                .iter()
+                                .zip(&runs)
+                                .map(|(k_ask, (run, _))| 2 * o + k_ask + k_data + run_len(run))
+                                .sum();
+                            let meas_r: u64 = runs
+                                .iter()
+                                .map(|(run, _)| {
+                                    let ask = match run.end - run.start {
+                                        1 => Message::GetStrip { file: 1, strip: run.start },
+                                        n => Message::GetStrips { file: 1, first: run.start, count: n as u32 },
+                                    };
+                                    let data = Message::StripData { payload: vec![0u8; run_len(run) as usize] };
+                                    flen(&ask, tr, bu) + flen(&data, tr, bu)
+                                })
+                                .sum();
+                            if sym_r != meas_r {
+                                emit(out, field_cell.clone(), format!(
+                                    "client-read sequence over {strips} strips in {} runs: symbolic cost {sym_r} B, codec produces {meas_r} B",
+                                    runs.len()
+                                ));
+                            }
                         }
                     }
                     if let Some((k_put, k_put_ok)) = write_ks {
-                        // Client whole-file write: PutStrip(strip_len)
-                        // + PutStripOk per strip.
-                        let sym_w: u64 = (0..strips)
-                            .map(|t| 2 * o + k_put + strip_len(t) + k_put_ok)
-                            .sum();
-                        let meas_w: u64 = (0..strips)
-                            .map(|t| {
-                                flen(
-                                    &Message::PutStrip {
-                                        file: 1,
-                                        strip: t,
-                                        payload: vec![0u8; strip_len(t) as usize],
-                                    },
-                                    tr,
-                                    bu,
-                                ) + flen(&Message::PutStripOk, tr, bu)
+                        // One PutStrip(run) + PutStripOk per holder and
+                        // run: a client whole-file write, and an
+                        // Execute's forwards to each replica holder.
+                        let mut put_runs = |sends: &mut dyn Iterator<Item = &Range<u64>>| -> (u64, u64) {
+                            sends.fold((0, 0), |(sym, meas), run| {
+                                let put = Message::PutStrip { file: 1, strip: run.start, payload: vec![0u8; run_len(run) as usize] };
+                                let frames = flen(&put, tr, bu) + flen(&Message::PutStripOk, tr, bu);
+                                (sym + 2 * o + k_put + run_len(run) + k_put_ok, meas + frames)
                             })
-                            .sum();
+                        };
+                        let (sym_w, meas_w) =
+                            put_runs(&mut runs.iter().flat_map(|(run, holders)| holders.iter().map(move |_| run)));
                         if sym_w != meas_w {
+                            emit(out, field_cell.clone(), format!(
+                                "client-write sequence over {strips} strips in {} runs: symbolic cost {sym_w} B, codec produces {meas_w} B",
+                                runs.len()
+                            ));
+                        }
+                        let (sym_f, meas_f) = put_runs(&mut forwards.iter().map(|(_, run)| run));
+                        if sym_f != meas_f {
                             emit(out, field_cell, format!(
-                                "client-write sequence over {strips} strips: symbolic cost {sym_w} B, codec produces {meas_w} B"
+                                "forward wave of {} runs: symbolic cost {sym_f} B, codec produces {meas_f} B",
+                                forwards.len()
                             ));
                         }
                     }

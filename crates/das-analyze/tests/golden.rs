@@ -224,8 +224,8 @@ fn real_repo_is_clean_under_deny() {
     assert!(stdout.contains("\"code\":\"DA810\""), "{stdout}");
     assert_eq!(
         stdout.matches("\"code\":\"DA810\"").count(),
-        34,
-        "33 variants + frame overhead must each carry a proof:\n{stdout}"
+        35,
+        "34 variants + frame overhead must each carry a proof:\n{stdout}"
     );
     assert!(stdout.contains("\"code\":\"DA815\""), "{stdout}");
 }

@@ -32,6 +32,7 @@ fn symbolic_payload_len(m: &Message) -> usize {
         Message::LookupOk { .. } => 33,
         Message::GetDistribution { .. } => 4,
         Message::DistributionResp { .. } => 29,
+        Message::GetStrips { .. } => 16,
         Message::RedistPrepare { .. } | Message::RedistCommit { .. } => 13,
         Message::RedistPrepareOk { .. } => 16,
         Message::RedistCommitOk => 0,
@@ -118,6 +119,8 @@ fn messages() -> impl Strategy<Value = Message> {
         (any::<u32>(), dists()).prop_map(|(file, dist)| Message::LookupOk { file, dist }),
         any::<u32>().prop_map(|file| Message::GetDistribution { file }),
         dists().prop_map(|dist| Message::DistributionResp { dist }),
+        (any::<u32>(), any::<u64>(), any::<u32>())
+            .prop_map(|(file, first, count)| Message::GetStrips { file, first, count }),
         (any::<u32>(), policies())
             .prop_map(|(file, policy)| Message::RedistPrepare { file, policy }),
         (any::<u64>(), any::<u64>()).prop_map(|(fetched_strips, fetched_bytes)| {

@@ -72,21 +72,61 @@ impl Kernel for MedianFilter {
     }
 }
 
-/// The median of the 3×3 neighbours `at` reads.
+/// The median of the 3×3 neighbours `at` reads, under
+/// [`f32::total_cmp`] — a total order, so the result does not depend on
+/// NaNs being absent: the element a sort by `total_cmp` puts fifth.
 #[inline]
+// A selection network leaves keys it has placed beside the median
+// written and unread.
+#[allow(unused_assignments)]
 fn median9(at: impl Fn(i64, i64) -> f32) -> f32 {
-    let mut window = [0.0f32; 9];
-    let mut k = 0;
-    for dr in -1..=1 {
-        for dc in -1..=1 {
-            window[k] = at(dr, dc);
-            k += 1;
-        }
+    let k = |dr, dc| total_key(at(dr, dc));
+    let [mut p0, mut p1, mut p2] = [k(-1, -1), k(-1, 0), k(-1, 1)];
+    let [mut p3, mut p4, mut p5] = [k(0, -1), k(0, 0), k(0, 1)];
+    let [mut p6, mut p7, mut p8] = [k(1, -1), k(1, 0), k(1, 1)];
+    // Paeth's 19 compare-exchanges, each leaving the smaller key on the
+    // left; afterwards `p4` is the median.
+    macro_rules! cx {
+        ($a:ident, $b:ident) => {
+            ($a, $b) = ($a.min($b), $a.max($b));
+        };
     }
-    // total_cmp gives a total order (no NaNs expected in workloads,
-    // but determinism must not depend on that).
-    window.sort_unstable_by(f32::total_cmp);
-    window[4]
+    cx!(p1, p2);
+    cx!(p4, p5);
+    cx!(p7, p8);
+    cx!(p0, p1);
+    cx!(p3, p4);
+    cx!(p6, p7);
+    cx!(p1, p2);
+    cx!(p4, p5);
+    cx!(p7, p8);
+    cx!(p0, p3);
+    cx!(p5, p8);
+    cx!(p4, p7);
+    cx!(p3, p6);
+    cx!(p1, p4);
+    cx!(p2, p5);
+    cx!(p4, p7);
+    cx!(p4, p2);
+    cx!(p6, p4);
+    cx!(p4, p2);
+    f32::from_bits(total_key_inverse(p4))
+}
+
+/// The integer [`f32::total_cmp`] compares: the bits, with the
+/// magnitude bits of a negative value flipped, so that integer order is
+/// the total order.
+#[inline]
+fn total_key(v: f32) -> i32 {
+    let bits = v.to_bits() as i32;
+    bits ^ (((bits >> 31) as u32) >> 1) as i32
+}
+
+/// The bits of the `f32` whose [`total_key`] is `key` (the map is its
+/// own inverse).
+#[inline]
+fn total_key_inverse(key: i32) -> u32 {
+    (key ^ (((key >> 31) as u32) >> 1) as i32) as u32
 }
 
 /// Surface slope: maximum elevation drop to any of the 8 neighbors
@@ -177,6 +217,37 @@ mod tests {
         let out = GaussianFilter.apply(&r);
         let (olo, ohi) = out.min_max();
         assert!(olo >= lo && ohi <= hi);
+    }
+
+    /// The sort the network replaces: the fifth of nine by `total_cmp`.
+    fn median_by_sort(mut window: [f32; 9]) -> f32 {
+        window.sort_unstable_by(f32::total_cmp);
+        window[4]
+    }
+
+    fn median_of(window: [f32; 9]) -> f32 {
+        median9(|dr, dc| window[((dr + 1) * 3 + dc + 1) as usize])
+    }
+
+    /// By the 0-1 principle the network selects the median of any nine
+    /// keys if it does for every 0/1 input; over values that `==`
+    /// cannot order (NaNs of both signs, ±0, ±∞) it picks the same bits
+    /// as the sort.
+    #[test]
+    fn median9_network_selects_the_sorts_median_bit_for_bit() {
+        for mask in 0u32..1 << 9 {
+            let window: [f32; 9] = std::array::from_fn(|i| (mask >> i & 1) as f32);
+            assert_eq!(median_of(window).to_bits(), median_by_sort(window).to_bits(), "mask {mask:09b}");
+        }
+        let specials = [f32::NAN, -f32::NAN, 0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, 1.5, -2.5, f32::MIN_POSITIVE];
+        let mut state = 0x9E37_79B9u32;
+        for _ in 0..2000 {
+            let window: [f32; 9] = std::array::from_fn(|_| {
+                state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                specials[(state >> 24) as usize % specials.len()]
+            });
+            assert_eq!(median_of(window).to_bits(), median_by_sort(window).to_bits(), "{window:?}");
+        }
     }
 
     #[test]

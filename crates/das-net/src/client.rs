@@ -24,11 +24,20 @@
 //!    request is served in degraded form rather than failed, whenever
 //!    the data is still reachable.
 //!
-//! Strip I/O is a **wave**: `read_file` and `put_file` write every
-//! strip's request before they read any reply — many on one connection
-//! when the server echoes per-request ids, matched by the id each reply
-//! echoes — and only then walk each strip's holders one by one, from
-//! what its wave request answered, wherever that failed.
+//! Strip I/O moves **runs**: each maximal range of consecutive strips
+//! that share a holder walk (primary first, then replicas, in the
+//! client's load order) goes in one frame per holder — a `GetStrips`
+//! (a `GetStrip` for a run of one) or a `PutStrip` carrying the run.
+//! Under round-robin every run is one strip, and the frames are the
+//! per-strip ones; under a grouped layout a server's group is a few
+//! runs. Runs are I/O in a **wave**: `read_file` and `put_file` write
+//! every run's request before they read any reply — many on one
+//! connection when the server echoes per-request ids, matched by the id
+//! each reply echoes — and only then walk each run's holders one by
+//! one, from what its wave request answered, wherever that failed.
+//! Every strip of a run shares its walk, so hedging and failover work
+//! per run as they would per strip, and their counters and events
+//! still count strips.
 //!
 //! The client owns no threads and no channels: everything a
 //! [`DasCluster`] does happens on its caller's thread, over blocking
@@ -39,20 +48,21 @@
 
 use std::collections::VecDeque;
 use std::io;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use das_core::{ActiveStorageClient, Decision, RequestOptions};
 use das_kernels::kernel_by_name;
 use das_kernels::Raster;
-use das_pfs::{DistributionInfo, Layout, LayoutPolicy, StripId, StripeSpec};
+use das_pfs::{DistributionInfo, Layout, LayoutPolicy, StripeSpec};
 use das_runtime::DegradeEvent;
 
 use crate::codec::NetError;
 use crate::conn::{is_long_op, reply_deadline, Link, RpcConn, Sent};
 use crate::engine::MAX_INFLIGHT;
 use crate::hedge::LoadTracker;
-use crate::proto::{ErrorCode, Message, Role, WireStats};
+use crate::proto::{strip_runs, ErrorCode, Message, Role, WireStats};
 use crate::retry::RetryPolicy;
 
 /// How long one look at a connection lasts while replies may be
@@ -67,11 +77,12 @@ struct ClientConn {
 }
 
 /// One request of an exchange: the message, the server it is written
-/// to, and — for a strip read with a second holder — the server a
-/// hedge re-asks.
+/// to, the strips it carries, and — for a strip read with a second
+/// holder — the server a hedge re-asks.
 struct Ask<'m> {
     msg: &'m Message,
     to: usize,
+    strips: u64,
     hedge_to: Option<usize>,
 }
 
@@ -95,13 +106,36 @@ struct Parked {
     until: Instant,
 }
 
-/// One strip of a gather: which, how many bytes it has, its primary,
-/// and its holders in walk order.
-struct StripRead {
-    strip: u64,
+/// One run of a gather: its strips, their bytes in all, and the
+/// primary and holder walk they share.
+struct RunRead {
+    strips: Range<u64>,
     want: usize,
     primary: u32,
     walk: Vec<u32>,
+}
+
+impl RunRead {
+    fn count(&self) -> u64 {
+        self.strips.end - self.strips.start
+    }
+
+    /// The request for the run: a `GetStrip` for a run of one, which is
+    /// byte for byte the per-strip frame.
+    fn request(&self, file: u32) -> Message {
+        match self.count() {
+            1 => Message::GetStrip { file, strip: self.strips.start },
+            n => Message::GetStrips { file, first: self.strips.start, count: n as u32 },
+        }
+    }
+
+    /// What the run is called in an error: its strip, or its range.
+    fn name(&self) -> String {
+        match self.count() {
+            1 => format!("strip {}", self.strips.start),
+            _ => format!("strips {}..={}", self.strips.start, self.strips.end - 1),
+        }
+    }
 }
 
 /// Connections to every `dasd` of a cluster, indexed by server id.
@@ -479,13 +513,14 @@ impl DasCluster {
     }
 
     /// Scatter `data` over the cluster: each strip goes to every
-    /// server that holds it under the file's layout, all of them in one
-    /// wave (of at most [`MAX_INFLIGHT`] strips). The write is
-    /// **tolerant**: a strip succeeds if at least one of its holders
-    /// stores it (missed holders are recorded as
-    /// [`DegradeEvent::DegradedWrite`]); it fails only when *no* holder
-    /// is reachable. What a holder answered in the wave is attempt one
-    /// of the strip's call to it.
+    /// server that holds it under the file's layout, in one `PutStrip`
+    /// per holder for each run of consecutive strips with the same
+    /// holders, all of them in one wave (of at most [`MAX_INFLIGHT`]
+    /// strips). The write is **tolerant**: a strip succeeds if at least
+    /// one of its holders stores it (missed holders are recorded as
+    /// [`DegradeEvent::DegradedWrite`], one per strip); it fails only
+    /// when *no* holder is reachable. What a holder answered in the
+    /// wave is attempt one of the run's call to it.
     pub fn put_file(&mut self, file: u32, data: &[u8]) -> Result<(), NetError> {
         let dist = self.distribution(file)?;
         if data.len() as u64 != dist.file_len {
@@ -499,13 +534,13 @@ impl DasCluster {
         let layout = Layout::new(dist.policy, dist.servers);
         let count = spec.strip_count(dist.file_len);
         for first in (0..count).step_by(MAX_INFLIGHT) {
-            let puts: Vec<(u64, Vec<usize>, Message)> = (first..count.min(first + MAX_INFLIGHT as u64))
-                .map(|s| {
-                    let sid = StripId(s);
-                    let start = spec.strip_start(sid) as usize;
-                    let end = start + spec.strip_len(sid, dist.file_len);
-                    let holders = layout.holders(sid).into_iter().map(|h| h.index()).collect();
-                    (s, holders, Message::PutStrip { file, strip: s, payload: data[start..end].to_vec() })
+            let wave = first..count.min(first + MAX_INFLIGHT as u64);
+            let holders = |sid| layout.holders(sid).into_iter().map(|h| h.index()).collect::<Vec<usize>>();
+            let puts: Vec<(Range<u64>, Vec<usize>, Message)> = strip_runs(&spec, dist.file_len, wave, holders)
+                .into_iter()
+                .map(|(strips, bytes, holders)| {
+                    let put = Message::PutStrip { file, strip: strips.start, payload: data[bytes].to_vec() };
+                    (strips, holders, put)
                 })
                 .collect();
             let asks: Vec<Ask<'_>> = puts
@@ -513,7 +548,7 @@ impl DasCluster {
                 .flat_map(|(_, holders, msg)| fan_out(holders, msg))
                 .collect();
             let mut firsts = self.exchange(&asks, true).into_iter();
-            for (s, holders, msg) in &puts {
+            for (strips, holders, msg) in &puts {
                 let mut stored = 0u32;
                 let mut missed = 0u32;
                 let mut last = None;
@@ -530,11 +565,13 @@ impl DasCluster {
                 }
                 if stored == 0 {
                     return Err(last.unwrap_or_else(|| {
-                        NetError::Protocol(format!("strip {s}: no holders under the layout"))
+                        NetError::Protocol(format!("strip {}: no holders under the layout", strips.start))
                     }));
                 }
                 if missed > 0 {
-                    self.record_event(DegradeEvent::DegradedWrite { file, strip: *s, missed });
+                    for strip in strips.clone() {
+                        self.record_event(DegradeEvent::DegradedWrite { file, strip, missed });
+                    }
                 }
             }
         }
@@ -542,15 +579,16 @@ impl DasCluster {
     }
 
     /// Gather a whole file (the "normal I/O" read path), in waves of at
-    /// most [`MAX_INFLIGHT`] strips. Each strip's holders are walked
+    /// most [`MAX_INFLIGHT`] strips, each run of consecutive strips
+    /// with the same walk in one request. Each run's holders are walked
     /// **lightest-first** by observed latency (a cold tracker preserves
     /// primary-first placement order), failing over to the next holder
-    /// on error ([`DegradeEvent::ReplicaFailover`]); a strip fails only
-    /// when no holder can serve it. The wave asks every strip's first
-    /// choice at once; a server that has not begun to answer within the
-    /// delay its latency estimate gives is **hedged**: its strips are
-    /// re-asked from their next-best holders, and the first good reply
-    /// wins.
+    /// on error ([`DegradeEvent::ReplicaFailover`], one per strip); a
+    /// run fails only when no holder can serve it. The wave asks every
+    /// run's first choice at once; a server that has not begun to
+    /// answer within the delay its latency estimate gives is
+    /// **hedged**: its runs are re-asked from their next-best holders,
+    /// and the first good reply wins.
     pub fn read_file(&mut self, file: u32) -> Result<Vec<u8>, NetError> {
         let dist = self.distribution(file)?;
         let spec = StripeSpec::new(dist.strip_size);
@@ -564,53 +602,53 @@ impl DasCluster {
         let mut out = Vec::with_capacity(dist.file_len.min(crate::proto::MAX_PAYLOAD as u64) as usize);
         let count = spec.strip_count(dist.file_len);
         for first in (0..count).step_by(MAX_INFLIGHT) {
-            let reads: Vec<StripRead> = (first..count.min(first + MAX_INFLIGHT as u64))
-                .map(|s| {
-                    let sid = StripId(s);
-                    let placement = layout.placement(sid);
-                    let mut walk: Vec<u32> = placement.holders().into_iter().map(|h| h.0).collect();
-                    self.load.order_by_load(&mut walk, |&h| h as usize);
-                    let want = spec.strip_len(sid, dist.file_len);
-                    StripRead { strip: s, want, primary: placement.primary_server.0, walk }
-                })
+            let wave = first..count.min(first + MAX_INFLIGHT as u64);
+            let walk = |sid| {
+                let placement = layout.placement(sid);
+                let mut walk: Vec<u32> = placement.holders().into_iter().map(|h| h.0).collect();
+                self.load.order_by_load(&mut walk, |&h| h as usize);
+                (placement.primary_server.0, walk)
+            };
+            let runs: Vec<RunRead> = strip_runs(&spec, dist.file_len, wave, walk)
+                .into_iter()
+                .map(|(strips, bytes, (primary, walk))| RunRead { strips, want: bytes.len(), primary, walk })
                 .collect();
-            self.gather(file, &reads, &mut out)?;
+            self.gather(file, &runs, &mut out)?;
         }
         Ok(out)
     }
 
-    /// Append `reads`' strips to `out`, in order: one wave asks each
-    /// strip's first choice (hedging to its second), then each strip's
-    /// walk takes over from what that answered.
-    fn gather(&mut self, file: u32, reads: &[StripRead], out: &mut Vec<u8>) -> Result<(), NetError> {
-        let msgs: Vec<Message> = reads.iter().map(|r| Message::GetStrip { file, strip: r.strip }).collect();
-        let asks: Vec<Ask<'_>> = reads
+    /// Append `runs`' strips to `out`, in order: one wave asks each
+    /// run's first choice (hedging to its second), then each run's walk
+    /// takes over from what that answered.
+    fn gather(&mut self, file: u32, runs: &[RunRead], out: &mut Vec<u8>) -> Result<(), NetError> {
+        let msgs: Vec<Message> = runs.iter().map(|r| r.request(file)).collect();
+        let asks: Vec<Ask<'_>> = runs
             .iter()
             .zip(&msgs)
-            .map(|(r, msg)| Ask { msg, to: r.walk[0] as usize, hedge_to: r.walk.get(1).map(|&h| h as usize) })
+            .map(|(r, msg)| Ask {
+                msg,
+                to: r.walk[0] as usize,
+                strips: r.count(),
+                hedge_to: r.walk.get(1).map(|&h| h as usize),
+            })
             .collect();
         let firsts = self.exchange(&asks, true);
-        for ((r, msg), firsts) in reads.iter().zip(&msgs).zip(firsts) {
-            out.extend_from_slice(&self.walk_strip(file, r, msg, firsts)?);
+        for ((r, msg), firsts) in runs.iter().zip(&msgs).zip(firsts) {
+            out.extend_from_slice(&self.walk_run(file, r, msg, firsts)?);
         }
         Ok(())
     }
 
-    /// Fetch one strip from the holders in its walk order, failing over
+    /// Fetch one run from the holders in its walk order, failing over
     /// to the next on any failure — a transport or typed error that
     /// outlasts its retries, a reply of the wrong length. The walk's
     /// first two steps may already have been taken by the wave: what
     /// each of the two holders answered is attempt one of the walk's
     /// call to it, and the walk starts at the second if only its answer
     /// was good — a hedge win.
-    fn walk_strip(
-        &mut self,
-        file: u32,
-        read: &StripRead,
-        msg: &Message,
-        mut firsts: Firsts,
-    ) -> Result<Vec<u8>, NetError> {
-        let StripRead { strip, want, primary, ref walk } = *read;
+    fn walk_run(&mut self, file: u32, run: &RunRead, msg: &Message, mut firsts: Firsts) -> Result<Vec<u8>, NetError> {
+        let RunRead { want, primary, ref walk, .. } = *run;
         let hedge_won = matches!(firsts, [None | Some(Err(_)), Some(Ok(_))]);
         let mut last = None;
         for (pos, &h) in walk.iter().enumerate().cycle().skip(usize::from(hedge_won)).take(walk.len()) {
@@ -618,7 +656,7 @@ impl DasCluster {
             match self.call_resuming(h as usize, msg, first) {
                 Ok(Message::StripData { payload }) if payload.len() == want => {
                     if hedge_won && pos == 1 {
-                        self.metrics.counter("das_client_hedge_wins_total", &[]).inc();
+                        self.metrics.counter("das_client_hedge_wins_total", &[]).add(run.count());
                     }
                     // A replica serving because it was *ordered* first
                     // is load balancing, not degradation — only record
@@ -631,35 +669,27 @@ impl DasCluster {
                             "das.client",
                             "replica walk",
                             &[
-                                ("strip", strip.to_string()),
+                                ("strips", run.name()),
                                 ("primary", primary.to_string()),
                                 ("served_by", h.to_string()),
                                 ("hops", pos.to_string()),
                                 ("hedge_won", hedge_won.to_string()),
                             ],
                         );
-                        self.record_event(DegradeEvent::ReplicaFailover {
-                            file,
-                            strip,
-                            primary,
-                            replica: h,
-                        });
+                        for strip in run.strips.clone() {
+                            self.record_event(DegradeEvent::ReplicaFailover { file, strip, primary, replica: h });
+                        }
                     }
                     return Ok(payload);
                 }
                 Ok(Message::StripData { payload }) => {
-                    last = Some(NetError::Protocol(format!(
-                        "strip {strip}: wanted {want} bytes, got {}",
-                        payload.len()
-                    )))
+                    last = Some(NetError::Protocol(format!("{}: wanted {want} bytes, got {}", run.name(), payload.len())))
                 }
                 Ok(other) => return Err(NetError::Unexpected { opcode: other.opcode() }),
                 Err(e) => last = Some(e),
             }
         }
-        Err(last.unwrap_or_else(|| {
-            NetError::Protocol(format!("strip {strip}: no holders under the layout"))
-        }))
+        Err(last.unwrap_or_else(|| NetError::Protocol(format!("{}: no holders under the layout", run.name()))))
     }
 
     /// Read every parked reply that has begun to arrive — without
@@ -885,7 +915,7 @@ impl DasCluster {
 
 /// One ask of `msg` to each of `targets`, none hedged.
 fn fan_out<'m>(targets: &[usize], msg: &'m Message) -> Vec<Ask<'m>> {
-    targets.iter().map(|&to| Ask { msg, to, hedge_to: None }).collect()
+    targets.iter().map(|&to| Ask { msg, to, strips: 1, hedge_to: None }).collect()
 }
 
 /// One exchange in progress: per server, its [`Link`] — the requests
@@ -987,7 +1017,7 @@ impl<'a, 'm> Wave<'a, 'm> {
                     if settled(&self.firsts[ask]) {
                         continue; // the late server answered after all
                     }
-                    cluster.metrics.counter("das_client_hedges_total", &[]).inc();
+                    cluster.metrics.counter("das_client_hedges_total", &[]).add(self.asks[ask].strips);
                 }
                 let msg = self.asks[ask].msg;
                 let budget = reply_deadline(&cluster.policy, msg, link.pipelined());
@@ -1608,7 +1638,7 @@ mod tests {
     /// The stub file's one strip, gathered with the walk `[0, 1]`.
     fn read_stub_strip(cluster: &mut DasCluster) -> Result<Vec<u8>, NetError> {
         let mut out = Vec::new();
-        let read = StripRead { strip: 0, want: STRIP_LEN, primary: 0, walk: vec![0, 1] };
+        let read = RunRead { strips: 0..1, want: STRIP_LEN, primary: 0, walk: vec![0, 1] };
         cluster.gather(1, &[read], &mut out).map(|()| out)
     }
 

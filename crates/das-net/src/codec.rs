@@ -189,6 +189,15 @@ pub fn crc32_combine(sum_a: u32, sum_b: u32, len_b: usize) -> u32 {
     mul_mod_p(shift, sum_a) ^ sum_b
 }
 
+/// The checksum of blobs laid end to end, from each one's [`crc32`] and
+/// length in order, without reading any: [`crc32_combine`] folded.
+/// `None` for no blobs.
+pub fn crc32_concat(parts: impl IntoIterator<Item = (u32, usize)>) -> Option<u32> {
+    let mut parts = parts.into_iter();
+    let (first, _) = parts.next()?;
+    Some(parts.fold(first, |sum, (next, len)| crc32_combine(sum, next, len)))
+}
+
 /// Anything that can go wrong talking to a peer.
 #[derive(Debug)]
 pub enum NetError {
@@ -346,7 +355,36 @@ pub fn raw_frame_parts<'a>(
     trace: Option<u64>,
     budget_ms: Option<u32>,
 ) -> FrameParts<'a> {
-    let payload_len = prefix.len() + body.len();
+    let head = frame_head(opcode, prefix, body.len(), trace, budget_ms);
+    let crc = match body_sum {
+        Some(sum) => crc32_combine(crc32(&[&head]), sum, body.len()),
+        None => crc32(&[&head, body]),
+    };
+    FrameParts { head, body, tail: crc.to_le_bytes() }
+}
+
+/// The head and trailer of a frame whose blob is `body_len` bytes that
+/// the caller holds apart — a run of stored strips, each in its own
+/// segment — with `body_sum`, their [`crc32`] as one blob: the
+/// [`raw_frame_parts`] of a body that is never gathered into one slice
+/// nor read.
+pub fn summed_frame_ends(
+    opcode: u8,
+    prefix: &[u8],
+    body_len: usize,
+    body_sum: u32,
+    trace: Option<u64>,
+) -> (Vec<u8>, [u8; CRC_LEN]) {
+    let head = frame_head(opcode, prefix, body_len, trace, None);
+    let crc = crc32_combine(crc32(&[&head]), body_sum, body_len);
+    (head, crc.to_le_bytes())
+}
+
+/// The only code that writes a header: header, optional trace id and
+/// budget, then the payload prefix, for a payload of `prefix` and a
+/// `body_len`-byte blob.
+fn frame_head(opcode: u8, prefix: &[u8], body_len: usize, trace: Option<u64>, budget_ms: Option<u32>) -> Vec<u8> {
+    let payload_len = prefix.len() + body_len;
     assert!(payload_len <= MAX_PAYLOAD, "payload exceeds MAX_PAYLOAD");
     let flags = FLAG_CRC
         | if trace.is_some() { FLAG_TRACE } else { 0 }
@@ -364,20 +402,24 @@ pub fn raw_frame_parts<'a>(
         head.extend_from_slice(&ms.to_le_bytes());
     }
     head.extend_from_slice(prefix);
-    let crc = match body_sum {
-        Some(sum) => crc32_combine(crc32(&[&head]), sum, body.len()),
-        None => crc32(&[&head, body]),
-    };
-    FrameParts { head, body, tail: crc.to_le_bytes() }
+    head
 }
+
+/// Most segments one `write_vectored` hands the kernel; a frame with
+/// more goes out over several calls.
+const MAX_IOV: usize = 16;
 
 /// One `write_vectored` of whatever of `segments` lies past their
 /// first `written` bytes — the skip-and-slice step under both frame
 /// writers (the default `Write` implementation may accept only the
 /// first buffer, and a socket may accept any prefix).
-fn write_segments<W: Write>(w: &mut W, segments: [&[u8]; 3], written: usize) -> io::Result<usize> {
+fn write_segments<'s, W: Write>(
+    w: &mut W,
+    segments: impl IntoIterator<Item = &'s [u8]>,
+    written: usize,
+) -> io::Result<usize> {
     let mut skip = written;
-    let mut bufs = [IoSlice::new(&[]); 3];
+    let mut bufs = [IoSlice::new(&[]); MAX_IOV];
     let mut n_bufs = 0;
     for seg in segments {
         if skip >= seg.len() {
@@ -387,6 +429,9 @@ fn write_segments<W: Write>(w: &mut W, segments: [&[u8]; 3], written: usize) -> 
         bufs[n_bufs] = IoSlice::new(&seg[skip..]);
         n_bufs += 1;
         skip = 0;
+        if n_bufs == MAX_IOV {
+            break;
+        }
     }
     w.write_vectored(&bufs[..n_bufs])
 }
@@ -396,7 +441,7 @@ fn write_segments<W: Write>(w: &mut W, segments: [&[u8]; 3], written: usize) -> 
 pub fn write_frame_vectored<W: Write>(w: &mut W, parts: &FrameParts<'_>) -> io::Result<()> {
     let mut written = 0usize;
     while written < parts.len() {
-        match write_segments(w, [&parts.head, parts.body, &parts.tail], written) {
+        match write_segments(w, [&parts.head[..], parts.body, &parts.tail], written) {
             Ok(0) => {
                 return Err(io::Error::new(
                     io::ErrorKind::WriteZero,
@@ -658,15 +703,17 @@ pub fn read_frame_ex<R: Read>(r: &mut R) -> Result<Option<Frame>, NetError> {
 }
 
 /// Owned scatter/gather write state for one frame on a nonblocking
-/// socket: head (header + payload prefix), body (a refcounted
-/// [`bytes::Bytes`] — a strip straight from the store), and CRC tail,
-/// with a cursor tracking how much the socket has accepted so far.
-/// The event-loop engine keeps one per queued reply and resumes the
-/// write whenever the socket turns writable.
+/// socket: head (header + payload prefix), body (refcounted
+/// [`bytes::Bytes`] segments — strips straight from the store, one
+/// segment each), and CRC tail, with a cursor tracking how much the
+/// socket has accepted so far. The event-loop engine keeps one per
+/// queued reply and resumes the write whenever the socket turns
+/// writable.
 #[derive(Debug)]
 pub struct IoVecCursor {
     head: Vec<u8>,
-    body: bytes::Bytes,
+    body: Vec<bytes::Bytes>,
+    body_len: usize,
     // The tail is at most a CRC32 — an inline array avoids a
     // per-reply heap allocation on the event-loop write path.
     tail: [u8; 4],
@@ -678,16 +725,17 @@ impl IoVecCursor {
     /// Wrap one frame's segments; `body`/`tail` may be empty. `tail`
     /// is at most 4 bytes (a CRC32) and is copied inline — no
     /// allocation.
-    pub fn new(head: Vec<u8>, body: bytes::Bytes, tail: &[u8]) -> IoVecCursor {
+    pub fn new(head: Vec<u8>, body: Vec<bytes::Bytes>, tail: &[u8]) -> IoVecCursor {
         assert!(tail.len() <= 4, "frame tail exceeds CRC32 width");
         let mut t = [0u8; 4];
         t[..tail.len()].copy_from_slice(tail);
-        IoVecCursor { head, body, tail: t, tail_len: tail.len() as u8, written: 0 }
+        let body_len = body.iter().map(|b| b.len()).sum();
+        IoVecCursor { head, body, body_len, tail: t, tail_len: tail.len() as u8, written: 0 }
     }
 
     /// Total frame length in bytes.
     pub fn total(&self) -> usize {
-        self.head.len() + self.body.len() + self.tail_len as usize
+        self.head.len() + self.body_len + self.tail_len as usize
     }
 
     /// Whether every byte has been accepted by the socket.
@@ -705,7 +753,9 @@ impl IoVecCursor {
             return Ok(0);
         }
         let tail = &self.tail[..self.tail_len as usize];
-        match write_segments(w, [&self.head, &self.body, tail], self.written) {
+        let body = self.body.iter().map(|b| &b[..]);
+        let segments = std::iter::once(&self.head[..]).chain(body).chain(std::iter::once(tail));
+        match write_segments(w, segments, self.written) {
             Ok(0) => Err(io::Error::new(io::ErrorKind::WriteZero, "peer stopped accepting bytes")),
             Ok(n) => {
                 self.written += n;

@@ -61,7 +61,8 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 
 use crate::codec::{
-    encode_frame_opts, frame_parts_opts, raw_frame_parts, CountingStream, FrameBuffer, IoVecCursor,
+    encode_frame_opts, frame_parts_opts, summed_frame_ends, CountingStream, FrameBuffer, FrameParts,
+    IoVecCursor,
 };
 use crate::proto::{check_caps, ErrorCode, Message, Role, LOCAL_CAPS};
 use crate::server::{
@@ -112,8 +113,8 @@ struct ReplyTag {
 
 /// One fully-formed reply: queued from a worker back to the owning
 /// shard, then on the connection until the socket has taken it. The
-/// cursor keeps a strip reply's body a refcounted [`Bytes`] handle
-/// until the socket write itself.
+/// cursor keeps a strip reply's body refcounted [`Bytes`] handles, one
+/// per strip, until the socket write itself.
 struct Outbound {
     cursor: IoVecCursor,
     /// Close the connection once (whatever exists of) this reply is
@@ -125,16 +126,21 @@ struct Outbound {
 }
 
 impl Outbound {
-    fn new(head: Vec<u8>, body: Bytes, tail: &[u8], close_after: bool) -> Outbound {
+    fn new(head: Vec<u8>, body: Vec<Bytes>, tail: &[u8], close_after: bool) -> Outbound {
         Outbound { cursor: IoVecCursor::new(head, body, tail), close_after, tag: None }
     }
 
-    /// `msg` framed the way every other sender frames it. A control
-    /// reply's blob (metrics text, a span dump) lives in the message,
-    /// so it is copied once into a segment the queue can own.
+    /// `msg` framed the way every other sender frames it.
     fn reply(msg: &Message, trace: Option<u64>, close_after: bool) -> Outbound {
-        let parts = frame_parts_opts(msg, trace, None);
-        Outbound::new(parts.head, Bytes::copy_from_slice(parts.body), &parts.tail, close_after)
+        Outbound::framed(frame_parts_opts(msg, trace, None), close_after)
+    }
+
+    /// A frame built by the codec. A control reply's blob (metrics
+    /// text, a span dump) lives in the message, so it is copied once
+    /// into a segment the queue can own.
+    fn framed(parts: FrameParts<'_>, close_after: bool) -> Outbound {
+        let body = if parts.body.is_empty() { Vec::new() } else { vec![Bytes::copy_from_slice(parts.body)] };
+        Outbound::new(parts.head, body, &parts.tail, close_after)
     }
 }
 
@@ -436,25 +442,26 @@ fn run_job(shared: &Shared, queues: &ShardQueues, job: Job) {
     record_stage(shared, job.trace, job.ctx.root, Stage::QueueWait, opc, NOTE_NONE, job.enqueued.elapsed());
     let mut out = match process_request(shared, job.class, job.msg, job.trace, job.deadline, job.ctx) {
         ReplyAction::Reply(reply) => Outbound::reply(&reply, echo, false),
-        ReplyAction::ReplyStrip(bytes, sum) => {
-            // Zero-copy and zero-read: the body segment shares the
-            // store's allocation, and the trailer is combined from the
-            // head's checksum and the sum stored with the strip — a
-            // strip that changed since ingest fails at its reader.
-            let prefix = (bytes.len() as u32).to_le_bytes();
-            let parts = raw_frame_parts(STRIP_DATA_OPCODE, &prefix, &bytes, Some(sum), echo, None);
-            let (head, tail) = (parts.head, parts.tail);
-            Outbound::new(head, bytes, &tail, false)
+        ReplyAction::ReplyRun(strips, sum) => {
+            // Zero-copy and zero-read: each body segment shares its
+            // strip's store allocation, and the trailer is combined
+            // from the head's checksum and the sums stored with the
+            // strips — a strip that changed since ingest fails at its
+            // reader.
+            let len: usize = strips.iter().map(|b| b.len()).sum();
+            let prefix = (len as u32).to_le_bytes();
+            let (head, tail) = summed_frame_ends(STRIP_DATA_OPCODE, &prefix, len, sum, echo);
+            Outbound::new(head, strips, &tail, false)
         }
         ReplyAction::ReplyCorrupt(reply) => {
             let mut parts = frame_parts_opts(&reply, echo, None);
             parts.tail[3] ^= 0xFF;
-            Outbound::new(parts.head, Bytes::copy_from_slice(parts.body), &parts.tail, false)
+            Outbound::framed(parts, false)
         }
         ReplyAction::ReplyTruncated(reply) => {
             let mut frame = encode_frame_opts(&reply, echo, None);
             frame.truncate(frame.len() / 2);
-            Outbound::new(frame, Bytes::new(), &[], true)
+            Outbound::new(frame, Vec::new(), &[], true)
         }
         ReplyAction::ShutdownAfter(reply) => {
             // process_request already raised the shutdown flag; the

@@ -47,7 +47,7 @@ pub enum FaultClass {
     Redist,
     /// `Execute` requests from clients.
     Exec,
-    /// `GetStrip` requests from clients.
+    /// Strip reads (`GetStrip`/`GetStrips`) from clients.
     Get,
 }
 
@@ -249,7 +249,7 @@ impl FaultPlan {
                     opcode == 0x30
                 }
                 (FaultClass::Get, FaultPoint::Request { class: ConnClass::Client, opcode }) => {
-                    opcode == 0x14
+                    opcode == 0x14 || opcode == 0x1A
                 }
                 _ => false,
             };

@@ -473,15 +473,16 @@ impl PeerTable {
     }
 
     /// Replica forwarding: send every `PutStrip` of `puts` to its
-    /// holder in one wave and return how many were not acknowledged.
-    /// Each ack is matched to its forward like any wave reply, so a
-    /// forward the wave did not see acknowledged goes again on its own
-    /// (`PutStrip` is idempotent), retried and circuit-broken.
-    pub(crate) fn put_strips(&self, puts: &[Ask], trace: Option<u64>) -> u64 {
+    /// holder in one wave and return the indices of those that were not
+    /// acknowledged. Each ack is matched to its forward like any wave
+    /// reply, so a forward the wave did not see acknowledged goes again
+    /// on its own (`PutStrip` is idempotent), retried and
+    /// circuit-broken.
+    pub(crate) fn put_strips(&self, puts: &[Ask], trace: Option<u64>) -> Vec<usize> {
         let mut acked = vec![false; puts.len()];
         self.wave(puts, trace, None, |i, _, reply| acked[i] = matches!(reply, Ok(Message::PutStripOk)));
         let resent = |(to, put, _): &Ask| matches!(self.call(*to, put, trace, None), Ok(Message::PutStripOk));
-        puts.iter().zip(acked).filter(|&(put, acked)| !acked && !resent(put)).count() as u64
+        (0..puts.len()).filter(|&i| !acked[i] && !resent(&puts[i])).collect()
     }
 }
 
@@ -741,7 +742,7 @@ mod tests {
                 (1, Message::PutStrip { file: 3, strip, payload }, Some(sum))
             })
             .collect();
-        assert_eq!(peers.put_strips(&puts, Some(das_obs::next_trace_id())), 0);
+        assert_eq!(peers.put_strips(&puts, Some(das_obs::next_trace_id())), Vec::<usize>::new());
         drop(peers);
         let mut seen = stub.join().expect("stub peer");
         seen.sort_unstable();

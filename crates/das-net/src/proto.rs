@@ -9,7 +9,11 @@
 //! The full frame layout and per-RPC semantics are documented in
 //! `docs/PROTOCOL.md`.
 
-use das_pfs::{DistributionInfo, LayoutPolicy};
+use std::ops::Range;
+
+use das_pfs::{DistributionInfo, LayoutPolicy, StripId, StripeSpec};
+
+use crate::engine::MAX_INFLIGHT;
 
 /// Frame magic, first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"DASN";
@@ -19,6 +23,44 @@ pub const VERSION: u8 = 1;
 /// hostile or corrupted length field; comfortably above the largest
 /// legitimate payload (one strip plus framing).
 pub const MAX_PAYLOAD: usize = 64 * 1024 * 1024;
+/// Most strip bytes one run carries: [`MAX_PAYLOAD`] less the longest
+/// fixed part of a run's frame payload ([`Message::PutStrip`]'s file,
+/// strip and blob length).
+pub const MAX_RUN_BYTES: usize = MAX_PAYLOAD - 16;
+
+/// The runs `strips` (ascending) of a file of `file_len` bytes move
+/// in: each maximal range of consecutive strips with the same `key` —
+/// where the frames for them go — of at most [`MAX_INFLIGHT`] strips
+/// and [`MAX_RUN_BYTES`] bytes, with its byte range in the file and
+/// that key. Every whole-file read, whole-file write and replica
+/// forward groups its strips here, so one rule decides what a frame
+/// carries.
+pub fn strip_runs<K: PartialEq>(
+    spec: &StripeSpec,
+    file_len: u64,
+    strips: impl IntoIterator<Item = u64>,
+    mut key: impl FnMut(StripId) -> K,
+) -> Vec<(Range<u64>, Range<usize>, K)> {
+    let mut runs: Vec<(Range<u64>, Range<usize>, K)> = Vec::new();
+    for s in strips {
+        let sid = StripId(s);
+        let (k, start) = (key(sid), spec.strip_start(sid) as usize);
+        let end = start + spec.strip_len(sid, file_len);
+        match runs.last_mut() {
+            Some((run, bytes, same))
+                if run.end == s
+                    && *same == k
+                    && run.end - run.start < MAX_INFLIGHT as u64
+                    && end - bytes.start <= MAX_RUN_BYTES =>
+            {
+                run.end = s + 1;
+                bytes.end = end;
+            }
+            _ => runs.push((s..s + 1, start..end, k)),
+        }
+    }
+    runs
+}
 /// Size of the fixed frame header in bytes.
 pub const HEADER_LEN: usize = 12;
 
@@ -188,7 +230,8 @@ pub struct WireStats {
 
 /// Every RPC of the protocol. Requests and responses share the enum;
 /// the opcode namespaces them (responses are `request | 1` except the
-/// catch-all [`Message::Error`]).
+/// catch-all [`Message::Error`] and [`Message::GetStrips`]' reply, a
+/// [`Message::StripData`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// First frame on every connection: who am I?
@@ -229,14 +272,16 @@ pub enum Message {
         /// Assigned file id.
         file: u32,
     },
-    /// Upload one strip to a server that holds it under the file's
-    /// layout (primary or replica — the server decides which).
+    /// Upload a **run** of strips — `strip` and the ones after it, one
+    /// or more — to a server that holds every one of them under the
+    /// file's layout (primary or replica — the server decides which).
     PutStrip {
         /// File id.
         file: u32,
-        /// Strip index.
+        /// Index of the run's first strip.
         strip: u64,
-        /// Strip bytes; must be exactly the strip's length.
+        /// The run's strips back to back: exactly the lengths of
+        /// `strip`, `strip + 1`, … up to the last one it covers.
         payload: Vec<u8>,
     },
     /// Strip stored.
@@ -248,7 +293,8 @@ pub enum Message {
         /// Strip index.
         strip: u64,
     },
-    /// The requested strip's bytes.
+    /// The requested strip's bytes — a run's strips back to back for
+    /// [`Message::GetStrips`].
     StripData {
         /// Strip bytes.
         payload: Vec<u8>,
@@ -275,6 +321,17 @@ pub enum Message {
     DistributionResp {
         /// Current distribution.
         dist: DistributionInfo,
+    },
+    /// Fetch a run of `count` locally-stored strips from `first` on,
+    /// answered by one [`Message::StripData`] carrying them back to
+    /// back. A run of one is [`Message::GetStrip`].
+    GetStrips {
+        /// File id.
+        file: u32,
+        /// Index of the run's first strip.
+        first: u64,
+        /// Strips in the run (at least 1).
+        count: u32,
     },
 
     /// Phase one of a redistribution: fetch every strip this server
@@ -406,10 +463,10 @@ pub enum Message {
 /// the enumerable ground truth `tests/protocol_doc.rs` checks
 /// against [`Message::samples`] and `docs/PROTOCOL.md`. Any opcode
 /// **not** in this list must be rejected by [`Message::decode`].
-pub const KNOWN_OPCODES: [u8; 33] = [
-    0x01, 0x02, 0x10, 0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17, 0x18, 0x19, 0x20, 0x21, 0x22,
-    0x23, 0x30, 0x31, 0x40, 0x41, 0x42, 0x43, 0x44, 0x45, 0x46, 0x47, 0x48, 0x49, 0x50, 0x51,
-    0x52, 0x53, 0x7F,
+pub const KNOWN_OPCODES: [u8; 34] = [
+    0x01, 0x02, 0x10, 0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17, 0x18, 0x19, 0x1A, 0x20, 0x21,
+    0x22, 0x23, 0x30, 0x31, 0x40, 0x41, 0x42, 0x43, 0x44, 0x45, 0x46, 0x47, 0x48, 0x49, 0x50,
+    0x51, 0x52, 0x53, 0x7F,
 ];
 
 impl Message {
@@ -446,6 +503,7 @@ impl Message {
             Message::LookupOk { file: 7, dist },
             Message::GetDistribution { file: 7 },
             Message::DistributionResp { dist },
+            Message::GetStrips { file: 7, first: 11, count: 3 },
             Message::RedistPrepare { file: 7, policy: LayoutPolicy::GroupedReplicated { group: 2 } },
             Message::RedistPrepareOk { fetched_strips: 5, fetched_bytes: 20480 },
             Message::RedistCommit { file: 7, policy: LayoutPolicy::GroupedReplicated { group: 2 } },
@@ -498,6 +556,7 @@ impl Message {
             Message::LookupOk { .. } => 0x17,
             Message::GetDistribution { .. } => 0x18,
             Message::DistributionResp { .. } => 0x19,
+            Message::GetStrips { .. } => 0x1A,
             Message::RedistPrepare { .. } => 0x20,
             Message::RedistPrepareOk { .. } => 0x21,
             Message::RedistCommit { .. } => 0x22,
@@ -538,6 +597,7 @@ impl Message {
             Message::LookupOk { .. } => "lookup_ok",
             Message::GetDistribution { .. } => "get_distribution",
             Message::DistributionResp { .. } => "distribution_resp",
+            Message::GetStrips { .. } => "get_strips",
             Message::RedistPrepare { .. } => "redist_prepare",
             Message::RedistPrepareOk { .. } => "redist_prepare_ok",
             Message::RedistCommit { .. } => "redist_commit",
@@ -604,6 +664,11 @@ impl Message {
             }
             Message::GetDistribution { file } => put_u32(&mut b, *file),
             Message::DistributionResp { dist } => put_dist(&mut b, dist),
+            Message::GetStrips { file, first, count } => {
+                put_u32(&mut b, *file);
+                put_u64(&mut b, *first);
+                put_u32(&mut b, *count);
+            }
             Message::RedistPrepare { file, policy } | Message::RedistCommit { file, policy } => {
                 put_u32(&mut b, *file);
                 put_policy(&mut b, *policy);
@@ -741,6 +806,7 @@ impl Message {
             0x17 => Message::LookupOk { file: d.take_u32()?, dist: d.take_dist()? },
             0x18 => Message::GetDistribution { file: d.take_u32()? },
             0x19 => Message::DistributionResp { dist: d.take_dist()? },
+            0x1A => Message::GetStrips { file: d.take_u32()?, first: d.take_u64()?, count: d.take_u32()? },
             0x20 => Message::RedistPrepare { file: d.take_u32()?, policy: d.take_policy()? },
             0x21 => Message::RedistPrepareOk {
                 fetched_strips: d.take_u64()?,

@@ -46,10 +46,11 @@ use das_kernels::{cells_to_le_bytes, kernel_by_name};
 use das_pfs::{FileId, FileMeta, Layout, ServerId, StorageServer, StripId, StripeSpec};
 use das_runtime::StripAssembly;
 
-use crate::codec::{crc32, NetError};
+use crate::codec::{crc32, crc32_combine, crc32_concat, NetError};
 use crate::fault::{FaultAction, FaultPlan, FaultPoint};
 use crate::peer::{Ask, FetchFor, PeerTable, StripAsk};
-use crate::proto::{ErrorCode, Message, WireStats};
+use crate::engine::MAX_INFLIGHT;
+use crate::proto::{strip_runs, ErrorCode, Message, WireStats, MAX_RUN_BYTES};
 use crate::retry::RetryPolicy;
 use das_obs::log::{event, Level};
 use das_obs::{OpClass, SpanStore, Stage, NOTE_FORWARD, NOTE_NONE, NOTE_SHED_DEADLINE};
@@ -94,7 +95,7 @@ pub(crate) fn shed_exempt(msg: &Message) -> bool {
 /// discriminants are stable; see `das-obs`).
 pub(crate) fn op_class(msg: &Message) -> OpClass {
     match msg {
-        Message::GetStrip { .. } => OpClass::Get,
+        Message::GetStrip { .. } | Message::GetStrips { .. } => OpClass::Get,
         Message::PutStrip { .. } => OpClass::Put,
         Message::Execute { .. } => OpClass::Exec,
         Message::RedistPrepare { .. } | Message::RedistCommit { .. } => OpClass::Redist,
@@ -480,9 +481,10 @@ pub(crate) enum ReplyAction {
     /// Write the reply frame and keep serving.
     Reply(Message),
     /// Write a [`Message::StripData`] reply whose payload is these
-    /// store bytes, signed from the checksum stored with them — the
-    /// zero-copy fast path for `GetStrip`.
-    ReplyStrip(Bytes, u32),
+    /// stored strips back to back, signed from `u32`, the checksum of
+    /// all of them combined from the sums stored with each — the
+    /// zero-copy fast path for `GetStrip` and `GetStrips`.
+    ReplyRun(Vec<Bytes>, u32),
     /// Write the reply frame with its final CRC byte flipped
     /// (injected [`FaultAction::CorruptCrc`]), then keep serving.
     ReplyCorrupt(Message),
@@ -585,13 +587,13 @@ pub(crate) fn process_request(
         }
         Some(FaultAction::RefuseAccept) | None => {}
     }
-    // GetStrip takes the zero-copy path: the strip's bytes leave the
-    // store as a refcounted handle and become the reply frame's body
-    // segment without an intermediate payload `Vec`.
-    if let Message::GetStrip { file, strip } = msg {
+    // Strip reads take the zero-copy path: each strip's bytes leave the
+    // store as a refcounted handle and become a body segment of the
+    // reply frame without an intermediate payload `Vec`.
+    if let Some((file, first, count)) = strip_run(&msg) {
         let read_started = Instant::now();
-        let action = match get_strip_bytes(shared, file, strip) {
-            Ok((bytes, sum)) => ReplyAction::ReplyStrip(bytes, sum),
+        let action = match read_run(shared, file, first, count) {
+            Ok((strips, sum)) => ReplyAction::ReplyRun(strips, sum),
             Err(e) => {
                 log_request_failure(shared, op, &e);
                 ReplyAction::Reply(e)
@@ -738,54 +740,12 @@ fn dispatch(
                 Err(e) => e,
             }
         }
-        Message::PutStrip { file, strip, payload } => {
-            let mut inner = lock(&shared.inner);
-            let (id, expected, holds, primary) = match inner.meta(file) {
-                Ok(meta) => {
-                    if strip >= meta.strip_count() {
-                        return err(
-                            ErrorCode::OutOfBounds,
-                            format!("strip {strip} of {}-strip file", meta.strip_count()),
-                        );
-                    }
-                    let sid = StripId(strip);
-                    (
-                        meta.id,
-                        meta.spec.strip_len(sid, meta.len),
-                        meta.layout.holds(shared.id, sid),
-                        meta.layout.primary(sid) == shared.id,
-                    )
-                }
-                Err(e) => return e,
-            };
-            if !holds {
-                return err(
-                    ErrorCode::StripNotLocal,
-                    format!("server {} does not hold strip {strip}", shared.id.0),
-                );
-            }
-            if payload.len() != expected {
-                return err(
-                    ErrorCode::StripLengthMismatch,
-                    format!("strip {strip} wants {expected} bytes, got {}", payload.len()),
-                );
-            }
-            // The sum the frame decoder verified the strip's bytes
-            // under; bytes that came without one are never summed here.
-            let Some(sum) = ctx.blob_sum else {
-                return err(ErrorCode::Internal, format!("strip {strip} arrived without a checksum"));
-            };
-            inner.store.store_summed(id, StripId(strip), Bytes::from(payload), sum, primary);
-            Message::PutStripOk
-        }
-        Message::GetStrip { file, strip } => match get_strip_bytes(shared, file, strip) {
-            // Live GetStrips short-circuit in process_request and ship
-            // zero-copy as ReplyStrip; this owned-payload arm only
-            // runs under fault injection (corrupt/truncated replies).
-            // das-lint: allow(DA801) fault-injection fallback; live reads use the ReplyStrip fast path
-            Ok((data, _)) => Message::StripData { payload: data.to_vec() },
-            Err(e) => e,
-        },
+        put @ Message::PutStrip { .. } => put_run(shared, put, ctx.blob_sum),
+        // Live strip reads short-circuit in process_request and ship
+        // zero-copy as ReplyRun; these owned-payload arms only run under
+        // fault injection (corrupt/truncated replies).
+        Message::GetStrip { file, strip } => owned_run(shared, file, strip, 1),
+        Message::GetStrips { file, first, count } => owned_run(shared, file, first, count),
         Message::RedistPrepare { file, policy } => {
             redist_prepare(shared, file, policy, trace, deadline, ctx)
         }
@@ -804,29 +764,145 @@ fn dispatch(
     }
 }
 
-/// Read one locally-held strip as a refcounted handle, with the
-/// checksum stored beside it — the zero-copy source for `GetStrip`
-/// replies (the engine writes the returned [`Bytes`] straight into the
-/// frame's body segment and signs it from the sum). Errors come back
-/// as the typed reply message.
-pub(crate) fn get_strip_bytes(shared: &Shared, file: u32, strip: u64) -> Result<(Bytes, u32), Message> {
-    let inner = lock(&shared.inner);
-    let meta = inner.meta(file)?;
-    if strip >= meta.strip_count() {
+/// The `(file, first, count)` run a strip read asks for: a
+/// `GetStrip` is the run of one.
+fn strip_run(msg: &Message) -> Option<(u32, u64, u32)> {
+    match *msg {
+        Message::GetStrip { file, strip } => Some((file, strip, 1)),
+        Message::GetStrips { file, first, count } => Some((file, first, count)),
+        _ => None,
+    }
+}
+
+/// Read a run of locally-held strips as refcounted handles, with the
+/// checksum of all of them as one blob, combined from the sums stored
+/// beside each — the zero-copy source for strip-read replies (the
+/// engine writes each returned [`Bytes`] straight into a body segment
+/// of the frame and signs it from the sum). An empty run, one of more
+/// than [`MAX_INFLIGHT`] strips, one past the file's end, one longer
+/// than a frame can carry or one reaching a strip this server does not
+/// hold is refused: the typed reply message is the `Err`.
+fn read_run(shared: &Shared, file: u32, first: u64, count: u32) -> Result<(Vec<Bytes>, u32), Message> {
+    if count == 0 || count as usize > MAX_INFLIGHT {
         return Err(err(
-            ErrorCode::OutOfBounds,
-            format!("strip {strip} of {}-strip file", meta.strip_count()),
+            ErrorCode::BadRequest,
+            format!("a run of {count} strips at strip {first}; a run holds 1 to {MAX_INFLIGHT}"),
         ));
     }
-    match inner.store.read_strip_summed(meta.id, StripId(strip)) {
-        Ok((data, Some(sum))) => Ok((data, sum)),
-        // Every store site of this daemon sums what it stores.
-        Ok((_, None)) => Err(err(ErrorCode::Internal, format!("held strip {strip} has no checksum"))),
-        Err(_) => Err(err(
-            ErrorCode::StripNotLocal,
-            format!("server {} does not hold strip {strip}", shared.id.0),
-        )),
+    let inner = lock(&shared.inner);
+    let meta = inner.meta(file)?;
+    let end = first.saturating_add(u64::from(count));
+    if end > meta.strip_count() {
+        let last = end - 1;
+        return Err(err(ErrorCode::OutOfBounds, format!("strip {last} of {}-strip file", meta.strip_count())));
     }
+    let mut strips = Vec::with_capacity(count as usize);
+    let (mut len, mut sum) = (0usize, None);
+    for strip in first..end {
+        let (data, strip_sum) = match inner.store.read_strip_summed(meta.id, StripId(strip)) {
+            Ok((data, Some(strip_sum))) => (data, strip_sum),
+            // Every store site of this daemon sums what it stores.
+            Ok((_, None)) => return Err(err(ErrorCode::Internal, format!("held strip {strip} has no checksum"))),
+            Err(_) => {
+                return Err(err(
+                    ErrorCode::StripNotLocal,
+                    format!("server {} does not hold strip {strip}", shared.id.0),
+                ))
+            }
+        };
+        len += data.len();
+        if len > MAX_RUN_BYTES {
+            return Err(err(ErrorCode::BadRequest, format!("a run of {count} strips from {first} outgrows a frame")));
+        }
+        sum = Some(sum.map_or(strip_sum, |sum| crc32_combine(sum, strip_sum, data.len())));
+        strips.push(data);
+    }
+    // `count` ≥ 1, so there is a sum.
+    Ok((strips, sum.unwrap_or_default()))
+}
+
+/// [`read_run`] gathered into one owned `StripData` reply, or the
+/// refusal.
+fn owned_run(shared: &Shared, file: u32, first: u64, count: u32) -> Message {
+    match read_run(shared, file, first, count) {
+        // das-lint: allow(DA801) fault-injection fallback; live reads use the ReplyRun fast path
+        Ok((strips, _)) => Message::StripData { payload: strips.iter().flat_map(|strip| strip.to_vec()).collect() },
+        Err(e) => e,
+    }
+}
+
+/// Store a `PutStrip` run: the strips from its `strip` on that its
+/// payload covers exactly, back to back, each with its own checksum.
+/// `sum` is the checksum the frame decoder verified the whole payload
+/// under; the strips' sums must combine to it. An empty payload, one
+/// that ends inside a strip or past the file's end, one covering more
+/// than [`MAX_INFLIGHT`] strips, or a run reaching a strip this server
+/// does not hold is refused with nothing stored.
+fn put_run(shared: &Shared, put: Message, sum: Option<u32>) -> Message {
+    let Message::PutStrip { file, strip: first, payload } = put else {
+        return err(ErrorCode::BadRequest, format!("opcode 0x{:02x} is not a strip write", put.opcode()));
+    };
+    let mut inner = lock(&shared.inner);
+    let meta = match inner.meta(file) {
+        Ok(meta) => meta,
+        Err(e) => return e,
+    };
+    if first >= meta.strip_count() {
+        return err(ErrorCode::OutOfBounds, format!("strip {first} of {}-strip file", meta.strip_count()));
+    }
+    let not_held = |strip: u64| {
+        err(ErrorCode::StripNotLocal, format!("server {} does not hold strip {strip}", shared.id.0))
+    };
+    if !meta.layout.holds(shared.id, StripId(first)) {
+        return not_held(first);
+    }
+    // The run: as many strips from `first` on as the payload covers.
+    let size = payload.len();
+    let mut run = Vec::new();
+    let mut covered = 0usize;
+    for strip in (first..meta.strip_count()).map(StripId) {
+        if covered >= size {
+            break;
+        }
+        if run.len() == MAX_INFLIGHT {
+            return err(
+                ErrorCode::BadRequest,
+                format!("the run from strip {first} covers more than {MAX_INFLIGHT} strips"),
+            );
+        }
+        let len = meta.spec.strip_len(strip, meta.len);
+        run.push((strip, covered..covered + len));
+        covered += len;
+    }
+    if run.is_empty() || covered != payload.len() {
+        let wanted = meta.spec.strip_len(StripId(first), meta.len);
+        return err(
+            ErrorCode::StripLengthMismatch,
+            format!("strip {first} wants {wanted} bytes, or a run of whole strips from it; got {size}"),
+        );
+    }
+    if let Some(&(strip, _)) = run.iter().find(|(strip, _)| !meta.layout.holds(shared.id, *strip)) {
+        return not_held(strip.0);
+    }
+    // The sum the frame decoder verified the bytes under; bytes that
+    // came without one are never summed here.
+    let Some(sum) = sum else {
+        return err(ErrorCode::Internal, format!("strip {first} arrived without a checksum"));
+    };
+    let (id, layout) = (meta.id, meta.layout);
+    let payload = Bytes::from(payload);
+    let strips: Vec<(StripId, Bytes, u32)> = match run.as_slice() {
+        // A run of one is stored under the frame's own sum, unread.
+        [(strip, _)] => vec![(*strip, payload, sum)],
+        _ => run.into_iter().map(|(strip, range)| (strip, payload.slice(range.clone()), crc32(&[&payload[range]]))).collect(),
+    };
+    if crc32_concat(strips.iter().map(|(_, bytes, strip_sum)| (*strip_sum, bytes.len()))) != Some(sum) {
+        return err(ErrorCode::Internal, format!("the run from strip {first} does not sum to its frame's checksum"));
+    }
+    for (strip, bytes, strip_sum) in strips {
+        inner.store.store_summed(id, strip, bytes, strip_sum, layout.primary(strip) == shared.id);
+    }
+    Message::PutStripOk
 }
 
 fn dist_of(meta: &FileMeta) -> das_pfs::DistributionInfo {
@@ -1018,46 +1094,52 @@ fn execute(
         Err(reply) => return reply,
     };
     let plan = &plan;
-    // The compute stage's copy (a table of handles): tasks lend it
-    // their fetched strips.
-    let mut view = plan.local.clone();
-    let (mut dep_fetches, mut dep_fetch_bytes) = (0u64, 0u64);
-    let (mut kernel_time, mut assemble_time) = (Duration::ZERO, Duration::ZERO);
-    let mut forwards = Vec::new();
-    let failure = std::thread::scope(|scope| {
-        // Unbounded: the fetch stage holds its peer links until its wave
-        // is done, and must not wait on the compute stage meanwhile.
-        let (tx, rx) = mpsc::channel::<TaskDeps>();
-        let by = FetchFor { trace, deadline, parent: ctx.root, op: OpClass::Exec };
-        let fetcher = std::thread::Builder::new()
-            .name("dasd-fetch".into())
-            .spawn_scoped(scope, move || fetch_stage(shared, plan, by, &tx));
-        if let Err(e) = fetcher {
-            return Some(err(ErrorCode::Retryable, format!("cannot start the dependence fetcher: {e}")));
-        }
+    let per_task: Vec<Vec<StripId>> = plan.tasks.iter().map(|&t| plan.remote_deps(t)).collect();
+    let mut compute = Compute::new(plan);
+    let failure = if per_task.iter().all(Vec::is_empty) {
+        // Nothing to fetch — every Execute on a plan whose halo covers
+        // the kernel's reach: no fetch stage, so no thread and no
+        // channel.
         for &t in &plan.tasks {
-            let deps = match rx.recv() {
-                Ok(Ok(deps)) => deps,
-                Ok(Err(reply)) => return Some(reply),
-                Err(_) => return Some(err(ErrorCode::Internal, "dependence fetcher died")),
-            };
-            dep_fetches += deps.len() as u64;
-            dep_fetch_bytes += deps.iter().map(|(_, b)| b.len() as u64).sum::<u64>();
-            let (kernel, assemble) = compute_and_store(shared, plan, &mut view, t, &deps, &mut forwards, trace, ctx);
-            kernel_time += kernel;
-            assemble_time += assemble;
+            compute.task(shared, plan, t, &Vec::new(), trace, ctx);
         }
         None
-    });
+    } else {
+        let per_task = &per_task;
+        std::thread::scope(|scope| {
+            // Unbounded: the fetch stage holds its peer links until its
+            // wave is done, and must not wait on the compute stage
+            // meanwhile.
+            let (tx, rx) = mpsc::channel::<TaskDeps>();
+            let by = FetchFor { trace, deadline, parent: ctx.root, op: OpClass::Exec };
+            let fetcher = std::thread::Builder::new()
+                .name("dasd-fetch".into())
+                .spawn_scoped(scope, move || fetch_stage(shared, plan, per_task, by, &tx));
+            if let Err(e) = fetcher {
+                return Some(err(ErrorCode::Retryable, format!("cannot start the dependence fetcher: {e}")));
+            }
+            for &t in &plan.tasks {
+                match rx.recv() {
+                    Ok(Ok(deps)) => compute.task(shared, plan, t, &deps, trace, ctx),
+                    Ok(Err(reply)) => return Some(reply),
+                    Err(_) => return Some(err(ErrorCode::Internal, "dependence fetcher died")),
+                }
+            }
+            None
+        })
+    };
     if let Some(reply) = failure {
         return reply;
     }
+    let Compute { dep_fetches, dep_fetch_bytes, kernel_time, mut assemble_time, outputs, .. } = compute;
+    let (forwards, strips): (Vec<Ask>, Vec<u64>) = forward_runs(plan, &outputs).into_iter().unzip();
     if !forwards.is_empty() {
         let forward_started = Instant::now();
         // A holder that stays down just means its output strips are
         // stored at reduced redundancy — the primary copies are
-        // authoritative, so the execution still succeeds.
-        let failed = shared.peers.put_strips(&forwards, trace);
+        // authoritative, so the execution still succeeds. Failures
+        // count strips, whatever runs they went in.
+        let failed: u64 = shared.peers.put_strips(&forwards, trace).into_iter().map(|i| strips[i]).sum();
         if failed > 0 {
             shared.metrics.counter("dasd_replica_forward_failures_total", &[]).add(failed);
         }
@@ -1075,6 +1157,34 @@ fn execute(
     shared.metrics.counter("dasd_dep_fetches_total", &[]).add(dep_fetches);
     shared.metrics.counter("dasd_dep_fetch_bytes_total", &[]).add(dep_fetch_bytes);
     Message::ExecuteOk { strips_computed: plan.tasks.len() as u64, dep_fetches, dep_fetch_bytes }
+}
+
+/// An output strip of an Execute, its bytes and their checksum.
+type Output = (StripId, Bytes, u32);
+
+/// The replica forwards of an Execute's `outputs` (its output strips,
+/// ascending, each with its bytes and sum): one `PutStrip` per replica
+/// holder and [`strip_runs`] run of strips with the same replicas,
+/// signed from the strips' sums combined, with the strips it carries.
+fn forward_runs(plan: &ExecPlan, outputs: &[Output]) -> Vec<(Ask, u64)> {
+    let FileMeta { spec, len, layout, .. } = &plan.meta;
+    let runs = strip_runs(spec, *len, outputs.iter().map(|(sid, ..)| sid.0), |sid| layout.replicas(sid));
+    let mut forwards = Vec::new();
+    let mut rest = outputs;
+    for (strips, _, holders) in runs {
+        let (run, tail) = rest.split_at((strips.end - strips.start) as usize);
+        rest = tail;
+        // Never this server: the run is its primary strips.
+        let Some((last, others)) = holders.split_last() else { continue };
+        let payload = run.iter().map(|(_, bytes, _)| &bytes[..]).collect::<Vec<&[u8]>>().concat();
+        let sum = crc32_concat(run.iter().map(|(_, bytes, sum)| (*sum, bytes.len())));
+        let put = Message::PutStrip { file: plan.out_file, strip: strips.start, payload };
+        for holder in others {
+            forwards.push(((holder.0, put.clone(), sum), run.len() as u64));
+        }
+        forwards.push(((last.0, put, sum), run.len() as u64));
+    }
+    forwards
 }
 
 /// Validate the request, snapshot this server's strips, run the
@@ -1219,12 +1329,12 @@ fn decide_offload(
     Ok(())
 }
 
-/// Fetch stage: every task's remote dependence strips asked in one peer
-/// wave, and handed to the compute stage in task order, each task's as
-/// soon as they and every earlier task's have landed — or the typed
-/// reply, for the first strip that cannot be had, that ends the Execute.
-fn fetch_stage(shared: &Shared, plan: &ExecPlan, by: FetchFor, tx: &mpsc::Sender<TaskDeps>) {
-    let per_task: Vec<Vec<StripId>> = plan.tasks.iter().map(|&t| plan.remote_deps(t)).collect();
+/// Fetch stage: every task's remote dependence strips (`per_task`, in
+/// task order) asked in one peer wave, and handed to the compute stage
+/// in task order, each task's as soon as they and every earlier task's
+/// have landed — or the typed reply, for the first strip that cannot be
+/// had, that ends the Execute.
+fn fetch_stage(shared: &Shared, plan: &ExecPlan, per_task: &[Vec<StripId>], by: FetchFor, tx: &mpsc::Sender<TaskDeps>) {
     let asks: Vec<StripAsk> = per_task.iter().flatten().map(|&sid| strip_ask(&plan.meta, sid)).collect();
     let mut sizes = per_task.iter().map(Vec::len).peekable();
     // Hand over every task whose strips are all in; a closed channel
@@ -1246,48 +1356,65 @@ fn fetch_stage(shared: &Shared, plan: &ExecPlan, by: FetchFor, tx: &mpsc::Sender
     }
 }
 
-/// Compute stage: lend task `t`'s fetched `deps` to `view` for the
-/// length of its kernel (so there is no cross-task reuse), run the
-/// kernel over the strip, store the output and queue a `PutStrip` (with
-/// its holder and the payload's checksum) for each of the strip's
-/// replica holders in `forwards`. Returns the kernel and assemble
-/// times, each also recorded as a span of its own.
-#[allow(clippy::too_many_arguments)]
-fn compute_and_store(
-    shared: &Shared,
-    plan: &ExecPlan,
-    view: &mut StripAssembly,
-    t: StripId,
-    deps: &Strips,
-    forwards: &mut Vec<Ask>,
-    trace: Option<u64>,
-    ctx: RequestCtx,
-) -> (Duration, Duration) {
-    for (sid, data) in deps {
-        view.insert(*sid, data.clone());
-    }
-    let kernel_started = Instant::now();
-    let (_, out) = view.compute_strip(&*plan.kernel, t);
-    let kernel_time = kernel_started.elapsed();
-    record_span(shared, trace, ctx.root, Stage::Kernel, OpClass::Exec, NOTE_NONE, kernel_time);
-    for (sid, _) in deps {
-        view.remove(*sid);
+/// The compute stage of one Execute: the strips its tasks read, and
+/// what they have done so far.
+struct Compute {
+    /// The plan's held strips (a table of handles), which each task
+    /// lends its fetched strips for the length of its kernel.
+    view: StripAssembly,
+    dep_fetches: u64,
+    dep_fetch_bytes: u64,
+    kernel_time: Duration,
+    assemble_time: Duration,
+    /// Each output strip that has replicas, with its bytes and sum:
+    /// what the forward wave sends.
+    outputs: Vec<Output>,
+}
+
+impl Compute {
+    fn new(plan: &ExecPlan) -> Compute {
+        Compute {
+            view: plan.local.clone(),
+            dep_fetches: 0,
+            dep_fetch_bytes: 0,
+            kernel_time: Duration::ZERO,
+            assemble_time: Duration::ZERO,
+            outputs: Vec::new(),
+        }
     }
 
-    let assemble_started = Instant::now();
-    // Summed once, here: the stored copy and every forward carry it.
-    let bytes = cells_to_le_bytes(&out);
-    let sum = crc32(&[&bytes]);
-    // Never this server: `t` is its primary strip. `PutStrip` owns its
-    // payload, so each holder gets a copy.
-    for replica in plan.meta.layout.replicas(t) {
-        let put = Message::PutStrip { file: plan.out_file, strip: t.0, payload: bytes.clone() };
-        forwards.push((replica.0, put, Some(sum)));
+    /// Run task `t`: lend its fetched `deps` to the view for the
+    /// length of its kernel (so there is no cross-task reuse), run the
+    /// kernel over the strip, store the output and keep it for the
+    /// forward wave if the strip has replicas. The kernel and assemble
+    /// times are each also recorded as a span of their own.
+    fn task(&mut self, shared: &Shared, plan: &ExecPlan, t: StripId, deps: &Strips, trace: Option<u64>, ctx: RequestCtx) {
+        self.dep_fetches += deps.len() as u64;
+        self.dep_fetch_bytes += deps.iter().map(|(_, b)| b.len() as u64).sum::<u64>();
+        for (sid, data) in deps {
+            self.view.insert(*sid, data.clone());
+        }
+        let kernel_started = Instant::now();
+        let (_, out) = self.view.compute_strip(&*plan.kernel, t);
+        let kernel_time = kernel_started.elapsed();
+        record_span(shared, trace, ctx.root, Stage::Kernel, OpClass::Exec, NOTE_NONE, kernel_time);
+        for (sid, _) in deps {
+            self.view.remove(*sid);
+        }
+
+        let assemble_started = Instant::now();
+        // Summed once, here: the stored copy and every forward carry it.
+        let bytes = Bytes::from(cells_to_le_bytes(&out));
+        let sum = crc32(&[&bytes]);
+        if !plan.meta.layout.replicas(t).is_empty() {
+            self.outputs.push((t, bytes.clone(), sum));
+        }
+        lock(&shared.inner).store.store_summed(plan.out_id, t, bytes, sum, true);
+        let assemble_time = assemble_started.elapsed();
+        record_span(shared, trace, ctx.root, Stage::Assemble, OpClass::Exec, NOTE_NONE, assemble_time);
+        self.kernel_time += kernel_time;
+        self.assemble_time += assemble_time;
     }
-    lock(&shared.inner).store.store_summed(plan.out_id, t, Bytes::from(bytes), sum, true);
-    let assemble_time = assemble_started.elapsed();
-    record_span(shared, trace, ctx.root, Stage::Assemble, OpClass::Exec, NOTE_NONE, assemble_time);
-    (kernel_time, assemble_time)
 }
 
 #[cfg(test)]
@@ -1339,42 +1466,58 @@ mod tests {
     /// The checksum is end to end: a strip whose bytes change in the
     /// store after ingest is served under the sum it arrived with, so
     /// its reader — not the daemon — rejects it, and a replicated read
-    /// goes to the other holder.
+    /// goes to the other holder. In the middle of a run it fails the
+    /// whole run's frame, and the run goes to the other holder.
     #[test]
     fn a_strip_that_rots_in_the_store_fails_at_its_reader() {
         let (handles, addrs) = boot();
         let policy = RetryPolicy::fast();
-        let data: Vec<u8> = (0..8 * STRIP).map(|i| (i * 31 % 251) as u8).collect();
-        let grouped = LayoutPolicy::GroupedReplicated { group: 2 };
+        let data: Vec<u8> = (0..24 * STRIP).map(|i| (i * 31 % 251) as u8).collect();
         let mut writer = DasCluster::connect_with(&addrs, policy.clone()).expect("connect");
-        let file = writer.create_file("rot.raw", data.len() as u64, STRIP as u32, grouped).expect("create");
-        writer.put_file(file, &data).expect("ingest");
+        // Strip 0 alone, and strips 0–2 as one run: primary on server
+        // 0, replica on server 3.
+        let layouts = [(LayoutPolicy::GroupedReplicated { group: 2 }, 1), (LayoutPolicy::replicated(6, 3), 3)];
+        for (i, (grouped, run)) in layouts.into_iter().enumerate() {
+            let name = format!("rot{i}.raw");
+            let file = writer.create_file(&name, data.len() as u64, STRIP as u32, grouped).expect("create");
+            writer.put_file(file, &data).expect("ingest");
+            let layout = Layout::new(grouped, SERVERS as u32);
+            for strip in (0..run).map(StripId) {
+                assert_eq!((layout.primary(strip), layout.replicas(strip)), (ServerId(0), vec![ServerId(3)]));
+            }
+            assert_ne!(layout.replicas(StripId(run)), vec![ServerId(3)], "the run ends at strip {run}");
 
-        // Strip 0: primary on server 0, replica on server 3.
-        let layout = Layout::new(grouped, SERVERS as u32);
-        assert_eq!((layout.primary(StripId(0)), layout.replicas(StripId(0))), (ServerId(0), vec![ServerId(3)]));
-        {
-            let mut inner = lock(&handles[0].shared.inner);
-            let (bytes, sum) = inner.store.read_strip_summed(FileId(file), StripId(0)).expect("held");
-            let mut rotten = bytes.to_vec();
-            rotten[STRIP / 2] ^= 0x10;
-            inner.store.store_summed(FileId(file), StripId(0), Bytes::from(rotten), sum.expect("summed"), true);
+            // Rot the run's middle strip on its primary.
+            let rot = StripId(run / 2);
+            {
+                let mut inner = lock(&handles[0].shared.inner);
+                let (bytes, sum) = inner.store.read_strip_summed(FileId(file), rot).expect("held");
+                let mut rotten = bytes.to_vec();
+                rotten[STRIP / 2] ^= 0x10;
+                inner.store.store_summed(FileId(file), rot, Bytes::from(rotten), sum.expect("summed"), true);
+            }
+
+            let mut conn = RpcConn::dial(&addrs[0], &policy, Role::Client, 0).expect("dial");
+            let get = match run {
+                1 => Message::GetStrip { file, strip: 0 },
+                n => Message::GetStrips { file, first: 0, count: n as u32 },
+            };
+            conn.send(&get, None, None, None).expect("send");
+            match conn.recv(&get, &policy) {
+                Err(NetError::Protocol(m)) => assert!(m.starts_with("frame checksum mismatch"), "{m}"),
+                other => panic!("the flipped strip must fail its reader's check, got {other:?}"),
+            }
+
+            // A cold client walks the run's holders primary first.
+            let mut reader = DasCluster::connect_with(&addrs, policy.clone()).expect("connect");
+            assert_eq!(reader.read_file(file).expect("read around the rotten copy"), data);
+            let events = reader.take_events();
+            for strip in 0..run {
+                let failover = DegradeEvent::ReplicaFailover { file, strip, primary: 0, replica: 3 };
+                assert!(events.contains(&failover), "{name}: no failover recorded for strip {strip}");
+            }
         }
-
-        let mut conn = RpcConn::dial(&addrs[0], &policy, Role::Client, 0).expect("dial");
-        let get = Message::GetStrip { file, strip: 0 };
-        conn.send(&get, None, None, None).expect("send");
-        match conn.recv(&get, &policy) {
-            Err(NetError::Protocol(m)) => assert!(m.starts_with("frame checksum mismatch"), "{m}"),
-            other => panic!("the flipped strip must fail its reader's check, got {other:?}"),
-        }
-
-        // A cold client walks strip 0's holders primary first.
-        let mut reader = DasCluster::connect_with(&addrs, policy).expect("connect");
-        assert_eq!(reader.read_file(file).expect("read around the rotten copy"), data);
-        let failover = DegradeEvent::ReplicaFailover { file, strip: 0, primary: 0, replica: 3 };
-        assert!(reader.take_events().contains(&failover), "no failover recorded for strip 0");
-        drop((writer, reader, conn));
+        drop(writer);
         teardown(handles);
     }
 

@@ -22,6 +22,8 @@ fn arb_small_message() -> BoxedStrategy<Message> {
         Just(Message::Pong),
         Just(Message::PutStripOk),
         (any::<u32>(), any::<u64>()).prop_map(|(file, strip)| Message::GetStrip { file, strip }),
+        (any::<u32>(), any::<u64>(), any::<u32>())
+            .prop_map(|(file, first, count)| Message::GetStrips { file, first, count }),
         proptest::collection::vec(any::<u8>(), 0..512)
             .prop_map(|payload| Message::StripData { payload }),
         (any::<u32>(), any::<u64>(), proptest::collection::vec(any::<u8>(), 0..256))

@@ -88,6 +88,8 @@ fn arb_message() -> BoxedStrategy<Message> {
         (any::<u32>(), arb_dist()).prop_map(|(file, dist)| Message::LookupOk { file, dist }),
         any::<u32>().prop_map(|file| Message::GetDistribution { file }),
         arb_dist().prop_map(|dist| Message::DistributionResp { dist }),
+        (any::<u32>(), any::<u64>(), any::<u32>())
+            .prop_map(|(file, first, count)| Message::GetStrips { file, first, count }),
         (any::<u32>(), arb_policy())
             .prop_map(|(file, policy)| Message::RedistPrepare { file, policy }),
         (any::<u64>(), any::<u64>()).prop_map(|(fetched_strips, fetched_bytes)| {

@@ -109,3 +109,26 @@ fn every_fault_class_is_documented() {
         );
     }
 }
+
+#[test]
+fn the_runs_section_documents_every_run_refusal() {
+    let start = DOC.find("\n### Runs\n").expect("docs/PROTOCOL.md has a \"Runs\" section");
+    let section = &DOC[start + 1..];
+    let section = &section[..section[4..].find("\n#").map_or(section.len(), |end| end + 4)];
+    for term in ["`GetStrips`", "`PutStrip`", "`StripData`", "checksum"] {
+        assert!(section.contains(term), "the \"Runs\" section never mentions {term}");
+    }
+    // The refusal table: each row's second cell is the code a daemon
+    // answers with (`tests/strip_runs.rs` provokes each one).
+    let mut refusals: Vec<&str> = section
+        .lines()
+        .filter(|l| l.trim_start().starts_with('|'))
+        .filter_map(|l| l.trim().trim_matches('|').split('|').nth(1).and_then(code_span))
+        .collect();
+    refusals.sort_unstable();
+    refusals.dedup();
+    assert_eq!(refusals, ["BadRequest", "OutOfBounds", "StripLengthMismatch", "StripNotLocal"]);
+    for name in refusals {
+        assert!(ErrorCode::ALL.iter().any(|c| c.name() == name), "`{name}` is no error code");
+    }
+}
