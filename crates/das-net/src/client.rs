@@ -18,11 +18,14 @@
 //! 2. **Tolerant writes** — [`DasCluster::put_file`] succeeds if at
 //!    least one holder of each strip stores it, noting the reduced
 //!    redundancy.
-//! 3. **Scheme degradation** — [`run_net_scheme`] descends the ladder
-//!    DAS → NAS → normal I/O when offloading is impossible (e.g. a
-//!    dead server cannot compute the strips only it holds), so a
-//!    request is served in degraded form rather than failed, whenever
-//!    the data is still reachable.
+//! 3. **Scheme degradation** — [`run_net_scheme`] is one loop down the
+//!    rungs its scheme selects from DAS → NAS → normal I/O, descending
+//!    when offloading is impossible (e.g. a dead server cannot compute
+//!    the strips only it holds), so a request is served in degraded
+//!    form rather than failed, whenever the data is still reachable.
+//!    The loop asks for each file's metadata once — one
+//!    `GetDistribution` for the input, one `Lookup` for the output —
+//!    and every rung and the verification read-back reuse it.
 //!
 //! Strip I/O moves **runs**: each maximal range of consecutive strips
 //! that share a holder walk (primary first, then replicas, in the
@@ -154,6 +157,8 @@ pub struct DasCluster {
     /// Hedged connections whose replies have not all been read yet.
     /// Polled, never waited on, at request-path entry points.
     parked: Vec<Parked>,
+    /// The client half of Fig. 3's decision, for [`run_net_scheme`].
+    as_client: ActiveStorageClient,
 }
 
 /// One server's execution summary (from [`Message::ExecuteOk`]).
@@ -211,6 +216,7 @@ impl DasCluster {
             trace: None,
             load: LoadTracker::new(addrs.len()),
             parked: Vec::new(),
+            as_client: ActiveStorageClient::with_builtin_features(),
         };
         let mut last = None;
         let mut reachable = 0usize;
@@ -498,20 +504,6 @@ impl DasCluster {
         }
     }
 
-    /// Look up `name`, creating it (with `dist`'s geometry) if no
-    /// server knows it yet — the idempotent output-file registration
-    /// the degradation ladder needs when a rung may already have
-    /// created the file.
-    fn ensure_out_file(&mut self, name: &str, dist: &DistributionInfo) -> Result<u32, NetError> {
-        match self.lookup(name) {
-            Ok((id, _)) => Ok(id),
-            Err(NetError::Remote { code: ErrorCode::NoSuchFile, .. }) => {
-                self.create_file(name, dist.file_len, dist.strip_size as u32, dist.policy)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
     /// Scatter `data` over the cluster: each strip goes to every
     /// server that holds it under the file's layout, in one `PutStrip`
     /// per holder for each run of consecutive strips with the same
@@ -523,6 +515,11 @@ impl DasCluster {
     /// wave is attempt one of the run's call to it.
     pub fn put_file(&mut self, file: u32, data: &[u8]) -> Result<(), NetError> {
         let dist = self.distribution(file)?;
+        self.put_file_as(file, dist, data)
+    }
+
+    /// [`DasCluster::put_file`] into a file laid out as `dist`.
+    fn put_file_as(&mut self, file: u32, dist: DistributionInfo, data: &[u8]) -> Result<(), NetError> {
         if data.len() as u64 != dist.file_len {
             return Err(NetError::Protocol(format!(
                 "payload is {} bytes, file is {}",
@@ -591,6 +588,11 @@ impl DasCluster {
     /// and the first good reply wins.
     pub fn read_file(&mut self, file: u32) -> Result<Vec<u8>, NetError> {
         let dist = self.distribution(file)?;
+        self.read_file_as(file, dist)
+    }
+
+    /// [`DasCluster::read_file`] of a file laid out as `dist`.
+    fn read_file_as(&mut self, file: u32, dist: DistributionInfo) -> Result<Vec<u8>, NetError> {
         let spec = StripeSpec::new(dist.strip_size);
         let layout = Layout::new(dist.policy, dist.servers);
         // Late replies first: what they cost orders this read's walks.
@@ -1196,7 +1198,8 @@ pub struct NetRunReport {
     /// Measured server↔server wire bytes (sum of per-server sends, so
     /// each transfer counts once).
     pub server_bytes: u64,
-    /// Bytes moved by redistribution (DAS only; included in
+    /// Bytes moved by redistribution: the DAS rung's of the input, and
+    /// an offload rung's of an output laid out otherwise (included in
     /// `server_bytes`).
     pub redistribution_bytes: u64,
     /// Per-server execution summaries (empty for TS).
@@ -1208,22 +1211,31 @@ pub struct NetRunReport {
     pub degradations: Vec<DegradeEvent>,
 }
 
-/// Run one scheme end-to-end over the wire: the input file (already
-/// ingested under round-robin) is processed by `kernel_name`, the
-/// output lands in a new file `out_name`, and traffic counters are
-/// reset before and read after, so the report's byte counts cover
-/// exactly this run.
+/// Run one scheme end-to-end over the wire: the input file, on
+/// whatever layout it has, is processed by `kernel_name`, the output
+/// lands in the file `out_name` (created if no server knows it), and
+/// traffic counters are reset before and read after, so the report's
+/// byte counts cover exactly this run.
 ///
-/// When servers fail mid-run the driver degrades instead of erroring,
-/// as long as every input strip is still reachable on some holder:
-/// a DAS offload that cannot redistribute or execute falls back to an
-/// unconditional offload on the current layout (NAS rung), and an
-/// offload that cannot run at all is served as normal I/O with
-/// replica-failover reads and tolerant writes. Every rung descended
-/// is recorded in [`NetRunReport::degradations`]. Only when data is
-/// genuinely unreachable (a dead server holding unreplicated strips)
-/// does the run return a typed error — within the retry policy's
-/// bounded time, never a hang.
+/// The run is one loop down the rungs that the scheme and the client's
+/// Fig. 3 decision select: TS; NAS → TS; DAS → NAS → TS; or, for an
+/// offload the client rejects, an advisory offload → TS. A DAS offload
+/// the daemons' double check refuses is served as normal I/O. When
+/// servers fail mid-run the ladder degrades instead of erroring, as
+/// long as every input strip is still reachable on some holder: a DAS
+/// offload that cannot redistribute or execute is forced on the live
+/// layout (NAS), and an offload that cannot run at all is served as
+/// normal I/O with replica-failover reads and tolerant writes. Every
+/// rung descended is recorded in [`NetRunReport::degradations`]. Only
+/// when data is genuinely unreachable (a dead server holding
+/// unreplicated strips) does the run return a typed error — within the
+/// retry policy's bounded time, never a hang.
+///
+/// Each fact is asked once: the input's distribution in one
+/// `GetDistribution` (again only after a redistribute that failed), the
+/// output's in one `Lookup` (or the `CreateFile` the run sent). An
+/// offload into an output laid out other than its input first
+/// redistributes the output.
 pub fn run_net_scheme(
     cluster: &mut DasCluster,
     scheme: NetScheme,
@@ -1257,197 +1269,180 @@ pub fn run_net_scheme_opts(
     // One trace id per scheme run: every RPC this run issues (and,
     // server-side, every peer fetch it causes) carries the same id.
     let trace = cluster.begin_trace();
-    das_obs::event(
-        das_obs::Level::Debug,
-        "das.client",
-        "scheme run",
-        &[
-            ("scheme", scheme.name().to_string()),
-            ("kernel", kernel_name.to_string()),
-            ("trace", format!("{trace:016x}")),
-        ],
-    );
+    let fields =
+        [("scheme", scheme.name().to_string()), ("kernel", kernel_name.into()), ("trace", format!("{trace:016x}"))];
+    das_obs::event(das_obs::Level::Debug, "das.client", "scheme run", &fields);
     let dist = cluster.distribution(file)?;
     cluster.reset_stats()?;
-
-    let mut redistribution_bytes = 0;
-    let mut offloaded = false;
-    let mut exec = Vec::new();
-
-    match scheme {
-        NetScheme::Ts => {
-            run_normal_io(cluster, file, out_name, kernel_name, img_width, &dist)?;
-        }
-        NetScheme::Nas => {
-            match offload_once(cluster, file, out_name, kernel_name, img_width, false, true) {
-                Ok(Ok(summaries)) => {
-                    offloaded = true;
-                    exec = summaries;
-                }
-                Ok(Err(reason)) => {
-                    return Err(NetError::Protocol(format!("forced offload rejected: {reason}")))
-                }
-                Err(e) if degradable(&e) => {
-                    cluster.record_event(DegradeEvent::DegradedToTs { reason: e.to_string() });
-                    let out_file = cluster.ensure_out_file(out_name, &dist)?;
-                    run_ts_into(cluster, file, out_file, kernel_name, img_width)?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
+    let mut rung = match scheme {
+        NetScheme::Ts => None,
+        NetScheme::Nas => Some(Offload::Nas),
         NetScheme::Das => {
-            // Client half of Fig. 3: fetch the distribution, predict,
-            // and reconfigure the layout when a successive operation
-            // justifies it.
-            let as_client = ActiveStorageClient::with_builtin_features();
+            // Client half of Fig. 3: predict on the distribution, and
+            // reconfigure when a successive operation justifies it.
             let opts = RequestOptions { img_width, successive, ..Default::default() };
-            let decision = as_client
-                .decide_from_distribution(dist, kernel_name, &opts)
-                .map_err(|e| NetError::Protocol(e.to_string()))?;
-            match decision {
-                Decision::Offload { replan, .. } => {
-                    // DAS rung: reconfigure the layout, then offload.
-                    let das_rung = (|cluster: &mut DasCluster| {
-                        if let Some(plan) = &replan {
-                            redistribution_bytes = cluster.redistribute(file, plan.policy)?;
-                        }
-                        offload_once(cluster, file, out_name, kernel_name, img_width, successive, false)
-                    })(cluster);
-                    match das_rung {
-                        Ok(Ok(summaries)) => {
-                            offloaded = true;
-                            exec = summaries;
-                        }
-                        Ok(Err(_reason)) => {
-                            // Server-side double-check disagreed — a
-                            // decision fallback, not a fault; serve as
-                            // normal I/O.
-                            let out_file = cluster.ensure_out_file(out_name, &dist)?;
-                            run_ts_into(cluster, file, out_file, kernel_name, img_width)?;
-                        }
-                        Err(e) if degradable(&e) => {
-                            // NAS rung: skip reconfiguration, force an
-                            // offload on whatever layout is live.
-                            cluster.record_event(DegradeEvent::DegradedToNas { reason: e.to_string() });
-                            let nas_rung = offload_once(cluster, file, out_name, kernel_name, img_width, false, true);
-                            match nas_rung {
-                                Ok(Ok(summaries)) => {
-                                    offloaded = true;
-                                    exec = summaries;
-                                }
-                                Ok(Err(reason)) => {
-                                    cluster.record_event(DegradeEvent::DegradedToTs { reason });
-                                    let out_file = cluster.ensure_out_file(out_name, &dist)?;
-                                    run_ts_into(cluster, file, out_file, kernel_name, img_width)?;
-                                }
-                                Err(e2) if degradable(&e2) => {
-                                    // TS rung: compute client-side with
-                                    // failover reads and tolerant writes.
-                                    cluster.record_event(DegradeEvent::DegradedToTs { reason: e2.to_string() });
-                                    let out_file = cluster.ensure_out_file(out_name, &dist)?;
-                                    run_ts_into(cluster, file, out_file, kernel_name, img_width)?;
-                                }
-                                Err(e2) => return Err(e2),
-                            }
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                Decision::Reject { .. } => {
-                    // Mirror the rejection on the storage side so the
-                    // daemons count a "ts" outcome too: the unforced
-                    // execute is refused by the server's identical
-                    // double-check (FallbackToNormalIo). Advisory —
-                    // any disagreement or failure still serves the
-                    // request, as an offload or as normal I/O.
-                    match offload_once(
-                        cluster, file, out_name, kernel_name, img_width, successive, false,
-                    ) {
-                        Ok(Ok(summaries)) => {
-                            offloaded = true;
-                            exec = summaries;
-                        }
-                        _ => run_normal_io(cluster, file, out_name, kernel_name, img_width, &dist)?,
-                    }
-                }
+            match cluster.as_client.decide_from_distribution(dist, kernel_name, &opts) {
+                Ok(Decision::Offload { replan, .. }) => Some(Offload::Das(replan.map(|plan| plan.policy))),
+                Ok(Decision::Reject { .. }) => Some(Offload::Advisory),
+                Err(e) => return Err(NetError::Protocol(e.to_string())),
             }
         }
-    }
+    };
+    let mut run =
+        SchemeRun { cluster, file, out_name, kernel_name, img_width, successive, dist: Some(dist), out: None, moved: 0 };
+    let exec = loop {
+        let Some(offload) = rung else {
+            run.normal_io()?;
+            break None;
+        };
+        rung = match run.offload(offload) {
+            Ok(Ok(summaries)) => break Some(summaries),
+            Ok(Err(reason)) => offload.below(Ok(reason), run.cluster)?,
+            Err(e) => offload.below(Err(e), run.cluster)?,
+        };
+    };
 
     // Snapshot the counters before the verification read-back below,
     // which is not part of any scheme's traffic.
-    let stats = cluster.stats()?;
+    let stats = run.cluster.stats()?;
     let client_bytes: u64 = stats.iter().map(|s| s.client_in + s.client_out).sum();
     let server_bytes: u64 = stats.iter().map(|s| s.server_out).sum();
 
-    let (out_id, out_dist) = cluster.lookup(out_name)?;
-    let output = cluster.read_file(out_id)?;
+    let (out_id, out_dist) = run.output()?;
+    let layout = run.input()?.policy;
+    let output = run.cluster.read_file_as(out_id, out_dist)?;
     let height = out_dist.file_len / (img_width * 4);
     let output_fingerprint = Raster::from_bytes(img_width, height, &output).fingerprint();
-    let layout = cluster.distribution(file)?.policy;
-    let degradations = cluster.take_events();
 
     Ok(NetRunReport {
         scheme,
         kernel: kernel_name.to_string(),
-        offloaded,
+        offloaded: exec.is_some(),
         layout,
         output,
         output_fingerprint,
         client_bytes,
         server_bytes,
-        redistribution_bytes,
-        exec,
-        degradations,
+        redistribution_bytes: run.moved,
+        exec: exec.unwrap_or_default(),
+        degradations: run.cluster.take_events(),
     })
 }
 
-/// One offload attempt on the file's *current* layout: resolve the
-/// output file (idempotently — an earlier rung may already have
-/// registered it) and execute on every server.
-#[allow(clippy::type_complexity)]
-fn offload_once(
-    cluster: &mut DasCluster,
+/// An offload rung of the scheme ladder. Below each is normal I/O.
+#[derive(Debug, Clone, Copy)]
+enum Offload {
+    /// DAS: redistribute the input to the plan's layout, if it has
+    /// one, then offload through the daemons' decision.
+    Das(Option<LayoutPolicy>),
+    /// NAS: offload, forced, on the live layout.
+    Nas,
+    /// The client rejected the offload: ask anyway, unforced, so the
+    /// daemons' identical double check refuses it and counts a `ts`
+    /// outcome too.
+    Advisory,
+}
+
+impl Offload {
+    /// Where the ladder goes when this rung did not offload — the
+    /// daemons refused it (`Ok(reason)`) or it failed (`Err`): the next
+    /// offload rung, or `None` for normal I/O. Each rung descended is
+    /// recorded; a failure no rung below could get round ends the run.
+    fn below(self, missed: Result<String, NetError>, cluster: &mut DasCluster) -> Result<Option<Offload>, NetError> {
+        let reason = match (self, missed) {
+            // A decision, not a fault: serve the request as normal I/O.
+            (Offload::Das(_), Ok(_)) | (Offload::Advisory, _) => return Ok(None),
+            (Offload::Nas, Ok(reason)) => reason,
+            (_, Err(e)) if degradable(&e) => e.to_string(),
+            (_, Err(e)) => return Err(e),
+        };
+        let (event, next) = match self {
+            Offload::Das(_) => (DegradeEvent::DegradedToNas { reason }, Some(Offload::Nas)),
+            _ => (DegradeEvent::DegradedToTs { reason }, None),
+        };
+        cluster.record_event(event);
+        Ok(next)
+    }
+}
+
+/// One scheme run down its ladder, and the metadata it has learnt.
+struct SchemeRun<'a> {
+    cluster: &'a mut DasCluster,
     file: u32,
-    out_name: &str,
-    kernel_name: &str,
+    out_name: &'a str,
+    kernel_name: &'a str,
     img_width: u64,
     successive: bool,
-    force: bool,
-) -> Result<Result<Vec<ExecSummary>, String>, NetError> {
-    let dist = cluster.distribution(file)?;
-    let out_file = cluster.ensure_out_file(out_name, &dist)?;
-    cluster.execute(file, out_file, kernel_name, img_width, successive, force)
+    /// The input's distribution; `None` while a failed redistribute
+    /// leaves the live layout unknown.
+    dist: Option<DistributionInfo>,
+    /// The output's id and distribution, once looked up or created.
+    out: Option<(u32, DistributionInfo)>,
+    /// Bytes the run's redistributions moved.
+    moved: u64,
 }
 
-/// The TS path: gather the input, apply the kernel client-side,
-/// register the output file, scatter it back.
-fn run_normal_io(
-    cluster: &mut DasCluster,
-    file: u32,
-    out_name: &str,
-    kernel_name: &str,
-    img_width: u64,
-    dist: &DistributionInfo,
-) -> Result<(), NetError> {
-    let out_file = cluster.ensure_out_file(out_name, dist)?;
-    run_ts_into(cluster, file, out_file, kernel_name, img_width)
-}
+impl SchemeRun<'_> {
+    /// The input's distribution, asked for only if it is unknown.
+    fn input(&mut self) -> Result<DistributionInfo, NetError> {
+        match self.dist {
+            Some(dist) => Ok(dist),
+            None => Ok(*self.dist.insert(self.cluster.distribution(self.file)?)),
+        }
+    }
 
-fn run_ts_into(
-    cluster: &mut DasCluster,
-    file: u32,
-    out_file: u32,
-    kernel_name: &str,
-    img_width: u64,
-) -> Result<(), NetError> {
-    let kernel = kernel_by_name(kernel_name)
-        .ok_or_else(|| NetError::Protocol(format!("no kernel {kernel_name:?}")))?;
-    let input = cluster.read_file(file)?;
-    let height = input.len() as u64 / (img_width * 4);
-    let raster = Raster::from_bytes(img_width, height, &input);
-    let output = kernel.apply(&raster);
-    cluster.put_file(out_file, &output.to_bytes())
+    /// The output's id and distribution: looked up once, or created
+    /// with the input's geometry and layout if no server knows it.
+    fn output(&mut self) -> Result<(u32, DistributionInfo), NetError> {
+        if let Some(out) = self.out {
+            return Ok(out);
+        }
+        let out = match self.cluster.lookup(self.out_name) {
+            Err(NetError::Remote { code: ErrorCode::NoSuchFile, .. }) => {
+                let dist = self.input()?;
+                (self.cluster.create_file(self.out_name, dist.file_len, dist.strip_size as u32, dist.policy)?, dist)
+            }
+            found => found?,
+        };
+        Ok(*self.out.insert(out))
+    }
+
+    /// One offload rung: the DAS rung's reconfiguration, then the
+    /// output laid out like the input — the daemons compute into
+    /// nothing else — then an Execute on every server.
+    #[allow(clippy::type_complexity)]
+    fn offload(&mut self, rung: Offload) -> Result<Result<Vec<ExecSummary>, String>, NetError> {
+        let mut dist = self.input()?;
+        if let Offload::Das(Some(plan)) = rung {
+            // Until the redistribute answers, the live layout is unknown.
+            self.dist = None;
+            self.moved += self.cluster.redistribute(self.file, plan)?;
+            dist.policy = plan;
+            self.dist = Some(dist);
+        }
+        let (out, mut out_dist) = self.output()?;
+        if out_dist.policy != dist.policy {
+            self.out = None;
+            self.moved += self.cluster.redistribute(out, dist.policy)?;
+            out_dist.policy = dist.policy;
+            self.out = Some((out, out_dist));
+        }
+        let force = matches!(rung, Offload::Nas);
+        self.cluster.execute(self.file, out, self.kernel_name, self.img_width, self.successive && !force, force)
+    }
+
+    /// Normal I/O: gather the input, apply the kernel at the client,
+    /// scatter the output.
+    fn normal_io(&mut self) -> Result<(), NetError> {
+        let (out, out_dist) = self.output()?;
+        let kernel = kernel_by_name(self.kernel_name)
+            .ok_or_else(|| NetError::Protocol(format!("no kernel {:?}", self.kernel_name)))?;
+        let input = self.input()?;
+        let input = self.cluster.read_file_as(self.file, input)?;
+        let height = input.len() as u64 / (self.img_width * 4);
+        let output = kernel.apply(&Raster::from_bytes(self.img_width, height, &input));
+        self.cluster.put_file_as(out, out_dist, &output.to_bytes())
+    }
 }
 
 #[cfg(test)]

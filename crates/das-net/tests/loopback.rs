@@ -243,6 +243,77 @@ fn halo_layout_leaves_das_zero_dependence_fetches() {
     h.teardown();
 }
 
+/// Client-class `dasd_requests_total` of `op`, summed over the fleet.
+fn client_requests(cluster: &mut DasCluster, op: &str) -> u64 {
+    let dumps = cluster.metrics_dump_all().expect("metrics dump");
+    dumps
+        .iter()
+        .map(|(_, text)| {
+            let samples = das_obs::parse(text);
+            das_obs::sample_value(&samples, "dasd_requests_total", &[("op", op), ("class", "client")])
+                .unwrap_or(0.0) as u64
+        })
+        .sum()
+}
+
+#[test]
+fn a_steady_state_op_asks_for_each_files_metadata_once() {
+    // The benchmark's op: flow-routing over a 1536 × 48 raster in
+    // 4 KiB strips, each scheme into an output that exists already.
+    let input = workload::fbm_dem(WIDE, 48, 13);
+    let data = input.to_bytes();
+    let kernel = kernel_by_name("flow-routing").unwrap();
+    let plan = LayoutPolicy::replicated(18, 2);
+    let mut h = boot(SERVERS);
+    // (scheme, offloaded, layout, server↔server bytes of the op): the
+    // dependence fetches of NAS, the replica forwards of DAS.
+    let expected = [
+        (NetScheme::Ts, false, LayoutPolicy::RoundRobin, 0),
+        (NetScheme::Nas, true, LayoutPolicy::RoundRobin, 1_174_248),
+        (NetScheme::Das, true, plan, 66_048),
+    ];
+    for (scheme, offloaded, layout, server_bytes) in expected {
+        let name = format!("{}.raw", scheme.name());
+        let file = h.cluster.create_file(&name, data.len() as u64, STRIP as u32, LayoutPolicy::RoundRobin).unwrap();
+        h.cluster.put_file(file, &data).unwrap();
+        let out = format!("{name}.out");
+        run_net_scheme(&mut h.cluster, scheme, file, &out, "flow-routing", WIDE).unwrap();
+        let before = ["get_distribution", "lookup"].map(|op| client_requests(&mut h.cluster, op));
+        let run = run_net_scheme(&mut h.cluster, scheme, file, &out, "flow-routing", WIDE).unwrap();
+        let after = ["get_distribution", "lookup"].map(|op| client_requests(&mut h.cluster, op));
+        assert!(run.degradations.is_empty(), "{scheme:?}: {:?}", run.degradations);
+        assert_eq!(run.offloaded, offloaded, "{scheme:?}");
+        assert_eq!(run.layout, layout, "{scheme:?}");
+        assert_eq!(run.output_fingerprint, kernel.apply(&input).fingerprint(), "{scheme:?}");
+        assert_eq!(run.server_bytes, server_bytes, "{scheme:?}");
+        assert_eq!([after[0] - before[0], after[1] - before[1]], [1, 1], "{scheme:?}: GetDistribution, Lookup");
+    }
+    h.teardown();
+}
+
+#[test]
+fn a_das_run_into_an_output_laid_out_otherwise_moves_the_output_first() {
+    // A NAS run leaves its output on round-robin; a DAS run into the
+    // same output adopts the plan for the input, and the daemons compute
+    // only into an output laid out like its input.
+    let input = workload::fbm_dem(WIDE, 48, 14);
+    let data = input.to_bytes();
+    let kernel = kernel_by_name("flow-routing").unwrap();
+    let mut h = boot(SERVERS);
+    let file = h.cluster.create_file("moved.raw", data.len() as u64, STRIP as u32, LayoutPolicy::RoundRobin).unwrap();
+    h.cluster.put_file(file, &data).unwrap();
+    let nas = run_net_scheme(&mut h.cluster, NetScheme::Nas, file, "moved.out", "flow-routing", WIDE).unwrap();
+    assert_eq!(nas.layout, LayoutPolicy::RoundRobin);
+    let das = run_net_scheme(&mut h.cluster, NetScheme::Das, file, "moved.out", "flow-routing", WIDE).unwrap();
+    assert!(das.offloaded);
+    assert!(das.degradations.is_empty(), "{:?}", das.degradations);
+    assert_eq!(das.layout, LayoutPolicy::replicated(18, 2));
+    assert_eq!(das.output_fingerprint, kernel.apply(&input).fingerprint());
+    let (_, out) = h.cluster.lookup("moved.out").unwrap();
+    assert_eq!(out.policy, das.layout);
+    h.teardown();
+}
+
 #[test]
 fn unsatisfied_plans_are_predicted_to_the_byte() {
     // Two ways a plan leaves fetches: a file too short for r ≥ h (three
