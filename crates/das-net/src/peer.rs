@@ -375,7 +375,8 @@ impl PeerTable {
     /// the wave asks the first, and a strip it answered with anything
     /// but bytes walks on alone after the wave. Its length is the
     /// caller's to check. Every fetch is one `peer_fetch` observation
-    /// and, traced, one span, from its write to its bytes or walk's end.
+    /// and, traced, one span, from its write to its bytes or walk's end:
+    /// a reply read after `deliver` has worked covers that work too.
     pub(crate) fn get_strips<E>(
         &self,
         file: u32,

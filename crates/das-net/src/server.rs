@@ -35,7 +35,6 @@
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -1029,9 +1028,8 @@ struct ExecuteArgs<'a> {
 }
 
 /// What [`plan_execute`] settles before the first strip moves: the
-/// validated geometry, the kernel, this server's tasks and a snapshot
-/// of the strips it holds. Read-only from then on, shared by the fetch
-/// and compute stages.
+/// validated geometry, the kernel, and this server's tasks with the
+/// strips each must fetch. Read-only from then on.
 struct ExecPlan {
     file: u32,
     out_file: u32,
@@ -1039,44 +1037,36 @@ struct ExecPlan {
     /// The input file's geometry and layout (the output mirrors both).
     meta: FileMeta,
     kernel: Box<dyn das_kernels::Kernel>,
-    offsets: Vec<i64>,
-    /// This server's primary strips, ascending: the task order.
-    tasks: Vec<StripId>,
-    /// Every strip held here (primary or replica), assembled once.
-    local: StripAssembly,
-}
-
-impl ExecPlan {
-    fn elems_per_strip(&self) -> u64 {
-        self.meta.spec.strip_size as u64 / 4
-    }
-
-    fn total_elements(&self) -> u64 {
-        self.meta.len / 4
-    }
-
-    /// Task `t`'s dependence strips this server does not hold, ascending.
-    fn remote_deps(&self, t: StripId) -> Vec<StripId> {
-        let deps = dependent_strips(t.0, &self.offsets, self.elems_per_strip(), self.total_elements());
-        deps.into_iter().map(StripId).filter(|&sid| !self.local.contains(sid)).collect()
-    }
+    /// This server's primary strips, ascending — the task order — each
+    /// with its dependence strips this server does not hold, ascending.
+    tasks: Vec<(StripId, Vec<StripId>)>,
 }
 
 /// Strips with their bytes, ascending by id.
 type Strips = Vec<(StripId, Bytes)>;
 
-/// A task's remote dependence strips, as the fetch stage hands them to
-/// the compute stage — or the typed reply that ends the Execute.
-type TaskDeps = Result<Strips, Message>;
-
 /// The active-storage execution path (paper Fig. 3 right branch): plan,
-/// then a two-stage pipeline over this server's tasks in ascending
-/// order. A scoped fetcher thread asks the peers for every task's
-/// dependence strips in one wave and hands them over task by task,
-/// while this thread runs the kernel on each task as soon as its strips
-/// are in. The multiset of fetches per task is the serial loop's: each
-/// task fetches every remote strip it reads, however many other tasks
-/// fetch it too — no cross-task cache, exactly as the predictor prices.
+/// then one peer wave over this server's tasks in ascending order, all
+/// on this thread. The wave asks the peers for every task's dependence
+/// strips at once, and its delivery runs each task's kernel as soon as
+/// the task's strips and every earlier task's have landed, while later
+/// fetches are still on the wire; a task that fetches nothing runs as
+/// soon as the tasks before it have, and an Execute that fetches
+/// nothing runs every task around an empty wave. The multiset of
+/// fetches per task is the serial loop's: each task fetches every
+/// remote strip it reads, however many other tasks fetch it too — no
+/// cross-task cache, exactly as the predictor prices.
+///
+/// A kernel runs while the wave holds its peer links, and its task
+/// takes the store lock to store the output: links, then store. No path
+/// takes a peer link while holding the store lock. After a delivery
+/// that ran a task the thread yields. Without that, on two cores the
+/// polling shard that shares this thread's core waited, with it the
+/// replies to the peers' fetches, and the benchmark's `scheme-nas`
+/// `op_p90_ms` rose by a quarter (EXPERIMENTS "One thread per
+/// Execute"). An untraced wave has one fetch in flight per link, so
+/// there the link whose reply handed a task over writes its next fetch
+/// only after that task's kernel; only tests issue untraced Executes.
 ///
 /// Replica forwards are not part of that loop, where each would be a
 /// blocking round trip to a peer that is itself computing: they go out
@@ -1089,50 +1079,40 @@ fn execute(
     deadline: Option<Instant>,
     ctx: RequestCtx,
 ) -> Message {
-    let plan = match plan_execute(shared, &args, trace, ctx) {
-        Ok(plan) => plan,
+    let (plan, held) = match plan_execute(shared, &args, trace, ctx) {
+        Ok(planned) => planned,
         Err(reply) => return reply,
     };
-    let plan = &plan;
-    let per_task: Vec<Vec<StripId>> = plan.tasks.iter().map(|&t| plan.remote_deps(t)).collect();
-    let mut compute = Compute::new(plan);
-    let failure = if per_task.iter().all(Vec::is_empty) {
-        // Nothing to fetch — every Execute on a plan whose halo covers
-        // the kernel's reach: no fetch stage, so no thread and no
-        // channel.
-        for &t in &plan.tasks {
-            compute.task(shared, plan, t, &Vec::new(), trace, ctx);
+    let asks: Vec<StripAsk> =
+        plan.tasks.iter().flat_map(|(_, deps)| deps).map(|&sid| strip_ask(&plan.meta, sid)).collect();
+    let mut compute = Compute::new(held);
+    // Run every task, in order, whose remote strips are all in `deps`.
+    let mut tasks = plan.tasks.iter().peekable();
+    let mut run_ready = |deps: &mut Strips| {
+        while let Some((t, _)) = tasks.next_if(|(_, want)| want.len() == deps.len()) {
+            compute.task(shared, &plan, *t, deps, trace, ctx);
+            deps.clear();
         }
-        None
-    } else {
-        let per_task = &per_task;
-        std::thread::scope(|scope| {
-            // Unbounded: the fetch stage holds its peer links until its
-            // wave is done, and must not wait on the compute stage
-            // meanwhile.
-            let (tx, rx) = mpsc::channel::<TaskDeps>();
-            let by = FetchFor { trace, deadline, parent: ctx.root, op: OpClass::Exec };
-            let fetcher = std::thread::Builder::new()
-                .name("dasd-fetch".into())
-                .spawn_scoped(scope, move || fetch_stage(shared, plan, per_task, by, &tx));
-            if let Err(e) = fetcher {
-                return Some(err(ErrorCode::Retryable, format!("cannot start the dependence fetcher: {e}")));
-            }
-            for &t in &plan.tasks {
-                match rx.recv() {
-                    Ok(Ok(deps)) => compute.task(shared, plan, t, &deps, trace, ctx),
-                    Ok(Err(reply)) => return Some(reply),
-                    Err(_) => return Some(err(ErrorCode::Internal, "dependence fetcher died")),
-                }
-            }
-            None
-        })
     };
-    if let Some(reply) = failure {
+    let mut deps = Vec::new();
+    run_ready(&mut deps);
+    let by = FetchFor { trace, deadline, parent: ctx.root, op: OpClass::Exec };
+    let fetched = shared.peers.get_strips(plan.file, &asks, by, |i, got| {
+        deps.push((StripId(asks[i].strip), checked_strip(&plan.meta, &asks[i], got)?));
+        run_ready(&mut deps);
+        if deps.is_empty() {
+            // A task ran: give way before the next read, so that the
+            // shard that writes this daemon's replies to its peers'
+            // fetches, which shares the core, is not kept off it.
+            std::thread::yield_now();
+        }
+        Ok(())
+    });
+    if let Err(reply) = fetched {
         return reply;
     }
     let Compute { dep_fetches, dep_fetch_bytes, kernel_time, mut assemble_time, outputs, .. } = compute;
-    let (forwards, strips): (Vec<Ask>, Vec<u64>) = forward_runs(plan, &outputs).into_iter().unzip();
+    let (forwards, strips): (Vec<Ask>, Vec<u64>) = forward_runs(&plan, &outputs).into_iter().unzip();
     if !forwards.is_empty() {
         let forward_started = Instant::now();
         // A holder that stays down just means its output strips are
@@ -1188,13 +1168,15 @@ fn forward_runs(plan: &ExecPlan, outputs: &[Output]) -> Vec<(Ask, u64)> {
 }
 
 /// Validate the request, snapshot this server's strips, run the
-/// decision workflow. `Err` is the reply that ends the Execute.
+/// decision workflow. Returns the plan and the strips held here
+/// (primary or replica), assembled once; `Err` is the reply that ends
+/// the Execute.
 fn plan_execute(
     shared: &Shared,
     args: &ExecuteArgs<'_>,
     trace: Option<u64>,
     ctx: RequestCtx,
-) -> Result<ExecPlan, Message> {
+) -> Result<(ExecPlan, StripAssembly), Message> {
     if args.element_size != 4 {
         return Err(err(ErrorCode::BadRequest, format!("unsupported element size {}", args.element_size)));
     }
@@ -1219,16 +1201,16 @@ fn plan_execute(
     for (sid, data) in held {
         local.insert(sid, data);
     }
-    Ok(ExecPlan {
-        file: args.file,
-        out_file: args.out_file,
-        out_id,
-        offsets: kernel.dependence_offsets(args.img_width),
-        kernel,
-        tasks: meta.layout.primary_strips(shared.id, meta.strip_count()),
-        meta,
-        local,
-    })
+    let offsets = kernel.dependence_offsets(args.img_width);
+    let (elems_per_strip, elements) = (meta.spec.strip_size as u64 / 4, meta.len / 4);
+    let tasks = (meta.layout.primary_strips(shared.id, meta.strip_count()).into_iter())
+        .map(|t| {
+            let deps = dependent_strips(t.0, &offsets, elems_per_strip, elements);
+            (t, deps.into_iter().map(StripId).filter(|&sid| !local.contains(sid)).collect())
+        })
+        .collect();
+    let plan = ExecPlan { file: args.file, out_file: args.out_file, out_id, meta, kernel, tasks };
+    Ok((plan, local))
 }
 
 /// Under the daemon lock: check the output file mirrors the input's
@@ -1263,7 +1245,8 @@ fn snapshot_files(
 
 /// The decision workflow. A forced offload (the NAS scheme's "always
 /// offload" behaviour) skips the *gate* but still runs the predictor,
-/// so predicted-vs-measured stays queryable for every outcome. Each
+/// so predicted-vs-measured stays queryable for every Execute that
+/// runs; a refused one fetches nothing and adds no prediction. Each
 /// daemon sees the same metadata, so its predicted_* counters carry
 /// the full cluster-wide Eqs. 1–13 prediction per Execute; the
 /// measured dep-fetch counters carry only this daemon's share (sum
@@ -1281,15 +1264,10 @@ fn decide_offload(
         ..Default::default()
     };
     let decision = shared.as_client.decide_from_distribution(dist_of(meta), args.kernel, &opts);
-    if let Ok(d) = &decision {
-        let p = d.predicted();
-        shared.metrics.counter("dasd_predicted_dep_fetches_total", &[]).add(p.nas.fetches);
-        shared.metrics.counter("dasd_predicted_dep_fetch_bytes_total", &[]).add(p.nas.bytes);
-        shared.metrics.counter("dasd_predicted_ts_client_bytes_total", &[]).add(p.ts_client_bytes);
-    }
-    let outcome = match decision {
-        _ if args.force => "nas",
-        Ok(Decision::Offload { .. }) => "das",
+    let (outcome, predicted) = match decision {
+        // A forced offload runs even when the decision errors.
+        decision if args.force => ("nas", decision.ok().map(|d| *d.predicted())),
+        Ok(Decision::Offload { predicted, .. }) => ("das", Some(predicted)),
         Ok(Decision::Reject { reason, predicted }) => {
             shared.metrics.counter("dasd_decisions_total", &[("outcome", "ts")]).inc();
             event(
@@ -1314,6 +1292,12 @@ fn decide_offload(
         }
         Err(e) => return Err(err(ErrorCode::BadRequest, e.to_string())),
     };
+    // Only work that runs is priced: a refused offload fetches nothing.
+    if let Some(p) = predicted {
+        shared.metrics.counter("dasd_predicted_dep_fetches_total", &[]).add(p.nas.fetches);
+        shared.metrics.counter("dasd_predicted_dep_fetch_bytes_total", &[]).add(p.nas.bytes);
+        shared.metrics.counter("dasd_predicted_ts_client_bytes_total", &[]).add(p.ts_client_bytes);
+    }
     shared.metrics.counter("dasd_decisions_total", &[("outcome", outcome)]).inc();
     event(
         Level::Info,
@@ -1329,38 +1313,11 @@ fn decide_offload(
     Ok(())
 }
 
-/// Fetch stage: every task's remote dependence strips (`per_task`, in
-/// task order) asked in one peer wave, and handed to the compute stage
-/// in task order, each task's as soon as they and every earlier task's
-/// have landed — or the typed reply, for the first strip that cannot be
-/// had, that ends the Execute.
-fn fetch_stage(shared: &Shared, plan: &ExecPlan, per_task: &[Vec<StripId>], by: FetchFor, tx: &mpsc::Sender<TaskDeps>) {
-    let asks: Vec<StripAsk> = per_task.iter().flatten().map(|&sid| strip_ask(&plan.meta, sid)).collect();
-    let mut sizes = per_task.iter().map(Vec::len).peekable();
-    // Hand over every task whose strips are all in; a closed channel
-    // means the compute stage gave up, and nothing is left to do.
-    let mut hand_over = |deps: &mut Strips| {
-        while sizes.next_if_eq(&deps.len()).is_some() {
-            let _ = tx.send(Ok(std::mem::take(deps)));
-        }
-    };
-    let mut deps = Vec::new();
-    hand_over(&mut deps);
-    let fetched = shared.peers.get_strips(plan.file, &asks, by, |i, got| {
-        deps.push((StripId(asks[i].strip), checked_strip(&plan.meta, &asks[i], got)?));
-        hand_over(&mut deps);
-        Ok(())
-    });
-    if let Err(reply) = fetched {
-        let _ = tx.send(Err(reply));
-    }
-}
-
-/// The compute stage of one Execute: the strips its tasks read, and
+/// The compute side of one Execute: the strips its tasks read, and
 /// what they have done so far.
 struct Compute {
-    /// The plan's held strips (a table of handles), which each task
-    /// lends its fetched strips for the length of its kernel.
+    /// The strips held here (a table of handles), which each task lends
+    /// its fetched strips for the length of its kernel.
     view: StripAssembly,
     dep_fetches: u64,
     dep_fetch_bytes: u64,
@@ -1372,9 +1329,9 @@ struct Compute {
 }
 
 impl Compute {
-    fn new(plan: &ExecPlan) -> Compute {
+    fn new(view: StripAssembly) -> Compute {
         Compute {
-            view: plan.local.clone(),
+            view,
             dep_fetches: 0,
             dep_fetch_bytes: 0,
             kernel_time: Duration::ZERO,

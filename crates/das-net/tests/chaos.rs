@@ -928,12 +928,12 @@ fn fan_out_leaves_every_connection_reusable() {
 
 /// A dependence fetch that fails part-way through an `Execute` (the
 /// peer died): the daemon answers with the typed, transient
-/// `Retryable`, and its fetch stage has exited — the worker that ran
-/// the request is free again, so the daemon keeps serving.
+/// `Retryable`, and its peer wave has ended — the worker that ran the
+/// request is free again, so the daemon keeps serving.
 #[test]
 fn dead_peer_mid_execute_fails_typed_and_frees_the_worker() {
     // Two workers and the engine's cap of one running `Execute`: a
-    // worker stuck joining a hung fetcher would block the second one.
+    // worker stuck in a hung peer wave would block the second one.
     let mut h = boot_with_cfg(SERVERS, &[], |mut cfg| {
         cfg.pool = 2;
         cfg

@@ -13,7 +13,7 @@ use std::net::TcpListener;
 
 use das_core::{plan_distribution, PlanOptions, StripingParams};
 use das_kernels::{kernel_by_name, workload};
-use das_net::{run_net_scheme, spawn, DasCluster, DasdConfig, DasdHandle, NetScheme};
+use das_net::{run_net_scheme, run_net_scheme_opts, spawn, DasCluster, DasdConfig, DasdHandle, NetScheme};
 use das_pfs::{Layout, LayoutPolicy, ServerId, StripId, StripeSpec};
 use das_runtime::{run_scheme, ClusterConfig, SchemeKind};
 
@@ -256,6 +256,12 @@ fn client_requests(cluster: &mut DasCluster, op: &str) -> u64 {
         .sum()
 }
 
+/// The unlabelled counter `name`, summed over the fleet.
+fn fleet_counter(cluster: &mut DasCluster, name: &str) -> u64 {
+    let dumps = cluster.metrics_dump_all().expect("metrics dump");
+    dumps.iter().map(|(_, text)| das_obs::sample_value(&das_obs::parse(text), name, &[]).unwrap_or(0.0) as u64).sum()
+}
+
 #[test]
 fn a_steady_state_op_asks_for_each_files_metadata_once() {
     // The benchmark's op: flow-routing over a 1536 × 48 raster in
@@ -347,6 +353,32 @@ fn unsatisfied_plans_are_predicted_to_the_byte() {
         assert_eq!(das.exec.iter().map(|e| e.dep_fetch_bytes).sum::<u64>(), predicted.bytes);
         assert_eq!(das.output_fingerprint, kernel.apply(&input).fingerprint());
     }
+
+    // A forced offload on an unreplicated grouped layout: of each group
+    // of four 256-wide strips the inner two read only strips held here
+    // and the outer two fetch, so a daemon's fetching and non-fetching
+    // tasks interleave.
+    let input = workload::fbm_dem(WIDTH, HEIGHT, 12);
+    let data = input.to_bytes();
+    let file_len = data.len() as u64;
+    let offsets = kernel.dependence_offsets(WIDTH);
+    let policy = LayoutPolicy::Grouped { group: 4 };
+    let layout = Layout::new(policy, SERVERS as u32);
+    let grouped = StripingParams { element_size: 4, strip_size: STRIP as u64, layout };
+    let strips = StripeSpec::new(STRIP).strip_count(file_len);
+    let fetching: Vec<bool> = (grouped.layout.primary_strips(ServerId(0), strips).iter())
+        .map(|t| !grouped.remote_dependent_strips(ServerId(0), t.0, &offsets, file_len / 4).is_empty())
+        .collect();
+    assert!(fetching.contains(&true) && fetching.contains(&false), "daemon 0's tasks fetch: {fetching:?}");
+    let file = h.cluster.create_file("grouped4.raw", file_len, STRIP as u32, policy).unwrap();
+    h.cluster.put_file(file, &data).unwrap();
+    let nas = run_net_scheme(&mut h.cluster, NetScheme::Nas, file, "grouped4.nas", "flow-routing", WIDTH).unwrap();
+    assert!(nas.offloaded);
+    assert_eq!(nas.layout, policy);
+    assert_eq!(nas.output_fingerprint, kernel.apply(&input).fingerprint());
+    let predicted = grouped.predict_nas_fetches(&offsets, file_len);
+    assert_eq!(nas.exec.iter().map(|e| e.dep_fetches).sum::<u64>(), predicted.fetches);
+    assert_eq!(nas.exec.iter().map(|e| e.dep_fetch_bytes).sum::<u64>(), predicted.bytes);
     h.teardown();
 }
 
@@ -447,6 +479,15 @@ fn rejected_offload_falls_back_to_normal_io() {
     let nas = run_net_scheme(&mut h.cluster, NetScheme::Nas, file, "t.nas", "flow-routing", 64)
         .unwrap();
     assert!(nas.offloaded);
+    // A one-shot DAS run on the thrashing layout is refused and served
+    // as normal I/O; the daemons that refuse it price no fetches.
+    let predicted = |h: &mut Harness| fleet_counter(&mut h.cluster, "dasd_predicted_dep_fetch_bytes_total");
+    let before = predicted(&mut h);
+    let one_shot =
+        run_net_scheme_opts(&mut h.cluster, NetScheme::Das, file, "t.once", "flow-routing", 64, false).unwrap();
+    assert!(!one_shot.offloaded);
+    assert_eq!(one_shot.output_fingerprint, kernel.apply(&input).fingerprint());
+    assert_eq!(predicted(&mut h), before, "a refused offload was priced");
     // …while DAS decides; whatever it picks, the output is right.
     let das = run_net_scheme(&mut h.cluster, NetScheme::Das, file, "t.das", "flow-routing", 64)
         .unwrap();
@@ -535,9 +576,10 @@ fn a_crc_less_put_strip_is_refused_and_stores_nothing() {
 /// waterfall — compute-side roots with local-read, per-task
 /// kernel/assemble and peer-fetch sub-spans, and *child* request roots
 /// on the daemons that served the propagated dependence fetches, all
-/// under the one wire-propagated trace id. The fetch stage runs a task
-/// ahead of the compute stage, and the spans must show it: some
-/// dependence fetch starts while an earlier task's kernel is running.
+/// under the one wire-propagated trace id. The peer wave writes every
+/// fetch before it reads a reply and runs each task's kernel as that
+/// task's strips land, and the spans must show it: some dependence
+/// fetch starts while an earlier task's kernel is running.
 /// Replica forwards are outside the task loop, and the spans must show
 /// that too: one forward-pass span per Execute, after the kernels.
 #[test]
@@ -586,12 +628,11 @@ fn execute_trace_reconstructs_cross_daemon_waterfall() {
         layout: Layout::new(LayoutPolicy::RoundRobin, SERVERS as u32),
     };
     for (id, spans) in &dumps {
-        // The fetch stage issues a daemon's fetches in task order, so
-        // its k-th task's first fetch is the span at index (fetches of
-        // tasks before k) by start time. A serial loop starts it after
-        // task k−1's compute stage (kernel, then assemble) has ended;
-        // the fetch stage starts it as soon as task k−1's strips are
-        // handed over, before that compute stage has begun.
+        // The wave writes a daemon's fetches in task order, so its k-th
+        // task's first fetch is the span at index (fetches of tasks
+        // before k) by start time. A serial loop starts it after task
+        // k−1's kernel and assemble have ended; the wave starts it
+        // before task k−1's strips have landed.
         let started = |stage: Stage| {
             let mut of: Vec<_> = spans.iter().filter(|s| s.stage == stage).collect();
             of.sort_by_key(|s| s.start_us);
